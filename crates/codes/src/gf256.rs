@@ -85,9 +85,9 @@ const fn build_mul_table() -> [[u8; 256]; 256] {
 /// Full 256×256 product table: `MUL[a][b] = a·b` in GF(256). 64 KiB,
 /// built at compile time. Row `MUL[c]` turns the Reed-Solomon inner loop
 /// into a single branch-free lookup per byte — the seed's log/antilog
-/// kernel ([`mul_add_slice_ref`]) pays a zero-test plus two dependent
-/// table reads per byte instead, which dominated encode time on
-/// megabyte values.
+/// kernel (kept as the test oracle `mul_add_slice_ref`) pays a zero-test
+/// plus two dependent table reads per byte instead, which dominated
+/// encode time on megabyte values.
 pub static MUL: [[u8; 256]; 256] = build_mul_table();
 
 const fn build_nibble_tables() -> ([[u8; 16]; 256], [[u8; 16]; 256]) {
@@ -294,15 +294,15 @@ pub fn mul_add_slice(dst: &mut [u8], src: &[u8], c: u8) {
 }
 
 /// The seed's log/antilog implementation of [`mul_add_slice`], retained
-/// as a differential-testing oracle and as the "before" kernel of the
-/// loadgen wire-path A/B benchmark. Semantically identical to
+/// as a differential-testing oracle. Semantically identical to
 /// [`mul_add_slice`]; roughly 2–3× slower on large slices (per-byte
 /// zero test plus two dependent lookups).
 ///
 /// # Panics
 ///
 /// Panics if the slices have different lengths.
-pub fn mul_add_slice_ref(dst: &mut [u8], src: &[u8], c: u8) {
+#[cfg(test)]
+pub(crate) fn mul_add_slice_ref(dst: &mut [u8], src: &[u8], c: u8) {
     assert_eq!(dst.len(), src.len(), "mul_add_slice length mismatch");
     if c == 0 {
         return;

@@ -69,13 +69,13 @@ impl ReedSolomon {
     }
 
     /// The seed's dense encoder, retained as a differential-testing
-    /// oracle for [`ErasureCode::encode`] and as the "before" leg of the
-    /// loadgen wire-path A/B benchmark: it runs the log/antilog kernel
+    /// oracle for [`ErasureCode::encode`]: it runs the log/antilog kernel
     /// ([`crate::gf256::mul_add_slice_ref`]) over **all** `n` generator
     /// rows — including the systematic identity rows the optimized
     /// encoder emits as zero-copy slices — and gives every fragment its
     /// own allocation.
-    pub fn encode_dense(&self, value: &[u8]) -> Vec<Fragment> {
+    #[cfg(test)]
+    pub(crate) fn encode_dense(&self, value: &[u8]) -> Vec<Fragment> {
         let CodeParams { n, k } = self.params;
         let shard = self.shard_len(value.len());
         let mut padded = vec![0u8; shard * k];

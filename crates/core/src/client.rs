@@ -10,15 +10,10 @@
 //! concurrently as independent protocol frame stacks inside this single
 //! actor. Incoming replies carry the [`OpId`] they answer and are routed
 //! to that operation's stack; timers are routed by per-operation tokens.
-//!
-//! Legacy [`crate::ClientCmd`] messages (`Msg::Cmd`) execute on the
-//! default session 0 and behave bit-identically to the seed's serial
-//! queue: one queue, one outstanding operation, tags minted under the
-//! host's own process id.
 
 use crate::frames::{Env, FStep, Frame, FrameOut, ReadFrame, ReconFrame, TransferMode, WriteFrame};
 use crate::msg::{ClientCmd, Msg};
-use crate::store::{session_op_seq, session_writer};
+use crate::store::session_writer;
 use ares_sim::{Actor, Ctx};
 use ares_types::{
     ConfigId, ConfigRegistry, ConfigSeq, ObjectId, OpCompletion, OpId, OpKind, ProcessId,
@@ -76,9 +71,6 @@ struct SessionState {
     queue: VecDeque<(u64, ClientCmd)>,
     /// The session's one outstanding operation, if any.
     running: Option<OpId>,
-    /// Session-local counter for commands that arrive *without* a
-    /// pre-assigned seq (the legacy `Msg::Cmd` path).
-    next_seq: u64,
 }
 
 /// One in-flight operation: a protocol frame stack plus bookkeeping.
@@ -146,31 +138,6 @@ impl ClientActor {
         for (i, e) in seq.iter().enumerate() {
             self.cseq.absorb(i, *e);
         }
-    }
-
-    fn enqueue(
-        &mut self,
-        sid: SessionId,
-        seq: Option<u64>,
-        cmd: ClientCmd,
-        ctx: &mut Ctx<'_, Msg>,
-    ) {
-        let sess = self.sessions.entry(sid).or_default();
-        let seq = match seq {
-            Some(s) => {
-                // Keep the local counter ahead of store-assigned seqs so
-                // a later legacy command on this session cannot collide.
-                sess.next_seq = sess.next_seq.max((s & 0xFFFF_FFFF) + 1);
-                s
-            }
-            None => {
-                let n = sess.next_seq;
-                sess.next_seq += 1;
-                session_op_seq(sid, n)
-            }
-        };
-        sess.queue.push_back((seq, cmd));
-        self.start_next(sid, ctx);
     }
 
     /// Starts the next queued command of `sid`, if the session is idle.
@@ -326,7 +293,9 @@ impl ClientActor {
             // lint: allow(net-panic, reason = "internal invariant: finish() is only called with a terminal FrameOut; hostile bytes cannot reach it")
             other => unreachable!("operation finished with non-terminal output {other:?}"),
         }
-        ctx.note(format!("{:?} {} completed (cseq now {})", c.kind, c.op, self.cseq));
+        if ctx.tracing() {
+            ctx.note(format!("{:?} {} completed (cseq now {})", c.kind, c.op, self.cseq));
+        }
         ctx.complete(c);
         let sid = st.session;
         if let Some(sess) = self.sessions.get_mut(&sid) {
@@ -340,14 +309,14 @@ impl Actor<Msg> for ClientActor {
     fn on_message(&mut self, from: ProcessId, msg: Msg, ctx: &mut Ctx<'_, Msg>) {
         use ares_sim::SimMessage;
         match msg {
-            Msg::Cmd(cmd) => self.enqueue(SessionId(0), None, cmd, ctx),
             Msg::Invoke(inv) => {
                 debug_assert_eq!(
                     inv.seq >> 32,
                     inv.session.0 as u64,
                     "Invoke seq must live in its session's partition"
                 );
-                self.enqueue(inv.session, Some(inv.seq), inv.cmd, ctx);
+                self.sessions.entry(inv.session).or_default().queue.push_back((inv.seq, inv.cmd));
+                self.start_next(inv.session, ctx);
             }
             other => {
                 // Route the reply to the operation it answers; stragglers

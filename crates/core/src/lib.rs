@@ -26,9 +26,11 @@
 //! # Examples
 //!
 //! ```
-//! use ares_core::{ClientActor, ClientConfig, ClientCmd, Msg, ServerActor};
+//! use ares_core::{ClientActor, ClientConfig, ClientCmd, Invoke, Msg, ServerActor};
 //! use ares_sim::{NetworkConfig, World};
-//! use ares_types::{ConfigId, ConfigRegistry, Configuration, ObjectId, ProcessId, Value};
+//! use ares_types::{
+//!     ConfigId, ConfigRegistry, Configuration, ObjectId, ProcessId, SessionId, Value,
+//! };
 //!
 //! // A 5-server TREAS [5,3] genesis configuration.
 //! let registry = ConfigRegistry::from_configs([Configuration::treas(
@@ -45,9 +47,10 @@
 //!     ProcessId(100),
 //!     ClientActor::new(registry.clone(), ClientConfig::new(ConfigId(0))),
 //! );
-//! world.post(0, ProcessId(0), ProcessId(100), Msg::Cmd(ClientCmd::Write {
-//!     obj: ObjectId(0),
-//!     value: Value::from_static(b"hello ares"),
+//! world.post(0, ProcessId(0), ProcessId(100), Msg::Invoke(Invoke {
+//!     session: SessionId(0),
+//!     seq: 0,
+//!     cmd: ClientCmd::Write { obj: ObjectId(0), value: Value::from_static(b"hello ares") },
 //! }));
 //! world.run();
 //! assert_eq!(world.completions().len(), 1);
@@ -108,14 +111,23 @@ mod tests {
         w
     }
 
-    fn write(obj: u32, v: Value) -> Msg {
-        Msg::Cmd(ClientCmd::Write { obj: ObjectId(obj), value: v })
+    /// Invocation `n` of `session` (its `OpId::seq` is pre-assigned, as
+    /// the store frontends do).
+    fn invoke(session: u32, n: u64, cmd: ClientCmd) -> Msg {
+        let sid = ares_types::SessionId(session);
+        Msg::Invoke(Invoke { session: sid, seq: store::session_op_seq(sid, n), cmd })
     }
-    fn read(obj: u32) -> Msg {
-        Msg::Cmd(ClientCmd::Read { obj: ObjectId(obj) })
+
+    // The single-session helpers: command `n` of the target client's
+    // session 0.
+    fn write(n: u64, obj: u32, v: Value) -> Msg {
+        invoke(0, n, ClientCmd::Write { obj: ObjectId(obj), value: v })
     }
-    fn recon(c: u32) -> Msg {
-        Msg::Cmd(ClientCmd::Recon { target: ConfigId(c) })
+    fn read(n: u64, obj: u32) -> Msg {
+        invoke(0, n, ClientCmd::Read { obj: ObjectId(obj) })
+    }
+    fn recon(n: u64, c: u32) -> Msg {
+        invoke(0, n, ClientCmd::Recon { target: ConfigId(c) })
     }
 
     #[test]
@@ -123,8 +135,8 @@ mod tests {
         let reg = registry();
         let mut w = world_with(&reg, 10, &[(100, ClientConfig::new(ConfigId(0)))], 1);
         let v = Value::filler(64, 42);
-        w.post(0, ENV, ProcessId(100), write(0, v.clone()));
-        w.post(1, ENV, ProcessId(100), read(0));
+        w.post(0, ENV, ProcessId(100), write(0, 0, v.clone()));
+        w.post(1, ENV, ProcessId(100), read(1, 0));
         assert_eq!(w.run(), RunOutcome::Quiescent);
         let done = w.completions();
         assert_eq!(done.len(), 2);
@@ -141,9 +153,9 @@ mod tests {
             [(100, ClientConfig::new(ConfigId(0))), (200, ClientConfig::new(ConfigId(0)))];
         let mut w = world_with(&reg, 10, &clients, 2);
         let v = Value::filler(120, 9);
-        w.post(0, ENV, ProcessId(100), write(0, v.clone()));
-        w.post(2000, ENV, ProcessId(200), recon(1)); // ABD -> TREAS
-        w.post(8000, ENV, ProcessId(100), read(0));
+        w.post(0, ENV, ProcessId(100), write(0, 0, v.clone()));
+        w.post(2000, ENV, ProcessId(200), recon(0, 1)); // ABD -> TREAS
+        w.post(8000, ENV, ProcessId(100), read(1, 0));
         assert_eq!(w.run(), RunOutcome::Quiescent);
         let done = w.completions();
         assert_eq!(done.len(), 3, "write, recon, read all complete");
@@ -164,12 +176,12 @@ mod tests {
         let mut w = world_with(&reg, 10, &clients, 3);
         // Interleave writes/reads with a chain c0 -> c1 -> c2 -> c3.
         for i in 0..6u64 {
-            w.post(i * 400, ENV, ProcessId(100), write(0, Value::filler(40, i)));
-            w.post(i * 400 + 100, ENV, ProcessId(101), read(0));
+            w.post(i * 400, ENV, ProcessId(100), write(i, 0, Value::filler(40, i)));
+            w.post(i * 400 + 100, ENV, ProcessId(101), read(i, 0));
         }
-        w.post(100, ENV, ProcessId(200), recon(1));
-        w.post(150, ENV, ProcessId(200), recon(2));
-        w.post(200, ENV, ProcessId(200), recon(3));
+        w.post(100, ENV, ProcessId(200), recon(0, 1));
+        w.post(150, ENV, ProcessId(200), recon(1, 2));
+        w.post(200, ENV, ProcessId(200), recon(2, 3));
         assert_eq!(w.run(), RunOutcome::Quiescent);
         let done = w.completions();
         assert_eq!(done.len(), 15, "6 writes + 6 reads + 3 recons");
@@ -186,8 +198,8 @@ mod tests {
         let mut w = world_with(&reg, 10, &clients, 4);
         // Both propose different configurations at the same time:
         // consensus must order them into a single chain.
-        w.post(0, ENV, ProcessId(200), recon(1));
-        w.post(0, ENV, ProcessId(201), recon(2));
+        w.post(0, ENV, ProcessId(200), recon(0, 1));
+        w.post(0, ENV, ProcessId(201), recon(0, 2));
         assert_eq!(w.run(), RunOutcome::Quiescent);
         let done = w.completions();
         assert_eq!(done.len(), 2);
@@ -211,9 +223,9 @@ mod tests {
         ];
         let mut w = world_with(&reg, 10, &clients, 5);
         let v = Value::filler(90, 17);
-        w.post(0, ENV, ProcessId(100), write(0, v.clone()));
-        w.post(2000, ENV, ProcessId(200), recon(1)); // ABD -> TREAS, direct
-        w.post(9000, ENV, ProcessId(100), read(0));
+        w.post(0, ENV, ProcessId(100), write(0, 0, v.clone()));
+        w.post(2000, ENV, ProcessId(200), recon(0, 1)); // ABD -> TREAS, direct
+        w.post(9000, ENV, ProcessId(100), read(1, 0));
         assert_eq!(w.run(), RunOutcome::Quiescent);
         let done = w.completions();
         assert_eq!(done.len(), 3);
@@ -239,10 +251,10 @@ mod tests {
         ];
         let mut w = world_with(&reg, 10, &clients, 6);
         let v = Value::filler(200, 3);
-        w.post(0, ENV, ProcessId(200), recon(1));
-        w.post(4000, ENV, ProcessId(100), write(0, v.clone()));
-        w.post(8000, ENV, ProcessId(200), recon(2));
-        w.post(16000, ENV, ProcessId(100), read(0));
+        w.post(0, ENV, ProcessId(200), recon(0, 1));
+        w.post(4000, ENV, ProcessId(100), write(0, 0, v.clone()));
+        w.post(8000, ENV, ProcessId(200), recon(1, 2));
+        w.post(16000, ENV, ProcessId(100), read(1, 0));
         assert_eq!(w.run(), RunOutcome::Quiescent);
         let done = w.completions();
         assert_eq!(done.len(), 4);
@@ -261,8 +273,8 @@ mod tests {
         // c0 is ABD over 3 servers: tolerate 1 crash.
         w.schedule_crash(0, ProcessId(3));
         let v = Value::filler(32, 1);
-        w.post(1, ENV, ProcessId(100), write(0, v.clone()));
-        w.post(2, ENV, ProcessId(100), read(0));
+        w.post(1, ENV, ProcessId(100), write(0, 0, v.clone()));
+        w.post(2, ENV, ProcessId(100), read(1, 0));
         assert_eq!(w.run(), RunOutcome::Quiescent);
         assert_eq!(w.completions().len(), 2);
     }
@@ -273,20 +285,15 @@ mod tests {
         let mut w = world_with(&reg, 10, &[(100, ClientConfig::new(ConfigId(0)))], 8);
         let va = Value::filler(16, 100);
         let vb = Value::filler(16, 200);
-        w.post(0, ENV, ProcessId(100), write(1, va.clone()));
-        w.post(1, ENV, ProcessId(100), write(2, vb.clone()));
-        w.post(2, ENV, ProcessId(100), read(1));
-        w.post(3, ENV, ProcessId(100), read(2));
+        w.post(0, ENV, ProcessId(100), write(0, 1, va.clone()));
+        w.post(1, ENV, ProcessId(100), write(1, 2, vb.clone()));
+        w.post(2, ENV, ProcessId(100), read(2, 1));
+        w.post(3, ENV, ProcessId(100), read(3, 2));
         assert_eq!(w.run(), RunOutcome::Quiescent);
         let done = w.completions();
         assert_eq!(done.len(), 4);
         assert_eq!(done[2].value_digest, Some(va.digest()));
         assert_eq!(done[3].value_digest, Some(vb.digest()));
-    }
-
-    fn invoke(session: u32, n: u64, cmd: ClientCmd) -> Msg {
-        let sid = ares_types::SessionId(session);
-        Msg::Invoke(Invoke { session: sid, seq: store::session_op_seq(sid, n), cmd })
     }
 
     #[test]
@@ -377,8 +384,8 @@ mod tests {
         let run = |seed: u64| {
             let reg = registry();
             let mut w = world_with(&reg, 10, &[(100, ClientConfig::new(ConfigId(0)))], seed);
-            w.post(0, ENV, ProcessId(100), write(0, Value::filler(24, 5)));
-            w.post(1, ENV, ProcessId(100), read(0));
+            w.post(0, ENV, ProcessId(100), write(0, 0, Value::filler(24, 5)));
+            w.post(1, ENV, ProcessId(100), read(1, 0));
             w.run();
             (w.now(), w.metrics().messages_sent)
         };

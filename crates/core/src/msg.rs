@@ -4,7 +4,7 @@
 //! (reads/writes inside a configuration), consensus (`c.Con`), the
 //! configuration-discovery service (`READ-CONFIG` / `WRITE-CONFIG` of
 //! Alg. 6), and the ARES-TREAS state-transfer messages of Alg. 9 — plus
-//! harness commands that invoke client operations.
+//! the environment's envelope that invokes client operations.
 
 use crate::repair::RepairMsg;
 use ares_codes::Fragment;
@@ -142,8 +142,8 @@ impl XferMsg {
     }
 }
 
-/// Harness commands that invoke client operations (injected by the
-/// environment, not part of the protocol).
+/// Client operations the environment can invoke (carried by
+/// [`Invoke`], not part of the protocol).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ClientCmd {
     /// Invoke `write(value)` on `obj`.
@@ -165,9 +165,9 @@ pub enum ClientCmd {
     },
 }
 
-/// A session-attributed client invocation (the store frontends' command
-/// envelope; injected by the environment like [`ClientCmd`], never
-/// protocol traffic).
+/// A session-attributed client invocation (the command envelope of the
+/// store frontends and of scheduled scenarios; injected by the
+/// environment, never protocol traffic).
 ///
 /// `seq` is the full [`OpId::seq`] value chosen by the submitting store
 /// (see `crate::store::session_op_seq`), so the ticket that routes the
@@ -196,10 +196,7 @@ pub enum Msg {
     /// Fragment-repair traffic (this reproduction's future-work
     /// extension; see `crate::repair`).
     Repair(RepairMsg),
-    /// Harness command (legacy serial path: executes on the default
-    /// session's queue).
-    Cmd(ClientCmd),
-    /// Session-attributed client invocation (the `Store` frontends).
+    /// Session-attributed client invocation.
     Invoke(Invoke),
 }
 
@@ -208,17 +205,17 @@ impl Msg {
     /// network peer.
     ///
     /// Protocol families (DAP, consensus, configuration service, state
-    /// transfer, repair) are network traffic; command envelopes
-    /// ([`Msg::Cmd`], [`Msg::Invoke`]) are environment-injected only —
-    /// accepting them from the wire would let any peer invoke client
-    /// operations. This is the single network-admission surface: every
-    /// variant must be classified here explicitly (enforced by
-    /// `ares-lint`'s `msg-surface` rule), so a future variant cannot
-    /// default into admission.
+    /// transfer, repair) are network traffic; the command envelope
+    /// ([`Msg::Invoke`]) is environment-injected only — accepting it
+    /// from the wire would let any peer invoke client operations. This
+    /// is the single network-admission surface: every variant must be
+    /// classified here explicitly (enforced by `ares-lint`'s
+    /// `msg-surface` rule), so a future variant cannot default into
+    /// admission.
     pub fn network_admissible(&self) -> bool {
         match self {
             Msg::Dap(_) | Msg::Con(_) | Msg::Cfg(_) | Msg::Xfer(_) | Msg::Repair(_) => true,
-            Msg::Cmd(_) | Msg::Invoke(_) => false,
+            Msg::Invoke(_) => false,
         }
     }
 
@@ -236,7 +233,7 @@ impl Msg {
     /// Not journaled: queries and replies (they mutate nothing),
     /// repair traffic (recovery re-derives it — the delta-repair pass
     /// after replay re-fetches anything a lost `Lists` merge would
-    /// have contributed), and the client-only command envelopes.
+    /// have contributed), and the client-only command envelope.
     ///
     /// Like [`Msg::network_admissible`], this is a single exhaustive
     /// surface (enforced by `ares-lint`'s `msg-surface` rule): a
@@ -257,7 +254,7 @@ impl Msg {
             }
             Msg::Cfg(m) => matches!(m, CfgMsg::WriteConfig { .. }),
             Msg::Xfer(m) => matches!(m, XferMsg::FwdElem { .. }),
-            Msg::Repair(_) | Msg::Cmd(_) | Msg::Invoke(_) => false,
+            Msg::Repair(_) | Msg::Invoke(_) => false,
         }
     }
 }
@@ -279,7 +276,7 @@ impl SimMessage for Msg {
             Msg::Cfg(m) => Some(m.op()),
             Msg::Xfer(m) => Some(m.op()),
             Msg::Repair(m) => m.op(),
-            Msg::Cmd(_) | Msg::Invoke(_) => None,
+            Msg::Invoke(_) => None,
         }
     }
 
@@ -308,9 +305,6 @@ impl SimMessage for Msg {
             Msg::Repair(RepairMsg::Trigger { cfg, .. }) => format!("REPAIR-TRIGGER[{cfg}]"),
             Msg::Repair(RepairMsg::Query { cfg, .. }) => format!("REPAIR-QUERY[{cfg}]"),
             Msg::Repair(RepairMsg::Lists { cfg, .. }) => format!("REPAIR-LISTS[{cfg}]"),
-            Msg::Cmd(ClientCmd::Write { .. }) => "INVOKE-WRITE".into(),
-            Msg::Cmd(ClientCmd::Read { .. }) => "INVOKE-READ".into(),
-            Msg::Cmd(ClientCmd::Recon { target }) => format!("INVOKE-RECON({target})"),
             Msg::Invoke(inv) => {
                 let what = match &inv.cmd {
                     ClientCmd::Write { .. } => "WRITE",

@@ -520,7 +520,7 @@ impl Actor<Msg> for ServerActor {
             Msg::Cfg(m) => self.handle_cfg(from, m),
             Msg::Xfer(m) => self.handle_xfer(from, m),
             Msg::Repair(m) => self.handle_repair(from, m),
-            Msg::Cmd(_) | Msg::Invoke(_) => Vec::new(), // commands are for clients
+            Msg::Invoke(_) => Vec::new(), // commands are for clients
         };
         for (to, m) in replies {
             ctx.send(to, m);

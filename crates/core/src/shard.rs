@@ -23,9 +23,9 @@
 //! shards; there is no mutable state that both classes touch, which is
 //! the whole argument — see `DESIGN.md` §9.
 //!
-//! Client-command envelopes (`Msg::Cmd` / `Msg::Invoke`) classify as
-//! config-wide: they are only ever injected into *client* hosts, which
-//! are single-sharded, and keeping them on shard 0 preserves the
+//! The client-command envelope (`Msg::Invoke`) classifies as
+//! config-wide: it is only ever injected into *client* hosts, which
+//! are single-sharded, and keeping it on shard 0 preserves the
 //! session lanes' serial order.
 
 use crate::msg::Msg;
@@ -57,7 +57,7 @@ pub fn route(msg: &Msg) -> ShardRoute {
             | RepairMsg::Query { obj, .. }
             | RepairMsg::Lists { obj, .. },
         ) => ShardRoute::Object(*obj),
-        Msg::Con(_) | Msg::Cfg(_) | Msg::Cmd(_) | Msg::Invoke(_) => ShardRoute::ConfigWide,
+        Msg::Con(_) | Msg::Cfg(_) | Msg::Invoke(_) => ShardRoute::ConfigWide,
     }
 }
 
@@ -84,10 +84,10 @@ pub fn shard_of(msg: &Msg, shards: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CfgMsg, ClientCmd};
+    use crate::{CfgMsg, ClientCmd, Invoke};
     use ares_consensus::{Ballot, ConMsg};
     use ares_dap::{DapBody, DapMsg, Hdr};
-    use ares_types::{ConfigId, OpId, ProcessId, RpcId, Tag};
+    use ares_types::{ConfigId, OpId, ProcessId, RpcId, SessionId, Tag};
 
     fn op() -> OpId {
         OpId { client: ProcessId(9), seq: 0 }
@@ -120,7 +120,11 @@ mod tests {
         assert_eq!(shard_of(&con, 8), 0);
         let cfg = Msg::Cfg(CfgMsg::ReadConfig { base: ConfigId(0), rpc: RpcId(1), op: op() });
         assert_eq!(shard_of(&cfg, 8), 0);
-        let cmd = Msg::Cmd(ClientCmd::Read { obj: ObjectId(9) });
+        let cmd = Msg::Invoke(Invoke {
+            session: SessionId(0),
+            seq: 0,
+            cmd: ClientCmd::Read { obj: ObjectId(9) },
+        });
         assert_eq!(shard_of(&cmd, 8), 0, "client commands keep their serial lane");
     }
 

@@ -7,15 +7,17 @@
 //! history, metrics and (optionally) the structured trace — everything
 //! the tests, experiments and benches consume.
 
-use ares_core::{ClientActor, ClientCmd, ClientConfig, Msg, ServerActor, TransferMode};
+use ares_core::store::session_op_seq;
+use ares_core::{ClientActor, ClientCmd, ClientConfig, Invoke, Msg, ServerActor, TransferMode};
 use ares_sim::{
     DelayBounds, FaultAction, FaultSchedule, LatencyModel, NetworkConfig, RunOutcome, TraceEvent,
     World,
 };
 use ares_types::{
-    ConfigId, ConfigRegistry, Configuration, ObjectId, OpCompletion, ProcessId, Time, Value,
+    ConfigId, ConfigRegistry, Configuration, ObjectId, OpCompletion, ProcessId, SessionId, Time,
+    Value,
 };
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 /// The environment pseudo-process used as the source of injected events.
@@ -337,8 +339,21 @@ impl Scenario {
                 Msg::Repair(ares_core::RepairMsg::Trigger { cfg: *cfg, obj: *obj }),
             );
         }
-        for inv in &self.invocations {
-            world.post(inv.at, ENV, inv.client, Msg::Cmd(inv.cmd.clone()));
+        // Each client is one sequential process: its invocations run on
+        // session 0, numbered in the order the world delivers them —
+        // `World::post` orders by `(at, post order)`.
+        let mut delivery: Vec<usize> = (0..self.invocations.len()).collect();
+        delivery.sort_by_key(|&i| self.invocations[i].at);
+        let mut seqs = vec![0u64; self.invocations.len()];
+        let mut issued: HashMap<ProcessId, u64> = HashMap::new();
+        for i in delivery {
+            let n = issued.entry(self.invocations[i].client).or_default();
+            seqs[i] = session_op_seq(SessionId(0), *n);
+            *n += 1;
+        }
+        for (inv, seq) in self.invocations.iter().zip(seqs) {
+            let invoke = Invoke { session: SessionId(0), seq, cmd: inv.cmd.clone() };
+            world.post(inv.at, ENV, inv.client, Msg::Invoke(invoke));
         }
         let outcome = world.run();
         let completions = world.take_completions();

@@ -1,9 +1,8 @@
 //! [`SimStore`] — the session-multiplexed store over the deterministic
 //! simulator.
 //!
-//! The serial queued-command path (post a `Msg::Cmd` schedule, run the
-//! world, collect completions) can only express one outstanding
-//! operation per client actor. `SimStore` replaces it with the
+//! A [`crate::Scenario`] posts a fixed schedule up front, one session
+//! per client actor. `SimStore` is the interactive counterpart, the
 //! `ares_core::store` API: one multiplexing `ClientActor` hosts many
 //! logical sessions, and ticketed operations *pump the world on demand*
 //! — `ticket.wait()` steps events until exactly that operation's
@@ -36,7 +35,6 @@ pub struct SimStoreBuilder {
     big_d: Time,
     latency_model: Option<LatencyModel>,
     faults: FaultSchedule,
-    direct_transfer: bool,
     event_limit: Option<u64>,
 }
 
@@ -58,7 +56,6 @@ impl SimStoreBuilder {
             big_d: 50,
             latency_model: None,
             faults: FaultSchedule::new(),
-            direct_transfer: false,
             event_limit: None,
         }
     }
@@ -109,13 +106,6 @@ impl SimStoreBuilder {
         self
     }
 
-    /// Uses the ARES-TREAS direct state transfer for reconfigurations.
-    #[must_use]
-    pub fn direct_transfer(mut self) -> Self {
-        self.direct_transfer = true;
-        self
-    }
-
     /// Caps the number of simulator events (livelock guard).
     #[must_use]
     pub fn event_limit(mut self, limit: u64) -> Self {
@@ -152,9 +142,6 @@ impl SimStoreBuilder {
             world.add_actor(s, ServerActor::new(s, registry.clone()));
         }
         let mut cfg = ares_core::ClientConfig::new(c0).with_objects(self.objects);
-        if self.direct_transfer {
-            cfg = cfg.with_direct_transfer();
-        }
         // Keep the first retransmission (4× the unit) above the worst-case
         // round trip 2D so healthy-but-slow phases are never restarted.
         cfg.backoff_unit = cfg.backoff_unit.max(self.big_d);
@@ -282,23 +269,6 @@ pub struct SimSession {
     next: u64,
 }
 
-impl SimSession {
-    /// Submits `cmd` with its invocation *injected* at simulated time
-    /// `at` (clamped to now) — the open-loop driver's entry point: the
-    /// whole arrival schedule can be posted up front and the world run
-    /// once.
-    pub fn submit_at(&mut self, at: Time, cmd: ClientCmd) -> SimTicket {
-        let mut inner = self.inner.borrow_mut();
-        let seq = session_op_seq(self.id, self.next);
-        self.next += 1;
-        let client = inner.client;
-        let op = OpId { client, seq };
-        let at = at.max(inner.world.now());
-        inner.world.post(at, ENV, client, Msg::Invoke(Invoke { session: self.id, seq, cmd }));
-        SimTicket { inner: self.inner.clone(), op }
-    }
-}
-
 impl StoreSession for SimSession {
     type Ticket = SimTicket;
 
@@ -311,8 +281,13 @@ impl StoreSession for SimSession {
     }
 
     fn submit(&mut self, cmd: ClientCmd) -> Result<SimTicket, OpError> {
-        let now = self.inner.borrow().world.now();
-        Ok(self.submit_at(now, cmd))
+        let mut inner = self.inner.borrow_mut();
+        let seq = session_op_seq(self.id, self.next);
+        self.next += 1;
+        let client = inner.client;
+        let now = inner.world.now();
+        inner.world.post(now, ENV, client, Msg::Invoke(Invoke { session: self.id, seq, cmd }));
+        Ok(SimTicket { inner: self.inner.clone(), op: OpId { client, seq } })
     }
 }
 

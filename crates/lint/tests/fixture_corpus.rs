@@ -53,7 +53,7 @@ fn run_msg_surface(name: &str) -> Vec<Finding> {
 fn msg_surface_fires_on_trip() {
     let out = run_msg_surface("msg_surface_trip");
     assert!(
-        out.iter().any(|f| f.msg.contains("`Msg::Cmd` is not classified in shard routing")),
+        out.iter().any(|f| f.msg.contains("`Msg::Invoke` is not classified in shard routing")),
         "deleted routing arm must fire: {out:?}"
     );
     assert!(

@@ -3,7 +3,7 @@
 pub enum Msg {
     Dap(u8),
     Con(u16),
-    Cmd(u32),
+    Invoke(u32),
 }
 
 impl WireEncode for Msg {
@@ -14,7 +14,7 @@ impl WireEncode for Msg {
                 out.push(*x);
             }
             Msg::Con(_) => out.push(1),
-            Msg::Cmd(_) => out.push(2),
+            Msg::Invoke(_) => out.push(2),
         }
     }
 }
@@ -24,7 +24,7 @@ impl WireDecode for Msg {
         Ok(match r.u8()? {
             0 => Msg::Dap(r.u8()?),
             1 => Msg::Con(0),
-            2 => Msg::Cmd(0),
+            2 => Msg::Invoke(0),
             _ => return Err(Error),
         })
     }
@@ -33,6 +33,6 @@ impl WireDecode for Msg {
 pub fn route(msg: &Msg, shards: usize) -> usize {
     match msg {
         Msg::Dap(x) => (*x as usize) % shards,
-        Msg::Con(_) | Msg::Cmd(_) => 0,
+        Msg::Con(_) | Msg::Invoke(_) => 0,
     }
 }

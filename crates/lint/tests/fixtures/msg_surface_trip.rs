@@ -1,10 +1,10 @@
-// Fixture: `Msg::Cmd` lost its routing arm (swallowed by a wildcard) and
+// Fixture: `Msg::Invoke` lost its routing arm (swallowed by a wildcard) and
 // the decoder matches tag 7 where the encoder pushes 2.
 
 pub enum Msg {
     Dap(u8),
     Con(u16),
-    Cmd(u32),
+    Invoke(u32),
 }
 
 impl WireEncode for Msg {
@@ -15,7 +15,7 @@ impl WireEncode for Msg {
                 out.push(*x);
             }
             Msg::Con(_) => out.push(1),
-            Msg::Cmd(_) => out.push(2),
+            Msg::Invoke(_) => out.push(2),
         }
     }
 }
@@ -25,7 +25,7 @@ impl WireDecode for Msg {
         Ok(match r.u8()? {
             0 => Msg::Dap(r.u8()?),
             1 => Msg::Con(0),
-            7 => Msg::Cmd(0),
+            7 => Msg::Invoke(0),
             _ => return Err(Error),
         })
     }

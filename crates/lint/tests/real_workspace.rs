@@ -199,8 +199,8 @@ fn new_enum_variant_fires_on_every_surface() {
     mutate(
         &mut files,
         "crates/core/src/msg.rs",
-        "    /// Session-attributed client invocation (the `Store` frontends).\n    Invoke(Invoke),",
-        "    /// Session-attributed client invocation (the `Store` frontends).\n    Invoke(Invoke),\n    /// A hypothetical new message family nobody classified yet.\n    Probe(ClientCmd),",
+        "    /// Session-attributed client invocation.\n    Invoke(Invoke),",
+        "    /// Session-attributed client invocation.\n    Invoke(Invoke),\n    /// A hypothetical new message family nobody classified yet.\n    Probe(ClientCmd),",
     );
     let out = msg_surface_findings(&files);
     let hits = out.iter().filter(|m| m.contains("Msg::Probe")).count();

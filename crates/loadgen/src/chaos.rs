@@ -57,7 +57,7 @@ pub struct ChaosScenarioReport {
 }
 
 impl ChaosScenarioReport {
-    /// One-line human rendering for `--verbose` output.
+    /// One-line human rendering.
     pub fn line(&self) -> String {
         format!(
             "{:<24} [{}] seed={} ops={} p99={}us faults={} atomic={}{}",
@@ -352,7 +352,7 @@ fn run_net_leg(
         .start()?;
     let store = cluster.store(100);
     let t0 = Instant::now();
-    let parts = std::thread::scope(|s| {
+    let completions = std::thread::scope(|s| {
         let script = &script;
         let cluster = &cluster;
         let faults = s.spawn(move || cluster.run_script(script));
@@ -367,12 +367,11 @@ fn run_net_leg(
             driver.sweep();
         }
         faults.join().expect("fault script thread");
-        driver.into_parts()
+        driver.completions
     });
     let elapsed = t0.elapsed().as_secs_f64();
     let faults_injected = cluster.faults_dropped() + script.len() as u64;
     cluster.shutdown();
-    let (_, _, completions) = parts;
     let complete = completions.len() == spec.total_ops();
     let atomic = complete && check_atomicity(&completions).is_atomic();
     Ok(ChaosScenarioReport {

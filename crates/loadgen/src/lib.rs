@@ -1,60 +1,36 @@
-//! Load generation for the ARES reproduction.
+//! The load-driven experiments `benchmark/` does not cover.
 //!
-//! The TREAS cost theorems (E1/E2) pin *what* the protocols transmit and
-//! store; this crate pins *how fast* the implementation moves it. It
-//! drives multi-client, multi-object read/write-mix workloads over both
-//! backends of the session-multiplexed store API —
+//! Sustained throughput, latency and per-layer cost are measured by the
+//! standalone `benchmark/` package; this crate keeps the two
+//! experiments that need a scripted incident rather than a steady load:
 //!
-//! * [`run_sim`] — closed loop over `ares_harness::SimStore`: one
-//!   multiplexing client actor in the deterministic simulator, one
-//!   logical session per configured client, each session submitting its
-//!   next command as its previous ticket completes;
-//! * [`run_cluster`] — the thread-per-client *baseline*: one
-//!   [`ares_net::RemoteClient`] (socket set + listener + blocked OS
-//!   thread) per client over a live [`ares_net::testing::LocalCluster`];
-//! * [`run_cluster_sessions`] — the session-multiplexed counterpart:
-//!   ONE `ares_net::NetStore` hosting every client as a logical session,
-//!   driven closed-loop from a single thread via ticket polling;
-//! * [`openloop`] — open-loop drivers (target arrival rate,
-//!   deterministic seeded inter-arrival jitter) the closed-loop API
-//!   could not express, over both backends;
+//! * [`chaos`] — adversarial scenarios (WAN tails, duplication +
+//!   reorder, gray nodes, asymmetric partitions, churn storms) over the
+//!   simulator and a live loopback cluster, every history
+//!   atomicity-checked and every simulator leg replayed from its seed;
+//! * [`recovery`] — the crash-recovery A/B (WAL replay-then-delta-repair
+//!   vs repair-from-zero).
 //!
-//! — and reports throughput plus p50/p99/p99.9 latency histograms
-//! ([`LatencyHistogram`]). Every run returns its completion history so
-//! callers can feed [`ares_harness::check_atomicity`]: the perf harness
-//! is itself safety-checked.
-//!
-//! The [`wirebench`] module holds the before/after A/B of the
-//! encode-once / share-don't-copy wire path, and the [`recovery`]
-//! module the crash-recovery A/B (WAL replay-then-delta-repair vs
-//! repair-from-zero); the `loadgen` binary ties everything together
-//! and emits `BENCH_throughput.json`, `BENCH_sessions.json` and
+//! The `loadgen` binary runs them and emits `BENCH_chaos.json` and
 //! `BENCH_recovery.json` (schemas in the repo README).
 
 pub mod chaos;
 mod hist;
 pub mod json;
-pub mod openloop;
 pub mod recovery;
-pub mod wirebench;
 pub mod zipf;
 
 pub use chaos::{run_chaos_suite, ChaosReport, ChaosScenarioReport};
 pub use hist::LatencyHistogram;
-pub use openloop::{run_open_loop_cluster, run_open_loop_sim, OpenLoopReport, OpenLoopSpec};
 pub use recovery::{run_recovery, RecoveryMode, RecoveryRunReport, RecoverySpec};
 pub use zipf::ZipfSampler;
 
 use ares_core::store::{Store, StoreSession};
 use ares_core::{ClientCmd, OpTicket};
-use ares_harness::SimStore;
-use ares_net::testing::LocalCluster;
-use ares_types::{Configuration, ObjectId, OpCompletion, OpKind, Value};
+use ares_types::{ObjectId, OpCompletion, Value};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::VecDeque;
-use std::io;
-use std::time::{Duration, Instant};
 
 /// Parameters of a closed-loop workload.
 #[derive(Debug, Clone)]
@@ -97,9 +73,7 @@ impl LoadSpec {
         self.clients * self.ops_per_client
     }
 
-    /// The deterministic command sequence of client `index`
-    /// (shared by both backends so a sim run and a cluster run of one
-    /// spec execute the same logical workload).
+    /// The deterministic command sequence of client `index`.
     fn client_ops(&self, index: usize) -> Vec<ClientCmd> {
         let mut rng = StdRng::seed_from_u64(self.seed ^ ((index as u64 + 1) << 32));
         let zipf = (self.zipf_theta > 0.0)
@@ -124,67 +98,12 @@ impl LoadSpec {
     }
 }
 
-/// Outcome of one workload run.
-pub struct LoadReport {
-    /// Completed operations.
-    pub ops: u64,
-    /// Completed reads.
-    pub reads: u64,
-    /// Completed writes.
-    pub writes: u64,
-    /// Wall-clock (cluster) or simulated (sim) duration in seconds.
-    pub elapsed_secs: f64,
-    /// Operations per second.
-    pub ops_per_sec: f64,
-    /// Value payload moved per second, in MiB (reads + writes).
-    pub value_mib_per_sec: f64,
-    /// Read latency distribution (µs).
-    pub read_hist: LatencyHistogram,
-    /// Write latency distribution (µs).
-    pub write_hist: LatencyHistogram,
-    /// The completion history, for atomicity checking.
-    pub completions: Vec<OpCompletion>,
-}
-
-impl LoadReport {
-    fn from_parts(
-        elapsed_secs: f64,
-        value_size: usize,
-        read_hist: LatencyHistogram,
-        write_hist: LatencyHistogram,
-        completions: Vec<OpCompletion>,
-    ) -> LoadReport {
-        let reads = read_hist.count();
-        let writes = write_hist.count();
-        let ops = reads + writes;
-        let secs = elapsed_secs.max(1e-9);
-        LoadReport {
-            ops,
-            reads,
-            writes,
-            elapsed_secs,
-            ops_per_sec: ops as f64 / secs,
-            value_mib_per_sec: ops as f64 * value_size as f64 / (1024.0 * 1024.0) / secs,
-            read_hist,
-            write_hist,
-            completions,
-        }
-    }
-
-    /// Panics unless the recorded history is atomic (the loadgen's own
-    /// safety gate).
-    pub fn assert_atomic(&self) {
-        ares_harness::check_atomicity(&self.completions).assert_atomic();
-    }
-}
-
-/// The closed-loop driver state of one session set.
+/// The closed-loop driver state of one session set: each session
+/// submits its next command when its previous one completes.
 struct SessionLoop<S: StoreSession> {
     sessions: Vec<S>,
     pending: Vec<VecDeque<ClientCmd>>,
     outstanding: Vec<Option<S::Ticket>>,
-    read_hist: LatencyHistogram,
-    write_hist: LatencyHistogram,
     completions: Vec<OpCompletion>,
 }
 
@@ -192,21 +111,9 @@ impl<S: StoreSession> SessionLoop<S> {
     /// Opens one session per client stream and submits each stream's
     /// first command.
     fn start(store: &impl Store<Session = S>, spec: &LoadSpec) -> Self {
-        Self::start_streams(store, spec, 0..spec.clients)
-    }
-
-    /// Like [`SessionLoop::start`], but driving only the client streams
-    /// in `streams` — lets several stores split one spec's streams
-    /// between them (each stream keeps its global index, so command
-    /// sequences and write digests stay those of the whole spec).
-    fn start_streams(
-        store: &impl Store<Session = S>,
-        spec: &LoadSpec,
-        streams: std::ops::Range<usize>,
-    ) -> Self {
-        let mut sessions: Vec<S> = streams.clone().map(|_| store.open_session()).collect();
+        let mut sessions: Vec<S> = (0..spec.clients).map(|_| store.open_session()).collect();
         let mut pending: Vec<VecDeque<ClientCmd>> =
-            streams.map(|i| spec.client_ops(i).into()).collect();
+            (0..spec.clients).map(|i| spec.client_ops(i).into()).collect();
         let outstanding = sessions
             .iter_mut()
             .zip(&mut pending)
@@ -216,8 +123,6 @@ impl<S: StoreSession> SessionLoop<S> {
             sessions,
             pending,
             outstanding,
-            read_hist: LatencyHistogram::new(),
-            write_hist: LatencyHistogram::new(),
             completions: Vec::with_capacity(spec.total_ops()),
         }
     }
@@ -226,21 +131,14 @@ impl<S: StoreSession> SessionLoop<S> {
         self.outstanding.iter().all(Option::is_none)
     }
 
-    /// One sweep: collect finished tickets, record their latencies
-    /// (the runtime's invoke→complete span), submit each freed
-    /// session's next command.
+    /// One sweep: collect finished tickets, submit each freed session's
+    /// next command.
     fn sweep(&mut self) {
         for i in 0..self.outstanding.len() {
             let Some(mut t) = self.outstanding[i].take() else { continue };
             match t.try_wait() {
                 Some(res) => {
-                    let c = res.expect("completions route Ok");
-                    match c.kind {
-                        OpKind::Read => self.read_hist.record(c.latency()),
-                        OpKind::Write => self.write_hist.record(c.latency()),
-                        OpKind::Recon => {}
-                    }
-                    self.completions.push(c);
+                    self.completions.push(res.expect("completions route Ok"));
                     self.outstanding[i] = self.pending[i]
                         .pop_front()
                         .map(|cmd| self.sessions[i].submit(cmd).expect("submit"));
@@ -249,241 +147,6 @@ impl<S: StoreSession> SessionLoop<S> {
             }
         }
     }
-
-    fn into_report(self, elapsed_secs: f64, value_size: usize) -> LoadReport {
-        LoadReport::from_parts(
-            elapsed_secs,
-            value_size,
-            self.read_hist,
-            self.write_hist,
-            self.completions,
-        )
-    }
-
-    fn into_parts(self) -> (LatencyHistogram, LatencyHistogram, Vec<OpCompletion>) {
-        (self.read_hist, self.write_hist, self.completions)
-    }
-}
-
-/// Runs `spec` against the deterministic simulator over `configs`
-/// (genesis first): one multiplexing client actor, one logical session
-/// per configured client, each session closed-loop (its next command is
-/// submitted the moment its previous ticket completes). Latency is the
-/// actor's invoke→complete span in simulated microseconds.
-pub fn run_sim(spec: &LoadSpec, configs: Vec<Configuration>) -> LoadReport {
-    let store =
-        SimStore::builder(configs).objects(0..spec.objects.max(1) as u32).seed(spec.seed).build();
-    let mut driver = SessionLoop::start(&store, spec);
-    while !driver.done() {
-        let progressed = store.step();
-        driver.sweep();
-        assert!(
-            progressed || driver.done(),
-            "simulated load quiesced with operations outstanding (liveness bug)"
-        );
-    }
-    driver.into_report(store.now() as f64 / 1e6, spec.value_size)
-}
-
-/// Runs `spec` as sessions multiplexed over ONE live client runtime:
-/// a single [`ares_net::NetStore`] (one socket set, one event loop)
-/// hosts `spec.clients` logical sessions, driven closed-loop from one
-/// thread via ticket polling. The counterpart baseline is
-/// [`run_cluster`]'s thread-per-client deployment; compare their
-/// aggregate throughput at equal client counts.
-///
-/// Latency is the runtime's invoke→complete span per operation (the
-/// same clock the completion records carry).
-///
-/// # Errors
-///
-/// Propagates socket errors from cluster bring-up.
-pub fn run_cluster_sessions(
-    spec: &LoadSpec,
-    configs: Vec<Configuration>,
-) -> io::Result<LoadReport> {
-    let cluster = LocalCluster::builder(configs)
-        .clients([100])
-        .objects(0..spec.objects.max(1) as u32)
-        .start()?;
-    let store = cluster.store(100);
-    let t0 = Instant::now();
-    let mut driver = SessionLoop::start(store, spec);
-    let mut seen = 0u64;
-    while !driver.done() {
-        assert!(
-            t0.elapsed() < ares_net::DEFAULT_OP_TIMEOUT + Duration::from_secs(240),
-            "session workload did not complete (liveness bug)"
-        );
-        // Sleep until the runtime routes another completion, then sweep.
-        seen = store.wait_progress(seen, Duration::from_millis(100));
-        driver.sweep();
-    }
-    let elapsed = t0.elapsed().as_secs_f64();
-    cluster.shutdown();
-    Ok(driver.into_report(elapsed, spec.value_size))
-}
-
-/// Outcome of one sharded-cluster run: the load report plus every
-/// server node's runtime counter snapshot (taken right before
-/// shutdown), so a sweep can report routing balance and outbound
-/// batching next to throughput.
-pub struct ShardRunReport {
-    /// The merged load report across all driving stores.
-    pub report: LoadReport,
-    /// `(server pid, stats)` per node, ascending by pid.
-    pub node_stats: Vec<(u32, ares_net::NodeStats)>,
-}
-
-/// Runs `spec` over a live cluster whose server nodes are partitioned
-/// into `shards` event-loop shards, driving the spec's client streams
-/// as sessions split across `stores` independent [`ares_net::NetStore`]
-/// runtimes (one driver thread each). Multiple stores keep the
-/// *client* side from serializing the experiment, so the sweep's
-/// variable — server-side shard parallelism — is what's measured.
-///
-/// `stores` is clamped to the number of client streams.
-///
-/// # Errors
-///
-/// Propagates socket errors from cluster bring-up.
-///
-/// # Panics
-///
-/// Panics if the workload stops making progress (a liveness bug).
-pub fn run_cluster_sharded(
-    spec: &LoadSpec,
-    configs: Vec<Configuration>,
-    shards: usize,
-    stores: usize,
-) -> io::Result<ShardRunReport> {
-    let stores = stores.clamp(1, spec.clients.max(1));
-    let client_ids: Vec<u32> = (0..stores as u32).map(|i| 100 + i).collect();
-    let cluster = LocalCluster::builder(configs)
-        .clients(client_ids.iter().copied())
-        .objects(0..spec.objects.max(1) as u32)
-        .shards(shards)
-        .start()?;
-
-    let t0 = Instant::now();
-    let per = spec.clients / stores;
-    let extra = spec.clients % stores;
-    let parts: Vec<(LatencyHistogram, LatencyHistogram, Vec<OpCompletion>)> =
-        std::thread::scope(|s| {
-            let mut start = 0usize;
-            let handles: Vec<_> = client_ids
-                .iter()
-                .enumerate()
-                .map(|(i, &pid)| {
-                    let streams = start..start + per + usize::from(i < extra);
-                    start = streams.end;
-                    let cluster = &cluster;
-                    s.spawn(move || {
-                        let store = cluster.store(pid);
-                        let mut driver = SessionLoop::start_streams(store, spec, streams);
-                        let mut seen = 0u64;
-                        let begun = Instant::now();
-                        while !driver.done() {
-                            assert!(
-                                begun.elapsed()
-                                    < ares_net::DEFAULT_OP_TIMEOUT + Duration::from_secs(240),
-                                "sharded session workload did not complete (liveness bug)"
-                            );
-                            seen = store.wait_progress(seen, Duration::from_millis(100));
-                            driver.sweep();
-                        }
-                        driver.into_parts()
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("store driver")).collect()
-        });
-    let elapsed = t0.elapsed().as_secs_f64();
-    let node_stats: Vec<(u32, ares_net::NodeStats)> =
-        cluster.server_pids().iter().map(|p| (p.0, cluster.node_stats(p.0))).collect();
-    cluster.shutdown();
-
-    let mut read_hist = LatencyHistogram::new();
-    let mut write_hist = LatencyHistogram::new();
-    let mut completions = Vec::with_capacity(spec.total_ops());
-    for (r, w, c) in parts {
-        read_hist.merge(&r);
-        write_hist.merge(&w);
-        completions.extend(c);
-    }
-    Ok(ShardRunReport {
-        report: LoadReport::from_parts(
-            elapsed,
-            spec.value_size,
-            read_hist,
-            write_hist,
-            completions,
-        ),
-        node_stats,
-    })
-}
-
-/// Runs `spec` against a live loopback TCP cluster over `configs`
-/// (genesis first): one OS thread per client, blocking operations,
-/// wall-clock latencies.
-///
-/// # Errors
-///
-/// Propagates socket errors from cluster bring-up.
-pub fn run_cluster(spec: &LoadSpec, configs: Vec<Configuration>) -> io::Result<LoadReport> {
-    let client_ids: Vec<u32> = (0..spec.clients as u32).map(|i| 100 + i).collect();
-    let cluster = LocalCluster::builder(configs)
-        .clients(client_ids.iter().copied())
-        .objects(0..spec.objects as u32)
-        .start()?;
-
-    let t0 = Instant::now();
-    let per_client: Vec<(LatencyHistogram, LatencyHistogram, Vec<OpCompletion>)> =
-        std::thread::scope(|s| {
-            let handles: Vec<_> = client_ids
-                .iter()
-                .enumerate()
-                .map(|(index, &pid)| {
-                    let cluster = &cluster;
-                    let ops = spec.client_ops(index);
-                    s.spawn(move || {
-                        let client = cluster.client(pid);
-                        let mut read_hist = LatencyHistogram::new();
-                        let mut write_hist = LatencyHistogram::new();
-                        let mut completions = Vec::with_capacity(ops.len());
-                        for cmd in ops {
-                            let start = Instant::now();
-                            let completion = match cmd {
-                                ClientCmd::Read { obj } => client.read(obj),
-                                ClientCmd::Write { obj, value } => client.write(obj, value),
-                                ClientCmd::Recon { target } => client.reconfig(target),
-                            };
-                            let us = start.elapsed().as_micros() as u64;
-                            match completion.kind {
-                                OpKind::Read => read_hist.record(us),
-                                OpKind::Write => write_hist.record(us),
-                                OpKind::Recon => {}
-                            }
-                            completions.push(completion);
-                        }
-                        (read_hist, write_hist, completions)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("client thread")).collect()
-        });
-    let elapsed = t0.elapsed().as_secs_f64();
-    cluster.shutdown();
-
-    let mut read_hist = LatencyHistogram::new();
-    let mut write_hist = LatencyHistogram::new();
-    let mut completions = Vec::with_capacity(spec.total_ops());
-    for (r, w, c) in per_client {
-        read_hist.merge(&r);
-        write_hist.merge(&w);
-        completions.extend(c);
-    }
-    Ok(LoadReport::from_parts(elapsed, spec.value_size, read_hist, write_hist, completions))
 }
 
 #[cfg(test)]

@@ -19,8 +19,9 @@
 //! reads) feeds `ares_harness::check_atomicity` — the bench is itself
 //! safety-checked.
 
+use ares_core::store::{OpError, OpTicket, Store, StoreSession};
 use ares_net::testing::LocalCluster;
-use ares_net::WalConfig;
+use ares_net::{NetTicket, WalConfig};
 use ares_types::{ConfigId, Configuration, ObjectId, OpCompletion, ProcessId, Value};
 use std::io;
 use std::time::{Duration, Instant};
@@ -141,6 +142,12 @@ fn quiesce_node(cluster: &LocalCluster, pid: u32, base_frames: u64, min_new_fram
     }
 }
 
+/// Blocks until a just-submitted operation completes (the bench's
+/// liveness gate: an operation that fails outright panics).
+fn done(ticket: Result<NetTicket, OpError>) -> OpCompletion {
+    ticket.expect("submitted").wait().expect("completed")
+}
+
 /// Runs one leg of the incident in `mode`.
 ///
 /// # Errors
@@ -157,15 +164,16 @@ pub fn run_recovery(spec: &RecoverySpec, mode: RecoveryMode) -> io::Result<Recov
         .objects(0..spec.objects as u32)
         .durable(WalConfig::default())
         .start()?;
+    let mut writer = cluster.store(100).open_session();
+    let mut reader = cluster.store(110).open_session();
     let mut completions = Vec::new();
 
     // Populate: every object, writes_per_object times, unique values.
     for obj in 0..spec.objects as u32 {
         for w in 0..spec.writes_per_object as u64 {
             let vseed = spec.seed ^ ((u64::from(obj) + 1) << 32) ^ ((w + 1) << 8);
-            completions.push(
-                cluster.client(100).write(ObjectId(obj), Value::filler(spec.value_size, vseed)),
-            );
+            completions
+                .push(done(writer.write(ObjectId(obj), Value::filler(spec.value_size, vseed))));
         }
     }
 
@@ -173,8 +181,7 @@ pub fn run_recovery(spec: &RecoverySpec, mode: RecoveryMode) -> io::Result<Recov
     // The delta: written while the victim is down.
     for obj in 0..spec.delta_objects.min(spec.objects) as u32 {
         let vseed = spec.seed ^ ((u64::from(obj) + 1) << 32) ^ (1 << 24);
-        completions
-            .push(cluster.client(100).write(ObjectId(obj), Value::filler(spec.value_size, vseed)));
+        completions.push(done(writer.write(ObjectId(obj), Value::filler(spec.value_size, vseed))));
     }
 
     let before = cluster.node_stats(VICTIM);
@@ -201,7 +208,7 @@ pub fn run_recovery(spec: &RecoverySpec, mode: RecoveryMode) -> io::Result<Recov
     // value through the healed cluster.
     for obj in 0..spec.delta_objects.min(spec.objects) as u32 {
         let vseed = spec.seed ^ ((u64::from(obj) + 1) << 32) ^ (1 << 24);
-        let r = cluster.client(110).read(ObjectId(obj));
+        let r = done(reader.read(ObjectId(obj)));
         assert_eq!(
             r.value_digest,
             Some(Value::filler(spec.value_size, vseed).digest()),

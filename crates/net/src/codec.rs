@@ -39,7 +39,7 @@ use ares_types::{
 };
 use bytes::Bytes;
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 
 /// Current wire-format version, the first payload byte of every frame.
 pub const WIRE_VERSION: u8 = 1;
@@ -931,10 +931,7 @@ impl WireEncode for Msg {
                 out.push(4);
                 m.encode(out);
             }
-            Msg::Cmd(m) => {
-                out.push(5);
-                m.encode(out);
-            }
+            // Tag 5 is retired and stays unassigned, so 6 keeps its number.
             Msg::Invoke(inv) => {
                 out.push(6);
                 out.extend_from_slice(&inv.session.0.to_be_bytes());
@@ -953,7 +950,6 @@ impl WireDecode for Msg {
             2 => Msg::Cfg(CfgMsg::decode(r)?),
             3 => Msg::Xfer(XferMsg::decode(r)?),
             4 => Msg::Repair(RepairMsg::decode(r)?),
-            5 => Msg::Cmd(ClientCmd::decode(r)?),
             6 => Msg::Invoke(Invoke {
                 session: SessionId(r.u32()?),
                 seq: r.u64()?,
@@ -1051,8 +1047,7 @@ fn payload_size_hint(msg: &Msg) -> usize {
         Msg::Repair(RepairMsg::Lists { list, .. }) => {
             list.iter().map(|e| e.frag.as_ref().map_or(0, |f| f.data.len()) + 32).sum()
         }
-        Msg::Cmd(ClientCmd::Write { value, .. })
-        | Msg::Invoke(Invoke { cmd: ClientCmd::Write { value, .. }, .. }) => value.len(),
+        Msg::Invoke(Invoke { cmd: ClientCmd::Write { value, .. }, .. }) => value.len(),
         _ => 0,
     }
 }
@@ -1096,11 +1091,6 @@ pub fn try_encode_frame(from: ProcessId, msg: &Msg) -> Result<Vec<u8>, DecodeErr
 pub fn encode_frame(from: ProcessId, msg: &Msg) -> Vec<u8> {
     // lint: allow(net-panic, reason = "documented panic contract (# Panics); encodes local messages, never network bytes")
     try_encode_frame(from, msg).expect("frame exceeds MAX_FRAME_LEN")
-}
-
-/// Writes one frame to `w`.
-pub fn write_frame(w: &mut impl Write, from: ProcessId, msg: &Msg) -> io::Result<()> {
-    w.write_all(&encode_frame(from, msg))
 }
 
 /// Reads one frame from `r`.
@@ -1177,7 +1167,7 @@ pub fn referenced_object(msg: &Msg) -> Option<ObjectId> {
             | RepairMsg::Query { obj, .. }
             | RepairMsg::Lists { obj, .. } => Some(*obj),
         },
-        Msg::Cmd(m) | Msg::Invoke(Invoke { cmd: m, .. }) => match m {
+        Msg::Invoke(inv) => match &inv.cmd {
             ClientCmd::Write { obj, .. } | ClientCmd::Read { obj } => Some(*obj),
             ClientCmd::Recon { .. } => None,
         },
@@ -1189,7 +1179,7 @@ pub fn referenced_object(msg: &Msg) -> Option<ObjectId> {
 /// / [`referenced_configs`] in the decode path. Object-scoped protocol
 /// traffic (DAP, state transfer, repair) hashes by the object it names;
 /// config-wide traffic (consensus, configuration service) and
-/// command/invoke envelopes return shard 0. The classification itself
+/// the invoke envelope return shard 0. The classification itself
 /// lives in [`ares_core::shard`], next to the message tree.
 pub fn shard_route(msg: &Msg, shards: usize) -> usize {
     ares_core::shard::shard_of(msg, shards)
@@ -1243,7 +1233,7 @@ pub fn referenced_configs(msg: &Msg) -> Vec<ConfigId> {
             | RepairMsg::Query { cfg, .. }
             | RepairMsg::Lists { cfg, .. } => vec![*cfg],
         },
-        Msg::Cmd(m) | Msg::Invoke(Invoke { cmd: m, .. }) => match m {
+        Msg::Invoke(inv) => match &inv.cmd {
             ClientCmd::Recon { target } => vec![*target],
             _ => Vec::new(),
         },
@@ -1257,6 +1247,11 @@ mod tests {
 
     fn op() -> OpId {
         OpId { client: ProcessId(7), seq: 42 }
+    }
+
+    fn invoke(session: u32, n: u64, cmd: ClientCmd) -> Msg {
+        let session = SessionId(session);
+        Msg::Invoke(Invoke { session, seq: ares_core::store::session_op_seq(session, n), cmd })
     }
 
     fn roundtrip(msg: Msg) -> Msg {
@@ -1358,13 +1353,8 @@ mod tests {
                 list: vec![ListEntry { tag: TAG0, frag: None }],
                 op: op(),
             }),
-            Msg::Cmd(ClientCmd::Write { obj: ObjectId(1), value: Value::filler(16, 3) }),
-            Msg::Cmd(ClientCmd::Recon { target: ConfigId(4) }),
-            Msg::Invoke(Invoke {
-                session: SessionId(3),
-                seq: (3u64 << 32) | 17,
-                cmd: ClientCmd::Write { obj: ObjectId(2), value: Value::filler(24, 5) },
-            }),
+            invoke(0, 1, ClientCmd::Recon { target: ConfigId(4) }),
+            invoke(3, 17, ClientCmd::Write { obj: ObjectId(2), value: Value::filler(24, 5) }),
         ];
         for m in msgs {
             let before = format!("{m:?}");
@@ -1408,7 +1398,7 @@ mod tests {
     fn truncated_frames_error() {
         let frame = encode_frame(
             ProcessId(1),
-            &Msg::Cmd(ClientCmd::Write { obj: ObjectId(0), value: Value::filler(64, 1) }),
+            &invoke(0, 0, ClientCmd::Write { obj: ObjectId(0), value: Value::filler(64, 1) }),
         );
         for cut in 0..frame.len().saturating_sub(5) {
             let r = decode_payload(&frame[4..4 + cut]);
@@ -1419,7 +1409,7 @@ mod tests {
     #[test]
     fn trailing_bytes_error() {
         let mut frame =
-            encode_payload(ProcessId(1), &Msg::Cmd(ClientCmd::Read { obj: ObjectId(0) }));
+            encode_payload(ProcessId(1), &invoke(0, 0, ClientCmd::Read { obj: ObjectId(0) }));
         frame.push(0);
         assert_eq!(decode_payload(&frame), Err(DecodeError::TrailingBytes));
     }
@@ -1427,7 +1417,7 @@ mod tests {
     #[test]
     fn wrong_version_rejected() {
         let mut payload =
-            encode_payload(ProcessId(1), &Msg::Cmd(ClientCmd::Read { obj: ObjectId(0) }));
+            encode_payload(ProcessId(1), &invoke(0, 0, ClientCmd::Read { obj: ObjectId(0) }));
         payload[0] = 9;
         assert_eq!(decode_payload(&payload), Err(DecodeError::BadVersion(9)));
     }

@@ -520,7 +520,7 @@ pub struct PeerOutboundStats {
 }
 
 /// Snapshot of a node's runtime counters, from
-/// [`crate::NodeRuntime::stats`]. Cheap to take (atomic loads); numbers
+/// [`crate::ShardedNode::stats`]. Cheap to take (atomic loads); numbers
 /// are monotone since host start.
 #[derive(Debug, Clone, Default)]
 pub struct NodeStats {

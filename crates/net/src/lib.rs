@@ -9,7 +9,7 @@
 //!   encoding for the whole `ares_core::Msg` tree, with strict
 //!   bounds-checked decoding of untrusted input ([`codec::WireEncode`] /
 //!   [`codec::WireDecode`]);
-//! * [`ShardedNode`] (alias [`NodeRuntime`]) — a server node hosted on
+//! * [`ShardedNode`] — a server node hosted on
 //!   `S ≥ 1` event-loop shards: per-connection reader threads route
 //!   each decoded frame to the shard owning its object (config-wide
 //!   traffic serializes on shard 0 — see `ares_core::shard`), per-shard
@@ -20,9 +20,10 @@
 //!   journaling of applied events, periodic checkpoints, and
 //!   replay-then-delta-repair crash recovery for [`ShardedNode`]
 //!   (opt in per cluster with `testing::ClusterBuilder::durable`);
-//! * [`RemoteClient`] — drives client operations (read / write /
-//!   reconfig) against a live cluster and returns the same
-//!   [`ares_types::OpCompletion`] records the harness checkers consume;
+//! * [`NetStore`] — the client side: one runtime hosting many logical
+//!   [`NetSession`]s whose ticketed read / write / reconfig operations
+//!   return the same [`ares_types::OpCompletion`] records the harness
+//!   checkers consume;
 //! * [`testing::LocalCluster`] — boots an n-node cluster on ephemeral
 //!   loopback ports in-process, with node kill/restart, for integration
 //!   tests and benches;
@@ -46,13 +47,17 @@
 //! A live single-configuration deployment on loopback:
 //!
 //! ```
+//! use ares_core::store::{OpTicket, Store, StoreSession};
 //! use ares_net::testing::LocalCluster;
 //! use ares_types::{ConfigId, Configuration, ObjectId, ProcessId, Value};
 //!
 //! let c0 = Configuration::treas(ConfigId(0), (1..=5).map(ProcessId).collect(), 3, 2);
 //! let cluster = LocalCluster::start(vec![c0], [100, 101]).unwrap();
-//! let w = cluster.client(100).write(ObjectId(0), Value::from_static(b"over real tcp"));
-//! let r = cluster.client(101).read(ObjectId(0));
+//! let mut writer = cluster.store(100).open_session();
+//! let mut reader = cluster.store(101).open_session();
+//! let value = Value::from_static(b"over real tcp");
+//! let w = writer.write(ObjectId(0), value).unwrap().wait().unwrap();
+//! let r = reader.read(ObjectId(0)).unwrap().wait().unwrap();
 //! assert_eq!(r.tag, w.tag);
 //! cluster.shutdown();
 //! ```
@@ -69,7 +74,6 @@ pub use codec::{DecodeError, WireDecode, WireEncode, MAX_FRAME_LEN, WIRE_VERSION
 pub use faults::{ClusterFault, FaultScript};
 pub use host::{NodeStats, PeerOutboundStats, ShardStats};
 pub use runtime::{
-    AddrBook, NetSession, NetStore, NetTicket, NodeRuntime, RemoteClient, ShardedNode,
-    DEFAULT_OP_TIMEOUT, ENV,
+    AddrBook, NetSession, NetStore, NetTicket, ShardedNode, DEFAULT_OP_TIMEOUT, ENV,
 };
 pub use wal::{FsyncPolicy, RecoveryReport, WalConfig, WalStats};

@@ -42,9 +42,7 @@ use ares_core::store::{session_op_seq, Store, StoreSession};
 use ares_core::{
     ClientActor, ClientCmd, ClientConfig, Invoke, Msg, OpError, OpTicket, ServerActor,
 };
-use ares_types::{
-    ConfigId, ConfigRegistry, ObjectId, OpCompletion, OpId, ProcessId, SessionId, Time, Value,
-};
+use ares_types::{ConfigRegistry, ObjectId, OpCompletion, OpId, ProcessId, SessionId, Time};
 use ares_wal::{WalCounters, WalStats};
 use std::collections::HashMap;
 use std::io;
@@ -58,19 +56,10 @@ use std::time::{Duration, Instant};
 /// (mirrors `ares_harness::ENV`).
 pub const ENV: ProcessId = ProcessId(0);
 
-/// How long a blocking [`RemoteClient`] operation may take before the
-/// call panics (a liveness failure in a test deployment).
+/// The default deadline of [`OpTicket::wait`] on a [`NetStore`] (see
+/// [`NetStore::set_op_timeout`]); a test deployment that exceeds it has
+/// a liveness failure.
 pub const DEFAULT_OP_TIMEOUT: Duration = Duration::from_secs(60);
-
-/// The process-wide completion-timestamp epoch used by the convenience
-/// constructors, so every host started in this OS process stamps
-/// mutually comparable times. Deployments spanning several processes or
-/// machines must thread one explicit epoch through the `serve`
-/// constructors (and align their clocks externally).
-fn process_epoch() -> Instant {
-    static EPOCH: std::sync::OnceLock<Instant> = std::sync::OnceLock::new();
-    *EPOCH.get_or_init(Instant::now)
-}
 
 /// Maps process ids to socket addresses — the deployment's static view
 /// of "who listens where" (the paper's known universe of processes).
@@ -122,8 +111,8 @@ fn single_shard(_: &Msg, _: usize) -> usize {
 /// for one object always executes on one shard (the paper's sequential
 /// server, per object), config-wide traffic (Paxos, configuration
 /// service) serializes on shard 0 (the paper's sequential server, per
-/// configuration). `S = 1` (the [`ShardedNode::serve`] default) is
-/// bit-compatible with the seed's single event loop.
+/// configuration). `S = 1` is bit-compatible with the seed's single
+/// event loop.
 pub struct ShardedNode {
     host: ShardedHost<ServerActor>,
     registry: Arc<ConfigRegistry>,
@@ -147,66 +136,19 @@ fn shard_dir(data_dir: &Path, shard: usize) -> PathBuf {
     data_dir.join(format!("shard-{shard}"))
 }
 
-/// The historical name of [`ShardedNode`] (a node ran exactly one event
-/// loop before the sharded runtime); kept so deployment code reads
-/// naturally where shard count is irrelevant.
-pub type NodeRuntime = ShardedNode;
-
 impl ShardedNode {
-    /// Starts a single-sharded node, binding the listener to this
-    /// process's address in `book`. Completion timestamps use the
-    /// process-wide epoch, so hosts started this way within one OS
-    /// process stay mutually comparable.
-    pub fn start(
-        me: ProcessId,
-        registry: Arc<ConfigRegistry>,
-        book: Arc<AddrBook>,
-    ) -> io::Result<Self> {
-        let addr = book
-            .addr(me)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, format!("{me} not in book")))?;
-        Self::serve(me, registry, book, TcpListener::bind(addr)?, process_epoch(), None)
-    }
-
-    /// Starts a single-sharded node on an already-bound listener (lets a
-    /// deployment bind every port first and share a completion-timestamp
-    /// `epoch`).
+    /// Starts a node partitioned over `shards` event-loop shards on an
+    /// already-bound listener (a deployment binds every port first and
+    /// shares one completion-timestamp `epoch`; see the type docs for
+    /// the routing rules).
     ///
     /// `objects` declares the object universe this deployment serves;
     /// when given, listener traffic for any other object is dropped
     /// before it can create per-object server state (an open listener
     /// would otherwise let fabricated object ids grow memory without
     /// limit). `None` admits any object.
-    pub fn serve(
-        me: ProcessId,
-        registry: Arc<ConfigRegistry>,
-        book: Arc<AddrBook>,
-        listener: TcpListener,
-        epoch: Instant,
-        objects: Option<&[ObjectId]>,
-    ) -> io::Result<Self> {
-        Self::serve_sharded(me, registry, book, listener, epoch, objects, 1)
-    }
-
-    /// Starts a node partitioned over `shards` event-loop shards (see
-    /// the type docs for the routing rules).
     ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
-    pub fn serve_sharded(
-        me: ProcessId,
-        registry: Arc<ConfigRegistry>,
-        book: Arc<AddrBook>,
-        listener: TcpListener,
-        epoch: Instant,
-        objects: Option<&[ObjectId]>,
-        shards: usize,
-    ) -> io::Result<Self> {
-        Self::serve_inner(me, registry, book, listener, epoch, objects, shards, None)
-    }
-
-    /// Starts a sharded node with durable state: each shard owns a
+    /// With `durable = Some((data_dir, wal))` each shard owns a
     /// write-ahead log under `data_dir/shard-<i>/`, journals every
     /// state-mutating delivery before applying it, and periodically
     /// compacts the log into a checkpoint. If `data_dir` already holds
@@ -227,31 +169,7 @@ impl ShardedNode {
     ///
     /// Panics if `shards` is zero.
     #[allow(clippy::too_many_arguments)]
-    pub fn serve_sharded_durable(
-        me: ProcessId,
-        registry: Arc<ConfigRegistry>,
-        book: Arc<AddrBook>,
-        listener: TcpListener,
-        epoch: Instant,
-        objects: Option<&[ObjectId]>,
-        shards: usize,
-        data_dir: &Path,
-        wal: WalConfig,
-    ) -> io::Result<Self> {
-        Self::serve_inner(
-            me,
-            registry,
-            book,
-            listener,
-            epoch,
-            objects,
-            shards,
-            Some((data_dir.to_path_buf(), wal)),
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn serve_inner(
+    pub fn serve_sharded(
         me: ProcessId,
         registry: Arc<ConfigRegistry>,
         book: Arc<AddrBook>,
@@ -495,35 +413,15 @@ struct StoreInner {
 /// [`ClientActor`], one reply listener and one outbound socket set,
 /// shared by every logical [`NetSession`] opened on it.
 ///
-/// This replaces the one-client-per-socket-set scaling model: a process
-/// serving N concurrent logical clients opens N sessions on one
-/// `NetStore` instead of N [`RemoteClient`]s, and drives them with
-/// ticketed, pipelined operations — completions are routed back to
-/// their tickets by [`OpId`], never by arrival order.
+/// A process serving N concurrent logical clients opens N sessions on
+/// one `NetStore` and drives them with ticketed, pipelined operations —
+/// completions are routed back to their tickets by [`OpId`], never by
+/// arrival order.
 pub struct NetStore {
     inner: Arc<StoreInner>,
 }
 
 impl NetStore {
-    /// Connects a store to a deployment, binding its reply listener to
-    /// its address in `book`. Completion timestamps use the
-    /// process-wide epoch (see [`ShardedNode::start`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket errors from the listener bring-up.
-    pub fn start(
-        me: ProcessId,
-        registry: Arc<ConfigRegistry>,
-        config: ClientConfig,
-        book: Arc<AddrBook>,
-    ) -> io::Result<Self> {
-        let addr = book
-            .addr(me)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, format!("{me} not in book")))?;
-        Self::serve(me, registry, config, book, TcpListener::bind(addr)?, process_epoch())
-    }
-
     /// Starts a store on an already-bound reply listener with a shared
     /// timestamp `epoch`.
     ///
@@ -773,132 +671,5 @@ impl OpTicket for NetTicket {
     fn wait(self) -> Result<OpCompletion, OpError> {
         let timeout = *crate::sync::lock(&self.inner.op_timeout);
         self.wait_for(timeout)
-    }
-}
-
-/// A live ARES client: blocking `read` / `write` / `reconfig` calls that
-/// return the same [`OpCompletion`] records the simulator harness
-/// produces.
-///
-/// Since the session-multiplexed store landed this is a thin
-/// compatibility wrapper over a [`NetStore`] with one default session —
-/// kept because one-blocking-client-per-thread is still the simplest way
-/// to drive a test cluster. New code (and anything driving more than a
-/// handful of concurrent operations) should use [`NetStore`] sessions
-/// directly; this wrapper may eventually be retired.
-pub struct RemoteClient {
-    store: NetStore,
-    session: Mutex<NetSession>,
-    op_timeout: Duration,
-}
-
-impl RemoteClient {
-    /// Connects a client to a deployment, binding its reply listener to
-    /// its address in `book`. Completion timestamps use the
-    /// process-wide epoch (see [`ShardedNode::start`]).
-    pub fn start(
-        me: ProcessId,
-        registry: Arc<ConfigRegistry>,
-        config: ClientConfig,
-        book: Arc<AddrBook>,
-    ) -> io::Result<Self> {
-        let addr = book
-            .addr(me)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, format!("{me} not in book")))?;
-        Self::serve(me, registry, config, book, TcpListener::bind(addr)?, process_epoch())
-    }
-
-    /// Starts a client on an already-bound reply listener with a shared
-    /// timestamp `epoch`.
-    pub fn serve(
-        me: ProcessId,
-        registry: Arc<ConfigRegistry>,
-        config: ClientConfig,
-        book: Arc<AddrBook>,
-        listener: TcpListener,
-        epoch: Instant,
-    ) -> io::Result<Self> {
-        let store = NetStore::serve(me, registry, config, book, listener, epoch)?;
-        let session = Mutex::new(store.open_session());
-        Ok(RemoteClient { store, session, op_timeout: DEFAULT_OP_TIMEOUT })
-    }
-
-    /// This client's process id.
-    pub fn pid(&self) -> ProcessId {
-        self.store.pid()
-    }
-
-    /// The session-multiplexed store under this client: open further
-    /// sessions on it to pipeline operations over the same socket set.
-    pub fn store(&self) -> &NetStore {
-        &self.store
-    }
-
-    /// Opens an additional logical session on the underlying store.
-    pub fn open_session(&self) -> NetSession {
-        self.store.open_session()
-    }
-
-    /// Overrides the blocking-operation timeout.
-    #[must_use]
-    pub fn with_op_timeout(mut self, timeout: Duration) -> Self {
-        self.op_timeout = timeout;
-        self.store.set_op_timeout(timeout);
-        self
-    }
-
-    fn run(&self, cmd: ClientCmd, what: &str) -> OpCompletion {
-        // Submission claims the route keyed by this operation's OpId, so
-        // concurrent blocking calls need no serialization: each call's
-        // completion is routed to its own ticket (the seed's
-        // hold-the-receiver-across-invoke workaround is gone), and a
-        // timeout panics only the calling thread — the client and its
-        // other sessions keep working.
-        let ticket = {
-            let mut session = crate::sync::lock(&self.session);
-            match session.submit(cmd) {
-                Ok(t) => t,
-                // lint: allow(net-panic, reason = "documented panic contract of the blocking client facade (# Panics); input is the local caller's, never network bytes")
-                Err(e) => panic!("{} on client {} rejected: {e}", what, self.pid()),
-            }
-        };
-        match ticket.wait_for(self.op_timeout) {
-            Ok(c) => c,
-            // lint: allow(net-panic, reason = "documented panic contract of the blocking client facade (# Panics); panics only the calling thread on timeout")
-            Err(e) => panic!("{} on client {} did not complete: {e:?}", what, self.pid()),
-        }
-    }
-
-    /// Executes `write(obj, value)` against the live cluster.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the operation does not complete within the timeout, or
-    /// if the value cannot fit a wire frame.
-    pub fn write(&self, obj: ObjectId, value: Value) -> OpCompletion {
-        self.run(ClientCmd::Write { obj, value }, "write")
-    }
-
-    /// Executes `read(obj)` against the live cluster.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the operation does not complete within the timeout.
-    pub fn read(&self, obj: ObjectId) -> OpCompletion {
-        self.run(ClientCmd::Read { obj }, "read")
-    }
-
-    /// Executes `reconfig(target)` against the live cluster.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the operation does not complete within the timeout.
-    pub fn reconfig(&self, target: ConfigId) -> OpCompletion {
-        self.run(ClientCmd::Recon { target }, "reconfig")
-    }
-
-    /// Stops all threads and closes the reply listener.
-    pub fn shutdown(self) {
-        self.store.shutdown();
     }
 }

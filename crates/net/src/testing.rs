@@ -1,17 +1,17 @@
 //! In-process loopback deployments for integration tests and benches.
 //!
 //! [`LocalCluster`] boots every server of a configuration universe as a
-//! real [`NodeRuntime`] on an ephemeral `127.0.0.1` port (optionally
+//! real [`ShardedNode`] on an ephemeral `127.0.0.1` port (optionally
 //! partitioned over multiple event-loop shards via
 //! [`ClusterBuilder::shards`]), wires the address book, and hands out
-//! [`RemoteClient`]s — all inside one test process, so `cargo test` can
-//! exercise the full TCP stack (codec, listeners, reconnects, timers)
-//! without any external orchestration. Nodes can be killed and
+//! each client's [`NetStore`] — all inside one test process, so `cargo
+//! test` can exercise the full TCP stack (codec, listeners, reconnects,
+//! timers) without any external orchestration. Nodes can be killed and
 //! restarted mid-run to exercise fault paths, and their runtime
 //! counters snapshot via [`LocalCluster::node_stats`].
 
 use crate::faults::{ClusterFault, FaultControls, FaultScript};
-use crate::runtime::{AddrBook, NodeRuntime, RemoteClient, ENV};
+use crate::runtime::{AddrBook, NetStore, ShardedNode, ENV};
 use crate::wal::{RecoveryReport, WalConfig};
 use ares_core::{ClientConfig, Msg, RepairMsg};
 use ares_types::{ConfigId, ConfigRegistry, Configuration, ObjectId, ProcessId};
@@ -29,7 +29,6 @@ pub struct ClusterBuilder {
     clients: Vec<ProcessId>,
     objects: Vec<ObjectId>,
     direct_transfer: bool,
-    backoff_unit: Option<ares_types::Time>,
     shards: usize,
     wal: Option<WalConfig>,
 }
@@ -48,7 +47,6 @@ impl ClusterBuilder {
             clients: Vec::new(),
             objects: vec![ObjectId(0)],
             direct_transfer: false,
-            backoff_unit: None,
             shards: 1,
             wal: None,
         }
@@ -105,17 +103,6 @@ impl ClusterBuilder {
         self
     }
 
-    /// Overrides the clients' retry/backoff unit, in microseconds of
-    /// real time. The `ClientConfig` default (50 µs) is tuned for the
-    /// simulator's abstract clock and is appropriate on loopback; a
-    /// deployment over a slower link should raise it toward its RTT so
-    /// quorum phases do not rebroadcast many times per round trip.
-    #[must_use]
-    pub fn backoff_unit(mut self, micros: ares_types::Time) -> Self {
-        self.backoff_unit = Some(micros);
-        self
-    }
-
     /// Binds every port, starts every node, connects every client.
     pub fn start(self) -> io::Result<LocalCluster> {
         // lint: allow(net-panic, reason = "documented harness contract: builder requires at least one configuration, local input only")
@@ -148,28 +135,20 @@ impl ClusterBuilder {
         for &pid in &server_pids {
             // lint: allow(net-panic, reason = "infallible: every server pid was bound into `listeners` in the loop above")
             let l = listeners.remove(&pid).expect("bound above");
-            let node = match (&self.wal, &wal_root) {
-                (Some(wal), Some(root)) => NodeRuntime::serve_sharded_durable(
-                    pid,
-                    registry.clone(),
-                    book.clone(),
-                    l,
-                    epoch,
-                    Some(&self.objects),
-                    self.shards,
-                    &root.path().join(format!("node-{}", pid.0)),
-                    *wal,
-                )?,
-                _ => NodeRuntime::serve_sharded(
-                    pid,
-                    registry.clone(),
-                    book.clone(),
-                    l,
-                    epoch,
-                    Some(&self.objects),
-                    self.shards,
-                )?,
-            };
+            let durable = self
+                .wal
+                .zip(wal_root.as_ref())
+                .map(|(wal, root)| (root.path().join(format!("node-{}", pid.0)), wal));
+            let node = ShardedNode::serve_sharded(
+                pid,
+                registry.clone(),
+                book.clone(),
+                l,
+                epoch,
+                Some(&self.objects),
+                self.shards,
+                durable,
+            )?;
             nodes.insert(pid, node);
         }
         let mut clients = HashMap::new();
@@ -178,15 +157,10 @@ impl ClusterBuilder {
             if self.direct_transfer {
                 cfg = cfg.with_direct_transfer();
             }
-            if let Some(unit) = self.backoff_unit {
-                cfg.backoff_unit = unit;
-            }
             // lint: allow(net-panic, reason = "infallible: every client pid was bound into `listeners` in the loop above")
             let l = listeners.remove(&pid).expect("bound above");
-            clients.insert(
-                pid,
-                RemoteClient::serve(pid, registry.clone(), cfg, book.clone(), l, epoch)?,
-            );
+            clients
+                .insert(pid, NetStore::serve(pid, registry.clone(), cfg, book.clone(), l, epoch)?);
         }
         Ok(LocalCluster {
             registry,
@@ -203,8 +177,8 @@ impl ClusterBuilder {
 pub struct LocalCluster {
     registry: Arc<ConfigRegistry>,
     book: Arc<AddrBook>,
-    nodes: HashMap<ProcessId, NodeRuntime>,
-    clients: HashMap<ProcessId, RemoteClient>,
+    nodes: HashMap<ProcessId, ShardedNode>,
+    clients: HashMap<ProcessId, NetStore>,
     objects: Vec<ObjectId>,
     /// Keeps the durable deployment's temp root alive (and deletes it on
     /// drop); `None` for in-memory deployments.
@@ -236,24 +210,26 @@ impl LocalCluster {
         &self.book
     }
 
-    /// The client with process id `pid`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pid` was not declared as a client.
-    pub fn client(&self, pid: u32) -> &RemoteClient {
-        // lint: allow(net-panic, reason = "documented panic contract (# Panics): harness lookup of a locally declared client")
-        self.clients.get(&ProcessId(pid)).expect("declared client")
-    }
-
     /// The session-multiplexed store of client `pid`: open sessions on
     /// it to drive many concurrent logical clients over one socket set.
     ///
     /// # Panics
     ///
     /// Panics if `pid` was not declared as a client.
-    pub fn store(&self, pid: u32) -> &crate::NetStore {
-        self.client(pid).store()
+    pub fn store(&self, pid: u32) -> &NetStore {
+        // lint: allow(net-panic, reason = "documented panic contract (# Panics): harness lookup of a locally declared client")
+        self.clients.get(&ProcessId(pid)).expect("declared client")
+    }
+
+    /// Server `pid`'s node.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pid` is not a server of this cluster — the contract
+    /// every per-server method below documents.
+    fn node(&self, pid: u32) -> &ShardedNode {
+        // lint: allow(net-panic, reason = "documented panic contract (# Panics): harness lookup of a locally declared server")
+        self.nodes.get(&ProcessId(pid)).expect("server pid")
     }
 
     /// Server process ids, ascending.
@@ -265,8 +241,7 @@ impl LocalCluster {
 
     /// Number of shards each server node runs.
     pub fn shard_count(&self, pid: u32) -> usize {
-        // lint: allow(net-panic, reason = "documented panic contract (# Panics): harness lookup of a locally declared server")
-        self.nodes.get(&ProcessId(pid)).expect("server pid").shard_count()
+        self.node(pid).shard_count()
     }
 
     /// Snapshot of server `pid`'s runtime counters (per-shard routing
@@ -276,8 +251,7 @@ impl LocalCluster {
     ///
     /// Panics if `pid` is not a server of this cluster.
     pub fn node_stats(&self, pid: u32) -> crate::NodeStats {
-        // lint: allow(net-panic, reason = "documented panic contract (# Panics): harness lookup of a locally declared server")
-        self.nodes.get(&ProcessId(pid)).expect("server pid").stats()
+        self.node(pid).stats()
     }
 
     /// The listener address of server `pid` (e.g. to aim raw hostile
@@ -287,8 +261,7 @@ impl LocalCluster {
     ///
     /// Panics if `pid` is not a server of this cluster.
     pub fn server_addr(&self, pid: u32) -> std::net::SocketAddr {
-        // lint: allow(net-panic, reason = "documented panic contract (# Panics): harness lookup of a locally declared server")
-        self.nodes.get(&ProcessId(pid)).expect("server pid").local_addr()
+        self.node(pid).local_addr()
     }
 
     /// Crash-stops server `pid`: frames and timers are dropped and its
@@ -298,8 +271,7 @@ impl LocalCluster {
     ///
     /// Panics if `pid` is not a server of this cluster.
     pub fn kill(&self, pid: u32) {
-        // lint: allow(net-panic, reason = "documented panic contract (# Panics): harness lookup of a locally declared server")
-        self.nodes.get(&ProcessId(pid)).expect("server pid").pause();
+        self.node(pid).pause();
     }
 
     /// Restarts a killed server with its retained state (a crash whose
@@ -309,8 +281,7 @@ impl LocalCluster {
     ///
     /// Panics if `pid` is not a server of this cluster.
     pub fn restart(&self, pid: u32) {
-        // lint: allow(net-panic, reason = "documented panic contract (# Panics): harness lookup of a locally declared server")
-        self.nodes.get(&ProcessId(pid)).expect("server pid").resume();
+        self.node(pid).resume();
     }
 
     /// Restarts a killed server from *blank* state (lost disk); callers
@@ -320,8 +291,7 @@ impl LocalCluster {
     ///
     /// Panics if `pid` is not a server of this cluster.
     pub fn restart_blank(&self, pid: u32) {
-        // lint: allow(net-panic, reason = "documented panic contract (# Panics): harness lookup of a locally declared server")
-        let node = self.nodes.get(&ProcessId(pid)).expect("server pid");
+        let node = self.node(pid);
         node.replace_blank();
         node.resume();
     }
@@ -346,8 +316,7 @@ impl LocalCluster {
     ///
     /// Panics if `pid` is not a server of this cluster.
     pub fn restart_recovered(&self, pid: u32) -> io::Result<Vec<RecoveryReport>> {
-        // lint: allow(net-panic, reason = "documented panic contract (# Panics): harness lookup of a locally declared server")
-        let node = self.nodes.get(&ProcessId(pid)).expect("server pid");
+        let node = self.node(pid);
         self.quiesce(node);
         let reports = node.replace_recovered()?;
         node.resume();
@@ -365,7 +334,7 @@ impl LocalCluster {
     /// Waits until `node`'s event loops stop making progress, so that
     /// in-flight deliveries racing a [`LocalCluster::kill`] have either
     /// been journaled or discarded before recovery reads the logs.
-    fn quiesce(&self, node: &NodeRuntime) {
+    fn quiesce(&self, node: &ShardedNode) {
         let fingerprint = |s: &crate::NodeStats| {
             (s.events_applied(), s.wal.map(|w| w.records_appended).unwrap_or(0))
         };
@@ -388,8 +357,7 @@ impl LocalCluster {
     ///
     /// Panics if `pid` is not a server of this cluster.
     pub fn data_dir(&self, pid: u32) -> Option<PathBuf> {
-        // lint: allow(net-panic, reason = "documented panic contract (# Panics): harness lookup of a locally declared server")
-        self.nodes.get(&ProcessId(pid)).expect("server pid").data_dir().map(Path::to_path_buf)
+        self.node(pid).data_dir().map(Path::to_path_buf)
     }
 
     /// Asks server `pid` to rebuild its coded elements for `(cfg, obj)`
@@ -399,8 +367,7 @@ impl LocalCluster {
     ///
     /// Panics if `pid` is not a server of this cluster.
     pub fn trigger_repair(&self, pid: u32, cfg: u32, obj: u32) {
-        // lint: allow(net-panic, reason = "documented panic contract (# Panics): harness lookup of a locally declared server")
-        self.nodes.get(&ProcessId(pid)).expect("server pid").inject(
+        self.node(pid).inject(
             ENV,
             Msg::Repair(RepairMsg::Trigger { cfg: ConfigId(cfg), obj: ObjectId(obj) }),
         );
@@ -412,7 +379,7 @@ impl LocalCluster {
         if let Some(node) = self.nodes.get(&pid) {
             return Some(node.faults());
         }
-        self.clients.get(&pid).and_then(|c| c.store().fault_controls())
+        self.clients.get(&pid).and_then(NetStore::fault_controls)
     }
 
     /// Every live fault switchboard in the deployment (servers, then
@@ -420,8 +387,8 @@ impl LocalCluster {
     fn all_controls(&self) -> Vec<Arc<FaultControls>> {
         self.nodes
             .values()
-            .map(NodeRuntime::faults)
-            .chain(self.clients.values().filter_map(|c| c.store().fault_controls()))
+            .map(ShardedNode::faults)
+            .chain(self.clients.values().filter_map(NetStore::fault_controls))
             .collect()
     }
 

@@ -5,11 +5,17 @@
 //! actually dropped frames and that stalled operations recover via
 //! retransmission rather than timing out.
 
+use ares_core::store::{OpError, OpTicket, Store, StoreSession};
 use ares_harness::check_atomicity;
 use ares_net::testing::LocalCluster;
-use ares_net::{ClusterFault, FaultScript};
-use ares_types::{ConfigId, Configuration, ObjectId, ProcessId, Value};
+use ares_net::{ClusterFault, FaultScript, NetTicket};
+use ares_types::{ConfigId, Configuration, ObjectId, OpCompletion, ProcessId, Value};
 use std::time::{Duration, Instant};
+
+/// Blocks until a just-submitted operation completes.
+fn done(ticket: Result<NetTicket, OpError>) -> OpCompletion {
+    ticket.expect("submitted").wait().expect("completed")
+}
 
 fn treas5() -> Vec<Configuration> {
     vec![Configuration::treas(ConfigId(0), (1..=5).map(ProcessId).collect(), 3, 2)]
@@ -19,9 +25,9 @@ fn treas5() -> Vec<Configuration> {
 fn asymmetric_partition_stalls_then_heals_atomically() {
     let cluster =
         LocalCluster::builder(treas5()).clients([100]).objects([0, 1]).start().expect("cluster");
-    let client = cluster.client(100);
+    let mut client = cluster.store(100).open_session();
     // Pre-fault write completes normally.
-    let mut completions = vec![client.write(ObjectId(0), Value::filler(256, 1))];
+    let mut completions = vec![done(client.write(ObjectId(0), Value::filler(256, 1)))];
 
     // Cut the client's outbound path to servers 1–3: it can still reach
     // only 2 of 5, below the TREAS [5,3] quorum of 4, so every operation
@@ -37,9 +43,10 @@ fn asymmetric_partition_stalls_then_heals_atomically() {
         let mut ops = Vec::new();
         for i in 0..4u64 {
             if i % 2 == 0 {
-                ops.push(client.write(ObjectId((i % 2) as u32), Value::filler(256, 10 + i)));
+                let obj = ObjectId((i % 2) as u32);
+                ops.push(done(client.write(obj, Value::filler(256, 10 + i))));
             } else {
-                ops.push(client.read(ObjectId(0)));
+                ops.push(done(client.read(ObjectId(0))));
             }
         }
         let done_in = t0.elapsed();
@@ -66,13 +73,15 @@ fn gray_server_slows_but_never_breaks_atomicity() {
     // stays in the quorum — nothing evicts it — so operations ride
     // through the slowness.
     cluster.slow(1, Duration::from_millis(2));
+    let mut writer = cluster.store(100).open_session();
+    let mut reader = cluster.store(101).open_session();
     let mut completions = Vec::new();
     for i in 0..3u64 {
-        completions.push(cluster.client(100).write(ObjectId(0), Value::filler(128, 20 + i)));
-        completions.push(cluster.client(101).read(ObjectId(0)));
+        completions.push(done(writer.write(ObjectId(0), Value::filler(128, 20 + i))));
+        completions.push(done(reader.read(ObjectId(0))));
     }
     cluster.unslow(1);
-    completions.push(cluster.client(101).read(ObjectId(0)));
+    completions.push(done(reader.read(ObjectId(0))));
 
     // The observability surface the chaos harness prints: per-peer
     // outbound queues exist for every connected peer, frames flowed,

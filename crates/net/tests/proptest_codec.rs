@@ -4,10 +4,10 @@
 
 use ares_codes::Fragment;
 use ares_consensus::{Ballot, ConMsg};
-use ares_core::{CfgMsg, ClientCmd, Msg, RepairMsg, XferMsg};
+use ares_core::{CfgMsg, ClientCmd, Invoke, Msg, RepairMsg, XferMsg};
 use ares_dap::{DapBody, DapMsg, Hdr, ListEntry};
 use ares_net::codec::{decode_payload, encode_frame, encode_payload, referenced_configs};
-use ares_types::{ConfigEntry, ConfigId, ObjectId, OpId, ProcessId, RpcId, Tag, Value};
+use ares_types::{ConfigEntry, ConfigId, ObjectId, OpId, ProcessId, RpcId, SessionId, Tag, Value};
 use bytes::Bytes;
 use proptest::prelude::*;
 
@@ -34,6 +34,9 @@ fn build_msg(
         data: Bytes::from(data.clone()),
     };
     let value = Value::new(data.clone());
+    // Arbitrary session and seq: the codec carries both verbatim (only
+    // the client actor ties a seq to its session's partition).
+    let invoke = |cmd| Msg::Invoke(Invoke { session: SessionId(rpc as u32), seq, cmd });
     match sel % 12 {
         0 => Msg::Dap(DapMsg::new(hdr, DapBody::AbdWrite(tag, value))),
         1 => Msg::Dap(DapMsg::new(hdr, DapBody::TreasWrite(tag, frag))),
@@ -86,8 +89,8 @@ fn build_msg(
             list: vec![ListEntry { tag, frag: Some(frag) }],
             op,
         }),
-        10 => Msg::Cmd(ClientCmd::Write { obj: ObjectId(obj), value }),
-        _ => Msg::Cmd(ClientCmd::Recon { target: ConfigId(cfg) }),
+        10 => invoke(ClientCmd::Write { obj: ObjectId(obj), value }),
+        _ => invoke(ClientCmd::Recon { target: ConfigId(cfg) }),
     }
 }
 
@@ -176,7 +179,11 @@ proptest! {
         let refs = referenced_configs(&msg);
         // Every message except plain read/write commands names at least
         // one configuration, and the primary one is always first.
-        if !matches!(&msg, Msg::Cmd(ClientCmd::Write { .. }) | Msg::Cmd(ClientCmd::Read { .. })) {
+        let plain_rw = matches!(
+            &msg,
+            Msg::Invoke(Invoke { cmd: ClientCmd::Write { .. } | ClientCmd::Read { .. }, .. })
+        );
+        if !plain_rw {
             prop_assert!(!refs.is_empty());
         }
     }

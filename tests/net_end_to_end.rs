@@ -5,17 +5,26 @@
 //! the simulator histories do; plus hostile-input tests proving that
 //! arbitrary malformed bytes on a listener never panic a node.
 
+use ares_core::store::{OpError, OpTicket, Store, StoreSession};
+use ares_core::{ClientCmd, Invoke, Msg};
 use ares_harness::check_atomicity;
 use ares_net::codec::{encode_frame, WIRE_VERSION};
 use ares_net::testing::LocalCluster;
+use ares_net::NetTicket;
 use ares_types::{
-    ConfigId, Configuration, ObjectId, OpCompletion, OpKind, ProcessId, RpcId, Tag, Value,
+    ConfigId, Configuration, ObjectId, OpCompletion, OpKind, ProcessId, RpcId, SessionId, Tag,
+    Value,
 };
 use std::io::Write;
 use std::net::TcpStream;
 use std::time::Duration;
 
 const OBJ: ObjectId = ObjectId(0);
+
+/// Blocks until a just-submitted operation completes.
+fn done(ticket: Result<NetTicket, OpError>) -> OpCompletion {
+    ticket.expect("submitted").wait().expect("completed")
+}
 
 fn treas_universe() -> Vec<Configuration> {
     let ids = |r: std::ops::RangeInclusive<u32>| r.map(ProcessId).collect::<Vec<_>>();
@@ -35,22 +44,26 @@ fn treas_universe() -> Vec<Configuration> {
 fn live_treas_cluster_with_reconfig_and_node_restart_is_atomic() {
     let cluster = LocalCluster::builder(treas_universe()).clients([100, 110, 200]).start().unwrap();
 
+    let mut writer = cluster.store(100).open_session();
+    let mut reader = cluster.store(110).open_session();
+    let mut reconfigurer = cluster.store(200).open_session();
+
     let mut history: Vec<OpCompletion> = Vec::new();
-    history.push(cluster.client(100).write(OBJ, Value::filler(256, 1)));
+    history.push(done(writer.write(OBJ, Value::filler(256, 1))));
 
     let (writes, reads) = std::thread::scope(|s| {
-        let writer = s.spawn(|| {
+        let write_thread = s.spawn(|| {
             let mut out = Vec::new();
             for i in 2u64..=9 {
-                out.push(cluster.client(100).write(OBJ, Value::filler(256, i)));
+                out.push(done(writer.write(OBJ, Value::filler(256, i))));
                 std::thread::sleep(Duration::from_millis(3));
             }
             out
         });
-        let reader = s.spawn(|| {
+        let read_thread = s.spawn(|| {
             let mut out = Vec::new();
             for _ in 0..8 {
-                out.push(cluster.client(110).read(OBJ));
+                out.push(done(reader.read(OBJ)));
                 std::thread::sleep(Duration::from_millis(4));
             }
             out
@@ -59,16 +72,16 @@ fn live_treas_cluster_with_reconfig_and_node_restart_is_atomic() {
         // (a member of both configurations; 4 of 5 stay alive — exactly
         // a quorum in each).
         std::thread::sleep(Duration::from_millis(5));
-        history.push(cluster.client(200).reconfig(ConfigId(1)));
+        history.push(done(reconfigurer.reconfig(ConfigId(1))));
         cluster.kill(3);
         std::thread::sleep(Duration::from_millis(10));
         cluster.restart(3);
-        (writer.join().expect("writer thread"), reader.join().expect("reader thread"))
+        (write_thread.join().expect("writer thread"), read_thread.join().expect("reader thread"))
     });
     history.extend(writes);
     history.extend(reads);
     // A final read through a third client must see the newest write.
-    let final_read = cluster.client(110).read(OBJ);
+    let final_read = done(reader.read(OBJ));
     history.push(final_read.clone());
     cluster.shutdown();
 
@@ -88,9 +101,11 @@ fn live_treas_cluster_with_reconfig_and_node_restart_is_atomic() {
 #[test]
 fn blank_restart_with_repair_rejoins() {
     let cluster = LocalCluster::start(treas_universe(), [100, 110]).unwrap();
+    let mut writer = cluster.store(100).open_session();
+    let mut reader = cluster.store(110).open_session();
     let mut history = Vec::new();
     for i in 1u64..=3 {
-        history.push(cluster.client(100).write(OBJ, Value::filler(120, i)));
+        history.push(done(writer.write(OBJ, Value::filler(120, i))));
     }
     cluster.kill(2);
     std::thread::sleep(Duration::from_millis(5));
@@ -98,10 +113,10 @@ fn blank_restart_with_repair_rejoins() {
     cluster.trigger_repair(2, 0, 0);
     std::thread::sleep(Duration::from_millis(50)); // repair round-trips
     for i in 4u64..=5 {
-        history.push(cluster.client(100).write(OBJ, Value::filler(120, i)));
-        history.push(cluster.client(110).read(OBJ));
+        history.push(done(writer.write(OBJ, Value::filler(120, i))));
+        history.push(done(reader.read(OBJ)));
     }
-    let last = cluster.client(110).read(OBJ);
+    let last = done(reader.read(OBJ));
     assert_eq!(last.value_digest, Some(Value::filler(120, 5).digest()));
     history.push(last);
     cluster.shutdown();
@@ -115,7 +130,9 @@ fn blank_restart_with_repair_rejoins() {
 #[test]
 fn malformed_frames_never_panic_nodes() {
     let cluster = LocalCluster::start(treas_universe(), [100, 110]).unwrap();
-    cluster.client(100).write(OBJ, Value::filler(64, 1));
+    let mut writer = cluster.store(100).open_session();
+    let mut reader = cluster.store(110).open_session();
+    done(writer.write(OBJ, Value::filler(64, 1)));
 
     for pid in [1u32, 2, 3, 4, 5, 6] {
         let addr = cluster.server_addr(pid);
@@ -132,7 +149,7 @@ fn malformed_frames_never_panic_nodes() {
         // (c) a wrong version byte inside a well-formed frame shell.
         let mut frame = encode_frame(
             ProcessId(99),
-            &ares_core::Msg::Cfg(ares_core::CfgMsg::ReadConfig {
+            &Msg::Cfg(ares_core::CfgMsg::ReadConfig {
                 base: ConfigId(0),
                 rpc: RpcId(1),
                 op: ares_types::OpId { client: ProcessId(99), seq: 0 },
@@ -144,7 +161,7 @@ fn malformed_frames_never_panic_nodes() {
         drop(s);
         // (d) a well-formed message naming an unregistered configuration
         // (would panic deep in protocol code if it were dispatched).
-        let evil = ares_core::Msg::Xfer(ares_core::XferMsg::ReqFwd {
+        let evil = Msg::Xfer(ares_core::XferMsg::ReqFwd {
             tag: Tag::new(1, ProcessId(1)),
             src: ConfigId(77),
             dst: ConfigId(78),
@@ -159,7 +176,11 @@ fn malformed_frames_never_panic_nodes() {
         // (e) a truncated but otherwise valid frame.
         let good = encode_frame(
             ProcessId(99),
-            &ares_core::Msg::Cmd(ares_core::ClientCmd::Read { obj: OBJ }),
+            &Msg::Invoke(Invoke {
+                session: SessionId(0),
+                seq: 0,
+                cmd: ClientCmd::Read { obj: OBJ },
+            }),
         );
         let mut s = TcpStream::connect(addr).unwrap();
         s.write_all(&good[..good.len() - 2]).unwrap();
@@ -168,9 +189,64 @@ fn malformed_frames_never_panic_nodes() {
     std::thread::sleep(Duration::from_millis(20));
 
     // Every node is still alive and serving quorums.
-    let w = cluster.client(100).write(OBJ, Value::filler(64, 2));
-    let r = cluster.client(110).read(OBJ);
+    let w = done(writer.write(OBJ, Value::filler(64, 2)));
+    let r = done(reader.read(OBJ));
     assert_eq!(r.tag, w.tag, "cluster still atomic after hostile traffic");
     assert_eq!(r.value_digest, Some(Value::filler(64, 2).digest()));
+    cluster.shutdown();
+}
+
+/// ARES-TREAS direct state transfer (paper §5, Algs. 8–9) across real
+/// sockets: the reconfigurer only sends `REQ-FW-CODE-ELEM`; the source
+/// servers forward their coded elements straight to the destination
+/// servers, which ack it. The value written before the reconfiguration
+/// must be readable from the new configuration.
+#[test]
+fn direct_state_transfer_over_tcp_preserves_the_value() {
+    let cluster = LocalCluster::builder(treas_universe())
+        .clients([100, 110, 200])
+        .direct_transfer()
+        .start()
+        .unwrap();
+    let value = Value::filler(300, 7);
+    let history = vec![
+        done(cluster.store(100).open_session().write(OBJ, value.clone())),
+        done(cluster.store(200).open_session().reconfig(ConfigId(1))),
+        done(cluster.store(110).open_session().read(OBJ)),
+    ];
+    cluster.shutdown();
+
+    assert_eq!(history[1].installed, Some(ConfigId(1)), "the reconfiguration installed c1");
+    assert_eq!(history[2].value_digest, Some(value.digest()), "the value survived the transfer");
+    assert_eq!(history[2].tag, history[0].tag);
+    check_atomicity(&history).assert_atomic();
+}
+
+/// A well-formed command envelope arriving over TCP is dropped: only the
+/// local `inject()` path may invoke client operations, or any peer
+/// could drive a host's sessions.
+#[test]
+fn network_borne_invoke_is_dropped() {
+    let cluster = LocalCluster::start(treas_universe(), [100, 110]).unwrap();
+    let forged = Value::filler(64, 99);
+    let frame = encode_frame(
+        ProcessId(99),
+        &Msg::Invoke(Invoke {
+            session: SessionId(0),
+            seq: 0,
+            cmd: ClientCmd::Write { obj: OBJ, value: forged.clone() },
+        }),
+    );
+    let victim = cluster.addr_book().addr(ProcessId(100)).expect("client 100 listens");
+    let mut s = TcpStream::connect(victim).unwrap();
+    s.write_all(&frame).unwrap();
+    drop(s);
+    // Were the frame admitted, the write would finish within a few
+    // loopback round trips.
+    std::thread::sleep(Duration::from_millis(100));
+
+    let r = done(cluster.store(110).open_session().read(OBJ));
+    assert_ne!(r.value_digest, Some(forged.digest()), "the forged write never ran");
+    assert_eq!(cluster.store(100).completions_routed(), 0, "client 100 executed nothing");
     cluster.shutdown();
 }

@@ -7,14 +7,26 @@
 //! suffix (repair refetches it) but must never resurrect a node into a
 //! state that breaks linearizability.
 
+use ares_core::store::{OpError, OpTicket, Store, StoreSession};
 use ares_harness::check_atomicity;
 use ares_net::testing::LocalCluster;
-use ares_net::WalConfig;
+use ares_net::{NetSession, NetTicket, WalConfig};
 use ares_types::{ConfigId, Configuration, ObjectId, OpCompletion, ProcessId, Value};
 use std::path::PathBuf;
 use std::time::Duration;
 
 const OBJ: ObjectId = ObjectId(0);
+
+/// Blocks until a just-submitted operation completes.
+fn done(ticket: Result<NetTicket, OpError>) -> OpCompletion {
+    ticket.expect("submitted").wait().expect("completed")
+}
+
+/// The writer (client 100) and reader (client 110) sessions every
+/// scenario drives.
+fn sessions(cluster: &LocalCluster) -> (NetSession, NetSession) {
+    (cluster.store(100).open_session(), cluster.store(110).open_session())
+}
 
 fn universe() -> Vec<Configuration> {
     vec![Configuration::treas(ConfigId(0), (1..=5).map(ProcessId).collect(), 3, 2)]
@@ -43,15 +55,16 @@ fn kill_mid_write_recovers_by_replaying_journal() {
         .durable(WalConfig::default())
         .start()
         .unwrap();
+    let (mut writer, mut reader) = sessions(&cluster);
     let mut history: Vec<OpCompletion> = Vec::new();
     for i in 1u64..=6 {
-        history.push(cluster.client(100).write(OBJ, Value::filler(128, i)));
+        history.push(done(writer.write(OBJ, Value::filler(128, i))));
     }
     cluster.kill(3);
     // The delta: written while node 3 is down, so it can only come back
     // via fragment repair, not replay.
     for i in 7u64..=9 {
-        history.push(cluster.client(100).write(OBJ, Value::filler(128, i)));
+        history.push(done(writer.write(OBJ, Value::filler(128, i))));
     }
     let reports = cluster.restart_recovered(3).unwrap();
     let replayed: u64 = reports.iter().map(|r| r.records_replayed).sum();
@@ -64,9 +77,9 @@ fn kill_mid_write_recovers_by_replaying_journal() {
     assert!(wal.replay_records >= replayed, "recovery counters survive the restart");
 
     for _ in 0..3 {
-        history.push(cluster.client(110).read(OBJ));
+        history.push(done(reader.read(OBJ)));
     }
-    let last = cluster.client(110).read(OBJ);
+    let last = done(reader.read(OBJ));
     assert_eq!(last.value_digest, Some(Value::filler(128, 9).digest()));
     history.push(last);
     cluster.shutdown();
@@ -82,9 +95,10 @@ fn torn_final_record_truncates_and_continues() {
         .durable(WalConfig::default())
         .start()
         .unwrap();
+    let (mut writer, mut reader) = sessions(&cluster);
     let mut history: Vec<OpCompletion> = Vec::new();
     for i in 1u64..=5 {
-        history.push(cluster.client(100).write(OBJ, Value::filler(128, i)));
+        history.push(done(writer.write(OBJ, Value::filler(128, i))));
     }
     cluster.kill(3);
     std::thread::sleep(Duration::from_millis(30)); // drain in-flight journaling
@@ -109,8 +123,8 @@ fn torn_final_record_truncates_and_continues() {
     );
     std::thread::sleep(Duration::from_millis(60));
 
-    history.push(cluster.client(100).write(OBJ, Value::filler(128, 6)));
-    let last = cluster.client(110).read(OBJ);
+    history.push(done(writer.write(OBJ, Value::filler(128, 6))));
+    let last = done(reader.read(OBJ));
     assert_eq!(last.value_digest, Some(Value::filler(128, 6).digest()));
     history.push(last);
     cluster.shutdown();
@@ -126,9 +140,10 @@ fn corrupted_crc_mid_segment_stops_at_good_prefix() {
     let wal = WalConfig { segment_bytes: 256, ..WalConfig::default() };
     let cluster =
         LocalCluster::builder(universe()).clients([100, 110]).durable(wal).start().unwrap();
+    let (mut writer, mut reader) = sessions(&cluster);
     let mut history: Vec<OpCompletion> = Vec::new();
     for i in 1u64..=8 {
-        history.push(cluster.client(100).write(OBJ, Value::filler(128, i)));
+        history.push(done(writer.write(OBJ, Value::filler(128, i))));
     }
     cluster.kill(3);
     std::thread::sleep(Duration::from_millis(30));
@@ -146,8 +161,8 @@ fn corrupted_crc_mid_segment_stops_at_good_prefix() {
     );
     std::thread::sleep(Duration::from_millis(60));
 
-    history.push(cluster.client(100).write(OBJ, Value::filler(128, 9)));
-    let last = cluster.client(110).read(OBJ);
+    history.push(done(writer.write(OBJ, Value::filler(128, 9))));
+    let last = done(reader.read(OBJ));
     assert_eq!(last.value_digest, Some(Value::filler(128, 9).digest()));
     history.push(last);
     cluster.shutdown();
@@ -162,11 +177,12 @@ fn disk_full_on_append_degrades_then_recovers() {
     let wal = WalConfig { write_quota: Some(400), ..WalConfig::default() };
     let cluster =
         LocalCluster::builder(universe()).clients([100, 110]).durable(wal).start().unwrap();
+    let (mut writer, mut reader) = sessions(&cluster);
     let mut history: Vec<OpCompletion> = Vec::new();
     // Far more write traffic than 400 bytes of log budget: the WAL must
     // hit the quota and degrade while the cluster keeps serving.
     for i in 1u64..=10 {
-        history.push(cluster.client(100).write(OBJ, Value::filler(128, i)));
+        history.push(done(writer.write(OBJ, Value::filler(128, i))));
     }
     let wal_stats = cluster.node_stats(3).wal.expect("durable node");
     assert!(wal_stats.append_errors > 0, "the quota forced an append error, got {wal_stats:?}");
@@ -176,8 +192,8 @@ fn disk_full_on_append_degrades_then_recovers() {
     // Whatever prefix made it to disk is replayed; repair covers the
     // degraded suffix.
     std::thread::sleep(Duration::from_millis(60));
-    history.push(cluster.client(100).write(OBJ, Value::filler(128, 11)));
-    let last = cluster.client(110).read(OBJ);
+    history.push(done(writer.write(OBJ, Value::filler(128, 11))));
+    let last = done(reader.read(OBJ));
     assert_eq!(last.value_digest, Some(Value::filler(128, 11).digest()));
     history.push(last);
     cluster.shutdown();
@@ -197,22 +213,23 @@ fn restart_under_traffic_stays_atomic() {
         .durable(WalConfig::default())
         .start()
         .unwrap();
+    let (mut writer, mut reader) = sessions(&cluster);
     let mut history: Vec<OpCompletion> = Vec::new();
-    history.push(cluster.client(100).write(OBJ, Value::filler(200, 1)));
+    history.push(done(writer.write(OBJ, Value::filler(200, 1))));
 
     let (writes, reads) = std::thread::scope(|s| {
-        let writer = s.spawn(|| {
+        let write_thread = s.spawn(|| {
             let mut out = Vec::new();
             for i in 2u64..=9 {
-                out.push(cluster.client(100).write(OBJ, Value::filler(200, i)));
+                out.push(done(writer.write(OBJ, Value::filler(200, i))));
                 std::thread::sleep(Duration::from_millis(3));
             }
             out
         });
-        let reader = s.spawn(|| {
+        let read_thread = s.spawn(|| {
             let mut out = Vec::new();
             for _ in 0..8 {
-                out.push(cluster.client(110).read(OBJ));
+                out.push(done(reader.read(OBJ)));
                 std::thread::sleep(Duration::from_millis(4));
             }
             out
@@ -221,11 +238,11 @@ fn restart_under_traffic_stays_atomic() {
         cluster.kill(2);
         std::thread::sleep(Duration::from_millis(10));
         cluster.restart_recovered(2).unwrap();
-        (writer.join().expect("writer thread"), reader.join().expect("reader thread"))
+        (write_thread.join().expect("writer thread"), read_thread.join().expect("reader thread"))
     });
     history.extend(writes);
     history.extend(reads);
-    let last = cluster.client(110).read(OBJ);
+    let last = done(reader.read(OBJ));
     assert_eq!(last.value_digest, Some(Value::filler(200, 9).digest()));
     history.push(last);
     cluster.shutdown();

@@ -92,8 +92,8 @@ fn interleaved_session_completions_never_cross_deliver() {
         let c = t.wait().expect("op completes");
         assert_eq!(c.op, op, "completion routed to its own ticket");
         assert_eq!(
-            ares_core::store::session_of_op(c.op).0 as usize,
-            i + 1, // cluster clients own session 0; ours start at 1
+            ares_core::store::session_of_op(c.op),
+            sessions[i].id(),
             "completion belongs to the session that submitted it"
         );
         if let Some(d) = expect {
@@ -109,10 +109,10 @@ fn interleaved_session_completions_never_cross_deliver() {
     }
     // Per-session well-formedness: within a session, ops execute in
     // submission order without overlap.
-    for i in 0..SESSIONS {
+    for (i, session) in sessions.iter().enumerate() {
         let mine: Vec<_> = history
             .iter()
-            .filter(|c| ares_core::store::session_of_op(c.op).0 as usize == i + 1)
+            .filter(|c| ares_core::store::session_of_op(c.op) == session.id())
             .collect();
         assert_eq!(mine.len(), OPS as usize);
         for pair in mine.windows(2) {

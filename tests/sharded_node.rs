@@ -8,13 +8,19 @@
 //! kinds/objects/write-digests — and the merged history is atomic.
 //! Sharding may only change timing, never outcomes.
 
-use ares_core::store::{session_of_op, OpTicket, Store, StoreSession};
+use ares_core::store::{session_of_op, OpError, OpTicket, Store, StoreSession};
 use ares_harness::check_atomicity;
 use ares_net::testing::LocalCluster;
+use ares_net::NetTicket;
 use ares_types::{
     ConfigId, Configuration, ObjectId, OpCompletion, OpKind, ProcessId, SessionId, Value,
 };
 use std::time::Duration;
+
+/// Blocks until a just-submitted operation completes.
+fn done(ticket: Result<NetTicket, OpError>) -> OpCompletion {
+    ticket.expect("submitted").wait().expect("completed")
+}
 
 fn treas_universe() -> Vec<Configuration> {
     let ids = |r: std::ops::RangeInclusive<u32>| r.map(ProcessId).collect::<Vec<_>>();
@@ -181,10 +187,10 @@ fn reconfiguration_storm_interleaves_with_object_traffic_on_shards() {
         }
         // The storm: two rival reconfigurers race for the successor of
         // c0 while the lanes above keep hammering objects.
-        let recon_a = s.spawn(|| cluster.client(200).reconfig(ConfigId(1)));
+        let recon_a = s.spawn(|| done(cluster.store(200).open_session().reconfig(ConfigId(1))));
         let recon_b = s.spawn(|| {
             std::thread::sleep(Duration::from_millis(2));
-            cluster.client(201).reconfig(ConfigId(1))
+            done(cluster.store(201).open_session().reconfig(ConfigId(1)))
         });
         let mut history = Vec::new();
         history.push(recon_a.join().expect("recon A"));
@@ -240,10 +246,12 @@ fn blank_restart_with_repair_rejoins_on_sharded_node() {
         .shards(4)
         .start()
         .expect("cluster boots");
+    let mut writer = cluster.store(100).open_session();
+    let mut reader = cluster.store(110).open_session();
     let mut history = Vec::new();
     for i in 1u64..=3 {
-        history.push(cluster.client(100).write(ObjectId(0), Value::filler(120, i)));
-        history.push(cluster.client(100).write(ObjectId(1), Value::filler(120, 100 + i)));
+        history.push(done(writer.write(ObjectId(0), Value::filler(120, i))));
+        history.push(done(writer.write(ObjectId(1), Value::filler(120, 100 + i))));
     }
     cluster.kill(2);
     std::thread::sleep(Duration::from_millis(5));
@@ -252,13 +260,13 @@ fn blank_restart_with_repair_rejoins_on_sharded_node() {
     cluster.trigger_repair(2, 0, 1);
     std::thread::sleep(Duration::from_millis(50)); // repair round-trips
     for i in 4u64..=5 {
-        history.push(cluster.client(100).write(ObjectId(0), Value::filler(120, i)));
-        history.push(cluster.client(110).read(ObjectId(0)));
+        history.push(done(writer.write(ObjectId(0), Value::filler(120, i))));
+        history.push(done(reader.read(ObjectId(0))));
     }
-    let last = cluster.client(110).read(ObjectId(0));
+    let last = done(reader.read(ObjectId(0)));
     assert_eq!(last.value_digest, Some(Value::filler(120, 5).digest()));
     history.push(last);
-    let other = cluster.client(110).read(ObjectId(1));
+    let other = done(reader.read(ObjectId(1)));
     assert_eq!(other.value_digest, Some(Value::filler(120, 103).digest()));
     history.push(other);
     cluster.shutdown();
