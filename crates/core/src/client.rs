@@ -64,6 +64,31 @@ impl ClientConfig {
     }
 }
 
+/// The client's round-trip estimate (Jacobson/Karels with RFC 6298's
+/// gains), in integer time units of `Ctx::now()` so a simulated run
+/// stays bit-deterministic. Host policy, not protocol: it only decides
+/// when an unanswered request is re-sent.
+#[derive(Debug, Clone, Copy, Default)]
+struct RttEstimator {
+    /// `(srtt, rttvar)`; `None` before the first sample.
+    est: Option<(Time, Time)>,
+}
+
+impl RttEstimator {
+    fn sample(&mut self, rtt: Time) {
+        self.est = Some(match self.est {
+            None => (rtt, rtt / 2),
+            Some((srtt, rttvar)) => ((7 * srtt + rtt) / 8, (3 * rttvar + srtt.abs_diff(rtt)) / 4),
+        });
+    }
+
+    /// `srtt + 4·rttvar` clamped to `[floor, floor << 6]`; `floor`
+    /// before the first sample.
+    fn rto(&self, floor: Time) -> Time {
+        self.est.map_or(floor, |(srtt, rttvar)| (srtt + 4 * rttvar).clamp(floor, floor << 6))
+    }
+}
+
 /// One logical session's serial command lane.
 #[derive(Default)]
 struct SessionState {
@@ -84,6 +109,9 @@ struct OpState {
     /// The one timer token this operation currently accepts; tokens of
     /// popped frames are invalidated by overwriting or clearing this.
     timer: Option<u64>,
+    /// When the top frame's current phase was first transmitted; `None`
+    /// once it retransmitted (Karn's rule, see `on_timer`).
+    sent_at: Option<Time>,
 }
 
 /// The ARES client process: a multiplexer of logical sessions.
@@ -100,6 +128,8 @@ pub struct ClientActor {
     /// Armed timer tokens → the operation they belong to.
     timer_ops: HashMap<u64, OpId>,
     next_timer_token: u64,
+    /// One estimate for all sessions: they share the host's links.
+    rtt: RttEstimator,
 }
 
 impl ClientActor {
@@ -115,6 +145,7 @@ impl ClientActor {
             inflight: HashMap::new(),
             timer_ops: HashMap::new(),
             next_timer_token: 0,
+            rtt: RttEstimator::default(),
         }
     }
 
@@ -202,6 +233,7 @@ impl ClientActor {
             invoked_at: ctx.now(),
             write_digest: digest,
             timer: None,
+            sent_at: None,
         };
         let step = {
             let mut env = self.env(ctx.pid(), op, &st);
@@ -222,6 +254,7 @@ impl ClientActor {
             obj: st.obj,
             mode: self.config.transfer_mode,
             backoff_unit: self.config.backoff_unit,
+            rto: self.rtt.rto(4 * self.config.backoff_unit),
         }
     }
 
@@ -238,6 +271,7 @@ impl ClientActor {
                 self.next_timer_token += 1;
                 self.timer_ops.insert(token, op);
                 st.timer = Some(token); // any previously armed token is now stale
+                st.sent_at = Some(ctx.now());
                 ctx.set_timer(after, token);
             }
             if let Some(frame) = step.push.take() {
@@ -257,6 +291,14 @@ impl ClientActor {
                     ctx.note(format!("-{}", popped.name()));
                 }
                 st.timer = None; // invalidate any timer of the popped frame
+                if let Some(t0) = st.sent_at.take() {
+                    // One request/reply round is a sample; consensus (two
+                    // rounds) and state transfer (three hops and a decode)
+                    // are not, and would only inflate the estimate.
+                    if matches!(popped, Frame::ReadNext(_) | Frame::PutConfig(_) | Frame::Dap(_)) {
+                        self.rtt.sample(ctx.now() - t0);
+                    }
+                }
                 if st.frames.is_empty() {
                     // Stack empty: the operation finished.
                     self.finish(op, st, out, ctx);
@@ -353,5 +395,199 @@ impl Actor<Msg> for ClientActor {
             }
         };
         self.pump(op, st, step, ctx);
+        // Karn's rule: a reply to this phase could now answer either
+        // copy of the request, so the phase yields no round-trip sample.
+        if let Some(st) = self.inflight.get_mut(&op) {
+            st.sent_at = None;
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::store::session_op_seq;
+    use crate::ServerActor;
+    use ares_sim::HostEffect;
+    use ares_types::{Configuration, Value};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// `4 · backoff_unit` of [`ClientConfig::new`].
+    const FLOOR: Time = 200;
+
+    #[test]
+    fn rto_is_the_floor_before_any_sample_and_never_leaves_its_clamp() {
+        let mut rtt = RttEstimator::default();
+        assert_eq!(rtt.rto(FLOOR), FLOOR);
+        rtt.sample(3); // far below the floor
+        assert_eq!(rtt.rto(FLOOR), FLOOR);
+        for _ in 0..40 {
+            rtt.sample(10_000_000); // far above the cap
+            assert_eq!(rtt.rto(FLOOR), FLOOR << 6);
+        }
+        for rtt_us in [1, 7, 250, 4_000, 90_000, 12, 12, 12, 12, 12, 12, 12, 12] {
+            rtt.sample(rtt_us);
+            assert!((FLOOR..=FLOOR << 6).contains(&rtt.rto(FLOOR)), "{rtt:?}");
+        }
+    }
+
+    #[test]
+    fn rto_follows_srtt_plus_four_rttvar() {
+        let mut rtt = RttEstimator::default();
+        rtt.sample(2_000); // srtt = 2000, rttvar = 1000
+        assert_eq!(rtt.rto(FLOOR), 6_000);
+        rtt.sample(2_000); // rttvar decays by a quarter per steady sample
+        assert_eq!(rtt.rto(FLOOR), 2_000 + 4 * 750);
+        rtt.sample(4_000); // srtt = 2250, rttvar = (3·750 + 2000) / 4
+        assert_eq!(rtt.rto(FLOOR), 2_250 + 4 * 1_062);
+    }
+
+    /// One client and the five servers of a TREAS `[5, 3]` configuration,
+    /// hosted by hand through [`Ctx::detached`]: the test owns the clock
+    /// and decides when replies and timers are delivered.
+    struct Hosted {
+        client: ClientActor,
+        servers: Vec<ServerActor>,
+        rng: StdRng,
+        now: Time,
+        /// Requests sent and not yet answered.
+        outbox: Vec<(ProcessId, Msg)>,
+        /// Every timer armed so far, as `(delay, token)`.
+        armed: Vec<(Time, u64)>,
+        completed: usize,
+    }
+
+    const CLIENT: ProcessId = ProcessId(100);
+
+    impl Hosted {
+        fn new() -> Self {
+            let servers: Vec<ProcessId> = (1..=5).map(ProcessId).collect();
+            let registry = ConfigRegistry::from_configs([Configuration::treas(
+                ConfigId(0),
+                servers.clone(),
+                3,
+                2,
+            )]);
+            Hosted {
+                client: ClientActor::new(registry.clone(), ClientConfig::new(ConfigId(0))),
+                servers: servers.iter().map(|&s| ServerActor::new(s, registry.clone())).collect(),
+                rng: StdRng::seed_from_u64(1),
+                now: 0,
+                outbox: Vec::new(),
+                armed: Vec::new(),
+                completed: 0,
+            }
+        }
+
+        /// Runs one client handler and applies its effects; returns how
+        /// many messages it sent.
+        fn client(&mut self, f: impl FnOnce(&mut ClientActor, &mut Ctx<'_, Msg>)) -> usize {
+            let mut ctx = Ctx::detached(CLIENT, self.now, &mut self.rng);
+            f(&mut self.client, &mut ctx);
+            let mut sent = 0;
+            for effect in ctx.take_effects() {
+                match effect {
+                    HostEffect::Send { to, msg } => {
+                        self.outbox.push((to, msg));
+                        sent += 1;
+                    }
+                    HostEffect::SetTimer { delay, token } => self.armed.push((delay, token)),
+                    HostEffect::Complete(_) => self.completed += 1,
+                    HostEffect::Note(_) => {}
+                }
+            }
+            sent
+        }
+
+        /// Invokes write number `n` of session 0.
+        fn write(&mut self, n: u64) {
+            let cmd = ClientCmd::Write { obj: ObjectId(0), value: Value::filler(64, n) };
+            let seq = session_op_seq(SessionId(0), n);
+            let invoke = Msg::Invoke(crate::Invoke { session: SessionId(0), seq, cmd });
+            self.client(|c, ctx| c.on_message(ProcessId(0), invoke, ctx));
+        }
+
+        /// Advances the clock by `rtt`, then delivers the servers'
+        /// replies to every outstanding request.
+        fn answer_after(&mut self, rtt: Time) {
+            self.now += rtt;
+            for (to, request) in std::mem::take(&mut self.outbox) {
+                let server = &mut self.servers[to.0 as usize - 1];
+                let mut ctx = Ctx::detached(to, self.now, &mut self.rng);
+                server.on_message(CLIENT, request, &mut ctx);
+                for effect in ctx.take_effects() {
+                    let HostEffect::Send { msg: reply, .. } = effect else { continue };
+                    self.client(|c, ctx| c.on_message(to, reply, ctx));
+                }
+            }
+        }
+
+        /// Advances the clock to the deadline of the last armed timer
+        /// and fires it; returns how many messages the handler sent.
+        fn fire_timer(&mut self) -> usize {
+            let (delay, token) = *self.armed.last().expect("a timer is armed");
+            self.now += delay;
+            self.client(|c, ctx| c.on_timer(token, ctx))
+        }
+
+        /// The delay of the last armed timer.
+        fn last_delay(&self) -> Time {
+            self.armed.last().expect("a timer is armed").0
+        }
+    }
+
+    #[test]
+    fn a_retransmitted_phase_yields_no_sample() {
+        let mut h = Hosted::new();
+        h.write(0);
+        assert_eq!(h.last_delay(), FLOOR);
+        assert_eq!(h.fire_timer(), 5, "nobody has answered: all five are asked again");
+        assert_eq!(h.last_delay(), FLOOR << 1);
+        // The replies arrive 2,000 after the first copy left. They could
+        // answer either copy (Karn), so the next phase still starts from
+        // the floor...
+        h.answer_after(2_000 - FLOOR);
+        assert_eq!(h.last_delay(), FLOOR);
+        // ...whereas the same round trip on a phase sent once is a sample.
+        h.answer_after(2_000);
+        assert_eq!(h.last_delay(), 6_000);
+    }
+
+    #[test]
+    fn after_slow_phases_the_timer_sits_above_the_round_trip() {
+        // A loaded host: replies come back 10× the floor after the
+        // request, and it delivers them before the (late) timers.
+        let mut h = Hosted::new();
+        h.write(0);
+        for _ in 0..4 {
+            h.answer_after(10 * FLOOR);
+        }
+        assert_eq!(h.completed, 1, "read-config, get-tag, put-data, read-config");
+        // The next slow phase is armed above its round trip: a host
+        // that fires timers on time has nothing to fire, and nothing
+        // is sent twice.
+        h.write(1);
+        let timers = h.armed.len();
+        assert!(h.last_delay() > 10 * FLOOR && h.last_delay() <= FLOOR << 6, "{:?}", h.armed);
+        let sent_once = h.outbox.len();
+        h.answer_after(10 * FLOOR);
+        assert_eq!(h.armed.len(), timers + 1, "only the next phase armed a timer");
+        assert_eq!(h.outbox.len(), sent_once, "the next phase's five requests, sent once");
+    }
+
+    #[test]
+    fn same_round_trips_same_timers() {
+        let run = || {
+            let mut h = Hosted::new();
+            for (n, rtt) in [150, 900, 40, 3_000, 260].into_iter().enumerate() {
+                h.write(n as u64);
+                while h.completed <= n {
+                    h.answer_after(rtt);
+                }
+            }
+            h.armed
+        };
+        assert_eq!(run(), run());
     }
 }

@@ -54,6 +54,11 @@ pub(crate) struct Env<'a> {
     pub obj: ObjectId,
     pub mode: TransferMode,
     pub backoff_unit: Time,
+    /// The client's current retransmission timeout: its round-trip
+    /// estimate clamped to `[4, 4 << 6] × backoff_unit` (the floor
+    /// before any sample). The base every quorum phase grows its retry
+    /// delay from.
+    pub rto: Time,
 }
 
 impl Env<'_> {
@@ -131,25 +136,27 @@ impl ReadNextFrame {
         ReadNextFrame { base, rpc: RpcId(0), replies: Vec::new(), best: None, retries: 0 }
     }
 
+    /// The request, addressed to every server that has not answered.
     fn sends(&self, env: &Env<'_>) -> Vec<(ProcessId, Msg)> {
         let msg = CfgMsg::ReadConfig { base: self.base.id, rpc: self.rpc, op: env.op };
-        self.base.servers.iter().map(|&s| (s, Msg::Cfg(msg.clone()))).collect()
+        let unheard = self.base.servers.iter().filter(|s| !self.replies.contains(s));
+        unheard.map(|&s| (s, Msg::Cfg(msg.clone()))).collect()
     }
 
     fn start(&mut self, env: &mut Env<'_>) -> FStep {
         self.rpc = env.fresh_rpc();
         let mut step = FStep::sends(self.sends(env));
-        // A quorum phase over lossy channels: retransmit verbatim under
-        // the same rpc until replies assemble (servers answer read-config
+        // A quorum phase over lossy channels: retransmit under the same
+        // rpc until replies assemble (servers answer read-config
         // idempotently, duplicate replies are deduplicated above).
-        step.timer = Some((env.backoff_unit * 4) << self.retries.min(6));
+        step.timer = Some(env.rto << self.retries.min(6));
         step
     }
 
     fn on_timer(&mut self, env: &mut Env<'_>) -> FStep {
         self.retries += 1;
         let mut step = FStep::sends(self.sends(env));
-        step.timer = Some((env.backoff_unit * 4) << self.retries.min(6));
+        step.timer = Some(env.rto << self.retries.min(6));
         step
     }
 
@@ -208,6 +215,7 @@ impl PutConfigFrame {
         PutConfigFrame { base, entry, rpc: RpcId(0), acks: Vec::new(), retries: 0 }
     }
 
+    /// The request, addressed to every server that has not acked.
     fn sends(&self, env: &Env<'_>) -> Vec<(ProcessId, Msg)> {
         let msg = CfgMsg::WriteConfig {
             base: self.base.id,
@@ -215,7 +223,8 @@ impl PutConfigFrame {
             rpc: self.rpc,
             op: env.op,
         };
-        self.base.servers.iter().map(|&s| (s, Msg::Cfg(msg.clone()))).collect()
+        let unacked = self.base.servers.iter().filter(|s| !self.acks.contains(s));
+        unacked.map(|&s| (s, Msg::Cfg(msg.clone()))).collect()
     }
 
     fn start(&mut self, env: &mut Env<'_>) -> FStep {
@@ -224,14 +233,14 @@ impl PutConfigFrame {
         // Same retransmission discipline as read-next-config: nextC
         // writes are idempotent (servers keep the max), so resending
         // under the same rpc is safe and survives lossy links.
-        step.timer = Some((env.backoff_unit * 4) << self.retries.min(6));
+        step.timer = Some(env.rto << self.retries.min(6));
         step
     }
 
     fn on_timer(&mut self, env: &mut Env<'_>) -> FStep {
         self.retries += 1;
         let mut step = FStep::sends(self.sends(env));
-        step.timer = Some((env.backoff_unit * 4) << self.retries.min(6));
+        step.timer = Some(env.rto << self.retries.min(6));
         step
     }
 
@@ -315,11 +324,8 @@ impl DapFrame {
     }
 
     fn start(&mut self, env: &mut Env<'_>) -> FStep {
-        // Scale the get-data retry base with the deployment's backoff
-        // unit (the knob hosts already tune toward their RTT); the
-        // default unit of 50 reproduces DapCtx's sim-tuned 200 exactly.
         let mut ctx = DapCtx::new(self.cfg.clone(), self.obj, env.me, env.op);
-        ctx.retry_interval = env.backoff_unit * 4;
+        ctx.retry_interval = env.rto;
         // lint: allow(net-panic, reason = "infallible: start() runs once per frame by the frame-stack discipline; action is present until then")
         let action = self.action.take().expect("started once");
         let (call, step) = DapCall::start(ctx, action, env.rpc);

@@ -342,7 +342,7 @@ impl ServerActor {
                     return Vec::new();
                 }
                 let frag_value_len = frag.value_len;
-                let in_list = self.dap.treas_state(dst, obj).list.contains_key(&tag);
+                let in_list = self.dap.treas_state(dst, obj).contains(tag);
                 if !in_list {
                     if !self.dset.contains_key(&(dst, obj, tag))
                         && self.dset.keys().filter(|(d, o, _)| *d == dst && *o == obj).count()
@@ -416,7 +416,7 @@ impl ServerActor {
                     }
                 }
                 // If (t, *) ∈ List now: serve rc and ack.
-                if self.dap.treas_state(dst, obj).list.contains_key(&tag) {
+                if self.dap.treas_state(dst, obj).contains(tag) {
                     self.recons.entry((dst, obj)).or_default().insert(rc);
                     vec![(rc, Msg::Xfer(XferMsg::XferAck { dst, obj, tag, rpc, op }))]
                 } else {
@@ -480,9 +480,7 @@ impl ServerActor {
                     for (tag, frag) in entries {
                         match frag {
                             Some(f) => st.insert_and_gc(tag, f, delta),
-                            None => {
-                                st.list.entry(tag).or_insert(None);
-                            }
+                            None => st.note_tag(tag),
                         }
                     }
                     self.repairs.remove(&key);

@@ -37,18 +37,14 @@ pub struct DapCtx {
     pub me: ProcessId,
     /// The client operation this call belongs to.
     pub op: OpId,
-    /// Base retry interval for phase retransmissions (every phase arms
-    /// one; TREAS `get-data` additionally uses it for its wait
-    /// condition); retry `r` waits `retry_interval · 2^min(r,6)`
-    /// (exponential with a cap). A *fixed* interval congestion-collapses on a real
-    /// network: each retry re-broadcasts under a fresh phase id and
-    /// discards the partial quorum, so once load pushes the effective
-    /// round trip past the interval, every reply arrives stale and the
-    /// read spins at full rate forever — amplifying the very load that
-    /// stalled it. Backing off lets the queues drain so one phase's
-    /// replies can assemble. Hosts should scale the base toward their
-    /// round-trip time (`ClientConfig::backoff_unit` is threaded here
-    /// by `ares-core`).
+    /// Base retransmission timeout of every phase (TREAS `get-data`
+    /// additionally uses it for its wait condition); retry `r` waits
+    /// `retry_interval · 2^min(r,6)`. `ares-core` threads its
+    /// round-trip estimate here (`srtt + 4·rttvar`, floored at
+    /// `4 · ClientConfig::backoff_unit`), so a phase that is merely
+    /// slow under load is not retransmitted and only a lost frame is;
+    /// the exponential growth stays as the guard for when the estimate
+    /// is stale (DESIGN.md §12).
     pub retry_interval: Time,
 }
 
@@ -378,12 +374,12 @@ impl DapCall {
     /// * **TREAS `get-data`** re-broadcasts the `QUERY-LIST` under a
     ///   *fresh* phase id, discarding the partial quorum: its wait
     ///   condition evaluates whole list-sets, and a stale snapshot can
-    ///   pin `t^*_max` above what is decodable (see
-    ///   `DapCtx::retry_interval`).
-    /// * **Every other phase** retransmits its request verbatim under the
-    ///   *same* phase id — collected replies keep counting, duplicate
-    ///   requests are answered idempotently by the servers and duplicate
-    ///   replies are deduplicated by sender — so quorum progress is never
+    ///   pin `t^*_max` above what is decodable.
+    /// * **Every other phase** retransmits its request under the *same*
+    ///   phase id to the servers that have not answered — collected
+    ///   replies keep counting, duplicate requests are answered
+    ///   idempotently by the servers and duplicate replies are
+    ///   deduplicated by sender — so quorum progress is never
     ///   discarded. Without this, a single lost frame (cut link, gray
     ///   node, crashed-then-healed route) stalls the operation forever:
     ///   quorum phases otherwise assume reliable channels.
@@ -403,37 +399,52 @@ impl DapCall {
         }
     }
 
-    /// Rebuilds the current phase's outbound messages verbatim (same
-    /// phase id, same targets) for a loss-recovery retransmission.
+    /// Rebuilds the current phase's outbound messages (same phase id)
+    /// for the targets that have not replied: a loss-recovery
+    /// retransmission re-sends what may have been lost, nothing else.
     fn resend(&self) -> Vec<(ProcessId, DapMsg)> {
         let hdr = self.hdr();
-        let msgs = |targets: &[ProcessId], body: DapBody| -> Vec<(ProcessId, DapMsg)> {
-            targets.iter().map(|&s| (s, DapMsg::new(hdr, body.clone()))).collect()
+        let servers = &self.ctx.cfg.servers;
+        let msgs = |targets: &[ProcessId], heard: &[ProcessId], body: DapBody| {
+            targets
+                .iter()
+                .filter(|s| !heard.contains(s))
+                .map(|&s| (s, DapMsg::new(hdr, body.clone())))
+                .collect::<Vec<_>>()
         };
         // lint: allow(net-panic, reason = "internal invariant: put phases store their pair at start(); hostile bytes cannot reach this")
         let put = || self.put.as_ref().expect("put phase retains its pair");
         match &self.inner {
-            Inner::AbdGetTag { .. } => msgs(&self.ctx.cfg.servers, DapBody::AbdQueryTag),
-            Inner::AbdGetData { .. } => msgs(&self.ctx.cfg.servers, DapBody::AbdQuery),
-            Inner::AbdPut { .. } => {
+            Inner::AbdGetTag { replies, .. } => msgs(servers, replies, DapBody::AbdQueryTag),
+            Inner::AbdGetData { replies, .. } => msgs(servers, replies, DapBody::AbdQuery),
+            Inner::AbdPut { acks } => {
                 let tv = put();
-                msgs(&self.ctx.cfg.servers, DapBody::AbdWrite(tv.tag, tv.value.clone()))
+                msgs(servers, acks, DapBody::AbdWrite(tv.tag, tv.value.clone()))
             }
-            Inner::TreasGetTag { .. } => msgs(&self.ctx.cfg.servers, DapBody::TreasQueryTag),
-            Inner::TreasPut { .. } => self.treas_put_sends(hdr, put()),
-            Inner::LdrGetTag { .. } | Inner::LdrReadQuery { .. } => {
-                msgs(&self.ctx.cfg.servers, DapBody::LdrQueryTagLoc)
+            Inner::TreasGetTag { replies, .. } => msgs(servers, replies, DapBody::TreasQueryTag),
+            Inner::TreasPut { acks } => {
+                let mut sends = self.treas_put_sends(hdr, put());
+                sends.retain(|(s, _)| !acks.contains(s));
+                sends
             }
-            Inner::LdrPutData { tag, .. } => {
-                msgs(self.ctx.cfg.ldr_replicas(), DapBody::LdrPutData(*tag, put().value.clone()))
+            Inner::LdrGetTag { replies, .. } | Inner::LdrReadQuery { replies, .. } => {
+                msgs(servers, replies, DapBody::LdrQueryTagLoc)
             }
-            Inner::LdrPutMeta { tag, locs, .. } => {
-                msgs(self.ctx.cfg.ldr_directories(), DapBody::LdrPutMeta(*tag, locs.clone()))
+            Inner::LdrPutData { tag, acks } => msgs(
+                self.ctx.cfg.ldr_replicas(),
+                acks,
+                DapBody::LdrPutData(*tag, put().value.clone()),
+            ),
+            Inner::LdrPutMeta { tag, locs, acks } => {
+                msgs(self.ctx.cfg.ldr_directories(), acks, DapBody::LdrPutMeta(*tag, locs.clone()))
             }
-            Inner::LdrReadMeta { best, .. } => {
-                msgs(self.ctx.cfg.ldr_directories(), DapBody::LdrPutMeta(best.0, best.1.clone()))
-            }
-            Inner::LdrReadFetch { tag, targets } => msgs(targets, DapBody::LdrGetData(*tag)),
+            Inner::LdrReadMeta { best, acks } => msgs(
+                self.ctx.cfg.ldr_directories(),
+                acks,
+                DapBody::LdrPutMeta(best.0, best.1.clone()),
+            ),
+            // The first reply completes a fetch: nobody has answered yet.
+            Inner::LdrReadFetch { tag, targets } => msgs(targets, &[], DapBody::LdrGetData(*tag)),
             Inner::TreasGetData { .. } | Inner::Done => Vec::new(),
         }
     }
@@ -454,25 +465,32 @@ fn collect_ack(acks: &mut Vec<ProcessId>, from: ProcessId, quorum: usize) -> boo
 /// Evaluates the TREAS read condition (Alg. 2 lines 11-17) over the lists
 /// received so far. Returns the decoded pair when
 /// `t^*_max = t^{dec}_max` and the value decodes; `None` otherwise.
+///
+/// Servers fold their garbage-collected prefix into one floor entry
+/// (see `TreasState`), so a list *holds* `t` iff `t` is explicit in it
+/// or `t ≤` its floor — its minimum-tag entry, when that entry is `⊥`.
+/// Candidates are the explicit tags, floors included; coded elements
+/// are never folded, so `t^{dec}_max` is computed as in the paper.
 fn treas_evaluate(
     lists: &HashMap<ProcessId, Vec<ListEntry>>,
     k: usize,
     cfg: &Configuration,
 ) -> Option<TagValue> {
-    // Count, per tag: in how many lists it appears at all, and in how many
-    // it appears with a coded element.
-    let mut seen: HashMap<Tag, (usize, usize)> = HashMap::new();
-    for list in lists.values() {
-        for e in list {
-            let c = seen.entry(e.tag).or_insert((0, 0));
-            c.0 += 1;
-            if e.frag.is_some() {
-                c.1 += 1;
-            }
-        }
-    }
-    let t_star_max = seen.iter().filter(|(_, c)| c.0 >= k).map(|(t, _)| *t).max()?;
-    let t_dec_max = seen.iter().filter(|(_, c)| c.1 >= k).map(|(t, _)| *t).max()?;
+    let floor = |l: &[ListEntry]| {
+        l.iter().min_by_key(|e| e.tag).filter(|e| e.frag.is_none()).map(|e| e.tag)
+    };
+    let holds =
+        |l: &[ListEntry], t: Tag| l.iter().any(|e| e.tag == t) || floor(l).is_some_and(|w| t <= w);
+    let codes = |l: &[ListEntry], t: Tag| l.iter().any(|e| e.tag == t && e.frag.is_some());
+    // Highest first, so the first candidate that passes is the maximum.
+    let mut candidates: Vec<Tag> = lists.values().flatten().map(|e| e.tag).collect();
+    candidates.sort_unstable_by(|a, b| b.cmp(a));
+    candidates.dedup();
+    let max_in_k_lists = |pred: &dyn Fn(&[ListEntry], Tag) -> bool| {
+        candidates.iter().copied().find(|&t| lists.values().filter(|l| pred(l, t)).count() >= k)
+    };
+    let t_star_max = max_in_k_lists(&holds)?;
+    let t_dec_max = max_in_k_lists(&codes)?;
     if t_star_max != t_dec_max {
         return None;
     }
@@ -511,6 +529,7 @@ mod tests {
             Configuration::abd(ConfigId(0), (1..=3).map(ProcessId).collect()),
             Configuration::treas(ConfigId(1), (1..=5).map(ProcessId).collect(), 3, 2),
             Configuration::ldr(ConfigId(2), (1..=5).map(ProcessId).collect(), 1),
+            Configuration::abd(ConfigId(3), (1..=5).map(ProcessId).collect()),
         ])
     }
 
@@ -755,6 +774,81 @@ mod tests {
             }
         }
         assert_eq!(shared, 3, "all k systematic fragments view the value allocation");
+    }
+
+    #[test]
+    fn floor_counts_as_holding_every_tag_below_it() {
+        // The interleaving a floor-blind reader gets wrong (δ = 1):
+        // write t2 completed — servers 1-4 inserted it — then three
+        // newer writes reached server 3, which folded t2 under its
+        // floor t3. Server 5 still holds t1. From lists 1, 2, 3 and 5,
+        // t1 is explicit in three lists and decodable while t2 is
+        // explicit in only two: counting explicit entries alone returns
+        // t1 < t2. Server 3's floor holds t2 as well, so t*max = t2 ≠
+        // t_dec_max and the read must wait.
+        let reg = registry();
+        let cfg = reg.get(ConfigId(1)).clone();
+        let tag = |z| Tag::new(z, ProcessId(8));
+        let code = build_code(cfg.code_params()).unwrap();
+        let coded = |z: u64, i: usize| {
+            let frags = code.encode(Value::filler(30, z).as_bytes());
+            ListEntry { tag: tag(z), frag: Some(frags[i - 1].clone()) }
+        };
+        let bottom = |tag| ListEntry { tag, frag: None };
+        let mut lists: HashMap<ProcessId, Vec<ListEntry>> = HashMap::new();
+        lists.insert(ProcessId(1), vec![coded(1, 1), coded(2, 1)]);
+        lists.insert(ProcessId(2), vec![coded(1, 2), coded(2, 2)]);
+        lists.insert(ProcessId(3), vec![bottom(tag(3)), coded(4, 3), coded(5, 3)]);
+        lists.insert(ProcessId(5), vec![bottom(TAG0), coded(1, 5)]);
+        assert!(treas_evaluate(&lists, 3, &cfg).is_none(), "t1 is below the completed t2");
+
+        // Server 4 saw one of the newer writes: its list brings the
+        // third element of t2, so t*max = t_dec_max = t2.
+        lists.insert(ProcessId(4), vec![bottom(tag(1)), coded(2, 4), coded(3, 4)]);
+        let tv = treas_evaluate(&lists, 3, &cfg).expect("t2 is decodable now");
+        assert_eq!((tv.tag, tv.value), (tag(2), Value::filler(30, 2)));
+    }
+
+    type Sends = Vec<(ProcessId, DapMsg)>;
+
+    /// Starts `action` on the five-server configuration `cfg`, answers
+    /// from the first `heard` targets with `reply`, fires the retry
+    /// timer, and returns (first transmission, retransmission).
+    fn retransmission(
+        cfg: ConfigId,
+        action: DapAction,
+        reply: DapBody,
+        heard: usize,
+    ) -> (Sends, Sends) {
+        let ctx = DapCtx::new(registry().get(cfg).clone(), ObjectId(0), ProcessId(9), op());
+        let mut rpc = 0;
+        let (mut call, first) = DapCall::start(ctx, action, &mut rpc);
+        assert_eq!(first.sends.len(), 5);
+        for (from, m) in &first.sends[..heard] {
+            let step = call.on_message(*from, &DapMsg::new(m.hdr, reply.clone()), &mut rpc);
+            assert!(step.output.is_none(), "{heard} replies are short of a quorum");
+        }
+        let again = call.on_timer(&mut rpc);
+        assert!(again.timer_after.is_some(), "the retransmission re-arms the timer");
+        (first.sends, again.sends)
+    }
+
+    #[test]
+    fn timer_resends_only_to_servers_that_have_not_answered() {
+        let tv = TagValue::new(Tag::new(1, ProcessId(9)), Value::filler(90, 4));
+        // TREAS put-data, 3 of 5 acked (quorum 4): the other two get
+        // their own coded elements again, under the same phase id.
+        let (first, again) =
+            retransmission(ConfigId(1), DapAction::PutData(tv.clone()), DapBody::TreasAck, 3);
+        assert_eq!(again, first[3..]);
+        // TREAS get-tag, 3 of 5 answered.
+        let (first, again) =
+            retransmission(ConfigId(1), DapAction::GetTag, DapBody::TreasTag(TAG0), 3);
+        assert_eq!(again, first[3..]);
+        // ABD put-data on five replicas, 2 of 5 acked (majority 3).
+        let (first, again) =
+            retransmission(ConfigId(3), DapAction::PutData(tv), DapBody::AbdAck, 2);
+        assert_eq!(again, first[2..]);
     }
 
     #[test]

@@ -32,10 +32,23 @@ impl Default for AbdState {
 
 /// TREAS per-object server state: the `List ⊆ T × C_s` (Alg. 3),
 /// initially `{(t_0, Φ_i(v_0))}`; coded elements of all but the `δ + 1`
-/// highest tags are replaced by `⊥` (the tags are retained).
+/// highest tags are replaced by `⊥`.
+///
+/// Deviation from Alg. 3 ("remove the coded value and retain the tag"):
+/// of the `⊥` entries *below the lowest coded element* only the highest
+/// — the [`floor`](TreasState::floor) — is stored; every tag `≤ floor`
+/// is implicitly `(t, ⊥)`. A list is therefore at most `δ + 2` entries
+/// plus any explicit `⊥` *above* the lowest coded element (repair
+/// records undecodable tags that way; GC passes them later), whatever
+/// the number of writes. The floor is "the first entry, iff it is `⊥`"
+/// and travels as an ordinary first [`ListEntry`]; DESIGN.md §2 argues
+/// why readers lose nothing.
 #[derive(Debug, Clone)]
 pub struct TreasState {
-    /// Tag → coded element (`None` = `⊥`).
+    /// Tag → coded element (`None` = `⊥`). Read-only outside this
+    /// module: mutate through [`TreasState::insert_and_gc`] and
+    /// [`TreasState::note_tag`], test membership with
+    /// [`TreasState::contains`].
     pub list: BTreeMap<Tag, Option<ares_codes::Fragment>>,
 }
 
@@ -58,24 +71,58 @@ impl TreasState {
         *self.list.keys().next_back().expect("list never empty")
     }
 
+    /// The low-water tag: the first entry iff it is `⊥`. Every tag
+    /// `≤ floor` was garbage-collected here and is implicitly `(t, ⊥)`.
+    /// It never decreases.
+    pub fn floor(&self) -> Option<Tag> {
+        self.list.iter().next().and_then(|(t, f)| f.is_none().then_some(*t))
+    }
+
+    /// `(tag, *) ∈ List`, counting the tags the floor stands for.
+    pub fn contains(&self, tag: Tag) -> bool {
+        self.floor().is_some_and(|w| tag <= w) || self.list.contains_key(&tag)
+    }
+
     /// Inserts `(tag, frag)` and garbage-collects down to the `δ + 1`
-    /// highest tags (Alg. 3 lines 12-15).
+    /// highest tags (Alg. 3 lines 12-15). A tag the list already
+    /// [`contains`](TreasState::contains) is left alone: re-insertion
+    /// neither downgrades an element nor resurrects a GC'd one.
     pub fn insert_and_gc(&mut self, tag: Tag, frag: ares_codes::Fragment, delta: usize) {
-        // Re-insertion must not resurrect a GC'd element or downgrade an
-        // existing one: only insert if absent.
-        self.list.entry(tag).or_insert(Some(frag));
-        let with_data: Vec<Tag> =
-            self.list.iter().filter(|(_, f)| f.is_some()).map(|(t, _)| *t).collect();
-        if with_data.len() > delta + 1 {
-            let excess = with_data.len() - (delta + 1);
-            for t in with_data.into_iter().take(excess) {
-                // remove the coded value and retain the tag
-                self.list.insert(t, None);
-            }
+        if self.contains(tag) {
+            return;
+        }
+        self.list.insert(tag, Some(frag));
+        let coded = self.list.values().filter(|f| f.is_some()).count();
+        let excess = coded.saturating_sub(delta + 1);
+        for f in self.list.values_mut().filter(|f| f.is_some()).take(excess) {
+            *f = None; // remove the coded value...
+        }
+        self.compact(); // ...and retain the tag, explicitly or under the floor
+    }
+
+    /// Records `(tag, ⊥)`: a tag known to exist whose element this
+    /// server cannot hold (repair of an undecodable tag).
+    pub fn note_tag(&mut self, tag: Tag) {
+        if !self.contains(tag) {
+            self.list.insert(tag, None);
+            self.compact();
         }
     }
 
-    /// The wire form of the list.
+    /// Folds the `⊥` entries below the lowest coded element into the
+    /// highest of them. Every mutation adds at most a couple of such
+    /// entries, so this is O(1) map operations per put.
+    fn compact(&mut self) {
+        loop {
+            let mut lowest = self.list.iter();
+            match (lowest.next(), lowest.next()) {
+                (Some((&t, None)), Some((_, None))) => self.list.remove(&t),
+                _ => return,
+            };
+        }
+    }
+
+    /// The wire form of the list (ascending; the floor, if any, first).
     pub fn to_entries(&self) -> Vec<ListEntry> {
         self.list.iter().map(|(&tag, frag)| ListEntry { tag, frag: frag.clone() }).collect()
     }
@@ -154,7 +201,9 @@ pub struct TreasSnap {
     pub cfg: ConfigId,
     /// The object.
     pub obj: ObjectId,
-    /// The full list, GC'd entries included (`frag = None` = `⊥`).
+    /// The list, ascending (`frag = None` = `⊥`): the floor if any, the
+    /// `δ + 1` coded elements, and any explicit `⊥` above the lowest of
+    /// them — [`TreasState::to_entries`].
     pub list: Vec<ListEntry>,
 }
 
@@ -511,7 +560,13 @@ mod tests {
             s.handle(ProcessId(9), DapMsg::new(hdr(1), DapBody::TreasWrite(t, frag(0, 10))));
         }
         let st = s.treas_state_ref(ConfigId(1), ObjectId(0)).unwrap();
-        assert_eq!(st.list.len(), 5, "all tags retained");
+        assert!(st.contains(TAG0));
+        for z in 1..=4u64 {
+            assert!(st.contains(Tag::new(z, ProcessId(9))), "tag {z} retained");
+        }
+        assert_eq!(st.floor(), Some(Tag::new(2, ProcessId(9))), "highest GC'd tag is the floor");
+        assert_eq!(st.list.len(), 3, "floor + δ+1 coded elements");
+        assert_eq!(st.max_tag(), Tag::new(4, ProcessId(9)));
         let with_data: Vec<_> = st.list.iter().filter(|(_, f)| f.is_some()).collect();
         assert_eq!(with_data.len(), 2, "only δ+1 = 2 coded elements kept");
         // the two highest tags hold the data

@@ -33,7 +33,7 @@ const GROWTH_CALLS: &[&str] =
 /// Identifiers that mark an expression as constructing a retry
 /// interval (rather than forwarding one).
 const INTERVAL_BASES: &[&str] =
-    &["backoff_unit", "retry_interval", "retry_delay", "backoff", "interval"];
+    &["backoff_unit", "retry_interval", "retry_delay", "backoff", "interval", "rto"];
 
 /// Runs the rule: every fn named `on_timer` is a root; the reachable
 /// set (roots included) is the retry path.

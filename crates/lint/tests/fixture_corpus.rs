@@ -164,6 +164,19 @@ fn retry_backoff_silent_on_pass() {
 }
 
 #[test]
+fn retry_backoff_fires_on_a_bare_rto() {
+    let out = run_interprocedural("retry_backoff_rto_trip", retry_backoff::check);
+    assert_eq!(out.len(), 1, "{out:?}");
+    assert!(out[0].msg.contains("constant interval"), "{}", out[0].msg);
+}
+
+#[test]
+fn retry_backoff_silent_on_a_grown_rto() {
+    let out = run_interprocedural("retry_backoff_rto_pass", retry_backoff::check);
+    assert_eq!(out, vec![], "{out:?}");
+}
+
+#[test]
 fn completion_once_fires_on_trip() {
     let out = run_interprocedural("completion_once_trip", completion_once::check);
     assert_eq!(out.len(), 2, "{out:?}");

@@ -114,6 +114,26 @@ fn flattened_backoff_fires() {
 }
 
 #[test]
+fn flattened_rto_fires() {
+    let mut files = load();
+    // The read-next-config / put-config re-arms grow from the measured
+    // RTO, which is neither a literal nor a `backoff_unit`: stripped of
+    // its shift, `Some(env.rto)` must still read as a constructed
+    // interval.
+    mutate(
+        &mut files,
+        "crates/core/src/frames.rs",
+        "step.timer = Some(env.rto << self.retries.min(6));",
+        "step.timer = Some(env.rto);",
+    );
+    let out = rule_findings(&files, "retry-backoff");
+    assert!(
+        out.iter().any(|m| m.contains("constant interval") && m.contains("frames.rs")),
+        "flattened RTO re-arm must fire: {out:?}"
+    );
+}
+
+#[test]
 fn dropping_the_submit_error_path_remove_fires() {
     let mut files = load();
     // Without the remove, the closed-runtime path exits with the cell

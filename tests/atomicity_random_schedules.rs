@@ -2,6 +2,7 @@
 //! optionally reconfigurers), every history checked for atomicity.
 
 use ares_harness::{par_seeds, standard_universe, Scenario, WorkloadSpec};
+use ares_types::{ConfigId, Configuration, ProcessId};
 
 fn run_seed(seed: u64, with_recon: bool) -> (usize, bool) {
     let spec = WorkloadSpec {
@@ -81,6 +82,35 @@ fn dense_contention_single_object() {
         };
         let invs = spec.generate();
         let res = Scenario::new(standard_universe())
+            .clients(spec.client_ids())
+            .seed(seed)
+            .invocations(invs)
+            .run();
+        res.assert_complete_and_atomic();
+    });
+}
+
+#[test]
+fn more_than_delta_concurrent_writers_compact_lists_mid_read() {
+    // TREAS [5,3] with δ = 1 under five overlapping writers: servers
+    // garbage-collect on almost every put and fold the ⊥ prefix under
+    // their floor while `get-data` phases are still gathering lists, so
+    // readers evaluate lists compacted at different points (DESIGN §2).
+    let seeds: Vec<u64> = (500..516).collect();
+    par_seeds(&seeds, |seed| {
+        let spec = WorkloadSpec {
+            writers: vec![100, 101, 102, 103, 104],
+            readers: vec![110, 111, 112],
+            writes_per_writer: 6,
+            reads_per_reader: 6,
+            mean_gap: 60,
+            value_size: 32,
+            seed,
+            ..WorkloadSpec::default()
+        };
+        let invs = spec.generate();
+        let delta1 = Configuration::treas(ConfigId(0), (1..=5).map(ProcessId).collect(), 3, 1);
+        let res = Scenario::new(vec![delta1])
             .clients(spec.client_ids())
             .seed(seed)
             .invocations(invs)

@@ -14,6 +14,12 @@ fn treas53() -> Vec<Configuration> {
     vec![Configuration::treas(ConfigId(0), (1..=5).map(ProcessId).collect(), 3, 2)]
 }
 
+/// The same code with δ = 1: two coded elements per list, so any third
+/// concurrent write makes servers garbage-collect and fold their lists.
+fn treas53_delta1() -> Vec<Configuration> {
+    vec![Configuration::treas(ConfigId(0), (1..=5).map(ProcessId).collect(), 3, 1)]
+}
+
 /// One session's command list: `(is_write, object)` pairs.
 type Schedule = Vec<Vec<(bool, u32)>>;
 
@@ -22,6 +28,19 @@ fn schedules(max_sessions: usize, max_ops: usize) -> impl Strategy<Value = Sched
         proptest::collection::vec((any::<bool>(), 0u32..3), 1..max_ops),
         1..max_sessions,
     )
+}
+
+/// Four to six writer sessions and one to three reader sessions, all
+/// on object 0: more than δ = 1 writes are always in flight, so lists
+/// compact while `get-data` phases are gathering them.
+fn contended_schedules(max_ops: usize) -> impl Strategy<Value = Schedule> {
+    let lane = |is_write| proptest::collection::vec(Just((is_write, 0u32)), 2..max_ops);
+    let writers = proptest::collection::vec(lane(true), 4..7);
+    let readers = proptest::collection::vec(lane(false), 1..4);
+    (writers, readers).prop_map(|(mut sessions, readers)| {
+        sessions.extend(readers);
+        sessions
+    })
 }
 
 /// Submits the whole schedule pipelined (every session's stream up
@@ -97,6 +116,16 @@ proptest! {
         let store = SimStore::builder(treas53()).objects(0..3).seed(seed).build();
         run_case(&store, &schedule, seed ^ 0xA5A5);
     }
+
+    /// More than δ concurrent writers per object, readers racing them.
+    #[test]
+    fn sim_readers_racing_list_compaction_stay_atomic(
+        schedule in contended_schedules(8),
+        seed in 0u64..1_000,
+    ) {
+        let store = SimStore::builder(treas53_delta1()).seed(seed).build();
+        run_case(&store, &schedule, seed ^ 0xC3C3);
+    }
 }
 
 proptest! {
@@ -115,6 +144,20 @@ proptest! {
             .start()
             .expect("cluster boots");
         run_case(cluster.store(100), &schedule, seed ^ 0x5A5A);
+        cluster.shutdown();
+    }
+
+    /// The contended δ = 1 case over real sockets.
+    #[test]
+    fn cluster_readers_racing_list_compaction_stay_atomic(
+        schedule in contended_schedules(5),
+        seed in 0u64..1_000,
+    ) {
+        let cluster = LocalCluster::builder(treas53_delta1())
+            .clients([100])
+            .start()
+            .expect("cluster boots");
+        run_case(cluster.store(100), &schedule, seed ^ 0x3C3C);
         cluster.shutdown();
     }
 }

@@ -2,8 +2,13 @@
 //! reconfigurers racing through consensus, clients catching up with the
 //! moving sequence.
 
-use ares_harness::{standard_universe, Scenario};
-use ares_types::{ConfigId, Configuration, OpKind, ProcessId, Value};
+use ares_core::store::session_op_seq;
+use ares_core::{ClientActor, ClientCmd, ClientConfig, Invoke, Msg, ServerActor};
+use ares_harness::{check_atomicity, standard_universe, Scenario};
+use ares_sim::{DelayBounds, NetworkConfig, RunOutcome, TraceKind, World};
+use ares_types::{
+    ConfigId, ConfigRegistry, Configuration, ObjectId, OpKind, ProcessId, SessionId, Tag, Value,
+};
 
 /// A long chain of TREAS configurations over a rotating server window.
 fn chain_universe(len: u32) -> Vec<Configuration> {
@@ -146,6 +151,83 @@ fn direct_transfer_through_long_chain() {
     let read = h.iter().find(|c| c.kind == OpKind::Read).unwrap();
     let write = h.iter().find(|c| c.kind == OpKind::Write).unwrap();
     assert_eq!(read.value_digest, write.value_digest, "value survives 5 direct hops");
+}
+
+#[test]
+fn direct_transfer_into_a_destination_that_compacted_the_tag_completes() {
+    // c0 → c1, both TREAS [5,3] δ = 1, ARES-TREAS direct transfer. The
+    // reconfigurer's links are slow, so while its REQ-FW-CODE-ELEM for
+    // tag T is in flight four fast writers push four newer tags into
+    // c1: every c1 server has folded T under its floor before the
+    // first forwarded element arrives. Alg. 9's "(t, *) ∈ List" must
+    // count the floor — an explicit-membership test never acks, and the
+    // reconfiguration hangs.
+    const ENV: ProcessId = ProcessId(0);
+    let (c0, c1, obj) = (ConfigId(0), ConfigId(1), ObjectId(0));
+    let registry = ConfigRegistry::from_configs([
+        Configuration::treas(c0, (1..=5).map(ProcessId).collect(), 3, 1),
+        Configuration::treas(c1, (6..=10).map(ProcessId).collect(), 3, 1),
+    ]);
+    let recon = ProcessId(200);
+    let net =
+        NetworkConfig::uniform(10, 50).with_client_bounds(recon, DelayBounds::new(1_500, 1_600));
+    let mut w: World<Msg> = World::new(net, 11);
+    w.event_limit = 20_000; // a hung transfer retries forever: fail instead of spinning
+    w.enable_trace();
+    for s in 1..=10 {
+        w.add_actor(ProcessId(s), ServerActor::new(ProcessId(s), registry.clone()));
+    }
+    let writers: Vec<ProcessId> = (100..104).map(ProcessId).collect();
+    for &c in &writers {
+        w.add_actor(c, ClientActor::new(registry.clone(), ClientConfig::new(c0)));
+    }
+    let mut slow = ClientConfig::new(c0).with_direct_transfer();
+    slow.backoff_unit = 1_600; // the harness's rule, unit ≥ D, for this client's links
+    w.add_actor(recon, ClientActor::new(registry.clone(), slow));
+
+    let invoke = |n: u64, cmd: ClientCmd| {
+        Msg::Invoke(Invoke { session: SessionId(0), seq: session_op_seq(SessionId(0), n), cmd })
+    };
+    let write =
+        |n: u64, salt: u64| invoke(n, ClientCmd::Write { obj, value: Value::filler(48, salt) });
+    w.post(0, ENV, writers[0], write(0, 1));
+    w.post(1_000, ENV, recon, invoke(0, ClientCmd::Recon { target: c1 }));
+
+    // Steps the world until an event sends (`delivered = false`) or
+    // delivers a REQ-FW-CODE-ELEM.
+    let run_to_req_fwd = |w: &mut World<Msg>, delivered: bool| loop {
+        let seen = w.trace().len();
+        assert!(w.step_one().is_none(), "the world stopped before the transfer");
+        let hit = |e: &ares_sim::TraceEvent| match &e.kind {
+            TraceKind::Send { label, .. } => !delivered && label.starts_with("REQ-FW"),
+            TraceKind::Deliver { label, .. } => delivered && label.starts_with("REQ-FW"),
+            _ => false,
+        };
+        if w.trace()[seen..].iter().any(hit) {
+            break;
+        }
+    };
+    run_to_req_fwd(&mut w, false);
+    let now = w.now();
+    for (i, &c) in writers.iter().enumerate() {
+        w.post(now, ENV, c, write(1, 2 + i as u64));
+    }
+    run_to_req_fwd(&mut w, true);
+    let requested = Tag::new(1, writers[0]);
+    for s in 6..=10 {
+        let st =
+            w.actor_as::<ServerActor>(ProcessId(s)).expect("server").dap.treas_state_ref(c1, obj);
+        let st = st.expect("c1 state exists");
+        assert!(st.floor() > Some(requested), "s{s} folded {requested} under its floor");
+        assert!(!st.list.contains_key(&requested));
+    }
+
+    assert_eq!(w.run(), RunOutcome::Quiescent);
+    let h = w.take_completions();
+    assert_eq!(h.len(), 6, "five writes and the reconfiguration all complete");
+    let installed: Vec<_> = h.iter().filter_map(|c| c.installed).collect();
+    assert_eq!(installed, vec![c1]);
+    check_atomicity(&h).assert_atomic();
 }
 
 #[test]

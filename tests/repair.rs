@@ -2,8 +2,13 @@
 //! replacement server rebuilds its coded elements in place, without a
 //! full reconfiguration — the paper's stated future work.
 
-use ares_harness::Scenario;
-use ares_types::{ConfigId, Configuration, ProcessId, Value};
+use ares_core::store::session_op_seq;
+use ares_core::{ClientActor, ClientCmd, ClientConfig, Invoke, Msg, RepairMsg, ServerActor};
+use ares_harness::{check_atomicity, Scenario};
+use ares_sim::{NetworkConfig, RunOutcome, World};
+use ares_types::{
+    ConfigId, ConfigRegistry, Configuration, ObjectId, ProcessId, SessionId, Tag, Value,
+};
 
 fn universe() -> Vec<Configuration> {
     vec![Configuration::treas(ConfigId(0), (1..=5).map(ProcessId).collect(), 3, 2)]
@@ -109,4 +114,52 @@ fn repair_under_concurrent_writes_keeps_atomicity() {
     }
     let res = s.run();
     res.assert_complete_and_atomic();
+}
+
+#[test]
+fn blank_server_repaired_from_floored_peers_ends_with_a_floor() {
+    // δ = 2 and five writes: every live server ends with a floor and
+    // three coded elements, and that bounded list is all a repairer can
+    // be sent. Server 5 slept through the writes; after repair it must
+    // carry the floor itself — the tags below it count as held there —
+    // and, with server 4 gone, serve the read that needs its list.
+    const ENV: ProcessId = ProcessId(0);
+    let (c0, obj) = (ConfigId(0), ObjectId(0));
+    let registry = ConfigRegistry::from_configs(universe());
+    let mut w: World<Msg> = World::new(NetworkConfig::uniform(10, 50), 6);
+    for s in 1..=5 {
+        w.add_actor(ProcessId(s), ServerActor::new(ProcessId(s), registry.clone()));
+    }
+    let (writer, reader) = (ProcessId(100), ProcessId(110));
+    for c in [writer, reader] {
+        w.add_actor(c, ClientActor::new(registry.clone(), ClientConfig::new(c0)));
+    }
+    let invoke = |n: u64, cmd: ClientCmd| {
+        Msg::Invoke(Invoke { session: SessionId(0), seq: session_op_seq(SessionId(0), n), cmd })
+    };
+    w.schedule_crash(0, ProcessId(5));
+    for n in 0..5u64 {
+        let value = Value::filler(90, n + 1);
+        w.post(1 + n * 1_000, ENV, writer, invoke(n, ClientCmd::Write { obj, value }));
+    }
+    w.schedule_recover(6_000, ProcessId(5));
+    w.post(6_100, ENV, ProcessId(5), Msg::Repair(RepairMsg::Trigger { cfg: c0, obj }));
+    w.schedule_crash(8_000, ProcessId(4));
+    w.post(9_000, ENV, reader, invoke(0, ClientCmd::Read { obj }));
+    assert_eq!(w.run(), RunOutcome::Quiescent);
+
+    let floor = Some(Tag::new(2, writer));
+    for s in [1, 2, 3, 5] {
+        let st =
+            w.actor_as::<ServerActor>(ProcessId(s)).expect("server").dap.treas_state_ref(c0, obj);
+        let st = st.expect("state exists");
+        assert_eq!(st.floor(), floor, "s{s}: tags 1 and 2 are folded under the floor");
+        assert_eq!(st.list.len(), 4, "s{s}: the floor and δ + 1 coded elements");
+        assert_eq!(st.storage_bytes(), 3 * 30, "s{s}: three 30-byte fragments");
+    }
+    let h = w.take_completions();
+    assert_eq!(h.len(), 6);
+    check_atomicity(&h).assert_atomic();
+    let read = h.last().expect("the read");
+    assert_eq!(read.value_digest, Some(Value::filler(90, 5).digest()));
 }
