@@ -150,6 +150,9 @@ pub enum ConMsg {
     },
 }
 
+// Each per-variant fact is one match naming every variant: a new one does
+// not compile until classified, and clippy refuses a `_` that absorbs it.
+#[deny(clippy::wildcard_enum_match_arm)]
 impl ConMsg {
     /// The consensus instance this message belongs to.
     pub fn instance(&self) -> ConfigId {
@@ -174,6 +177,37 @@ impl ConMsg {
             | ConMsg::Accepted { op, .. }
             | ConMsg::NackAccept { op, .. } => Some(*op),
             ConMsg::Decide { .. } => None,
+        }
+    }
+
+    /// Every configuration id named: the instance first, then any
+    /// proposed, accepted or decided value (at most three).
+    pub fn configs(&self) -> [Option<ConfigId>; 3] {
+        match self {
+            ConMsg::Promise { inst, accepted, decided, .. } => {
+                [Some(*inst), accepted.map(|(_, c)| c), *decided]
+            }
+            ConMsg::Accept { inst, value, .. } | ConMsg::Decide { inst, value } => {
+                [Some(*inst), Some(*value), None]
+            }
+            ConMsg::Prepare { inst, .. }
+            | ConMsg::NackPrepare { inst, .. }
+            | ConMsg::Accepted { inst, .. }
+            | ConMsg::NackAccept { inst, .. } => [Some(*inst), None, None],
+        }
+    }
+
+    /// Whether this changes an acceptor's durable state, which a host
+    /// journals before the handler runs: `Prepare` raises the promised
+    /// ballot (a promise that does not survive a crash is not honestly
+    /// a promise), `Accept` and `Decide` record a value.
+    pub fn journaled(&self) -> bool {
+        match self {
+            ConMsg::Prepare { .. } | ConMsg::Accept { .. } | ConMsg::Decide { .. } => true,
+            ConMsg::Promise { .. }
+            | ConMsg::NackPrepare { .. }
+            | ConMsg::Accepted { .. }
+            | ConMsg::NackAccept { .. } => false,
         }
     }
 }

@@ -200,6 +200,11 @@ pub enum Msg {
     Invoke(Invoke),
 }
 
+// Each per-variant fact is one match naming every variant — in place for
+// the families this file declares, by the family's own method for those
+// declared elsewhere — so a new variant does not compile until it is
+// classified, and clippy refuses the `_` arm that would absorb it.
+#[deny(clippy::wildcard_enum_match_arm)]
 impl Msg {
     /// Whether a frame carrying this message may be accepted from a
     /// network peer.
@@ -208,10 +213,7 @@ impl Msg {
     /// transfer, repair) are network traffic; the command envelope
     /// ([`Msg::Invoke`]) is environment-injected only — accepting it
     /// from the wire would let any peer invoke client operations. This
-    /// is the single network-admission surface: every variant must be
-    /// classified here explicitly (enforced by `ares-lint`'s
-    /// `msg-surface` rule), so a future variant cannot default into
-    /// admission.
+    /// is the single network-admission surface.
     pub fn network_admissible(&self) -> bool {
         match self {
             Msg::Dap(_) | Msg::Con(_) | Msg::Cfg(_) | Msg::Xfer(_) | Msg::Repair(_) => true,
@@ -223,49 +225,93 @@ impl Msg {
     /// must therefore be journaled to the shard's write-ahead log
     /// *before* the handler runs.
     ///
-    /// Journaled: the mutating requests — DAP puts (`AbdWrite`,
-    /// `TreasWrite`, `LdrPutData`, `LdrPutMeta`), the acceptor-bound
-    /// consensus messages (`Prepare` raises the promised ballot, and a
-    /// promise that does not survive a crash is not honestly a
-    /// promise; `Accept`, `Decide`), `WriteConfig` installs of `nextC`
-    /// pointers, and `FwdElem` state-transfer elements.
+    /// Journaled: the mutating requests — DAP puts and the
+    /// acceptor-bound consensus messages (named, with the reasons, by
+    /// `DapBody::journaled` and `ConMsg::journaled`), `WriteConfig`
+    /// installs of `nextC` pointers, and `FwdElem` state-transfer
+    /// elements.
     ///
     /// Not journaled: queries and replies (they mutate nothing),
     /// repair traffic (recovery re-derives it — the delta-repair pass
     /// after replay re-fetches anything a lost `Lists` merge would
     /// have contributed), and the client-only command envelope.
-    ///
-    /// Like [`Msg::network_admissible`], this is a single exhaustive
-    /// surface (enforced by `ares-lint`'s `msg-surface` rule): a
-    /// future variant must be classified here explicitly, so new
-    /// durable state cannot silently skip the log.
     pub fn journaled(&self) -> bool {
-        use ares_dap::DapBody;
         match self {
-            Msg::Dap(m) => matches!(
-                m.body,
-                DapBody::AbdWrite(..)
-                    | DapBody::TreasWrite(..)
-                    | DapBody::LdrPutData(..)
-                    | DapBody::LdrPutMeta(..)
-            ),
-            Msg::Con(m) => {
-                matches!(m, ConMsg::Prepare { .. } | ConMsg::Accept { .. } | ConMsg::Decide { .. })
-            }
-            Msg::Cfg(m) => matches!(m, CfgMsg::WriteConfig { .. }),
-            Msg::Xfer(m) => matches!(m, XferMsg::FwdElem { .. }),
-            Msg::Repair(_) | Msg::Invoke(_) => false,
+            Msg::Dap(m) => m.body.journaled(),
+            Msg::Con(m) => m.journaled(),
+            Msg::Cfg(CfgMsg::WriteConfig { .. }) | Msg::Xfer(XferMsg::FwdElem { .. }) => true,
+            Msg::Cfg(CfgMsg::ReadConfig { .. } | CfgMsg::NextC { .. } | CfgMsg::CfgAck { .. })
+            | Msg::Xfer(XferMsg::ReqFwd { .. } | XferMsg::XferAck { .. })
+            | Msg::Repair(_)
+            | Msg::Invoke(_) => false,
         }
+    }
+
+    /// The object id this message names, if any (`None` for consensus
+    /// and configuration-service traffic, which is per-configuration).
+    /// A listener with a declared object universe drops traffic for
+    /// fabricated objects by it, and [`crate::shard::route`] hashes it.
+    pub fn object(&self) -> Option<ObjectId> {
+        match self {
+            Msg::Dap(m) => Some(m.hdr.obj),
+            Msg::Con(_) | Msg::Cfg(_) => None,
+            Msg::Xfer(
+                XferMsg::ReqFwd { obj, .. }
+                | XferMsg::FwdElem { obj, .. }
+                | XferMsg::XferAck { obj, .. },
+            ) => Some(*obj),
+            Msg::Repair(m) => Some(m.object()),
+            Msg::Invoke(inv) => match &inv.cmd {
+                ClientCmd::Write { obj, .. } | ClientCmd::Read { obj } => Some(*obj),
+                ClientCmd::Recon { .. } => None,
+            },
+        }
+    }
+
+    /// Every configuration id this message names (at most three, the
+    /// primary one first), without allocating. Network-facing dispatch
+    /// checks each against [`ares_types::ConfigRegistry::try_get`] to
+    /// drop messages naming unregistered configurations *before* they
+    /// reach the protocol state machines, whose internal lookups treat
+    /// unknown ids as bugs and panic.
+    pub fn configs(&self) -> impl Iterator<Item = ConfigId> {
+        let ids = match self {
+            Msg::Dap(m) => [Some(m.hdr.cfg), None, None],
+            Msg::Con(m) => m.configs(),
+            Msg::Cfg(m) => match m {
+                CfgMsg::ReadConfig { base, .. } | CfgMsg::CfgAck { base, .. } => {
+                    [Some(*base), None, None]
+                }
+                CfgMsg::NextC { base, next, .. } => [Some(*base), next.map(|e| e.cfg), None],
+                CfgMsg::WriteConfig { base, entry, .. } => [Some(*base), Some(entry.cfg), None],
+            },
+            Msg::Xfer(m) => match m {
+                XferMsg::ReqFwd { src, dst, .. } | XferMsg::FwdElem { src, dst, .. } => {
+                    [Some(*src), Some(*dst), None]
+                }
+                XferMsg::XferAck { dst, .. } => [Some(*dst), None, None],
+            },
+            Msg::Repair(m) => [Some(m.config()), None, None],
+            Msg::Invoke(inv) => match &inv.cmd {
+                ClientCmd::Recon { target } => [Some(*target), None, None],
+                ClientCmd::Write { .. } | ClientCmd::Read { .. } => [None; 3],
+            },
+        };
+        ids.into_iter().flatten()
     }
 }
 
+#[deny(clippy::wildcard_enum_match_arm)]
 impl SimMessage for Msg {
     fn payload_bytes(&self) -> u64 {
         match self {
             Msg::Dap(m) => m.payload_bytes(),
             Msg::Xfer(XferMsg::FwdElem { frag, .. }) => frag.data.len() as u64,
             Msg::Repair(m) => m.payload_bytes(),
-            _ => 0,
+            Msg::Xfer(XferMsg::ReqFwd { .. } | XferMsg::XferAck { .. })
+            | Msg::Con(_)
+            | Msg::Cfg(_)
+            | Msg::Invoke(_) => 0,
         }
     }
 
@@ -342,6 +388,15 @@ mod tests {
         let m = Msg::Cfg(CfgMsg::ReadConfig { base: ConfigId(0), rpc: RpcId(1), op: op() });
         assert_eq!(m.payload_bytes(), 0);
         assert_eq!(m.op(), Some(op()));
+    }
+
+    #[test]
+    fn referenced_configs_cover_nested_ids() {
+        let next = Some(ConfigEntry::pending(ConfigId(9)));
+        let m = Msg::Cfg(CfgMsg::NextC { base: ConfigId(1), rpc: RpcId(2), next, op: op() });
+        assert_eq!(m.configs().collect::<Vec<_>>(), [ConfigId(1), ConfigId(9)]);
+        let m = Msg::Con(ConMsg::Decide { inst: ConfigId(0), value: ConfigId(3) });
+        assert_eq!(m.configs().collect::<Vec<_>>(), [ConfigId(0), ConfigId(3)]);
     }
 
     #[test]

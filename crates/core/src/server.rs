@@ -468,9 +468,7 @@ impl ServerActor {
                 vec![(from, Msg::Repair(RepairMsg::Lists { cfg, obj, rpc, list, op }))]
             }
             lists @ RepairMsg::Lists { .. } => {
-                // lint: allow(net-panic, reason = "unreachable by the `lists @ RepairMsg::Lists` arm binding one line above")
-                let RepairMsg::Lists { cfg, obj, .. } = &lists else { unreachable!() };
-                let key = (*cfg, *obj);
+                let key = (lists.config(), lists.object());
                 let Some(task) = self.repairs.get_mut(&key) else {
                     return Vec::new();
                 };

@@ -22,15 +22,8 @@
 //! node). The immutable [`ares_types::ConfigRegistry`] is shared by all
 //! shards; there is no mutable state that both classes touch, which is
 //! the whole argument — see `DESIGN.md` §9.
-//!
-//! The client-command envelope (`Msg::Invoke`) classifies as
-//! config-wide: it is only ever injected into *client* hosts, which
-//! are single-sharded, and keeping it on shard 0 preserves the
-//! session lanes' serial order.
 
 use crate::msg::Msg;
-use crate::repair::RepairMsg;
-use crate::XferMsg;
 use ares_types::ObjectId;
 
 /// Where a message must execute on a sharded server host.
@@ -43,21 +36,17 @@ pub enum ShardRoute {
 }
 
 /// Classifies `msg` for shard dispatch (see the module docs for why
-/// this classification is exhaustive and sound).
+/// this classification is sound). The client-command envelope names an
+/// object but classifies as config-wide: it is only ever injected into
+/// *client* hosts, which are single-sharded, and keeping it on shard 0
+/// preserves the session lanes' serial order.
+#[deny(clippy::wildcard_enum_match_arm)]
 pub fn route(msg: &Msg) -> ShardRoute {
     match msg {
-        Msg::Dap(m) => ShardRoute::Object(m.hdr.obj),
-        Msg::Xfer(
-            XferMsg::ReqFwd { obj, .. }
-            | XferMsg::FwdElem { obj, .. }
-            | XferMsg::XferAck { obj, .. },
-        ) => ShardRoute::Object(*obj),
-        Msg::Repair(
-            RepairMsg::Trigger { obj, .. }
-            | RepairMsg::Query { obj, .. }
-            | RepairMsg::Lists { obj, .. },
-        ) => ShardRoute::Object(*obj),
-        Msg::Con(_) | Msg::Cfg(_) | Msg::Invoke(_) => ShardRoute::ConfigWide,
+        Msg::Dap(_) | Msg::Con(_) | Msg::Cfg(_) | Msg::Xfer(_) | Msg::Repair(_) => {
+            msg.object().map_or(ShardRoute::ConfigWide, ShardRoute::Object)
+        }
+        Msg::Invoke(_) => ShardRoute::ConfigWide,
     }
 }
 
@@ -84,7 +73,7 @@ pub fn shard_of(msg: &Msg, shards: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CfgMsg, ClientCmd, Invoke};
+    use crate::{CfgMsg, ClientCmd, Invoke, RepairMsg, XferMsg};
     use ares_consensus::{Ballot, ConMsg};
     use ares_dap::{DapBody, DapMsg, Hdr};
     use ares_types::{ConfigId, OpId, ProcessId, RpcId, SessionId, Tag};

@@ -19,7 +19,6 @@ use std::fmt;
 
 /// The stable identifiers of the shipped rules.
 pub const RULE_NAMES: &[&str] = &[
-    "msg-surface",
     "net-panic",
     "loop-blocking",
     "loop-blocking-transitive",

@@ -1,7 +1,7 @@
 //! `ares-lint` — workspace-native static analysis for the ARES runtime.
 //!
-//! Nine analyses over a hand-rolled lexer (no crates.io in this
-//! environment, so no syn/dylint): five lexical, four *semantic* —
+//! Eight analyses over a hand-rolled lexer (no crates.io in this
+//! environment, so no syn/dylint): four lexical, four *semantic* —
 //! built on a workspace function inventory ([`model`]), a
 //! conservatively name-resolved call graph ([`callgraph`]), and an
 //! expression-level statement parser ([`ast`]). Each protects a
@@ -9,7 +9,6 @@
 //!
 //! | rule                       | invariant                                                |
 //! |----------------------------|----------------------------------------------------------|
-//! | `msg-surface`              | every `Msg` variant classified on every parallel surface |
 //! | `net-panic`                | hostile bytes cannot panic the process                   |
 //! | `loop-blocking`            | shard event loops never block (direct sites)             |
 //! | `loop-blocking-transitive` | ...nor through any first-party call chain                |
@@ -39,7 +38,6 @@ pub mod workspace;
 
 use callgraph::Analysis;
 use findings::{Allows, Finding};
-use rules::msg_surface::{Locator, Surface, SurfaceSpec};
 use scan::SourceFile;
 use std::collections::HashMap;
 
@@ -70,53 +68,6 @@ pub const EVENT_LOOP_FILE: &str = "crates/net/src/host.rs";
 /// The event-loop function bodies checked by `loop-blocking`.
 pub const EVENT_LOOP_FNS: &[&str] = &["event_loop", "apply"];
 
-/// The canonical `msg-surface` specification for this workspace: the
-/// `Msg` enum and its six parallel classification surfaces.
-pub fn canonical_surface_spec() -> SurfaceSpec {
-    let s = |file: &str, locator: Locator, what: &str| Surface {
-        file: file.into(),
-        locator,
-        what: what.into(),
-    };
-    SurfaceSpec {
-        enum_file: "crates/core/src/msg.rs".into(),
-        enum_name: "Msg".into(),
-        surfaces: vec![
-            s(
-                "crates/net/src/codec.rs",
-                Locator::Impl("WireEncode".into(), "Msg".into()),
-                "wire codec encode",
-            ),
-            s(
-                "crates/net/src/codec.rs",
-                Locator::Impl("WireDecode".into(), "Msg".into()),
-                "wire codec decode",
-            ),
-            s(
-                "crates/net/src/codec.rs",
-                Locator::Fn("referenced_object".into()),
-                "listener object admission (`referenced_object`)",
-            ),
-            s(
-                "crates/net/src/codec.rs",
-                Locator::Fn("referenced_configs".into()),
-                "listener config admission (`referenced_configs`)",
-            ),
-            s(
-                "crates/core/src/shard.rs",
-                Locator::Fn("route".into()),
-                "shard routing (`shard::route`)",
-            ),
-            s(
-                "crates/core/src/msg.rs",
-                Locator::Fn("network_admissible".into()),
-                "network admission (`Msg::network_admissible`)",
-            ),
-        ],
-        tag_pair: Some((0, 1)),
-    }
-}
-
 /// Runs every enabled rule over `files` and applies per-file allow
 /// annotations. `rule` restricts the run to one rule name (`None` =
 /// all); `bad-allow` findings surface whenever their file is scanned.
@@ -128,12 +79,8 @@ pub fn run(files: &[SourceFile], rule: Option<&str>) -> Vec<Finding> {
     let enabled = |name: &str| rule.is_none_or(|r| r == name);
     // What must be *computed* (superset of what is emitted).
     let compute = |name: &str| enabled(name) || enabled("stale-allow");
-    let by_path: HashMap<String, &SourceFile> = files.iter().map(|f| (f.path.clone(), f)).collect();
 
     let mut raw = Vec::new();
-    if compute("msg-surface") {
-        raw.extend(rules::msg_surface::check(&by_path, &canonical_surface_spec()));
-    }
     for f in files {
         if compute("net-panic") && PANIC_SCOPE.contains(&f.path.as_str()) {
             raw.extend(rules::panic_path::check(f));

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cargo run -p ares-lint -- --workspace            # lint the whole tree
-//! cargo run -p ares-lint -- --rule msg-surface     # one rule only
+//! cargo run -p ares-lint -- --rule lock-order      # one rule only
 //! cargo run -p ares-lint -- --root /path/to/repo   # explicit root
 //! cargo run -p ares-lint -- --json report.json     # machine-readable report
 //! cargo run -p ares-lint -- --allows               # audit allow annotations

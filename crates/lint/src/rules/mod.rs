@@ -11,7 +11,6 @@ pub mod blocking_transitive;
 pub mod completion_once;
 pub mod drift;
 pub mod lock_order;
-pub mod msg_surface;
 pub mod panic_path;
 pub mod retry_backoff;
 pub mod unsafety;

@@ -1,11 +1,10 @@
 //! Item and region scanning over a lexed token stream.
 //!
 //! The rules do not need full parsing — they need to locate a handful of
-//! *regions* (an enum's body, a function's body, a trait impl's body, a
-//! `#[cfg(test)]` module) and then ask lexical questions inside them
-//! ("is `Msg::Xfer` mentioned here?", "which wire tag does this arm
-//! push?"). Everything below works on token indices into
-//! [`SourceFile::toks`] so findings can report exact lines.
+//! *regions* (a function's body, a `#[cfg(test)]` module) and then ask
+//! lexical questions inside them ("does this loop call `sleep`?").
+//! Everything below works on token indices into [`SourceFile::toks`] so
+//! findings can report exact lines.
 
 use crate::lexer::{lex, Tok, TokKind};
 use std::ops::Range;
@@ -118,97 +117,6 @@ impl SourceFile {
         }
         None
     }
-
-    /// Token range of the body of `impl <trait_name> for <type_name>`.
-    pub fn impl_body(&self, trait_name: &str, type_name: &str) -> Option<Range<usize>> {
-        let code = self.code_indices();
-        for k in 0..code.len() {
-            if !self.toks[code[k]].is_ident("impl") {
-                continue;
-            }
-            // Scan the header up to the opening brace; require the
-            // trait name, `for`, and the type name to appear in order.
-            let mut saw_trait = false;
-            let mut saw_for = false;
-            let mut saw_type = false;
-            let mut open = None;
-            for (j, &ci) in code.iter().enumerate().skip(k + 1) {
-                let t = &self.toks[ci];
-                if t.is_punct('{') {
-                    open = Some(j);
-                    break;
-                }
-                if t.is_punct(';') {
-                    break;
-                }
-                if !saw_trait && t.is_ident(trait_name) {
-                    saw_trait = true;
-                } else if saw_trait && !saw_for && t.is_ident("for") {
-                    saw_for = true;
-                } else if saw_for && !saw_type && t.is_ident(type_name) {
-                    saw_type = true;
-                }
-            }
-            if let (true, Some(open)) = (saw_trait && saw_for && saw_type, open) {
-                let close = self.matching_brace(&code, open)?;
-                return Some(code[open]..code[close] + 1);
-            }
-        }
-        None
-    }
-
-    /// The variant names of `enum name { ... }`.
-    pub fn enum_variants(&self, name: &str) -> Option<Vec<String>> {
-        let code = self.code_indices();
-        let k = (0..code.len().saturating_sub(1)).find(|&k| {
-            self.toks[code[k]].is_ident("enum") && self.toks[code[k + 1]].is_ident(name)
-        })?;
-        let open = (k + 2..code.len()).find(|&j| self.toks[code[j]].is_punct('{'))?;
-        let close = self.matching_brace(&code, open)?;
-        let mut variants = Vec::new();
-        let mut depth = 0i64;
-        let mut j = open;
-        while j < close {
-            let t = &self.toks[code[j]];
-            if t.is_punct('{') || t.is_punct('(') || t.is_punct('[') {
-                depth += 1;
-            } else if t.is_punct('}') || t.is_punct(')') || t.is_punct(']') {
-                depth -= 1;
-            } else if depth == 1 && t.kind == TokKind::Ident {
-                // A variant name sits at depth 1, preceded by `{`, `,`,
-                // or a closing `]` of its attribute (fields and
-                // discriminants are inside deeper groups).
-                let prev = &self.toks[code[j - 1]];
-                if prev.is_punct('{') || prev.is_punct(',') || prev.is_punct(']') {
-                    variants.push(t.text.clone());
-                }
-            }
-            j += 1;
-        }
-        Some(variants)
-    }
-
-    /// Whether the path `base::seg` is mentioned (as code) inside the
-    /// token range `r`. Returns the line of the first mention.
-    pub fn mentions_path(&self, r: &Range<usize>, base: &str, seg: &str) -> Option<u32> {
-        let idx: Vec<usize> =
-            (r.start..r.end).filter(|&i| self.toks[i].kind != TokKind::Comment).collect();
-        for w in 0..idx.len().saturating_sub(3) {
-            if self.toks[idx[w]].is_ident(base)
-                && self.toks[idx[w + 1]].is_punct(':')
-                && self.toks[idx[w + 2]].is_punct(':')
-                && self.toks[idx[w + 3]].is_ident(seg)
-            {
-                return Some(self.toks[idx[w]].line);
-            }
-        }
-        None
-    }
-
-    /// First line of the range (for findings about a whole region).
-    pub fn range_line(&self, r: &Range<usize>) -> u32 {
-        self.toks.get(r.start).map_or(1, |t| t.line)
-    }
 }
 
 #[cfg(test)]
@@ -216,28 +124,10 @@ mod tests {
     use super::*;
 
     const SRC: &str = r#"
-/// The enum.
-pub enum Msg {
-    /// Doc.
-    Dap(DapMsg),
-    Con { inner: ConMsg },
-    #[allow(dead_code)]
-    Plain,
-}
-
 pub fn route(msg: &Msg) -> usize {
     match msg {
         Msg::Dap(_) => 1,
         Msg::Con { .. } | Msg::Plain => 0,
-    }
-}
-
-impl WireEncode for Msg {
-    fn encode(&self) {
-        match self {
-            Msg::Dap(_) => {}
-            _ => {}
-        }
     }
 }
 
@@ -251,27 +141,12 @@ mod tests {
 "#;
 
     #[test]
-    fn enum_variants_found() {
-        let f = SourceFile::new("a.rs", SRC);
-        assert_eq!(f.enum_variants("Msg").unwrap(), vec!["Dap", "Con", "Plain"]);
-        assert!(f.enum_variants("Nope").is_none());
-    }
-
-    #[test]
-    fn fn_body_and_mentions() {
+    fn fn_body_found() {
         let f = SourceFile::new("a.rs", SRC);
         let body = f.fn_body("route").unwrap();
-        assert!(f.mentions_path(&body, "Msg", "Dap").is_some());
-        assert!(f.mentions_path(&body, "Msg", "Plain").is_some());
-        assert!(f.mentions_path(&body, "Msg", "Absent").is_none());
-    }
-
-    #[test]
-    fn impl_body_found() {
-        let f = SourceFile::new("a.rs", SRC);
-        let body = f.impl_body("WireEncode", "Msg").unwrap();
-        assert!(f.mentions_path(&body, "Msg", "Dap").is_some());
-        assert!(f.impl_body("WireDecode", "Msg").is_none());
+        assert!(f.toks[body.start].is_punct('{') && f.toks[body.end - 1].is_punct('}'));
+        assert!(f.toks[body.clone()].iter().any(|t| t.is_ident("Plain")));
+        assert!(f.fn_body("absent").is_none());
     }
 
     #[test]

@@ -3,13 +3,11 @@
 
 use ares_lint::callgraph::Analysis;
 use ares_lint::findings::{Allows, Finding};
-use ares_lint::rules::msg_surface::{self, Locator, Surface, SurfaceSpec};
 use ares_lint::rules::{
     blocking, blocking_transitive, completion_once, drift, lock_order, panic_path, retry_backoff,
     unsafety,
 };
 use ares_lint::scan::SourceFile;
-use std::collections::HashMap;
 
 fn fixture(name: &str) -> SourceFile {
     let path = format!("{}/tests/fixtures/{name}.rs", env!("CARGO_MANIFEST_DIR"));
@@ -21,50 +19,6 @@ fn fixture(name: &str) -> SourceFile {
 /// annotations — the same pipeline `ares_lint::run` applies.
 fn with_allows(file: &SourceFile, raw: Vec<Finding>) -> Vec<Finding> {
     Allows::collect(file).filter(raw)
-}
-
-/// A single-file surface spec: enum and all three surfaces in `path`.
-fn single_file_spec(path: &str) -> SurfaceSpec {
-    let s = |locator: Locator, what: &str| Surface {
-        file: path.to_string(),
-        locator,
-        what: what.into(),
-    };
-    SurfaceSpec {
-        enum_file: path.to_string(),
-        enum_name: "Msg".into(),
-        surfaces: vec![
-            s(Locator::Impl("WireEncode".into(), "Msg".into()), "wire codec encode"),
-            s(Locator::Impl("WireDecode".into(), "Msg".into()), "wire codec decode"),
-            s(Locator::Fn("route".into()), "shard routing"),
-        ],
-        tag_pair: Some((0, 1)),
-    }
-}
-
-fn run_msg_surface(name: &str) -> Vec<Finding> {
-    let f = fixture(name);
-    let spec = single_file_spec(&f.path);
-    let map: HashMap<String, &SourceFile> = [(f.path.clone(), &f)].into_iter().collect();
-    msg_surface::check(&map, &spec)
-}
-
-#[test]
-fn msg_surface_fires_on_trip() {
-    let out = run_msg_surface("msg_surface_trip");
-    assert!(
-        out.iter().any(|f| f.msg.contains("`Msg::Invoke` is not classified in shard routing")),
-        "deleted routing arm must fire: {out:?}"
-    );
-    assert!(
-        out.iter().any(|f| f.msg.contains("wire tag mismatch")),
-        "encode/decode tag divergence must fire: {out:?}"
-    );
-}
-
-#[test]
-fn msg_surface_silent_on_pass() {
-    assert_eq!(run_msg_surface("msg_surface_pass"), vec![]);
 }
 
 #[test]

@@ -6,6 +6,16 @@
 //! message tree (`ares_core::Msg` and its nested DAP / consensus /
 //! configuration-service / state-transfer / repair payloads).
 //!
+//! The tables under "The message tree" below are the format's single
+//! source: each product type is one field list and each enum one
+//! `tag => Variant { fields }` row per variant, and `wire_struct!` /
+//! `wire_enum!` generate the encoder and the decoder from the same
+//! row. Adding a variant means declaring it and adding its row;
+//! forgetting the row — or a field in it — fails `cargo build`.
+//! Assigned tags are never reused or renumbered (`tests/wire_golden.rs`
+//! pins every variant's bytes): a write-ahead log outlives the build
+//! that wrote it.
+//!
 //! ## Frame format
 //!
 //! ```text
@@ -17,7 +27,7 @@
 //! ```
 //!
 //! All integers are big-endian. Enums encode a one-byte variant tag
-//! followed by the variant's fields in declaration order; `Option<T>` is
+//! followed by the variant's fields in table order; `Option<T>` is
 //! a presence byte (0/1) then `T`; byte strings and sequences carry a
 //! `u32` length/count prefix.
 //!
@@ -34,6 +44,7 @@ use ares_codes::Fragment;
 use ares_consensus::{Ballot, ConMsg};
 use ares_core::{CfgMsg, ClientCmd, Invoke, Msg, RepairMsg, XferMsg};
 use ares_dap::{DapBody, DapMsg, Hdr, ListEntry};
+use ares_sim::SimMessage;
 use ares_types::{
     ConfigEntry, ConfigId, ObjectId, OpId, ProcessId, RpcId, SessionId, Status, Tag, Value,
 };
@@ -306,60 +317,6 @@ impl<T: WireDecode> WireDecode for Vec<T> {
     }
 }
 
-macro_rules! wire_u32_newtype {
-    ($ty:ident) => {
-        impl WireEncode for $ty {
-            fn encode(&self, out: &mut Vec<u8>) {
-                self.0.encode(out);
-            }
-        }
-        impl WireDecode for $ty {
-            fn decode(r: &mut WireReader<'_>) -> Result<Self, DecodeError> {
-                Ok($ty(r.u32()?))
-            }
-        }
-    };
-}
-
-wire_u32_newtype!(ProcessId);
-wire_u32_newtype!(ObjectId);
-wire_u32_newtype!(ConfigId);
-
-impl WireEncode for RpcId {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.0.encode(out);
-    }
-}
-impl WireDecode for RpcId {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, DecodeError> {
-        Ok(RpcId(r.u64()?))
-    }
-}
-
-impl WireEncode for OpId {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.client.encode(out);
-        self.seq.encode(out);
-    }
-}
-impl WireDecode for OpId {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, DecodeError> {
-        Ok(OpId { client: ProcessId::decode(r)?, seq: r.u64()? })
-    }
-}
-
-impl WireEncode for Tag {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.z.encode(out);
-        self.w.encode(out);
-    }
-}
-impl WireDecode for Tag {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, DecodeError> {
-        Ok(Tag { z: r.u64()?, w: ProcessId::decode(r)? })
-    }
-}
-
 impl WireEncode for Value {
     fn encode(&self, out: &mut Vec<u8>) {
         (self.len() as u32).encode(out);
@@ -389,576 +346,157 @@ impl WireDecode for Fragment {
     }
 }
 
-impl WireEncode for Status {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.push(match self {
-            Status::Pending => 0,
-            Status::Finalized => 1,
-        });
-    }
-}
-impl WireDecode for Status {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, DecodeError> {
-        match r.u8()? {
-            0 => Ok(Status::Pending),
-            1 => Ok(Status::Finalized),
-            tag => Err(DecodeError::BadTag { what: "Status", tag }),
-        }
-    }
-}
-
-impl WireEncode for ConfigEntry {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.cfg.encode(out);
-        self.status.encode(out);
-    }
-}
-impl WireDecode for ConfigEntry {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, DecodeError> {
-        Ok(ConfigEntry { cfg: ConfigId::decode(r)?, status: Status::decode(r)? })
-    }
-}
-
-impl WireEncode for Ballot {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.round.encode(out);
-        self.proposer.encode(out);
-    }
-}
-impl WireDecode for Ballot {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, DecodeError> {
-        Ok(Ballot { round: r.u64()?, proposer: ProcessId::decode(r)? })
-    }
-}
-
-impl WireEncode for (Ballot, ConfigId) {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.0.encode(out);
-        self.1.encode(out);
-    }
-}
-impl WireDecode for (Ballot, ConfigId) {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, DecodeError> {
-        Ok((Ballot::decode(r)?, ConfigId::decode(r)?))
-    }
-}
-
-impl WireEncode for Hdr {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.cfg.encode(out);
-        self.obj.encode(out);
-        self.rpc.encode(out);
-        self.op.encode(out);
-    }
-}
-impl WireDecode for Hdr {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, DecodeError> {
-        Ok(Hdr {
-            cfg: ConfigId::decode(r)?,
-            obj: ObjectId::decode(r)?,
-            rpc: RpcId::decode(r)?,
-            op: OpId::decode(r)?,
-        })
-    }
-}
-
-impl WireEncode for ListEntry {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.tag.encode(out);
-        self.frag.encode(out);
-    }
-}
-impl WireDecode for ListEntry {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, DecodeError> {
-        Ok(ListEntry { tag: Tag::decode(r)?, frag: Option::<Fragment>::decode(r)? })
-    }
-}
-
 // ---------------------------------------------------------------------
-// Protocol payloads
+// The message tree: one declaration per type, both directions from it
 // ---------------------------------------------------------------------
 
-impl WireEncode for DapBody {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            DapBody::AbdQueryTag => out.push(0),
-            DapBody::AbdQuery => out.push(1),
-            DapBody::AbdWrite(t, v) => {
-                out.push(2);
-                t.encode(out);
-                v.encode(out);
-            }
-            DapBody::AbdTag(t) => {
-                out.push(3);
-                t.encode(out);
-            }
-            DapBody::AbdTagValue(t, v) => {
-                out.push(4);
-                t.encode(out);
-                v.encode(out);
-            }
-            DapBody::AbdAck => out.push(5),
-            DapBody::TreasQueryTag => out.push(6),
-            DapBody::TreasQueryList => out.push(7),
-            DapBody::TreasWrite(t, f) => {
-                out.push(8);
-                t.encode(out);
-                f.encode(out);
-            }
-            DapBody::TreasTag(t) => {
-                out.push(9);
-                t.encode(out);
-            }
-            DapBody::TreasList(l) => {
-                out.push(10);
-                l.encode(out);
-            }
-            DapBody::TreasAck => out.push(11),
-            DapBody::LdrQueryTagLoc => out.push(12),
-            DapBody::LdrTagLoc(t, locs) => {
-                out.push(13);
-                t.encode(out);
-                locs.encode(out);
-            }
-            DapBody::LdrPutData(t, v) => {
-                out.push(14);
-                t.encode(out);
-                v.encode(out);
-            }
-            DapBody::LdrPutDataAck(t) => {
-                out.push(15);
-                t.encode(out);
-            }
-            DapBody::LdrPutMeta(t, locs) => {
-                out.push(16);
-                t.encode(out);
-                locs.encode(out);
-            }
-            DapBody::LdrPutMetaAck => out.push(17),
-            DapBody::LdrGetData(t) => {
-                out.push(18);
-                t.encode(out);
-            }
-            DapBody::LdrData(t, v) => {
-                out.push(19);
-                t.encode(out);
-                v.encode(out);
+/// Declares a product type's wire format — its fields, in wire order —
+/// and generates [`WireEncode`] and [`WireDecode`] from that one list.
+/// The encoder destructures without `..`, so a field missing from the
+/// list does not compile; field types are inferred from the type.
+macro_rules! wire_struct {
+    ($ty:ident { $($f:ident),+ }) => { wire_struct!(@impl $ty, [$($f),+], $ty { $($f),+ }); };
+    ($ty:ident ( $($f:ident),+ )) => { wire_struct!(@impl $ty, [$($f),+], $ty($($f),+)); };
+    (($($t:ty),+) as ($($f:ident),+)) => { wire_struct!(@impl ($($t),+), [$($f),+], ($($f),+)); };
+    (@impl $ty:ty, [$($f:ident),+], $($shape:tt)+) => {
+        impl WireEncode for $ty {
+            fn encode(&self, out: &mut Vec<u8>) {
+                let $($shape)+ = self;
+                $($f.encode(out);)+
             }
         }
-    }
-}
-
-impl WireDecode for DapBody {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, DecodeError> {
-        Ok(match r.u8()? {
-            0 => DapBody::AbdQueryTag,
-            1 => DapBody::AbdQuery,
-            2 => DapBody::AbdWrite(Tag::decode(r)?, Value::decode(r)?),
-            3 => DapBody::AbdTag(Tag::decode(r)?),
-            4 => DapBody::AbdTagValue(Tag::decode(r)?, Value::decode(r)?),
-            5 => DapBody::AbdAck,
-            6 => DapBody::TreasQueryTag,
-            7 => DapBody::TreasQueryList,
-            8 => DapBody::TreasWrite(Tag::decode(r)?, Fragment::decode(r)?),
-            9 => DapBody::TreasTag(Tag::decode(r)?),
-            10 => DapBody::TreasList(Vec::<ListEntry>::decode(r)?),
-            11 => DapBody::TreasAck,
-            12 => DapBody::LdrQueryTagLoc,
-            13 => DapBody::LdrTagLoc(Tag::decode(r)?, Vec::<ProcessId>::decode(r)?),
-            14 => DapBody::LdrPutData(Tag::decode(r)?, Value::decode(r)?),
-            15 => DapBody::LdrPutDataAck(Tag::decode(r)?),
-            16 => DapBody::LdrPutMeta(Tag::decode(r)?, Vec::<ProcessId>::decode(r)?),
-            17 => DapBody::LdrPutMetaAck,
-            18 => DapBody::LdrGetData(Tag::decode(r)?),
-            19 => DapBody::LdrData(Tag::decode(r)?, Value::decode(r)?),
-            tag => return Err(DecodeError::BadTag { what: "DapBody", tag }),
-        })
-    }
-}
-
-impl WireEncode for DapMsg {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.hdr.encode(out);
-        self.body.encode(out);
-    }
-}
-impl WireDecode for DapMsg {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, DecodeError> {
-        Ok(DapMsg { hdr: Hdr::decode(r)?, body: DapBody::decode(r)? })
-    }
-}
-
-impl WireEncode for ConMsg {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            ConMsg::Prepare { inst, rpc, ballot, op } => {
-                out.push(0);
-                inst.encode(out);
-                rpc.encode(out);
-                ballot.encode(out);
-                op.encode(out);
-            }
-            ConMsg::Promise { inst, rpc, ballot, accepted, decided, op } => {
-                out.push(1);
-                inst.encode(out);
-                rpc.encode(out);
-                ballot.encode(out);
-                accepted.encode(out);
-                decided.encode(out);
-                op.encode(out);
-            }
-            ConMsg::NackPrepare { inst, rpc, promised, op } => {
-                out.push(2);
-                inst.encode(out);
-                rpc.encode(out);
-                promised.encode(out);
-                op.encode(out);
-            }
-            ConMsg::Accept { inst, rpc, ballot, value, op } => {
-                out.push(3);
-                inst.encode(out);
-                rpc.encode(out);
-                ballot.encode(out);
-                value.encode(out);
-                op.encode(out);
-            }
-            ConMsg::Accepted { inst, rpc, ballot, op } => {
-                out.push(4);
-                inst.encode(out);
-                rpc.encode(out);
-                ballot.encode(out);
-                op.encode(out);
-            }
-            ConMsg::NackAccept { inst, rpc, promised, op } => {
-                out.push(5);
-                inst.encode(out);
-                rpc.encode(out);
-                promised.encode(out);
-                op.encode(out);
-            }
-            ConMsg::Decide { inst, value } => {
-                out.push(6);
-                inst.encode(out);
-                value.encode(out);
+        impl WireDecode for $ty {
+            fn decode(r: &mut WireReader<'_>) -> Result<Self, DecodeError> {
+                $(let $f = WireDecode::decode(r)?;)+
+                Ok($($shape)+)
             }
         }
-    }
+    };
 }
 
-impl WireDecode for ConMsg {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, DecodeError> {
-        Ok(match r.u8()? {
-            0 => ConMsg::Prepare {
-                inst: ConfigId::decode(r)?,
-                rpc: RpcId::decode(r)?,
-                ballot: Ballot::decode(r)?,
-                op: OpId::decode(r)?,
-            },
-            1 => ConMsg::Promise {
-                inst: ConfigId::decode(r)?,
-                rpc: RpcId::decode(r)?,
-                ballot: Ballot::decode(r)?,
-                accepted: Option::<(Ballot, ConfigId)>::decode(r)?,
-                decided: Option::<ConfigId>::decode(r)?,
-                op: OpId::decode(r)?,
-            },
-            2 => ConMsg::NackPrepare {
-                inst: ConfigId::decode(r)?,
-                rpc: RpcId::decode(r)?,
-                promised: Ballot::decode(r)?,
-                op: OpId::decode(r)?,
-            },
-            3 => ConMsg::Accept {
-                inst: ConfigId::decode(r)?,
-                rpc: RpcId::decode(r)?,
-                ballot: Ballot::decode(r)?,
-                value: ConfigId::decode(r)?,
-                op: OpId::decode(r)?,
-            },
-            4 => ConMsg::Accepted {
-                inst: ConfigId::decode(r)?,
-                rpc: RpcId::decode(r)?,
-                ballot: Ballot::decode(r)?,
-                op: OpId::decode(r)?,
-            },
-            5 => ConMsg::NackAccept {
-                inst: ConfigId::decode(r)?,
-                rpc: RpcId::decode(r)?,
-                promised: Ballot::decode(r)?,
-                op: OpId::decode(r)?,
-            },
-            6 => ConMsg::Decide { inst: ConfigId::decode(r)?, value: ConfigId::decode(r)? },
-            tag => return Err(DecodeError::BadTag { what: "ConMsg", tag }),
-        })
-    }
-}
-
-impl WireEncode for CfgMsg {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            CfgMsg::ReadConfig { base, rpc, op } => {
-                out.push(0);
-                base.encode(out);
-                rpc.encode(out);
-                op.encode(out);
-            }
-            CfgMsg::NextC { base, rpc, next, op } => {
-                out.push(1);
-                base.encode(out);
-                rpc.encode(out);
-                next.encode(out);
-                op.encode(out);
-            }
-            CfgMsg::WriteConfig { base, entry, rpc, op } => {
-                out.push(2);
-                base.encode(out);
-                entry.encode(out);
-                rpc.encode(out);
-                op.encode(out);
-            }
-            CfgMsg::CfgAck { base, rpc, op } => {
-                out.push(3);
-                base.encode(out);
-                rpc.encode(out);
-                op.encode(out);
+/// Declares a sum type's wire format — one `tag => Variant { fields in
+/// wire order }` row per variant — and generates both directions from
+/// it: a one-byte tag, then the fields. The encoder is an exhaustive
+/// `match` over exhaustive patterns, so a variant or a field missing
+/// from the table does not compile, and the decoder reads the same row,
+/// so tags and field order cannot disagree between the two. An unknown
+/// tag decodes to [`DecodeError::BadTag`] naming the type.
+macro_rules! wire_enum {
+    ($ty:ident { $($tag:literal => $v:ident $(($($t:ident),+))? $({ $($f:ident),+ })?,)+ }) => {
+        impl WireEncode for $ty {
+            fn encode(&self, out: &mut Vec<u8>) {
+                match self {
+                    $($ty::$v $(($($t),+))? $({ $($f),+ })? => {
+                        out.push($tag);
+                        $($($t.encode(out);)+)?
+                        $($($f.encode(out);)+)?
+                    })+
+                }
             }
         }
-    }
-}
-
-impl WireDecode for CfgMsg {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, DecodeError> {
-        Ok(match r.u8()? {
-            0 => CfgMsg::ReadConfig {
-                base: ConfigId::decode(r)?,
-                rpc: RpcId::decode(r)?,
-                op: OpId::decode(r)?,
-            },
-            1 => CfgMsg::NextC {
-                base: ConfigId::decode(r)?,
-                rpc: RpcId::decode(r)?,
-                next: Option::<ConfigEntry>::decode(r)?,
-                op: OpId::decode(r)?,
-            },
-            2 => CfgMsg::WriteConfig {
-                base: ConfigId::decode(r)?,
-                entry: ConfigEntry::decode(r)?,
-                rpc: RpcId::decode(r)?,
-                op: OpId::decode(r)?,
-            },
-            3 => CfgMsg::CfgAck {
-                base: ConfigId::decode(r)?,
-                rpc: RpcId::decode(r)?,
-                op: OpId::decode(r)?,
-            },
-            tag => return Err(DecodeError::BadTag { what: "CfgMsg", tag }),
-        })
-    }
-}
-
-impl WireEncode for XferMsg {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            XferMsg::ReqFwd { tag, src, dst, obj, rc, rpc, op } => {
-                out.push(0);
-                tag.encode(out);
-                src.encode(out);
-                dst.encode(out);
-                obj.encode(out);
-                rc.encode(out);
-                rpc.encode(out);
-                op.encode(out);
-            }
-            XferMsg::FwdElem { tag, frag, src, dst, obj, rc, rpc, op } => {
-                out.push(1);
-                tag.encode(out);
-                frag.encode(out);
-                src.encode(out);
-                dst.encode(out);
-                obj.encode(out);
-                rc.encode(out);
-                rpc.encode(out);
-                op.encode(out);
-            }
-            XferMsg::XferAck { dst, obj, tag, rpc, op } => {
-                out.push(2);
-                dst.encode(out);
-                obj.encode(out);
-                tag.encode(out);
-                rpc.encode(out);
-                op.encode(out);
+        impl WireDecode for $ty {
+            fn decode(r: &mut WireReader<'_>) -> Result<Self, DecodeError> {
+                #[deny(unreachable_patterns)] // a tag assigned twice
+                match r.u8()? {
+                    $($tag => {
+                        $($(let $t = WireDecode::decode(r)?;)+)?
+                        $($(let $f = WireDecode::decode(r)?;)+)?
+                        Ok($ty::$v $(($($t),+))? $({ $($f),+ })?)
+                    })+
+                    tag => Err(DecodeError::BadTag { what: stringify!($ty), tag }),
+                }
             }
         }
-    }
+    };
 }
 
-impl WireDecode for XferMsg {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, DecodeError> {
-        Ok(match r.u8()? {
-            0 => XferMsg::ReqFwd {
-                tag: Tag::decode(r)?,
-                src: ConfigId::decode(r)?,
-                dst: ConfigId::decode(r)?,
-                obj: ObjectId::decode(r)?,
-                rc: ProcessId::decode(r)?,
-                rpc: RpcId::decode(r)?,
-                op: OpId::decode(r)?,
-            },
-            1 => XferMsg::FwdElem {
-                tag: Tag::decode(r)?,
-                frag: Fragment::decode(r)?,
-                src: ConfigId::decode(r)?,
-                dst: ConfigId::decode(r)?,
-                obj: ObjectId::decode(r)?,
-                rc: ProcessId::decode(r)?,
-                rpc: RpcId::decode(r)?,
-                op: OpId::decode(r)?,
-            },
-            2 => XferMsg::XferAck {
-                dst: ConfigId::decode(r)?,
-                obj: ObjectId::decode(r)?,
-                tag: Tag::decode(r)?,
-                rpc: RpcId::decode(r)?,
-                op: OpId::decode(r)?,
-            },
-            tag => return Err(DecodeError::BadTag { what: "XferMsg", tag }),
-        })
-    }
-}
+wire_struct!(ProcessId(id));
+wire_struct!(ObjectId(id));
+wire_struct!(ConfigId(id));
+wire_struct!(SessionId(id));
+wire_struct!(RpcId(id));
+wire_struct!(OpId { client, seq });
+wire_struct!(Tag { z, w });
+wire_struct!(ConfigEntry { cfg, status });
+wire_struct!(Ballot { round, proposer });
+wire_struct!((Ballot, ConfigId) as (ballot, value));
+wire_struct!(Hdr { cfg, obj, rpc, op });
+wire_struct!(ListEntry { tag, frag });
+wire_struct!(DapMsg { hdr, body });
+wire_struct!(Invoke { session, seq, cmd });
 
-impl WireEncode for RepairMsg {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            RepairMsg::Trigger { cfg, obj } => {
-                out.push(0);
-                cfg.encode(out);
-                obj.encode(out);
-            }
-            RepairMsg::Query { cfg, obj, rpc, known, op } => {
-                out.push(1);
-                cfg.encode(out);
-                obj.encode(out);
-                rpc.encode(out);
-                known.encode(out);
-                op.encode(out);
-            }
-            RepairMsg::Lists { cfg, obj, rpc, list, op } => {
-                out.push(2);
-                cfg.encode(out);
-                obj.encode(out);
-                rpc.encode(out);
-                list.encode(out);
-                op.encode(out);
-            }
-        }
-    }
-}
+wire_enum!(Status {
+    0 => Pending,
+    1 => Finalized,
+});
 
-impl WireDecode for RepairMsg {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, DecodeError> {
-        Ok(match r.u8()? {
-            0 => RepairMsg::Trigger { cfg: ConfigId::decode(r)?, obj: ObjectId::decode(r)? },
-            1 => RepairMsg::Query {
-                cfg: ConfigId::decode(r)?,
-                obj: ObjectId::decode(r)?,
-                rpc: RpcId::decode(r)?,
-                known: Vec::<Tag>::decode(r)?,
-                op: OpId::decode(r)?,
-            },
-            2 => RepairMsg::Lists {
-                cfg: ConfigId::decode(r)?,
-                obj: ObjectId::decode(r)?,
-                rpc: RpcId::decode(r)?,
-                list: Vec::<ListEntry>::decode(r)?,
-                op: OpId::decode(r)?,
-            },
-            tag => return Err(DecodeError::BadTag { what: "RepairMsg", tag }),
-        })
-    }
-}
+wire_enum!(DapBody {
+    0 => AbdQueryTag,
+    1 => AbdQuery,
+    2 => AbdWrite(tag, value),
+    3 => AbdTag(tag),
+    4 => AbdTagValue(tag, value),
+    5 => AbdAck,
+    6 => TreasQueryTag,
+    7 => TreasQueryList,
+    8 => TreasWrite(tag, frag),
+    9 => TreasTag(tag),
+    10 => TreasList(list),
+    11 => TreasAck,
+    12 => LdrQueryTagLoc,
+    13 => LdrTagLoc(tag, locs),
+    14 => LdrPutData(tag, value),
+    15 => LdrPutDataAck(tag),
+    16 => LdrPutMeta(tag, locs),
+    17 => LdrPutMetaAck,
+    18 => LdrGetData(tag),
+    19 => LdrData(tag, value),
+});
 
-impl WireEncode for ClientCmd {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            ClientCmd::Write { obj, value } => {
-                out.push(0);
-                obj.encode(out);
-                value.encode(out);
-            }
-            ClientCmd::Read { obj } => {
-                out.push(1);
-                obj.encode(out);
-            }
-            ClientCmd::Recon { target } => {
-                out.push(2);
-                target.encode(out);
-            }
-        }
-    }
-}
+wire_enum!(ConMsg {
+    0 => Prepare { inst, rpc, ballot, op },
+    1 => Promise { inst, rpc, ballot, accepted, decided, op },
+    2 => NackPrepare { inst, rpc, promised, op },
+    3 => Accept { inst, rpc, ballot, value, op },
+    4 => Accepted { inst, rpc, ballot, op },
+    5 => NackAccept { inst, rpc, promised, op },
+    6 => Decide { inst, value },
+});
 
-impl WireDecode for ClientCmd {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, DecodeError> {
-        Ok(match r.u8()? {
-            0 => ClientCmd::Write { obj: ObjectId::decode(r)?, value: Value::decode(r)? },
-            1 => ClientCmd::Read { obj: ObjectId::decode(r)? },
-            2 => ClientCmd::Recon { target: ConfigId::decode(r)? },
-            tag => return Err(DecodeError::BadTag { what: "ClientCmd", tag }),
-        })
-    }
-}
+wire_enum!(CfgMsg {
+    0 => ReadConfig { base, rpc, op },
+    1 => NextC { base, rpc, next, op },
+    2 => WriteConfig { base, entry, rpc, op },
+    3 => CfgAck { base, rpc, op },
+});
 
-impl WireEncode for Msg {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Msg::Dap(m) => {
-                out.push(0);
-                m.encode(out);
-            }
-            Msg::Con(m) => {
-                out.push(1);
-                m.encode(out);
-            }
-            Msg::Cfg(m) => {
-                out.push(2);
-                m.encode(out);
-            }
-            Msg::Xfer(m) => {
-                out.push(3);
-                m.encode(out);
-            }
-            Msg::Repair(m) => {
-                out.push(4);
-                m.encode(out);
-            }
-            // Tag 5 is retired and stays unassigned, so 6 keeps its number.
-            Msg::Invoke(inv) => {
-                out.push(6);
-                out.extend_from_slice(&inv.session.0.to_be_bytes());
-                out.extend_from_slice(&inv.seq.to_be_bytes());
-                inv.cmd.encode(out);
-            }
-        }
-    }
-}
+wire_enum!(XferMsg {
+    0 => ReqFwd { tag, src, dst, obj, rc, rpc, op },
+    1 => FwdElem { tag, frag, src, dst, obj, rc, rpc, op },
+    2 => XferAck { dst, obj, tag, rpc, op },
+});
 
-impl WireDecode for Msg {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, DecodeError> {
-        Ok(match r.u8()? {
-            0 => Msg::Dap(DapMsg::decode(r)?),
-            1 => Msg::Con(ConMsg::decode(r)?),
-            2 => Msg::Cfg(CfgMsg::decode(r)?),
-            3 => Msg::Xfer(XferMsg::decode(r)?),
-            4 => Msg::Repair(RepairMsg::decode(r)?),
-            6 => Msg::Invoke(Invoke {
-                session: SessionId(r.u32()?),
-                seq: r.u64()?,
-                cmd: ClientCmd::decode(r)?,
-            }),
-            tag => return Err(DecodeError::BadTag { what: "Msg", tag }),
-        })
-    }
-}
+wire_enum!(RepairMsg {
+    0 => Trigger { cfg, obj },
+    1 => Query { cfg, obj, rpc, known, op },
+    2 => Lists { cfg, obj, rpc, list, op },
+});
+
+wire_enum!(ClientCmd {
+    0 => Write { obj, value },
+    1 => Read { obj },
+    2 => Recon { target },
+});
+
+// Tag 5 is retired and stays unassigned, so 6 keeps its number.
+wire_enum!(Msg {
+    0 => Dap(m),
+    1 => Con(m),
+    2 => Cfg(m),
+    3 => Xfer(m),
+    4 => Repair(m),
+    6 => Invoke(m),
+});
 
 // ---------------------------------------------------------------------
 // Framing
@@ -977,11 +515,19 @@ pub fn frames_encoded() -> u64 {
     FRAMES_ENCODED.with(|c| c.get())
 }
 
+/// What a frame buffer reserves beyond the message's bulk payload
+/// (`payload_bytes()`: its value or coded-element bytes), so encoding a
+/// megabyte value is one reservation and one copy instead of a
+/// doubling-realloc cascade. Covers the frame and message headers plus
+/// the 29 bytes of tag, presence and fragment header around each
+/// element of a `δ + 2`-entry `TreasList` reply.
+const FRAME_SLACK: usize = 256;
+
 /// Encodes one frame payload (version, sender, message) *without* the
 /// length prefix.
 pub fn encode_payload(from: ProcessId, msg: &Msg) -> Vec<u8> {
     FRAMES_ENCODED.with(|c| c.set(c.get() + 1));
-    let mut out = Vec::with_capacity(payload_size_hint(msg) + 64);
+    let mut out = Vec::with_capacity(msg.payload_bytes() as usize + FRAME_SLACK);
     out.push(WIRE_VERSION);
     from.encode(&mut out);
     msg.encode(&mut out);
@@ -1026,32 +572,6 @@ pub fn decode_payload_bytes(buf: &Bytes) -> Result<(ProcessId, Msg), DecodeError
     decode_payload_reader(WireReader::new_shared(buf))
 }
 
-/// Lower bound on the encoded size of `msg`'s bulk payload (value or
-/// fragment bytes), used to presize frame buffers so encoding a
-/// megabyte value is one reservation and one copy instead of a
-/// doubling-realloc cascade.
-fn payload_size_hint(msg: &Msg) -> usize {
-    match msg {
-        Msg::Dap(m) => match &m.body {
-            DapBody::AbdWrite(_, v)
-            | DapBody::AbdTagValue(_, v)
-            | DapBody::LdrPutData(_, v)
-            | DapBody::LdrData(_, v) => v.len(),
-            DapBody::TreasWrite(_, f) => f.data.len(),
-            DapBody::TreasList(l) => {
-                l.iter().map(|e| e.frag.as_ref().map_or(0, |f| f.data.len()) + 32).sum()
-            }
-            _ => 0,
-        },
-        Msg::Xfer(XferMsg::FwdElem { frag, .. }) => frag.data.len(),
-        Msg::Repair(RepairMsg::Lists { list, .. }) => {
-            list.iter().map(|e| e.frag.as_ref().map_or(0, |f| f.data.len()) + 32).sum()
-        }
-        Msg::Invoke(Invoke { cmd: ClientCmd::Write { value, .. }, .. }) => value.len(),
-        _ => 0,
-    }
-}
-
 /// Encodes one complete frame (length prefix included), erroring with
 /// [`DecodeError::FrameTooLarge`] if the payload exceeds
 /// [`MAX_FRAME_LEN`] — every receiver would reject such a frame, so the
@@ -1066,7 +586,7 @@ fn payload_size_hint(msg: &Msg) -> usize {
 /// prefix, an extra full-payload copy per frame).
 pub fn try_encode_frame(from: ProcessId, msg: &Msg) -> Result<Vec<u8>, DecodeError> {
     FRAMES_ENCODED.with(|c| c.set(c.get() + 1));
-    let mut out = Vec::with_capacity(payload_size_hint(msg) + 96);
+    let mut out = Vec::with_capacity(msg.payload_bytes() as usize + FRAME_SLACK);
     out.extend_from_slice(&[0u8; 4]);
     out.push(WIRE_VERSION);
     from.encode(&mut out);
@@ -1145,99 +665,6 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<(ProcessId, Msg)>> {
     }
     debug_assert_eq!(payload.len(), len);
     Ok(Some(decode_payload_bytes(&Bytes::from(payload))?))
-}
-
-/// The object id `msg` operates on, if any (`None` for consensus and
-/// configuration-service traffic, which is per-configuration).
-///
-/// Lets a listener with a declared object universe drop traffic for
-/// fabricated objects before it reaches the actors, whose per-object
-/// state is created on first touch.
-pub fn referenced_object(msg: &Msg) -> Option<ObjectId> {
-    match msg {
-        Msg::Dap(m) => Some(m.hdr.obj),
-        Msg::Con(_) | Msg::Cfg(_) => None,
-        Msg::Xfer(m) => match m {
-            XferMsg::ReqFwd { obj, .. }
-            | XferMsg::FwdElem { obj, .. }
-            | XferMsg::XferAck { obj, .. } => Some(*obj),
-        },
-        Msg::Repair(m) => match m {
-            RepairMsg::Trigger { obj, .. }
-            | RepairMsg::Query { obj, .. }
-            | RepairMsg::Lists { obj, .. } => Some(*obj),
-        },
-        Msg::Invoke(inv) => match &inv.cmd {
-            ClientCmd::Write { obj, .. } | ClientCmd::Read { obj } => Some(*obj),
-            ClientCmd::Recon { .. } => None,
-        },
-    }
-}
-
-/// The shard index `msg` dispatches to on an `shards`-shard node — the
-/// listener's cheap routing peek, sitting next to [`referenced_object`]
-/// / [`referenced_configs`] in the decode path. Object-scoped protocol
-/// traffic (DAP, state transfer, repair) hashes by the object it names;
-/// config-wide traffic (consensus, configuration service) and
-/// the invoke envelope return shard 0. The classification itself
-/// lives in [`ares_core::shard`], next to the message tree.
-pub fn shard_route(msg: &Msg, shards: usize) -> usize {
-    ares_core::shard::shard_of(msg, shards)
-}
-
-/// Every configuration id referenced by `msg`.
-///
-/// Network-facing dispatch uses this with
-/// [`ares_types::ConfigRegistry::try_get`] to drop messages naming
-/// configurations outside the registered universe *before* they reach
-/// protocol state machines (whose internal lookups treat unknown ids as
-/// bugs and panic).
-pub fn referenced_configs(msg: &Msg) -> Vec<ConfigId> {
-    match msg {
-        Msg::Dap(m) => vec![m.hdr.cfg],
-        Msg::Con(m) => match m {
-            ConMsg::Promise { inst, accepted, decided, .. } => {
-                let mut v = vec![*inst];
-                if let Some((_, c)) = accepted {
-                    v.push(*c);
-                }
-                if let Some(c) = decided {
-                    v.push(*c);
-                }
-                v
-            }
-            ConMsg::Accept { inst, value, .. } | ConMsg::Decide { inst, value, .. } => {
-                vec![*inst, *value]
-            }
-            _ => vec![m.instance()],
-        },
-        Msg::Cfg(m) => match m {
-            CfgMsg::ReadConfig { base, .. } | CfgMsg::CfgAck { base, .. } => vec![*base],
-            CfgMsg::NextC { base, next, .. } => {
-                let mut v = vec![*base];
-                if let Some(e) = next {
-                    v.push(e.cfg);
-                }
-                v
-            }
-            CfgMsg::WriteConfig { base, entry, .. } => vec![*base, entry.cfg],
-        },
-        Msg::Xfer(m) => match m {
-            XferMsg::ReqFwd { src, dst, .. } | XferMsg::FwdElem { src, dst, .. } => {
-                vec![*src, *dst]
-            }
-            XferMsg::XferAck { dst, .. } => vec![*dst],
-        },
-        Msg::Repair(m) => match m {
-            RepairMsg::Trigger { cfg, .. }
-            | RepairMsg::Query { cfg, .. }
-            | RepairMsg::Lists { cfg, .. } => vec![*cfg],
-        },
-        Msg::Invoke(inv) => match &inv.cmd {
-            ClientCmd::Recon { target } => vec![*target],
-            _ => Vec::new(),
-        },
-    }
 }
 
 #[cfg(test)]
@@ -1395,6 +822,21 @@ mod tests {
     }
 
     #[test]
+    fn a_full_treas_list_reply_encodes_in_one_reservation() {
+        // δ + 2 = 4 entries of 64 KiB elements (δ = 2, the benchmark's
+        // `bulk_rw` read): the frame must fit what was reserved up front.
+        let frag = Fragment { index: 4, value_len: 3 << 16, data: Bytes::from(vec![7u8; 1 << 16]) };
+        let list =
+            (0..4).map(|z| ListEntry { tag: Tag::new(z, ProcessId(1)), frag: Some(frag.clone()) });
+        let hdr = Hdr { cfg: ConfigId(1), obj: ObjectId(2), rpc: RpcId(3), op: op() };
+        let msg = Msg::Dap(DapMsg::new(hdr, DapBody::TreasList(list.collect())));
+        let reserved = msg.payload_bytes() as usize + FRAME_SLACK;
+        let frame = encode_frame(ProcessId(3), &msg);
+        assert!(frame.len() <= reserved, "{} bytes outgrew the {reserved} reserved", frame.len());
+        assert_eq!(frame.capacity(), reserved);
+    }
+
+    #[test]
     fn truncated_frames_error() {
         let frame = encode_frame(
             ProcessId(1),
@@ -1461,18 +903,5 @@ mod tests {
     fn clean_eof_is_none() {
         let mut stream = io::Cursor::new(Vec::new());
         assert!(read_frame(&mut stream).unwrap().is_none());
-    }
-
-    #[test]
-    fn referenced_configs_cover_nested_ids() {
-        let m = Msg::Cfg(CfgMsg::NextC {
-            base: ConfigId(1),
-            rpc: RpcId(2),
-            next: Some(ConfigEntry::pending(ConfigId(9))),
-            op: op(),
-        });
-        assert_eq!(referenced_configs(&m), vec![ConfigId(1), ConfigId(9)]);
-        let m = Msg::Con(ConMsg::Decide { inst: ConfigId(0), value: ConfigId(3) });
-        assert_eq!(referenced_configs(&m), vec![ConfigId(0), ConfigId(3)]);
     }
 }

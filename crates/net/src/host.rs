@@ -429,7 +429,7 @@ pub(crate) fn writer_loop(
 pub(crate) type CompletionSink = Box<dyn Fn(OpCompletion) + Send + 'static>;
 
 /// Maps a message to the shard index it must execute on (`shards` is
-/// the host's shard count). Server hosts pass [`codec::shard_route`];
+/// the host's shard count). Server hosts pass [`ares_core::shard::shard_of`];
 /// single-sharded client hosts pass a constant-zero router.
 pub(crate) type ShardRouter = fn(&Msg, usize) -> usize;
 
@@ -464,8 +464,8 @@ pub(crate) struct Admission {
 
 impl Admission {
     fn admits(&self, msg: &Msg) -> bool {
-        codec::referenced_configs(msg).iter().all(|&c| self.registry.try_get(c).is_some())
-            && match (&self.objects, codec::referenced_object(msg)) {
+        msg.configs().all(|c| self.registry.try_get(c).is_some())
+            && match (&self.objects, msg.object()) {
                 (Some(set), Some(obj)) => set.contains(&obj),
                 _ => true,
             }
@@ -894,9 +894,9 @@ fn reader_loop<A: Actor<Msg> + Send + 'static>(
                 // protocol traffic: a peer must not be able to drive a
                 // host's client sessions over the network. The trusted
                 // local path is `inject()`. The classification lives in
-                // `Msg::network_admissible` (a lint-checked exhaustive
-                // match, so a future variant cannot default into
-                // admission the way a `matches!` deny-list would allow).
+                // `Msg::network_admissible` (an exhaustive match, so a
+                // future variant cannot default into admission the way
+                // a `matches!` deny-list would allow).
                 if !msg.network_admissible() {
                     continue;
                 }
@@ -1109,6 +1109,7 @@ fn apply<A>(
 mod tests {
     use super::*;
     use crate::runtime::AddrBook;
+    use ares_core::shard::shard_of;
     use ares_core::ServerActor;
     use ares_dap::{DapBody, DapMsg, Hdr};
     use ares_types::{ConfigId, OpId, RpcId, Tag, Value};
@@ -1269,7 +1270,7 @@ mod tests {
         let pool = PeerPool::new(Arc::new(AddrBook::new()), FaultControls::new());
         let timers = Timers::new();
         let before = codec::frames_encoded();
-        apply(me, effects, &loopbacks, codec::shard_route, &pool, &timers, &None);
+        apply(me, effects, &loopbacks, shard_of, &pool, &timers, &None);
         assert_eq!(
             codec::frames_encoded() - before,
             1,
@@ -1286,7 +1287,7 @@ mod tests {
             .collect();
         let (tx, _rx) = mpsc::channel::<Event<ServerActor>>();
         let before = codec::frames_encoded();
-        apply(me, effects, &[tx], codec::shard_route, &pool, &timers, &None);
+        apply(me, effects, &[tx], shard_of, &pool, &timers, &None);
         assert_eq!(codec::frames_encoded() - before, 5);
     }
 

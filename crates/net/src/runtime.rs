@@ -208,7 +208,7 @@ impl ShardedNode {
         let host = ShardedHost::start(
             me,
             actors,
-            codec::shard_route,
+            ares_core::shard::shard_of,
             admission,
             book,
             listener,

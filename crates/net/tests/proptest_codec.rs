@@ -2,104 +2,20 @@
 //! randomized messages, and totality of the decoder on hostile input —
 //! truncated and corrupted frames must *error*, never panic.
 
-use ares_codes::Fragment;
-use ares_consensus::{Ballot, ConMsg};
-use ares_core::{CfgMsg, ClientCmd, Invoke, Msg, RepairMsg, XferMsg};
-use ares_dap::{DapBody, DapMsg, Hdr, ListEntry};
-use ares_net::codec::{decode_payload, encode_frame, encode_payload, referenced_configs};
-use ares_types::{ConfigEntry, ConfigId, ObjectId, OpId, ProcessId, RpcId, SessionId, Tag, Value};
-use bytes::Bytes;
-use proptest::prelude::*;
+mod samples;
 
-/// Randomized parameters from which one message of any protocol family
-/// is assembled (the selector picks the shape).
-#[allow(clippy::too_many_arguments)]
-fn build_msg(
-    sel: u8,
-    z: u64,
-    w: u32,
-    cfg: u32,
-    cfg2: u32,
-    obj: u32,
-    rpc: u64,
-    seq: u64,
-    data: Vec<u8>,
-) -> Msg {
-    let tag = Tag::new(z, ProcessId(w));
-    let op = OpId { client: ProcessId(w.wrapping_add(1)), seq };
-    let hdr = Hdr { cfg: ConfigId(cfg), obj: ObjectId(obj), rpc: RpcId(rpc), op };
-    let frag = Fragment {
-        index: (w % 16) as usize,
-        value_len: data.len() * 3,
-        data: Bytes::from(data.clone()),
-    };
-    let value = Value::new(data.clone());
-    // Arbitrary session and seq: the codec carries both verbatim (only
-    // the client actor ties a seq to its session's partition).
-    let invoke = |cmd| Msg::Invoke(Invoke { session: SessionId(rpc as u32), seq, cmd });
-    match sel % 12 {
-        0 => Msg::Dap(DapMsg::new(hdr, DapBody::AbdWrite(tag, value))),
-        1 => Msg::Dap(DapMsg::new(hdr, DapBody::TreasWrite(tag, frag))),
-        2 => Msg::Dap(DapMsg::new(
-            hdr,
-            DapBody::TreasList(vec![
-                ListEntry { tag, frag: Some(frag.clone()) },
-                ListEntry { tag: Tag::new(z.wrapping_add(1), ProcessId(w)), frag: None },
-            ]),
-        )),
-        3 => Msg::Dap(DapMsg::new(
-            hdr,
-            DapBody::LdrTagLoc(tag, vec![ProcessId(w), ProcessId(w + 1)]),
-        )),
-        4 => Msg::Con(ConMsg::Promise {
-            inst: ConfigId(cfg),
-            rpc: RpcId(rpc),
-            ballot: Ballot { round: z, proposer: ProcessId(w) },
-            accepted: Some((Ballot { round: z / 2, proposer: ProcessId(w + 1) }, ConfigId(cfg2))),
-            decided: if z % 2 == 0 { Some(ConfigId(cfg2)) } else { None },
-            op,
-        }),
-        5 => Msg::Con(ConMsg::Decide { inst: ConfigId(cfg), value: ConfigId(cfg2) }),
-        6 => Msg::Cfg(CfgMsg::NextC {
-            base: ConfigId(cfg),
-            rpc: RpcId(rpc),
-            next: if z % 2 == 0 { Some(ConfigEntry::pending(ConfigId(cfg2))) } else { None },
-            op,
-        }),
-        7 => Msg::Cfg(CfgMsg::WriteConfig {
-            base: ConfigId(cfg),
-            entry: ConfigEntry::finalized(ConfigId(cfg2)),
-            rpc: RpcId(rpc),
-            op,
-        }),
-        8 => Msg::Xfer(XferMsg::FwdElem {
-            tag,
-            frag,
-            src: ConfigId(cfg),
-            dst: ConfigId(cfg2),
-            obj: ObjectId(obj),
-            rc: ProcessId(w),
-            rpc: RpcId(rpc),
-            op,
-        }),
-        9 => Msg::Repair(RepairMsg::Lists {
-            cfg: ConfigId(cfg),
-            obj: ObjectId(obj),
-            rpc: RpcId(rpc),
-            list: vec![ListEntry { tag, frag: Some(frag) }],
-            op,
-        }),
-        10 => invoke(ClientCmd::Write { obj: ObjectId(obj), value }),
-        _ => invoke(ClientCmd::Recon { target: ConfigId(cfg) }),
-    }
-}
+use ares_core::{ClientCmd, Invoke, Msg};
+use ares_net::codec::{decode_payload, encode_frame, encode_payload};
+use ares_types::ProcessId;
+use proptest::prelude::*;
+use samples::{leaf, Fields, LEAVES};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
     fn roundtrip_is_identity(
-        sel in 0u8..12,
+        sel in 0..LEAVES,
         z in any::<u64>(),
         w in 0u32..1000,
         cfg in 0u32..64,
@@ -110,7 +26,7 @@ proptest! {
         data in proptest::collection::vec(any::<u8>(), 0..200),
         from in 0u32..1000,
     ) {
-        let msg = build_msg(sel, z, w, cfg, cfg2, obj, rpc, seq, data);
+        let msg = leaf(sel, &Fields { z, w, cfg, cfg2, obj, rpc, seq, data }).1;
         let frame = encode_frame(ProcessId(from), &msg);
         // The length prefix matches the payload.
         let len = u32::from_be_bytes([frame[0], frame[1], frame[2], frame[3]]) as usize;
@@ -122,7 +38,7 @@ proptest! {
 
     #[test]
     fn every_strict_prefix_errors(
-        sel in 0u8..12,
+        sel in 0..LEAVES,
         z in any::<u64>(),
         w in 0u32..1000,
         cfg in 0u32..64,
@@ -130,7 +46,7 @@ proptest! {
         data in proptest::collection::vec(any::<u8>(), 0..64),
         cut_pct in 0usize..100,
     ) {
-        let msg = build_msg(sel, z, w, cfg, cfg + 1, obj, 1, 2, data);
+        let msg = leaf(sel, &Fields { z, w, cfg, cfg2: cfg + 1, obj, rpc: 1, seq: 2, data }).1;
         let payload = encode_payload(ProcessId(9), &msg);
         let cut = payload.len() * cut_pct / 100; // strictly < len
         prop_assert!(decode_payload(&payload[..cut]).is_err(),
@@ -139,7 +55,7 @@ proptest! {
 
     #[test]
     fn corrupted_frames_never_panic(
-        sel in 0u8..12,
+        sel in 0..LEAVES,
         z in any::<u64>(),
         w in 0u32..1000,
         cfg in 0u32..64,
@@ -148,7 +64,7 @@ proptest! {
         pos_seed in any::<usize>(),
         xor in 1u8..=255,
     ) {
-        let msg = build_msg(sel, z, w, cfg, cfg + 1, obj, 1, 2, data);
+        let msg = leaf(sel, &Fields { z, w, cfg, cfg2: cfg + 1, obj, rpc: 1, seq: 2, data }).1;
         let mut payload = encode_payload(ProcessId(9), &msg);
         let pos = pos_seed % payload.len();
         payload[pos] ^= xor;
@@ -167,7 +83,7 @@ proptest! {
 
     #[test]
     fn referenced_configs_are_total(
-        sel in 0u8..12,
+        sel in 0..LEAVES,
         z in any::<u64>(),
         w in 0u32..1000,
         cfg in 0u32..64,
@@ -175,8 +91,8 @@ proptest! {
         obj in 0u32..16,
         data in proptest::collection::vec(any::<u8>(), 0..32),
     ) {
-        let msg = build_msg(sel, z, w, cfg, cfg2, obj, 1, 2, data);
-        let refs = referenced_configs(&msg);
+        let msg = leaf(sel, &Fields { z, w, cfg, cfg2, obj, rpc: 1, seq: 2, data }).1;
+        let refs = msg.configs().count();
         // Every message except plain read/write commands names at least
         // one configuration, and the primary one is always first.
         let plain_rw = matches!(
@@ -184,7 +100,7 @@ proptest! {
             Msg::Invoke(Invoke { cmd: ClientCmd::Write { .. } | ClientCmd::Read { .. }, .. })
         );
         if !plain_rw {
-            prop_assert!(!refs.is_empty());
+            prop_assert!(refs > 0);
         }
     }
 }
