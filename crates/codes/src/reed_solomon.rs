@@ -146,10 +146,17 @@ impl ErasureCode for ReedSolomon {
 
     fn decode(&self, fragments: &[Fragment]) -> Result<Vec<u8>, CodeError> {
         let CodeParams { n, k } = self.params;
-        // Deduplicate by index, validate.
+        // Deduplicate by index, validate. Systematic fragments are taken
+        // first wherever they sit in the input, so a caller that holds
+        // all `k` of them gets the stitch below, not the matrix inverse,
+        // whatever order it collected them in.
         let mut chosen: Vec<&Fragment> = Vec::with_capacity(k);
         let mut seen = vec![false; n];
-        for f in fragments {
+        let systematic_first = fragments
+            .iter()
+            .filter(|f| f.index < k)
+            .chain(fragments.iter().filter(|f| f.index >= k));
+        for f in systematic_first {
             if f.index >= n {
                 return Err(CodeError::BadFragmentIndex { index: f.index, n });
             }
@@ -193,6 +200,8 @@ impl ErasureCode for ReedSolomon {
         }
 
         // General path: invert the k x k submatrix of generator rows.
+        #[cfg(test)]
+        GENERAL_DECODES.with(|c| c.set(c.get() + 1));
         let rows: Vec<usize> = chosen.iter().map(|f| f.index).collect();
         let sub = self.generator.select_rows(&rows);
         let inv = sub.inverted().expect("any k distinct rows of an MDS generator are invertible");
@@ -206,6 +215,12 @@ impl ErasureCode for ReedSolomon {
         value.truncate(value_len);
         Ok(value)
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Decodes on this thread that took the general (matrix-inverse) path.
+    static GENERAL_DECODES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 #[cfg(test)]
@@ -305,6 +320,20 @@ mod tests {
         let value = sample_value(33);
         let frags = code.encode(&value);
         assert_eq!(code.decode(&frags[..3]).unwrap(), value);
+    }
+
+    #[test]
+    fn systematic_fragments_are_preferred_in_any_input_order() {
+        let code = ReedSolomon::new(5, 3).unwrap();
+        let value = sample_value(64 * 1024);
+        let mut frags = code.encode(&value);
+        frags.reverse(); // parity 4, 3 first, then systematic 2, 1, 0
+        let before = GENERAL_DECODES.with(|c| c.get());
+        assert_eq!(code.decode(&frags).unwrap(), value);
+        assert_eq!(GENERAL_DECODES.with(|c| c.get()), before, "stitch, not matrix inverse");
+        // Without all k systematic elements the general path still runs.
+        assert_eq!(code.decode(&frags[..3]).unwrap(), value);
+        assert_eq!(GENERAL_DECODES.with(|c| c.get()), before + 1);
     }
 
     #[test]

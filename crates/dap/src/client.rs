@@ -777,6 +777,19 @@ mod tests {
     }
 
     #[test]
+    fn a_decoded_value_adopts_the_decoders_buffer() {
+        // What `treas_evaluate` does with a decode: the `Vec` the code
+        // stitched the value into *becomes* the value — no second copy.
+        let code = build_code(registry().get(ConfigId(1)).code_params()).unwrap();
+        let original = Value::filler(64 * 1024, 5);
+        let decoded = code.decode(&code.encode_value(original.bytes())).unwrap();
+        let at = decoded.as_ptr();
+        let value = Value::new(decoded);
+        assert_eq!(value.as_bytes().as_ptr(), at);
+        assert_eq!(value, original);
+    }
+
+    #[test]
     fn floor_counts_as_holding_every_tag_below_it() {
         // The interleaving a floor-blind reader gets wrong (δ = 1):
         // write t2 completed — servers 1-4 inserted it — then three

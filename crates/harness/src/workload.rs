@@ -160,7 +160,8 @@ mod tests {
 
     #[test]
     fn unique_write_values() {
-        let spec = WorkloadSpec { writes_per_writer: 10, ..WorkloadSpec::default() };
+        // 10k values: the word-wide digest must keep them all apart.
+        let spec = WorkloadSpec { writes_per_writer: 5_000, ..WorkloadSpec::default() };
         let invs = spec.generate();
         let mut digests = std::collections::HashSet::new();
         for i in &invs {

@@ -53,8 +53,8 @@ fn sleeping_in_the_send_path_fires_transitively() {
     mutate(
         &mut files,
         "crates/net/src/host.rs",
-        "pub(crate) fn send(&self, to: ProcessId, frame: Arc<[u8]>) {",
-        "pub(crate) fn send(&self, to: ProcessId, frame: Arc<[u8]>) {\n        \
+        "pub(crate) fn send(&self, to: ProcessId, frame: Bytes) {",
+        "pub(crate) fn send(&self, to: ProcessId, frame: Bytes) {\n        \
          std::thread::sleep(core::time::Duration::from_millis(1));",
     );
     let out = rule_findings(&files, "loop-blocking-transitive");

@@ -50,7 +50,7 @@ use ares_types::{
 };
 use bytes::Bytes;
 use std::fmt;
-use std::io::{self, Read};
+use std::io::{self, BufRead};
 
 /// Current wire-format version, the first payload byte of every frame.
 pub const WIRE_VERSION: u8 = 1;
@@ -613,6 +613,26 @@ pub fn encode_frame(from: ProcessId, msg: &Msg) -> Vec<u8> {
     try_encode_frame(from, msg).expect("frame exceeds MAX_FRAME_LEN")
 }
 
+/// Capacity of the `BufReader` a connection's frames are read through:
+/// the four-byte prefix and a 64 KiB coded element that is already in
+/// the socket buffer arrive in one `read(2)`, a `δ + 2`-entry list of
+/// them in two.
+pub(crate) const FRAME_READ_BUF: usize = 64 * 1024;
+
+/// How much may be reserved for a frame before its bytes have come.
+const FRAME_GROW_STEP: usize = 16 * 1024;
+
+/// The capacity a payload buffer is grown to when the `arrived` bytes of
+/// a `len`-byte frame no longer fit it: the whole frame if
+/// `2 * arrived + FRAME_GROW_STEP` covers it, that bound otherwise.
+/// Memory held for a frame therefore tracks the bytes that have
+/// **arrived**, never the length its prefix declares (a connection that
+/// sends only a [`MAX_FRAME_LEN`] prefix pins one step), while a frame
+/// that arrives in a few large reads is allocated once, at its length.
+fn frame_capacity(arrived: usize, len: usize) -> usize {
+    len.min(2 * arrived + FRAME_GROW_STEP)
+}
+
 /// Reads one frame from `r`.
 ///
 /// Returns `Ok(None)` on clean end-of-stream (the peer closed between
@@ -620,7 +640,12 @@ pub fn encode_frame(from: ProcessId, msg: &Msg) -> Vec<u8> {
 /// mid-frame, undecodable payload — surfaces as an
 /// [`io::ErrorKind::InvalidData`] / [`io::ErrorKind::UnexpectedEof`]
 /// error. Never panics.
-pub fn read_frame(r: &mut impl Read) -> io::Result<Option<(ProcessId, Msg)>> {
+///
+/// The payload is copied once, out of `r`'s buffer into one allocation
+/// of exactly the frame's length (see [`frame_capacity`]), and that
+/// allocation *becomes* the [`Bytes`] the decoded [`Fragment`]s and
+/// [`Value`]s slice: never zero-filled first, never copied again.
+pub fn read_frame(r: &mut impl BufRead) -> io::Result<Option<(ProcessId, Msg)>> {
     // Read the first prefix byte separately so only a close *between*
     // frames maps to Ok(None); dying mid-prefix is truncation and must
     // error like any other mid-frame cut.
@@ -632,38 +657,33 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<(ProcessId, Msg)>> {
     }
     let mut rest = [0u8; 3];
     r.read_exact(&mut rest)?;
-    // lint: allow(net-panic, reason = "in-bounds: fixed-size stack arrays, constant indices")
-    let len = u32::from_be_bytes([first[0], rest[0], rest[1], rest[2]]) as usize;
+    let ([a], [b, c, d]) = (first, rest);
+    let len = u32::from_be_bytes([a, b, c, d]) as usize;
     if len > MAX_FRAME_LEN {
         return Err(DecodeError::FrameTooLarge(len).into());
     }
-    // Grow the buffer in bounded steps, reading straight into it (one
-    // copy): preallocating the attacker-declared length would let idle
-    // connections that send only a large prefix pin MAX_FRAME_LEN of
-    // memory each.
-    const STEP: usize = 16 * 1024;
     let mut payload = Vec::new();
-    let mut filled = 0usize;
-    while filled < len {
-        let target = (filled + STEP).min(len);
-        if payload.len() < target {
-            payload.resize(target, 0);
-        }
-        // lint: allow(net-panic, reason = "in-bounds: filled < target <= payload.len() after the resize above")
-        let n = match r.read(&mut payload[filled..target]) {
-            Ok(n) => n,
+    while payload.len() < len {
+        let chunk = match r.fill_buf() {
+            Ok(chunk) => chunk,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(e) => return Err(e),
         };
-        if n == 0 {
+        if chunk.is_empty() {
             return Err(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 "connection closed mid-frame",
             ));
         }
-        filled += n;
+        let chunk = chunk.get(..len - payload.len()).unwrap_or(chunk);
+        let arrived = payload.len() + chunk.len();
+        if arrived > payload.capacity() {
+            payload.reserve_exact(frame_capacity(arrived, len) - payload.len());
+        }
+        payload.extend_from_slice(chunk);
+        let taken = chunk.len();
+        r.consume(taken);
     }
-    debug_assert_eq!(payload.len(), len);
     Ok(Some(decode_payload_bytes(&Bytes::from(payload))?))
 }
 
@@ -890,6 +910,114 @@ mod tests {
         payload.extend_from_slice(&60_000u32.to_be_bytes());
         payload.extend_from_slice(&[0xFFu8; 64_000]); // "elements"
         assert!(decode_payload(&payload).is_err());
+    }
+
+    /// A socket stand-in: counts `read` calls and hands out at most
+    /// `per_call` bytes to each.
+    struct Metered<'a> {
+        data: &'a [u8],
+        per_call: usize,
+        calls: usize,
+    }
+
+    impl io::Read for Metered<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.calls += 1;
+            let n = buf.len().min(self.per_call).min(self.data.len());
+            let (head, tail) = self.data.split_at(n);
+            buf[..n].copy_from_slice(head);
+            self.data = tail;
+            Ok(n)
+        }
+    }
+
+    fn read_through(socket: &mut Metered<'_>) -> io::Result<Option<(ProcessId, Msg)>> {
+        read_frame(&mut io::BufReader::with_capacity(FRAME_READ_BUF, socket))
+    }
+
+    /// The frame a `bulk_rw` server answers a read with: δ + 1 = 3 coded
+    /// elements of a 64 KiB value under [5, 3], 65.6 KiB in all.
+    fn bulk_list_reply() -> (Msg, Vec<u8>) {
+        let elem = (1usize << 16).div_ceil(3);
+        let list = (0..3u64).map(|z| ListEntry {
+            tag: Tag::new(z + 1, ProcessId(1)),
+            frag: Some(Fragment {
+                index: 4,
+                value_len: 1 << 16,
+                data: Value::filler(elem, z).bytes().clone(),
+            }),
+        });
+        let hdr = Hdr { cfg: ConfigId(1), obj: ObjectId(2), rpc: RpcId(3), op: op() };
+        let msg = Msg::Dap(DapMsg::new(hdr, DapBody::TreasList(list.collect())));
+        let frame = encode_frame(ProcessId(3), &msg);
+        (msg, frame)
+    }
+
+    #[test]
+    fn a_stored_fragment_pins_exactly_its_frame() {
+        // What a server retains from a `TreasWrite` is a view into the
+        // frame's one allocation, and that allocation has no slack: its
+        // capacity is the payload length the prefix declared.
+        let frag = Fragment { index: 2, value_len: 1 << 16, data: Bytes::from(vec![7u8; 21_846]) };
+        let hdr = Hdr { cfg: ConfigId(0), obj: ObjectId(0), rpc: RpcId(1), op: op() };
+        let msg = Msg::Dap(DapMsg::new(hdr, DapBody::TreasWrite(Tag::new(1, ProcessId(2)), frag)));
+        let frame = encode_frame(ProcessId(3), &msg);
+        for per_call in [usize::MAX, 1_000, 1] {
+            let mut socket = Metered { data: &frame, per_call, calls: 0 };
+            let (_, decoded) = read_through(&mut socket).unwrap().expect("one frame");
+            assert_eq!(decoded, msg);
+            let Msg::Dap(DapMsg { body: DapBody::TreasWrite(_, f), .. }) = &decoded else {
+                panic!("wrong arm")
+            };
+            assert_eq!(f.data.backing_len(), frame.len() - 4, "{per_call} bytes per read");
+            assert_eq!(f.data.ref_count(), 1, "the frame buffer itself is gone");
+        }
+    }
+
+    #[test]
+    fn a_bulk_list_reply_is_read_in_three_reads_into_one_allocation() {
+        let (msg, frame) = bulk_list_reply();
+        assert!((65_536..66_000).contains(&frame.len()));
+        let mut socket = Metered { data: &frame, per_call: usize::MAX, calls: 0 };
+        let (from, decoded) = read_through(&mut socket).unwrap().expect("one frame");
+        assert_eq!((from, &decoded), (ProcessId(3), &msg));
+        assert!(socket.calls <= 3, "{} reads for a frame that was all there", socket.calls);
+        let Msg::Dap(DapMsg { body: DapBody::TreasList(list), .. }) = &decoded else {
+            panic!("wrong arm")
+        };
+        let frags: Vec<&Fragment> = list.iter().filter_map(|e| e.frag.as_ref()).collect();
+        for f in &frags {
+            assert!(Bytes::shares_allocation(&f.data, &frags[0].data));
+            assert_eq!(f.data.backing_len(), frame.len() - 4);
+        }
+    }
+
+    #[test]
+    fn memory_held_for_a_frame_tracks_the_bytes_that_arrived() {
+        // `read_frame`'s growth rule, driven the way a connection that
+        // trickles one byte at a time drives it, for the largest frame a
+        // prefix can declare.
+        let (mut capacity, mut reallocations) = (0, 0);
+        for arrived in 1..=MAX_FRAME_LEN {
+            if arrived > capacity {
+                capacity = frame_capacity(arrived, MAX_FRAME_LEN);
+                reallocations += 1;
+            }
+            assert!(arrived <= capacity && capacity <= 2 * arrived + FRAME_GROW_STEP);
+        }
+        assert_eq!(capacity, MAX_FRAME_LEN, "the final capacity is the frame, exactly");
+        assert!(reallocations <= 12, "{reallocations} reallocations");
+        // A frame whose bytes are all there is allocated once, at its length.
+        assert_eq!(frame_capacity(65_532, 65_657), 65_657);
+
+        // A connection that sends the prefix and one byte holds one step…
+        assert_eq!(frame_capacity(1, MAX_FRAME_LEN), FRAME_GROW_STEP + 2);
+        // …and is an error when it closes, not a frame.
+        let mut hostile = (MAX_FRAME_LEN as u32).to_be_bytes().to_vec();
+        hostile.push(WIRE_VERSION);
+        let mut socket = Metered { data: &hostile, per_call: 1, calls: 0 };
+        let err = read_through(&mut socket).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }
 
     #[test]

@@ -22,11 +22,12 @@ use crate::wal::ShardWal;
 use ares_core::Msg;
 use ares_sim::{Actor, Ctx, HostEffect};
 use ares_types::{ConfigRegistry, ObjectId, OpCompletion, ProcessId, Time};
+use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
-use std::io::{self, BufReader, BufWriter, Write};
+use std::io::{self, BufReader, IoSlice, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
@@ -113,15 +114,16 @@ impl Timers {
 pub(crate) const OUTBOUND_HIGH_WATER: usize = 1024;
 
 /// A bounded MPSC frame queue with drop-oldest overflow semantics.
-/// Frames are `Arc<[u8]>` so a broadcast enqueues n refcounts of one
-/// encoded buffer, not n copies.
+/// Frames are [`Bytes`] — the encoder's own buffer behind a refcount —
+/// so a broadcast enqueues n refcounts of one encoded buffer, not n
+/// copies.
 pub(crate) struct FrameQueue {
     state: Mutex<FrameQueueState>,
     cv: Condvar,
 }
 
 struct FrameQueueState {
-    queue: std::collections::VecDeque<Arc<[u8]>>,
+    queue: std::collections::VecDeque<Bytes>,
     closed: bool,
     dropped: u64,
     /// When the oldest queued frame was enqueued; `None` while empty.
@@ -145,7 +147,7 @@ impl FrameQueue {
 
     /// Enqueues a frame, evicting the oldest queued frame beyond the
     /// high-water mark. Never blocks the sending (event-loop) thread.
-    pub(crate) fn push(&self, frame: Arc<[u8]>) {
+    pub(crate) fn push(&self, frame: Bytes) {
         let mut st = crate::sync::lock(&self.state);
         if st.closed {
             return;
@@ -165,7 +167,7 @@ impl FrameQueue {
     /// Blocks for the next frame(s), draining **everything queued** into
     /// `out` in one go; `false` once closed and drained. This is what
     /// the writer batches on: one flush per drained batch.
-    pub(crate) fn pop_batch(&self, out: &mut Vec<Arc<[u8]>>) -> bool {
+    pub(crate) fn pop_batch(&self, out: &mut Vec<Bytes>) -> bool {
         let mut st = crate::sync::lock(&self.state);
         loop {
             if !st.queue.is_empty() {
@@ -236,7 +238,7 @@ impl PeerPool {
     /// never across `thread::spawn` or the queue push — so one sender
     /// making first contact with a new peer cannot stall every
     /// concurrent sender behind the OS thread-creation latency.
-    pub(crate) fn send(&self, to: ProcessId, frame: Arc<[u8]>) {
+    pub(crate) fn send(&self, to: ProcessId, frame: Bytes) {
         if self.faults.drop_outbound(to) {
             return; // injected link cut: the frame dies entering the wire
         }
@@ -327,9 +329,37 @@ fn peer_closed(s: &TcpStream) -> bool {
     dead | s.set_nonblocking(false).is_err()
 }
 
-/// The writer's socket buffer: sized so a typical drained batch of
-/// small frames coalesces into one `write(2)` when flushed.
-const WRITER_BUF: usize = 64 * 1024;
+/// A drained batch of at most this many bytes is coalesced into the
+/// writer's scratch buffer and leaves in one `write(2)`; a larger one —
+/// any batch holding a coded element of a bulk value — is written by
+/// reference. That bounds the scratch buffer too.
+const COALESCE_MAX: usize = 16 * 1024;
+
+/// Writes every frame of `batch` to `w`, in order, and flushes once.
+///
+/// Small batches are copied into `scratch` (reused across batches, grown
+/// on demand up to [`COALESCE_MAX`]) so they cost one write; large ones
+/// go out with `write_vectored` straight from the shared frame buffers,
+/// resuming after short writes.
+fn write_batch(w: &mut impl Write, batch: &[Bytes], scratch: &mut Vec<u8>) -> io::Result<()> {
+    if batch.iter().map(Bytes::len).sum::<usize>() <= COALESCE_MAX {
+        scratch.clear();
+        batch.iter().for_each(|f| scratch.extend_from_slice(f));
+        w.write_all(scratch)?;
+    } else {
+        let mut slices: Vec<IoSlice<'_>> = batch.iter().map(|f| IoSlice::new(f)).collect();
+        let mut left = slices.as_mut_slice();
+        while !left.is_empty() {
+            match w.write_vectored(left) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => IoSlice::advance_slices(&mut left, n),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+    }
+    w.flush()
+}
 
 /// One outbound connection: drains the queue in batches, (re)connects
 /// on demand, writes every frame of the batch, flushes **once**.
@@ -354,15 +384,15 @@ pub(crate) fn writer_loop(
     counters: Arc<WriterCounters>,
     faults: Arc<FaultControls>,
 ) {
-    let mut stream: Option<BufWriter<TcpStream>> = None;
-    let connect = |addr: SocketAddr| -> Option<BufWriter<TcpStream>> {
+    let mut stream: Option<TcpStream> = None;
+    let connect = |addr: SocketAddr| -> Option<TcpStream> {
         for backoff_ms in [0u64, 20, 100] {
             if backoff_ms > 0 {
                 std::thread::sleep(Duration::from_millis(backoff_ms));
             }
             if let Ok(s) = TcpStream::connect(addr) {
                 let _ = s.set_nodelay(true);
-                return Some(BufWriter::with_capacity(WRITER_BUF, s));
+                return Some(s);
             }
         }
         None
@@ -374,7 +404,8 @@ pub(crate) fn writer_loop(
     // pays the peek syscalls.
     const IDLE_BEFORE_PEEK: Duration = Duration::from_millis(2);
     let mut last_write: Option<Instant> = None;
-    let mut batch: Vec<Arc<[u8]>> = Vec::new();
+    let mut batch: Vec<Bytes> = Vec::new();
+    let mut scratch = Vec::new();
     while queue.pop_batch(&mut batch) {
         // Gray-node throttle: a slowed host pays the injected latency
         // once per drained batch before it touches the socket, so its
@@ -386,7 +417,7 @@ pub(crate) fn writer_loop(
         let mut sent = false;
         for _attempt in 0..2 {
             let idle = last_write.is_none_or(|t| t.elapsed() >= IDLE_BEFORE_PEEK);
-            if idle && stream.as_ref().is_some_and(|s| peer_closed(s.get_ref())) {
+            if idle && stream.as_ref().is_some_and(peer_closed) {
                 // The peer hung up (e.g. a crash window severed us):
                 // writing would buffer into a dead socket and lose the
                 // batch without an error. Reconnect first.
@@ -396,8 +427,7 @@ pub(crate) fn writer_loop(
                 stream = connect(addr);
             }
             let Some(s) = stream.as_mut() else { break };
-            let wrote = batch.iter().try_for_each(|f| s.write_all(f)).and_then(|()| s.flush());
-            if wrote.is_ok() {
+            if write_batch(s, &batch, &mut scratch).is_ok() {
                 last_write = Some(Instant::now());
                 // Frames before batches, both SeqCst (and the snapshot
                 // loads them in the opposite order): a concurrent
@@ -870,7 +900,7 @@ fn reader_loop<A: Actor<Msg> + Send + 'static>(
     shutdown: Arc<AtomicBool>,
     faults: Arc<FaultControls>,
 ) {
-    let mut reader = BufReader::new(stream);
+    let mut reader = BufReader::with_capacity(codec::FRAME_READ_BUF, stream);
     loop {
         match read_frame(&mut reader) {
             Ok(Some((from, msg))) => {
@@ -1057,8 +1087,9 @@ fn apply<A>(
     // `Send` effects whose messages are clones sharing one payload
     // allocation (equality between them short-circuits on the shared
     // `Bytes`), so one wire encode serves every destination — the frame
-    // is an `Arc<[u8]>` the per-peer queues refcount instead of copying.
-    let mut last_frame: Option<(Msg, Arc<[u8]>)> = None;
+    // buffer moves into a `Bytes` (no copy) that the per-peer queues
+    // refcount.
+    let mut last_frame: Option<(Msg, Bytes)> = None;
     for eff in effects {
         match eff {
             HostEffect::Send { to, msg } => {
@@ -1077,7 +1108,7 @@ fn apply<A>(
                     Some((m, f)) if *m == msg => f.clone(),
                     _ => match codec::try_encode_frame(pid, &msg) {
                         Ok(f) => {
-                            let f: Arc<[u8]> = f.into();
+                            let f = Bytes::from(f);
                             last_frame = Some((msg, f.clone()));
                             f
                         }
@@ -1127,8 +1158,8 @@ mod tests {
         ))
     }
 
-    fn frame_of(i: u32) -> Arc<[u8]> {
-        Arc::from(i.to_be_bytes().to_vec().into_boxed_slice())
+    fn frame_of(i: u32) -> Bytes {
+        Bytes::from(i.to_be_bytes().to_vec())
     }
 
     #[test]
@@ -1189,6 +1220,81 @@ mod tests {
         assert_eq!(drain.join().unwrap(), B * 4, "every frame byte arrived");
     }
 
+    /// A sink that accepts 1–7,000 bytes per call, across slice
+    /// boundaries when offered several, and counts flushes.
+    #[derive(Default)]
+    struct Choppy {
+        got: Vec<u8>,
+        calls: usize,
+        flushes: usize,
+    }
+
+    impl Write for Choppy {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.calls += 1;
+            let accept = 1 + self.calls * 2_654_435_761 % 7_000;
+            let before = self.got.len();
+            for b in bufs {
+                let room = accept - (self.got.len() - before);
+                self.got.extend_from_slice(&b[..b.len().min(room)]);
+            }
+            Ok(self.got.len() - before)
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            self.flushes += 1;
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_batch_arrives_byte_identical_through_short_writes() {
+        let frame = |len: usize, seed: u64| Value::filler(len, seed).bytes().clone();
+        let mixed =
+            vec![frame(100, 1), frame(50_000, 2), frame(9, 3), frame(66_000, 4), frame(1, 5)];
+        let small = vec![frame(100, 6), frame(9_000, 7), frame(7_000, 8)];
+        let mut scratch = Vec::new();
+        for batch in [mixed, small, vec![frame(1 << 20, 9)], vec![frame(40, 10)]] {
+            let mut sink = Choppy::default();
+            write_batch(&mut sink, &batch, &mut scratch).unwrap();
+            assert_eq!(sink.got, batch.concat(), "batch of {} frames", batch.len());
+            assert_eq!(sink.flushes, 1, "one flush per drained batch");
+            assert!(scratch.capacity() <= 2 * COALESCE_MAX, "a large batch bypasses the scratch");
+        }
+    }
+
+    #[test]
+    fn a_batch_cut_mid_write_is_retried_whole_on_a_fresh_connection() {
+        // 24 MiB cannot sit in loopback socket buffers: the first
+        // connection is torn down with most of the batch unwritten, and
+        // the writer must deliver all of it, from the top, on a second.
+        let batch: Vec<Bytes> =
+            (0..24).map(|i| Value::filler(1 << 20, i).bytes().clone()).collect();
+        let expected = batch.concat();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = std::thread::spawn(move || -> Vec<u8> {
+            let (mut first, _) = listener.accept().unwrap();
+            first.read_exact(&mut [0u8; 1000]).unwrap();
+            drop(first); // unread data pending: the writer sees a reset
+            let (mut second, _) = listener.accept().unwrap();
+            let mut got = Vec::new();
+            second.read_to_end(&mut got).unwrap();
+            got
+        });
+        let q = FrameQueue::new();
+        batch.into_iter().for_each(|f| q.push(f));
+        q.close();
+        let counters = Arc::new(WriterCounters::default());
+        writer_loop(addr, q, counters.clone(), FaultControls::new());
+        assert_eq!(counters.frames_sent.load(Ordering::Relaxed), 24);
+        assert_eq!(counters.batches_flushed.load(Ordering::Relaxed), 1);
+        assert_eq!(counters.frames_abandoned.load(Ordering::Relaxed), 0);
+        assert!(peer.join().unwrap() == expected, "the retry resent the whole batch");
+    }
+
     #[test]
     fn idle_frames_flush_immediately_per_frame() {
         // Latency neutrality: with the queue never holding more than one
@@ -1242,7 +1348,7 @@ mod tests {
         };
         let book = Arc::new(AddrBook::from_entries([(ProcessId(2), dead)]));
         let pool = PeerPool::new(book, FaultControls::new());
-        let frame: Arc<[u8]> = Arc::from(vec![0u8; 64].into_boxed_slice());
+        let frame = Bytes::from(vec![0u8; 64]);
         for _ in 0..(3 * OUTBOUND_HIGH_WATER) {
             pool.send(ProcessId(2), frame.clone());
         }

@@ -52,14 +52,15 @@ impl Value {
         s = (s ^ (s >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         s = (s ^ (s >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         s = (s ^ (s >> 31)) | 1;
-        let data: Vec<u8> = (0..len)
-            .map(|_| {
-                s ^= s << 13;
-                s ^= s >> 7;
-                s ^= s << 17;
-                s as u8
-            })
-            .collect();
+        // One xorshift64 step per eight bytes, not per byte; the last
+        // step's low bytes fill a short tail.
+        let mut data = vec![0u8; len];
+        for chunk in data.chunks_mut(8) {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            chunk.copy_from_slice(&s.to_le_bytes()[..chunk.len()]);
+        }
         Value(Bytes::from(data))
     }
 
@@ -83,16 +84,28 @@ impl Value {
         &self.0
     }
 
-    /// A 64-bit FNV-1a digest, recorded in operation completions so the
+    /// A 64-bit digest, recorded in operation completions so the
     /// atomicity checker can match read values to writes without storing
     /// full payloads.
+    ///
+    /// One rotate-xor-multiply per little-endian **word** (FNV-1a paid a
+    /// multiply per byte): the length seeds the state, so zero runs of
+    /// different lengths differ; the tail of fewer than eight bytes is
+    /// mixed byte-wise; a final fold carries the last word's high bits
+    /// down. Every step is a bijection of the state, so two values that
+    /// differ in one word or tail byte never collide. A pure function of
+    /// the bytes — independent of where the view starts in its buffer.
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf29ce484222325;
-        for &b in self.0.iter() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
+        const M: u64 = 0x9E37_79B9_7F4A_7C15;
+        let mix = |h: u64, x: u64| (h.rotate_left(5) ^ x).wrapping_mul(M);
+        let mut rest = self.as_bytes();
+        let mut h = mix(0xcbf2_9ce4_8422_2325, rest.len() as u64);
+        while let Some((word, tail)) = rest.split_first_chunk::<8>() {
+            h = mix(h, u64::from_le_bytes(*word));
+            rest = tail;
         }
-        h
+        h = rest.iter().fold(h, |h, &b| mix(h, u64::from(b)));
+        h ^ (h >> 32)
     }
 }
 
@@ -171,6 +184,51 @@ mod tests {
     fn digest_distinguishes_values() {
         assert_ne!(Value::filler(16, 1).digest(), Value::filler(16, 2).digest());
         assert_eq!(Value::initial().digest(), Value::new(vec![]).digest());
+    }
+
+    #[test]
+    fn digest_is_a_function_of_the_bytes_not_of_the_view() {
+        // The same 100 bytes at view offsets 0..8 of their buffers.
+        let body = Value::filler(100, 9);
+        for off in 0..8 {
+            let mut buf = vec![0xAAu8; off];
+            buf.extend_from_slice(body.as_bytes());
+            let view = Value::new(Bytes::from(buf).slice(off..));
+            assert_eq!(view.digest(), body.digest(), "offset {off}");
+        }
+    }
+
+    #[test]
+    fn digest_separates_lengths_and_tail_bytes() {
+        let zeros = |n: usize| Value::new(vec![0u8; n]).digest();
+        let mut seen = std::collections::HashSet::new();
+        for n in [0, 8, 16, 9] {
+            assert!(seen.insert(zeros(n)), "zero run of {n} collides");
+        }
+        // Flipping any one of the last 1..=7 bytes changes the digest.
+        for len in [7usize, 15, 64, 71] {
+            let base = Value::filler(len, 4);
+            for back in 1..=7 {
+                let mut bytes = base.as_bytes().to_vec();
+                bytes[len - back] ^= 0x80;
+                assert_ne!(Value::new(bytes).digest(), base.digest(), "len {len} byte -{back}");
+            }
+        }
+    }
+
+    #[test]
+    fn filler_honours_every_length() {
+        for len in [0usize, 1, 7, 8, 9, 65_537] {
+            let v = Value::filler(len, 11);
+            assert_eq!(v.len(), len);
+            assert_eq!(v.bytes().backing_len(), len, "no slack behind a generated value");
+            if len > 0 {
+                assert_ne!(v, Value::filler(len, 12), "len {len}: distinct seeds");
+            }
+        }
+        // The word-wide stream is prefix-stable: a shorter value is a
+        // prefix of a longer one from the same seed.
+        assert_eq!(Value::filler(9, 3).as_bytes(), &Value::filler(64, 3).as_bytes()[..9]);
     }
 
     #[test]
