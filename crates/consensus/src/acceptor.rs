@@ -1,4 +1,6 @@
 //! The acceptor (server-side) role of single-decree Paxos.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+#![deny(clippy::todo, clippy::unimplemented, clippy::indexing_slicing)]
 
 use crate::{Ballot, ConMsg};
 use ares_types::{ConfigId, ProcessId};

@@ -3,9 +3,11 @@
 //! Drives one `c.Con.propose(value)` call as used by ARES `add-config`
 //! (Alg. 5): the decided value is returned, which may differ from the
 //! proposal when a concurrent reconfigurer won the instance.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+#![deny(clippy::todo, clippy::unimplemented, clippy::indexing_slicing)]
 
 use crate::{Ballot, ConMsg};
-use ares_types::{ConfigId, OpId, ProcessId, RpcId, Step, Time};
+use ares_types::{Backoff, ConfigId, OpId, ProcessId, RpcId, Step, Time};
 
 /// Static parameters of one `propose` call.
 #[derive(Debug, Clone)]
@@ -51,7 +53,8 @@ pub struct Proposer {
     ballot: Ballot,
     rpc: RpcId,
     phase: Phase,
-    retries: u32,
+    /// Counts preempted-and-retried ballots.
+    backoff: Backoff,
 }
 
 impl Proposer {
@@ -74,15 +77,10 @@ impl Proposer {
             ballot: Ballot::initial(me),
             rpc: RpcId(rpc_base),
             phase: Phase::Done, // replaced below
-            retries: 0,
+            backoff: Backoff::default(),
         };
         let step = p.begin_prepare(p.ballot.round);
         (p, step)
-    }
-
-    /// Number of preempted-and-retried ballots so far.
-    pub fn retries(&self) -> u32 {
-        self.retries
     }
 
     fn begin_prepare(&mut self, round: u64) -> Step<ConMsg, ConfigId> {
@@ -113,12 +111,10 @@ impl Proposer {
 
     fn preempted(&mut self, promised: Ballot) -> Step<ConMsg, ConfigId> {
         let next_round = promised.round.max(self.ballot.round) + 1;
-        self.retries += 1;
         self.phase = Phase::BackedOff { next_round };
         // Deterministic exponential backoff with a proposer-id offset to
         // break symmetry; network-delay randomness does the rest.
-        let exp = self.retries.min(6);
-        let delay = self.cfg.backoff_unit * (1 << exp) + (self.me.0 as Time % 7) + 1;
+        let delay = self.backoff.rearm(self.cfg.backoff_unit).plus(self.me.0 as Time % 7 + 1);
         Step::idle().with_timer(delay)
     }
 
@@ -256,7 +252,7 @@ mod tests {
         let mut acc = vec![Acceptor::new(); 3];
         let decided = drive(&mut p, &mut acc, first);
         assert_eq!(decided, ConfigId(7));
-        assert_eq!(p.retries(), 0);
+        assert_eq!(p.backoff.attempts(), 0);
     }
 
     #[test]
@@ -312,7 +308,7 @@ mod tests {
         let (mut p, first) = Proposer::start(cfg(), ProcessId(99), op(99), ConfigId(7), 0);
         let decided = drive(&mut p, &mut acc, first);
         assert_eq!(decided, ConfigId(7), "retries with a higher ballot and wins");
-        assert!(p.retries() >= 1);
+        assert!(p.backoff.attempts() >= 1);
     }
 
     #[test]

@@ -42,7 +42,7 @@ impl ProposerActor {
             ctx.send(to, PaxMsg(m));
         }
         if let Some(after) = step.timer_after {
-            ctx.set_timer(after, 0);
+            ctx.set_timer(after.get(), 0);
         }
         if let Some(decided) = step.output {
             let mut c = OpCompletion::new(

@@ -10,6 +10,8 @@
 //! concurrently as independent protocol frame stacks inside this single
 //! actor. Incoming replies carry the [`OpId`] they answer and are routed
 //! to that operation's stack; timers are routed by per-operation tokens.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+#![deny(clippy::todo, clippy::unimplemented, clippy::indexing_slicing)]
 
 use crate::frames::{Env, FStep, Frame, FrameOut, ReadFrame, ReconFrame, TransferMode, WriteFrame};
 use crate::msg::{ClientCmd, Msg};
@@ -33,7 +35,7 @@ pub struct ClientConfig {
     pub backoff_unit: Time,
     /// The objects this deployment manages; a `reconfig` migrates all of
     /// them during `update-config` (the paper emulates one object, whose
-    /// id is 0).
+    /// id is 0). With none, a `reconfig` moves the chain alone.
     pub objects: Vec<ObjectId>,
 }
 
@@ -51,7 +53,6 @@ impl ClientConfig {
     /// Declares the set of objects reconfigurations must migrate.
     #[must_use]
     pub fn with_objects(mut self, objects: Vec<ObjectId>) -> Self {
-        assert!(!objects.is_empty(), "a deployment manages at least one object");
         self.objects = objects;
         self
     }
@@ -220,14 +221,10 @@ impl ClientActor {
                 )
             }
         };
-        // lint: allow(net-panic, reason = "infallible: sid was inserted into sessions by the local invoke path before any op starts")
-        self.sessions.get_mut(&sid).expect("session exists").running = Some(op);
-        if ctx.tracing() {
-            ctx.note(format!("+{}", frame.name()));
-        }
-        let mut st = OpState {
+        sess.running = Some(op);
+        let st = OpState {
             session: sid,
-            frames: vec![frame],
+            frames: Vec::new(),
             kind,
             obj,
             invoked_at: ctx.now(),
@@ -235,12 +232,7 @@ impl ClientActor {
             timer: None,
             sent_at: None,
         };
-        let step = {
-            let mut env = self.env(ctx.pid(), op, &st);
-            // lint: allow(net-panic, reason = "infallible: st.frames was built with exactly one frame four lines above")
-            st.frames.last_mut().expect("one frame").start(&mut env)
-        };
-        self.pump(op, st, step, ctx);
+        self.pump(op, st, FStep::push(frame), ctx);
     }
 
     /// Builds the frame environment for one transition of `op`.
@@ -272,20 +264,18 @@ impl ClientActor {
                 self.timer_ops.insert(token, op);
                 st.timer = Some(token); // any previously armed token is now stale
                 st.sent_at = Some(ctx.now());
-                ctx.set_timer(after, token);
+                ctx.set_timer(after.get(), token);
             }
-            if let Some(frame) = step.push.take() {
+            if let Some(mut frame) = step.push.take() {
                 if ctx.tracing() {
                     ctx.note(format!("+{}", frame.name()));
                 }
+                step = frame.start(&mut self.env(ctx.pid(), op, &st));
                 st.frames.push(frame);
-                let mut env = self.env(ctx.pid(), op, &st);
-                // lint: allow(net-panic, reason = "infallible: the frame was pushed one line above")
-                step = st.frames.last_mut().expect("just pushed").start(&mut env);
                 continue;
             }
             if let Some(out) = step.out.take() {
-                // lint: allow(net-panic, reason = "infallible: step.out comes from the frame at the top of a non-empty stack")
+                #[expect(clippy::expect_used, reason = "step.out came from the top frame")]
                 let popped = st.frames.pop().expect("a frame completed");
                 if ctx.tracing() {
                     ctx.note(format!("-{}", popped.name()));
@@ -299,14 +289,13 @@ impl ClientActor {
                         self.rtt.sample(ctx.now() - t0);
                     }
                 }
-                if st.frames.is_empty() {
+                let mut env = self.env(ctx.pid(), op, &st);
+                let Some(top) = st.frames.last_mut() else {
                     // Stack empty: the operation finished.
                     self.finish(op, st, out, ctx);
                     return;
-                }
-                let mut env = self.env(ctx.pid(), op, &st);
-                // lint: allow(net-panic, reason = "infallible: is_empty() handled (returned) directly above")
-                step = st.frames.last_mut().expect("non-empty").on_child(out, &mut env);
+                };
+                step = top.on_child(out, &mut env);
                 continue;
             }
             break;
@@ -332,7 +321,7 @@ impl ClientActor {
                 c.installed = Some(installed);
                 self.merge_cseq(&seq);
             }
-            // lint: allow(net-panic, reason = "internal invariant: finish() is only called with a terminal FrameOut; hostile bytes cannot reach it")
+            #[expect(clippy::unreachable, reason = "finish() gets a bottom frame's output")]
             other => unreachable!("operation finished with non-terminal output {other:?}"),
         }
         if ctx.tracing() {
@@ -380,12 +369,10 @@ impl Actor<Msg> for ClientActor {
 
     fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_, Msg>) {
         let Some(op) = self.timer_ops.remove(&token) else { return };
-        let Some(st_ref) = self.inflight.get(&op) else { return };
-        if st_ref.timer != Some(token) {
+        if self.inflight.get(&op).is_none_or(|st| st.timer != Some(token)) {
             return; // stale: the frame that armed it was popped or re-armed
         }
-        // lint: allow(net-panic, reason = "infallible: the same key was checked with get() three lines above")
-        let mut st = self.inflight.remove(&op).expect("present above");
+        let Some(mut st) = self.inflight.remove(&op) else { return };
         st.timer = None;
         let step = {
             let mut env = self.env(ctx.pid(), op, &st);

@@ -12,14 +12,16 @@
 //! Only the top frame ever has messages in flight (a frame starts its
 //! children only between its own quorum phases), so the client actor
 //! routes incoming replies and timers to the top frame exclusively.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+#![deny(clippy::todo, clippy::unimplemented, clippy::indexing_slicing)]
 
 use crate::msg::{CfgMsg, Msg, XferMsg};
 use ares_consensus::{Proposer, ProposerConfig};
 use ares_dap::client::{DapCall, DapCtx};
 use ares_dap::{DapAction, DapOutput};
 use ares_types::{
-    ConfigEntry, ConfigId, ConfigRegistry, ConfigSeq, ObjectId, OpId, ProcessId, RpcId, Status,
-    Tag, TagValue, Time, Value, TAG0,
+    Backoff, ConfigEntry, ConfigId, ConfigRegistry, ConfigSeq, Delay, ObjectId, OpId, ProcessId,
+    RpcId, Status, Tag, TagValue, Time, Value, TAG0,
 };
 use std::sync::Arc;
 
@@ -97,7 +99,7 @@ pub(crate) enum FrameOut {
 /// Effects of one frame transition.
 pub(crate) struct FStep {
     pub sends: Vec<(ProcessId, Msg)>,
-    pub timer: Option<Time>,
+    pub timer: Option<Delay>,
     pub out: Option<FrameOut>,
     pub push: Option<Frame>,
 }
@@ -112,7 +114,7 @@ impl FStep {
     fn out(out: FrameOut) -> Self {
         FStep { sends: Vec::new(), timer: None, out: Some(out), push: None }
     }
-    fn push(frame: Frame) -> Self {
+    pub(crate) fn push(frame: Frame) -> Self {
         FStep { sends: Vec::new(), timer: None, out: None, push: Some(frame) }
     }
 }
@@ -128,12 +130,18 @@ pub(crate) struct ReadNextFrame {
     rpc: RpcId,
     replies: Vec<ProcessId>,
     best: Option<ConfigEntry>,
-    retries: u32,
+    backoff: Backoff,
 }
 
 impl ReadNextFrame {
     fn new(base: Arc<ares_types::Configuration>) -> Self {
-        ReadNextFrame { base, rpc: RpcId(0), replies: Vec::new(), best: None, retries: 0 }
+        ReadNextFrame {
+            base,
+            rpc: RpcId(0),
+            replies: Vec::new(),
+            best: None,
+            backoff: Backoff::default(),
+        }
     }
 
     /// The request, addressed to every server that has not answered.
@@ -149,14 +157,13 @@ impl ReadNextFrame {
         // A quorum phase over lossy channels: retransmit under the same
         // rpc until replies assemble (servers answer read-config
         // idempotently, duplicate replies are deduplicated above).
-        step.timer = Some(env.rto << self.retries.min(6));
+        step.timer = Some(self.backoff.arm(env.rto));
         step
     }
 
     fn on_timer(&mut self, env: &mut Env<'_>) -> FStep {
-        self.retries += 1;
         let mut step = FStep::sends(self.sends(env));
-        step.timer = Some(env.rto << self.retries.min(6));
+        step.timer = Some(self.backoff.rearm(env.rto));
         step
     }
 
@@ -207,12 +214,12 @@ pub(crate) struct PutConfigFrame {
     entry: ConfigEntry,
     rpc: RpcId,
     acks: Vec<ProcessId>,
-    retries: u32,
+    backoff: Backoff,
 }
 
 impl PutConfigFrame {
     fn new(base: Arc<ares_types::Configuration>, entry: ConfigEntry) -> Self {
-        PutConfigFrame { base, entry, rpc: RpcId(0), acks: Vec::new(), retries: 0 }
+        PutConfigFrame { base, entry, rpc: RpcId(0), acks: Vec::new(), backoff: Backoff::default() }
     }
 
     /// The request, addressed to every server that has not acked.
@@ -233,14 +240,13 @@ impl PutConfigFrame {
         // Same retransmission discipline as read-next-config: nextC
         // writes are idempotent (servers keep the max), so resending
         // under the same rpc is safe and survives lossy links.
-        step.timer = Some(env.rto << self.retries.min(6));
+        step.timer = Some(self.backoff.arm(env.rto));
         step
     }
 
     fn on_timer(&mut self, env: &mut Env<'_>) -> FStep {
-        self.retries += 1;
         let mut step = FStep::sends(self.sends(env));
-        step.timer = Some(env.rto << self.retries.min(6));
+        step.timer = Some(self.backoff.rearm(env.rto));
         step
     }
 
@@ -300,7 +306,7 @@ impl ReadConfigFrame {
                 let base = env.cfg(self.seq.get(self.cur).cfg);
                 FStep::push(Frame::ReadNext(ReadNextFrame::new(base)))
             }
-            // lint: allow(net-panic, reason = "internal invariant: child frames are pushed by this frame, so their results are of known shape; hostile bytes cannot forge a child result")
+            #[expect(clippy::unreachable, reason = "a child returns what this frame pushed it for")]
             other => unreachable!("read-config got unexpected child result {other:?}"),
         }
     }
@@ -326,8 +332,7 @@ impl DapFrame {
     fn start(&mut self, env: &mut Env<'_>) -> FStep {
         let mut ctx = DapCtx::new(self.cfg.clone(), self.obj, env.me, env.op);
         ctx.retry_interval = env.rto;
-        // lint: allow(net-panic, reason = "infallible: start() runs once per frame by the frame-stack discipline; action is present until then")
-        let action = self.action.take().expect("started once");
+        let Some(action) = self.action.take() else { return FStep::idle() };
         let (call, step) = DapCall::start(ctx, action, env.rpc);
         self.call = Some(call);
         wrap_dap(step)
@@ -416,20 +421,27 @@ pub(crate) struct TransferFrame {
     obj: ObjectId,
     rpc: RpcId,
     acks: Vec<ProcessId>,
-    /// Rebroadcast rounds performed; the retry delay grows
-    /// exponentially in it (capped) so a transfer stalled by load backs
+    /// Grows the rebroadcast delay, so a transfer stalled by load backs
     /// off instead of re-amplifying the ×(src · dst) forward fan-out.
-    attempts: u32,
+    backoff: Backoff,
 }
 
 impl TransferFrame {
     fn new(tag: Tag, src: ConfigId, dst: Arc<ares_types::Configuration>, obj: ObjectId) -> Self {
-        TransferFrame { tag, src, dst, obj, rpc: RpcId(0), acks: Vec::new(), attempts: 0 }
+        TransferFrame {
+            tag,
+            src,
+            dst,
+            obj,
+            rpc: RpcId(0),
+            acks: Vec::new(),
+            backoff: Backoff::default(),
+        }
     }
 
     fn start(&mut self, env: &mut Env<'_>) -> FStep {
         self.rpc = env.fresh_rpc();
-        self.broadcast(env)
+        self.broadcast(env, self.backoff.arm(env.backoff_unit * 8))
     }
 
     /// (Re-)issues the `REQ-FW-CODE-ELEM` broadcast. The phase id stays
@@ -438,7 +450,7 @@ impl TransferFrame {
     /// keep counting. Retries matter when source-side garbage collection
     /// races the transfer — once the write burst subsides the sources
     /// converge on a common newest element and the destination decodes.
-    fn broadcast(&mut self, env: &mut Env<'_>) -> FStep {
+    fn broadcast(&self, env: &Env<'_>, timer: Delay) -> FStep {
         let src_cfg = env.cfg(self.src);
         let msg = XferMsg::ReqFwd {
             tag: self.tag,
@@ -452,13 +464,13 @@ impl TransferFrame {
         // md-primitive: one atomic broadcast step (see DESIGN.md).
         let mut step =
             FStep::sends(src_cfg.servers.iter().map(|&s| (s, Msg::Xfer(msg.clone()))).collect());
-        step.timer = Some((env.backoff_unit * 8) << self.attempts.min(6));
+        step.timer = Some(timer);
         step
     }
 
     fn on_timer(&mut self, env: &mut Env<'_>) -> FStep {
-        self.attempts += 1;
-        self.broadcast(env)
+        let timer = self.backoff.rearm(env.backoff_unit * 8);
+        self.broadcast(env, timer)
     }
 
     fn on_msg(&mut self, from: ProcessId, msg: &Msg) -> FStep {
@@ -550,7 +562,7 @@ impl WriteFrame {
                     self.put_last(env)
                 }
             }
-            // lint: allow(net-panic, reason = "internal invariant: child frames are pushed by this frame, so their results are of known shape; hostile bytes cannot forge a child result")
+            #[expect(clippy::unreachable, reason = "a child returns what this frame pushed it for")]
             (_, other) => unreachable!("write got unexpected child result {other:?}"),
         }
     }
@@ -614,7 +626,7 @@ impl ReadFrame {
                     self.put_last(env)
                 }
             }
-            // lint: allow(net-panic, reason = "internal invariant: child frames are pushed by this frame, so their results are of known shape; hostile bytes cannot forge a child result")
+            #[expect(clippy::unreachable, reason = "a child returns what this frame pushed it for")]
             (_, other) => unreachable!("read got unexpected child result {other:?}"),
         }
     }
@@ -648,10 +660,10 @@ pub(crate) struct ReconFrame {
     target: ConfigId,
     phase: ReconPhase,
     seq: ConfigSeq,
-    /// Objects to migrate during `update-config`.
-    objs: Vec<ObjectId>,
-    /// Index of the object currently being migrated.
-    obj_idx: usize,
+    /// Objects still to migrate during `update-config`.
+    objs: std::vec::IntoIter<ObjectId>,
+    /// The object currently being migrated.
+    obj: ObjectId,
     i: usize,
     /// Plain mode: max tag-value pair gathered by `get-data`.
     best: TagValue,
@@ -662,13 +674,12 @@ pub(crate) struct ReconFrame {
 
 impl ReconFrame {
     pub(crate) fn new(target: ConfigId, cseq: ConfigSeq, objs: Vec<ObjectId>) -> Self {
-        assert!(!objs.is_empty(), "a deployment manages at least one object");
         ReconFrame {
             target,
             phase: ReconPhase::Discover,
             seq: cseq,
-            objs,
-            obj_idx: 0,
+            objs: objs.into_iter(),
+            obj: ObjectId(0),
             i: 0,
             best: TagValue::initial(),
             best_src: (TAG0, ConfigId(0)),
@@ -707,8 +718,7 @@ impl ReconFrame {
                         // as a no-op. (finalize() would index seq[ν−1].)
                         return FStep::out(FrameOut::ReconDone(self.decided, self.seq.clone()));
                     }
-                    self.obj_idx = 0;
-                    return self.begin_object_update(env);
+                    return self.next_object_or_finalize(env);
                 }
                 // add-config: propose on the consensus object of the last
                 // configuration in the sequence.
@@ -727,8 +737,7 @@ impl ReconFrame {
             }
             (ReconPhase::AddPut, FrameOut::Ack) => {
                 // update-config, object by object.
-                self.obj_idx = 0;
-                self.begin_object_update(env)
+                self.next_object_or_finalize(env)
             }
             (ReconPhase::UpdateLoop, FrameOut::Dap(out)) => {
                 match (env.mode, &out) {
@@ -742,15 +751,14 @@ impl ReconFrame {
                             self.best_src = (*t, self.seq.get(self.i).cfg);
                         }
                     }
-                    // lint: allow(net-panic, reason = "internal invariant: child frames are pushed by this frame, so their results are of known shape; hostile bytes cannot forge a child result")
+                    #[expect(clippy::unreachable, reason = "queries are pushed for env.mode")]
                     _ => unreachable!("update-config DAP result mismatch"),
                 }
                 self.i += 1;
                 if self.i <= self.seq.nu() {
                     self.query(env)
                 } else {
-                    // lint: allow(net-panic, reason = "in-bounds: obj_idx starts at 0 and objs is non-empty for any reconfig that reaches this frame")
-                    let obj = self.objs[self.obj_idx];
+                    let obj = self.obj;
                     match env.mode {
                         TransferMode::Plain => {
                             // seq[ν].put-data(⟨τ_max, v_max⟩)
@@ -784,13 +792,17 @@ impl ReconFrame {
             (ReconPhase::FinalizePut, FrameOut::Ack) => {
                 FStep::out(FrameOut::ReconDone(self.decided, self.seq.clone()))
             }
-            // lint: allow(net-panic, reason = "internal invariant: child frames are pushed by this frame, so their results are of known shape; hostile bytes cannot forge a child result")
+            #[expect(clippy::unreachable, reason = "a child returns what this frame pushed it for")]
             (_, other) => unreachable!("reconfig got unexpected child result {other:?}"),
         }
     }
 
-    /// Starts the `update-config` query loop for the current object.
-    fn begin_object_update(&mut self, env: &mut Env<'_>) -> FStep {
+    /// Starts the `update-config` query loop for the next object, or
+    /// `finalize-config` once every object has migrated (at once, when
+    /// the client manages none).
+    fn next_object_or_finalize(&mut self, env: &mut Env<'_>) -> FStep {
+        let Some(obj) = self.objs.next() else { return self.finalize(env) };
+        self.obj = obj;
         self.i = self.seq.mu();
         self.best = TagValue::initial();
         self.best_src = (TAG0, ConfigId(0));
@@ -798,24 +810,13 @@ impl ReconFrame {
         self.query(env)
     }
 
-    fn next_object_or_finalize(&mut self, env: &mut Env<'_>) -> FStep {
-        self.obj_idx += 1;
-        if self.obj_idx < self.objs.len() {
-            self.begin_object_update(env)
-        } else {
-            self.finalize(env)
-        }
-    }
-
     fn query(&mut self, env: &mut Env<'_>) -> FStep {
         let cfg = env.cfg(self.seq.get(self.i).cfg);
-        // lint: allow(net-panic, reason = "in-bounds: obj_idx only advances after a bounds-checked compare against objs.len()")
-        let obj = self.objs[self.obj_idx];
         let action = match env.mode {
             TransferMode::Plain => DapAction::GetData,
             TransferMode::Direct => DapAction::GetTag,
         };
-        FStep::push(Frame::Dap(DapFrame::new(cfg, obj, action)))
+        FStep::push(Frame::Dap(DapFrame::new(cfg, self.obj, action)))
     }
 
     fn finalize(&mut self, env: &mut Env<'_>) -> FStep {
@@ -898,7 +899,7 @@ impl Frame {
             Frame::Read(f) => f.on_child(out, env),
             Frame::Recon(f) => f.on_child(out, env),
             Frame::ReadConfig(f) => f.on_child(out, env),
-            // lint: allow(net-panic, reason = "internal invariant: on_child is routed only to composite frames by the dispatcher above")
+            #[expect(clippy::unreachable, reason = "only composite frames push children")]
             _ => unreachable!("leaf frames have no children"),
         }
     }

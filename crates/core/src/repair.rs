@@ -30,6 +30,8 @@
 //! every DAP property (C1/C2) is preserved; it is equivalent to a slow
 //! `put-data` replay. Liveness: needs `⌈(n+k)/2⌉` live peers — the same
 //! condition as every other TREAS operation.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+#![deny(clippy::todo, clippy::unimplemented, clippy::indexing_slicing)]
 
 use crate::msg::Msg;
 use ares_codes::{build_code, Fragment};

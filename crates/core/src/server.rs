@@ -12,6 +12,8 @@
 //!   coded elements on `REQ-FW-CODE-ELEM`, and accumulating / decoding /
 //!   re-encoding forwarded elements in the `D` set when it is a member of
 //!   the destination configuration.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+#![deny(clippy::todo, clippy::unimplemented, clippy::indexing_slicing)]
 
 use crate::msg::{CfgMsg, Msg, XferMsg};
 use crate::repair::{RepairMsg, RepairProgress, RepairTask};

@@ -22,6 +22,8 @@
 //! node). The immutable [`ares_types::ConfigRegistry`] is shared by all
 //! shards; there is no mutable state that both classes touch, which is
 //! the whole argument — see `DESIGN.md` §9.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+#![deny(clippy::todo, clippy::unimplemented, clippy::indexing_slicing)]
 
 use crate::msg::Msg;
 use ares_types::ObjectId;

@@ -16,12 +16,14 @@
 //!   elements appear, which Theorem 9 bounds by `δ`.
 //! * **LDR** (Alg. 13): directory majority for metadata, `f + 1` of
 //!   `2f + 1` replicas for data.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+#![deny(clippy::todo, clippy::unimplemented, clippy::indexing_slicing)]
 
 use crate::{DapAction, DapBody, DapMsg, DapOutput, Hdr, ListEntry};
 use ares_codes::{build_code, Fragment};
 use ares_types::{
-    Configuration, DapKind, ObjectId, OpId, ProcessId, RpcId, Step, Tag, TagValue, Time, Value,
-    TAG0,
+    Backoff, Configuration, DapKind, ObjectId, OpId, ProcessId, RpcId, Step, Tag, TagValue, Time,
+    Value, TAG0,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -83,15 +85,20 @@ pub struct DapCall {
     /// LDR's two phases).
     put: Option<TagValue>,
     /// Retry rounds performed so far (all phases; exponential backoff).
-    retransmits: u32,
+    backoff: Backoff,
 }
 
 impl DapCall {
     /// Starts a primitive call. `rpc_counter` is the caller's monotone
     /// phase-id counter (bumped for every broadcast phase).
     pub fn start(ctx: DapCtx, action: DapAction, rpc_counter: &mut u64) -> (Self, DapStep) {
-        let mut call =
-            DapCall { ctx, rpc: RpcId(0), inner: Inner::Done, put: None, retransmits: 0 };
+        let mut call = DapCall {
+            ctx,
+            rpc: RpcId(0),
+            inner: Inner::Done,
+            put: None,
+            backoff: Backoff::default(),
+        };
         let step = match (&call.ctx.cfg.dap, action) {
             (DapKind::Abd, DapAction::GetTag) => {
                 call.inner = Inner::AbdGetTag { replies: Vec::new(), max: TAG0 };
@@ -162,7 +169,7 @@ impl DapCall {
         // forever (see `on_timer`). The delay is exponential in the
         // rounds already retried, capped.
         Step::sends(targets.into_iter().map(|s| (s, DapMsg::new(hdr, body.clone()))).collect())
-            .with_timer(self.ctx.retry_interval << self.retransmits.min(6))
+            .with_timer(self.backoff.arm(self.ctx.retry_interval))
     }
 
     fn treas_put_broadcast(&mut self, tv: TagValue, rpc_counter: &mut u64) -> DapStep {
@@ -171,13 +178,13 @@ impl DapCall {
         let hdr = self.hdr();
         let sends = self.treas_put_sends(hdr, &tv);
         self.put = Some(tv);
-        Step::sends(sends).with_timer(self.ctx.retry_interval << self.retransmits.min(6))
+        Step::sends(sends).with_timer(self.backoff.arm(self.ctx.retry_interval))
     }
 
     /// The per-server coded fan-out of a TREAS `put-data`.
     fn treas_put_sends(&self, hdr: Hdr, tv: &TagValue) -> Vec<(ProcessId, DapMsg)> {
+        #[expect(clippy::expect_used, reason = "registry-vetted configurations build their code")]
         let code = build_code(self.ctx.cfg.code_params())
-            // lint: allow(net-panic, reason = "infallible: this client was constructed from a registry-vetted configuration whose code parameters build")
             .expect("configuration carries valid code parameters");
         // Zero-copy fan-out: systematic fragments are views of the
         // value's own allocation (see `ErasureCode::encode_value`).
@@ -293,8 +300,7 @@ impl DapCall {
                 }
             }
             (Inner::LdrPutData { tag, acks }, DapBody::LdrPutDataAck(t)) if t == tag => {
-                // lint: allow(net-panic, reason = "internal invariant: the LdrPutData phase only exists for LDR-coded configurations")
-                let DapKind::Ldr { f } = self.ctx.cfg.dap else { unreachable!() };
+                let DapKind::Ldr { f } = self.ctx.cfg.dap else { return Step::idle() };
                 if !acks.contains(&from) {
                     acks.push(from);
                 }
@@ -351,8 +357,7 @@ impl DapCall {
                         self.inner = Inner::Done;
                         return Step::done(DapOutput::TagValue(TagValue::initial()));
                     }
-                    // lint: allow(net-panic, reason = "internal invariant: the LdrGetData phase only exists for LDR-coded configurations")
-                    let DapKind::Ldr { f } = self.ctx.cfg.dap else { unreachable!() };
+                    let DapKind::Ldr { f } = self.ctx.cfg.dap else { return Step::idle() };
                     let targets: Vec<ProcessId> = locs.into_iter().take(f + 1).collect();
                     self.inner = Inner::LdrReadFetch { tag, targets: targets.clone() };
                     self.broadcast_to(targets, DapBody::LdrGetData(tag), rpc_counter)
@@ -387,14 +392,13 @@ impl DapCall {
         match &self.inner {
             Inner::Done => Step::idle(),
             Inner::TreasGetData { .. } => {
-                self.retransmits += 1;
+                let timer = self.backoff.rearm(self.ctx.retry_interval);
                 self.inner = Inner::TreasGetData { lists: HashMap::new() };
-                self.broadcast_all(DapBody::TreasQueryList, rpc_counter)
+                self.broadcast_all(DapBody::TreasQueryList, rpc_counter).with_timer(timer)
             }
             _ => {
-                self.retransmits += 1;
-                let sends = self.resend();
-                Step::sends(sends).with_timer(self.ctx.retry_interval << self.retransmits.min(6))
+                let timer = self.backoff.rearm(self.ctx.retry_interval);
+                Step::sends(self.resend()).with_timer(timer)
             }
         }
     }
@@ -412,7 +416,7 @@ impl DapCall {
                 .map(|&s| (s, DapMsg::new(hdr, body.clone())))
                 .collect::<Vec<_>>()
         };
-        // lint: allow(net-panic, reason = "internal invariant: put phases store their pair at start(); hostile bytes cannot reach this")
+        #[expect(clippy::expect_used, reason = "put phases store their pair at start()")]
         let put = || self.put.as_ref().expect("put phase retains its pair");
         match &self.inner {
             Inner::AbdGetTag { replies, .. } => msgs(servers, replies, DapBody::AbdQueryTag),
@@ -447,11 +451,6 @@ impl DapCall {
             Inner::LdrReadFetch { tag, targets } => msgs(targets, &[], DapBody::LdrGetData(*tag)),
             Inner::TreasGetData { .. } | Inner::Done => Vec::new(),
         }
-    }
-
-    /// Number of retry rounds performed across the call's phases.
-    pub fn retries(&self) -> u32 {
-        self.retransmits
     }
 }
 
@@ -510,7 +509,7 @@ fn treas_evaluate(
             }
         }
     }
-    // lint: allow(net-panic, reason = "infallible: registry-vetted configurations carry valid code parameters")
+    #[expect(clippy::expect_used, reason = "registry-vetted configurations build their code")]
     let code = build_code(cfg.code_params()).expect("valid code params");
     match code.decode(&frags) {
         Ok(bytes) => Some(TagValue::new(t_dec_max, Value::new(bytes))),
@@ -875,6 +874,6 @@ mod tests {
         let s = call.on_timer(&mut rpc);
         assert_eq!(s.sends.len(), 5);
         assert_ne!(s.sends[0].1.hdr.rpc, first_rpc);
-        assert_eq!(call.retries(), 1);
+        assert_eq!(call.backoff.attempts(), 1);
     }
 }

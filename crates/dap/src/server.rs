@@ -7,6 +7,8 @@
 //! that belongs to several configurations plays an independent role in
 //! each, exactly as in the paper where each configuration carries its own
 //! algorithm instance.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+#![deny(clippy::todo, clippy::unimplemented, clippy::indexing_slicing)]
 
 use crate::{DapBody, DapMsg, Hdr, ListEntry};
 use ares_types::{
@@ -67,8 +69,7 @@ impl TreasState {
 
     /// Highest tag in the list (`τ_max ≡ max_{(t,c)∈List} t`).
     pub fn max_tag(&self) -> Tag {
-        // lint: allow(net-panic, reason = "infallible: TreasState::new seeds the list with the initial tag and entries are never all removed")
-        *self.list.keys().next_back().expect("list never empty")
+        self.list.keys().next_back().copied().unwrap_or(TAG0)
     }
 
     /// The low-water tag: the first entry iff it is `⊥`. Every tag
@@ -168,16 +169,12 @@ impl LdrRepState {
     fn insert(&mut self, tag: Tag, value: Value) {
         self.store.insert(tag, value);
         while self.store.len() > Self::HISTORY {
-            // lint: allow(net-panic, reason = "infallible: guarded by store.len() > HISTORY (> 0) one line above")
-            let lowest = *self.store.keys().next().expect("non-empty");
-            self.store.remove(&lowest);
+            self.store.pop_first();
         }
     }
 
     fn current(&self) -> (Tag, Value) {
-        // lint: allow(net-panic, reason = "infallible: insert() put an entry into store before any current() call")
-        let (t, v) = self.store.iter().next_back().expect("non-empty");
-        (*t, v.clone())
+        self.store.last_key_value().map_or((TAG0, Value::initial()), |(t, v)| (*t, v.clone()))
     }
 }
 

@@ -299,7 +299,7 @@ impl StaticClientActor {
             ctx.send(to, StaticMsg::Dap(m));
         }
         if let Some(after) = step.timer_after {
-            ctx.set_timer(after, 0);
+            ctx.set_timer(after.get(), 0);
         }
         if let Some(out) = step.output {
             let r = self.current.take().expect("an operation was running");

@@ -17,11 +17,11 @@
 //!   `harness` (which depends on `net`) — pruning those kills the
 //!   worst method-name collisions (`drain`, `push`, `insert`);
 //! - calls inside closures passed to `spawn(...)` are **not** edges —
-//!   they run on another thread, so they neither block the caller's
-//!   event loop nor execute under the caller's held locks.
+//!   they run on another thread, so they cannot block the caller's
+//!   event loop.
 //!
-//! Unresolved names (std, vendored crates) get no edge; the rules that
-//! walk the graph treat them as leaf effects at the call site.
+//! Unresolved names (std, vendored crates) get no edge; the rule that
+//! walks the graph treats them as leaf effects at the call site.
 
 use crate::lexer::TokKind;
 use crate::model::{self, FnInfo};
@@ -70,15 +70,13 @@ pub struct Edge {
     pub callee: usize,
     /// Token index of the callee name at the call site.
     pub tok: usize,
-    /// 1-based line of the call site.
-    pub line: u32,
 }
 
-/// The semantic substrate shared by the interprocedural rules: the
+/// The semantic substrate of `loop-blocking-transitive`: the
 /// function inventory, each function's effective body (comments,
 /// nested fns and spawned closures excluded), and the call graph.
 pub struct Analysis<'a> {
-    /// The scanned files (the same slice the rules receive).
+    /// The scanned files (the same slice the rule receives).
     pub files: &'a [SourceFile],
     /// Every first-party function with a body.
     pub fns: Vec<FnInfo>,
@@ -91,7 +89,7 @@ pub struct Analysis<'a> {
     /// Outgoing edge indices per caller.
     pub out: Vec<Vec<usize>>,
     /// `(caller, site token)` pairs that resolved to ≥1 first-party
-    /// callee (so effect rules can treat them as descents, not leaves).
+    /// callee (so the rule can treat them as descents, not leaves).
     resolved_sites: HashSet<(usize, usize)>,
 }
 
@@ -220,7 +218,7 @@ impl<'a> Analysis<'a> {
                     if crate_rank(&krate(&files[fns[callee].file].path)) > caller_rank {
                         continue;
                     }
-                    edges.push(Edge { caller, callee, tok: idx[w], line: t.line });
+                    edges.push(Edge { caller, callee, tok: idx[w] });
                 }
             }
         }

@@ -5,7 +5,7 @@
 //! an audited exception of the form:
 //!
 //! ```text
-//! // lint: allow(net-panic, reason = "bounds checked two lines above")
+//! // lint: allow(loop-blocking, reason = "the loop's own park point")
 //! ```
 //!
 //! Annotations are themselves linted: an unknown rule name or a missing /
@@ -19,12 +19,8 @@ use std::fmt;
 
 /// The stable identifiers of the shipped rules.
 pub const RULE_NAMES: &[&str] = &[
-    "net-panic",
     "loop-blocking",
     "loop-blocking-transitive",
-    "lock-order",
-    "retry-backoff",
-    "completion-once",
     "unsafe-safety",
     "drift",
     "bad-allow",
@@ -79,7 +75,7 @@ impl AllowEntry {
 pub struct Allows {
     by_rule: HashMap<String, Vec<u32>>,
     /// Every well-formed annotation, in line order — the substrate for
-    /// `--allows` listings and the `stale-allow` audit.
+    /// the `stale-allow` audit.
     pub entries: Vec<AllowEntry>,
     /// Malformed annotations, reported as `bad-allow` findings.
     pub bad: Vec<Finding>,
@@ -178,26 +174,27 @@ mod tests {
 
     #[test]
     fn allow_suppresses_same_and_next_line() {
-        let f = file("// lint: allow(net-panic, reason = \"len checked above\")\nfoo.unwrap();\n");
+        let f =
+            file("// lint: allow(loop-blocking, reason = \"the loop's park point\")\nrx.recv();\n");
         let a = Allows::collect(&f);
         assert!(a.bad.is_empty());
-        assert!(a.covers("net-panic", 1));
-        assert!(a.covers("net-panic", 2));
-        assert!(!a.covers("net-panic", 3));
-        assert!(!a.covers("drift", 2));
+        assert!(a.covers("loop-blocking", 1));
+        assert!(a.covers("loop-blocking", 2));
+        assert!(!a.covers("loop-blocking", 3));
+        assert!(!a.covers("loop-blocking-transitive", 2));
     }
 
     #[test]
     fn missing_reason_is_bad_allow() {
-        let f = file("// lint: allow(net-panic)\n");
+        let f = file("// lint: allow(loop-blocking)\n");
         let a = Allows::collect(&f);
         assert_eq!(a.bad.len(), 1);
-        assert!(!a.covers("net-panic", 2));
+        assert!(!a.covers("loop-blocking", 2));
     }
 
     #[test]
     fn empty_reason_is_bad_allow() {
-        let f = file("// lint: allow(drift, reason = \"\")\n");
+        let f = file("// lint: allow(loop-blocking, reason = \"\")\n");
         let a = Allows::collect(&f);
         assert_eq!(a.bad.len(), 1);
     }
@@ -213,12 +210,16 @@ mod tests {
     #[test]
     fn filter_drops_covered_and_reports_bad() {
         let f = file(
-            "foo.unwrap(); // lint: allow(net-panic, reason = \"infallible: set in new()\")\n\
-             // lint: allow(net-panic)\n",
+            "rx.recv(); // lint: allow(loop-blocking, reason = \"the loop's park point\")\n\
+             // lint: allow(loop-blocking)\n",
         );
         let a = Allows::collect(&f);
-        let raw =
-            vec![Finding { rule: "net-panic", file: "x.rs".into(), line: 1, msg: "unwrap".into() }];
+        let raw = vec![Finding {
+            rule: "loop-blocking",
+            file: "x.rs".into(),
+            line: 1,
+            msg: "recv".into(),
+        }];
         let out = a.filter(raw);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].rule, "bad-allow");
@@ -226,11 +227,12 @@ mod tests {
 
     #[test]
     fn entries_record_rule_reason_and_extent() {
-        let f = file("// lint: allow(net-panic, reason = \"len checked above\")\nfoo.unwrap();\n");
+        let f =
+            file("// lint: allow(loop-blocking, reason = \"the loop's park point\")\nrx.recv();\n");
         let a = Allows::collect(&f);
         assert_eq!(a.entries.len(), 1);
-        assert_eq!(a.entries[0].rule, "net-panic");
-        assert_eq!(a.entries[0].reason, "len checked above");
+        assert_eq!(a.entries[0].rule, "loop-blocking");
+        assert_eq!(a.entries[0].reason, "the loop's park point");
         assert_eq!(a.entries[0].covered_lines(), [1, 2]);
     }
 
@@ -249,6 +251,6 @@ mod tests {
         let f = file("// just a note about allow lists\nlet x = 1;\n");
         let a = Allows::collect(&f);
         assert!(a.bad.is_empty());
-        assert!(!a.covers("net-panic", 1));
+        assert!(!a.covers("loop-blocking", 1));
     }
 }

@@ -6,7 +6,7 @@
 //! environment — the report surface is small enough that a writer is
 //! less code than a vendored dependency.
 
-use crate::findings::{AllowEntry, Finding};
+use crate::findings::Finding;
 
 /// Streaming JSON writer with automatic comma placement.
 #[derive(Default)]
@@ -36,14 +36,6 @@ impl JsonWriter {
     pub fn begin_object(&mut self) {
         self.comma();
         self.buf.push('{');
-        self.scopes.push(false);
-    }
-
-    /// Opens `"key": {`.
-    pub fn begin_object_key(&mut self, key: &str) {
-        self.comma();
-        self.push_string(key);
-        self.buf.push_str(":{");
         self.scopes.push(false);
     }
 
@@ -122,26 +114,6 @@ pub fn findings_report(findings: &[Finding], files_scanned: usize) -> String {
         w.string("file", &f.file);
         w.u64("line", f.line as u64);
         w.string("message", &f.msg);
-        w.end_object();
-    }
-    w.end_array();
-    w.end_object();
-    w.finish()
-}
-
-/// Renders the `--allows` audit listing: every annotation with its
-/// rule, line, and reason.
-pub fn allows_report(entries: &[(String, AllowEntry)]) -> String {
-    let mut w = JsonWriter::new();
-    w.begin_object();
-    w.u64("allow_count", entries.len() as u64);
-    w.begin_array_key("allows");
-    for (path, e) in entries {
-        w.begin_object();
-        w.string("file", path);
-        w.u64("line", e.line as u64);
-        w.string("rule", &e.rule);
-        w.string("reason", &e.reason);
         w.end_object();
     }
     w.end_array();

@@ -5,9 +5,8 @@
 //! It exists to solve the one problem a regex grep cannot: knowing
 //! whether `unwrap` appeared as **code** or inside a string literal,
 //! comment, or doc example. Comments are kept as tokens (with their
-//! line numbers) because two rules read them: `unsafe-safety` looks for
-//! adjacent `// SAFETY:` comments, and the `// lint: allow(...)`
-//! annotation syntax lives in comments.
+//! line numbers) because the `// lint: allow(...)` annotation syntax
+//! lives in comments.
 //!
 //! Covered Rust surface: line comments, nested block comments, doc
 //! comments, string / raw-string / byte-string / char literals (with

@@ -1,32 +1,34 @@
 //! `ares-lint` — workspace-native static analysis for the ARES runtime.
 //!
-//! Eight analyses over a hand-rolled lexer (no crates.io in this
-//! environment, so no syn/dylint): four lexical, four *semantic* —
-//! built on a workspace function inventory ([`model`]), a
-//! conservatively name-resolved call graph ([`callgraph`]), and an
-//! expression-level statement parser ([`ast`]). Each protects a
-//! distributed-systems invariant the type system cannot see:
+//! Four rules over a hand-rolled lexer (no crates.io in this
+//! environment, so no syn/dylint): three lexical, and one built on a
+//! workspace function inventory ([`model`]) and a conservatively
+//! name-resolved call graph ([`callgraph`]).
 //!
 //! | rule                       | invariant                                                |
 //! |----------------------------|----------------------------------------------------------|
-//! | `net-panic`                | hostile bytes cannot panic the process                   |
 //! | `loop-blocking`            | shard event loops never block (direct sites)             |
 //! | `loop-blocking-transitive` | ...nor through any first-party call chain                |
-//! | `lock-order`               | the static lock-acquisition graph is acyclic             |
-//! | `retry-backoff`            | timers re-armed on the retry path grow exponentially     |
-//! | `completion-once`          | registered completion cells resolve exactly once per path|
 //! | `unsafe-safety`            | every `unsafe` region carries a safety argument          |
 //! | `drift`                    | no `todo!`/`unimplemented!`/`dbg!` in production code    |
+//!
+//! The loop rules protect the one runtime invariant the compiler cannot
+//! state. `unsafe-safety` and `drift` duplicate clippy lints the
+//! workspace already denies; they stay because they cost a token scan
+//! each and keep both checks inside `cargo test`, which does not run
+//! clippy. Every other invariant this crate once policed is held by the
+//! compiler: the panic family and bare indexing on hostile-input paths
+//! by clippy; exponential retry backoff and exactly-once ticket
+//! resolution by types; lock order by holding one runtime guard at a
+//! time (DESIGN.md §10).
 //!
 //! Audited exceptions use `// lint: allow(<rule>, reason = "...")` on
 //! the offending line or the line above; malformed annotations are
 //! themselves findings (`bad-allow`), and annotations whose covered
 //! lines no longer trip the named rule are findings too
 //! (`stale-allow`) — the escape hatch can neither rot into a blanket
-//! mute nor outlive its cause. See DESIGN.md §10 for the invariant
-//! catalogue.
+//! mute nor outlive its cause.
 
-pub mod ast;
 pub mod callgraph;
 pub mod findings;
 pub mod json;
@@ -41,27 +43,6 @@ use findings::{Allows, Finding};
 use scan::SourceFile;
 use std::collections::HashMap;
 
-/// Files on the hostile-input path: wire decode plus every actor
-/// handler reachable from network bytes (`net-panic` scope).
-pub const PANIC_SCOPE: &[&str] = &[
-    "crates/net/src/codec.rs",
-    "crates/net/src/faults.rs",
-    "crates/net/src/host.rs",
-    "crates/net/src/runtime.rs",
-    "crates/net/src/testing.rs",
-    "crates/net/src/wal.rs",
-    "crates/wal/src/lib.rs",
-    "crates/core/src/server.rs",
-    "crates/core/src/client.rs",
-    "crates/core/src/frames.rs",
-    "crates/core/src/shard.rs",
-    "crates/core/src/repair.rs",
-    "crates/dap/src/server.rs",
-    "crates/dap/src/client.rs",
-    "crates/consensus/src/acceptor.rs",
-    "crates/consensus/src/proposer.rs",
-];
-
 /// The file holding the shard event loops (`loop-blocking` scope).
 pub const EVENT_LOOP_FILE: &str = "crates/net/src/host.rs";
 
@@ -73,49 +54,21 @@ pub const EVENT_LOOP_FNS: &[&str] = &["event_loop", "apply"];
 /// all); `bad-allow` findings surface whenever their file is scanned.
 ///
 /// `stale-allow` needs the *raw* findings of every other rule (an
-/// annotation is stale when nothing it covers still trips), so enabling
-/// it computes all rules and then emits only the enabled ones.
+/// annotation is stale when nothing it covers still trips), so every
+/// rule is always computed and only the enabled ones emitted.
 pub fn run(files: &[SourceFile], rule: Option<&str>) -> Vec<Finding> {
     let enabled = |name: &str| rule.is_none_or(|r| r == name);
-    // What must be *computed* (superset of what is emitted).
-    let compute = |name: &str| enabled(name) || enabled("stale-allow");
 
     let mut raw = Vec::new();
     for f in files {
-        if compute("net-panic") && PANIC_SCOPE.contains(&f.path.as_str()) {
-            raw.extend(rules::panic_path::check(f));
-        }
-        if compute("loop-blocking") && f.path == EVENT_LOOP_FILE {
+        if f.path == EVENT_LOOP_FILE {
             raw.extend(rules::blocking::check(f, EVENT_LOOP_FNS));
         }
-        if compute("unsafe-safety") {
-            raw.extend(rules::unsafety::check(f));
-        }
-        if compute("drift") {
-            raw.extend(rules::drift::check(f));
-        }
+        raw.extend(rules::unsafety::check(f));
+        raw.extend(rules::drift::check(f));
     }
-
-    // The interprocedural rules share one analysis build.
-    let needs_analysis =
-        ["loop-blocking-transitive", "lock-order", "retry-backoff", "completion-once"]
-            .iter()
-            .any(|r| compute(r));
-    if needs_analysis {
-        let a = Analysis::build(files);
-        if compute("loop-blocking-transitive") {
-            raw.extend(rules::blocking_transitive::check(&a, EVENT_LOOP_FILE, EVENT_LOOP_FNS));
-        }
-        if compute("lock-order") {
-            raw.extend(rules::lock_order::check(&a));
-        }
-        if compute("retry-backoff") {
-            raw.extend(rules::retry_backoff::check(&a));
-        }
-        if compute("completion-once") {
-            raw.extend(rules::completion_once::check(&a));
-        }
-    }
+    let a = Analysis::build(files);
+    raw.extend(rules::blocking_transitive::check(&a, EVENT_LOOP_FILE, EVENT_LOOP_FNS));
 
     // Allow-annotation pass: suppress covered findings, surface
     // malformed annotations, and audit annotations for staleness

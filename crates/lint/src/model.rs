@@ -1,9 +1,8 @@
 //! The workspace function inventory: every first-party `fn` with a
 //! body, its impl/trait owner, and its body token range.
 //!
-//! This is the name-resolution substrate for the interprocedural rules:
-//! the call graph resolves `Type::name(...)` and `.name(...)` sites
-//! against it, and the lock/CFG analyses walk its body ranges. Items
+//! This is the name-resolution substrate of the call graph, which
+//! resolves `Type::name(...)` and `.name(...)` sites against it. Items
 //! inside `#[cfg(test)]` regions and `macro_rules!` definitions are out
 //! of scope (tests are not runtime code; macro bodies are token soup
 //! that would mint phantom functions).
@@ -12,7 +11,7 @@ use crate::lexer::TokKind;
 use crate::scan::SourceFile;
 use std::ops::Range;
 
-/// One function with a body, as the interprocedural analyses see it.
+/// One function with a body, as the call graph sees it.
 #[derive(Debug, Clone)]
 pub struct FnInfo {
     /// Index of the defining file in the scanned file slice.
@@ -24,8 +23,6 @@ pub struct FnInfo {
     pub owner: Option<String>,
     /// Token range of the body, inclusive of its braces.
     pub body: Range<usize>,
-    /// 1-based line of the `fn` keyword.
-    pub line: u32,
 }
 
 /// Collects every in-scope function of every file. Order is
@@ -183,7 +180,6 @@ fn collect_file(fi: usize, file: &SourceFile, out: &mut Vec<FnInfo>) {
             name: name_tok.text.clone(),
             owner,
             body: code[open]..code[close] + 1,
-            line: t.line,
         });
     }
 }

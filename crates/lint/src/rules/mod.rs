@@ -8,9 +8,5 @@
 
 pub mod blocking;
 pub mod blocking_transitive;
-pub mod completion_once;
 pub mod drift;
-pub mod lock_order;
-pub mod panic_path;
-pub mod retry_backoff;
 pub mod unsafety;

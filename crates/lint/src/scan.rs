@@ -7,6 +7,7 @@
 //! findings can report exact lines.
 
 use crate::lexer::{lex, Tok, TokKind};
+use crate::model::matching_brace;
 use std::ops::Range;
 
 /// One source file as the linter sees it: path, raw text, tokens.
@@ -68,7 +69,7 @@ impl SourceFile {
                     j += 1;
                 }
                 if let Some(open) = open {
-                    if let Some(close) = self.matching_brace(&code, open) {
+                    if let Some(close) = matching_brace(self, &code, open) {
                         out.push(code[k]..code[close] + 1);
                         k = close;
                         continue;
@@ -78,22 +79,6 @@ impl SourceFile {
             k += 1;
         }
         out
-    }
-
-    /// Index (into `code`) of the `}` matching the `{` at `code[open]`.
-    fn matching_brace(&self, code: &[usize], open: usize) -> Option<usize> {
-        let mut depth = 0i64;
-        for (j, &ti) in code.iter().enumerate().skip(open) {
-            if self.toks[ti].is_punct('{') {
-                depth += 1;
-            } else if self.toks[ti].is_punct('}') {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(j);
-                }
-            }
-        }
-        None
     }
 
     /// Token range (inclusive of braces) of the body of `fn name`.
@@ -111,7 +96,7 @@ impl SourceFile {
                 // First `{` after the name opens the body (none of the
                 // scanned signatures carry braces before it).
                 let open = (k + 2..code.len()).find(|&j| self.toks[code[j]].is_punct('{'))?;
-                let close = self.matching_brace(&code, open)?;
+                let close = matching_brace(self, &code, open)?;
                 return Some(code[open]..code[close] + 1);
             }
         }

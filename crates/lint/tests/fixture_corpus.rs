@@ -3,10 +3,7 @@
 
 use ares_lint::callgraph::Analysis;
 use ares_lint::findings::{Allows, Finding};
-use ares_lint::rules::{
-    blocking, blocking_transitive, completion_once, drift, lock_order, panic_path, retry_backoff,
-    unsafety,
-};
+use ares_lint::rules::{blocking, blocking_transitive, drift, unsafety};
 use ares_lint::scan::SourceFile;
 
 fn fixture(name: &str) -> SourceFile {
@@ -19,19 +16,6 @@ fn fixture(name: &str) -> SourceFile {
 /// annotations — the same pipeline `ares_lint::run` applies.
 fn with_allows(file: &SourceFile, raw: Vec<Finding>) -> Vec<Finding> {
     Allows::collect(file).filter(raw)
-}
-
-#[test]
-fn net_panic_fires_on_trip() {
-    let f = fixture("net_panic_trip");
-    let out = with_allows(&f, panic_path::check(&f));
-    assert!(out.len() >= 5, "index + unwrap + expect + panic! + todo! must fire: {out:?}");
-}
-
-#[test]
-fn net_panic_silent_on_pass() {
-    let f = fixture("net_panic_pass");
-    assert_eq!(with_allows(&f, panic_path::check(&f)), vec![]);
 }
 
 #[test]
@@ -63,20 +47,19 @@ fn unsafe_safety_silent_on_pass() {
     assert_eq!(with_allows(&f, unsafety::check(&f)), vec![]);
 }
 
-/// Runs an interprocedural rule over a single-file fixture, filtered
-/// through the fixture's own allow annotations like `ares_lint::run`.
-fn run_interprocedural(name: &str, rule: impl Fn(&Analysis<'_>) -> Vec<Finding>) -> Vec<Finding> {
+/// Runs `loop-blocking-transitive` over a single-file fixture rooted
+/// at its `event_loop`, filtered through the fixture's own allow
+/// annotations like `ares_lint::run`.
+fn run_transitive(name: &str) -> Vec<Finding> {
     let files = vec![fixture(name)];
     let a = Analysis::build(&files);
-    let raw = rule(&a);
+    let raw = blocking_transitive::check(&a, &format!("{name}.rs"), &["event_loop"]);
     Allows::collect(&files[0]).filter(raw)
 }
 
 #[test]
 fn loop_blocking_transitive_fires_on_trip() {
-    let out = run_interprocedural("loop_blocking_transitive_trip", |a| {
-        blocking_transitive::check(a, "loop_blocking_transitive_trip.rs", &["event_loop"])
-    });
+    let out = run_transitive("loop_blocking_transitive_trip");
     assert_eq!(out.len(), 1, "{out:?}");
     assert!(out[0].msg.contains("flush"), "{}", out[0].msg);
     assert!(out[0].msg.contains("event_loop → apply → send"), "{}", out[0].msg);
@@ -84,67 +67,8 @@ fn loop_blocking_transitive_fires_on_trip() {
 
 #[test]
 fn loop_blocking_transitive_silent_on_pass() {
-    let out = run_interprocedural("loop_blocking_transitive_pass", |a| {
-        blocking_transitive::check(a, "loop_blocking_transitive_pass.rs", &["event_loop"])
-    });
+    let out = run_transitive("loop_blocking_transitive_pass");
     assert_eq!(out, vec![], "allowed lock + spawned writer must stay silent: {out:?}");
-}
-
-#[test]
-fn lock_order_fires_on_trip() {
-    let out = run_interprocedural("lock_order_trip", lock_order::check);
-    assert_eq!(out.len(), 1, "{out:?}");
-    assert!(out[0].msg.contains("PeerPool::queues"), "{}", out[0].msg);
-    assert!(out[0].msg.contains("PeerPool::state"), "{}", out[0].msg);
-}
-
-#[test]
-fn lock_order_silent_on_pass() {
-    let out = run_interprocedural("lock_order_pass", lock_order::check);
-    assert_eq!(out, vec![], "consistent order / drop / extraction must stay silent: {out:?}");
-}
-
-#[test]
-fn retry_backoff_fires_on_trip() {
-    let out = run_interprocedural("retry_backoff_trip", retry_backoff::check);
-    assert_eq!(out.len(), 1, "{out:?}");
-    assert!(out[0].msg.contains("constant interval"), "{}", out[0].msg);
-}
-
-#[test]
-fn retry_backoff_silent_on_pass() {
-    let out = run_interprocedural("retry_backoff_pass", retry_backoff::check);
-    assert_eq!(out, vec![], "grown delay / passthrough / disarm must stay silent: {out:?}");
-}
-
-#[test]
-fn retry_backoff_fires_on_a_bare_rto() {
-    let out = run_interprocedural("retry_backoff_rto_trip", retry_backoff::check);
-    assert_eq!(out.len(), 1, "{out:?}");
-    assert!(out[0].msg.contains("constant interval"), "{}", out[0].msg);
-}
-
-#[test]
-fn retry_backoff_silent_on_a_grown_rto() {
-    let out = run_interprocedural("retry_backoff_rto_pass", retry_backoff::check);
-    assert_eq!(out, vec![], "{out:?}");
-}
-
-#[test]
-fn completion_once_fires_on_trip() {
-    let out = run_interprocedural("completion_once_trip", completion_once::check);
-    assert_eq!(out.len(), 2, "{out:?}");
-    assert!(out.iter().any(|f| f.msg.contains("unresolved")), "leak must fire: {out:?}");
-    assert!(
-        out.iter().any(|f| f.msg.contains("more than once")),
-        "double resolve must fire: {out:?}"
-    );
-}
-
-#[test]
-fn completion_once_silent_on_pass() {
-    let out = run_interprocedural("completion_once_pass", completion_once::check);
-    assert_eq!(out, vec![], "remove + transfer + divergence must stay silent: {out:?}");
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! Fuzz-style hardening of the lexer/scanner substrate.
 //!
-//! Every rule sits on the same foundation: a total lexer, brace/paren
+//! Both rules sit on the same foundation: a total lexer, brace/paren
 //! matching, and the model/callgraph builders. A panic anywhere in
 //! that substrate turns the lint into a CI outage on the next oddly
 //! shaped source file, so these properties drive arbitrary byte
@@ -70,8 +70,8 @@ fn check_matching(src: &str) {
     }
 }
 
-/// The whole rule driver is total — including the event-loop and
-/// panic-scope rules, which only engage on real workspace paths.
+/// The whole rule driver is total — including the direct event-loop
+/// rule, which only engages on the real event-loop path.
 fn check_pipeline(src: &str) {
     let files = vec![
         SourceFile::new("crates/net/src/host.rs", src.to_string()),

@@ -39,6 +39,8 @@
 //! force an allocation), frames above [`MAX_FRAME_LEN`] are rejected
 //! before buffering, and trailing garbage after a well-formed message is
 //! an error. Malformed input yields a [`DecodeError`] — never a panic.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+#![deny(clippy::todo, clippy::unimplemented, clippy::indexing_slicing)]
 
 use ares_codes::Fragment;
 use ares_consensus::{Ballot, ConMsg};
@@ -140,33 +142,31 @@ impl<'a> WireReader<'a> {
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
-        if n > self.remaining() {
-            return Err(DecodeError::UnexpectedEof);
-        }
-        // lint: allow(net-panic, reason = "in-bounds: n <= remaining() checked two lines above")
-        let s = &self.buf[self.pos..self.pos + n];
+        let s = self.buf.get(self.pos..self.pos.saturating_add(n));
+        let s = s.ok_or(DecodeError::UnexpectedEof)?;
         self.pos += n;
         Ok(s)
     }
 
+    /// Reads the next `N` bytes as an array.
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
+        self.take(N)?.try_into().map_err(|_| DecodeError::UnexpectedEof)
+    }
+
     /// Reads one byte.
     pub fn u8(&mut self) -> Result<u8, DecodeError> {
-        // lint: allow(net-panic, reason = "in-bounds: take(1) returned exactly one byte")
-        Ok(self.take(1)?[0])
+        let [b] = self.array()?;
+        Ok(b)
     }
 
     /// Reads a big-endian `u32`.
     pub fn u32(&mut self) -> Result<u32, DecodeError> {
-        let b = self.take(4)?;
-        // lint: allow(net-panic, reason = "in-bounds: take(4) returned exactly four bytes")
-        Ok(u32::from_be_bytes([b[0], b[1], b[2], b[3]]))
+        Ok(u32::from_be_bytes(self.array()?))
     }
 
     /// Reads a big-endian `u64`.
     pub fn u64(&mut self) -> Result<u64, DecodeError> {
-        let b = self.take(8)?;
-        // lint: allow(net-panic, reason = "in-bounds: take(8) returned exactly eight bytes")
-        Ok(u64::from_be_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
+        Ok(u64::from_be_bytes(self.array()?))
     }
 
     /// Reads a `u32`-length-prefixed byte string.
@@ -184,20 +184,10 @@ impl<'a> WireReader<'a> {
     /// decoders ([`Fragment`], [`Value`]) use this so a received coded
     /// element shares the frame's allocation instead of cloning it.
     pub fn byte_str_bytes(&mut self) -> Result<Bytes, DecodeError> {
-        let shared = self.shared;
-        let start_of_data = {
-            let len = self.u32()? as usize;
-            if len > self.remaining() {
-                return Err(DecodeError::UnexpectedEof);
-            }
-            let s = self.pos;
-            self.pos += len;
-            s
-        };
-        Ok(match shared {
-            Some(b) => b.slice(start_of_data..self.pos),
-            // lint: allow(net-panic, reason = "in-bounds: len validated against remaining() before pos advanced")
-            None => Bytes::copy_from_slice(&self.buf[start_of_data..self.pos]),
+        let s = self.byte_str()?;
+        Ok(match self.shared {
+            Some(b) => b.slice(self.pos - s.len()..self.pos),
+            None => Bytes::copy_from_slice(s),
         })
     }
 
@@ -595,8 +585,9 @@ pub fn try_encode_frame(from: ProcessId, msg: &Msg) -> Result<Vec<u8>, DecodeErr
     if payload_len > MAX_FRAME_LEN {
         return Err(DecodeError::FrameTooLarge(payload_len));
     }
-    // lint: allow(net-panic, reason = "in-bounds: out begins with the 4-byte placeholder pushed above")
-    out[..4].copy_from_slice(&(payload_len as u32).to_be_bytes());
+    if let Some(prefix) = out.first_chunk_mut() {
+        *prefix = (payload_len as u32).to_be_bytes();
+    }
     Ok(out)
 }
 
@@ -608,8 +599,8 @@ pub fn try_encode_frame(from: ProcessId, msg: &Msg) -> Result<Vec<u8>, DecodeErr
 /// Panics if the encoded payload exceeds [`MAX_FRAME_LEN`]; callers
 /// that must stay alive on oversized messages use
 /// [`try_encode_frame`].
+#[expect(clippy::expect_used, reason = "documented panic; local messages only")]
 pub fn encode_frame(from: ProcessId, msg: &Msg) -> Vec<u8> {
-    // lint: allow(net-panic, reason = "documented panic contract (# Panics); encodes local messages, never network bytes")
     try_encode_frame(from, msg).expect("frame exceeds MAX_FRAME_LEN")
 }
 

@@ -14,6 +14,8 @@
 //! [`ClusterFault`] and [`FaultScript`] are the scriptable layer:
 //! `testing::LocalCluster` applies them, and load generators drive a
 //! script thread against a running workload.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+#![deny(clippy::todo, clippy::unimplemented, clippy::indexing_slicing)]
 
 use ares_types::ProcessId;
 use std::collections::HashSet;
@@ -26,10 +28,7 @@ use std::time::Duration;
 /// and outbound pool. All methods are cheap and thread-safe; the hot
 /// path (no faults active) costs two atomic loads and no locks.
 pub(crate) struct FaultControls {
-    /// Peers this host must not *send* to (frames dropped at the pool).
-    outbound_cut: Mutex<HashSet<ProcessId>>,
-    /// Peers this host must not *hear* (frames dropped after decode).
-    inbound_cut: Mutex<HashSet<ProcessId>>,
+    cuts: Mutex<Cuts>,
     /// Nonzero while either cut set is non-empty (lock-free fast path).
     cuts_active: AtomicU64,
     /// Per-frame injected latency in µs (gray node); 0 = healthy.
@@ -38,47 +37,46 @@ pub(crate) struct FaultControls {
     frames_cut: AtomicU64,
 }
 
+/// The cut links of one host, under one lock.
+#[derive(Default)]
+struct Cuts {
+    /// Peers this host must not *send* to (frames dropped at the pool).
+    outbound: HashSet<ProcessId>,
+    /// Peers this host must not *hear* (frames dropped after decode).
+    inbound: HashSet<ProcessId>,
+}
+
 impl FaultControls {
     pub(crate) fn new() -> Arc<Self> {
         Arc::new(FaultControls {
-            outbound_cut: Mutex::new(HashSet::new()),
-            inbound_cut: Mutex::new(HashSet::new()),
+            cuts: Mutex::new(Cuts::default()),
             cuts_active: AtomicU64::new(0),
             slow_micros: AtomicU64::new(0),
             frames_cut: AtomicU64::new(0),
         })
     }
 
-    fn refresh_active(&self, out: &HashSet<ProcessId>, inb: &HashSet<ProcessId>) {
-        let active = !out.is_empty() || !inb.is_empty();
+    /// Applies `change` to the cut sets and refreshes the fast-path flag.
+    fn update(&self, change: impl FnOnce(&mut Cuts)) {
+        let mut cuts = crate::sync::lock(&self.cuts);
+        change(&mut cuts);
+        let active = !cuts.outbound.is_empty() || !cuts.inbound.is_empty();
         self.cuts_active.store(active as u64, Ordering::SeqCst);
     }
 
     /// Cuts this host's sends toward `peers`.
     pub(crate) fn cut_outbound(&self, peers: impl IntoIterator<Item = ProcessId>) {
-        // Lock order: outbound before inbound, everywhere.
-        let mut out = crate::sync::lock(&self.outbound_cut);
-        out.extend(peers);
-        let inb = crate::sync::lock(&self.inbound_cut);
-        self.refresh_active(&out, &inb);
+        self.update(|c| c.outbound.extend(peers));
     }
 
     /// Cuts this host's reception of frames from `peers`.
     pub(crate) fn cut_inbound(&self, peers: impl IntoIterator<Item = ProcessId>) {
-        // Lock order: outbound before inbound, everywhere.
-        let out = crate::sync::lock(&self.outbound_cut);
-        let mut inb = crate::sync::lock(&self.inbound_cut);
-        inb.extend(peers);
-        self.refresh_active(&out, &inb);
+        self.update(|c| c.inbound.extend(peers));
     }
 
     /// Restores every cut link of this host (slow-down is separate).
     pub(crate) fn heal(&self) {
-        let mut out = crate::sync::lock(&self.outbound_cut);
-        let mut inb = crate::sync::lock(&self.inbound_cut);
-        out.clear();
-        inb.clear();
-        self.cuts_active.store(0, Ordering::SeqCst);
+        self.update(|c| *c = Cuts::default());
     }
 
     /// Sets the per-frame injected latency (0 restores full speed).
@@ -96,7 +94,7 @@ impl FaultControls {
         if self.cuts_active.load(Ordering::SeqCst) == 0 {
             return false;
         }
-        let cut = crate::sync::lock(&self.outbound_cut).contains(&to);
+        let cut = crate::sync::lock(&self.cuts).outbound.contains(&to);
         if cut {
             self.frames_cut.fetch_add(1, Ordering::Relaxed);
         }
@@ -108,7 +106,7 @@ impl FaultControls {
         if self.cuts_active.load(Ordering::SeqCst) == 0 {
             return false;
         }
-        let cut = crate::sync::lock(&self.inbound_cut).contains(&from);
+        let cut = crate::sync::lock(&self.cuts).inbound.contains(&from);
         if cut {
             self.frames_cut.fetch_add(1, Ordering::Relaxed);
         }

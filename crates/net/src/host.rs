@@ -15,6 +15,8 @@
 //!
 //! Clients ([`crate::NetStore`]) use the same machinery with `S = 1`:
 //! their command lanes and completion routing assume one loop.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+#![deny(clippy::todo, clippy::unimplemented, clippy::indexing_slicing)]
 
 use crate::codec::{self, read_frame};
 use crate::faults::FaultControls;
@@ -265,14 +267,20 @@ impl PeerPool {
         queue.push(frame);
     }
 
+    /// The per-peer queues, copied out so no queue lock nests in the pool's.
+    fn queues(&self) -> Vec<(ProcessId, Arc<FrameQueue>)> {
+        crate::sync::lock(&self.queues).iter().map(|(pid, q)| (*pid, q.clone())).collect()
+    }
+
     /// Per-peer outbound queue depth and stalled-writer age, sorted by
     /// peer id so the snapshot is stable across calls.
     pub(crate) fn peer_stats(&self) -> Vec<PeerOutboundStats> {
-        let mut out: Vec<PeerOutboundStats> = crate::sync::lock(&self.queues)
-            .iter()
+        let mut out: Vec<PeerOutboundStats> = self
+            .queues()
+            .into_iter()
             .map(|(pid, q)| {
                 let (queue_depth, stalled_micros) = q.depth_and_stall();
-                PeerOutboundStats { peer: *pid, queue_depth, stalled_micros, dropped: q.dropped() }
+                PeerOutboundStats { peer: pid, queue_depth, stalled_micros, dropped: q.dropped() }
             })
             .collect();
         out.sort_by_key(|s| s.peer);
@@ -286,20 +294,15 @@ impl PeerPool {
     /// snapshot can never observe `frames_sent < batches_flushed` —
     /// every counted batch carried ≥ 1 frame.
     pub(crate) fn stats(&self) -> (u64, u64, u64, u64) {
-        let dropped = crate::sync::lock(&self.queues).values().map(|q| q.dropped()).sum::<u64>();
+        let dropped = self.queues().iter().map(|(_, q)| q.dropped()).sum::<u64>();
         let batches = self.counters.batches_flushed.load(Ordering::SeqCst);
         let frames = self.counters.frames_sent.load(Ordering::SeqCst);
         (batches, frames, self.counters.frames_abandoned.load(Ordering::Relaxed), dropped)
     }
 
     #[cfg(test)]
-    fn queue_len(&self, to: ProcessId) -> usize {
-        crate::sync::lock(&self.queues).get(&to).map_or(0, |q| q.len())
-    }
-
-    #[cfg(test)]
-    fn queue_dropped(&self, to: ProcessId) -> u64 {
-        crate::sync::lock(&self.queues).get(&to).map_or(0, |q| q.dropped())
+    fn queue(&self, to: ProcessId) -> Arc<FrameQueue> {
+        crate::sync::lock(&self.queues).get(&to).cloned().expect("a queue toward the peer")
     }
 }
 
@@ -307,7 +310,7 @@ impl Drop for PeerPool {
     fn drop(&mut self) {
         // Wake and retire every writer thread (they hold only their own
         // queue Arc, so closing is what ends them).
-        for q in crate::sync::lock(&self.queues).values() {
+        for (_, q) in self.queues() {
             q.close();
         }
     }
@@ -648,7 +651,7 @@ pub(crate) struct ShardedHost<A: Actor<Msg> + Send + 'static> {
 impl<A: Actor<Msg> + Send + 'static> ShardedHost<A> {
     /// Starts a host with one shard per element of `actors`, routing
     /// messages between them with `router`.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "one argument per host component")]
     pub(crate) fn start(
         pid: ProcessId,
         actors: Vec<(A, Option<ShardWal<A>>)>,
@@ -985,7 +988,7 @@ fn reader_loop<A: Actor<Msg> + Send + 'static>(
 /// **before** it is applied (write-ahead), and the pending group-commit
 /// batch is fsynced as the loop goes idle — so under batched fsync the
 /// durability lag is bounded by the busy burst, not by wall clock.
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments, reason = "the shard thread's whole context, moved in once")]
 fn event_loop<A: Actor<Msg> + Send + 'static>(
     pid: ProcessId,
     shard: usize,
@@ -1353,10 +1356,10 @@ mod tests {
             pool.send(ProcessId(2), frame.clone());
         }
         assert!(
-            pool.queue_len(ProcessId(2)) <= OUTBOUND_HIGH_WATER,
+            pool.queue(ProcessId(2)).len() <= OUTBOUND_HIGH_WATER,
             "unreachable peer must not accumulate frames past the high-water mark"
         );
-        assert!(pool.queue_dropped(ProcessId(2)) > 0, "overflow drops, not growth");
+        assert!(pool.queue(ProcessId(2)).dropped() > 0, "overflow drops, not growth");
         let (_, _, _, evicted) = pool.stats();
         assert!(evicted > 0, "drop-oldest evictions must surface in the stats snapshot");
     }
@@ -1405,8 +1408,9 @@ mod tests {
         let value = Value::filler(1 << 20, 3);
         let msgs: Vec<Msg> = (0..5).map(|_| write_msg(value.clone())).collect();
         for m in &msgs {
-            let Msg::Dap(d) = m else { unreachable!() };
-            let DapBody::AbdWrite(_, v) = &d.body else { unreachable!() };
+            let Msg::Dap(DapMsg { body: DapBody::AbdWrite(_, v), .. }) = m else {
+                panic!("write_msg builds an ABD write")
+            };
             assert!(
                 bytes::Bytes::shares_allocation(value.bytes(), v.bytes()),
                 "broadcast clone must share the value allocation"

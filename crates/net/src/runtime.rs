@@ -34,6 +34,8 @@
 //! semantics of `ares-sim`'s crash/recover schedule. A blank-state
 //! restart composes with the fragment-repair protocol via
 //! [`ShardedNode::replace_blank`].
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+#![deny(clippy::todo, clippy::unimplemented, clippy::indexing_slicing)]
 
 use crate::codec;
 use crate::host::{Admission, CompletionSink, NodeStats, ShardedHost};
@@ -168,7 +170,7 @@ impl ShardedNode {
     /// # Panics
     ///
     /// Panics if `shards` is zero.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "one argument per independent deployment choice")]
     pub fn serve_sharded(
         me: ProcessId,
         registry: Arc<ConfigRegistry>,
@@ -392,9 +394,38 @@ struct TicketCell {
     cv: Condvar,
 }
 
-impl TicketCell {
-    fn new() -> Arc<Self> {
-        Arc::new(TicketCell { slot: Mutex::new(None), cv: Condvar::new() })
+/// A ticket's entry in the router. Not `Clone`, and withdrawn on drop
+/// unless the completion was delivered (the sink removed it then), so an
+/// entry can neither leak nor be resolved twice.
+struct Claim {
+    op: OpId,
+    cell: Arc<TicketCell>,
+    shared: Arc<RouteShared>,
+    /// The router may still hold the entry.
+    registered: bool,
+}
+
+impl Claim {
+    /// Routes `op`'s completion to a fresh cell.
+    fn register(shared: &Arc<RouteShared>, op: OpId) -> Claim {
+        let cell = Arc::new(TicketCell { slot: Mutex::new(None), cv: Condvar::new() });
+        crate::sync::lock(&shared.router).insert(op, cell.clone());
+        Claim { op, cell, shared: shared.clone(), registered: true }
+    }
+
+    /// Removes the entry; `false` when the router had already taken it
+    /// to fill the cell.
+    fn withdraw(&mut self) -> bool {
+        self.registered = false;
+        crate::sync::lock(&self.shared.router).remove(&self.op).is_some()
+    }
+}
+
+impl Drop for Claim {
+    fn drop(&mut self) {
+        if self.registered {
+            self.withdraw();
+        }
     }
 }
 
@@ -573,32 +604,27 @@ impl StoreSession for NetSession {
         let seq = session_op_seq(self.id, self.next);
         self.next += 1;
         let op = OpId { client: self.inner.pid, seq };
-        let cell = TicketCell::new();
         // Claim the route *before* injecting: the completion can never
-        // arrive unrouted.
-        crate::sync::lock(&self.inner.shared.router).insert(op, cell.clone());
-        {
-            let host = crate::sync::lock(&self.inner.host);
-            let Some(h) = host.as_ref() else {
-                crate::sync::lock(&self.inner.shared.router).remove(&op);
-                return Err(OpError::Closed);
-            };
-            h.inject(ENV, Msg::Invoke(Invoke { session: self.id, seq, cmd }));
-        }
-        Ok(NetTicket { op, cell, inner: self.inner.clone() })
+        // arrive unrouted. On a closed store the claim drops (after the
+        // host guard) and takes the route with it.
+        let claim = Claim::register(&self.inner.shared, op);
+        let host = crate::sync::lock(&self.inner.host);
+        let Some(h) = host.as_ref() else { return Err(OpError::Closed) };
+        h.inject(ENV, Msg::Invoke(Invoke { session: self.id, seq, cmd }));
+        Ok(NetTicket { claim, inner: self.inner.clone() })
     }
 }
 
-/// Claim ticket for one operation submitted to a [`NetStore`].
+/// Claim ticket for one operation submitted to a [`NetStore`]. Dropping
+/// it unwaited withdraws the operation's route.
 pub struct NetTicket {
-    op: OpId,
-    cell: Arc<TicketCell>,
+    claim: Claim,
     inner: Arc<StoreInner>,
 }
 
 impl std::fmt::Debug for NetTicket {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("NetTicket").field("op", &self.op).finish_non_exhaustive()
+        f.debug_struct("NetTicket").field("op", &self.claim.op).finish_non_exhaustive()
     }
 }
 
@@ -616,11 +642,12 @@ impl NetTicket {
     /// # Errors
     ///
     /// [`OpError::Timeout`] if no completion is routed in time.
-    pub fn wait_for(self, timeout: Duration) -> Result<OpCompletion, OpError> {
-        let deadline = Instant::now() + timeout;
-        let mut slot = crate::sync::lock(&self.cell.slot);
+    pub fn wait_for(mut self, timeout: Duration) -> Result<OpCompletion, OpError> {
+        let (deadline, op) = (Instant::now() + timeout, self.claim.op);
+        let mut slot = crate::sync::lock(&self.claim.cell.slot);
         loop {
             if let Some(c) = slot.take() {
+                self.claim.registered = false;
                 return Ok(c);
             }
             let now = Instant::now();
@@ -628,12 +655,10 @@ impl NetTicket {
                 drop(slot);
                 // Withdraw the route; if the sink already claimed it the
                 // fill is imminent — take it after all.
-                let withdrawn =
-                    crate::sync::lock(&self.inner.shared.router).remove(&self.op).is_some();
-                if withdrawn {
-                    return Err(OpError::Timeout { op: self.op });
+                if self.claim.withdraw() {
+                    return Err(OpError::Timeout { op });
                 }
-                slot = crate::sync::lock(&self.cell.slot);
+                slot = crate::sync::lock(&self.claim.cell.slot);
                 loop {
                     // Predicate first: Condvar can report timed_out even
                     // when the sink filled the slot during the wait, and
@@ -641,18 +666,22 @@ impl NetTicket {
                     if let Some(c) = slot.take() {
                         return Ok(c);
                     }
-                    let (guard, t) =
-                        crate::sync::cv_wait_timeout(&self.cell.cv, slot, Duration::from_secs(1));
+                    let (guard, t) = crate::sync::cv_wait_timeout(
+                        &self.claim.cell.cv,
+                        slot,
+                        Duration::from_secs(1),
+                    );
                     slot = guard;
                     if t.timed_out() {
                         if let Some(c) = slot.take() {
                             return Ok(c);
                         }
-                        return Err(OpError::Timeout { op: self.op });
+                        return Err(OpError::Timeout { op });
                     }
                 }
             }
-            let (guard, _) = crate::sync::cv_wait_timeout(&self.cell.cv, slot, deadline - now);
+            let (guard, _) =
+                crate::sync::cv_wait_timeout(&self.claim.cell.cv, slot, deadline - now);
             slot = guard;
         }
     }
@@ -660,16 +689,48 @@ impl NetTicket {
 
 impl OpTicket for NetTicket {
     fn op(&self) -> OpId {
-        self.op
+        self.claim.op
     }
 
     /// Non-blocking poll. Returns the completion at most once.
     fn try_wait(&mut self) -> Option<Result<OpCompletion, OpError>> {
-        crate::sync::lock(&self.cell.slot).take().map(Ok)
+        let c = crate::sync::lock(&self.claim.cell.slot).take()?;
+        self.claim.registered = false;
+        Some(Ok(c))
     }
 
     fn wait(self) -> Result<OpCompletion, OpError> {
         let timeout = *crate::sync::lock(&self.inner.op_timeout);
         self.wait_for(timeout)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ares_types::{ConfigId, Configuration};
+
+    /// A store whose servers never start: its operations stay in flight
+    /// until their tickets go.
+    fn store() -> NetStore {
+        let servers = (1..=3).map(ProcessId).collect();
+        let registry = ConfigRegistry::from_configs([Configuration::abd(ConfigId(0), servers)]);
+        let (config, book) = (ClientConfig::new(ConfigId(0)), Arc::new(AddrBook::new()));
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        NetStore::serve(ProcessId(100), registry, config, book, listener, Instant::now()).unwrap()
+    }
+
+    #[test]
+    fn a_dropped_ticket_and_a_closed_store_leave_no_route() {
+        let store = store();
+        let routes = || crate::sync::lock(&store.inner.shared.router).len();
+        let ticket = store.open_session().submit(ClientCmd::Read { obj: ObjectId(0) }).unwrap();
+        assert_eq!(routes(), 1);
+        drop(ticket);
+        assert_eq!(routes(), 0, "an unwaited ticket withdraws its route");
+        store.shutdown();
+        let submitted = store.open_session().submit(ClientCmd::Read { obj: ObjectId(0) });
+        assert!(matches!(submitted, Err(OpError::Closed)), "{submitted:?}");
+        assert_eq!(routes(), 0, "a failed submit withdraws its route");
     }
 }

@@ -9,6 +9,8 @@
 //! timers) without any external orchestration. Nodes can be killed and
 //! restarted mid-run to exercise fault paths, and their runtime
 //! counters snapshot via [`LocalCluster::node_stats`].
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+#![deny(clippy::todo, clippy::unimplemented, clippy::indexing_slicing)]
 
 use crate::faults::{ClusterFault, FaultControls, FaultScript};
 use crate::runtime::{AddrBook, NetStore, ShardedNode, ENV};
@@ -105,8 +107,8 @@ impl ClusterBuilder {
 
     /// Binds every port, starts every node, connects every client.
     pub fn start(self) -> io::Result<LocalCluster> {
-        // lint: allow(net-panic, reason = "documented harness contract: builder requires at least one configuration, local input only")
-        let c0 = self.configs[0].id;
+        let c0 = self.configs.first().map(|c| c.id);
+        let c0 = c0.ok_or_else(|| io::Error::other("a deployment needs at least c_0"))?;
         let server_pids: BTreeSet<ProcessId> =
             self.configs.iter().flat_map(|c| c.servers.iter().copied()).collect();
         let registry = ConfigRegistry::from_configs(self.configs);
@@ -114,12 +116,13 @@ impl ClusterBuilder {
         // Bind all listeners first so the address book is complete
         // before any runtime starts sending.
         let mut book = AddrBook::new();
-        let mut listeners: HashMap<ProcessId, TcpListener> = HashMap::new();
+        let mut listeners: Vec<TcpListener> = Vec::new();
         for &pid in server_pids.iter().chain(&self.clients) {
             let l = TcpListener::bind("127.0.0.1:0")?;
             book.insert(pid, l.local_addr()?);
-            listeners.insert(pid, l);
+            listeners.push(l);
         }
+        let mut listeners = listeners.into_iter();
         let book = Arc::new(book);
         let epoch = Instant::now();
 
@@ -132,9 +135,7 @@ impl ClusterBuilder {
         };
 
         let mut nodes = HashMap::new();
-        for &pid in &server_pids {
-            // lint: allow(net-panic, reason = "infallible: every server pid was bound into `listeners` in the loop above")
-            let l = listeners.remove(&pid).expect("bound above");
+        for (&pid, l) in server_pids.iter().zip(listeners.by_ref()) {
             let durable = self
                 .wal
                 .zip(wal_root.as_ref())
@@ -152,13 +153,11 @@ impl ClusterBuilder {
             nodes.insert(pid, node);
         }
         let mut clients = HashMap::new();
-        for &pid in &self.clients {
+        for (&pid, l) in self.clients.iter().zip(listeners) {
             let mut cfg = ClientConfig::new(c0).with_objects(self.objects.clone());
             if self.direct_transfer {
                 cfg = cfg.with_direct_transfer();
             }
-            // lint: allow(net-panic, reason = "infallible: every client pid was bound into `listeners` in the loop above")
-            let l = listeners.remove(&pid).expect("bound above");
             clients
                 .insert(pid, NetStore::serve(pid, registry.clone(), cfg, book.clone(), l, epoch)?);
         }
@@ -216,8 +215,8 @@ impl LocalCluster {
     /// # Panics
     ///
     /// Panics if `pid` was not declared as a client.
+    #[expect(clippy::expect_used, reason = "documented panic: an undeclared client")]
     pub fn store(&self, pid: u32) -> &NetStore {
-        // lint: allow(net-panic, reason = "documented panic contract (# Panics): harness lookup of a locally declared client")
         self.clients.get(&ProcessId(pid)).expect("declared client")
     }
 
@@ -227,8 +226,8 @@ impl LocalCluster {
     ///
     /// Panics if `pid` is not a server of this cluster — the contract
     /// every per-server method below documents.
+    #[expect(clippy::expect_used, reason = "documented panic: an undeclared server")]
     fn node(&self, pid: u32) -> &ShardedNode {
-        // lint: allow(net-panic, reason = "documented panic contract (# Panics): harness lookup of a locally declared server")
         self.nodes.get(&ProcessId(pid)).expect("server pid")
     }
 

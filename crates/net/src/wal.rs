@@ -25,6 +25,8 @@
 //! ([`ares_core::repair`]) already reconciles: recovery replays the
 //! local log, then repairs only the delta written while the node was
 //! down, instead of re-fetching every object from peers.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+#![deny(clippy::todo, clippy::unimplemented, clippy::indexing_slicing)]
 
 use crate::codec::{self, DecodeError, WireDecode, WireEncode, WireReader};
 use ares_core::{AcceptorSnap, Msg, NextCSnap, ServerActor, ServerSnapshot};

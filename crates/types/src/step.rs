@@ -20,7 +20,7 @@ pub struct Step<M, O> {
     pub output: Option<O>,
     /// If set, the engine wants to be woken after this delay (e.g. Paxos
     /// backoff, TREAS read retry).
-    pub timer_after: Option<Time>,
+    pub timer_after: Option<Delay>,
 }
 
 impl<M, O> Step<M, O> {
@@ -46,9 +46,14 @@ impl<M, O> Step<M, O> {
         self
     }
 
-    /// Adds a timer request (builder style).
+    /// Adds a timer request (builder style). The delay must come from a
+    /// [`Backoff`]; a bare time does not compile:
+    ///
+    /// ```compile_fail
+    /// let step: ares_types::Step<(), ()> = ares_types::Step::idle().with_timer(200);
+    /// ```
     #[must_use]
-    pub fn with_timer(mut self, after: Time) -> Self {
+    pub fn with_timer(mut self, after: Delay) -> Self {
         self.timer_after = Some(after);
         self
     }
@@ -70,6 +75,49 @@ impl<M, O> Default for Step<M, O> {
     }
 }
 
+/// A timer delay; only a [`Backoff`] makes one.
+#[derive(Debug, PartialEq, Eq)]
+pub struct Delay(Time);
+
+impl Delay {
+    /// The delay, in time units.
+    pub fn get(&self) -> Time {
+        self.0
+    }
+
+    /// This delay plus a constant `offset` (a Paxos proposer's tie-break).
+    #[must_use]
+    pub fn plus(self, offset: Time) -> Delay {
+        Delay(self.0 + offset)
+    }
+}
+
+/// A retry timer's backoff: attempt `r` waits `base << min(r, 6)`, and
+/// only [`Backoff::rearm`] advances `r`. The base is passed at every arm,
+/// so a moving one (the client's measured RTO) is read afresh.
+#[derive(Debug, Default)]
+pub struct Backoff {
+    attempts: u32,
+}
+
+impl Backoff {
+    /// The current attempt's delay: a phase's first transmission.
+    pub fn arm(&self, base: Time) -> Delay {
+        Delay(base << self.attempts.min(6))
+    }
+
+    /// Counts one more attempt and returns its delay: a retransmission.
+    pub fn rearm(&mut self, base: Time) -> Delay {
+        self.attempts += 1;
+        self.arm(base)
+    }
+
+    /// Attempts counted so far.
+    pub fn attempts(&self) -> u32 {
+        self.attempts
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -77,10 +125,10 @@ mod tests {
     #[test]
     fn builders_compose() {
         let s: Step<&str, u32> =
-            Step::done(7).with_sends(vec![(ProcessId(1), "hello")]).with_timer(10);
+            Step::done(7).with_sends(vec![(ProcessId(1), "hello")]).with_timer(Delay(10));
         assert_eq!(s.output, Some(7));
         assert_eq!(s.sends.len(), 1);
-        assert_eq!(s.timer_after, Some(10));
+        assert_eq!(s.timer_after, Some(Delay(10)));
         assert!(!s.is_idle());
         assert!(Step::<(), ()>::idle().is_idle());
     }
@@ -90,5 +138,13 @@ mod tests {
         let s: Step<(), u32> = Step::done(21);
         let s2 = s.map(|x| x * 2);
         assert_eq!(s2.output, Some(42));
+    }
+
+    #[test]
+    fn backoff_doubles_per_rearm_up_to_the_cap() {
+        let mut b = Backoff::default();
+        let grown: Vec<Time> = (0..9).map(|_| b.rearm(1).get()).collect();
+        assert_eq!((b.arm(200).get(), grown), (200 << 6, vec![2, 4, 8, 16, 32, 64, 64, 64, 64]));
+        assert_eq!((Backoff::default().arm(200), b.rearm(10).plus(3)), (Delay(200), Delay(643)));
     }
 }

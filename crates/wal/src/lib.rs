@@ -43,6 +43,8 @@
 //! update is a monotone merge (tag-ordered writes, ballot-ordered
 //! promises, ⊥→Pending→Finalized config installs); dropping a suffix
 //! only loses recency, which the delta-repair pass restores.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+#![deny(clippy::todo, clippy::unimplemented, clippy::indexing_slicing)]
 
 use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
@@ -67,6 +69,7 @@ pub const RECORD_HEADER_LEN: usize = 8;
 /// Slice-by-8 tables: `CRC_TABLES[0]` is the classic byte table, and
 /// `CRC_TABLES[k][b]` is the CRC of byte `b` followed by `k` zero bytes,
 /// so eight lookups retire eight input bytes at once.
+#[expect(clippy::indexing_slicing, reason = "every index is bounded by its loop or & 0xFF")]
 const CRC_TABLES: [[u32; 256]; 8] = {
     let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
@@ -77,7 +80,6 @@ const CRC_TABLES: [[u32; 256]; 8] = {
             c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        // lint: allow(net-panic, reason = "const table build: i < 256 by the loop bound")
         tables[0][i] = c;
         i += 1;
     }
@@ -85,9 +87,7 @@ const CRC_TABLES: [[u32; 256]; 8] = {
     while k < 8 {
         let mut i = 0;
         while i < 256 {
-            // lint: allow(net-panic, reason = "const table build: 1 <= k < 8 and i < 256 by the loop bounds")
             let prev = tables[k - 1][i];
-            // lint: allow(net-panic, reason = "const table build: index masked with & 0xFF; k < 8, i < 256 by the loop bounds")
             tables[k][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
             i += 1;
         }
@@ -102,8 +102,8 @@ const CRC_TABLES: [[u32; 256]; 8] = {
 /// crate; slice-by-8, so a 64 KiB record costs eight table lookups per
 /// eight bytes instead of a dependent lookup per byte.
 pub fn crc32(mut bytes: &[u8]) -> u32 {
+    #[expect(clippy::indexing_slicing, reason = "a u8 always indexes a 256-entry table")]
     fn at(table: &[u32; 256], b: u8) -> u32 {
-        // lint: allow(net-panic, reason = "a u8 indexes a 256-entry table — bounds hold by construction")
         table[usize::from(b)]
     }
     let [t0, t1, t2, t3, t4, t5, t6, t7] = &CRC_TABLES;

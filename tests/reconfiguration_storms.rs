@@ -100,6 +100,29 @@ fn reconfig_to_the_current_configuration_is_a_noop() {
 }
 
 #[test]
+fn a_reconfig_with_no_objects_goes_straight_to_finalize() {
+    // `ClientConfig::objects` is a public field: nothing keeps it
+    // non-empty. update-config then migrates nothing, as Alg. 5 over an
+    // empty object set would, and finalize-config follows at once.
+    let registry = ConfigRegistry::from_configs([
+        Configuration::abd(ConfigId(0), (1..=3).map(ProcessId).collect()),
+        Configuration::abd(ConfigId(1), (4..=6).map(ProcessId).collect()),
+    ]);
+    let mut w: World<Msg> = World::new(NetworkConfig::uniform(10, 50), 7);
+    for s in (1..=6).map(ProcessId) {
+        w.add_actor(s, ServerActor::new(s, registry.clone()));
+    }
+    let config = ClientConfig { objects: Vec::new(), ..ClientConfig::new(ConfigId(0)) };
+    w.add_actor(ProcessId(200), ClientActor::new(registry, config));
+    let cmd = ClientCmd::Recon { target: ConfigId(1) };
+    let invoke = Invoke { session: SessionId(0), seq: session_op_seq(SessionId(0), 0), cmd };
+    w.post(0, ProcessId(0), ProcessId(200), Msg::Invoke(invoke));
+    assert_eq!(w.run(), RunOutcome::Quiescent);
+    let installed: Vec<_> = w.take_completions().iter().map(|c| c.installed).collect();
+    assert_eq!(installed, vec![Some(ConfigId(1))]);
+}
+
+#[test]
 fn writes_catch_up_with_chain() {
     // A write begins while reconfigurers extend the chain; Alg. 7's
     // put-data / read-config loop must chase the sequence to its end.
