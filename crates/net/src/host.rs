@@ -1,5 +1,5 @@
-//! The sharded actor-hosting layer: listeners, shard event loops,
-//! timers, and the batching outbound writer pool.
+//! The sharded actor-hosting layer: listeners, shard event loops that
+//! own their timers, and the batching outbound writer pool.
 //!
 //! A host runs `S ≥ 1` **shards**, each an independent sequential event
 //! loop owning one actor instance — the multi-core generalization of
@@ -12,6 +12,9 @@
 //! writer threads drain their queue in batches: one `write`+`flush`
 //! pair per drained batch, not per frame — latency-neutral when idle
 //! (an empty queue flushes immediately), syscall-collapsing under load.
+//! A thread is woken only when it sleeps: a shard loop parks on its
+//! inbox until its earliest timer, and a writer is woken once per
+//! idle→busy transition of its queue, not once per frame.
 //!
 //! Clients ([`crate::NetStore`]) use the same machinery with `S = 1`:
 //! their command lanes and completion routing assume one loop.
@@ -20,6 +23,7 @@
 
 use crate::codec::{self, read_frame};
 use crate::faults::FaultControls;
+use crate::sync::Signal;
 use crate::wal::ShardWal;
 use ares_core::Msg;
 use ares_sim::{Actor, Ctx, HostEffect};
@@ -32,73 +36,10 @@ use std::collections::{BinaryHeap, HashMap};
 use std::io::{self, BufReader, IoSlice, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-// ---------------------------------------------------------------------
-// Timer thread
-// ---------------------------------------------------------------------
-
-struct TimerState {
-    heap: BinaryHeap<Reverse<(Instant, u64)>>,
-    shutdown: bool,
-}
-
-pub(crate) struct Timers {
-    state: Mutex<TimerState>,
-    cv: Condvar,
-}
-
-impl Timers {
-    pub(crate) fn new() -> Arc<Self> {
-        Arc::new(Timers {
-            state: Mutex::new(TimerState { heap: BinaryHeap::new(), shutdown: false }),
-            cv: Condvar::new(),
-        })
-    }
-
-    fn arm(&self, deadline: Instant, token: u64) {
-        crate::sync::lock(&self.state).heap.push(Reverse((deadline, token)));
-        self.cv.notify_one();
-    }
-
-    fn clear(&self) {
-        crate::sync::lock(&self.state).heap.clear();
-    }
-
-    fn shutdown(&self) {
-        crate::sync::lock(&self.state).shutdown = true;
-        self.cv.notify_one();
-    }
-
-    /// Runs until shutdown, delivering due tokens through `fire`.
-    pub(crate) fn run(&self, fire: impl Fn(u64)) {
-        let mut st = crate::sync::lock(&self.state);
-        loop {
-            if st.shutdown {
-                return;
-            }
-            let now = Instant::now();
-            match st.heap.peek().copied() {
-                None => {
-                    st = crate::sync::cv_wait(&self.cv, st);
-                }
-                Some(Reverse((deadline, token))) if deadline <= now => {
-                    st.heap.pop();
-                    drop(st);
-                    fire(token);
-                    st = crate::sync::lock(&self.state);
-                }
-                Some(Reverse((deadline, _))) => {
-                    let (guard, _) = crate::sync::cv_wait_timeout(&self.cv, st, deadline - now);
-                    st = guard;
-                }
-            }
-        }
-    }
-}
 
 // ---------------------------------------------------------------------
 // Outbound peer pool
@@ -121,7 +62,7 @@ pub(crate) const OUTBOUND_HIGH_WATER: usize = 1024;
 /// copies.
 pub(crate) struct FrameQueue {
     state: Mutex<FrameQueueState>,
-    cv: Condvar,
+    ready: Signal,
 }
 
 struct FrameQueueState {
@@ -143,7 +84,7 @@ impl FrameQueue {
                 dropped: 0,
                 oldest_since: None,
             }),
-            cv: Condvar::new(),
+            ready: Signal::default(),
         })
     }
 
@@ -163,7 +104,9 @@ impl FrameQueue {
         }
         st.queue.push_back(frame);
         drop(st);
-        self.cv.notify_one();
+        // A syscall only while the writer is parked: a busy writer finds
+        // the frame when it next drains.
+        self.ready.notify_one();
     }
 
     /// Blocks for the next frame(s), draining **everything queued** into
@@ -180,13 +123,13 @@ impl FrameQueue {
             if st.closed {
                 return false;
             }
-            st = crate::sync::cv_wait(&self.cv, st);
+            st = self.ready.wait(st);
         }
     }
 
     pub(crate) fn close(&self) {
         crate::sync::lock(&self.state).closed = true;
-        self.cv.notify_all();
+        self.ready.notify_all();
     }
 
     #[cfg(test)]
@@ -474,9 +417,8 @@ pub(crate) enum Event<A> {
         /// inbound high-water mark (local loopback/injections do not).
         counted: bool,
     },
-    Timer {
-        token: u64,
-    },
+    /// Crash-stop: drop deliveries, and the timers armed so far, until
+    /// `Resume`.
     Pause,
     Resume,
     /// Swap in a replacement actor, and with it the shard's journaling
@@ -509,8 +451,8 @@ impl Admission {
 /// threads stall (propagating TCP backpressure to the peer) while this
 /// many network events are waiting on one shard, so a fast or hostile
 /// peer cannot grow the unbounded mpsc queue — and the decoded frames
-/// it holds — without limit. Local events (timers, self-sends,
-/// injections) bypass the gate; they are intrinsically bounded.
+/// it holds — without limit. Local events (self-sends, injections)
+/// bypass the gate; they are intrinsically bounded.
 const INBOUND_HIGH_WATER: usize = 4096;
 
 /// Live counters of one shard (atomics shared between the reader
@@ -598,7 +540,6 @@ impl NodeStats {
 /// One shard's handles held by the host.
 struct ShardHandle<A> {
     tx: Sender<Event<A>>,
-    timers: Arc<Timers>,
     inbound: Arc<AtomicUsize>,
     counters: Arc<ShardCounters>,
 }
@@ -682,7 +623,6 @@ impl<A: Actor<Msg> + Send + 'static> ShardedHost<A> {
             let (tx, rx) = mpsc::channel::<Event<A>>();
             shards.push(ShardHandle {
                 tx,
-                timers: Timers::new(),
                 inbound: Arc::new(AtomicUsize::new(0)),
                 counters: Arc::new(ShardCounters::default()),
             });
@@ -690,14 +630,13 @@ impl<A: Actor<Msg> + Send + 'static> ShardedHost<A> {
         }
         let txs: Vec<Sender<Event<A>>> = shards.iter().map(|s| s.tx.clone()).collect();
 
-        // One event loop + one timer thread per shard.
+        // One event loop per shard.
         let mut completions = completions;
         for (si, (((actor, wal), rx), shard)) in
             actors.into_iter().zip(rxs).zip(shards.iter()).enumerate()
         {
             let loopbacks = txs.clone();
             let pool = pool.clone();
-            let timers = shard.timers.clone();
             let inbound = shard.inbound.clone();
             let counters = shard.counters.clone();
             // Completions only ever come from client actors, which are
@@ -705,16 +644,9 @@ impl<A: Actor<Msg> + Send + 'static> ShardedHost<A> {
             let sink = if si == 0 { completions.take() } else { None };
             threads.push(std::thread::spawn(move || {
                 event_loop(
-                    pid, si, actor, wal, rx, loopbacks, router, pool, timers, epoch, sink, inbound,
+                    pid, si, actor, wal, rx, loopbacks, router, pool, epoch, sink, inbound,
                     counters,
                 );
-            }));
-            let tx = shard.tx.clone();
-            let timers = shard.timers.clone();
-            threads.push(std::thread::spawn(move || {
-                timers.run(|token| {
-                    let _ = tx.send(Event::Timer { token });
-                });
             }));
         }
 
@@ -771,7 +703,6 @@ impl<A: Actor<Msg> + Send + 'static> ShardedHost<A> {
     pub(crate) fn pause(&self) {
         self.paused.store(true, Ordering::SeqCst);
         for s in &self.shards {
-            s.timers.clear();
             let _ = s.tx.send(Event::Pause);
         }
     }
@@ -835,7 +766,6 @@ impl<A: Actor<Msg> + Send + 'static> ShardedHost<A> {
     pub(crate) fn shutdown(mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
         for s in &self.shards {
-            s.timers.shutdown();
             let _ = s.tx.send(Event::Shutdown);
         }
         // Unblock the accept loop: flip the shared socket nonblocking
@@ -980,9 +910,18 @@ fn reader_loop<A: Actor<Msg> + Send + 'static>(
     }
 }
 
-/// One shard's sequential actor driver: applies events in arrival order
-/// and maps the drained [`HostEffect`]s onto sockets, timers and the
-/// completion log.
+/// A shard's armed timers, earliest deadline on top.
+type TimerHeap = BinaryHeap<Reverse<(Instant, u64)>>;
+
+/// One shard's sequential actor driver: applies events in arrival order,
+/// fires the shard's timers, and maps the drained [`HostEffect`]s onto
+/// sockets, the timer heap and the completion log.
+///
+/// A due timer fires behind the deliveries already queued when it fell
+/// due, and is never starved by a busy inbox: the loop notes the
+/// shard's inbound backlog at that moment, and every timer due by then
+/// fires after that many more deliveries or once the inbox empties,
+/// whichever comes first.
 ///
 /// When the shard carries a [`ShardWal`], every delivery is journaled
 /// **before** it is applied (write-ahead), and the pending group-commit
@@ -998,7 +937,6 @@ fn event_loop<A: Actor<Msg> + Send + 'static>(
     loopbacks: Vec<Sender<Event<A>>>,
     router: ShardRouter,
     pool: Arc<PeerPool>,
-    timers: Arc<Timers>,
     epoch: Instant,
     completions: Option<CompletionSink>,
     inbound: Arc<AtomicUsize>,
@@ -1006,27 +944,66 @@ fn event_loop<A: Actor<Msg> + Send + 'static>(
 ) {
     let mut rng = StdRng::seed_from_u64(pid.0 as u64 ^ 0xA1E5_0000 ^ ((shard as u64) << 40));
     let mut paused = false;
+    let mut timers = TimerHeap::new();
+    // Once the earliest timer is due: when that was noticed, and the
+    // counted deliveries still to apply before the timers due by then.
+    let mut due: Option<(Instant, usize)> = None;
     loop {
-        let ev = match rx.try_recv() {
+        if let (None, Some(&Reverse((deadline, _)))) = (due, timers.peek()) {
+            let now = Instant::now();
+            if deadline <= now {
+                due = Some((now, inbound.load(Ordering::SeqCst)));
+            }
+        }
+        let next = match due {
+            Some((_, 0)) => Err(TryRecvError::Empty),
+            _ => rx.try_recv(),
+        };
+        let ev = match next {
             Ok(ev) => ev,
+            Err(TryRecvError::Disconnected) => return,
             Err(TryRecvError::Empty) => {
+                if let Some((noticed, _)) = due.take() {
+                    while let Some(&Reverse((deadline, token))) = timers.peek() {
+                        if deadline > noticed {
+                            break;
+                        }
+                        timers.pop();
+                        counters.events_applied.fetch_add(1, Ordering::SeqCst);
+                        let now: Time = epoch.elapsed().as_micros() as Time;
+                        let mut ctx = Ctx::detached(pid, now, &mut rng);
+                        actor.on_timer(token, &mut ctx);
+                        let effects = ctx.take_effects();
+                        apply(pid, effects, &loopbacks, router, &pool, &mut timers, &completions);
+                    }
+                    continue;
+                }
                 // Going idle: flush the journal's group-commit batch
                 // before parking, so batched fsync never leaves
                 // acknowledged records unsynced across an idle gap.
                 if let Some(w) = wal.as_mut() {
                     w.idle_sync();
                 }
+                // Until the earliest deadline; `Duration::MAX` (no timer
+                // armed) waits like `recv`.
+                let park_for = timers.peek().map_or(Duration::MAX, |Reverse((deadline, _))| {
+                    deadline.saturating_duration_since(Instant::now())
+                });
                 // lint: allow(loop-blocking, reason = "the loop's own park point: blocking here means the shard is idle, not stalled mid-event")
-                match rx.recv() {
+                match rx.recv_timeout(park_for) {
                     Ok(ev) => ev,
-                    Err(_) => return,
+                    Err(RecvTimeoutError::Timeout) => continue,
+                    Err(RecvTimeoutError::Disconnected) => return,
                 }
             }
-            Err(TryRecvError::Disconnected) => return,
         };
         match ev {
             Event::Shutdown => return,
-            Event::Pause => paused = true,
+            Event::Pause => {
+                paused = true;
+                timers.clear();
+                due = None;
+            }
             Event::Resume => paused = false,
             Event::Replace(a, w) => {
                 actor = a;
@@ -1035,6 +1012,9 @@ fn event_loop<A: Actor<Msg> + Send + 'static>(
             Event::Deliver { from, msg, counted } => {
                 if counted {
                     inbound.fetch_sub(1, Ordering::SeqCst);
+                    if let Some((_, owed)) = due.as_mut() {
+                        *owed = owed.saturating_sub(1);
+                    }
                 }
                 if paused {
                     continue;
@@ -1060,18 +1040,7 @@ fn event_loop<A: Actor<Msg> + Send + 'static>(
                 let mut ctx = Ctx::detached(pid, now, &mut rng);
                 actor.on_message(from, msg, &mut ctx);
                 let effects = ctx.take_effects();
-                apply(pid, effects, &loopbacks, router, &pool, &timers, &completions);
-            }
-            Event::Timer { token } => {
-                if paused {
-                    continue;
-                }
-                counters.events_applied.fetch_add(1, Ordering::SeqCst);
-                let now: Time = epoch.elapsed().as_micros() as Time;
-                let mut ctx = Ctx::detached(pid, now, &mut rng);
-                actor.on_timer(token, &mut ctx);
-                let effects = ctx.take_effects();
-                apply(pid, effects, &loopbacks, router, &pool, &timers, &completions);
+                apply(pid, effects, &loopbacks, router, &pool, &mut timers, &completions);
             }
         }
     }
@@ -1083,7 +1052,7 @@ fn apply<A>(
     loopbacks: &[Sender<Event<A>>],
     router: ShardRouter,
     pool: &PeerPool,
-    timers: &Timers,
+    timers: &mut TimerHeap,
     completions: &Option<CompletionSink>,
 ) {
     // Encode-once/send-many: a quorum broadcast arrives here as a run of
@@ -1127,7 +1096,7 @@ fn apply<A>(
                 pool.send(to, frame);
             }
             HostEffect::SetTimer { delay, token } => {
-                timers.arm(Instant::now() + Duration::from_micros(delay), token);
+                timers.push(Reverse((Instant::now() + Duration::from_micros(delay), token)));
             }
             HostEffect::Complete(c) => {
                 if let Some(sink) = completions {
@@ -1377,9 +1346,9 @@ mod tests {
         let (tx, _rx) = mpsc::channel::<Event<ServerActor>>();
         let loopbacks = vec![tx];
         let pool = PeerPool::new(Arc::new(AddrBook::new()), FaultControls::new());
-        let timers = Timers::new();
+        let mut timers = TimerHeap::new();
         let before = codec::frames_encoded();
-        apply(me, effects, &loopbacks, shard_of, &pool, &timers, &None);
+        apply(me, effects, &loopbacks, shard_of, &pool, &mut timers, &None);
         assert_eq!(
             codec::frames_encoded() - before,
             1,
@@ -1396,7 +1365,7 @@ mod tests {
             .collect();
         let (tx, _rx) = mpsc::channel::<Event<ServerActor>>();
         let before = codec::frames_encoded();
-        apply(me, effects, &[tx], shard_of, &pool, &timers, &None);
+        apply(me, effects, &[tx], shard_of, &pool, &mut timers, &None);
         assert_eq!(codec::frames_encoded() - before, 5);
     }
 
@@ -1418,5 +1387,195 @@ mod tests {
         }
         // 1 original + 5 clones, zero new allocations.
         assert_eq!(value.bytes().ref_count(), 6);
+    }
+
+    #[test]
+    fn a_burst_to_a_busy_writer_wakes_it_at_most_once() {
+        const B: u32 = 256;
+        let q = FrameQueue::new();
+        let (drained_tx, drained) = mpsc::channel();
+        let (release, released) = mpsc::channel::<()>();
+        let writer = {
+            let q = q.clone();
+            std::thread::spawn(move || {
+                let mut batch = Vec::new();
+                while q.pop_batch(&mut batch) {
+                    drained_tx.send(batch.len()).unwrap();
+                    batch.clear();
+                    let _ = released.recv(); // busy writing the batch
+                }
+            })
+        };
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while q.ready.parked() == 0 {
+            assert!(Instant::now() < deadline, "the writer never parked");
+            std::thread::yield_now();
+        }
+        q.push(frame_of(0)); // idle → busy: the one wake
+        assert_eq!(drained.recv().unwrap(), 1);
+        for i in 1..=B {
+            q.push(frame_of(i));
+        }
+        assert_eq!(q.ready.wakes(), 1, "a burst behind a busy writer must not wake it again");
+        release.send(()).unwrap();
+        assert_eq!(drained.recv().unwrap(), B as usize, "the burst drains as one batch");
+        q.close();
+        release.send(()).unwrap();
+        writer.join().unwrap();
+    }
+
+    #[test]
+    fn a_parked_waiter_is_always_woken() {
+        const PRODUCERS: u32 = 4;
+        const FRAMES: u32 = 5_000;
+        let q = FrameQueue::new();
+        let got = Arc::new(AtomicU64::new(0));
+        let writer = {
+            let (q, got) = (q.clone(), got.clone());
+            std::thread::spawn(move || {
+                let mut batch = Vec::new();
+                while q.pop_batch(&mut batch) {
+                    got.fetch_add(batch.len() as u64, Ordering::Relaxed);
+                    batch.clear();
+                }
+            })
+        };
+        let producers: Vec<_> = (0..PRODUCERS)
+            .map(|p| {
+                let q = q.clone();
+                std::thread::spawn(move || {
+                    for i in 0..FRAMES {
+                        q.push(frame_of(i));
+                        if i % 8 == p {
+                            std::thread::yield_now(); // let the writer drain and park
+                        }
+                    }
+                })
+            })
+            .collect();
+        producers.into_iter().for_each(|p| p.join().unwrap());
+        let total = u64::from(PRODUCERS * FRAMES);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while got.load(Ordering::Relaxed) + q.dropped() < total {
+            assert!(Instant::now() < deadline, "frames sat queued behind a writer nobody woke");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        q.close();
+        writer.join().unwrap();
+        assert_eq!(got.load(Ordering::Relaxed) + q.dropped(), total);
+    }
+
+    /// Logs each delivery's sender, and `None` per timer fire. Its first
+    /// delivery arms one timer `delay` µs out; until the timer fires,
+    /// each delivery sends the actor another while `echoes` last, so
+    /// the inbox never empties.
+    struct Recorder {
+        delay: Time,
+        echoes: u32,
+        armed: bool,
+        fired: bool,
+        log: Sender<Option<ProcessId>>,
+    }
+
+    impl Actor<Msg> for Recorder {
+        fn on_message(&mut self, from: ProcessId, msg: Msg, ctx: &mut Ctx<'_, Msg>) {
+            self.log.send(Some(from)).unwrap();
+            if !std::mem::replace(&mut self.armed, true) {
+                ctx.set_timer(self.delay, 7);
+            }
+            if !self.fired && self.echoes > 0 {
+                self.echoes -= 1;
+                ctx.send(ctx.pid(), msg);
+            }
+        }
+
+        fn on_timer(&mut self, _: u64, _: &mut Ctx<'_, Msg>) {
+            self.fired = true;
+            self.log.send(None).unwrap();
+        }
+    }
+
+    fn deliver(from: u32, counted: bool) -> Event<Recorder> {
+        Event::Deliver { from: ProcessId(from), msg: write_msg(Value::from_static(b"x")), counted }
+    }
+
+    /// Starts a shard loop for a [`Recorder`] whose inbox already holds
+    /// `queued`; returns the inbox, the loop thread and the log.
+    fn recorder_shard(
+        delay: Time,
+        echoes: u32,
+        queued: Vec<Event<Recorder>>,
+    ) -> (Sender<Event<Recorder>>, JoinHandle<()>, Receiver<Option<ProcessId>>) {
+        let (log, logged) = mpsc::channel();
+        let actor = Recorder { delay, echoes, armed: false, fired: false, log };
+        let (tx, rx) = mpsc::channel();
+        let inbound = Arc::new(AtomicUsize::new(0));
+        for ev in queued {
+            if matches!(ev, Event::Deliver { counted: true, .. }) {
+                inbound.fetch_add(1, Ordering::SeqCst);
+            }
+            tx.send(ev).unwrap();
+        }
+        let loopbacks = vec![tx.clone()];
+        let pool = PeerPool::new(Arc::new(AddrBook::new()), FaultControls::new());
+        let shard = std::thread::spawn(move || {
+            let (me, router, epoch): (_, ShardRouter, _) =
+                (ProcessId(99), |_, _| 0, Instant::now());
+            let counters = Arc::default();
+            event_loop(
+                me, 0, actor, None, rx, loopbacks, router, pool, epoch, None, inbound, counters,
+            );
+        });
+        (tx, shard, logged)
+    }
+
+    /// A timer armed at once by the first of `1 + backlog` queued
+    /// deliveries: the log up to its fire.
+    fn log_until_timer(backlog: u32, echoes: u32) -> Vec<Option<ProcessId>> {
+        let queued =
+            std::iter::once(deliver(0, false)).chain((1..=backlog).map(|i| deliver(i, true)));
+        let (tx, shard, logged) = recorder_shard(0, echoes, queued.collect());
+        let mut log = Vec::new();
+        while log.last() != Some(&None) {
+            log.push(logged.recv_timeout(Duration::from_secs(10)).expect("the due timer fired"));
+        }
+        tx.send(Event::Shutdown).unwrap();
+        shard.join().unwrap();
+        log
+    }
+
+    fn senders_then_fire(backlog: u32) -> Vec<Option<ProcessId>> {
+        (0..=backlog).map(|i| Some(ProcessId(i))).chain([None]).collect()
+    }
+
+    #[test]
+    fn a_due_timer_waits_for_deliveries_already_queued() {
+        assert_eq!(
+            log_until_timer(32, 0),
+            senders_then_fire(32),
+            "the timer fell due behind 32 queued deliveries and fires after them"
+        );
+    }
+
+    #[test]
+    fn a_due_timer_is_not_starved_by_a_busy_inbox() {
+        // Every delivery queues another behind it, so the inbox is never
+        // empty: the timer must still fire once the 32 deliveries queued
+        // when it fell due are applied, ahead of the echoes after them.
+        assert_eq!(log_until_timer(32, 10_000), senders_then_fire(32));
+    }
+
+    #[test]
+    fn pause_drops_timers_armed_before_it() {
+        // The arming delivery is queued ahead of the pause, so the timer
+        // is armed before the pause is applied and must die with it.
+        let queued = vec![deliver(0, false), Event::Pause, Event::Resume];
+        let (tx, shard, logged) = recorder_shard(50_000, 0, queued);
+        std::thread::sleep(Duration::from_millis(200)); // well past the deadline
+        tx.send(deliver(1, false)).unwrap();
+        tx.send(Event::Shutdown).unwrap();
+        shard.join().unwrap();
+        let log: Vec<_> = logged.try_iter().collect();
+        assert_eq!(log, vec![Some(ProcessId(0)), Some(ProcessId(1))], "no fire after the resume");
     }
 }

@@ -12,8 +12,8 @@
 //! * [`ShardedNode`] — a server node hosted on
 //!   `S ≥ 1` event-loop shards: per-connection reader threads route
 //!   each decoded frame to the shard owning its object (config-wide
-//!   traffic serializes on shard 0 — see `ares_core::shard`), per-shard
-//!   deadline timer threads deliver `timer_after` wakeups, and outbound
+//!   traffic serializes on shard 0 — see `ares_core::shard`), each shard
+//!   loop fires its own `timer_after` deadlines from a heap, and outbound
 //!   sends go through a reconnecting connection pool whose writers
 //!   drain in adaptively-batched writes (one flush per drained batch);
 //! * [`wal`] — durability glue to `ares-wal`: per-shard write-ahead
@@ -37,7 +37,8 @@
 //! protocol engine is a pure state machine emitting
 //! `Step { sends, timer_after, output }`, the actors interact with their
 //! host only through `ares_sim::Ctx`, and this crate replays the drained
-//! [`ares_sim::HostEffect`]s onto sockets and OS timers. No protocol
+//! [`ares_sim::HostEffect`]s onto sockets and each shard loop's timer
+//! heap. No protocol
 //! logic is duplicated, so every execution of the TCP runtime is an
 //! execution the simulator could have produced (an asynchronous network
 //! with crash faults) — the safety arguments carry over unchanged.

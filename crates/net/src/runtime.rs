@@ -14,9 +14,9 @@
 //!   owning that object, config-wide traffic (consensus, configuration
 //!   service) serializes on shard 0 — so per-object and per-config
 //!   execution stay exactly the paper's single-process server. Client
-//!   hosts ([`NetStore`]) run a single shard;
-//! * per-shard **timer threads** turn `timer_after` requests into
-//!   deadline-based wakeups delivered back into the owning shard;
+//!   hosts ([`NetStore`]) run a single shard. Each loop also keeps its
+//!   shard's `timer_after` deadlines in a heap and parks on its inbox
+//!   only until the earliest one;
 //! * outbound sends go through a **peer pool**: one writer thread per
 //!   destination, connecting on demand, reconnecting after failures,
 //!   and draining its queue in adaptively-batched writes (one flush per
@@ -39,6 +39,7 @@
 
 use crate::codec;
 use crate::host::{Admission, CompletionSink, NodeStats, ShardedHost};
+use crate::sync::Signal;
 use crate::wal::{recover_server, RecoveryReport, ShardWal, WalConfig};
 use ares_core::store::{session_op_seq, Store, StoreSession};
 use ares_core::{
@@ -51,7 +52,7 @@ use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// The environment pseudo-process used as the `from` of injected events
@@ -357,11 +358,11 @@ impl ShardedNode {
 struct RouteShared {
     /// In-flight operations → the ticket cell awaiting each completion.
     router: Mutex<HashMap<OpId, Arc<TicketCell>>>,
-    /// Completions routed so far (progress counter) + its condvar, so a
+    /// Completions routed so far (progress counter) + its signal, so a
     /// driver with many outstanding tickets sleeps on one signal instead
     /// of polling every ticket.
     progress: Mutex<u64>,
-    progress_cv: Condvar,
+    progressed: Signal,
 }
 
 impl RouteShared {
@@ -369,7 +370,7 @@ impl RouteShared {
         Arc::new(RouteShared {
             router: Mutex::new(HashMap::new()),
             progress: Mutex::new(0),
-            progress_cv: Condvar::new(),
+            progressed: Signal::default(),
         })
     }
 
@@ -379,19 +380,26 @@ impl RouteShared {
         let cell = crate::sync::lock(&self.router).remove(&c.op);
         if let Some(cell) = cell {
             *crate::sync::lock(&cell.slot) = Some(c);
-            cell.cv.notify_all();
+            cell.filled.notify_all();
         }
         // A timed-out (withdrawn) ticket's completion still counts as
         // progress: the session it unblocks may now start its next op.
         let mut n = crate::sync::lock(&self.progress);
         *n += 1;
-        self.progress_cv.notify_all();
+        self.progressed.notify_all();
     }
 }
 
 struct TicketCell {
     slot: Mutex<Option<OpCompletion>>,
-    cv: Condvar,
+    filled: Signal,
+}
+
+impl TicketCell {
+    /// Takes the completion, waiting for it until `deadline`.
+    fn take_by(&self, deadline: Instant) -> Option<OpCompletion> {
+        self.filled.wait_until(crate::sync::lock(&self.slot), deadline, Option::is_some).take()
+    }
 }
 
 /// A ticket's entry in the router. Not `Clone`, and withdrawn on drop
@@ -408,7 +416,7 @@ struct Claim {
 impl Claim {
     /// Routes `op`'s completion to a fresh cell.
     fn register(shared: &Arc<RouteShared>, op: OpId) -> Claim {
-        let cell = Arc::new(TicketCell { slot: Mutex::new(None), cv: Condvar::new() });
+        let cell = Arc::new(TicketCell { slot: Mutex::new(None), filled: Signal::default() });
         crate::sync::lock(&shared.router).insert(op, cell.clone());
         Claim { op, cell, shared: shared.clone(), registered: true }
     }
@@ -536,18 +544,9 @@ impl NetStore {
     /// Closed-loop drivers sweep their tickets with
     /// [`OpTicket::try_wait`] after each wakeup.
     pub fn wait_progress(&self, seen: u64, timeout: Duration) -> u64 {
-        let deadline = Instant::now() + timeout;
-        let mut n = crate::sync::lock(&self.inner.shared.progress);
-        while *n <= seen {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            let (guard, _) =
-                crate::sync::cv_wait_timeout(&self.inner.shared.progress_cv, n, deadline - now);
-            n = guard;
-        }
-        *n
+        let shared = &self.inner.shared;
+        let n = crate::sync::lock(&shared.progress);
+        *shared.progressed.wait_until(n, Instant::now() + timeout, |n| *n > seen)
     }
 
     /// Stops all threads and closes the reply listener. Outstanding
@@ -643,47 +642,18 @@ impl NetTicket {
     ///
     /// [`OpError::Timeout`] if no completion is routed in time.
     pub fn wait_for(mut self, timeout: Duration) -> Result<OpCompletion, OpError> {
-        let (deadline, op) = (Instant::now() + timeout, self.claim.op);
-        let mut slot = crate::sync::lock(&self.claim.cell.slot);
-        loop {
-            if let Some(c) = slot.take() {
-                self.claim.registered = false;
-                return Ok(c);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                drop(slot);
-                // Withdraw the route; if the sink already claimed it the
-                // fill is imminent — take it after all.
-                if self.claim.withdraw() {
-                    return Err(OpError::Timeout { op });
-                }
-                slot = crate::sync::lock(&self.claim.cell.slot);
-                loop {
-                    // Predicate first: Condvar can report timed_out even
-                    // when the sink filled the slot during the wait, and
-                    // an imminent fill must not be dropped.
-                    if let Some(c) = slot.take() {
-                        return Ok(c);
-                    }
-                    let (guard, t) = crate::sync::cv_wait_timeout(
-                        &self.claim.cell.cv,
-                        slot,
-                        Duration::from_secs(1),
-                    );
-                    slot = guard;
-                    if t.timed_out() {
-                        if let Some(c) = slot.take() {
-                            return Ok(c);
-                        }
-                        return Err(OpError::Timeout { op });
-                    }
-                }
-            }
-            let (guard, _) =
-                crate::sync::cv_wait_timeout(&self.claim.cell.cv, slot, deadline - now);
-            slot = guard;
+        if let Some(c) = self.claim.cell.take_by(Instant::now() + timeout) {
+            self.claim.registered = false;
+            return Ok(c);
         }
+        // Withdraw the route; if the sink already claimed it the fill is
+        // imminent — take it after all.
+        let late = if self.claim.withdraw() {
+            None
+        } else {
+            self.claim.cell.take_by(Instant::now() + Duration::from_secs(1))
+        };
+        late.ok_or(OpError::Timeout { op: self.claim.op })
     }
 }
 

@@ -1,4 +1,5 @@
-//! Poison-recovering lock/condvar helpers, one guard per thread.
+//! Poison-recovering locks, one guard per thread, and the one condition
+//! variable of the crate, [`Signal`], which wakes only a parked thread.
 //!
 //! `Mutex::lock().expect(..)` turns one panicked thread into a panic
 //! cascade: every other thread touching the same lock dies on the
@@ -7,14 +8,15 @@
 //! goes through these helpers instead, which recover the inner guard —
 //! the protected state is either consistent (the panicking thread never
 //! got to mutate it) or protocol-level self-correcting (frame queues
-//! and timers tolerate lost entries by design, DESIGN §6).
+//! tolerate lost entries by design, DESIGN §6).
 //!
 //! No thread ever holds two runtime mutexes, so there is no lock order to
 //! get wrong; debug builds check it at every [`lock`].
 
 use std::ops::{Deref, DerefMut};
-use std::sync::{Condvar, Mutex, MutexGuard, WaitTimeoutResult};
-use std::time::Duration;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard};
+use std::time::Instant;
 
 #[cfg(debug_assertions)]
 thread_local! {
@@ -56,20 +58,85 @@ pub(crate) fn lock<T>(m: &Mutex<T>) -> Guard<'_, T> {
     Guard(m.lock().unwrap_or_else(|p| p.into_inner()), Held)
 }
 
-/// Waits on `cv`, recovering the guard from a poisoned lock.
-pub(crate) fn cv_wait<'a, T>(cv: &Condvar, Guard(inner, held): Guard<'a, T>) -> Guard<'a, T> {
-    Guard(cv.wait(inner).unwrap_or_else(|p| p.into_inner()), held)
+/// A condition variable that skips the wake-up syscall while no thread
+/// is parked on it.
+///
+/// Contract: the notifier changes the guarded state under the same
+/// mutex the waiter checks it under, before it notifies. A waiter raises
+/// the parked count under that guard before it parks, so a notifier that
+/// changed the state after the check took the mutex after the raise and
+/// sees the count; one that changed it before was seen by the check, and
+/// the waiter never parked. Either way no wake-up is lost.
+#[derive(Default)]
+#[expect(clippy::disallowed_types, reason = "the one condvar, behind the parked count")]
+pub(crate) struct Signal {
+    cv: std::sync::Condvar,
+    parked: AtomicUsize,
+    /// Wake-ups issued, for the tests that count them.
+    #[cfg(test)]
+    wakes: AtomicUsize,
 }
 
-/// Waits on `cv` with a timeout, recovering the guard from a poisoned
-/// lock.
-pub(crate) fn cv_wait_timeout<'a, T>(
-    cv: &Condvar,
-    Guard(inner, held): Guard<'a, T>,
-    dur: Duration,
-) -> (Guard<'a, T>, WaitTimeoutResult) {
-    let (inner, timeout) = cv.wait_timeout(inner, dur).unwrap_or_else(|p| p.into_inner());
-    (Guard(inner, held), timeout)
+impl Signal {
+    /// Parks until notified, recovering the guard from a poisoned lock.
+    pub(crate) fn wait<'a, T>(&self, Guard(inner, held): Guard<'a, T>) -> Guard<'a, T> {
+        self.parked.fetch_add(1, Ordering::Relaxed);
+        let inner = self.cv.wait(inner).unwrap_or_else(|p| p.into_inner());
+        self.parked.fetch_sub(1, Ordering::Relaxed);
+        Guard(inner, held)
+    }
+
+    /// Parks until `done` holds of the guarded state or `deadline`
+    /// passes. `done` is checked after every wake-up, the last one too.
+    pub(crate) fn wait_until<'a, T>(
+        &self,
+        mut guard: Guard<'a, T>,
+        deadline: Instant,
+        done: impl Fn(&T) -> bool,
+    ) -> Guard<'a, T> {
+        while !done(&guard) {
+            let Some(left) = deadline.checked_duration_since(Instant::now()) else { break };
+            let Guard(inner, held) = guard;
+            self.parked.fetch_add(1, Ordering::Relaxed);
+            let (inner, _) = self.cv.wait_timeout(inner, left).unwrap_or_else(|p| p.into_inner());
+            self.parked.fetch_sub(1, Ordering::Relaxed);
+            guard = Guard(inner, held);
+        }
+        guard
+    }
+
+    /// Wakes one parked waiter, if there is one.
+    pub(crate) fn notify_one(&self) {
+        if self.any_parked() {
+            self.cv.notify_one();
+        }
+    }
+
+    /// Wakes every parked waiter.
+    pub(crate) fn notify_all(&self) {
+        if self.any_parked() {
+            self.cv.notify_all();
+        }
+    }
+
+    /// Relaxed suffices: the waiter's raise is ordered before its unlock
+    /// inside `wait`, and that unlock before the notifier's lock.
+    fn any_parked(&self) -> bool {
+        let parked = self.parked.load(Ordering::Relaxed) > 0;
+        #[cfg(test)]
+        self.wakes.fetch_add(usize::from(parked), Ordering::Relaxed);
+        parked
+    }
+
+    #[cfg(test)]
+    pub(crate) fn wakes(&self) -> usize {
+        self.wakes.load(Ordering::Relaxed)
+    }
+
+    #[cfg(test)]
+    pub(crate) fn parked(&self) -> usize {
+        self.parked.load(Ordering::Relaxed)
+    }
 }
 
 #[cfg(test)]
