@@ -51,7 +51,6 @@ const CRATE_ORDER: &[&str] = &[
     "wal",
     "net",
     "harness",
-    "loadgen",
     "bench",
     "lint",
 ];

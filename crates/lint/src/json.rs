@@ -1,8 +1,8 @@
 //! A minimal hand-rolled JSON writer for machine-readable reports.
 //!
-//! Mirrors the loadgen crate's writer: an explicit scope stack handles
-//! comma placement, strings are escaped per RFC 8259, and the output is
-//! deterministic (insertion order, no floats). No serde in this
+//! An explicit scope stack handles comma placement, strings are
+//! escaped per RFC 8259, and the output is deterministic (insertion
+//! order, no floats). No serde in this
 //! environment — the report surface is small enough that a writer is
 //! less code than a vendored dependency.
 

@@ -27,11 +27,10 @@
 //! * [`testing::LocalCluster`] — boots an n-node cluster on ephemeral
 //!   loopback ports in-process, with node kill/restart, for integration
 //!   tests and benches;
-//! * [`ClusterFault`] / [`FaultScript`] — scriptable live-cluster fault
-//!   injection mirroring the simulator's adversarial plane: symmetric
-//!   and asymmetric (one-way) partitions, gray (slow-but-alive) nodes,
-//!   kill/restart — applied mid-run via `LocalCluster::apply_fault` and
-//!   `LocalCluster::run_script`.
+//! * `LocalCluster::{apply, run_schedule}` — the simulator's fault
+//!   vocabulary (`ares_sim::FaultAction` / `FaultSchedule`) injected
+//!   into a live cluster: link cuts, partitions and gray nodes through
+//!   the simulator's own `NetworkConfig`, crashes as kill/restart.
 //!
 //! The sim-vs-net equivalence argument is simple and structural: every
 //! protocol engine is a pure state machine emitting
@@ -72,7 +71,6 @@ pub mod testing;
 pub mod wal;
 
 pub use codec::{DecodeError, WireDecode, WireEncode, MAX_FRAME_LEN, WIRE_VERSION};
-pub use faults::{ClusterFault, FaultScript};
 pub use host::{NodeStats, PeerOutboundStats, ShardStats};
 pub use runtime::{
     AddrBook, NetSession, NetStore, NetTicket, ShardedNode, DEFAULT_OP_TIMEOUT, ENV,

@@ -281,7 +281,7 @@ impl ShardedNode {
     }
 
     /// This node's fault-injection switchboard (link cuts, gray slow-
-    /// downs); `testing::LocalCluster` drives it via `apply_fault`.
+    /// downs); `testing::LocalCluster` drives it via `apply`.
     pub(crate) fn faults(&self) -> Arc<crate::faults::FaultControls> {
         self.host.faults().clone()
     }

@@ -7,23 +7,29 @@
 //! each client's [`NetStore`] — all inside one test process, so `cargo
 //! test` can exercise the full TCP stack (codec, listeners, reconnects,
 //! timers) without any external orchestration. Nodes can be killed and
-//! restarted mid-run to exercise fault paths, and their runtime
+//! restarted mid-run, the simulator's fault schedules play against the
+//! live deployment ([`LocalCluster::run_schedule`]), and runtime
 //! counters snapshot via [`LocalCluster::node_stats`].
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 #![deny(clippy::todo, clippy::unimplemented, clippy::indexing_slicing)]
 
-use crate::faults::{ClusterFault, FaultControls, FaultScript};
+use crate::faults::FaultControls;
 use crate::runtime::{AddrBook, NetStore, ShardedNode, ENV};
 use crate::wal::{RecoveryReport, WalConfig};
 use ares_core::{ClientConfig, Msg, RepairMsg};
+use ares_sim::{FaultAction, FaultSchedule, FaultTrigger, NetworkConfig};
 use ares_types::{ConfigId, ConfigRegistry, Configuration, ObjectId, ProcessId};
 use ares_wal::TempDir;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::io;
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+
+/// Per-frame delay in µs per unit of gray factor: the maximum message
+/// delay `D` the simulator's scenarios default to.
+const GRAY_UNIT_MICROS: u64 = 50;
 
 /// Builder for a [`LocalCluster`].
 pub struct ClusterBuilder {
@@ -167,6 +173,7 @@ impl ClusterBuilder {
             nodes,
             clients,
             objects: self.objects,
+            net: Mutex::new(NetworkConfig::constant(1)),
             _wal_root: wal_root,
         })
     }
@@ -179,6 +186,9 @@ pub struct LocalCluster {
     nodes: HashMap<ProcessId, ShardedNode>,
     clients: HashMap<ProcessId, NetStore>,
     objects: Vec<ObjectId>,
+    /// The deployment's cut links and gray factors, as the simulator
+    /// models them (its delays are unused: TCP supplies real ones).
+    net: Mutex<NetworkConfig>,
     /// Keeps the durable deployment's temp root alive (and deletes it on
     /// drop); `None` for in-memory deployments.
     _wal_root: Option<TempDir>,
@@ -372,124 +382,82 @@ impl LocalCluster {
         );
     }
 
-    /// The fault switchboard of process `pid` — a server's or a
-    /// client's; `None` if the pid is unknown (or its store shut down).
-    fn controls_for(&self, pid: ProcessId) -> Option<Arc<FaultControls>> {
-        if let Some(node) = self.nodes.get(&pid) {
-            return Some(node.faults());
-        }
-        self.clients.get(&pid).and_then(NetStore::fault_controls)
-    }
-
-    /// Every live fault switchboard in the deployment (servers, then
-    /// clients).
-    fn all_controls(&self) -> Vec<Arc<FaultControls>> {
-        self.nodes
-            .values()
-            .map(ShardedNode::faults)
-            .chain(self.clients.values().filter_map(NetStore::fault_controls))
-            .collect()
-    }
-
-    /// Cuts every link between groups `a` and `b`, both directions —
-    /// pids may be servers or clients. Frames racing the cut may still
-    /// land; frames sent after it are dropped at both ends. Unknown
-    /// pids are ignored (they have no links to cut).
-    pub fn partition(&self, a: &[u32], b: &[u32]) {
-        self.partition_oneway(a, b);
-        self.partition_oneway(b, a);
-    }
-
-    /// Cuts only the `from → to` direction: senders in `from` cannot
-    /// reach receivers in `to`, while replies `to → from` still flow —
-    /// an asymmetric (gray) partition. Enforced at both ends: `from`
-    /// hosts drop the frames outbound and `to` hosts drop any that
-    /// slip through a connection established before the cut.
-    pub fn partition_oneway(&self, from: &[u32], to: &[u32]) {
-        let to_pids: Vec<ProcessId> = to.iter().copied().map(ProcessId).collect();
-        let from_pids: Vec<ProcessId> = from.iter().copied().map(ProcessId).collect();
-        for &f in &from_pids {
-            if let Some(c) = self.controls_for(f) {
-                c.cut_outbound(to_pids.iter().copied());
-            }
-        }
-        for &t in &to_pids {
-            if let Some(c) = self.controls_for(t) {
-                c.cut_inbound(from_pids.iter().copied());
-            }
-        }
-    }
-
-    /// Restores every cut link on every host (servers and clients).
-    /// Slow-downs injected with [`LocalCluster::slow`] are separate and
-    /// survive a heal.
-    pub fn heal(&self) {
-        for c in self.all_controls() {
-            c.heal();
-        }
-    }
-
-    /// Makes process `pid` gray: every frame it reads or writes pays an
-    /// extra `delay` of injected latency, but it keeps serving — the
-    /// slow-but-alive failure mode that defeats binary failure
-    /// detectors. No-op for unknown pids.
-    pub fn slow(&self, pid: u32, delay: Duration) {
-        if let Some(c) = self.controls_for(ProcessId(pid)) {
-            c.set_slow(delay.as_micros() as u64);
-        }
-    }
-
-    /// Restores `pid` to full speed.
-    pub fn unslow(&self, pid: u32) {
-        if let Some(c) = self.controls_for(ProcessId(pid)) {
-            c.set_slow(0);
-        }
+    /// Every live host's fault switchboard, with its pid.
+    fn controls(&self) -> Vec<(ProcessId, Arc<FaultControls>)> {
+        let servers = self.nodes.iter().map(|(&pid, n)| (pid, n.faults()));
+        let clients = self.clients.iter().filter_map(|(&pid, s)| Some((pid, s.fault_controls()?)));
+        servers.chain(clients).collect()
     }
 
     /// Total frames dropped by injected link cuts across the
     /// deployment (both directions, servers and clients).
     pub fn faults_dropped(&self) -> u64 {
-        self.all_controls().iter().map(|c| c.frames_cut()).sum()
+        self.controls().iter().map(|(_, c)| c.frames_cut()).sum()
     }
 
-    /// Applies one scripted fault action.
+    /// Injects one fault of the simulator's vocabulary now: a one-event
+    /// [`LocalCluster::run_schedule`]. `Crash`/`Recover` are `kill` /
+    /// `restart` (and panic on a non-server pid). Link and gray actions
+    /// update the simulator's own [`NetworkConfig`], held by the cluster;
+    /// then each host `me` drops frames to each `p` with
+    /// `is_blocked(me, p)` before its writer queue and frames from each
+    /// `p` with `is_blocked(p, me)` after decode, and holds each frame
+    /// `gray_factor(me)` × 50 µs while gray.
+    pub fn apply(&self, action: &FaultAction) -> io::Result<()> {
+        self.run_schedule(&FaultSchedule::new().at(0, action.clone()))
+    }
+
+    /// Plays `schedule` against the deployment as [`LocalCluster::apply`]
+    /// describes, blocking until its last fault is applied: `AtTime(t)`
+    /// fires `t` µs of wall clock after the call, in time order as the
+    /// simulator fires it. Run it on a scoped thread to overlap a load.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// `Kill`/`Restart` panic if their pid is not a server of this
-    /// cluster (same contract as [`LocalCluster::kill`]).
-    pub fn apply_fault(&self, fault: &ClusterFault) {
-        match fault {
-            ClusterFault::Partition { a, b } => self.partition(a, b),
-            ClusterFault::OneWay { from, to } => self.partition_oneway(from, to),
-            ClusterFault::Heal => self.heal(),
-            ClusterFault::Slow { pid, delay_micros } => {
-                self.slow(*pid, Duration::from_micros(*delay_micros));
+    /// `ErrorKind::Unsupported`, before anything is applied, for an
+    /// `AtStep` trigger, `SetDuplication` or `SetReorder`: TCP counts no
+    /// global steps and neither duplicates nor reorders.
+    pub fn run_schedule(&self, schedule: &FaultSchedule) -> io::Result<()> {
+        let mut timed = Vec::with_capacity(schedule.len());
+        for ev in &schedule.events {
+            match (ev.trigger, &ev.action) {
+                (_, FaultAction::SetDuplication { .. } | FaultAction::SetReorder { .. })
+                | (FaultTrigger::AtStep(_), _) => {
+                    return Err(io::Error::new(io::ErrorKind::Unsupported, ev.to_string()));
+                }
+                (FaultTrigger::AtTime(t), action) => timed.push((t, action)),
             }
-            ClusterFault::Unslow { pid } => self.unslow(*pid),
-            ClusterFault::Kill { pid } => self.kill(*pid),
-            ClusterFault::Restart { pid } => self.restart(*pid),
         }
+        timed.sort_by_key(|&(t, _)| t);
+        let start = Instant::now();
+        for (t, action) in timed {
+            if let Some(wait) = Duration::from_micros(t).checked_sub(start.elapsed()) {
+                std::thread::sleep(wait);
+            }
+            match action {
+                FaultAction::Crash { pid } => self.kill(pid.0),
+                FaultAction::Recover { pid } => self.restart(pid.0),
+                link_or_gray => self.project(link_or_gray),
+            }
+        }
+        Ok(())
     }
 
-    /// Runs a fault script against the live cluster, **blocking** until
-    /// the last step has been applied: each step sleeps until its
-    /// offset from the call instant, then applies. Drive it from a
-    /// scoped thread (`std::thread::scope`) to overlap the faults with
-    /// a running workload.
-    ///
-    /// # Panics
-    ///
-    /// As [`LocalCluster::apply_fault`], for `Kill`/`Restart` steps
-    /// naming a non-server pid.
-    pub fn run_script(&self, script: &FaultScript) {
-        let start = Instant::now();
-        for (offset, fault) in &script.steps {
-            let elapsed = start.elapsed();
-            if *offset > elapsed {
-                std::thread::sleep(*offset - elapsed);
-            }
-            self.apply_fault(fault);
+    /// Applies a link or gray action to the model, then sets every host's
+    /// controls from it after the guard drops (one runtime lock a thread).
+    fn project(&self, action: &FaultAction) {
+        let hosts = self.controls();
+        let pids: Vec<ProcessId> = hosts.iter().map(|h| h.0).collect();
+        let projected: Vec<(HashSet<ProcessId>, HashSet<ProcessId>, u32)> = {
+            let mut net = crate::sync::lock(&self.net);
+            net.apply(action);
+            let to = |me| pids.iter().copied().filter(|&p| net.is_blocked(me, p)).collect();
+            let from = |me| pids.iter().copied().filter(|&p| net.is_blocked(p, me)).collect();
+            pids.iter().map(|&me| (to(me), from(me), net.gray_factor(me))).collect()
+        };
+        for ((_, c), (outbound, inbound, gray)) in hosts.iter().zip(projected) {
+            c.set_cuts(outbound, inbound);
+            c.set_slow(if gray > 1 { u64::from(gray) * GRAY_UNIT_MICROS } else { 0 });
         }
     }
 
@@ -501,5 +469,78 @@ impl LocalCluster {
         for (_, n) in self.nodes {
             n.shutdown();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ares_core::store::{OpTicket, Store, StoreSession};
+
+    fn treas5() -> io::Result<LocalCluster> {
+        let servers = (1..=5).map(ProcessId).collect();
+        LocalCluster::start(vec![Configuration::treas(ConfigId(0), servers, 3, 2)], [100])
+    }
+
+    /// The links the hosts enforce as cut: as each sender's outbound
+    /// controls see them, and as each receiver's inbound controls do.
+    fn enforced(cluster: &LocalCluster) -> [BTreeSet<(u32, u32)>; 2] {
+        let hosts = cluster.controls();
+        let mut cut = [BTreeSet::new(), BTreeSet::new()];
+        for ((me, c), (p, _)) in hosts.iter().flat_map(|a| hosts.iter().map(move |b| (a, b))) {
+            c.drop_outbound(*p).then(|| cut[0].insert((me.0, p.0)));
+            c.drop_inbound(*p).then(|| cut[1].insert((p.0, me.0)));
+        }
+        cut
+    }
+
+    #[test]
+    fn a_schedule_fires_in_time_order_and_heals_one_link() -> io::Result<()> {
+        let cluster = treas5()?;
+        let (from, to) = (ProcessId(100), ProcessId(1));
+        // Inserted heal-first: in insertion order both cuts would stay.
+        let schedule = FaultSchedule::new()
+            .at(20_000, FaultAction::HealLink { from, to })
+            .at(0, FaultAction::CutLink { from, to })
+            .at(0, FaultAction::CutLink { from, to: ProcessId(2) });
+        cluster.run_schedule(&schedule)?;
+        let only = BTreeSet::from([(100, 2)]);
+        assert_eq!(enforced(&cluster), [only.clone(), only]);
+        cluster.shutdown();
+        Ok(())
+    }
+
+    #[test]
+    fn partition_cuts_across_groups_and_gray_slows_one_host() -> io::Result<()> {
+        let cluster = treas5()?;
+        let groups = vec![vec![ProcessId(1), ProcessId(2)], vec![ProcessId(3), ProcessId(100)]];
+        cluster.apply(&FaultAction::Partition { groups })?;
+        cluster.apply(&FaultAction::Grayify { pid: ProcessId(3), factor: 40 })?;
+        let across =
+            [(1, 3), (1, 100), (2, 3), (2, 100)].into_iter().flat_map(|(a, b)| [(a, b), (b, a)]);
+        let across: BTreeSet<_> = across.collect();
+        assert_eq!(enforced(&cluster), [across.clone(), across]);
+        for (pid, c) in cluster.controls() {
+            assert_eq!(c.slow_micros(), if pid == ProcessId(3) { 2_000 } else { 0 });
+        }
+        cluster.shutdown();
+        Ok(())
+    }
+
+    #[test]
+    fn simulator_only_faults_are_refused_before_anything_applies() -> io::Result<()> {
+        let cluster = treas5()?;
+        let refused = |r: io::Result<()>| r.is_err_and(|e| e.kind() == io::ErrorKind::Unsupported);
+        assert!(refused(cluster.apply(&FaultAction::SetDuplication { per_mille: 100 })));
+        // A TCP-injectable cut, refused for the step trigger beside it.
+        let cut = FaultAction::CutLink { from: ProcessId(100), to: ProcessId(1) };
+        let schedule = FaultSchedule::new().at(0, cut).at_step(5, FaultAction::HealAll);
+        assert!(refused(cluster.run_schedule(&schedule)));
+        let mut session = cluster.store(100).open_session();
+        let ticket = session.write(ObjectId(0), ares_types::Value::filler(64, 1));
+        ticket.expect("submitted").wait().expect("completed");
+        assert_eq!(cluster.faults_dropped(), 0);
+        cluster.shutdown();
+        Ok(())
     }
 }

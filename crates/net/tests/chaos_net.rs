@@ -1,16 +1,17 @@
-//! Live-cluster chaos over loopback TCP: asymmetric partitions that
-//! leave a client below quorum until a scripted heal, and gray (slow
-//! but alive) servers under load. Every history runs through the
-//! atomicity checker; the partition test also proves the fault plane
-//! actually dropped frames and that stalled operations recover via
+//! Live-cluster chaos over loopback TCP, driven by the simulator's
+//! `FaultSchedule`: an asymmetric partition that leaves four concurrent
+//! sessions below quorum until a scheduled heal, and a gray (slow but
+//! alive) server under load on one hot object. Every history runs
+//! through the atomicity checker; the partition test also proves the
+//! cut actually dropped frames and that stalled operations recover via
 //! retransmission rather than timing out.
 
 use ares_core::store::{OpError, OpTicket, Store, StoreSession};
 use ares_harness::check_atomicity;
 use ares_net::testing::LocalCluster;
-use ares_net::{ClusterFault, FaultScript, NetTicket};
+use ares_net::NetTicket;
+use ares_sim::{FaultAction, FaultSchedule};
 use ares_types::{ConfigId, Configuration, ObjectId, OpCompletion, ProcessId, Value};
-use std::time::{Duration, Instant};
 
 /// Blocks until a just-submitted operation completes.
 fn done(ticket: Result<NetTicket, OpError>) -> OpCompletion {
@@ -25,38 +26,38 @@ fn treas5() -> Vec<Configuration> {
 fn asymmetric_partition_stalls_then_heals_atomically() {
     let cluster =
         LocalCluster::builder(treas5()).clients([100]).objects([0, 1]).start().expect("cluster");
-    let mut client = cluster.store(100).open_session();
+    let mut sessions: Vec<_> = (0..4).map(|_| cluster.store(100).open_session()).collect();
     // Pre-fault write completes normally.
-    let mut completions = vec![done(client.write(ObjectId(0), Value::filler(256, 1)))];
+    let mut completions = vec![done(sessions[0].write(ObjectId(0), Value::filler(256, 1)))];
 
     // Cut the client's outbound path to servers 1–3: it can still reach
     // only 2 of 5, below the TREAS [5,3] quorum of 4, so every operation
     // stalls — server state cannot regress, the client just cannot
-    // assemble replies until the scripted heal.
-    cluster.partition_oneway(&[100], &[1, 2, 3]);
-    let script = FaultScript::new().at(Duration::from_millis(400), ClusterFault::Heal);
-    let (stalled, ops_done_in) = std::thread::scope(|s| {
-        let cluster = &cluster;
-        let script = &script;
-        let faults = s.spawn(move || cluster.run_script(script));
-        let t0 = Instant::now();
-        let mut ops = Vec::new();
-        for i in 0..4u64 {
-            if i % 2 == 0 {
-                let obj = ObjectId((i % 2) as u32);
-                ops.push(done(client.write(obj, Value::filler(256, 10 + i))));
-            } else {
-                ops.push(done(client.read(ObjectId(0))));
-            }
-        }
-        let done_in = t0.elapsed();
-        faults.join().expect("fault script thread");
-        (ops, done_in)
+    // assemble replies until the heal 400 ms later. Every cut is at
+    // t = 0, so `run_schedule` returns once they are in place.
+    let cut = (1..=3).fold(FaultSchedule::new(), |s, p| {
+        s.at(0, FaultAction::CutLink { from: ProcessId(100), to: ProcessId(p) })
     });
-    assert!(
-        ops_done_in >= Duration::from_millis(300),
-        "operations finished in {ops_done_in:?} — the partition never stalled them"
-    );
+    cluster.run_schedule(&cut).expect("cut");
+    let heal = FaultSchedule::new().at(400_000, FaultAction::HealAll);
+    let stalled = std::thread::scope(|s| {
+        let faults = s.spawn(|| cluster.run_schedule(&heal));
+        // One operation in flight on each of the four sessions at once.
+        let tickets: Vec<_> = (0u64..)
+            .zip(&mut sessions)
+            .map(|(i, session)| match i % 2 {
+                0 => session.write(ObjectId((i / 2) as u32), Value::filler(256, 10 + i)),
+                _ => session.read(ObjectId(0)),
+            })
+            .collect();
+        let ops: Vec<_> = tickets.into_iter().map(done).collect();
+        faults.join().expect("fault thread").expect("heal");
+        ops
+    });
+    for c in &stalled {
+        let took = c.completed_at - c.invoked_at;
+        assert!(took >= 300_000, "{:?} took {took} µs — the partition never stalled it", c.op);
+    }
     assert!(cluster.faults_dropped() > 0, "the cut must have dropped frames");
     completions.extend(stalled);
     cluster.shutdown();
@@ -69,18 +70,25 @@ fn asymmetric_partition_stalls_then_heals_atomically() {
 fn gray_server_slows_but_never_breaks_atomicity() {
     let cluster =
         LocalCluster::builder(treas5()).clients([100, 101]).objects([0]).start().expect("cluster");
-    // Server 1 turns gray: every frame it forwards is delayed 2 ms. It
-    // stays in the quorum — nothing evicts it — so operations ride
+    // Server 1 turns gray for 300 ms: factor 40 holds every frame it
+    // reads or writes for 40 × 50 µs = 2 ms. It stays in the quorum —
+    // nothing evicts it — so operations on the one hot object ride
     // through the slowness.
-    cluster.slow(1, Duration::from_millis(2));
+    let gray = FaultSchedule::new()
+        .at(0, FaultAction::Grayify { pid: ProcessId(1), factor: 40 })
+        .at(300_000, FaultAction::Ungray { pid: ProcessId(1) });
     let mut writer = cluster.store(100).open_session();
     let mut reader = cluster.store(101).open_session();
-    let mut completions = Vec::new();
-    for i in 0..3u64 {
-        completions.push(done(writer.write(ObjectId(0), Value::filler(128, 20 + i))));
-        completions.push(done(reader.read(ObjectId(0))));
-    }
-    cluster.unslow(1);
+    let mut completions = std::thread::scope(|s| {
+        let faults = s.spawn(|| cluster.run_schedule(&gray));
+        let mut ops = Vec::new();
+        for i in 0..3u64 {
+            ops.push(done(writer.write(ObjectId(0), Value::filler(128, 20 + i))));
+            ops.push(done(reader.read(ObjectId(0))));
+        }
+        faults.join().expect("fault thread").expect("gray schedule");
+        ops
+    });
     completions.push(done(reader.read(ObjectId(0))));
 
     // The observability surface the chaos harness prints: per-peer

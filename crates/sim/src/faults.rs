@@ -17,9 +17,7 @@ use std::fmt;
 /// One fault-plane mutation, applied atomically at its trigger point.
 ///
 /// Network actions mutate the [`crate::NetworkConfig`] owned by the
-/// world; `Crash`/`Recover` act on the process itself (equivalent to
-/// [`crate::World::schedule_crash`]/`schedule_recover`, included here so
-/// churn storms live in one schedule).
+/// world; `Crash`/`Recover` act on the process itself.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FaultAction {
     /// Kill the directed link `from → to`: messages in that direction are

@@ -35,7 +35,7 @@ pub struct Metrics {
     pub duplicated: u64,
     /// Messages held back by probabilistic bounded reorder.
     pub reordered: u64,
-    /// Fault-schedule actions applied.
+    /// Fault actions applied, crashes and recoveries included.
     pub faults_applied: u64,
     /// Per-operation attribution.
     per_op: HashMap<OpId, OpMetrics>,

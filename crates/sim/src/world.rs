@@ -150,8 +150,6 @@ impl<M: SimMessage> Ctx<'_, M> {
 enum EventKind<M> {
     Deliver { from: ProcessId, to: ProcessId, msg: M },
     Timer { pid: ProcessId, token: u64 },
-    Crash { pid: ProcessId },
-    Recover { pid: ProcessId },
     Fault { action: FaultAction },
 }
 
@@ -301,10 +299,9 @@ impl<M: SimMessage> World<M> {
         self.queue.push(Reverse(Event { at, seq, kind: EventKind::Deliver { from, to, msg } }));
     }
 
-    /// Schedules a crash of `pid` at time `at`.
+    /// Schedules `FaultAction::Crash { pid }` at time `at`.
     pub fn schedule_crash(&mut self, at: Time, pid: ProcessId) {
-        let seq = self.next_seq();
-        self.queue.push(Reverse(Event { at, seq, kind: EventKind::Crash { pid } }));
+        self.schedule_fault(at, FaultAction::Crash { pid });
     }
 
     /// Schedules a recovery of `pid` at time `at`: the process resumes
@@ -314,8 +311,7 @@ impl<M: SimMessage> World<M> {
     /// *repair* extension, modelling a replacement process that reuses
     /// the id and then rebuilds its lost updates.
     pub fn schedule_recover(&mut self, at: Time, pid: ProcessId) {
-        let seq = self.next_seq();
-        self.queue.push(Reverse(Event { at, seq, kind: EventKind::Recover { pid } }));
+        self.schedule_fault(at, FaultAction::Recover { pid });
     }
 
     /// Schedules a fault-plane action at simulated time `at`.
@@ -355,10 +351,11 @@ impl<M: SimMessage> World<M> {
     fn apply_fault(&mut self, action: FaultAction) {
         self.metrics.faults_applied += 1;
         if let Some(t) = self.trace.as_mut() {
-            t.push(TraceEvent {
-                at: self.now,
-                kind: TraceKind::Note { pid: ProcessId(0), text: format!("fault: {action}") },
-            });
+            let kind = match action {
+                FaultAction::Crash { pid } => TraceKind::Crash { pid },
+                _ => TraceKind::Note { pid: ProcessId(0), text: format!("fault: {action}") },
+            };
+            t.push(TraceEvent { at: self.now, kind });
         }
         match action {
             FaultAction::Crash { pid } => {
@@ -429,15 +426,6 @@ impl<M: SimMessage> World<M> {
         self.events_processed += 1;
 
         match ev.kind {
-            EventKind::Crash { pid } => {
-                self.crashed.insert(pid, self.now);
-                if let Some(t) = self.trace.as_mut() {
-                    t.push(TraceEvent { at: self.now, kind: TraceKind::Crash { pid } });
-                }
-            }
-            EventKind::Recover { pid } => {
-                self.crashed.remove(&pid);
-            }
             EventKind::Fault { action } => {
                 self.apply_fault(action);
             }
