@@ -58,7 +58,11 @@ impl Acceptor {
     pub fn handle(&mut self, from: ProcessId, msg: ConMsg) -> Vec<(ProcessId, ConMsg)> {
         match msg {
             ConMsg::Prepare { inst, rpc, ballot, op } => {
-                if ballot > self.promised {
+                // An equal ballot is the same proposer's resend of the
+                // same attempt (ballots carry the session's writer id):
+                // it is promised again, as Accept is, not nacked as a
+                // preemption.
+                if ballot >= self.promised {
                     self.promised = ballot;
                     vec![(
                         from,
@@ -142,6 +146,23 @@ mod tests {
             }
             other => panic!("expected nack, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_repeated_prepare_is_promised_again() {
+        let mut a = Acceptor::new();
+        a.handle(ProcessId(1), prepare(4, 1));
+        a.handle(ProcessId(1), accept(4, 1, 8));
+        // The proposer's resend of the same Prepare reaches it again.
+        let r = a.handle(ProcessId(1), prepare(4, 1));
+        match &r[0].1 {
+            ConMsg::Promise { ballot, accepted, .. } => {
+                assert_eq!(*ballot, Ballot { round: 4, proposer: ProcessId(1) });
+                assert_eq!(accepted.map(|(_, v)| v), Some(ConfigId(8)));
+            }
+            other => panic!("expected promise, got {other:?}"),
+        }
+        assert_eq!(a.promised(), Ballot { round: 4, proposer: ProcessId(1) });
     }
 
     #[test]

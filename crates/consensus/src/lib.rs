@@ -12,8 +12,9 @@
 //! * [`Acceptor`] — per-instance server state (promised ballot, accepted
 //!   pair, learned decision), embedded into every server actor;
 //! * [`Proposer`] — the client-side engine driving `propose(c)`: prepare /
-//!   promise, accept / accepted, with deterministic exponential backoff on
-//!   ballot preemption and a learned-decision fast path.
+//!   promise, accept / accepted, each phase re-sent to the acceptors not
+//!   heard from, with deterministic exponential backoff on ballot
+//!   preemption and a learned-decision fast path.
 //!
 //! One instance decides the successor of one configuration, so instances
 //! are keyed by the *base* [`ConfigId`]. Values are configuration ids

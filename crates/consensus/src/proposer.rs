@@ -7,7 +7,7 @@
 #![deny(clippy::todo, clippy::unimplemented, clippy::indexing_slicing)]
 
 use crate::{Ballot, ConMsg};
-use ares_types::{Backoff, ConfigId, OpId, ProcessId, RpcId, Step, Time};
+use ares_types::{Backoff, ConfigId, OpId, ProcessId, QuorumPhase, RpcId, Step, Time};
 
 /// Static parameters of one `propose` call.
 #[derive(Debug, Clone)]
@@ -20,17 +20,21 @@ pub struct ProposerConfig {
     pub quorum: usize,
     /// Backoff unit after a preempted ballot (grows exponentially).
     pub backoff_unit: Time,
+    /// Base retransmission timeout of the Prepare and Accept phases
+    /// (the client's RTO): like every quorum phase, each re-sends to the
+    /// acceptors it has not heard from.
+    pub retry_interval: Time,
 }
 
 #[derive(Debug)]
 enum Phase {
+    /// Awaiting promises, folding the highest accepted pair reported.
     Preparing {
-        promises: Vec<ProcessId>,
         max_accepted: Option<(Ballot, ConfigId)>,
     },
+    /// Awaiting accepts of `value`.
     Accepting {
         value: ConfigId,
-        acks: Vec<ProcessId>,
     },
     /// Waiting out a backoff before retrying with a higher ballot.
     BackedOff {
@@ -51,62 +55,67 @@ pub struct Proposer {
     op: OpId,
     my_value: ConfigId,
     ballot: Ballot,
-    rpc: RpcId,
+    /// The latest Prepare or Accept broadcast.
+    quorum: QuorumPhase<ConMsg>,
     phase: Phase,
     /// Counts preempted-and-retried ballots.
     backoff: Backoff,
 }
 
+/// `msg(rpc)` to every acceptor; a quorum of replies completes it.
+fn broadcast(
+    cfg: &ProposerConfig,
+    rpc_counter: &mut u64,
+    msg: impl Fn(RpcId) -> ConMsg,
+) -> QuorumPhase<ConMsg> {
+    QuorumPhase::new(rpc_counter, cfg.quorum, |rpc| {
+        cfg.servers.iter().map(|&s| (s, msg(rpc))).collect()
+    })
+}
+
+/// The Prepare broadcast of `ballot`.
+fn prepare(cfg: &ProposerConfig, ballot: Ballot, op: OpId, rpc: &mut u64) -> QuorumPhase<ConMsg> {
+    broadcast(cfg, rpc, |rpc| ConMsg::Prepare { inst: cfg.inst, rpc, ballot, op })
+}
+
 impl Proposer {
     /// Starts a propose call; returns the engine and the initial
-    /// `Prepare` broadcast. `rpc_base` seeds phase ids (the caller's
-    /// monotone counter); each internal phase bumps it.
+    /// `Prepare` broadcast. Every phase takes its id from the caller's
+    /// monotone `rpc_counter`.
     pub fn start(
         cfg: ProposerConfig,
         me: ProcessId,
         op: OpId,
         value: ConfigId,
-        rpc_base: u64,
+        rpc_counter: &mut u64,
     ) -> (Self, Step<ConMsg, ConfigId>) {
         assert!(cfg.quorum >= 1 && cfg.quorum <= cfg.servers.len());
-        let mut p = Proposer {
-            cfg,
-            me,
-            op,
-            my_value: value,
-            ballot: Ballot::initial(me),
-            rpc: RpcId(rpc_base),
-            phase: Phase::Done, // replaced below
-            backoff: Backoff::default(),
-        };
-        let step = p.begin_prepare(p.ballot.round);
-        (p, step)
+        let ballot = Ballot::initial(me);
+        let quorum = prepare(&cfg, ballot, op, rpc_counter);
+        let step = quorum.send(cfg.retry_interval);
+        let phase = Phase::Preparing { max_accepted: None };
+        let backoff = Backoff::default();
+        (Proposer { cfg, me, op, my_value: value, ballot, quorum, phase, backoff }, step)
     }
 
-    fn begin_prepare(&mut self, round: u64) -> Step<ConMsg, ConfigId> {
+    fn begin_prepare(&mut self, round: u64, rpc_counter: &mut u64) -> Step<ConMsg, ConfigId> {
         self.ballot = Ballot { round, proposer: self.me };
-        self.rpc = RpcId(self.rpc.0 + 1);
-        self.phase = Phase::Preparing { promises: Vec::new(), max_accepted: None };
-        let msg = ConMsg::Prepare {
-            inst: self.cfg.inst,
-            rpc: self.rpc,
-            ballot: self.ballot,
-            op: self.op,
-        };
-        Step::sends(self.cfg.servers.iter().map(|&s| (s, msg.clone())).collect())
+        self.quorum = prepare(&self.cfg, self.ballot, self.op, rpc_counter);
+        self.phase = Phase::Preparing { max_accepted: None };
+        self.quorum.send(self.cfg.retry_interval)
     }
 
-    fn begin_accept(&mut self, value: ConfigId) -> Step<ConMsg, ConfigId> {
-        self.rpc = RpcId(self.rpc.0 + 1);
-        self.phase = Phase::Accepting { value, acks: Vec::new() };
-        let msg = ConMsg::Accept {
-            inst: self.cfg.inst,
-            rpc: self.rpc,
-            ballot: self.ballot,
+    fn begin_accept(&mut self, value: ConfigId, rpc_counter: &mut u64) -> Step<ConMsg, ConfigId> {
+        let (inst, ballot, op) = (self.cfg.inst, self.ballot, self.op);
+        self.quorum = broadcast(&self.cfg, rpc_counter, |rpc| ConMsg::Accept {
+            inst,
+            rpc,
+            ballot,
             value,
-            op: self.op,
-        };
-        Step::sends(self.cfg.servers.iter().map(|&s| (s, msg.clone())).collect())
+            op,
+        });
+        self.phase = Phase::Accepting { value };
+        self.quorum.send(self.cfg.retry_interval)
     }
 
     fn preempted(&mut self, promised: Ballot) -> Step<ConMsg, ConfigId> {
@@ -124,61 +133,58 @@ impl Proposer {
         Step::done(value).with_sends(self.cfg.servers.iter().map(|&s| (s, msg.clone())).collect())
     }
 
-    /// Handles the backoff timer: retries with a higher ballot.
-    pub fn on_timer(&mut self) -> Step<ConMsg, ConfigId> {
+    /// Handles the timer: a Prepare or Accept phase re-sends to the
+    /// acceptors it has not heard from; after a backoff, retries with a
+    /// higher ballot.
+    pub fn on_timer(&mut self, rpc_counter: &mut u64) -> Step<ConMsg, ConfigId> {
         match self.phase {
-            Phase::BackedOff { next_round } => self.begin_prepare(next_round),
-            _ => Step::idle(),
+            Phase::Preparing { .. } | Phase::Accepting { .. } => {
+                self.quorum.resend(self.cfg.retry_interval)
+            }
+            Phase::BackedOff { next_round } => self.begin_prepare(next_round, rpc_counter),
+            Phase::Done => Step::idle(),
         }
     }
 
     /// Feeds a reply; stale or foreign messages are ignored.
-    pub fn on_message(&mut self, from: ProcessId, msg: ConMsg) -> Step<ConMsg, ConfigId> {
+    pub fn on_message(
+        &mut self,
+        from: ProcessId,
+        msg: ConMsg,
+        rpc_counter: &mut u64,
+    ) -> Step<ConMsg, ConfigId> {
         if msg.instance() != self.cfg.inst {
             return Step::idle();
         }
         match (&mut self.phase, msg) {
-            (
-                Phase::Preparing { promises, max_accepted },
-                ConMsg::Promise { rpc, accepted, decided, .. },
-            ) if rpc == self.rpc => {
+            (Phase::Preparing { max_accepted }, ConMsg::Promise { rpc, accepted, decided, .. })
+                if self.quorum.hear(from, rpc) =>
+            {
                 if let Some(v) = decided {
                     // Fast path: somebody already learned the decision.
                     return self.decide(v);
                 }
-                if !promises.contains(&from) {
-                    promises.push(from);
-                    if let Some((b, v)) = accepted {
-                        if max_accepted.is_none_or(|(mb, _)| b > mb) {
-                            *max_accepted = Some((b, v));
-                        }
+                if let Some((b, v)) = accepted {
+                    if max_accepted.is_none_or(|(mb, _)| b > mb) {
+                        *max_accepted = Some((b, v));
                     }
                 }
-                if promises.len() >= self.cfg.quorum {
-                    let value = max_accepted.map(|(_, v)| v).unwrap_or(self.my_value);
-                    self.begin_accept(value)
+                if self.quorum.complete() {
+                    let value = max_accepted.map_or(self.my_value, |(_, v)| v);
+                    self.begin_accept(value, rpc_counter)
                 } else {
                     Step::idle()
                 }
+            }
+            (Phase::Accepting { value }, ConMsg::Accepted { rpc, .. })
+                if self.quorum.hear(from, rpc) && self.quorum.complete() =>
+            {
+                let v = *value;
+                self.decide(v)
             }
             (Phase::Preparing { .. }, ConMsg::NackPrepare { rpc, promised, .. })
-                if rpc == self.rpc =>
-            {
-                self.preempted(promised)
-            }
-            (Phase::Accepting { value, acks }, ConMsg::Accepted { rpc, .. }) if rpc == self.rpc => {
-                if !acks.contains(&from) {
-                    acks.push(from);
-                }
-                if acks.len() >= self.cfg.quorum {
-                    let v = *value;
-                    self.decide(v)
-                } else {
-                    Step::idle()
-                }
-            }
-            (Phase::Accepting { .. }, ConMsg::NackAccept { rpc, promised, .. })
-                if rpc == self.rpc =>
+            | (Phase::Accepting { .. }, ConMsg::NackAccept { rpc, promised, .. })
+                if rpc == self.quorum.rpc() =>
             {
                 self.preempted(promised)
             }
@@ -198,6 +204,7 @@ mod tests {
             servers: (1..=3).map(ProcessId).collect(),
             quorum: 2,
             backoff_unit: 10,
+            retry_interval: 40,
         }
     }
 
@@ -210,6 +217,7 @@ mod tests {
         p: &mut Proposer,
         acceptors: &mut [Acceptor],
         first: Step<ConMsg, ConfigId>,
+        rpc: &mut u64,
     ) -> ConfigId {
         let mut inbox: Vec<(ProcessId, ConMsg)> = first.sends;
         if let Some(v) = first.output {
@@ -223,13 +231,13 @@ mod tests {
                     // message to an acceptor
                     for (back_to, reply) in acceptors[idx].handle(ProcessId(99), msg) {
                         assert_eq!(back_to, ProcessId(99));
-                        let step = p.on_message(to, reply);
+                        let step = p.on_message(to, reply, rpc);
                         if let Some(v) = step.output {
                             return v;
                         }
                         next.extend(step.sends);
                         if step.timer_after.is_some() {
-                            let step = p.on_timer();
+                            let step = p.on_timer(rpc);
                             if let Some(v) = step.output {
                                 return v;
                             }
@@ -248,9 +256,10 @@ mod tests {
 
     #[test]
     fn solo_proposer_decides_own_value() {
-        let (mut p, first) = Proposer::start(cfg(), ProcessId(99), op(99), ConfigId(7), 0);
+        let mut rpc = 0;
+        let (mut p, first) = Proposer::start(cfg(), ProcessId(99), op(99), ConfigId(7), &mut rpc);
         let mut acc = vec![Acceptor::new(); 3];
-        let decided = drive(&mut p, &mut acc, first);
+        let decided = drive(&mut p, &mut acc, first, &mut rpc);
         assert_eq!(decided, ConfigId(7));
         assert_eq!(p.backoff.attempts(), 0);
     }
@@ -276,10 +285,11 @@ mod tests {
                 },
             );
         }
-        let (mut p, first) = Proposer::start(cfg(), ProcessId(99), op(99), ConfigId(7), 0);
+        let mut rpc = 0;
+        let (mut p, first) = Proposer::start(cfg(), ProcessId(99), op(99), ConfigId(7), &mut rpc);
         // p99's initial ballot (1, p99) > (1, p50), so prepare succeeds and
         // must adopt 42.
-        let decided = drive(&mut p, &mut acc, first);
+        let decided = drive(&mut p, &mut acc, first, &mut rpc);
         assert_eq!(decided, ConfigId(42), "validity: adopts the accepted value");
     }
 
@@ -289,8 +299,9 @@ mod tests {
         for a in acc.iter_mut() {
             a.handle(ProcessId(1), ConMsg::Decide { inst: ConfigId(0), value: ConfigId(5) });
         }
-        let (mut p, first) = Proposer::start(cfg(), ProcessId(99), op(99), ConfigId(7), 0);
-        let decided = drive(&mut p, &mut acc, first);
+        let mut rpc = 0;
+        let (mut p, first) = Proposer::start(cfg(), ProcessId(99), op(99), ConfigId(7), &mut rpc);
+        let decided = drive(&mut p, &mut acc, first, &mut rpc);
         assert_eq!(decided, ConfigId(5));
     }
 
@@ -305,15 +316,17 @@ mod tests {
                 ConMsg::Prepare { inst: ConfigId(0), rpc: RpcId(1), ballot: high, op: op(50) },
             );
         }
-        let (mut p, first) = Proposer::start(cfg(), ProcessId(99), op(99), ConfigId(7), 0);
-        let decided = drive(&mut p, &mut acc, first);
+        let mut rpc = 0;
+        let (mut p, first) = Proposer::start(cfg(), ProcessId(99), op(99), ConfigId(7), &mut rpc);
+        let decided = drive(&mut p, &mut acc, first, &mut rpc);
         assert_eq!(decided, ConfigId(7), "retries with a higher ballot and wins");
         assert!(p.backoff.attempts() >= 1);
     }
 
     #[test]
     fn stale_rpc_replies_ignored() {
-        let (mut p, _first) = Proposer::start(cfg(), ProcessId(99), op(99), ConfigId(7), 0);
+        let mut rpc = 0;
+        let (mut p, _first) = Proposer::start(cfg(), ProcessId(99), op(99), ConfigId(7), &mut rpc);
         let stale = ConMsg::Promise {
             inst: ConfigId(0),
             rpc: RpcId(999),
@@ -322,15 +335,15 @@ mod tests {
             decided: None,
             op: op(99),
         };
-        assert!(p.on_message(ProcessId(1), stale).is_idle());
+        assert!(p.on_message(ProcessId(1), stale, &mut rpc).is_idle());
         let foreign = ConMsg::Promise {
             inst: ConfigId(55),
-            rpc: p.rpc,
+            rpc: p.quorum.rpc(),
             ballot: p.ballot,
             accepted: None,
             decided: None,
             op: op(99),
         };
-        assert!(p.on_message(ProcessId(1), foreign).is_idle());
+        assert!(p.on_message(ProcessId(1), foreign, &mut rpc).is_idle());
     }
 }

@@ -3,7 +3,9 @@
 //! Agreement, Validity and (practical) Termination of Definition 41.
 
 use ares_consensus::{Acceptor, ConMsg, Proposer, ProposerConfig};
-use ares_sim::{Actor, Ctx, NetworkConfig, RunOutcome, SimMessage, World};
+use ares_sim::{
+    Actor, Ctx, FaultAction, FaultSchedule, NetworkConfig, RunOutcome, SimMessage, World,
+};
 use ares_types::{ConfigId, OpCompletion, OpId, OpKind, ProcessId};
 
 #[derive(Clone, Debug)]
@@ -34,6 +36,10 @@ struct ProposerActor {
     engine: Option<Proposer>,
     started: bool,
     invoked_at: u64,
+    rpc: u64,
+    /// The token of the one timer the engine currently wants: a step's
+    /// timer replaces the one armed before it.
+    timer: u64,
 }
 
 impl ProposerActor {
@@ -42,7 +48,8 @@ impl ProposerActor {
             ctx.send(to, PaxMsg(m));
         }
         if let Some(after) = step.timer_after {
-            ctx.set_timer(after.get(), 0);
+            self.timer += 1;
+            ctx.set_timer(after.get(), self.timer);
         }
         if let Some(decided) = step.output {
             let mut c = OpCompletion::new(
@@ -69,31 +76,46 @@ impl Actor<PaxMsg> for ProposerActor {
                 servers: self.servers.clone(),
                 quorum: self.quorum,
                 backoff_unit: 20,
+                retry_interval: 200,
             };
             let op = OpId { client: ctx.pid(), seq: 0 };
-            let (p, step) = Proposer::start(cfg, ctx.pid(), op, self.value, 0);
+            let (p, step) = Proposer::start(cfg, ctx.pid(), op, self.value, &mut self.rpc);
             self.engine = Some(p);
             self.emit(step, ctx);
             return;
         }
         // Stray replies after completion are dropped.
         let Some(engine) = self.engine.as_mut() else { return };
-        let step = engine.on_message(from, msg.0);
+        let step = engine.on_message(from, msg.0, &mut self.rpc);
         self.emit(step, ctx);
     }
 
-    fn on_timer(&mut self, _token: u64, ctx: &mut Ctx<'_, PaxMsg>) {
+    fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_, PaxMsg>) {
+        if token != self.timer {
+            return;
+        }
         if let Some(p) = self.engine.as_mut() {
-            let step = p.on_timer();
+            let step = p.on_timer(&mut self.rpc);
             self.emit(step, ctx);
         }
     }
 }
 
 fn run_contention(n_acceptors: u32, n_proposers: u32, crashes: &[u32], seed: u64) -> Vec<ConfigId> {
+    run_with_faults(n_acceptors, n_proposers, crashes, seed, &FaultSchedule::new())
+}
+
+fn run_with_faults(
+    n_acceptors: u32,
+    n_proposers: u32,
+    crashes: &[u32],
+    seed: u64,
+    faults: &FaultSchedule,
+) -> Vec<ConfigId> {
     let servers: Vec<ProcessId> = (1..=n_acceptors).map(ProcessId).collect();
     let quorum = n_acceptors as usize / 2 + 1;
     let mut world = World::new(NetworkConfig::uniform(5, 60), seed);
+    world.install_faults(faults);
     for &s in &servers {
         world.add_actor(s, AcceptorActor { acc: Acceptor::new() });
     }
@@ -108,6 +130,8 @@ fn run_contention(n_acceptors: u32, n_proposers: u32, crashes: &[u32], seed: u64
                 engine: None,
                 started: false,
                 invoked_at: 0,
+                rpc: 0,
+                timer: 0,
             },
         );
         // Kick: any message wakes the proposer; use a self-addressed
@@ -169,5 +193,21 @@ fn heavy_contention_still_terminates() {
         let decisions = run_contention(3, 8, &[], seed);
         assert_eq!(decisions.len(), 8, "seed {seed}");
         assert!(decisions.windows(2).all(|w| w[0] == w[1]), "seed {seed}");
+    }
+}
+
+#[test]
+fn a_proposer_cut_off_from_the_acceptors_decides_after_the_heal() {
+    // Proposer 100's links to all three acceptors are down for its first
+    // 1,000 time units: the Prepare broadcast and the resends at 200 and
+    // 600 are lost. The resend after the heal reaches the acceptors, and
+    // the instance decides the proposal.
+    let acceptors: Vec<ProcessId> = (1..=3).map(ProcessId).collect();
+    let faults = FaultSchedule::new()
+        .at(0, FaultAction::Partition { groups: vec![vec![ProcessId(100)], acceptors] })
+        .at(1_000, FaultAction::HealAll);
+    for seed in 0..5u64 {
+        let decisions = run_with_faults(3, 1, &[], seed, &faults);
+        assert_eq!(decisions, vec![ConfigId(10)], "seed {seed}");
     }
 }

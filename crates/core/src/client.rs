@@ -430,9 +430,10 @@ mod tests {
         assert_eq!(rtt.rto(FLOOR), 2_250 + 4 * 1_062);
     }
 
-    /// One client and the five servers of a TREAS `[5, 3]` configuration,
-    /// hosted by hand through [`Ctx::detached`]: the test owns the clock
-    /// and decides when replies and timers are delivered.
+    /// One client and servers 1..=5, each configuration a TREAS `[5, 3]`
+    /// over them (quorum 4), hosted by hand through [`Ctx::detached`]:
+    /// the test owns the clock and decides when replies and timers are
+    /// delivered.
     struct Hosted {
         client: ClientActor,
         servers: Vec<ServerActor>,
@@ -449,13 +450,15 @@ mod tests {
 
     impl Hosted {
         fn new() -> Self {
+            Self::with_configs(1)
+        }
+
+        /// Configurations `c0 .. c(n-1)`, the client starting from `c0`.
+        fn with_configs(n: u32) -> Self {
             let servers: Vec<ProcessId> = (1..=5).map(ProcessId).collect();
-            let registry = ConfigRegistry::from_configs([Configuration::treas(
-                ConfigId(0),
-                servers.clone(),
-                3,
-                2,
-            )]);
+            let registry = ConfigRegistry::from_configs(
+                (0..n).map(|c| Configuration::treas(ConfigId(c), servers.clone(), 3, 2)),
+            );
             Hosted {
                 client: ClientActor::new(registry.clone(), ClientConfig::new(ConfigId(0))),
                 servers: servers.iter().map(|&s| ServerActor::new(s, registry.clone())).collect(),
@@ -493,6 +496,31 @@ mod tests {
             let seq = session_op_seq(SessionId(0), n);
             let invoke = Msg::Invoke(crate::Invoke { session: SessionId(0), seq, cmd });
             self.client(|c, ctx| c.on_message(ProcessId(0), invoke, ctx));
+        }
+
+        /// Invokes `reconfig(target)` as operation 0 of session 0.
+        fn recon(&mut self, target: u32) {
+            let cmd = ClientCmd::Recon { target: ConfigId(target) };
+            let seq = session_op_seq(SessionId(0), 0);
+            let invoke = Msg::Invoke(crate::Invoke { session: SessionId(0), seq, cmd });
+            self.client(|c, ctx| c.on_message(ProcessId(0), invoke, ctx));
+        }
+
+        /// Keeps the first `kept` outstanding requests that `is_phase`
+        /// picks and loses the rest of them; returns every request the
+        /// phase sent.
+        fn lose_all_but(
+            &mut self,
+            kept: usize,
+            is_phase: fn(&Msg) -> bool,
+        ) -> Vec<(ProcessId, Msg)> {
+            let sent: Vec<_> = self.outbox.iter().filter(|(_, m)| is_phase(m)).cloned().collect();
+            let mut seen = 0;
+            self.outbox.retain(|(_, m)| {
+                seen += usize::from(is_phase(m));
+                !is_phase(m) || seen <= kept
+            });
+            sent
         }
 
         /// Advances the clock by `rtt`, then delivers the servers'
@@ -576,5 +604,62 @@ mod tests {
             h.armed
         };
         assert_eq!(run(), run());
+    }
+
+    fn is_read_config(m: &Msg) -> bool {
+        matches!(m, Msg::Cfg(crate::CfgMsg::ReadConfig { .. }))
+    }
+
+    fn is_write_config(m: &Msg) -> bool {
+        matches!(m, Msg::Cfg(crate::CfgMsg::WriteConfig { .. }))
+    }
+
+    fn is_prepare(m: &Msg) -> bool {
+        matches!(m, Msg::Con(ares_consensus::ConMsg::Prepare { .. }))
+    }
+
+    #[test]
+    fn read_next_config_timer_resends_only_to_the_silent_servers() {
+        let mut h = Hosted::new();
+        h.write(0);
+        // Servers 4 and 5 never get the request; 3 replies of quorum 4.
+        let sent = h.lose_all_but(3, is_read_config);
+        assert_eq!(sent.len(), 5);
+        h.answer_after(10);
+        assert!(h.outbox.is_empty(), "three replies are short of the quorum");
+        assert_eq!(h.fire_timer(), 2);
+        assert_eq!(h.outbox, sent[3..], "servers 4 and 5, the same request, the same rpc");
+    }
+
+    #[test]
+    fn put_config_timer_resends_only_to_the_silent_servers() {
+        let mut h = Hosted::with_configs(2);
+        h.recon(1);
+        // read-next-config, Prepare, Accept: then put-config(c0, ⟨c1, P⟩).
+        for _ in 0..3 {
+            h.answer_after(10);
+        }
+        let sent = h.lose_all_but(3, is_write_config);
+        assert_eq!(sent.len(), 5);
+        h.answer_after(10);
+        assert!(!h.outbox.iter().any(|(_, m)| is_write_config(m)), "three acks of quorum 4");
+        assert_eq!(h.fire_timer(), 2);
+        assert_eq!(h.outbox, sent[3..], "servers 4 and 5, the same request, the same rpc");
+    }
+
+    #[test]
+    fn a_lost_prepare_is_resent_and_the_reconfig_completes() {
+        let mut h = Hosted::with_configs(2);
+        h.recon(1);
+        h.answer_after(10); // read-next-config: c0 has no successor yet
+        let lost = h.lose_all_but(0, is_prepare);
+        assert_eq!(lost.len(), 5, "the whole Prepare broadcast is lost");
+        assert_eq!(h.fire_timer(), 5, "no acceptor has answered: all five are asked again");
+        assert_eq!(h.outbox, lost, "the same Prepare, the same rpc");
+        for _ in 0..16 {
+            h.answer_after(10);
+        }
+        assert_eq!(h.completed, 1, "the reconfiguration installs c1");
+        assert_eq!(h.client.cseq().last().cfg, ConfigId(1));
     }
 }

@@ -20,9 +20,11 @@ use ares_consensus::{Proposer, ProposerConfig};
 use ares_dap::client::{DapCall, DapCtx};
 use ares_dap::{DapAction, DapOutput};
 use ares_types::{
-    Backoff, ConfigEntry, ConfigId, ConfigRegistry, ConfigSeq, Delay, ObjectId, OpId, ProcessId,
-    RpcId, Status, Tag, TagValue, Time, Value, TAG0,
+    Backoff, ConfigEntry, ConfigId, ConfigRegistry, ConfigSeq, Configuration, Delay, ObjectId,
+    OpId, ProcessId, QuorumPhase, RpcId, Status, Step, Tag, TagValue, Time, Value, TAG0,
 };
+use std::collections::BTreeSet;
+use std::convert::identity;
 use std::sync::Arc;
 
 /// How `update-config` migrates object state into a new configuration.
@@ -69,8 +71,17 @@ impl Env<'_> {
         RpcId(*self.rpc)
     }
 
-    fn cfg(&self, id: ConfigId) -> Arc<ares_types::Configuration> {
+    fn cfg(&self, id: ConfigId) -> Arc<Configuration> {
         self.registry.get(id).clone()
+    }
+
+    /// Opens a configuration-service phase: `msg(rpc)` to every server
+    /// of `cfg`, completed by a quorum of replies.
+    fn phase(&mut self, cfg: &Configuration, msg: impl Fn(RpcId) -> CfgMsg) -> QuorumPhase<Msg> {
+        QuorumPhase::new(self.rpc, cfg.quorum_size(), |rpc| {
+            let msg = Msg::Cfg(msg(rpc));
+            cfg.servers.iter().map(|&s| (s, msg.clone())).collect()
+        })
     }
 }
 
@@ -126,61 +137,31 @@ impl FStep {
 /// `read-next-config(c)` (Alg. 4): query a quorum of `c.Servers` for
 /// their `nextC` pointers; prefer a finalized reply over a pending one.
 pub(crate) struct ReadNextFrame {
-    base: Arc<ares_types::Configuration>,
-    rpc: RpcId,
-    replies: Vec<ProcessId>,
+    base: ConfigId,
+    phase: QuorumPhase<Msg>,
     best: Option<ConfigEntry>,
-    backoff: Backoff,
 }
 
 impl ReadNextFrame {
-    fn new(base: Arc<ares_types::Configuration>) -> Self {
-        ReadNextFrame {
-            base,
-            rpc: RpcId(0),
-            replies: Vec::new(),
-            best: None,
-            backoff: Backoff::default(),
-        }
-    }
-
-    /// The request, addressed to every server that has not answered.
-    fn sends(&self, env: &Env<'_>) -> Vec<(ProcessId, Msg)> {
-        let msg = CfgMsg::ReadConfig { base: self.base.id, rpc: self.rpc, op: env.op };
-        let unheard = self.base.servers.iter().filter(|s| !self.replies.contains(s));
-        unheard.map(|&s| (s, Msg::Cfg(msg.clone()))).collect()
-    }
-
-    fn start(&mut self, env: &mut Env<'_>) -> FStep {
-        self.rpc = env.fresh_rpc();
-        let mut step = FStep::sends(self.sends(env));
-        // A quorum phase over lossy channels: retransmit under the same
-        // rpc until replies assemble (servers answer read-config
-        // idempotently, duplicate replies are deduplicated above).
-        step.timer = Some(self.backoff.arm(env.rto));
-        step
-    }
-
-    fn on_timer(&mut self, env: &mut Env<'_>) -> FStep {
-        let mut step = FStep::sends(self.sends(env));
-        step.timer = Some(self.backoff.rearm(env.rto));
-        step
+    fn new(base: &Configuration, env: &mut Env<'_>) -> Self {
+        let op = env.op;
+        let phase = env.phase(base, |rpc| CfgMsg::ReadConfig { base: base.id, rpc, op });
+        ReadNextFrame { base: base.id, phase, best: None }
     }
 
     fn on_msg(&mut self, from: ProcessId, msg: &Msg) -> FStep {
         let Msg::Cfg(CfgMsg::NextC { base, rpc, next, .. }) = msg else {
             return FStep::idle();
         };
-        if *base != self.base.id || *rpc != self.rpc || self.replies.contains(&from) {
+        if *base != self.base || !self.phase.hear(from, *rpc) {
             return FStep::idle();
         }
-        self.replies.push(from);
         // A pointer naming its own configuration is corrupt (servers
         // refuse to install self-loops, but an old or hostile server
         // could still reply with one): treat it as ⊥ rather than walk
         // a cycle forever.
         let next = match next {
-            Some(e) if e.cfg == self.base.id => &None,
+            Some(e) if e.cfg == self.base => &None,
             other => other,
         };
         if let Some(e) = next {
@@ -199,7 +180,7 @@ impl ReadNextFrame {
                 }
             }
         }
-        if self.replies.len() >= self.base.quorum_size() {
+        if self.phase.complete() {
             FStep::out(FrameOut::Next(self.best))
         } else {
             FStep::idle()
@@ -210,55 +191,22 @@ impl ReadNextFrame {
 /// `put-config(c, entry)` (Alg. 4): write the successor pointer to a
 /// quorum of `c.Servers`.
 pub(crate) struct PutConfigFrame {
-    base: Arc<ares_types::Configuration>,
-    entry: ConfigEntry,
-    rpc: RpcId,
-    acks: Vec<ProcessId>,
-    backoff: Backoff,
+    base: ConfigId,
+    phase: QuorumPhase<Msg>,
 }
 
 impl PutConfigFrame {
-    fn new(base: Arc<ares_types::Configuration>, entry: ConfigEntry) -> Self {
-        PutConfigFrame { base, entry, rpc: RpcId(0), acks: Vec::new(), backoff: Backoff::default() }
-    }
-
-    /// The request, addressed to every server that has not acked.
-    fn sends(&self, env: &Env<'_>) -> Vec<(ProcessId, Msg)> {
-        let msg = CfgMsg::WriteConfig {
-            base: self.base.id,
-            entry: self.entry,
-            rpc: self.rpc,
-            op: env.op,
-        };
-        let unacked = self.base.servers.iter().filter(|s| !self.acks.contains(s));
-        unacked.map(|&s| (s, Msg::Cfg(msg.clone()))).collect()
-    }
-
-    fn start(&mut self, env: &mut Env<'_>) -> FStep {
-        self.rpc = env.fresh_rpc();
-        let mut step = FStep::sends(self.sends(env));
-        // Same retransmission discipline as read-next-config: nextC
-        // writes are idempotent (servers keep the max), so resending
-        // under the same rpc is safe and survives lossy links.
-        step.timer = Some(self.backoff.arm(env.rto));
-        step
-    }
-
-    fn on_timer(&mut self, env: &mut Env<'_>) -> FStep {
-        let mut step = FStep::sends(self.sends(env));
-        step.timer = Some(self.backoff.rearm(env.rto));
-        step
+    fn new(base: &Configuration, entry: ConfigEntry, env: &mut Env<'_>) -> Self {
+        let op = env.op;
+        let phase = env.phase(base, |rpc| CfgMsg::WriteConfig { base: base.id, entry, rpc, op });
+        PutConfigFrame { base: base.id, phase }
     }
 
     fn on_msg(&mut self, from: ProcessId, msg: &Msg) -> FStep {
         let Msg::Cfg(CfgMsg::CfgAck { base, rpc, .. }) = msg else {
             return FStep::idle();
         };
-        if *base != self.base.id || *rpc != self.rpc || self.acks.contains(&from) {
-            return FStep::idle();
-        }
-        self.acks.push(from);
-        if self.acks.len() >= self.base.quorum_size() {
+        if *base == self.base && self.phase.hear(from, *rpc) && self.phase.complete() {
             FStep::out(FrameOut::Ack)
         } else {
             FStep::idle()
@@ -283,7 +231,7 @@ impl ReadConfigFrame {
     fn start(&mut self, env: &mut Env<'_>) -> FStep {
         self.cur = self.seq.mu(); // µ: last finalized entry
         let base = env.cfg(self.seq.get(self.cur).cfg);
-        FStep::push(Frame::ReadNext(ReadNextFrame::new(base)))
+        FStep::push(Frame::ReadNext(ReadNextFrame::new(&base, env)))
     }
 
     fn on_child(&mut self, out: FrameOut, env: &mut Env<'_>) -> FStep {
@@ -296,7 +244,7 @@ impl ReadConfigFrame {
                 // configuration about the (possibly upgraded) successor.
                 let base = env.cfg(self.seq.get(self.cur).cfg);
                 let entry = self.seq.get(self.cur + 1);
-                FStep::push(Frame::PutConfig(PutConfigFrame::new(base, entry)))
+                FStep::push(Frame::PutConfig(PutConfigFrame::new(&base, entry, env)))
             }
             FrameOut::Next(None) => FStep::out(FrameOut::Seq(self.seq.clone())),
             FrameOut::Ack => {
@@ -304,7 +252,7 @@ impl ReadConfigFrame {
                 self.awaiting_put = false;
                 self.cur += 1;
                 let base = env.cfg(self.seq.get(self.cur).cfg);
-                FStep::push(Frame::ReadNext(ReadNextFrame::new(base)))
+                FStep::push(Frame::ReadNext(ReadNextFrame::new(&base, env)))
             }
             #[expect(clippy::unreachable, reason = "a child returns what this frame pushed it for")]
             other => unreachable!("read-config got unexpected child result {other:?}"),
@@ -318,14 +266,14 @@ impl ReadConfigFrame {
 
 /// One DAP primitive executed in a given configuration.
 pub(crate) struct DapFrame {
-    cfg: Arc<ares_types::Configuration>,
+    cfg: Arc<Configuration>,
     obj: ObjectId,
     action: Option<DapAction>,
     call: Option<DapCall>,
 }
 
 impl DapFrame {
-    fn new(cfg: Arc<ares_types::Configuration>, obj: ObjectId, action: DapAction) -> Self {
+    fn new(cfg: Arc<Configuration>, obj: ObjectId, action: DapAction) -> Self {
         DapFrame { cfg, obj, action: Some(action), call: None }
     }
 
@@ -335,39 +283,40 @@ impl DapFrame {
         let Some(action) = self.action.take() else { return FStep::idle() };
         let (call, step) = DapCall::start(ctx, action, env.rpc);
         self.call = Some(call);
-        wrap_dap(step)
+        lift(step, Msg::Dap, FrameOut::Dap)
     }
 
     fn on_msg(&mut self, from: ProcessId, msg: &Msg, env: &mut Env<'_>) -> FStep {
         let Msg::Dap(m) = msg else { return FStep::idle() };
         let Some(call) = self.call.as_mut() else { return FStep::idle() };
-        wrap_dap(call.on_message(from, m, env.rpc))
+        lift(call.on_message(from, m, env.rpc), Msg::Dap, FrameOut::Dap)
     }
 
     fn on_timer(&mut self, env: &mut Env<'_>) -> FStep {
         let Some(call) = self.call.as_mut() else { return FStep::idle() };
-        wrap_dap(call.on_timer(env.rpc))
+        lift(call.on_timer(env.rpc), Msg::Dap, FrameOut::Dap)
     }
 }
 
-fn wrap_dap(step: ares_types::Step<ares_dap::DapMsg, DapOutput>) -> FStep {
+/// An engine's step as a frame step.
+fn lift<M, O>(step: Step<M, O>, msg: fn(M) -> Msg, out: fn(O) -> FrameOut) -> FStep {
     FStep {
-        sends: step.sends.into_iter().map(|(to, m)| (to, Msg::Dap(m))).collect(),
+        sends: step.sends.into_iter().map(|(to, m)| (to, msg(m))).collect(),
         timer: step.timer_after,
-        out: step.output.map(FrameOut::Dap),
+        out: step.output.map(out),
         push: None,
     }
 }
 
 /// One `c.Con.propose(value)` call (Paxos proposer).
 pub(crate) struct ProposeFrame {
-    base: Arc<ares_types::Configuration>,
+    base: Arc<Configuration>,
     value: ConfigId,
     proposer: Option<Proposer>,
 }
 
 impl ProposeFrame {
-    fn new(base: Arc<ares_types::Configuration>, value: ConfigId) -> Self {
+    fn new(base: Arc<Configuration>, value: ConfigId) -> Self {
         ProposeFrame { base, value, proposer: None }
     }
 
@@ -377,37 +326,25 @@ impl ProposeFrame {
             servers: self.base.servers.clone(),
             quorum: self.base.quorum_size(),
             backoff_unit: env.backoff_unit,
+            retry_interval: env.rto,
         };
         // Ballots are ordered by (round, proposer id): concurrent
         // reconfig sessions of one host propose under their distinct
         // logical writer ids so their ballots stay unique.
-        let (p, step) = Proposer::start(cfg, env.writer, env.op, self.value, *env.rpc);
-        *env.rpc += 2; // prepare + accept phase ids
+        let (p, step) = Proposer::start(cfg, env.writer, env.op, self.value, env.rpc);
         self.proposer = Some(p);
-        wrap_con(step, env)
+        lift(step, Msg::Con, FrameOut::Decided)
     }
 
     fn on_msg(&mut self, from: ProcessId, msg: &Msg, env: &mut Env<'_>) -> FStep {
         let Msg::Con(m) = msg else { return FStep::idle() };
         let Some(p) = self.proposer.as_mut() else { return FStep::idle() };
-        let step = p.on_message(from, m.clone());
-        wrap_con(step, env)
+        lift(p.on_message(from, m.clone(), env.rpc), Msg::Con, FrameOut::Decided)
     }
 
     fn on_timer(&mut self, env: &mut Env<'_>) -> FStep {
         let Some(p) = self.proposer.as_mut() else { return FStep::idle() };
-        let step = p.on_timer();
-        *env.rpc += 2; // a retry consumes two more phase ids
-        wrap_con(step, env)
-    }
-}
-
-fn wrap_con(step: ares_types::Step<ares_consensus::ConMsg, ConfigId>, _env: &mut Env<'_>) -> FStep {
-    FStep {
-        sends: step.sends.into_iter().map(|(to, m)| (to, Msg::Con(m))).collect(),
-        timer: step.timer_after,
-        out: step.output.map(FrameOut::Decided),
-        push: None,
+        lift(p.on_timer(env.rpc), Msg::Con, FrameOut::Decided)
     }
 }
 
@@ -417,24 +354,24 @@ fn wrap_con(step: ares_types::Step<ares_consensus::ConMsg, ConfigId>, _env: &mut
 pub(crate) struct TransferFrame {
     tag: Tag,
     src: ConfigId,
-    dst: Arc<ares_types::Configuration>,
+    dst: Arc<Configuration>,
     obj: ObjectId,
     rpc: RpcId,
-    acks: Vec<ProcessId>,
+    acks: BTreeSet<ProcessId>,
     /// Grows the rebroadcast delay, so a transfer stalled by load backs
     /// off instead of re-amplifying the ×(src · dst) forward fan-out.
     backoff: Backoff,
 }
 
 impl TransferFrame {
-    fn new(tag: Tag, src: ConfigId, dst: Arc<ares_types::Configuration>, obj: ObjectId) -> Self {
+    fn new(tag: Tag, src: ConfigId, dst: Arc<Configuration>, obj: ObjectId) -> Self {
         TransferFrame {
             tag,
             src,
             dst,
             obj,
             rpc: RpcId(0),
-            acks: Vec::new(),
+            acks: BTreeSet::new(),
             backoff: Backoff::default(),
         }
     }
@@ -479,10 +416,9 @@ impl TransferFrame {
         };
         // Replicated sources may forward a newer tag (see ServerActor);
         // any tag ≥ the requested one carries at least as recent a value.
-        if *dst != self.dst.id || *rpc != self.rpc || *tag < self.tag || self.acks.contains(&from) {
+        if *dst != self.dst.id || *rpc != self.rpc || *tag < self.tag || !self.acks.insert(from) {
             return FStep::idle();
         }
-        self.acks.push(from);
         if self.acks.len() >= self.dst.quorum_size() {
             FStep::out(FrameOut::Ack)
         } else {
@@ -733,7 +669,8 @@ impl ReconFrame {
                 let prev = env.cfg(self.seq.last().cfg);
                 self.seq.push(ConfigEntry::pending(d));
                 self.phase = ReconPhase::AddPut;
-                FStep::push(Frame::PutConfig(PutConfigFrame::new(prev, ConfigEntry::pending(d))))
+                let entry = ConfigEntry::pending(d);
+                FStep::push(Frame::PutConfig(PutConfigFrame::new(&prev, entry, env)))
             }
             (ReconPhase::AddPut, FrameOut::Ack) => {
                 // update-config, object by object.
@@ -826,10 +763,8 @@ impl ReconFrame {
         self.phase = ReconPhase::FinalizePut;
         let nu = self.seq.nu();
         let prev = env.cfg(self.seq.get(nu - 1).cfg);
-        FStep::push(Frame::PutConfig(PutConfigFrame::new(
-            prev,
-            ConfigEntry::finalized(self.decided),
-        )))
+        let entry = ConfigEntry::finalized(self.decided);
+        FStep::push(Frame::PutConfig(PutConfigFrame::new(&prev, entry, env)))
     }
 }
 
@@ -873,8 +808,10 @@ impl Frame {
             Frame::Read(f) => f.start(env),
             Frame::Recon(f) => f.start(env),
             Frame::ReadConfig(f) => f.start(env),
-            Frame::ReadNext(f) => f.start(env),
-            Frame::PutConfig(f) => f.start(env),
+            Frame::ReadNext(ReadNextFrame { phase, .. })
+            | Frame::PutConfig(PutConfigFrame { phase, .. }) => {
+                lift(phase.send(env.rto), identity, identity)
+            }
             Frame::Dap(f) => f.start(env),
             Frame::Propose(f) => f.start(env),
             Frame::Transfer(f) => f.start(env),
@@ -909,8 +846,10 @@ impl Frame {
             Frame::Dap(f) => f.on_timer(env),
             Frame::Propose(f) => f.on_timer(env),
             Frame::Transfer(f) => f.on_timer(env),
-            Frame::ReadNext(f) => f.on_timer(env),
-            Frame::PutConfig(f) => f.on_timer(env),
+            Frame::ReadNext(ReadNextFrame { phase, .. })
+            | Frame::PutConfig(PutConfigFrame { phase, .. }) => {
+                lift(phase.resend(env.rto), identity, identity)
+            }
             _ => FStep::idle(),
         }
     }

@@ -22,8 +22,8 @@
 use crate::{DapAction, DapBody, DapMsg, DapOutput, Hdr, ListEntry};
 use ares_codes::{build_code, Fragment};
 use ares_types::{
-    Backoff, Configuration, DapKind, ObjectId, OpId, ProcessId, RpcId, Step, Tag, TagValue, Time,
-    Value, TAG0,
+    Configuration, DapKind, ObjectId, OpId, ProcessId, QuorumPhase, RpcId, Step, Tag, TagValue,
+    Time, Value, TAG0,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -56,321 +56,198 @@ impl DapCtx {
     pub fn new(cfg: Arc<Configuration>, obj: ObjectId, me: ProcessId, op: OpId) -> Self {
         DapCtx { cfg, obj, me, op, retry_interval: 200 }
     }
+
+    /// This call's header; the phase id is stamped by [`with_rpc`] when
+    /// a phase opens.
+    fn hdr(&self) -> Hdr {
+        Hdr { cfg: self.cfg.id, obj: self.obj, rpc: RpcId(0), op: self.op }
+    }
+
+    /// `body` to each of `targets`.
+    fn to_each(&self, targets: &[ProcessId], body: DapBody) -> Vec<(ProcessId, DapMsg)> {
+        let hdr = self.hdr();
+        targets.iter().map(|&s| (s, DapMsg::new(hdr, body.clone()))).collect()
+    }
 }
 
 type DapStep = Step<DapMsg, DapOutput>;
 
-enum Inner {
-    AbdGetTag { replies: Vec<ProcessId>, max: Tag },
-    AbdGetData { replies: Vec<ProcessId>, best: TagValue },
-    AbdPut { acks: Vec<ProcessId> },
-    TreasGetTag { replies: Vec<ProcessId>, max: Tag },
-    TreasGetData { lists: HashMap<ProcessId, Vec<ListEntry>> },
-    TreasPut { acks: Vec<ProcessId> },
-    LdrGetTag { replies: Vec<ProcessId>, max: Tag },
-    LdrPutData { tag: Tag, acks: Vec<ProcessId> },
-    LdrPutMeta { tag: Tag, locs: Vec<ProcessId>, acks: Vec<ProcessId> },
-    LdrReadQuery { replies: Vec<ProcessId>, best: (Tag, Vec<ProcessId>) },
-    LdrReadMeta { best: (Tag, Vec<ProcessId>), acks: Vec<ProcessId> },
-    LdrReadFetch { tag: Tag, targets: Vec<ProcessId> },
+/// What the current phase folds its replies into. Each phase accepts
+/// only its own reply kind.
+enum Fold {
+    AbdTag(Tag),
+    AbdPair(TagValue),
+    AbdPut,
+    TreasTag(Tag),
+    /// Each server's list: the read condition evaluates whole list-sets.
+    TreasLists(HashMap<ProcessId, Vec<ListEntry>>),
+    TreasPut,
+    LdrTag(Tag),
+    /// Replica acks; the ackers become the locations of phase 2.
+    LdrPutData(Tag),
+    LdrPutMeta,
+    /// The highest `(tag, locations)` of the directories.
+    LdrQuery(Tag, Vec<ProcessId>),
+    /// Propagating the chosen metadata before the fetch.
+    LdrPropagate(Tag, Vec<ProcessId>),
+    /// The first replica to answer supplies the value.
+    LdrFetch(TagValue),
     Done,
 }
 
 /// One in-flight DAP primitive call.
 pub struct DapCall {
     ctx: DapCtx,
-    rpc: RpcId,
-    inner: Inner,
-    /// Pending `put-data` pair (kept for retransmission, and across
-    /// LDR's two phases).
-    put: Option<TagValue>,
-    /// Retry rounds performed so far (all phases; exponential backoff).
-    backoff: Backoff,
+    phase: QuorumPhase<DapMsg>,
+    fold: Fold,
 }
 
 impl DapCall {
     /// Starts a primitive call. `rpc_counter` is the caller's monotone
     /// phase-id counter (bumped for every broadcast phase).
     pub fn start(ctx: DapCtx, action: DapAction, rpc_counter: &mut u64) -> (Self, DapStep) {
-        let mut call = DapCall {
-            ctx,
-            rpc: RpcId(0),
-            inner: Inner::Done,
-            put: None,
-            backoff: Backoff::default(),
-        };
-        let step = match (&call.ctx.cfg.dap, action) {
+        let cfg = ctx.cfg.clone();
+        let all = |body| ctx.to_each(&cfg.servers, body);
+        let quorum = cfg.quorum_size();
+        let (fold, requests, threshold) = match (&cfg.dap, action) {
             (DapKind::Abd, DapAction::GetTag) => {
-                call.inner = Inner::AbdGetTag { replies: Vec::new(), max: TAG0 };
-                call.broadcast_all(DapBody::AbdQueryTag, rpc_counter)
+                (Fold::AbdTag(TAG0), all(DapBody::AbdQueryTag), quorum)
             }
             (DapKind::Abd, DapAction::GetData) => {
-                call.inner = Inner::AbdGetData { replies: Vec::new(), best: TagValue::initial() };
-                call.broadcast_all(DapBody::AbdQuery, rpc_counter)
+                (Fold::AbdPair(TagValue::initial()), all(DapBody::AbdQuery), quorum)
             }
             (DapKind::Abd, DapAction::PutData(tv)) => {
-                call.inner = Inner::AbdPut { acks: Vec::new() };
-                call.put = Some(tv.clone());
-                call.broadcast_all(DapBody::AbdWrite(tv.tag, tv.value), rpc_counter)
+                (Fold::AbdPut, all(DapBody::AbdWrite(tv.tag, tv.value)), quorum)
             }
             (DapKind::Treas { .. }, DapAction::GetTag) => {
-                call.inner = Inner::TreasGetTag { replies: Vec::new(), max: TAG0 };
-                call.broadcast_all(DapBody::TreasQueryTag, rpc_counter)
+                (Fold::TreasTag(TAG0), all(DapBody::TreasQueryTag), quorum)
             }
             (DapKind::Treas { .. }, DapAction::GetData) => {
-                call.inner = Inner::TreasGetData { lists: HashMap::new() };
-                call.broadcast_all(DapBody::TreasQueryList, rpc_counter)
+                (Fold::TreasLists(HashMap::new()), all(DapBody::TreasQueryList), quorum)
             }
             (DapKind::Treas { .. }, DapAction::PutData(tv)) => {
-                call.inner = Inner::TreasPut { acks: Vec::new() };
-                call.treas_put_broadcast(tv, rpc_counter)
+                (Fold::TreasPut, treas_put(&ctx, &tv), quorum)
             }
             (DapKind::Ldr { .. }, DapAction::GetTag) => {
-                call.inner = Inner::LdrGetTag { replies: Vec::new(), max: TAG0 };
-                call.broadcast_all(DapBody::LdrQueryTagLoc, rpc_counter)
+                (Fold::LdrTag(TAG0), all(DapBody::LdrQueryTagLoc), quorum)
             }
             (DapKind::Ldr { .. }, DapAction::GetData) => {
-                call.inner = Inner::LdrReadQuery { replies: Vec::new(), best: (TAG0, Vec::new()) };
-                call.broadcast_all(DapBody::LdrQueryTagLoc, rpc_counter)
+                (Fold::LdrQuery(TAG0, Vec::new()), all(DapBody::LdrQueryTagLoc), quorum)
             }
-            (DapKind::Ldr { .. }, DapAction::PutData(tv)) => {
-                call.put = Some(tv.clone());
-                call.inner = Inner::LdrPutData { tag: tv.tag, acks: Vec::new() };
-                call.broadcast_to(
-                    call.ctx.cfg.ldr_replicas().to_vec(),
-                    DapBody::LdrPutData(tv.tag, tv.value),
-                    rpc_counter,
-                )
-            }
+            (DapKind::Ldr { f }, DapAction::PutData(tv)) => (
+                Fold::LdrPutData(tv.tag),
+                ctx.to_each(cfg.ldr_replicas(), DapBody::LdrPutData(tv.tag, tv.value)),
+                f + 1,
+            ),
         };
-        (call, step)
+        let phase = QuorumPhase::new(rpc_counter, threshold, |rpc| with_rpc(requests, rpc));
+        let step = phase.send(ctx.retry_interval);
+        (DapCall { ctx, phase, fold }, step)
     }
 
-    fn hdr(&self) -> Hdr {
-        Hdr { cfg: self.ctx.cfg.id, obj: self.ctx.obj, rpc: self.rpc, op: self.ctx.op }
-    }
-
-    fn broadcast_all(&mut self, body: DapBody, rpc_counter: &mut u64) -> DapStep {
-        self.broadcast_to(self.ctx.cfg.servers.clone(), body, rpc_counter)
-    }
-
-    fn broadcast_to(
+    /// Opens the call's next phase under a fresh phase id.
+    fn open(
         &mut self,
-        targets: Vec<ProcessId>,
-        body: DapBody,
+        fold: Fold,
+        requests: Vec<(ProcessId, DapMsg)>,
+        threshold: usize,
         rpc_counter: &mut u64,
     ) -> DapStep {
-        *rpc_counter += 1;
-        self.rpc = RpcId(*rpc_counter);
-        let hdr = self.hdr();
-        // Every phase broadcast arms a retransmit timer: quorum messages
-        // travel over channels that faults may cut, so a phase whose
-        // requests (or replies) are lost must re-send rather than wait
-        // forever (see `on_timer`). The delay is exponential in the
-        // rounds already retried, capped.
-        Step::sends(targets.into_iter().map(|s| (s, DapMsg::new(hdr, body.clone()))).collect())
-            .with_timer(self.backoff.arm(self.ctx.retry_interval))
+        self.fold = fold;
+        self.phase = QuorumPhase::new(rpc_counter, threshold, |rpc| with_rpc(requests, rpc));
+        self.phase.send(self.ctx.retry_interval)
     }
 
-    fn treas_put_broadcast(&mut self, tv: TagValue, rpc_counter: &mut u64) -> DapStep {
-        *rpc_counter += 1;
-        self.rpc = RpcId(*rpc_counter);
-        let hdr = self.hdr();
-        let sends = self.treas_put_sends(hdr, &tv);
-        self.put = Some(tv);
-        Step::sends(sends).with_timer(self.backoff.arm(self.ctx.retry_interval))
-    }
-
-    /// The per-server coded fan-out of a TREAS `put-data`.
-    fn treas_put_sends(&self, hdr: Hdr, tv: &TagValue) -> Vec<(ProcessId, DapMsg)> {
-        #[expect(clippy::expect_used, reason = "registry-vetted configurations build their code")]
-        let code = build_code(self.ctx.cfg.code_params())
-            .expect("configuration carries valid code parameters");
-        // Zero-copy fan-out: systematic fragments are views of the
-        // value's own allocation (see `ErasureCode::encode_value`).
-        let frags = code.encode_value(tv.value.bytes());
-        self.ctx
-            .cfg
-            .servers
-            .iter()
-            .zip(frags)
-            .map(|(&s, f)| (s, DapMsg::new(hdr, DapBody::TreasWrite(tv.tag, f))))
-            .collect()
-    }
-
-    /// The quorum size of the configuration's own quorum system.
-    fn quorum(&self) -> usize {
-        self.ctx.cfg.quorum_size()
-    }
-
-    /// Feeds a reply. Messages from other phases/configs are ignored.
+    /// Feeds a reply. Messages from other phases/configs, and replies of
+    /// another kind than the phase asked for, are ignored.
     pub fn on_message(&mut self, from: ProcessId, msg: &DapMsg, rpc_counter: &mut u64) -> DapStep {
-        if msg.hdr.rpc != self.rpc || msg.hdr.cfg != self.ctx.cfg.id || msg.hdr.obj != self.ctx.obj
-        {
+        if msg.hdr.cfg != self.ctx.cfg.id || msg.hdr.obj != self.ctx.obj {
             return Step::idle();
         }
-        let quorum = self.quorum();
-        match (&mut self.inner, &msg.body) {
-            (Inner::AbdGetTag { replies, max }, DapBody::AbdTag(t)) => {
-                if !replies.contains(&from) {
-                    replies.push(from);
-                    *max = (*max).max(*t);
-                }
-                if replies.len() >= quorum {
-                    let out = *max;
-                    self.inner = Inner::Done;
-                    Step::done(DapOutput::Tag(out))
-                } else {
-                    Step::idle()
+        let rpc = msg.hdr.rpc;
+        match (&mut self.fold, &msg.body) {
+            (Fold::AbdTag(max), DapBody::AbdTag(t))
+            | (Fold::TreasTag(max), DapBody::TreasTag(t))
+            | (Fold::LdrTag(max), DapBody::LdrTagLoc(t, _))
+                if self.phase.hear(from, rpc) =>
+            {
+                *max = (*max).max(*t);
+            }
+            (Fold::AbdPair(best), DapBody::AbdTagValue(t, v)) if self.phase.hear(from, rpc) => {
+                if *t > best.tag {
+                    *best = TagValue::new(*t, v.clone());
                 }
             }
-            (Inner::AbdGetData { replies, best }, DapBody::AbdTagValue(t, v)) => {
-                if !replies.contains(&from) {
-                    replies.push(from);
-                    if *t > best.tag {
-                        *best = TagValue::new(*t, v.clone());
-                    }
-                }
-                if replies.len() >= quorum {
-                    let out = best.clone();
-                    self.inner = Inner::Done;
-                    Step::done(DapOutput::TagValue(out))
-                } else {
-                    Step::idle()
-                }
-            }
-            (Inner::AbdPut { acks }, DapBody::AbdAck) => {
-                if collect_ack(acks, from, quorum) {
-                    self.inner = Inner::Done;
-                    Step::done(DapOutput::Ack)
-                } else {
-                    Step::idle()
-                }
-            }
-            (Inner::TreasGetTag { replies, max }, DapBody::TreasTag(t)) => {
-                if !replies.contains(&from) {
-                    replies.push(from);
-                    *max = (*max).max(*t);
-                }
-                if replies.len() >= quorum {
-                    let out = *max;
-                    self.inner = Inner::Done;
-                    Step::done(DapOutput::Tag(out))
-                } else {
-                    Step::idle()
-                }
-            }
-            (Inner::TreasPut { acks }, DapBody::TreasAck) => {
-                if collect_ack(acks, from, quorum) {
-                    self.inner = Inner::Done;
-                    Step::done(DapOutput::Ack)
-                } else {
-                    Step::idle()
-                }
-            }
-            (Inner::TreasGetData { lists }, DapBody::TreasList(l)) => {
+            (Fold::AbdPut, DapBody::AbdAck)
+            | (Fold::TreasPut, DapBody::TreasAck)
+            | (Fold::LdrPutMeta | Fold::LdrPropagate(..), DapBody::LdrPutMetaAck)
+                if self.phase.hear(from, rpc) => {}
+            (Fold::TreasLists(lists), DapBody::TreasList(l)) if self.phase.hear(from, rpc) => {
                 lists.insert(from, l.clone());
-                if lists.len() < quorum {
-                    return Step::idle();
-                }
-                let k = self.ctx.cfg.code_params().k;
-                match treas_evaluate(lists, k, &self.ctx.cfg) {
-                    Some(tv) => {
-                        self.inner = Inner::Done;
-                        Step::done(DapOutput::TagValue(tv))
-                    }
-                    // Not yet decodable: keep waiting for stragglers. The
-                    // retry timer armed by the phase broadcast is still
-                    // pending and triggers the re-query (exponential in
-                    // the retry count — see `DapCtx::retry_interval`).
-                    None => Step::idle(),
+            }
+            (Fold::LdrPutData(tag), DapBody::LdrPutDataAck(t))
+                if t == tag && self.phase.hear(from, rpc) => {}
+            (Fold::LdrQuery(tag, locs), DapBody::LdrTagLoc(t, l)) if self.phase.hear(from, rpc) => {
+                if *t > *tag {
+                    (*tag, *locs) = (*t, l.clone());
                 }
             }
-            (Inner::LdrGetTag { replies, max }, DapBody::LdrTagLoc(t, _)) => {
-                if !replies.contains(&from) {
-                    replies.push(from);
-                    *max = (*max).max(*t);
-                }
-                if replies.len() >= quorum {
-                    let out = *max;
-                    self.inner = Inner::Done;
-                    Step::done(DapOutput::Tag(out))
-                } else {
+            (Fold::LdrFetch(tv), DapBody::LdrData(t, v))
+                if *t == tv.tag && self.phase.hear(from, rpc) =>
+            {
+                tv.value = v.clone();
+            }
+            _ => return Step::idle(),
+        }
+        if self.phase.complete() {
+            self.advance(rpc_counter)
+        } else {
+            Step::idle()
+        }
+    }
+
+    /// The current phase has its replies: completes the call, or opens
+    /// the algorithm's next phase.
+    fn advance(&mut self, rpc_counter: &mut u64) -> DapStep {
+        let cfg = self.ctx.cfg.clone();
+        match std::mem::replace(&mut self.fold, Fold::Done) {
+            Fold::AbdTag(t) | Fold::TreasTag(t) | Fold::LdrTag(t) => Step::done(DapOutput::Tag(t)),
+            Fold::AbdPair(tv) | Fold::LdrFetch(tv) => Step::done(DapOutput::TagValue(tv)),
+            Fold::AbdPut | Fold::TreasPut | Fold::LdrPutMeta => Step::done(DapOutput::Ack),
+            Fold::TreasLists(lists) => match treas_evaluate(&lists, cfg.code_params().k, &cfg) {
+                Some(tv) => Step::done(DapOutput::TagValue(tv)),
+                // Not yet decodable: keep waiting for stragglers. The
+                // phase's retry timer is still pending and triggers the
+                // re-query (exponential in the retry count — see
+                // `DapCtx::retry_interval`).
+                None => {
+                    self.fold = Fold::TreasLists(lists);
                     Step::idle()
                 }
+            },
+            Fold::LdrPutData(tag) => {
+                // Phase 2: PUT-METADATA(τ, U) to all directories.
+                let locs = self.phase.heard().to_vec();
+                let requests =
+                    self.ctx.to_each(cfg.ldr_directories(), DapBody::LdrPutMeta(tag, locs));
+                self.open(Fold::LdrPutMeta, requests, cfg.quorum_size(), rpc_counter)
             }
-            (Inner::LdrPutData { tag, acks }, DapBody::LdrPutDataAck(t)) if t == tag => {
-                let DapKind::Ldr { f } = self.ctx.cfg.dap else { return Step::idle() };
-                if !acks.contains(&from) {
-                    acks.push(from);
-                }
-                if acks.len() > f {
-                    // Phase 2: PUT-METADATA(τ, U) to all directories.
-                    let tag = *tag;
-                    let locs = acks.clone();
-                    self.inner = Inner::LdrPutMeta { tag, locs: locs.clone(), acks: Vec::new() };
-                    self.broadcast_to(
-                        self.ctx.cfg.ldr_directories().to_vec(),
-                        DapBody::LdrPutMeta(tag, locs),
-                        rpc_counter,
-                    )
-                } else {
-                    Step::idle()
-                }
+            Fold::LdrQuery(tag, locs) => {
+                // Phase 2: propagate the chosen metadata.
+                let body = DapBody::LdrPutMeta(tag, locs.clone());
+                let requests = self.ctx.to_each(cfg.ldr_directories(), body);
+                self.open(Fold::LdrPropagate(tag, locs), requests, cfg.quorum_size(), rpc_counter)
             }
-            (Inner::LdrPutMeta { acks, .. }, DapBody::LdrPutMetaAck) => {
-                if collect_ack(acks, from, quorum) {
-                    self.inner = Inner::Done;
-                    Step::done(DapOutput::Ack)
-                } else {
-                    Step::idle()
-                }
+            // Nothing written yet: the initial pair.
+            Fold::LdrPropagate(TAG0, _) => Step::done(DapOutput::TagValue(TagValue::initial())),
+            Fold::LdrPropagate(tag, locs) => {
+                let DapKind::Ldr { f } = cfg.dap else { return Step::idle() };
+                let targets: Vec<ProcessId> = locs.into_iter().take(f + 1).collect();
+                let requests = self.ctx.to_each(&targets, DapBody::LdrGetData(tag));
+                let fetch = Fold::LdrFetch(TagValue::new(tag, Value::default()));
+                self.open(fetch, requests, 1, rpc_counter)
             }
-            (Inner::LdrReadQuery { replies, best }, DapBody::LdrTagLoc(t, locs)) => {
-                if !replies.contains(&from) {
-                    replies.push(from);
-                    if *t > best.0 {
-                        *best = (*t, locs.clone());
-                    }
-                }
-                if replies.len() >= quorum {
-                    // Phase 2: propagate the chosen metadata.
-                    let best = best.clone();
-                    self.inner = Inner::LdrReadMeta { best: best.clone(), acks: Vec::new() };
-                    self.broadcast_to(
-                        self.ctx.cfg.ldr_directories().to_vec(),
-                        DapBody::LdrPutMeta(best.0, best.1),
-                        rpc_counter,
-                    )
-                } else {
-                    Step::idle()
-                }
-            }
-            (Inner::LdrReadMeta { best, acks }, DapBody::LdrPutMetaAck) => {
-                if !acks.contains(&from) {
-                    acks.push(from);
-                }
-                if acks.len() >= quorum {
-                    let (tag, locs) = best.clone();
-                    if tag == TAG0 {
-                        // Nothing written yet: the initial pair.
-                        self.inner = Inner::Done;
-                        return Step::done(DapOutput::TagValue(TagValue::initial()));
-                    }
-                    let DapKind::Ldr { f } = self.ctx.cfg.dap else { return Step::idle() };
-                    let targets: Vec<ProcessId> = locs.into_iter().take(f + 1).collect();
-                    self.inner = Inner::LdrReadFetch { tag, targets: targets.clone() };
-                    self.broadcast_to(targets, DapBody::LdrGetData(tag), rpc_counter)
-                } else {
-                    Step::idle()
-                }
-            }
-            (Inner::LdrReadFetch { tag, .. }, DapBody::LdrData(t, v)) if t == tag => {
-                let out = TagValue::new(*t, v.clone());
-                self.inner = Inner::Done;
-                Step::done(DapOutput::TagValue(out))
-            }
-            _ => Step::idle(),
+            Fold::Done => Step::idle(),
         }
     }
 
@@ -389,76 +266,42 @@ impl DapCall {
     ///   node, crashed-then-healed route) stalls the operation forever:
     ///   quorum phases otherwise assume reliable channels.
     pub fn on_timer(&mut self, rpc_counter: &mut u64) -> DapStep {
-        match &self.inner {
-            Inner::Done => Step::idle(),
-            Inner::TreasGetData { .. } => {
-                let timer = self.backoff.rearm(self.ctx.retry_interval);
-                self.inner = Inner::TreasGetData { lists: HashMap::new() };
-                self.broadcast_all(DapBody::TreasQueryList, rpc_counter).with_timer(timer)
+        let base = self.ctx.retry_interval;
+        match &mut self.fold {
+            Fold::Done => Step::idle(),
+            Fold::TreasLists(lists) => {
+                lists.clear();
+                let ctx = &self.ctx;
+                let query =
+                    |rpc| with_rpc(ctx.to_each(&ctx.cfg.servers, DapBody::TreasQueryList), rpc);
+                self.phase.restart(rpc_counter, base, query)
             }
-            _ => {
-                let timer = self.backoff.rearm(self.ctx.retry_interval);
-                Step::sends(self.resend()).with_timer(timer)
-            }
-        }
-    }
-
-    /// Rebuilds the current phase's outbound messages (same phase id)
-    /// for the targets that have not replied: a loss-recovery
-    /// retransmission re-sends what may have been lost, nothing else.
-    fn resend(&self) -> Vec<(ProcessId, DapMsg)> {
-        let hdr = self.hdr();
-        let servers = &self.ctx.cfg.servers;
-        let msgs = |targets: &[ProcessId], heard: &[ProcessId], body: DapBody| {
-            targets
-                .iter()
-                .filter(|s| !heard.contains(s))
-                .map(|&s| (s, DapMsg::new(hdr, body.clone())))
-                .collect::<Vec<_>>()
-        };
-        #[expect(clippy::expect_used, reason = "put phases store their pair at start()")]
-        let put = || self.put.as_ref().expect("put phase retains its pair");
-        match &self.inner {
-            Inner::AbdGetTag { replies, .. } => msgs(servers, replies, DapBody::AbdQueryTag),
-            Inner::AbdGetData { replies, .. } => msgs(servers, replies, DapBody::AbdQuery),
-            Inner::AbdPut { acks } => {
-                let tv = put();
-                msgs(servers, acks, DapBody::AbdWrite(tv.tag, tv.value.clone()))
-            }
-            Inner::TreasGetTag { replies, .. } => msgs(servers, replies, DapBody::TreasQueryTag),
-            Inner::TreasPut { acks } => {
-                let mut sends = self.treas_put_sends(hdr, put());
-                sends.retain(|(s, _)| !acks.contains(s));
-                sends
-            }
-            Inner::LdrGetTag { replies, .. } | Inner::LdrReadQuery { replies, .. } => {
-                msgs(servers, replies, DapBody::LdrQueryTagLoc)
-            }
-            Inner::LdrPutData { tag, acks } => msgs(
-                self.ctx.cfg.ldr_replicas(),
-                acks,
-                DapBody::LdrPutData(*tag, put().value.clone()),
-            ),
-            Inner::LdrPutMeta { tag, locs, acks } => {
-                msgs(self.ctx.cfg.ldr_directories(), acks, DapBody::LdrPutMeta(*tag, locs.clone()))
-            }
-            Inner::LdrReadMeta { best, acks } => msgs(
-                self.ctx.cfg.ldr_directories(),
-                acks,
-                DapBody::LdrPutMeta(best.0, best.1.clone()),
-            ),
-            // The first reply completes a fetch: nobody has answered yet.
-            Inner::LdrReadFetch { tag, targets } => msgs(targets, &[], DapBody::LdrGetData(*tag)),
-            Inner::TreasGetData { .. } | Inner::Done => Vec::new(),
+            _ => self.phase.resend(base),
         }
     }
 }
 
-fn collect_ack(acks: &mut Vec<ProcessId>, from: ProcessId, quorum: usize) -> bool {
-    if !acks.contains(&from) {
-        acks.push(from);
+/// `msgs` under phase id `rpc`.
+fn with_rpc(mut msgs: Vec<(ProcessId, DapMsg)>, rpc: RpcId) -> Vec<(ProcessId, DapMsg)> {
+    for (_, m) in &mut msgs {
+        m.hdr.rpc = rpc;
     }
-    acks.len() >= quorum
+    msgs
+}
+
+/// The per-server coded fan-out of a TREAS `put-data`.
+fn treas_put(ctx: &DapCtx, tv: &TagValue) -> Vec<(ProcessId, DapMsg)> {
+    let (cfg, hdr) = (&ctx.cfg, ctx.hdr());
+    #[expect(clippy::expect_used, reason = "registry-vetted configurations build their code")]
+    let code = build_code(cfg.code_params()).expect("configuration carries valid code parameters");
+    // Zero-copy fan-out: systematic fragments are views of the value's
+    // own allocation (see `ErasureCode::encode_value`).
+    let frags = code.encode_value(tv.value.bytes());
+    cfg.servers
+        .iter()
+        .zip(frags)
+        .map(|(&s, f)| (s, DapMsg::new(hdr, DapBody::TreasWrite(tv.tag, f))))
+        .collect()
 }
 
 /// Evaluates the TREAS read condition (Alg. 2 lines 11-17) over the lists
@@ -874,6 +717,6 @@ mod tests {
         let s = call.on_timer(&mut rpc);
         assert_eq!(s.sends.len(), 5);
         assert_ne!(s.sends[0].1.hdr.rpc, first_rpc);
-        assert_eq!(call.backoff.attempts(), 1);
+        assert_eq!(s.timer_after.map(|d| d.get()), Some(400), "one retry counted");
     }
 }

@@ -34,25 +34,91 @@ pub struct Invocation {
     pub cmd: ClientCmd,
 }
 
+/// What every simulated deployment is built from: the configurations,
+/// the network and its faults, the seed and the event budget. Shared by
+/// [`Scenario`] and [`crate::SimStoreBuilder`].
+pub(crate) struct WorldSpec {
+    pub(crate) configs: Vec<Configuration>,
+    pub(crate) seed: u64,
+    pub(crate) d: Time,
+    pub(crate) big_d: Time,
+    pub(crate) latency_model: Option<LatencyModel>,
+    pub(crate) faults: FaultSchedule,
+    pub(crate) event_limit: Option<u64>,
+}
+
+impl WorldSpec {
+    /// The defaults: seed 0, uniform delays in `[10, 50]`, no faults.
+    pub(crate) fn new(configs: Vec<Configuration>) -> Self {
+        WorldSpec {
+            configs,
+            seed: 0,
+            d: 10,
+            big_d: 50,
+            latency_model: None,
+            faults: FaultSchedule::new(),
+            event_limit: None,
+        }
+    }
+
+    /// All server ids across all configurations, ascending.
+    pub(crate) fn servers(&self) -> Vec<ProcessId> {
+        let set: BTreeSet<ProcessId> =
+            self.configs.iter().flat_map(|c| c.servers.iter().copied()).collect();
+        set.into_iter().collect()
+    }
+
+    /// Builds the world: the network (the latency model, or uniform
+    /// `[d, D]`, then `tune`), the fault schedule, tracing, the event
+    /// limit, one server actor per server of any configuration, then the
+    /// clients. Returns the world and its servers.
+    pub(crate) fn build(
+        self,
+        tune: impl FnOnce(NetworkConfig) -> NetworkConfig,
+        trace: bool,
+        clients: Vec<(ProcessId, ClientConfig)>,
+    ) -> (World<Msg>, Vec<ProcessId>) {
+        let servers = self.servers();
+        let registry = ConfigRegistry::from_configs(self.configs);
+        let model = self
+            .latency_model
+            .unwrap_or(LatencyModel::Uniform(DelayBounds::new(self.d, self.big_d)));
+        let mut world: World<Msg> = World::new(tune(NetworkConfig::with_model(model)), self.seed);
+        world.install_faults(&self.faults);
+        if trace {
+            world.enable_trace();
+        }
+        if let Some(l) = self.event_limit {
+            world.event_limit = l;
+        }
+        for &s in &servers {
+            world.add_actor(s, ServerActor::new(s, registry.clone()));
+        }
+        for (pid, mut cfg) in clients {
+            // The retransmit timer (first fire at 4× the unit) must sit
+            // above the worst-case round trip 2D, or a slow-but-healthy
+            // quorum phase gets spuriously restarted and the Lemma 23/55
+            // action bounds no longer hold.
+            cfg.backoff_unit = cfg.backoff_unit.max(self.big_d);
+            world.add_actor(pid, ClientActor::new(registry.clone(), cfg));
+        }
+        (world, servers)
+    }
+}
+
 /// A declarative ARES scenario.
 pub struct Scenario {
-    configs: Vec<Configuration>,
+    world: WorldSpec,
     clients: Vec<(ProcessId, ClientConfig)>,
     client_delay_overrides: Vec<(ProcessId, DelayBounds)>,
     invocations: Vec<Invocation>,
     crashes: Vec<(Time, ProcessId)>,
     recovers: Vec<(Time, ProcessId)>,
     repairs: Vec<(Time, ProcessId, ObjectId, ConfigId)>,
-    d: Time,
-    big_d: Time,
-    latency_model: Option<LatencyModel>,
-    faults: FaultSchedule,
     duplicate_per_mille: u32,
     reorder: Option<(u32, Time)>,
-    seed: u64,
     trace: bool,
     transfer_mode: TransferMode,
-    event_limit: Option<u64>,
 }
 
 impl Scenario {
@@ -65,38 +131,32 @@ impl Scenario {
     pub fn new(configs: Vec<Configuration>) -> Self {
         assert!(!configs.is_empty(), "a scenario needs at least c_0");
         Scenario {
-            configs,
+            world: WorldSpec::new(configs),
             clients: Vec::new(),
             client_delay_overrides: Vec::new(),
             invocations: Vec::new(),
             crashes: Vec::new(),
             recovers: Vec::new(),
             repairs: Vec::new(),
-            d: 10,
-            big_d: 50,
-            latency_model: None,
-            faults: FaultSchedule::new(),
             duplicate_per_mille: 0,
             reorder: None,
-            seed: 0,
             trace: false,
             transfer_mode: TransferMode::Plain,
-            event_limit: None,
         }
     }
 
     /// Sets the network delay bounds `[d, D]`.
     #[must_use]
     pub fn delays(mut self, d: Time, big_d: Time) -> Self {
-        self.d = d;
-        self.big_d = big_d;
+        self.world.d = d;
+        self.world.big_d = big_d;
         self
     }
 
     /// Sets the RNG seed.
     #[must_use]
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+        self.world.seed = seed;
         self
     }
 
@@ -117,7 +177,7 @@ impl Scenario {
     /// Caps the number of simulator events (livelock guard in sweeps).
     #[must_use]
     pub fn event_limit(mut self, limit: u64) -> Self {
-        self.event_limit = Some(limit);
+        self.world.event_limit = Some(limit);
         self
     }
 
@@ -126,21 +186,21 @@ impl Scenario {
     /// profile). Per-client overrides still apply on top.
     #[must_use]
     pub fn latency_model(mut self, model: LatencyModel) -> Self {
-        self.latency_model = Some(model);
+        self.world.latency_model = Some(model);
         self
     }
 
     /// Schedules a fault-plane action at simulated time `at`.
     #[must_use]
     pub fn fault_at(mut self, at: Time, action: FaultAction) -> Self {
-        self.faults = self.faults.at(at, action);
+        self.world.faults = self.world.faults.at(at, action);
         self
     }
 
     /// Schedules a fault-plane action after `step` processed events.
     #[must_use]
     pub fn fault_at_step(mut self, step: u64, action: FaultAction) -> Self {
-        self.faults = self.faults.at_step(step, action);
+        self.world.faults = self.world.faults.at_step(step, action);
         self
     }
 
@@ -148,7 +208,7 @@ impl Scenario {
     /// calls).
     #[must_use]
     pub fn fault_schedule(mut self, schedule: FaultSchedule) -> Self {
-        self.faults.events.extend(schedule.events);
+        self.world.faults.events.extend(schedule.events);
         self
     }
 
@@ -173,7 +233,7 @@ impl Scenario {
     /// does not matter.)
     #[must_use]
     pub fn client(mut self, pid: ProcessId) -> Self {
-        let c0 = self.configs[0].id;
+        let c0 = self.world.configs[0].id;
         self.clients.push((pid, ClientConfig::new(c0)));
         self
     }
@@ -267,9 +327,7 @@ impl Scenario {
 
     /// All server ids across all configurations.
     pub fn all_servers(&self) -> Vec<ProcessId> {
-        let set: BTreeSet<ProcessId> =
-            self.configs.iter().flat_map(|c| c.servers.iter().copied()).collect();
-        set.into_iter().collect()
+        self.world.servers()
     }
 
     /// The set of objects touched by the schedule (always includes 0) —
@@ -290,41 +348,27 @@ impl Scenario {
 
     /// Builds the world and runs it to quiescence (or a limit).
     pub fn run(self) -> ScenarioResult {
-        let servers = self.all_servers();
         let objects = self.all_objects();
-        let registry = ConfigRegistry::from_configs(self.configs);
-        let model = self
-            .latency_model
-            .unwrap_or(LatencyModel::Uniform(DelayBounds::new(self.d, self.big_d)));
-        let mut net = NetworkConfig::with_model(model);
-        for (pid, bounds) in &self.client_delay_overrides {
-            net = net.with_client_bounds(*pid, *bounds);
-        }
-        net.duplicate_per_mille = self.duplicate_per_mille;
-        if let Some((pm, extra)) = self.reorder {
-            net = net.with_reorder(pm, extra);
-        }
-        let mut world: World<Msg> = World::new(net, self.seed);
-        world.install_faults(&self.faults);
-        if self.trace {
-            world.enable_trace();
-        }
-        if let Some(l) = self.event_limit {
-            world.event_limit = l;
-        }
-        for &s in &servers {
-            world.add_actor(s, ServerActor::new(s, registry.clone()));
-        }
-        for (pid, cfg) in &self.clients {
-            let mut cfg = cfg.clone().with_objects(objects.clone());
-            cfg.transfer_mode = self.transfer_mode;
-            // The retransmit timer (first fire at 4× the unit) must sit
-            // above the worst-case round trip 2D, or a slow-but-healthy
-            // quorum phase gets spuriously restarted and the Lemma 23/55
-            // action bounds no longer hold.
-            cfg.backoff_unit = cfg.backoff_unit.max(self.big_d);
-            world.add_actor(*pid, ClientActor::new(registry.clone(), cfg));
-        }
+        let clients = self
+            .clients
+            .iter()
+            .map(|(pid, cfg)| {
+                let mut cfg = cfg.clone().with_objects(objects.clone());
+                cfg.transfer_mode = self.transfer_mode;
+                (*pid, cfg)
+            })
+            .collect();
+        let tune = |mut net: NetworkConfig| {
+            for (pid, bounds) in &self.client_delay_overrides {
+                net = net.with_client_bounds(*pid, *bounds);
+            }
+            net.duplicate_per_mille = self.duplicate_per_mille;
+            match self.reorder {
+                Some((pm, extra)) => net.with_reorder(pm, extra),
+                None => net,
+            }
+        };
+        let (mut world, servers) = self.world.build(tune, self.trace, clients);
         for (at, pid) in &self.crashes {
             world.schedule_crash(*at, *pid);
         }

@@ -13,29 +13,21 @@
 //! tickets and sessions are `Rc`-backed handles onto one shared world.
 
 use ares_core::store::{session_op_seq, Store, StoreSession};
-use ares_core::{ClientActor, ClientCmd, Invoke, Msg, OpError, OpTicket, ServerActor};
-use ares_sim::{FaultAction, FaultSchedule, LatencyModel, NetworkConfig, RunOutcome, World};
-use ares_types::{
-    ConfigRegistry, Configuration, ObjectId, OpCompletion, OpId, ProcessId, SessionId, Time,
-};
+use ares_core::{ClientCmd, Invoke, Msg, OpError, OpTicket};
+use ares_sim::{FaultAction, FaultSchedule, LatencyModel, RunOutcome, World};
+use ares_types::{Configuration, ObjectId, OpCompletion, OpId, ProcessId, SessionId, Time};
 use std::cell::RefCell;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::rc::Rc;
 
 /// The environment pseudo-process used as the source of injections.
-use crate::scenario::ENV;
+use crate::scenario::{WorldSpec, ENV};
 
 /// Builder for a [`SimStore`].
 pub struct SimStoreBuilder {
-    configs: Vec<Configuration>,
+    world: WorldSpec,
     objects: Vec<ObjectId>,
     client: ProcessId,
-    seed: u64,
-    d: Time,
-    big_d: Time,
-    latency_model: Option<LatencyModel>,
-    faults: FaultSchedule,
-    event_limit: Option<u64>,
 }
 
 impl SimStoreBuilder {
@@ -48,15 +40,9 @@ impl SimStoreBuilder {
     pub fn new(configs: Vec<Configuration>) -> Self {
         assert!(!configs.is_empty(), "a deployment needs at least c_0");
         SimStoreBuilder {
-            configs,
+            world: WorldSpec::new(configs),
             objects: vec![ObjectId(0)],
             client: ProcessId(100),
-            seed: 0,
-            d: 10,
-            big_d: 50,
-            latency_model: None,
-            faults: FaultSchedule::new(),
-            event_limit: None,
         }
     }
 
@@ -79,15 +65,15 @@ impl SimStoreBuilder {
     /// Sets the RNG seed.
     #[must_use]
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+        self.world.seed = seed;
         self
     }
 
     /// Sets the network delay bounds `[d, D]`.
     #[must_use]
     pub fn delays(mut self, d: Time, big_d: Time) -> Self {
-        self.d = d;
-        self.big_d = big_d;
+        self.world.d = d;
+        self.world.big_d = big_d;
         self
     }
 
@@ -95,21 +81,21 @@ impl SimStoreBuilder {
     /// latency model (e.g. [`LatencyModel::wan`]).
     #[must_use]
     pub fn latency_model(mut self, model: LatencyModel) -> Self {
-        self.latency_model = Some(model);
+        self.world.latency_model = Some(model);
         self
     }
 
     /// Installs a fault schedule, fired deterministically mid-run.
     #[must_use]
     pub fn fault_schedule(mut self, schedule: FaultSchedule) -> Self {
-        self.faults.events.extend(schedule.events);
+        self.world.faults.events.extend(schedule.events);
         self
     }
 
     /// Caps the number of simulator events (livelock guard).
     #[must_use]
     pub fn event_limit(mut self, limit: u64) -> Self {
-        self.event_limit = Some(limit);
+        self.world.event_limit = Some(limit);
         self
     }
 
@@ -126,26 +112,9 @@ impl SimStoreBuilder {
             "client host id {} is reserved for session writer ids (hosts must stay below 2^16)",
             self.client
         );
-        let c0 = self.configs[0].id;
-        let servers: BTreeSet<ProcessId> =
-            self.configs.iter().flat_map(|c| c.servers.iter().copied()).collect();
-        let registry = ConfigRegistry::from_configs(self.configs);
-        let model = self
-            .latency_model
-            .unwrap_or(LatencyModel::Uniform(ares_sim::DelayBounds::new(self.d, self.big_d)));
-        let mut world: World<Msg> = World::new(NetworkConfig::with_model(model), self.seed);
-        world.install_faults(&self.faults);
-        if let Some(l) = self.event_limit {
-            world.event_limit = l;
-        }
-        for &s in &servers {
-            world.add_actor(s, ServerActor::new(s, registry.clone()));
-        }
-        let mut cfg = ares_core::ClientConfig::new(c0).with_objects(self.objects);
-        // Keep the first retransmission (4× the unit) above the worst-case
-        // round trip 2D so healthy-but-slow phases are never restarted.
-        cfg.backoff_unit = cfg.backoff_unit.max(self.big_d);
-        world.add_actor(self.client, ClientActor::new(registry, cfg));
+        let c0 = self.world.configs[0].id;
+        let cfg = ares_core::ClientConfig::new(c0).with_objects(self.objects);
+        let (world, _) = self.world.build(|net| net, false, vec![(self.client, cfg)]);
         SimStore {
             inner: Rc::new(RefCell::new(SimInner {
                 world,

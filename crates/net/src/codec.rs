@@ -363,6 +363,7 @@ macro_rules! wire_struct {
         }
     };
 }
+pub(crate) use wire_struct;
 
 /// Declares a sum type's wire format — one `tag => Variant { fields in
 /// wire order }` row per variant — and generates both directions from

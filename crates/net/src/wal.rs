@@ -28,7 +28,7 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 #![deny(clippy::todo, clippy::unimplemented, clippy::indexing_slicing)]
 
-use crate::codec::{self, DecodeError, WireDecode, WireEncode, WireReader};
+use crate::codec::{self, wire_struct, DecodeError, WireDecode, WireEncode, WireReader};
 use ares_core::{AcceptorSnap, Msg, NextCSnap, ServerActor, ServerSnapshot};
 use ares_dap::server::{AbdSnap, DapSnapshot, LdrDirSnap, LdrRepSnap, TreasSnap};
 use ares_sim::{Actor, Ctx};
@@ -91,156 +91,17 @@ impl WalConfig {
 /// Version byte leading every encoded checkpoint payload.
 const SNAPSHOT_VERSION: u8 = 1;
 
-impl WireEncode for TagValue {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.tag.encode(out);
-        self.value.encode(out);
-    }
-}
-impl WireDecode for TagValue {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, DecodeError> {
-        Ok(TagValue { tag: ares_types::Tag::decode(r)?, value: ares_types::Value::decode(r)? })
-    }
-}
-
-impl WireEncode for AbdSnap {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.cfg.encode(out);
-        self.obj.encode(out);
-        self.tag.encode(out);
-        self.value.encode(out);
-    }
-}
-impl WireDecode for AbdSnap {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, DecodeError> {
-        Ok(AbdSnap {
-            cfg: WireDecode::decode(r)?,
-            obj: WireDecode::decode(r)?,
-            tag: WireDecode::decode(r)?,
-            value: WireDecode::decode(r)?,
-        })
-    }
-}
-
-impl WireEncode for TreasSnap {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.cfg.encode(out);
-        self.obj.encode(out);
-        self.list.encode(out);
-    }
-}
-impl WireDecode for TreasSnap {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, DecodeError> {
-        Ok(TreasSnap {
-            cfg: WireDecode::decode(r)?,
-            obj: WireDecode::decode(r)?,
-            list: WireDecode::decode(r)?,
-        })
-    }
-}
-
-impl WireEncode for LdrDirSnap {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.cfg.encode(out);
-        self.obj.encode(out);
-        self.tag.encode(out);
-        self.locs.encode(out);
-    }
-}
-impl WireDecode for LdrDirSnap {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, DecodeError> {
-        Ok(LdrDirSnap {
-            cfg: WireDecode::decode(r)?,
-            obj: WireDecode::decode(r)?,
-            tag: WireDecode::decode(r)?,
-            locs: WireDecode::decode(r)?,
-        })
-    }
-}
-
-impl WireEncode for LdrRepSnap {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.cfg.encode(out);
-        self.obj.encode(out);
-        self.store.encode(out);
-    }
-}
-impl WireDecode for LdrRepSnap {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, DecodeError> {
-        Ok(LdrRepSnap {
-            cfg: WireDecode::decode(r)?,
-            obj: WireDecode::decode(r)?,
-            store: WireDecode::decode(r)?,
-        })
-    }
-}
-
-impl WireEncode for DapSnapshot {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.abd.encode(out);
-        self.treas.encode(out);
-        self.ldr_dir.encode(out);
-        self.ldr_rep.encode(out);
-    }
-}
-impl WireDecode for DapSnapshot {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, DecodeError> {
-        Ok(DapSnapshot {
-            abd: WireDecode::decode(r)?,
-            treas: WireDecode::decode(r)?,
-            ldr_dir: WireDecode::decode(r)?,
-            ldr_rep: WireDecode::decode(r)?,
-        })
-    }
-}
-
-impl WireEncode for AcceptorSnap {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.inst.encode(out);
-        self.promised.encode(out);
-        self.accepted.encode(out);
-        self.decided.encode(out);
-    }
-}
-impl WireDecode for AcceptorSnap {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, DecodeError> {
-        Ok(AcceptorSnap {
-            inst: WireDecode::decode(r)?,
-            promised: WireDecode::decode(r)?,
-            accepted: WireDecode::decode(r)?,
-            decided: WireDecode::decode(r)?,
-        })
-    }
-}
-
-impl WireEncode for NextCSnap {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.base.encode(out);
-        self.entry.encode(out);
-    }
-}
-impl WireDecode for NextCSnap {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, DecodeError> {
-        Ok(NextCSnap { base: WireDecode::decode(r)?, entry: WireDecode::decode(r)? })
-    }
-}
-
-impl WireEncode for ServerSnapshot {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.dap.encode(out);
-        self.acceptors.encode(out);
-        self.nextc.encode(out);
-    }
-}
-impl WireDecode for ServerSnapshot {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, DecodeError> {
-        Ok(ServerSnapshot {
-            dap: WireDecode::decode(r)?,
-            acceptors: WireDecode::decode(r)?,
-            nextc: WireDecode::decode(r)?,
-        })
-    }
-}
+// The checkpoint format: one row per type, fields in wire order (see
+// `wire_struct!`). Pinned by `checkpoint_bytes_are_pinned`.
+wire_struct!(TagValue { tag, value });
+wire_struct!(AbdSnap { cfg, obj, tag, value });
+wire_struct!(TreasSnap { cfg, obj, list });
+wire_struct!(LdrDirSnap { cfg, obj, tag, locs });
+wire_struct!(LdrRepSnap { cfg, obj, store });
+wire_struct!(DapSnapshot { abd, treas, ldr_dir, ldr_rep });
+wire_struct!(AcceptorSnap { inst, promised, accepted, decided });
+wire_struct!(NextCSnap { base, entry });
+wire_struct!(ServerSnapshot { dap, acceptors, nextc });
 
 /// Encodes a [`ServerSnapshot`] as a versioned checkpoint payload.
 pub fn encode_snapshot(snap: &ServerSnapshot) -> Vec<u8> {
@@ -487,6 +348,87 @@ mod tests {
         let enc = encode_snapshot(&snap);
         let dec = decode_snapshot(&enc).expect("decodes");
         assert_eq!(format!("{snap:?}"), format!("{dec:?}"));
+    }
+
+    /// A snapshot with every checkpoint row in it: ABD state, a TREAS
+    /// list with a floor and a coded element, an LDR directory entry and
+    /// replica store, an acceptor that has both accepted and decided,
+    /// and a `nextC` pointer.
+    fn golden_snapshot() -> ServerSnapshot {
+        let tag = |z, w| Tag::new(z, ProcessId(w));
+        let ballot = |round, p| Ballot { round, proposer: ProcessId(p) };
+        let frag = ares_codes::Fragment {
+            index: 2,
+            value_len: 5,
+            data: bytes::Bytes::from_static(&[0xC1, 0xC2]),
+        };
+        ServerSnapshot {
+            dap: DapSnapshot {
+                abd: vec![AbdSnap {
+                    cfg: ConfigId(0),
+                    obj: ObjectId(1),
+                    tag: tag(3, 2),
+                    value: Value::new(vec![0xA1, 0xA2, 0xA3]),
+                }],
+                treas: vec![TreasSnap {
+                    cfg: ConfigId(1),
+                    obj: ObjectId(0),
+                    list: vec![
+                        ListEntry { tag: tag(1, 1), frag: None },
+                        ListEntry { tag: tag(2, 4), frag: Some(frag) },
+                    ],
+                }],
+                ldr_dir: vec![LdrDirSnap {
+                    cfg: ConfigId(2),
+                    obj: ObjectId(2),
+                    tag: tag(5, 4),
+                    locs: vec![ProcessId(1), ProcessId(3)],
+                }],
+                ldr_rep: vec![LdrRepSnap {
+                    cfg: ConfigId(2),
+                    obj: ObjectId(2),
+                    store: vec![TagValue::new(tag(5, 4), Value::new(vec![0xB1]))],
+                }],
+            },
+            acceptors: vec![AcceptorSnap {
+                inst: ConfigId(0),
+                promised: ballot(7, 2),
+                accepted: Some((ballot(6, 1), ConfigId(1))),
+                decided: Some(ConfigId(1)),
+            }],
+            nextc: vec![NextCSnap {
+                base: ConfigId(0),
+                entry: ConfigEntry::finalized(ConfigId(1)),
+            }],
+        }
+    }
+
+    #[test]
+    fn checkpoint_bytes_are_pinned() {
+        // A checkpoint outlives the build that wrote it: these bytes must
+        // keep decoding, so the format may not drift.
+        #[rustfmt::skip]
+        const GOLDEN: [&str; 7] = [
+            // version, ABD row
+            "01000000010000000000000001000000000000000300000002000000 03a1a2a3",
+            // TREAS row: floor (1, p1) = ⊥, then (2, p4) with its element
+            "00000001000000010000000000000002 000000000000000100000001 00
+             000000000000000200000004 01 00000002 0000000000000005 00000002c1c2",
+            // LDR directory row, LDR replica row
+            "00000001000000020000000200000000000000050000000400000002 0000000100000003",
+            "00000001000000020000000200000001000000000000000500000004 00000001b1",
+            // acceptor: promised (7, p2), accepted ((6, p1), c1), decided c1
+            "00000001000000000000000000000007000000020100000000000000060000000100000001 0100000001",
+            // nextC: c0 → (c1, Finalized)
+            "000000010000000000000001",
+            "01",
+        ];
+        let enc = encode_snapshot(&golden_snapshot());
+        let hex: String = enc.iter().map(|b| format!("{b:02x}")).collect();
+        let golden: String = GOLDEN.concat().split_whitespace().collect();
+        assert_eq!(hex, golden);
+        let dec = decode_snapshot(&enc).expect("pinned bytes decode");
+        assert_eq!(format!("{dec:?}"), format!("{:?}", golden_snapshot()));
     }
 
     #[test]

@@ -23,7 +23,7 @@ pub use completion::{OpCompletion, OpKind};
 pub use config::{ConfigEntry, ConfigRegistry, ConfigSeq, Configuration, DapKind, Status};
 pub use ids::{ConfigId, ObjectId, OpId, ProcessId, RpcId, SessionId};
 pub use quorum::QuorumSpec;
-pub use step::{Backoff, Delay, Step};
+pub use step::{Backoff, Delay, QuorumPhase, Step};
 pub use tag::Tag;
 pub use value::{TagValue, Value, TAG0};
 
