@@ -3,10 +3,10 @@
 //! The lexer is *total* — any byte sequence produces a token stream, so
 //! the linter can scan fixture files that deliberately do not compile.
 //! It exists to solve the one problem a regex grep cannot: knowing
-//! whether `unwrap` appeared as **code** or inside a string literal,
+//! whether `todo!` appeared as **code** or inside a string literal,
 //! comment, or doc example. Comments are kept as tokens (with their
-//! line numbers) because the `// lint: allow(...)` annotation syntax
-//! lives in comments.
+//! line numbers) because the `// SAFETY:` arguments `unsafe-safety`
+//! looks for live in comments.
 //!
 //! Covered Rust surface: line comments, nested block comments, doc
 //! comments, string / raw-string / byte-string / char literals (with

@@ -5,9 +5,9 @@
 //! the tree and forgot. The sweep keeps them from riding along to a
 //! release (`dbg!` additionally writes to stderr from hot paths).
 
-use crate::findings::Finding;
 use crate::lexer::TokKind;
 use crate::scan::SourceFile;
+use crate::Finding;
 
 /// Runs the rule over one file.
 pub fn check(file: &SourceFile) -> Vec<Finding> {

@@ -1,12 +1,9 @@
 //! The shipped analyses.
 //!
-//! Each rule is a pure function from scanned source to raw [`Finding`]s
-//! (allow-annotation filtering happens in [`crate::run`]); fixtures and
-//! mutation tests call the rules directly on synthetic files.
+//! Each rule is a pure function from scanned source to [`Finding`]s;
+//! fixtures call the rules directly on synthetic files.
 //!
-//! [`Finding`]: crate::findings::Finding
+//! [`Finding`]: crate::Finding
 
-pub mod blocking;
-pub mod blocking_transitive;
 pub mod drift;
 pub mod unsafety;

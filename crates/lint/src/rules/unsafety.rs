@@ -9,8 +9,8 @@
 //!
 //! Enforced, not suggested: an unargued unsafe region is a finding.
 
-use crate::findings::Finding;
 use crate::scan::SourceFile;
+use crate::Finding;
 
 /// Lines of lookback for `unsafe { ... }` blocks.
 const BLOCK_WINDOW: u32 = 3;

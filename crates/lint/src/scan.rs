@@ -1,13 +1,12 @@
 //! Item and region scanning over a lexed token stream.
 //!
-//! The rules do not need full parsing — they need to locate a handful of
-//! *regions* (a function's body, a `#[cfg(test)]` module) and then ask
-//! lexical questions inside them ("does this loop call `sleep`?").
-//! Everything below works on token indices into [`SourceFile::toks`] so
-//! findings can report exact lines.
+//! The rules do not need full parsing — they need to locate one kind of
+//! *region* (a `#[cfg(test)]` item) and then ask lexical questions
+//! outside it ("is this `dbg!` in production code?"). Everything below
+//! works on token indices into [`SourceFile::toks`] so findings can
+//! report exact lines.
 
 use crate::lexer::{lex, Tok, TokKind};
-use crate::model::matching_brace;
 use std::ops::Range;
 
 /// One source file as the linter sees it: path, raw text, tokens.
@@ -80,28 +79,22 @@ impl SourceFile {
         }
         out
     }
+}
 
-    /// Token range (inclusive of braces) of the body of `fn name`.
-    /// Finds the first function of that name outside `#[cfg(test)]`
-    /// regions.
-    pub fn fn_body(&self, name: &str) -> Option<Range<usize>> {
-        let code = self.code_indices();
-        let tests = self.cfg_test_ranges();
-        let in_tests = |ti: usize| tests.iter().any(|r| r.contains(&ti));
-        for k in 0..code.len().saturating_sub(1) {
-            if self.toks[code[k]].is_ident("fn")
-                && self.toks[code[k + 1]].is_ident(name)
-                && !in_tests(code[k])
-            {
-                // First `{` after the name opens the body (none of the
-                // scanned signatures carry braces before it).
-                let open = (k + 2..code.len()).find(|&j| self.toks[code[j]].is_punct('{'))?;
-                let close = matching_brace(self, &code, open)?;
-                return Some(code[open]..code[close] + 1);
+/// Index (into `code`) of the `}` matching the `{` at `code[open]`.
+pub fn matching_brace(file: &SourceFile, code: &[usize], open: usize) -> Option<usize> {
+    let mut depth = 0i64;
+    for (j, &ti) in code.iter().enumerate().skip(open) {
+        if file.toks[ti].is_punct('{') {
+            depth += 1;
+        } else if file.toks[ti].is_punct('}') {
+            depth -= 1;
+            if depth == 0 {
+                return Some(j);
             }
         }
-        None
     }
+    None
 }
 
 #[cfg(test)]
@@ -126,15 +119,6 @@ mod tests {
 "#;
 
     #[test]
-    fn fn_body_found() {
-        let f = SourceFile::new("a.rs", SRC);
-        let body = f.fn_body("route").unwrap();
-        assert!(f.toks[body.start].is_punct('{') && f.toks[body.end - 1].is_punct('}'));
-        assert!(f.toks[body.clone()].iter().any(|t| t.is_ident("Plain")));
-        assert!(f.fn_body("absent").is_none());
-    }
-
-    #[test]
     fn cfg_test_region_covers_test_mod() {
         let f = SourceFile::new("a.rs", SRC);
         let ranges = f.cfg_test_ranges();
@@ -146,11 +130,5 @@ mod tests {
         // The route fn does not.
         let route_idx = (0..f.toks.len()).find(|&i| f.toks[i].is_ident("route")).unwrap();
         assert!(!ranges[0].contains(&route_idx));
-    }
-
-    #[test]
-    fn fn_in_test_mod_is_not_found_as_production_fn() {
-        let f = SourceFile::new("a.rs", SRC);
-        assert!(f.fn_body("helper").is_none(), "test-mod fns are out of scope");
     }
 }

@@ -1,7 +1,7 @@
 //! Fuzz-style hardening of the lexer/scanner substrate.
 //!
-//! Both rules sit on the same foundation: a total lexer, brace/paren
-//! matching, and the model/callgraph builders. A panic anywhere in
+//! Both rules sit on the same foundation: a total lexer, brace
+//! matching and the `#[cfg(test)]` region scan. A panic anywhere in
 //! that substrate turns the lint into a CI outage on the next oddly
 //! shaped source file, so these properties drive arbitrary byte
 //! strings (and rust-ish fragment soup biased toward the lexer's
@@ -10,12 +10,11 @@
 //!
 //! - lexing never panics and token offsets round-trip (`src[off..off+
 //!   len] == text`), non-overlapping and in order, lines nondecreasing;
-//! - brace/paren matching never panics, and a reported match really is
-//!   the corresponding closer;
+//! - brace matching never panics, and a reported match really is the
+//!   corresponding closer;
 //! - the entire rule driver (`ares_lint::run`) is total on the input.
 
 use ares_lint::lexer::lex;
-use ares_lint::model;
 use ares_lint::scan::SourceFile;
 use proptest::prelude::*;
 
@@ -51,33 +50,24 @@ fn check_stream(src: &str) {
     }
 }
 
-/// Brace/paren matching totality: no panic, and a reported match is a
-/// real closer at or after the opener.
+/// Brace matching totality: no panic, and a reported match is a real
+/// closer at or after the opener.
 fn check_matching(src: &str) {
     let f = SourceFile::new("fuzz.rs", src.to_string());
     let code = f.code_indices();
     for w in 0..code.len() {
         if f.toks[code[w]].is_punct('{') {
-            if let Some(c) = model::matching_brace(&f, &code, w) {
+            if let Some(c) = ares_lint::scan::matching_brace(&f, &code, w) {
                 assert!(c >= w && f.toks[code[c]].is_punct('}'), "bad brace match in {src:?}");
-            }
-        }
-        if f.toks[code[w]].is_punct('(') {
-            if let Some(c) = model::matching_paren(&f, &code, w) {
-                assert!(c >= w && f.toks[code[c]].is_punct(')'), "bad paren match in {src:?}");
             }
         }
     }
 }
 
-/// The whole rule driver is total — including the direct event-loop
-/// rule, which only engages on the real event-loop path.
+/// The whole rule driver is total.
 fn check_pipeline(src: &str) {
-    let files = vec![
-        SourceFile::new("crates/net/src/host.rs", src.to_string()),
-        SourceFile::new("fuzz.rs", src.to_string()),
-    ];
-    let _ = ares_lint::run(&files, None);
+    let files = vec![SourceFile::new("fuzz.rs", src.to_string())];
+    let _ = ares_lint::run(&files);
 }
 
 proptest! {

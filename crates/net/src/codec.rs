@@ -638,6 +638,7 @@ fn frame_capacity(arrived: usize, len: usize) -> usize {
 /// allocation *becomes* the [`Bytes`] the decoded [`Fragment`]s and
 /// [`Value`]s slice: never zero-filled first, never copied again.
 pub fn read_frame(r: &mut impl BufRead) -> io::Result<Option<(ProcessId, Msg)>> {
+    crate::sync::off_loop("socket read");
     // Read the first prefix byte separately so only a close *between*
     // frames maps to Ok(None); dying mid-prefix is truncation and must
     // error like any other mid-frame cut.

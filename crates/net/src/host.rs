@@ -288,6 +288,7 @@ const COALESCE_MAX: usize = 16 * 1024;
 /// go out with `write_vectored` straight from the shared frame buffers,
 /// resuming after short writes.
 fn write_batch(w: &mut impl Write, batch: &[Bytes], scratch: &mut Vec<u8>) -> io::Result<()> {
+    crate::sync::off_loop("socket write");
     if batch.iter().map(Bytes::len).sum::<usize>() <= COALESCE_MAX {
         scratch.clear();
         batch.iter().for_each(|f| scratch.extend_from_slice(f));
@@ -332,9 +333,10 @@ pub(crate) fn writer_loop(
 ) {
     let mut stream: Option<TcpStream> = None;
     let connect = |addr: SocketAddr| -> Option<TcpStream> {
+        crate::sync::off_loop("socket connect");
         for backoff_ms in [0u64, 20, 100] {
             if backoff_ms > 0 {
-                std::thread::sleep(Duration::from_millis(backoff_ms));
+                crate::sync::sleep(Duration::from_millis(backoff_ms));
             }
             if let Ok(s) = TcpStream::connect(addr) {
                 let _ = s.set_nodelay(true);
@@ -358,7 +360,7 @@ pub(crate) fn writer_loop(
         // traffic still flows — late, like a wheezing NIC, not never.
         let slow = faults.slow_micros();
         if slow > 0 {
-            std::thread::sleep(Duration::from_micros(slow));
+            crate::sync::sleep(Duration::from_micros(slow));
         }
         let mut sent = false;
         for _attempt in 0..2 {
@@ -418,8 +420,9 @@ pub(crate) enum Event<A> {
         counted: bool,
     },
     /// Crash-stop: drop deliveries, and the timers armed so far, until
-    /// `Resume`.
-    Pause,
+    /// `Resume`. The loop drops the sender once it has applied this, so
+    /// the pauser learns when every delivery queued ahead of it is done.
+    Pause(Sender<()>),
     Resume,
     /// Swap in a replacement actor, and with it the shard's journaling
     /// state: a blank restart carries `None` (its durability died with
@@ -700,11 +703,19 @@ impl<A: Actor<Msg> + Send + 'static> ShardedHost<A> {
         }
     }
 
+    /// Crash-stops every shard and returns once each loop has applied
+    /// its `Pause`: every delivery queued before it has been journaled
+    /// and applied, and every later one is dropped unjournaled.
     pub(crate) fn pause(&self) {
+        crate::sync::off_loop("pause barrier");
         self.paused.store(true, Ordering::SeqCst);
+        let (ack, acked) = mpsc::channel();
         for s in &self.shards {
-            let _ = s.tx.send(Event::Pause);
+            let _ = s.tx.send(Event::Pause(ack.clone()));
         }
+        drop(ack);
+        // Ends when the last loop drops its sender.
+        while acked.recv().is_ok() {}
     }
 
     pub(crate) fn resume(&self) {
@@ -789,6 +800,7 @@ fn accept_loop<A: Actor<Msg> + Send + 'static>(
     shutdown: Arc<AtomicBool>,
     faults: Arc<FaultControls>,
 ) {
+    crate::sync::off_loop("socket accept");
     loop {
         match listener.accept() {
             Ok((stream, _)) => {
@@ -813,7 +825,7 @@ fn accept_loop<A: Actor<Msg> + Send + 'static>(
                 }
                 // Persistent accept failures (e.g. fd exhaustion under a
                 // connection flood) must not hot-spin a core.
-                std::thread::sleep(Duration::from_millis(20));
+                crate::sync::sleep(Duration::from_millis(20));
             }
         }
     }
@@ -851,7 +863,7 @@ fn reader_loop<A: Actor<Msg> + Send + 'static>(
                 // slow to *process* what it hears, one frame at a time.
                 let slow = faults.slow_micros();
                 if slow > 0 {
-                    std::thread::sleep(Duration::from_micros(slow));
+                    crate::sync::sleep(Duration::from_micros(slow));
                 }
                 // Command/invoke frames are environment-injected, never
                 // protocol traffic: a peer must not be able to drive a
@@ -890,7 +902,7 @@ fn reader_loop<A: Actor<Msg> + Send + 'static>(
                         if shutdown.load(Ordering::SeqCst) || paused.load(Ordering::SeqCst) {
                             return;
                         }
-                        std::thread::sleep(Duration::from_millis(1));
+                        crate::sync::sleep(Duration::from_millis(1));
                     }
                     let backlog = inbound.fetch_add(1, Ordering::SeqCst) + 1;
                     shard_counters.inbox_high_water.fetch_max(backlog, Ordering::Relaxed);
@@ -942,6 +954,7 @@ fn event_loop<A: Actor<Msg> + Send + 'static>(
     inbound: Arc<AtomicUsize>,
     counters: Arc<ShardCounters>,
 ) {
+    crate::sync::mark_loop();
     let mut rng = StdRng::seed_from_u64(pid.0 as u64 ^ 0xA1E5_0000 ^ ((shard as u64) << 40));
     let mut paused = false;
     let mut timers = TimerHeap::new();
@@ -989,7 +1002,8 @@ fn event_loop<A: Actor<Msg> + Send + 'static>(
                 let park_for = timers.peek().map_or(Duration::MAX, |Reverse((deadline, _))| {
                     deadline.saturating_duration_since(Instant::now())
                 });
-                // lint: allow(loop-blocking, reason = "the loop's own park point: blocking here means the shard is idle, not stalled mid-event")
+                // The loop's own park point, and its only inbox receive:
+                // it owns the one `Receiver`.
                 match rx.recv_timeout(park_for) {
                     Ok(ev) => ev,
                     Err(RecvTimeoutError::Timeout) => continue,
@@ -999,10 +1013,11 @@ fn event_loop<A: Actor<Msg> + Send + 'static>(
         };
         match ev {
             Event::Shutdown => return,
-            Event::Pause => {
+            Event::Pause(applied) => {
                 paused = true;
                 timers.clear();
                 due = None;
+                drop(applied);
             }
             Event::Resume => paused = false,
             Event::Replace(a, w) => {
@@ -1458,7 +1473,7 @@ mod tests {
         let deadline = Instant::now() + Duration::from_secs(10);
         while got.load(Ordering::Relaxed) + q.dropped() < total {
             assert!(Instant::now() < deadline, "frames sat queued behind a writer nobody woke");
-            std::thread::sleep(Duration::from_millis(1));
+            crate::sync::sleep(Duration::from_millis(1));
         }
         q.close();
         writer.join().unwrap();
@@ -1499,6 +1514,39 @@ mod tests {
         Event::Deliver { from: ProcessId(from), msg: write_msg(Value::from_static(b"x")), counted }
     }
 
+    /// The pid of every test shard below.
+    const ME: ProcessId = ProcessId(99);
+
+    /// Runs the real shard loop of `ME` for `actor` on its own thread,
+    /// sending through a pool over `book`; its inbox loops back to itself.
+    fn run_shard<A: Actor<Msg> + Send + 'static>(
+        actor: A,
+        (tx, rx): (Sender<Event<A>>, Receiver<Event<A>>),
+        inbound: Arc<AtomicUsize>,
+        book: AddrBook,
+        completions: Option<CompletionSink>,
+    ) -> JoinHandle<()> {
+        let pool = PeerPool::new(Arc::new(book), FaultControls::new());
+        std::thread::spawn(move || {
+            let (router, epoch): (ShardRouter, _) = (|_, _| 0, Instant::now());
+            let (loopbacks, counters) = (vec![tx], Arc::default());
+            event_loop(
+                ME,
+                0,
+                actor,
+                None,
+                rx,
+                loopbacks,
+                router,
+                pool,
+                epoch,
+                completions,
+                inbound,
+                counters,
+            );
+        })
+    }
+
     /// Starts a shard loop for a [`Recorder`] whose inbox already holds
     /// `queued`; returns the inbox, the loop thread and the log.
     fn recorder_shard(
@@ -1516,16 +1564,7 @@ mod tests {
             }
             tx.send(ev).unwrap();
         }
-        let loopbacks = vec![tx.clone()];
-        let pool = PeerPool::new(Arc::new(AddrBook::new()), FaultControls::new());
-        let shard = std::thread::spawn(move || {
-            let (me, router, epoch): (_, ShardRouter, _) =
-                (ProcessId(99), |_, _| 0, Instant::now());
-            let counters = Arc::default();
-            event_loop(
-                me, 0, actor, None, rx, loopbacks, router, pool, epoch, None, inbound, counters,
-            );
-        });
+        let shard = run_shard(actor, (tx.clone(), rx), inbound, AddrBook::new(), None);
         (tx, shard, logged)
     }
 
@@ -1569,13 +1608,94 @@ mod tests {
     fn pause_drops_timers_armed_before_it() {
         // The arming delivery is queued ahead of the pause, so the timer
         // is armed before the pause is applied and must die with it.
-        let queued = vec![deliver(0, false), Event::Pause, Event::Resume];
+        let (ack, _) = mpsc::channel();
+        let queued = vec![deliver(0, false), Event::Pause(ack), Event::Resume];
         let (tx, shard, logged) = recorder_shard(50_000, 0, queued);
-        std::thread::sleep(Duration::from_millis(200)); // well past the deadline
+        crate::sync::sleep(Duration::from_millis(200)); // well past the deadline
         tx.send(deliver(1, false)).unwrap();
         tx.send(Event::Shutdown).unwrap();
         shard.join().unwrap();
         let log: Vec<_> = logged.try_iter().collect();
         assert_eq!(log, vec![Some(ProcessId(0)), Some(ProcessId(1))], "no fire after the resume");
+    }
+
+    /// Logs each delivery's sender, and `None` per timer fire, and runs
+    /// `script` on each delivery.
+    struct Scripted {
+        script: fn(ProcessId, &mut Ctx<'_, Msg>),
+        log: Sender<Option<ProcessId>>,
+    }
+
+    impl Actor<Msg> for Scripted {
+        fn on_message(&mut self, from: ProcessId, _: Msg, ctx: &mut Ctx<'_, Msg>) {
+            let _ = self.log.send(Some(from));
+            (self.script)(from, ctx);
+        }
+
+        fn on_timer(&mut self, _: u64, _: &mut Ctx<'_, Msg>) {
+            let _ = self.log.send(None);
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    fn a_shard_loop_that_sleeps_panics_in_debug_builds() {
+        let (log, _logged) = mpsc::channel();
+        let actor = Scripted { script: |_, _| crate::sync::sleep(Duration::from_micros(1)), log };
+        let (tx, rx) = mpsc::channel();
+        let shard = run_shard(actor, (tx.clone(), rx), Arc::default(), AddrBook::new(), None);
+        tx.send(Event::Deliver {
+            from: ProcessId(1),
+            msg: write_msg(Value::filler(8, 1)),
+            counted: false,
+        })
+        .unwrap();
+        tx.send(Event::Shutdown).unwrap();
+        let err = shard.join().expect_err("the guard stops the loop at its first sleep");
+        let msg = err.downcast::<String>().expect("the guard's formatted message");
+        assert!(msg.starts_with("a shard event loop must not block"), "{msg}");
+    }
+
+    #[test]
+    fn every_effect_applies_without_blocking_the_loop() {
+        // A send to a known peer, to itself and to an unknown pid, a
+        // timer and a completion: none may block the loop, whose guard
+        // is live in debug builds.
+        let peer = TcpListener::bind("127.0.0.1:0").unwrap();
+        let book = AddrBook::from_entries([(ProcessId(2), peer.local_addr().unwrap())]);
+        let script = |from: ProcessId, ctx: &mut Ctx<'_, Msg>| {
+            if from == ME {
+                return; // the self-send arriving
+            }
+            let msg = write_msg(Value::filler(8, 1));
+            ctx.send(ProcessId(2), msg.clone());
+            ctx.send(ME, msg.clone());
+            ctx.send(ProcessId(77), msg);
+            ctx.set_timer(0, 1);
+            let op = OpId { client: ME, seq: u64::from(from.0) };
+            ctx.complete(OpCompletion::new(op, ares_types::OpKind::Write, 0, 0));
+        };
+        let (log, logged) = mpsc::channel();
+        let (done, completed) = mpsc::channel();
+        let sink: CompletionSink = Box::new(move |c| done.send(c.op.seq).unwrap());
+        let (tx, rx) = mpsc::channel();
+        let actor = Scripted { script, log };
+        let shard = run_shard(actor, (tx.clone(), rx), Arc::default(), book, Some(sink));
+        let within = Duration::from_secs(10);
+        for round in 1..=2 {
+            let msg = write_msg(Value::filler(8, 1));
+            tx.send(Event::Deliver { from: ProcessId(round), msg, counted: false }).unwrap();
+            let mut got: Vec<_> =
+                (0..3).map(|_| logged.recv_timeout(within).expect("the loop serves")).collect();
+            got.sort();
+            assert_eq!(got, [None, Some(ProcessId(round)), Some(ME)], "timer, delivery, self-send");
+            assert_eq!(completed.recv_timeout(within).unwrap(), u64::from(round));
+        }
+        let mut from_peer = BufReader::new(peer.accept().unwrap().0);
+        for _ in 1..=2 {
+            assert_eq!(read_frame(&mut from_peer).unwrap().expect("a frame").0, ME);
+        }
+        tx.send(Event::Shutdown).unwrap();
+        shard.join().expect("no effect blocked the loop");
     }
 }

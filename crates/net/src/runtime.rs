@@ -270,7 +270,9 @@ impl ShardedNode {
     /// Crash-stops the node: every received frame and pending timer is
     /// dropped on every shard, and inbound connections are severed,
     /// until [`ShardedNode::resume`]. State is retained (crash with
-    /// stable storage).
+    /// stable storage). Returns once every shard loop has applied the
+    /// pause: what was queued before it is journaled and applied, and
+    /// nothing after it is.
     pub fn pause(&self) {
         self.host.pause();
     }
@@ -311,9 +313,9 @@ impl ShardedNode {
     /// rest — this is what makes recovery cheaper than a blank restart
     /// repairing from zero).
     ///
-    /// Call this only while the node is paused and quiesced (its event
-    /// loops drain deliveries queued before the pause *through the
-    /// journal*, and the logs must not be read mid-append).
+    /// Call this only while the node is paused ([`ShardedNode::pause`]
+    /// returns once no shard journals any more; the logs must not be
+    /// read mid-append).
     ///
     /// Returns one [`RecoveryReport`] per shard.
     ///

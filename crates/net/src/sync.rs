@@ -1,5 +1,6 @@
-//! Poison-recovering locks, one guard per thread, and the one condition
-//! variable of the crate, [`Signal`], which wakes only a parked thread.
+//! Poison-recovering locks, one guard per thread, the one condition
+//! variable of the crate, [`Signal`], which wakes only a parked thread,
+//! and the guard that keeps shard event loops from blocking.
 //!
 //! `Mutex::lock().expect(..)` turns one panicked thread into a panic
 //! cascade: every other thread touching the same lock dies on the
@@ -11,16 +12,50 @@
 //! tolerate lost entries by design, DESIGN §6).
 //!
 //! No thread ever holds two runtime mutexes, so there is no lock order to
-//! get wrong; debug builds check it at every [`lock`].
+//! get wrong; debug builds check it at every [`lock`]. Every runtime
+//! mutex guards a short O(1) section (no I/O, no allocation loops), so
+//! a shard event loop may take one: its wait is bounded by the holder's
+//! section, not by the network.
+//!
+//! A shard event loop never blocks otherwise (DESIGN §9): one blocked
+//! loop stalls every object mapped to its shard. The loop marks its
+//! thread with [`mark_loop`], and every call that can park a thread on
+//! something other than a runtime mutex — a [`Signal`] wait, [`sleep`],
+//! a socket connect, accept, read or write — first calls [`off_loop`],
+//! which panics on a marked thread in debug builds.
 
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 #[cfg(debug_assertions)]
 thread_local! {
     static HOLDS_GUARD: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    static ON_LOOP: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// Marks the calling thread as a shard event loop for the rest of its
+/// life: [`off_loop`] panics on it from now on, in debug builds.
+pub(crate) fn mark_loop() {
+    #[cfg(debug_assertions)]
+    ON_LOOP.with(|on| on.set(true));
+}
+
+/// Asserts, in debug builds, that the caller is not a shard event loop
+/// about to block on `what`.
+pub(crate) fn off_loop(what: &str) {
+    #[cfg(debug_assertions)]
+    ON_LOOP.with(|on| assert!(!on.get(), "a shard event loop must not block ({what})"));
+    #[cfg(not(debug_assertions))]
+    let _ = what;
+}
+
+/// The crate's only sleep: never on a shard event loop.
+#[expect(clippy::disallowed_methods, reason = "the one place a thread sleeps")]
+pub(crate) fn sleep(d: Duration) {
+    off_loop("sleep");
+    std::thread::sleep(d);
 }
 
 /// Clears the thread's held-guard flag when its guard drops.
@@ -54,7 +89,6 @@ impl<T> DerefMut for Guard<'_, T> {
 pub(crate) fn lock<T>(m: &Mutex<T>) -> Guard<'_, T> {
     #[cfg(debug_assertions)]
     HOLDS_GUARD.with(|h| assert!(!h.replace(true), "a thread took a second runtime lock"));
-    // lint: allow(loop-blocking-transitive, reason = "the one sanctioned park point: every runtime mutex guards a short O(1) critical section (no I/O, no allocation loops) and no thread holds two, so waits are bounded by the holder's section, not by the network")
     Guard(m.lock().unwrap_or_else(|p| p.into_inner()), Held)
 }
 
@@ -80,6 +114,7 @@ pub(crate) struct Signal {
 impl Signal {
     /// Parks until notified, recovering the guard from a poisoned lock.
     pub(crate) fn wait<'a, T>(&self, Guard(inner, held): Guard<'a, T>) -> Guard<'a, T> {
+        off_loop("Signal::wait");
         self.parked.fetch_add(1, Ordering::Relaxed);
         let inner = self.cv.wait(inner).unwrap_or_else(|p| p.into_inner());
         self.parked.fetch_sub(1, Ordering::Relaxed);
@@ -94,6 +129,7 @@ impl Signal {
         deadline: Instant,
         done: impl Fn(&T) -> bool,
     ) -> Guard<'a, T> {
+        off_loop("Signal::wait_until");
         while !done(&guard) {
             let Some(left) = deadline.checked_duration_since(Instant::now()) else { break };
             let Guard(inner, held) = guard;
@@ -165,5 +201,26 @@ mod tests {
         let (a, b) = (Mutex::new(1), Mutex::new(2));
         let _first = lock(&a);
         let _second = lock(&b);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    fn a_blocking_call_on_a_shard_loop_panics_in_debug_builds() {
+        let on_a_loop = |block: fn()| {
+            let blocked = std::thread::spawn(move || {
+                mark_loop();
+                block();
+            });
+            let err = blocked.join().expect_err("the guard panics");
+            let msg = err.downcast::<String>().expect("a formatted message");
+            assert!(msg.starts_with("a shard event loop must not block"), "{msg}");
+        };
+        on_a_loop(|| sleep(Duration::from_micros(1)));
+        on_a_loop(|| {
+            let (m, signal) = (Mutex::new(()), Signal::default());
+            drop(signal.wait_until(lock(&m), Instant::now(), |_| false));
+        });
+        // Off the loop, the same calls are fine.
+        sleep(Duration::from_micros(1));
     }
 }

@@ -275,6 +275,7 @@ impl LocalCluster {
 
     /// Crash-stops server `pid`: frames and timers are dropped and its
     /// inbound connections severed until [`LocalCluster::restart`].
+    /// Returns once every shard loop has stopped applying deliveries.
     ///
     /// # Panics
     ///
@@ -314,7 +315,8 @@ impl LocalCluster {
     ///
     /// The node must have been [`LocalCluster::kill`]ed first: recovery
     /// swaps the actors out from under the event loops, which is only
-    /// safe while they are paused and journaling nothing.
+    /// safe while they are paused and journaling nothing (`kill` returns
+    /// once they are).
     ///
     /// # Errors
     ///
@@ -326,7 +328,6 @@ impl LocalCluster {
     /// Panics if `pid` is not a server of this cluster.
     pub fn restart_recovered(&self, pid: u32) -> io::Result<Vec<RecoveryReport>> {
         let node = self.node(pid);
-        self.quiesce(node);
         let reports = node.replace_recovered()?;
         node.resume();
         for cfg in self.registry.ids() {
@@ -338,24 +339,6 @@ impl LocalCluster {
             }
         }
         Ok(reports)
-    }
-
-    /// Waits until `node`'s event loops stop making progress, so that
-    /// in-flight deliveries racing a [`LocalCluster::kill`] have either
-    /// been journaled or discarded before recovery reads the logs.
-    fn quiesce(&self, node: &ShardedNode) {
-        let fingerprint = |s: &crate::NodeStats| {
-            (s.events_applied(), s.wal.map(|w| w.records_appended).unwrap_or(0))
-        };
-        let mut last = fingerprint(&node.stats());
-        loop {
-            std::thread::sleep(Duration::from_millis(5));
-            let cur = fingerprint(&node.stats());
-            if cur == last {
-                return;
-            }
-            last = cur;
-        }
     }
 
     /// The durable data dir of server `pid` (hostile-crash tests reach
@@ -432,7 +415,7 @@ impl LocalCluster {
         let start = Instant::now();
         for (t, action) in timed {
             if let Some(wait) = Duration::from_micros(t).checked_sub(start.elapsed()) {
-                std::thread::sleep(wait);
+                crate::sync::sleep(wait);
             }
             match action {
                 FaultAction::Crash { pid } => self.kill(pid.0),
@@ -540,6 +523,39 @@ mod tests {
         let ticket = session.write(ObjectId(0), ares_types::Value::filler(64, 1));
         ticket.expect("submitted").wait().expect("completed");
         assert_eq!(cluster.faults_dropped(), 0);
+        cluster.shutdown();
+        Ok(())
+    }
+
+    #[test]
+    fn kill_returns_once_no_shard_journals() -> io::Result<()> {
+        use ares_dap::{DapBody, DapMsg, Hdr};
+        use ares_types::{OpId, RpcId, Tag, Value};
+        const BACKLOG: u64 = 2_000;
+        let servers = (1..=3).map(ProcessId).collect();
+        let cluster = LocalCluster::builder(vec![Configuration::abd(ConfigId(0), servers)])
+            .durable(WalConfig::default())
+            .start()?;
+        let client = ProcessId(100);
+        for seq in 1..=BACKLOG {
+            let hdr = Hdr {
+                cfg: ConfigId(0),
+                obj: ObjectId(0),
+                rpc: RpcId(seq),
+                op: OpId { client, seq },
+            };
+            let body = DapBody::AbdWrite(Tag::new(seq, client), Value::filler(8, seq));
+            cluster.node(1).inject(client, Msg::Dap(DapMsg::new(hdr, body)));
+        }
+        cluster.kill(1);
+        let progress = || {
+            let s = cluster.node_stats(1);
+            (s.events_applied(), s.wal.map_or(0, |w| w.records_appended))
+        };
+        let at_kill = progress();
+        assert!(at_kill.1 >= BACKLOG, "the backlog queued before the kill was journaled");
+        crate::sync::sleep(Duration::from_millis(50));
+        assert_eq!(progress(), at_kill, "a killed node applied or journaled after kill returned");
         cluster.shutdown();
         Ok(())
     }

@@ -33,56 +33,14 @@ use ares_core::{AcceptorSnap, Msg, NextCSnap, ServerActor, ServerSnapshot};
 use ares_dap::server::{AbdSnap, DapSnapshot, LdrDirSnap, LdrRepSnap, TreasSnap};
 use ares_sim::{Actor, Ctx};
 use ares_types::{ConfigRegistry, ProcessId, TagValue};
-use ares_wal::{Wal, WalCounters, WalOptions};
+use ares_wal::{Wal, WalCounters};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::io;
 use std::path::Path;
 use std::sync::Arc;
 
-pub use ares_wal::{FsyncPolicy, WalStats};
-
-/// Durability knobs for a node's per-shard write-ahead logs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WalConfig {
-    /// When appended records are forced to stable storage.
-    pub fsync: FsyncPolicy,
-    /// Segment rotation threshold in bytes.
-    pub segment_bytes: u64,
-    /// Under [`FsyncPolicy::Batched`], force a sync once this many
-    /// records are pending even if the shard never goes idle.
-    pub batch_records: u64,
-    /// Write a compacting checkpoint once this many records have been
-    /// journaled since the last one.
-    pub checkpoint_records: u64,
-    /// Fault injection for tests: total bytes each shard's log may
-    /// write before appends fail like a full disk.
-    pub write_quota: Option<u64>,
-}
-
-impl Default for WalConfig {
-    fn default() -> Self {
-        let o = WalOptions::default();
-        WalConfig {
-            fsync: o.fsync,
-            segment_bytes: o.segment_bytes,
-            batch_records: o.batch_records,
-            checkpoint_records: 4096,
-            write_quota: None,
-        }
-    }
-}
-
-impl WalConfig {
-    fn options(&self) -> WalOptions {
-        WalOptions {
-            fsync: self.fsync,
-            segment_bytes: self.segment_bytes,
-            batch_records: self.batch_records,
-            write_quota: self.write_quota,
-        }
-    }
-}
+pub use ares_wal::{FsyncPolicy, WalOptions as WalConfig, WalStats};
 
 // ---------------------------------------------------------------------
 // Checkpoint wire encoding
@@ -138,7 +96,6 @@ pub fn decode_snapshot(buf: &[u8]) -> Result<ServerSnapshot, DecodeError> {
 pub struct ShardWal<A> {
     wal: Wal,
     snap: fn(&A) -> Vec<u8>,
-    checkpoint_records: u64,
     /// A journaling write failed (disk full, I/O error): the log's
     /// tail is suspect, so journaling stops rather than record a
     /// history with holes. The node keeps serving from memory — a
@@ -150,8 +107,8 @@ pub struct ShardWal<A> {
 impl<A> ShardWal<A> {
     /// Wraps an opened log; `snap` captures the actor's durable state
     /// as a checkpoint payload.
-    pub fn new(wal: Wal, snap: fn(&A) -> Vec<u8>, checkpoint_records: u64) -> Self {
-        ShardWal { wal, snap, checkpoint_records, degraded: false }
+    pub fn new(wal: Wal, snap: fn(&A) -> Vec<u8>) -> Self {
+        ShardWal { wal, snap, degraded: false }
     }
 
     /// Journals one delivery, write-ahead: called with the actor state
@@ -162,7 +119,7 @@ impl<A> ShardWal<A> {
         if self.degraded || !msg.journaled() {
             return;
         }
-        if self.wal.since_checkpoint() >= self.checkpoint_records {
+        if self.wal.checkpoint_due() {
             let payload = (self.snap)(actor);
             if self.wal.checkpoint(&payload).is_err() {
                 self.degraded = true;
@@ -247,7 +204,7 @@ pub fn recover_server(
     cfg: &WalConfig,
     counters: Arc<WalCounters>,
 ) -> io::Result<(ServerActor, ShardWal<ServerActor>, RecoveryReport)> {
-    let (wal, rec) = Wal::open(dir, cfg.options(), counters)?;
+    let (wal, rec) = Wal::open(dir, *cfg, counters)?;
     let mut report = RecoveryReport {
         torn_tail_truncated: rec.torn_tail_truncated,
         stopped_at_corruption: rec.stopped_at_corruption,
@@ -275,7 +232,7 @@ pub fn recover_server(
             Err(_) => report.undecodable_dropped += 1,
         }
     }
-    let side_car = ShardWal::new(wal, server_snapshot_payload, cfg.checkpoint_records);
+    let side_car = ShardWal::new(wal, server_snapshot_payload);
     Ok((actor, side_car, report))
 }
 

@@ -160,6 +160,9 @@ pub struct WalOptions {
     /// Under [`FsyncPolicy::Batched`], force a sync once this many
     /// records are pending even if the owner never goes idle.
     pub batch_records: u64,
+    /// A compacting checkpoint is due ([`Wal::checkpoint_due`]) once
+    /// this many records have been appended since the last one.
+    pub checkpoint_records: u64,
     /// Fault injection for tests: total bytes the log may write before
     /// appends fail like a full disk. `None` disables the injection.
     pub write_quota: Option<u64>,
@@ -171,6 +174,7 @@ impl Default for WalOptions {
             fsync: FsyncPolicy::Batched,
             segment_bytes: 4 << 20,
             batch_records: 64,
+            checkpoint_records: 4096,
             write_quota: None,
         }
     }
@@ -433,10 +437,11 @@ impl Wal {
         &self.counters
     }
 
-    /// Records appended since the last checkpoint (the caller decides
-    /// the checkpoint cadence).
-    pub fn since_checkpoint(&self) -> u64 {
-        self.since_ckpt
+    /// Whether [`WalOptions::checkpoint_records`] records have been
+    /// appended since the last checkpoint (the owner writes it, since
+    /// only the owner can take the snapshot).
+    pub fn checkpoint_due(&self) -> bool {
+        self.since_ckpt >= self.opts.checkpoint_records
     }
 
     /// Appends one record and applies the fsync policy. On error the
@@ -458,7 +463,9 @@ impl Wal {
         if self.active_len >= self.opts.segment_bytes {
             self.rotate()?;
         }
-        // lint: allow(loop-blocking-transitive, reason = "the WAL's one sanctioned durability point on the shard loop: a bounded buffered append to a local file (no network), amortized by group commit; a failure flips the log into degraded mode instead of stalling the shard")
+        // This write runs on the shard event loop, the one blocking work
+        // it does on purpose: a buffered append to a local file, and a
+        // failure degrades the log instead of stalling the loop.
         if let Err(e) = self.active.write_all(&frame) {
             self.failed = true;
             self.counters.append_errors.fetch_add(1, Ordering::Relaxed);
@@ -506,11 +513,12 @@ impl Wal {
         let new_seq = self.active_seq + 1;
 
         // 1. Durable checkpoint under a temp name, then rename.
-        // lint: allow(loop-blocking-transitive, reason = "PathBuf::join is pure path arithmetic, not a thread join")
         let tmp = self.dir.join(format!("ck-{new_seq:016x}.ck.tmp"));
         let res: io::Result<()> = (|| {
             let mut f = File::create(&tmp)?;
-            // lint: allow(loop-blocking-transitive, reason = "checkpoints are rare (every checkpoint_records appends) and bounded by snapshot size; a failure flips the log into degraded mode instead of stalling the shard")
+            // On the shard event loop too: rare (every
+            // `checkpoint_records` appends), bounded by the snapshot, and
+            // a failure degrades the log instead of stalling the loop.
             f.write_all(&frame)?;
             if self.opts.fsync != FsyncPolicy::Off {
                 f.sync_data()?;
@@ -607,12 +615,10 @@ impl Wal {
 }
 
 fn seg_path(dir: &Path, seq: u64) -> PathBuf {
-    // lint: allow(loop-blocking-transitive, reason = "PathBuf::join is pure path arithmetic, not a thread join")
     dir.join(format!("seg-{seq:016x}.log"))
 }
 
 fn ck_path(dir: &Path, seq: u64) -> PathBuf {
-    // lint: allow(loop-blocking-transitive, reason = "PathBuf::join is pure path arithmetic, not a thread join")
     dir.join(format!("ck-{seq:016x}.ck"))
 }
 
