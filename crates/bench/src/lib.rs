@@ -151,7 +151,7 @@ pub fn action_durations(trace: &[ares_sim::TraceEvent], client: ProcessId) -> Ve
             stack.push((name.to_string(), ev.at));
         } else if let Some(name) = text.strip_prefix('-') {
             if let Some((n, t0)) = stack.pop() {
-                debug_assert_eq!(n, name);
+                assert_eq!(n, name, "`+name`/`-name` notes must nest");
                 out.push((n, ev.at - t0));
             }
         }

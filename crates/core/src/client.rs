@@ -7,13 +7,15 @@
 //! (see `crate::store`): each session executes its commands one at a
 //! time — its subhistory stays well-formed, exactly the paper's
 //! sequential client — while operations of *different* sessions run
-//! concurrently as independent protocol frame stacks inside this single
-//! actor. Incoming replies carry the [`OpId`] they answer and are routed
-//! to that operation's stack; timers are routed by per-operation tokens.
+//! concurrently as independent protocol state machines inside this
+//! single actor. Incoming replies carry the [`OpId`] they answer and are
+//! handed to that operation, whose leaves each keep only the replies of
+//! their own rpcs; a timer token names its operation and the one leaf
+//! that armed it.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 #![deny(clippy::todo, clippy::unimplemented, clippy::indexing_slicing)]
 
-use crate::frames::{Env, FStep, Frame, FrameOut, ReadFrame, ReconFrame, TransferMode, WriteFrame};
+use crate::frames::{Done, Env, Input, Operation, ReadWrite, Recon, Shared, TransferMode};
 use crate::msg::{ClientCmd, Msg};
 use crate::store::session_writer;
 use ares_sim::{Actor, Ctx};
@@ -70,13 +72,13 @@ impl ClientConfig {
 /// stays bit-deterministic. Host policy, not protocol: it only decides
 /// when an unanswered request is re-sent.
 #[derive(Debug, Clone, Copy, Default)]
-struct RttEstimator {
+pub(crate) struct RttEstimator {
     /// `(srtt, rttvar)`; `None` before the first sample.
     est: Option<(Time, Time)>,
 }
 
 impl RttEstimator {
-    fn sample(&mut self, rtt: Time) {
+    pub(crate) fn sample(&mut self, rtt: Time) {
         self.est = Some(match self.est {
             None => (rtt, rtt / 2),
             Some((srtt, rttvar)) => ((7 * srtt + rtt) / 8, (3 * rttvar + srtt.abs_diff(rtt)) / 4),
@@ -85,7 +87,7 @@ impl RttEstimator {
 
     /// `srtt + 4·rttvar` clamped to `[floor, floor << 6]`; `floor`
     /// before the first sample.
-    fn rto(&self, floor: Time) -> Time {
+    pub(crate) fn rto(&self, floor: Time) -> Time {
         self.est.map_or(floor, |(srtt, rttvar)| (srtt + 4 * rttvar).clamp(floor, floor << 6))
     }
 }
@@ -99,55 +101,39 @@ struct SessionState {
     running: Option<OpId>,
 }
 
-/// One in-flight operation: a protocol frame stack plus bookkeeping.
+/// One in-flight operation: its state machine plus bookkeeping.
 struct OpState {
     session: SessionId,
-    frames: Vec<Frame>,
     kind: OpKind,
     obj: ObjectId,
     invoked_at: Time,
-    write_digest: Option<u64>,
-    /// The one timer token this operation currently accepts; tokens of
-    /// popped frames are invalidated by overwriting or clearing this.
-    timer: Option<u64>,
-    /// When the top frame's current phase was first transmitted; `None`
-    /// once it retransmitted (Karn's rule, see `on_timer`).
-    sent_at: Option<Time>,
+    proto: Operation,
 }
 
 /// The ARES client process: a multiplexer of logical sessions.
 pub struct ClientActor {
-    registry: Arc<ConfigRegistry>,
-    config: ClientConfig,
     /// The client's persistent `cseq` state variable (Alg. 7), shared by
     /// all sessions: it only ever grows (entries are consensus
     /// decisions), so completions merge into it in any order.
     cseq: ConfigSeq,
-    rpc: u64,
     sessions: HashMap<SessionId, SessionState>,
     inflight: HashMap<OpId, OpState>,
-    /// Armed timer tokens → the operation they belong to.
-    timer_ops: HashMap<u64, OpId>,
-    next_timer_token: u64,
-    /// One estimate for all sessions: they share the host's links.
-    rtt: RttEstimator,
+    shared: Shared,
 }
 
 impl ClientActor {
     /// Creates a client.
     pub fn new(registry: Arc<ConfigRegistry>, config: ClientConfig) -> Self {
         let cseq = ConfigSeq::genesis(config.c0);
-        ClientActor {
+        let shared = Shared {
             registry,
             config,
-            cseq,
             rpc: 0,
-            sessions: HashMap::new(),
-            inflight: HashMap::new(),
+            next_token: 0,
             timer_ops: HashMap::new(),
-            next_timer_token: 0,
             rtt: RttEstimator::default(),
-        }
+        };
+        ClientActor { cseq, sessions: HashMap::new(), inflight: HashMap::new(), shared }
     }
 
     /// The client's current local configuration sequence.
@@ -191,148 +177,67 @@ impl ClientActor {
             ctx.pid()
         );
         let op = OpId { client: ctx.pid(), seq };
-        let (frame, kind, obj, digest) = match cmd {
+        sess.running = Some(op);
+        let invoked_at = ctx.now();
+        let cseq = self.cseq.clone();
+        let mut env = Env {
+            me: ctx.pid(),
+            writer: session_writer(ctx.pid(), sid),
+            op,
+            shared: &mut self.shared,
+            ctx,
+        };
+        let (kind, obj, proto) = match cmd {
             ClientCmd::Write { obj, value } => {
-                let d = value.digest();
-                (
-                    Frame::Write(WriteFrame::new(value, self.cseq.clone())),
-                    OpKind::Write,
-                    obj,
-                    Some(d),
-                )
+                let rw = ReadWrite::start(Some(value), obj, cseq, &mut env);
+                (OpKind::Write, obj, Operation::ReadWrite(rw))
             }
             ClientCmd::Read { obj } => {
-                (Frame::Read(ReadFrame::new(self.cseq.clone())), OpKind::Read, obj, None)
+                let rw = ReadWrite::start(None, obj, cseq, &mut env);
+                (OpKind::Read, obj, Operation::ReadWrite(rw))
             }
             ClientCmd::Recon { target } => {
                 assert!(
-                    self.registry.try_get(target).is_some(),
+                    env.shared.registry.try_get(target).is_some(),
                     "reconfig target {target} must be registered"
                 );
-                (
-                    Frame::Recon(ReconFrame::new(
-                        target,
-                        self.cseq.clone(),
-                        self.config.objects.clone(),
-                    )),
-                    OpKind::Recon,
-                    ObjectId(0),
-                    None,
-                )
+                let objs = env.shared.config.objects.clone();
+                let mode = env.shared.config.transfer_mode;
+                let recon = Recon::start(target, cseq, objs, mode, &mut env);
+                (OpKind::Recon, ObjectId(0), Operation::Recon(recon))
             }
         };
-        sess.running = Some(op);
-        let st = OpState {
-            session: sid,
-            frames: Vec::new(),
-            kind,
-            obj,
-            invoked_at: ctx.now(),
-            write_digest: digest,
-            timer: None,
-            sent_at: None,
-        };
-        self.pump(op, st, FStep::push(frame), ctx);
+        self.inflight.insert(op, OpState { session: sid, kind, obj, invoked_at, proto });
     }
 
-    /// Builds the frame environment for one transition of `op`.
-    fn env(&mut self, me: ProcessId, op: OpId, st: &OpState) -> Env<'_> {
-        Env {
-            me,
-            writer: session_writer(me, st.session),
-            registry: &self.registry,
-            rpc: &mut self.rpc,
-            op,
-            obj: st.obj,
-            mode: self.config.transfer_mode,
-            backoff_unit: self.config.backoff_unit,
-            rto: self.rtt.rto(4 * self.config.backoff_unit),
+    /// Feeds `input` to operation `op`, and finishes the operation if
+    /// that completes it. Stragglers for completed operations are
+    /// dropped.
+    fn drive(&mut self, op: OpId, input: Input<'_>, ctx: &mut Ctx<'_, Msg>) {
+        let Some(st) = self.inflight.get_mut(&op) else { return };
+        let writer = session_writer(ctx.pid(), st.session);
+        let mut env = Env { me: ctx.pid(), writer, op, shared: &mut self.shared, ctx };
+        if let Some(done) = st.proto.on(input, &mut env) {
+            self.finish(op, done, ctx);
         }
     }
 
-    /// Applies a frame step of `op`, cascading child pushes and
-    /// completions. Owns the [`OpState`] for the duration and re-inserts
-    /// it unless the operation finished.
-    fn pump(&mut self, op: OpId, mut st: OpState, mut step: FStep, ctx: &mut Ctx<'_, Msg>) {
-        loop {
-            for (to, m) in step.sends.drain(..) {
-                ctx.send(to, m);
-            }
-            if let Some(after) = step.timer.take() {
-                let token = self.next_timer_token;
-                self.next_timer_token += 1;
-                self.timer_ops.insert(token, op);
-                st.timer = Some(token); // any previously armed token is now stale
-                st.sent_at = Some(ctx.now());
-                ctx.set_timer(after.get(), token);
-            }
-            if let Some(mut frame) = step.push.take() {
-                if ctx.tracing() {
-                    ctx.note(format!("+{}", frame.name()));
-                }
-                step = frame.start(&mut self.env(ctx.pid(), op, &st));
-                st.frames.push(frame);
-                continue;
-            }
-            if let Some(out) = step.out.take() {
-                #[expect(clippy::expect_used, reason = "step.out came from the top frame")]
-                let popped = st.frames.pop().expect("a frame completed");
-                if ctx.tracing() {
-                    ctx.note(format!("-{}", popped.name()));
-                }
-                st.timer = None; // invalidate any timer of the popped frame
-                if let Some(t0) = st.sent_at.take() {
-                    // One request/reply round is a sample; consensus (two
-                    // rounds) and state transfer (three hops and a decode)
-                    // are not, and would only inflate the estimate.
-                    if matches!(popped, Frame::ReadNext(_) | Frame::PutConfig(_) | Frame::Dap(_)) {
-                        self.rtt.sample(ctx.now() - t0);
-                    }
-                }
-                let mut env = self.env(ctx.pid(), op, &st);
-                let Some(top) = st.frames.last_mut() else {
-                    // Stack empty: the operation finished.
-                    self.finish(op, st, out, ctx);
-                    return;
-                };
-                step = top.on_child(out, &mut env);
-                continue;
-            }
-            break;
-        }
-        self.inflight.insert(op, st);
-    }
-
-    fn finish(&mut self, op: OpId, st: OpState, out: FrameOut, ctx: &mut Ctx<'_, Msg>) {
+    fn finish(&mut self, op: OpId, done: Done, ctx: &mut Ctx<'_, Msg>) {
+        let Some(st) = self.inflight.remove(&op) else { return };
         let mut c = OpCompletion::new(op, st.kind, st.invoked_at, ctx.now());
         c.obj = st.obj;
-        match out {
-            FrameOut::WriteDone(tag, seq) => {
-                c.tag = Some(tag);
-                c.value_digest = st.write_digest;
-                self.merge_cseq(&seq);
-            }
-            FrameOut::ReadDone(tv, seq) => {
-                c.tag = Some(tv.tag);
-                c.value_digest = Some(tv.value.digest());
-                self.merge_cseq(&seq);
-            }
-            FrameOut::ReconDone(installed, seq) => {
-                c.installed = Some(installed);
-                self.merge_cseq(&seq);
-            }
-            #[expect(clippy::unreachable, reason = "finish() gets a bottom frame's output")]
-            other => unreachable!("operation finished with non-terminal output {other:?}"),
-        }
+        c.tag = done.tag;
+        c.value_digest = done.value_digest;
+        c.installed = done.installed;
+        self.merge_cseq(&done.seq);
         if ctx.tracing() {
             ctx.note(format!("{:?} {} completed (cseq now {})", c.kind, c.op, self.cseq));
         }
         ctx.complete(c);
-        let sid = st.session;
-        if let Some(sess) = self.sessions.get_mut(&sid) {
+        if let Some(sess) = self.sessions.get_mut(&st.session) {
             sess.running = None;
         }
-        self.start_next(sid, ctx);
+        self.start_next(st.session, ctx);
     }
 }
 
@@ -349,44 +254,16 @@ impl Actor<Msg> for ClientActor {
                 self.sessions.entry(inv.session).or_default().queue.push_back((inv.seq, inv.cmd));
                 self.start_next(inv.session, ctx);
             }
-            other => {
-                // Route the reply to the operation it answers; stragglers
-                // for completed operations are dropped (their frames
-                // would have discarded them by rpc id anyway).
-                let Some(op) = other.op() else { return };
-                let Some(mut st) = self.inflight.remove(&op) else { return };
-                let step = {
-                    let mut env = self.env(ctx.pid(), op, &st);
-                    match st.frames.last_mut() {
-                        Some(top) => top.on_msg(from, &other, &mut env),
-                        None => return,
-                    }
-                };
-                self.pump(op, st, step, ctx);
+            reply => {
+                let Some(op) = reply.op() else { return };
+                self.drive(op, Input::Reply(from, &reply), ctx);
             }
         }
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_, Msg>) {
-        let Some(op) = self.timer_ops.remove(&token) else { return };
-        if self.inflight.get(&op).is_none_or(|st| st.timer != Some(token)) {
-            return; // stale: the frame that armed it was popped or re-armed
-        }
-        let Some(mut st) = self.inflight.remove(&op) else { return };
-        st.timer = None;
-        let step = {
-            let mut env = self.env(ctx.pid(), op, &st);
-            match st.frames.last_mut() {
-                Some(top) => top.on_timer(&mut env),
-                None => return,
-            }
-        };
-        self.pump(op, st, step, ctx);
-        // Karn's rule: a reply to this phase could now answer either
-        // copy of the request, so the phase yields no round-trip sample.
-        if let Some(st) = self.inflight.get_mut(&op) {
-            st.sent_at = None;
-        }
+        let Some(op) = self.shared.timer_ops.remove(&token) else { return };
+        self.drive(op, Input::Timer(token), ctx);
     }
 }
 
@@ -396,7 +273,7 @@ mod tests {
     use crate::store::session_op_seq;
     use crate::ServerActor;
     use ares_sim::HostEffect;
-    use ares_types::{Configuration, Value};
+    use ares_types::{ConfigEntry, Configuration, Value};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -661,5 +538,58 @@ mod tests {
         }
         assert_eq!(h.completed, 1, "the reconfiguration installs c1");
         assert_eq!(h.client.cseq().last().cfg, ConfigId(1));
+    }
+
+    #[test]
+    fn a_timer_token_its_leaf_no_longer_holds_sends_nothing() {
+        let mut h = Hosted::new();
+        h.write(0);
+        let (_, read_next_token) = h.armed[0];
+        h.answer_after(10); // read-config completes; get-tag's five requests are out
+        assert_eq!(h.armed.len(), 2);
+        h.now += FLOOR;
+        let sent = h.client(|c, ctx| c.on_timer(read_next_token, ctx));
+        assert_eq!(sent, 0, "the leaf that armed it has completed");
+        assert_eq!(h.fire_timer(), 5, "get-tag's own token still resends");
+    }
+
+    #[test]
+    fn a_consensus_round_yields_no_sample() {
+        let mut h = Hosted::with_configs(2);
+        h.recon(1);
+        h.answer_after(2_000); // read-next-config: one round, one sample
+        assert_eq!(h.last_delay(), 6_000, "Prepare leaves at the sampled RTO");
+        h.answer_after(2_000); // promises
+        h.answer_after(2_000); // accepts: c1 is decided
+        assert!(h.outbox.iter().any(|(_, m)| is_write_config(m)), "put-config(c0, ⟨c1, P⟩)");
+        assert_eq!(h.last_delay(), 6_000, "the proposal's two rounds took no sample");
+    }
+
+    #[test]
+    fn a_next_config_pointer_to_an_unregistered_configuration_is_bottom() {
+        let mut h = Hosted::new();
+        h.write(0);
+        // Server 1 names c99, which the registry does not hold; servers
+        // 2–5 answer ⊥. Quorum 4.
+        for (to, request) in std::mem::take(&mut h.outbox) {
+            let Msg::Cfg(crate::CfgMsg::ReadConfig { base, rpc, op }) = request else {
+                panic!("{request:?}")
+            };
+            if to == ProcessId(1) {
+                let next = Some(ConfigEntry::finalized(ConfigId(99)));
+                let reply = Msg::Cfg(crate::CfgMsg::NextC { base, rpc, next, op });
+                h.client(|c, ctx| c.on_message(to, reply, ctx));
+            } else {
+                h.outbox.push((to, request));
+            }
+        }
+        while h.completed == 0 {
+            h.answer_after(10);
+        }
+        assert_eq!(h.client.cseq().len(), 1, "the walk stopped at c0");
+        assert!(
+            h.servers.iter().all(|s| s.next_config(ConfigId(0)).is_none()),
+            "no server holds c99"
+        );
     }
 }

@@ -1,30 +1,35 @@
-//! The client-side protocol engine of ARES, as a stack of frames.
+//! The client-side protocol engine of ARES, as typed sub-protocols.
 //!
 //! Every ARES client operation is a nest of sub-protocols: a `write`
 //! (Alg. 7) performs a `read-config` (Alg. 4), which performs
 //! `read-next-config` and `put-config` quorum phases; a `reconfig`
 //! (Alg. 5) additionally runs a consensus proposal and — in the
 //! ARES-TREAS variant (Alg. 8) — a direct state transfer. Each of those
-//! is a [`Frame`]; frames push sub-frames like a call stack and hand
-//! their result ([`FrameOut`]) to their parent when they complete, which
-//! keeps every algorithm of the paper recognizable line-by-line.
+//! is a state machine with its own result type. A parent keeps its
+//! current child inside its phase enum, feeds it every [`Input`] and
+//! reads the child's typed result, which keeps every algorithm of the
+//! paper recognizable line-by-line.
 //!
-//! Only the top frame ever has messages in flight (a frame starts its
-//! children only between its own quorum phases), so the client actor
-//! routes incoming replies and timers to the top frame exclusively.
+//! Only the leaves send: [`ReadNext`], [`PutConfig`], [`Dap`],
+//! [`Propose`] and [`Transfer`]. Each returns the [`Step`] of the engine
+//! below it, and an [`Armed`] leaf emits that step and keeps the timer
+//! token it armed. A reply reaches a leaf's state only through the
+//! leaf's own rpc check, and a timer only through that token, so the
+//! leaves under one operation never see each other's traffic.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 #![deny(clippy::todo, clippy::unimplemented, clippy::indexing_slicing)]
 
+use crate::client::{ClientConfig, RttEstimator};
 use crate::msg::{CfgMsg, Msg, XferMsg};
 use ares_consensus::{Proposer, ProposerConfig};
 use ares_dap::client::{DapCall, DapCtx};
 use ares_dap::{DapAction, DapOutput};
+use ares_sim::Ctx;
 use ares_types::{
     Backoff, ConfigEntry, ConfigId, ConfigRegistry, ConfigSeq, Configuration, Delay, ObjectId,
     OpId, ProcessId, QuorumPhase, RpcId, Status, Step, Tag, TagValue, Time, Value, TAG0,
 };
-use std::collections::BTreeSet;
-use std::convert::identity;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 /// How `update-config` migrates object state into a new configuration.
@@ -41,8 +46,21 @@ pub enum TransferMode {
     Direct,
 }
 
-/// Mutable environment threaded through frame transitions.
-pub(crate) struct Env<'a> {
+/// What the operations of one client share.
+pub(crate) struct Shared {
+    pub registry: Arc<ConfigRegistry>,
+    pub config: ClientConfig,
+    /// The monotone counter every quorum phase takes its rpc id from.
+    pub rpc: u64,
+    pub next_token: u64,
+    /// Armed timer tokens → the operation they belong to.
+    pub timer_ops: HashMap<u64, OpId>,
+    /// One estimate for all sessions: they share the host's links.
+    pub rtt: RttEstimator,
+}
+
+/// One transition's environment: who acts, and where its effects go.
+pub(crate) struct Env<'a, 'c> {
     /// The *host* process id: the network-routable identity replies and
     /// direct sends (e.g. `XferAck`) are addressed to.
     pub me: ProcessId,
@@ -52,306 +70,323 @@ pub(crate) struct Env<'a> {
     /// model gives every sequential client its own id; a session is that
     /// client). Equal to `me` for the default session.
     pub writer: ProcessId,
-    pub registry: &'a Arc<ConfigRegistry>,
-    pub rpc: &'a mut u64,
     pub op: OpId,
-    pub obj: ObjectId,
-    pub mode: TransferMode,
-    pub backoff_unit: Time,
+    pub shared: &'a mut Shared,
+    /// Sends, timers and notes, in the order they happen.
+    pub ctx: &'a mut Ctx<'c, Msg>,
+}
+
+impl Env<'_, '_> {
+    fn fresh_rpc(&mut self) -> RpcId {
+        self.shared.rpc += 1;
+        RpcId(self.shared.rpc)
+    }
+
+    fn cfg(&self, id: ConfigId) -> Arc<Configuration> {
+        self.shared.registry.get(id).clone()
+    }
+
     /// The client's current retransmission timeout: its round-trip
     /// estimate clamped to `[4, 4 << 6] × backoff_unit` (the floor
     /// before any sample). The base every quorum phase grows its retry
     /// delay from.
-    pub rto: Time,
-}
-
-impl Env<'_> {
-    fn fresh_rpc(&mut self) -> RpcId {
-        *self.rpc += 1;
-        RpcId(*self.rpc)
-    }
-
-    fn cfg(&self, id: ConfigId) -> Arc<Configuration> {
-        self.registry.get(id).clone()
+    fn rto(&self) -> Time {
+        self.shared.rtt.rto(4 * self.shared.config.backoff_unit)
     }
 
     /// Opens a configuration-service phase: `msg(rpc)` to every server
     /// of `cfg`, completed by a quorum of replies.
     fn phase(&mut self, cfg: &Configuration, msg: impl Fn(RpcId) -> CfgMsg) -> QuorumPhase<Msg> {
-        QuorumPhase::new(self.rpc, cfg.quorum_size(), |rpc| {
+        QuorumPhase::new(&mut self.shared.rpc, cfg.quorum_size(), |rpc| {
             let msg = Msg::Cfg(msg(rpc));
             cfg.servers.iter().map(|&s| (s, msg.clone())).collect()
         })
     }
+
+    /// Sets a timer for this operation; returns its token.
+    fn arm(&mut self, after: Delay) -> u64 {
+        let token = self.shared.next_token;
+        self.shared.next_token += 1;
+        self.shared.timer_ops.insert(token, self.op);
+        self.ctx.set_timer(after.get(), token);
+        token
+    }
+
+    /// Marks an action's start (`+name`) or end (`-name`) in the trace,
+    /// which lets the latency experiments time individual actions.
+    fn note(&mut self, sign: char, name: &str) {
+        if self.ctx.tracing() {
+            self.ctx.note(format!("{sign}{name}"));
+        }
+    }
 }
 
-/// Result a frame hands to its parent on completion.
-#[derive(Debug, Clone)]
-pub(crate) enum FrameOut {
-    /// `read-config` finished with this (possibly extended) sequence.
-    Seq(ConfigSeq),
-    /// `read-next-config` finished.
-    Next(Option<ConfigEntry>),
-    /// `put-config` / state transfer finished.
-    Ack,
-    /// A DAP primitive finished.
-    Dap(DapOutput),
-    /// Consensus decided this configuration.
-    Decided(ConfigId),
-    /// Top-level `write` finished: the written tag plus the final local
-    /// configuration sequence.
-    WriteDone(Tag, ConfigSeq),
-    /// Top-level `read` finished.
-    ReadDone(TagValue, ConfigSeq),
-    /// Top-level `reconfig` finished: the installed configuration.
-    ReconDone(ConfigId, ConfigSeq),
-}
-
-/// Effects of one frame transition.
-pub(crate) struct FStep {
-    pub sends: Vec<(ProcessId, Msg)>,
-    pub timer: Option<Delay>,
-    pub out: Option<FrameOut>,
-    pub push: Option<Frame>,
-}
-
-impl FStep {
-    fn idle() -> Self {
-        FStep { sends: Vec::new(), timer: None, out: None, push: None }
-    }
-    fn sends(sends: Vec<(ProcessId, Msg)>) -> Self {
-        FStep { sends, timer: None, out: None, push: None }
-    }
-    fn out(out: FrameOut) -> Self {
-        FStep { sends: Vec::new(), timer: None, out: Some(out), push: None }
-    }
-    pub(crate) fn push(frame: Frame) -> Self {
-        FStep { sends: Vec::new(), timer: None, out: None, push: Some(frame) }
-    }
+/// What reaches an operation: a reply, or one of its timers.
+#[derive(Clone, Copy)]
+pub(crate) enum Input<'m> {
+    Reply(ProcessId, &'m Msg),
+    Timer(u64),
 }
 
 // ---------------------------------------------------------------------
-// Leaf frames: quorum phases of the configuration service
+// Leaves: the sub-protocols that send
 // ---------------------------------------------------------------------
+
+/// A sub-protocol that sends: one engine, which completes with `Out`.
+pub(crate) trait Leaf {
+    type Out;
+    /// The action name of its trace notes.
+    const NAME: &'static str;
+    /// Whether it is one request/reply round, so the time from its last
+    /// transmission to its completion is a round-trip sample. Consensus
+    /// (two rounds) and state transfer (three hops and a decode) are not,
+    /// and would only inflate the estimate.
+    const ROUND_TRIP: bool;
+    fn on_msg(&mut self, from: ProcessId, msg: &Msg, env: &mut Env<'_, '_>)
+        -> Step<Msg, Self::Out>;
+    fn on_timer(&mut self, env: &mut Env<'_, '_>) -> Step<Msg, Self::Out>;
+}
+
+/// A leaf in flight: it emits the leaf's steps, and it holds the one
+/// timer token the leaf accepts and when the leaf's current phase left.
+pub(crate) struct Armed<L> {
+    leaf: L,
+    token: Option<u64>,
+    /// `None` once the phase retransmitted (Karn's rule).
+    sent_at: Option<Time>,
+}
+
+impl<L: Leaf> Armed<L> {
+    /// Starts `leaf` with its first transmission. A first transmission
+    /// completes nothing: every leaf waits for at least one reply.
+    fn start(leaf: L, first: Step<Msg, L::Out>, env: &mut Env<'_, '_>) -> Self {
+        env.note('+', L::NAME);
+        let mut armed = Armed { leaf, token: None, sent_at: None };
+        armed.emit(first, env);
+        armed
+    }
+
+    /// Feeds one input; returns the leaf's result once it completes.
+    pub(crate) fn on(&mut self, input: Input<'_>, env: &mut Env<'_, '_>) -> Option<L::Out> {
+        let out = match input {
+            Input::Reply(from, msg) => {
+                let step = self.leaf.on_msg(from, msg, env);
+                self.emit(step, env)
+            }
+            Input::Timer(token) if self.token == Some(token) => {
+                let step = self.leaf.on_timer(env);
+                let out = self.emit(step, env);
+                // Karn's rule: a reply to this phase could now answer
+                // either copy of the request, so it yields no sample.
+                self.sent_at = None;
+                out
+            }
+            Input::Timer(_) => None,
+        }?;
+        env.note('-', L::NAME);
+        if let Some(t0) = self.sent_at.filter(|_| L::ROUND_TRIP) {
+            env.shared.rtt.sample(env.ctx.now() - t0);
+        }
+        Some(out)
+    }
+
+    /// Sends a step's messages, then arms its timer, which replaces the
+    /// one this leaf held.
+    fn emit(&mut self, step: Step<Msg, L::Out>, env: &mut Env<'_, '_>) -> Option<L::Out> {
+        for (to, msg) in step.sends {
+            env.ctx.send(to, msg);
+        }
+        if let Some(after) = step.timer_after {
+            self.token = Some(env.arm(after));
+            self.sent_at = Some(env.ctx.now());
+        }
+        step.output
+    }
+}
 
 /// `read-next-config(c)` (Alg. 4): query a quorum of `c.Servers` for
 /// their `nextC` pointers; prefer a finalized reply over a pending one.
-pub(crate) struct ReadNextFrame {
+pub(crate) struct ReadNext {
     base: ConfigId,
     phase: QuorumPhase<Msg>,
     best: Option<ConfigEntry>,
 }
 
-impl ReadNextFrame {
-    fn new(base: &Configuration, env: &mut Env<'_>) -> Self {
+impl ReadNext {
+    fn start(base: &Configuration, env: &mut Env<'_, '_>) -> Armed<Self> {
         let op = env.op;
         let phase = env.phase(base, |rpc| CfgMsg::ReadConfig { base: base.id, rpc, op });
-        ReadNextFrame { base: base.id, phase, best: None }
+        let first = phase.send(env.rto());
+        Armed::start(ReadNext { base: base.id, phase, best: None }, first, env)
     }
+}
 
-    fn on_msg(&mut self, from: ProcessId, msg: &Msg) -> FStep {
+impl Leaf for ReadNext {
+    type Out = Option<ConfigEntry>;
+    const NAME: &'static str = "read-next-config";
+    const ROUND_TRIP: bool = true;
+
+    fn on_msg(
+        &mut self,
+        from: ProcessId,
+        msg: &Msg,
+        env: &mut Env<'_, '_>,
+    ) -> Step<Msg, Self::Out> {
         let Msg::Cfg(CfgMsg::NextC { base, rpc, next, .. }) = msg else {
-            return FStep::idle();
+            return Step::idle();
         };
         if *base != self.base || !self.phase.hear(from, *rpc) {
-            return FStep::idle();
+            return Step::idle();
         }
-        // A pointer naming its own configuration is corrupt (servers
-        // refuse to install self-loops, but an old or hostile server
-        // could still reply with one): treat it as ⊥ rather than walk
-        // a cycle forever.
-        let next = match next {
-            Some(e) if e.cfg == self.base => &None,
-            other => other,
-        };
-        if let Some(e) = next {
+        // A pointer naming its own configuration, or one the registry
+        // does not hold, is corrupt: servers refuse to install either,
+        // but an old or hostile server could still reply with one. Treat
+        // it as ⊥ rather than walk a cycle forever or into nothing.
+        let registered = |e: &ConfigEntry| env.shared.registry.try_get(e.cfg).is_some();
+        if let Some(e) = next.filter(|e| e.cfg != self.base && registered(e)) {
             // Prefer F over P (Alg. 4 lines 16-19); consensus guarantees
             // the cfg ids agree.
-            match &self.best {
-                Some(b) if b.status == Status::Finalized => {}
-                _ => {
-                    let better = match &self.best {
-                        None => true,
-                        Some(_) => e.status == Status::Finalized,
-                    };
-                    if better {
-                        self.best = Some(*e);
-                    }
-                }
+            if self
+                .best
+                .is_none_or(|b| b.status != Status::Finalized && e.status == Status::Finalized)
+            {
+                self.best = Some(e);
             }
         }
         if self.phase.complete() {
-            FStep::out(FrameOut::Next(self.best))
+            Step::done(self.best)
         } else {
-            FStep::idle()
+            Step::idle()
         }
+    }
+
+    fn on_timer(&mut self, env: &mut Env<'_, '_>) -> Step<Msg, Self::Out> {
+        self.phase.resend(env.rto())
     }
 }
 
 /// `put-config(c, entry)` (Alg. 4): write the successor pointer to a
 /// quorum of `c.Servers`.
-pub(crate) struct PutConfigFrame {
+pub(crate) struct PutConfig {
     base: ConfigId,
     phase: QuorumPhase<Msg>,
 }
 
-impl PutConfigFrame {
-    fn new(base: &Configuration, entry: ConfigEntry, env: &mut Env<'_>) -> Self {
+impl PutConfig {
+    fn start(base: &Configuration, entry: ConfigEntry, env: &mut Env<'_, '_>) -> Armed<Self> {
         let op = env.op;
         let phase = env.phase(base, |rpc| CfgMsg::WriteConfig { base: base.id, entry, rpc, op });
-        PutConfigFrame { base: base.id, phase }
+        let first = phase.send(env.rto());
+        Armed::start(PutConfig { base: base.id, phase }, first, env)
     }
+}
 
-    fn on_msg(&mut self, from: ProcessId, msg: &Msg) -> FStep {
+impl Leaf for PutConfig {
+    type Out = ();
+    const NAME: &'static str = "put-config";
+    const ROUND_TRIP: bool = true;
+
+    fn on_msg(&mut self, from: ProcessId, msg: &Msg, _env: &mut Env<'_, '_>) -> Step<Msg, ()> {
         let Msg::Cfg(CfgMsg::CfgAck { base, rpc, .. }) = msg else {
-            return FStep::idle();
+            return Step::idle();
         };
         if *base == self.base && self.phase.hear(from, *rpc) && self.phase.complete() {
-            FStep::out(FrameOut::Ack)
+            Step::done(())
         } else {
-            FStep::idle()
+            Step::idle()
         }
     }
-}
 
-/// `read-config(seq)` (Alg. 4): walk the global configuration sequence
-/// from the last finalized entry, propagating each discovered pointer
-/// back to the previous configuration.
-pub(crate) struct ReadConfigFrame {
-    seq: ConfigSeq,
-    cur: usize,
-    awaiting_put: bool,
-}
-
-impl ReadConfigFrame {
-    pub(crate) fn new(seq: ConfigSeq) -> Self {
-        ReadConfigFrame { seq, cur: 0, awaiting_put: false }
-    }
-
-    fn start(&mut self, env: &mut Env<'_>) -> FStep {
-        self.cur = self.seq.mu(); // µ: last finalized entry
-        let base = env.cfg(self.seq.get(self.cur).cfg);
-        FStep::push(Frame::ReadNext(ReadNextFrame::new(&base, env)))
-    }
-
-    fn on_child(&mut self, out: FrameOut, env: &mut Env<'_>) -> FStep {
-        match out {
-            FrameOut::Next(Some(entry)) => {
-                debug_assert!(!self.awaiting_put);
-                self.seq.absorb(self.cur + 1, entry);
-                self.awaiting_put = true;
-                // put-config(seq[µ−1].cfg, seq[µ]): inform the previous
-                // configuration about the (possibly upgraded) successor.
-                let base = env.cfg(self.seq.get(self.cur).cfg);
-                let entry = self.seq.get(self.cur + 1);
-                FStep::push(Frame::PutConfig(PutConfigFrame::new(&base, entry, env)))
-            }
-            FrameOut::Next(None) => FStep::out(FrameOut::Seq(self.seq.clone())),
-            FrameOut::Ack => {
-                debug_assert!(self.awaiting_put);
-                self.awaiting_put = false;
-                self.cur += 1;
-                let base = env.cfg(self.seq.get(self.cur).cfg);
-                FStep::push(Frame::ReadNext(ReadNextFrame::new(&base, env)))
-            }
-            #[expect(clippy::unreachable, reason = "a child returns what this frame pushed it for")]
-            other => unreachable!("read-config got unexpected child result {other:?}"),
-        }
+    fn on_timer(&mut self, env: &mut Env<'_, '_>) -> Step<Msg, ()> {
+        self.phase.resend(env.rto())
     }
 }
-
-// ---------------------------------------------------------------------
-// Leaf frames: DAP, consensus, state transfer
-// ---------------------------------------------------------------------
 
 /// One DAP primitive executed in a given configuration.
-pub(crate) struct DapFrame {
-    cfg: Arc<Configuration>,
-    obj: ObjectId,
-    action: Option<DapAction>,
-    call: Option<DapCall>,
-}
+pub(crate) struct Dap(DapCall);
 
-impl DapFrame {
-    fn new(cfg: Arc<Configuration>, obj: ObjectId, action: DapAction) -> Self {
-        DapFrame { cfg, obj, action: Some(action), call: None }
-    }
-
-    fn start(&mut self, env: &mut Env<'_>) -> FStep {
-        let mut ctx = DapCtx::new(self.cfg.clone(), self.obj, env.me, env.op);
-        ctx.retry_interval = env.rto;
-        let Some(action) = self.action.take() else { return FStep::idle() };
-        let (call, step) = DapCall::start(ctx, action, env.rpc);
-        self.call = Some(call);
-        lift(step, Msg::Dap, FrameOut::Dap)
-    }
-
-    fn on_msg(&mut self, from: ProcessId, msg: &Msg, env: &mut Env<'_>) -> FStep {
-        let Msg::Dap(m) = msg else { return FStep::idle() };
-        let Some(call) = self.call.as_mut() else { return FStep::idle() };
-        lift(call.on_message(from, m, env.rpc), Msg::Dap, FrameOut::Dap)
-    }
-
-    fn on_timer(&mut self, env: &mut Env<'_>) -> FStep {
-        let Some(call) = self.call.as_mut() else { return FStep::idle() };
-        lift(call.on_timer(env.rpc), Msg::Dap, FrameOut::Dap)
+impl Dap {
+    fn start(
+        cfg: Arc<Configuration>,
+        obj: ObjectId,
+        action: DapAction,
+        env: &mut Env<'_, '_>,
+    ) -> Armed<Self> {
+        let mut ctx = DapCtx::new(cfg, obj, env.me, env.op);
+        ctx.retry_interval = env.rto();
+        let (call, first) = DapCall::start(ctx, action, &mut env.shared.rpc);
+        Armed::start(Dap(call), lift(first, Msg::Dap), env)
     }
 }
 
-/// An engine's step as a frame step.
-fn lift<M, O>(step: Step<M, O>, msg: fn(M) -> Msg, out: fn(O) -> FrameOut) -> FStep {
-    FStep {
-        sends: step.sends.into_iter().map(|(to, m)| (to, msg(m))).collect(),
-        timer: step.timer_after,
-        out: step.output.map(out),
-        push: None,
+impl Leaf for Dap {
+    type Out = DapOutput;
+    const NAME: &'static str = "dap";
+    const ROUND_TRIP: bool = true;
+
+    fn on_msg(
+        &mut self,
+        from: ProcessId,
+        msg: &Msg,
+        env: &mut Env<'_, '_>,
+    ) -> Step<Msg, DapOutput> {
+        let Msg::Dap(m) = msg else { return Step::idle() };
+        lift(self.0.on_message(from, m, &mut env.shared.rpc), Msg::Dap)
+    }
+
+    fn on_timer(&mut self, env: &mut Env<'_, '_>) -> Step<Msg, DapOutput> {
+        lift(self.0.on_timer(&mut env.shared.rpc), Msg::Dap)
+    }
+}
+
+/// An engine's step, its messages wrapped as [`Msg`]s.
+fn lift<M, O>(step: Step<M, O>, wrap: fn(M) -> Msg) -> Step<Msg, O> {
+    Step {
+        sends: step.sends.into_iter().map(|(to, m)| (to, wrap(m))).collect(),
+        output: step.output,
+        timer_after: step.timer_after,
     }
 }
 
 /// One `c.Con.propose(value)` call (Paxos proposer).
-pub(crate) struct ProposeFrame {
-    base: Arc<Configuration>,
-    value: ConfigId,
-    proposer: Option<Proposer>,
-}
+pub(crate) struct Propose(Proposer);
 
-impl ProposeFrame {
-    fn new(base: Arc<Configuration>, value: ConfigId) -> Self {
-        ProposeFrame { base, value, proposer: None }
-    }
-
-    fn start(&mut self, env: &mut Env<'_>) -> FStep {
+impl Propose {
+    fn start(base: &Configuration, value: ConfigId, env: &mut Env<'_, '_>) -> Armed<Self> {
         let cfg = ProposerConfig {
-            inst: self.base.id,
-            servers: self.base.servers.clone(),
-            quorum: self.base.quorum_size(),
-            backoff_unit: env.backoff_unit,
-            retry_interval: env.rto,
+            inst: base.id,
+            servers: base.servers.clone(),
+            quorum: base.quorum_size(),
+            backoff_unit: env.shared.config.backoff_unit,
+            retry_interval: env.rto(),
         };
         // Ballots are ordered by (round, proposer id): concurrent
         // reconfig sessions of one host propose under their distinct
         // logical writer ids so their ballots stay unique.
-        let (p, step) = Proposer::start(cfg, env.writer, env.op, self.value, env.rpc);
-        self.proposer = Some(p);
-        lift(step, Msg::Con, FrameOut::Decided)
+        let (p, first) = Proposer::start(cfg, env.writer, env.op, value, &mut env.shared.rpc);
+        Armed::start(Propose(p), lift(first, Msg::Con), env)
+    }
+}
+
+impl Leaf for Propose {
+    type Out = ConfigId;
+    const NAME: &'static str = "propose";
+    const ROUND_TRIP: bool = false;
+
+    fn on_msg(&mut self, from: ProcessId, msg: &Msg, env: &mut Env<'_, '_>) -> Step<Msg, ConfigId> {
+        let Msg::Con(m) = msg else { return Step::idle() };
+        lift(self.0.on_message(from, m.clone(), &mut env.shared.rpc), Msg::Con)
     }
 
-    fn on_msg(&mut self, from: ProcessId, msg: &Msg, env: &mut Env<'_>) -> FStep {
-        let Msg::Con(m) = msg else { return FStep::idle() };
-        let Some(p) = self.proposer.as_mut() else { return FStep::idle() };
-        lift(p.on_message(from, m.clone(), env.rpc), Msg::Con, FrameOut::Decided)
-    }
-
-    fn on_timer(&mut self, env: &mut Env<'_>) -> FStep {
-        let Some(p) = self.proposer.as_mut() else { return FStep::idle() };
-        lift(p.on_timer(env.rpc), Msg::Con, FrameOut::Decided)
+    fn on_timer(&mut self, env: &mut Env<'_, '_>) -> Step<Msg, ConfigId> {
+        lift(self.0.on_timer(&mut env.shared.rpc), Msg::Con)
     }
 }
 
 /// `forward-code-element(τ, C, C')` (Alg. 8): ask the source servers to
 /// forward their elements for `τ` directly to the destination servers,
 /// then await acks from a destination quorum.
-pub(crate) struct TransferFrame {
+pub(crate) struct Transfer {
     tag: Tag,
     src: ConfigId,
     dst: Arc<Configuration>,
@@ -363,22 +398,26 @@ pub(crate) struct TransferFrame {
     backoff: Backoff,
 }
 
-impl TransferFrame {
-    fn new(tag: Tag, src: ConfigId, dst: Arc<Configuration>, obj: ObjectId) -> Self {
-        TransferFrame {
+impl Transfer {
+    fn start(
+        tag: Tag,
+        src: ConfigId,
+        dst: Arc<Configuration>,
+        obj: ObjectId,
+        env: &mut Env<'_, '_>,
+    ) -> Armed<Self> {
+        let rpc = env.fresh_rpc();
+        let t = Transfer {
             tag,
             src,
             dst,
             obj,
-            rpc: RpcId(0),
+            rpc,
             acks: BTreeSet::new(),
             backoff: Backoff::default(),
-        }
-    }
-
-    fn start(&mut self, env: &mut Env<'_>) -> FStep {
-        self.rpc = env.fresh_rpc();
-        self.broadcast(env, self.backoff.arm(env.backoff_unit * 8))
+        };
+        let first = t.broadcast(env, t.backoff.arm(env.shared.config.backoff_unit * 8));
+        Armed::start(t, first, env)
     }
 
     /// (Re-)issues the `REQ-FW-CODE-ELEM` broadcast. The phase id stays
@@ -387,8 +426,7 @@ impl TransferFrame {
     /// keep counting. Retries matter when source-side garbage collection
     /// races the transfer — once the write burst subsides the sources
     /// converge on a common newest element and the destination decodes.
-    fn broadcast(&self, env: &Env<'_>, timer: Delay) -> FStep {
-        let src_cfg = env.cfg(self.src);
+    fn broadcast(&self, env: &Env<'_, '_>, timer: Delay) -> Step<Msg, ()> {
         let msg = XferMsg::ReqFwd {
             tag: self.tag,
             src: self.src,
@@ -399,188 +437,226 @@ impl TransferFrame {
             op: env.op,
         };
         // md-primitive: one atomic broadcast step (see DESIGN.md).
-        let mut step =
-            FStep::sends(src_cfg.servers.iter().map(|&s| (s, Msg::Xfer(msg.clone()))).collect());
-        step.timer = Some(timer);
-        step
+        let sends =
+            env.cfg(self.src).servers.iter().map(|&s| (s, Msg::Xfer(msg.clone()))).collect();
+        Step::sends(sends).with_timer(timer)
     }
+}
 
-    fn on_timer(&mut self, env: &mut Env<'_>) -> FStep {
-        let timer = self.backoff.rearm(env.backoff_unit * 8);
-        self.broadcast(env, timer)
-    }
+impl Leaf for Transfer {
+    type Out = ();
+    const NAME: &'static str = "forward-code-element";
+    const ROUND_TRIP: bool = false;
 
-    fn on_msg(&mut self, from: ProcessId, msg: &Msg) -> FStep {
+    fn on_msg(&mut self, from: ProcessId, msg: &Msg, _env: &mut Env<'_, '_>) -> Step<Msg, ()> {
         let Msg::Xfer(XferMsg::XferAck { dst, rpc, tag, .. }) = msg else {
-            return FStep::idle();
+            return Step::idle();
         };
         // Replicated sources may forward a newer tag (see ServerActor);
         // any tag ≥ the requested one carries at least as recent a value.
         if *dst != self.dst.id || *rpc != self.rpc || *tag < self.tag || !self.acks.insert(from) {
-            return FStep::idle();
+            return Step::idle();
         }
         if self.acks.len() >= self.dst.quorum_size() {
-            FStep::out(FrameOut::Ack)
+            Step::done(())
         } else {
-            FStep::idle()
+            Step::idle()
+        }
+    }
+
+    fn on_timer(&mut self, env: &mut Env<'_, '_>) -> Step<Msg, ()> {
+        let timer = self.backoff.rearm(env.shared.config.backoff_unit * 8);
+        self.broadcast(env, timer)
+    }
+}
+
+// ---------------------------------------------------------------------
+// Composites: sub-protocols built from others
+// ---------------------------------------------------------------------
+
+/// `read-config(seq)` (Alg. 4): walk the global configuration sequence
+/// from the last finalized entry, propagating each discovered pointer
+/// back to the previous configuration.
+pub(crate) struct ReadConfig {
+    seq: ConfigSeq,
+    cur: usize,
+    walk: Walk,
+}
+
+enum Walk {
+    Next(Armed<ReadNext>),
+    Put(Armed<PutConfig>),
+}
+
+impl ReadConfig {
+    fn start(seq: ConfigSeq, env: &mut Env<'_, '_>) -> Self {
+        env.note('+', "read-config");
+        let cur = seq.mu(); // µ: last finalized entry
+        let walk = Walk::Next(ReadNext::start(&env.cfg(seq.get(cur).cfg), env));
+        ReadConfig { seq, cur, walk }
+    }
+
+    /// Returns the (possibly extended) sequence once the walk ends.
+    fn on(&mut self, input: Input<'_>, env: &mut Env<'_, '_>) -> Option<ConfigSeq> {
+        match &mut self.walk {
+            Walk::Next(next) => {
+                let Some(entry) = next.on(input, env)? else {
+                    env.note('-', "read-config");
+                    return Some(self.seq.clone());
+                };
+                self.seq.absorb(self.cur + 1, entry);
+                // put-config(seq[µ−1].cfg, seq[µ]): inform the previous
+                // configuration about the (possibly upgraded) successor.
+                let base = env.cfg(self.seq.get(self.cur).cfg);
+                self.walk = Walk::Put(PutConfig::start(&base, self.seq.get(self.cur + 1), env));
+            }
+            Walk::Put(put) => {
+                put.on(input, env)?;
+                self.cur += 1;
+                let base = env.cfg(self.seq.get(self.cur).cfg);
+                self.walk = Walk::Next(ReadNext::start(&base, env));
+            }
+        }
+        None
+    }
+}
+
+/// What a finished operation reports: its completion record's fields,
+/// and the configuration sequence it ended with.
+pub(crate) struct Done {
+    pub seq: ConfigSeq,
+    pub tag: Option<Tag>,
+    pub value_digest: Option<u64>,
+    pub installed: Option<ConfigId>,
+}
+
+/// A client operation in flight.
+pub(crate) enum Operation {
+    ReadWrite(ReadWrite),
+    Recon(Recon),
+}
+
+impl Operation {
+    pub(crate) fn on(&mut self, input: Input<'_>, env: &mut Env<'_, '_>) -> Option<Done> {
+        match self {
+            Operation::ReadWrite(op) => op.on(input, env),
+            Operation::Recon(op) => op.on(input, env),
         }
     }
 }
 
-// ---------------------------------------------------------------------
-// Top-level operation frames (Alg. 7 and Alg. 5)
-// ---------------------------------------------------------------------
-
 enum RwPhase {
-    /// Awaiting the initial `read-config`.
-    Discover,
-    /// Querying `get-tag`/`get-data` in configurations `µ..=ν`.
-    QueryLoop,
-    /// Propagating with `put-data` in the last configuration.
-    Propagate,
+    /// The initial `read-config`.
+    Discover(ReadConfig),
+    /// `get-tag`/`get-data` in configuration `i` of `µ..=ν`.
+    Query(Armed<Dap>),
+    /// `put-data` in the last configuration.
+    Propagate(Armed<Dap>),
     /// Re-reading the configuration sequence after a `put-data`.
-    Confirm,
+    Confirm(ReadConfig),
 }
 
-/// A `write(val)` operation (Alg. 7, left column).
-pub(crate) struct WriteFrame {
-    value: Value,
-    phase: RwPhase,
+/// A `write(val)` or a `read()` operation (Alg. 7): the two columns
+/// differ only in what the query phase asks for and what is propagated.
+pub(crate) struct ReadWrite {
+    /// The value a write writes; `None` for a read.
+    value: Option<Value>,
+    obj: ObjectId,
     seq: ConfigSeq,
     i: usize,
-    tau_max: Tag,
-    tag: Tag,
+    /// The highest tag queried so far and, for a read, its value; then
+    /// the pair `put-data` propagates.
+    best: TagValue,
+    phase: RwPhase,
 }
 
-impl WriteFrame {
-    pub(crate) fn new(value: Value, cseq: ConfigSeq) -> Self {
-        WriteFrame { value, phase: RwPhase::Discover, seq: cseq, i: 0, tau_max: TAG0, tag: TAG0 }
+impl ReadWrite {
+    pub(crate) fn start(
+        value: Option<Value>,
+        obj: ObjectId,
+        seq: ConfigSeq,
+        env: &mut Env<'_, '_>,
+    ) -> Self {
+        env.note('+', if value.is_some() { "write" } else { "read" });
+        let phase = RwPhase::Discover(ReadConfig::start(seq.clone(), env));
+        ReadWrite { value, obj, seq, i: 0, best: TagValue::initial(), phase }
     }
 
-    fn start(&mut self, _env: &mut Env<'_>) -> FStep {
-        FStep::push(Frame::ReadConfig(ReadConfigFrame::new(self.seq.clone())))
-    }
-
-    fn on_child(&mut self, out: FrameOut, env: &mut Env<'_>) -> FStep {
-        match (&self.phase, out) {
-            (RwPhase::Discover, FrameOut::Seq(seq)) => {
-                self.seq = seq;
+    fn on(&mut self, input: Input<'_>, env: &mut Env<'_, '_>) -> Option<Done> {
+        match &mut self.phase {
+            RwPhase::Discover(rc) => {
+                self.seq = rc.on(input, env)?;
                 self.i = self.seq.mu();
-                self.phase = RwPhase::QueryLoop;
-                let cfg = env.cfg(self.seq.get(self.i).cfg);
-                FStep::push(Frame::Dap(DapFrame::new(cfg, env.obj, DapAction::GetTag)))
+                self.query(env);
             }
-            (RwPhase::QueryLoop, FrameOut::Dap(out)) => {
-                self.tau_max = self.tau_max.max(out.tag());
+            RwPhase::Query(dap) => {
+                match dap.on(input, env)? {
+                    DapOutput::TagValue(tv) if tv.tag > self.best.tag => self.best = tv,
+                    DapOutput::TagValue(_) => {}
+                    out => self.best.tag = self.best.tag.max(out.tag()),
+                }
                 self.i += 1;
                 if self.i <= self.seq.nu() {
-                    let cfg = env.cfg(self.seq.get(self.i).cfg);
-                    FStep::push(Frame::Dap(DapFrame::new(cfg, env.obj, DapAction::GetTag)))
-                } else {
+                    self.query(env);
+                    return None;
+                }
+                if let Some(value) = &self.value {
                     // ⟨τ, v⟩ ← ⟨(τ_max.ts + 1, ω_i), val⟩ — ω_i is the
                     // *session's* writer id: concurrent sessions of one
                     // host must mint distinct tags.
-                    self.tag = self.tau_max.increment(env.writer);
-                    self.phase = RwPhase::Propagate;
-                    self.put_last(env)
+                    self.best = TagValue::new(self.best.tag.increment(env.writer), value.clone());
                 }
+                self.propagate(env);
             }
-            (RwPhase::Propagate, FrameOut::Dap(DapOutput::Ack)) => {
-                self.phase = RwPhase::Confirm;
-                FStep::push(Frame::ReadConfig(ReadConfigFrame::new(self.seq.clone())))
+            RwPhase::Propagate(dap) => {
+                dap.on(input, env)?;
+                self.phase = RwPhase::Confirm(ReadConfig::start(self.seq.clone(), env));
             }
-            (RwPhase::Confirm, FrameOut::Seq(seq)) => {
+            RwPhase::Confirm(rc) => {
+                let seq = rc.on(input, env)?;
                 if seq.len() == self.seq.len() {
-                    FStep::out(FrameOut::WriteDone(self.tag, seq))
-                } else {
-                    self.seq = seq;
-                    self.phase = RwPhase::Propagate;
-                    self.put_last(env)
+                    env.note('-', if self.value.is_some() { "write" } else { "read" });
+                    return Some(Done {
+                        seq,
+                        tag: Some(self.best.tag),
+                        value_digest: Some(self.best.value.digest()),
+                        installed: None,
+                    });
                 }
-            }
-            #[expect(clippy::unreachable, reason = "a child returns what this frame pushed it for")]
-            (_, other) => unreachable!("write got unexpected child result {other:?}"),
-        }
-    }
-
-    fn put_last(&mut self, env: &mut Env<'_>) -> FStep {
-        let cfg = env.cfg(self.seq.last().cfg);
-        let tv = TagValue::new(self.tag, self.value.clone());
-        FStep::push(Frame::Dap(DapFrame::new(cfg, env.obj, DapAction::PutData(tv))))
-    }
-}
-
-/// A `read()` operation (Alg. 7, right column).
-pub(crate) struct ReadFrame {
-    phase: RwPhase,
-    seq: ConfigSeq,
-    i: usize,
-    best: TagValue,
-}
-
-impl ReadFrame {
-    pub(crate) fn new(cseq: ConfigSeq) -> Self {
-        ReadFrame { phase: RwPhase::Discover, seq: cseq, i: 0, best: TagValue::initial() }
-    }
-
-    fn start(&mut self, _env: &mut Env<'_>) -> FStep {
-        FStep::push(Frame::ReadConfig(ReadConfigFrame::new(self.seq.clone())))
-    }
-
-    fn on_child(&mut self, out: FrameOut, env: &mut Env<'_>) -> FStep {
-        match (&self.phase, out) {
-            (RwPhase::Discover, FrameOut::Seq(seq)) => {
                 self.seq = seq;
-                self.i = self.seq.mu();
-                self.phase = RwPhase::QueryLoop;
-                let cfg = env.cfg(self.seq.get(self.i).cfg);
-                FStep::push(Frame::Dap(DapFrame::new(cfg, env.obj, DapAction::GetData)))
+                self.propagate(env);
             }
-            (RwPhase::QueryLoop, FrameOut::Dap(DapOutput::TagValue(tv))) => {
-                if tv.tag > self.best.tag {
-                    self.best = tv;
-                }
-                self.i += 1;
-                if self.i <= self.seq.nu() {
-                    let cfg = env.cfg(self.seq.get(self.i).cfg);
-                    FStep::push(Frame::Dap(DapFrame::new(cfg, env.obj, DapAction::GetData)))
-                } else {
-                    self.phase = RwPhase::Propagate;
-                    self.put_last(env)
-                }
-            }
-            (RwPhase::Propagate, FrameOut::Dap(DapOutput::Ack)) => {
-                self.phase = RwPhase::Confirm;
-                FStep::push(Frame::ReadConfig(ReadConfigFrame::new(self.seq.clone())))
-            }
-            (RwPhase::Confirm, FrameOut::Seq(seq)) => {
-                if seq.len() == self.seq.len() {
-                    FStep::out(FrameOut::ReadDone(self.best.clone(), seq))
-                } else {
-                    self.seq = seq;
-                    self.phase = RwPhase::Propagate;
-                    self.put_last(env)
-                }
-            }
-            #[expect(clippy::unreachable, reason = "a child returns what this frame pushed it for")]
-            (_, other) => unreachable!("read got unexpected child result {other:?}"),
         }
+        None
     }
 
-    fn put_last(&mut self, env: &mut Env<'_>) -> FStep {
+    fn query(&mut self, env: &mut Env<'_, '_>) {
+        let cfg = env.cfg(self.seq.get(self.i).cfg);
+        let action = if self.value.is_some() { DapAction::GetTag } else { DapAction::GetData };
+        self.phase = RwPhase::Query(Dap::start(cfg, self.obj, action, env));
+    }
+
+    fn propagate(&mut self, env: &mut Env<'_, '_>) {
         let cfg = env.cfg(self.seq.last().cfg);
-        FStep::push(Frame::Dap(DapFrame::new(cfg, env.obj, DapAction::PutData(self.best.clone()))))
+        let put = DapAction::PutData(self.best.clone());
+        self.phase = RwPhase::Propagate(Dap::start(cfg, self.obj, put, env));
     }
 }
 
 enum ReconPhase {
-    Discover,
-    Propose,
-    AddPut,
-    UpdateLoop,
-    UpdatePut,
-    Transfer,
-    FinalizePut,
+    Discover(ReadConfig),
+    /// add-config's consensus.
+    Propose(Armed<Propose>),
+    /// add-config's `put-config` of ⟨d, P⟩.
+    AddPut(Armed<PutConfig>),
+    /// update-config's query of configuration `i` for the current object.
+    Query(Armed<Dap>),
+    /// Plain update-config's `put-data` into the new configuration.
+    Migrate(Armed<Dap>),
+    /// Direct update-config's transfer into the new configuration.
+    Transfer(Armed<Transfer>),
+    /// finalize-config's `put-config` of ⟨d, F⟩.
+    FinalizePut(Armed<PutConfig>),
 }
 
 /// A `reconfig(c)` operation (Alg. 5; Alg. 8 when
@@ -592,9 +668,9 @@ enum ReconPhase {
 /// observation that "during the migration ... it is highly likely that
 /// all stored objects are moved to the newer configuration almost at
 /// the same time".
-pub(crate) struct ReconFrame {
+pub(crate) struct Recon {
     target: ConfigId,
-    phase: ReconPhase,
+    mode: TransferMode,
     seq: ConfigSeq,
     /// Objects still to migrate during `update-config`.
     objs: std::vec::IntoIter<ObjectId>,
@@ -606,251 +682,297 @@ pub(crate) struct ReconFrame {
     /// Direct mode: max tag and the configuration holding it.
     best_src: (Tag, ConfigId),
     decided: ConfigId,
+    phase: ReconPhase,
 }
 
-impl ReconFrame {
-    pub(crate) fn new(target: ConfigId, cseq: ConfigSeq, objs: Vec<ObjectId>) -> Self {
-        ReconFrame {
+impl Recon {
+    pub(crate) fn start(
+        target: ConfigId,
+        seq: ConfigSeq,
+        objs: Vec<ObjectId>,
+        mode: TransferMode,
+        env: &mut Env<'_, '_>,
+    ) -> Self {
+        env.note('+', "reconfig");
+        let phase = ReconPhase::Discover(ReadConfig::start(seq.clone(), env));
+        Recon {
             target,
-            phase: ReconPhase::Discover,
-            seq: cseq,
+            mode,
+            seq,
             objs: objs.into_iter(),
             obj: ObjectId(0),
             i: 0,
             best: TagValue::initial(),
             best_src: (TAG0, ConfigId(0)),
             decided: ConfigId(0),
+            phase,
         }
     }
 
-    fn start(&mut self, _env: &mut Env<'_>) -> FStep {
-        FStep::push(Frame::ReadConfig(ReadConfigFrame::new(self.seq.clone())))
-    }
-
-    fn on_child(&mut self, out: FrameOut, env: &mut Env<'_>) -> FStep {
-        match (&self.phase, out) {
-            (ReconPhase::Discover, FrameOut::Seq(seq)) => {
-                self.seq = seq;
-                // If the discovered chain already contains the target —
-                // a rival reconfigurer won the race for the same
-                // configuration — add-config must be SKIPPED: proposing
-                // `c` on the consensus object of a chain that already
-                // ends with `c` would install `nextC(c) = c`, a
-                // self-loop every future `read-config` walk re-absorbs
-                // and re-propagates forever (a permanent livelock of
-                // the whole discovery service, observed as a Cfg-message
-                // storm on the live runtime). The recon instead adopts
-                // the chain end as the decision and still runs
-                // update-config + finalize-config, so state handover
-                // and finalization complete even if the rival crashed
-                // mid-reconfiguration.
-                if self.seq.contains(self.target) {
-                    self.decided = self.seq.last().cfg;
-                    if self.seq.nu() == 0 {
-                        // The chain is just the genesis configuration
-                        // (necessarily the target): there is no older
-                        // configuration to migrate from or to write a
-                        // finalize pointer to — reconfig(c0) completes
-                        // as a no-op. (finalize() would index seq[ν−1].)
-                        return FStep::out(FrameOut::ReconDone(self.decided, self.seq.clone()));
-                    }
-                    return self.next_object_or_finalize(env);
-                }
-                // add-config: propose on the consensus object of the last
-                // configuration in the sequence.
-                self.phase = ReconPhase::Propose;
-                let base = env.cfg(self.seq.last().cfg);
-                FStep::push(Frame::Propose(ProposeFrame::new(base, self.target)))
+    fn on(&mut self, input: Input<'_>, env: &mut Env<'_, '_>) -> Option<Done> {
+        match &mut self.phase {
+            ReconPhase::Discover(rc) => {
+                self.seq = rc.on(input, env)?;
+                return self.discovered(env);
             }
-            (ReconPhase::Propose, FrameOut::Decided(d)) => {
+            ReconPhase::Propose(propose) => {
                 // Adopt the decision (which may not be our proposal) and
                 // propagate ⟨d, P⟩ to the previous configuration.
-                self.decided = d;
+                self.decided = propose.on(input, env)?;
                 let prev = env.cfg(self.seq.last().cfg);
-                self.seq.push(ConfigEntry::pending(d));
-                self.phase = ReconPhase::AddPut;
-                let entry = ConfigEntry::pending(d);
-                FStep::push(Frame::PutConfig(PutConfigFrame::new(&prev, entry, env)))
+                self.seq.push(ConfigEntry::pending(self.decided));
+                let entry = ConfigEntry::pending(self.decided);
+                self.phase = ReconPhase::AddPut(PutConfig::start(&prev, entry, env));
             }
-            (ReconPhase::AddPut, FrameOut::Ack) => {
-                // update-config, object by object.
-                self.next_object_or_finalize(env)
+            // update-config, object by object.
+            ReconPhase::AddPut(put) => {
+                put.on(input, env)?;
+                self.next_object_or_finalize(env);
             }
-            (ReconPhase::UpdateLoop, FrameOut::Dap(out)) => {
-                match (env.mode, &out) {
-                    (TransferMode::Plain, DapOutput::TagValue(tv)) => {
-                        if tv.tag > self.best.tag {
-                            self.best = tv.clone();
-                        }
-                    }
-                    (TransferMode::Direct, DapOutput::Tag(t)) => {
-                        if *t > self.best_src.0 || self.i == self.seq.mu() {
-                            self.best_src = (*t, self.seq.get(self.i).cfg);
-                        }
-                    }
-                    #[expect(clippy::unreachable, reason = "queries are pushed for env.mode")]
-                    _ => unreachable!("update-config DAP result mismatch"),
+            ReconPhase::Query(dap) => {
+                let out = dap.on(input, env)?;
+                self.queried(out, env);
+            }
+            ReconPhase::Migrate(dap) => {
+                dap.on(input, env)?;
+                self.next_object_or_finalize(env);
+            }
+            ReconPhase::Transfer(transfer) => {
+                transfer.on(input, env)?;
+                self.next_object_or_finalize(env);
+            }
+            ReconPhase::FinalizePut(put) => {
+                put.on(input, env)?;
+                return Some(self.done(env));
+            }
+        }
+        None
+    }
+
+    fn discovered(&mut self, env: &mut Env<'_, '_>) -> Option<Done> {
+        // If the discovered chain already contains the target — a rival
+        // reconfigurer won the race for the same configuration —
+        // add-config must be SKIPPED: proposing `c` on the consensus
+        // object of a chain that already ends with `c` would install
+        // `nextC(c) = c`, a self-loop every future `read-config` walk
+        // re-absorbs and re-propagates forever (a permanent livelock of
+        // the whole discovery service, observed as a Cfg-message storm
+        // on the live runtime). The recon instead adopts the chain end
+        // as the decision and still runs update-config +
+        // finalize-config, so state handover and finalization complete
+        // even if the rival crashed mid-reconfiguration.
+        if self.seq.contains(self.target) {
+            self.decided = self.seq.last().cfg;
+            if self.seq.nu() == 0 {
+                // The chain is just the genesis configuration
+                // (necessarily the target): there is no older
+                // configuration to migrate from or to write a finalize
+                // pointer to — reconfig(c0) completes as a no-op.
+                // (finalize() would index seq[ν−1].)
+                return Some(self.done(env));
+            }
+            self.next_object_or_finalize(env);
+            return None;
+        }
+        // add-config: propose on the consensus object of the last
+        // configuration in the sequence.
+        let base = env.cfg(self.seq.last().cfg);
+        self.phase = ReconPhase::Propose(Propose::start(&base, self.target, env));
+        None
+    }
+
+    fn queried(&mut self, out: DapOutput, env: &mut Env<'_, '_>) {
+        match out {
+            // Plain: get-data's pair.
+            DapOutput::TagValue(tv) => {
+                if tv.tag > self.best.tag {
+                    self.best = tv;
                 }
-                self.i += 1;
-                if self.i <= self.seq.nu() {
-                    self.query(env)
-                } else {
-                    let obj = self.obj;
-                    match env.mode {
-                        TransferMode::Plain => {
-                            // seq[ν].put-data(⟨τ_max, v_max⟩)
-                            self.phase = ReconPhase::UpdatePut;
-                            let dst = env.cfg(self.seq.last().cfg);
-                            FStep::push(Frame::Dap(DapFrame::new(
-                                dst,
-                                obj,
-                                DapAction::PutData(self.best.clone()),
-                            )))
-                        }
-                        TransferMode::Direct => {
-                            let (tag, src) = self.best_src;
-                            if tag == TAG0 || src == self.seq.last().cfg {
-                                // Nothing written yet (or the newest data
-                                // is already in the target): skip.
-                                self.next_object_or_finalize(env)
-                            } else {
-                                self.phase = ReconPhase::Transfer;
-                                let dst = env.cfg(self.seq.last().cfg);
-                                FStep::push(Frame::Transfer(TransferFrame::new(tag, src, dst, obj)))
-                            }
-                        }
-                    }
+            }
+            // Direct: get-tag's tag, and where it was found.
+            out => {
+                let t = out.tag();
+                if t > self.best_src.0 || self.i == self.seq.mu() {
+                    self.best_src = (t, self.seq.get(self.i).cfg);
                 }
             }
-            (ReconPhase::UpdatePut, FrameOut::Dap(DapOutput::Ack)) => {
-                self.next_object_or_finalize(env)
+        }
+        self.i += 1;
+        if self.i <= self.seq.nu() {
+            return self.query(env);
+        }
+        let dst = env.cfg(self.seq.last().cfg);
+        match self.mode {
+            TransferMode::Plain => {
+                // seq[ν].put-data(⟨τ_max, v_max⟩)
+                let put = DapAction::PutData(self.best.clone());
+                self.phase = ReconPhase::Migrate(Dap::start(dst, self.obj, put, env));
             }
-            (ReconPhase::Transfer, FrameOut::Ack) => self.next_object_or_finalize(env),
-            (ReconPhase::FinalizePut, FrameOut::Ack) => {
-                FStep::out(FrameOut::ReconDone(self.decided, self.seq.clone()))
+            TransferMode::Direct => {
+                let (tag, src) = self.best_src;
+                if tag == TAG0 || src == dst.id {
+                    // Nothing written yet (or the newest data is already
+                    // in the target): skip.
+                    return self.next_object_or_finalize(env);
+                }
+                let transfer = Transfer::start(tag, src, dst, self.obj, env);
+                self.phase = ReconPhase::Transfer(transfer);
             }
-            #[expect(clippy::unreachable, reason = "a child returns what this frame pushed it for")]
-            (_, other) => unreachable!("reconfig got unexpected child result {other:?}"),
         }
     }
 
     /// Starts the `update-config` query loop for the next object, or
     /// `finalize-config` once every object has migrated (at once, when
     /// the client manages none).
-    fn next_object_or_finalize(&mut self, env: &mut Env<'_>) -> FStep {
+    fn next_object_or_finalize(&mut self, env: &mut Env<'_, '_>) {
         let Some(obj) = self.objs.next() else { return self.finalize(env) };
         self.obj = obj;
         self.i = self.seq.mu();
         self.best = TagValue::initial();
         self.best_src = (TAG0, ConfigId(0));
-        self.phase = ReconPhase::UpdateLoop;
-        self.query(env)
+        self.query(env);
     }
 
-    fn query(&mut self, env: &mut Env<'_>) -> FStep {
+    fn query(&mut self, env: &mut Env<'_, '_>) {
         let cfg = env.cfg(self.seq.get(self.i).cfg);
-        let action = match env.mode {
+        let action = match self.mode {
             TransferMode::Plain => DapAction::GetData,
             TransferMode::Direct => DapAction::GetTag,
         };
-        FStep::push(Frame::Dap(DapFrame::new(cfg, self.obj, action)))
+        self.phase = ReconPhase::Query(Dap::start(cfg, self.obj, action, env));
     }
 
-    fn finalize(&mut self, env: &mut Env<'_>) -> FStep {
+    fn finalize(&mut self, env: &mut Env<'_, '_>) {
         // finalize-config: seq[ν].status ← F, then put-config to the
         // previous configuration's servers.
         self.seq.finalize_last();
-        self.phase = ReconPhase::FinalizePut;
-        let nu = self.seq.nu();
-        let prev = env.cfg(self.seq.get(nu - 1).cfg);
+        let prev = env.cfg(self.seq.get(self.seq.nu() - 1).cfg);
         let entry = ConfigEntry::finalized(self.decided);
-        FStep::push(Frame::PutConfig(PutConfigFrame::new(&prev, entry, env)))
+        self.phase = ReconPhase::FinalizePut(PutConfig::start(&prev, entry, env));
+    }
+
+    fn done(&self, env: &mut Env<'_, '_>) -> Done {
+        env.note('-', "reconfig");
+        Done { seq: self.seq.clone(), tag: None, value_digest: None, installed: Some(self.decided) }
     }
 }
 
-// ---------------------------------------------------------------------
-// The frame enum and dispatcher
-// ---------------------------------------------------------------------
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ares_sim::HostEffect;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
-/// One entry of the client's protocol call stack.
-pub(crate) enum Frame {
-    Write(WriteFrame),
-    Read(ReadFrame),
-    Recon(ReconFrame),
-    ReadConfig(ReadConfigFrame),
-    ReadNext(ReadNextFrame),
-    PutConfig(PutConfigFrame),
-    Dap(DapFrame),
-    Propose(ProposeFrame),
-    Transfer(TransferFrame),
-}
+    const CLIENT: ProcessId = ProcessId(100);
 
-impl Frame {
-    /// Short action name used in traces (enables the latency-analysis
-    /// experiments to time individual actions like `read-config`).
-    pub(crate) fn name(&self) -> &'static str {
-        match self {
-            Frame::Write(_) => "write",
-            Frame::Read(_) => "read",
-            Frame::Recon(_) => "reconfig",
-            Frame::ReadConfig(_) => "read-config",
-            Frame::ReadNext(_) => "read-next-config",
-            Frame::PutConfig(_) => "put-config",
-            Frame::Dap(_) => "dap",
-            Frame::Propose(_) => "propose",
-            Frame::Transfer(_) => "forward-code-element",
+    /// Messages a transition sent.
+    type Sent = Vec<(ProcessId, Msg)>;
+
+    /// Configurations c0, c1 and c2, each a TREAS `[5, 3]` over servers
+    /// 1..=5 (quorum 4).
+    fn shared() -> Shared {
+        let servers: Vec<ProcessId> = (1..=5).map(ProcessId).collect();
+        let registry = ConfigRegistry::from_configs(
+            (0..3).map(|c| Configuration::treas(ConfigId(c), servers.clone(), 3, 2)),
+        );
+        Shared {
+            registry,
+            config: ClientConfig::new(ConfigId(0)),
+            rpc: 0,
+            next_token: 0,
+            timer_ops: HashMap::new(),
+            rtt: RttEstimator::default(),
         }
     }
 
-    pub(crate) fn start(&mut self, env: &mut Env<'_>) -> FStep {
-        match self {
-            Frame::Write(f) => f.start(env),
-            Frame::Read(f) => f.start(env),
-            Frame::Recon(f) => f.start(env),
-            Frame::ReadConfig(f) => f.start(env),
-            Frame::ReadNext(ReadNextFrame { phase, .. })
-            | Frame::PutConfig(PutConfigFrame { phase, .. }) => {
-                lift(phase.send(env.rto), identity, identity)
+    /// One transition of operation 0: returns `f`'s result, the
+    /// messages sent and the timer tokens armed.
+    fn transition<T>(
+        shared: &mut Shared,
+        f: impl FnOnce(&mut Env<'_, '_>) -> T,
+    ) -> (T, Sent, Vec<u64>) {
+        let mut rng = StdRng::seed_from_u64(1);
+        let mut ctx = Ctx::detached(CLIENT, 0, &mut rng);
+        let op = OpId { client: CLIENT, seq: 0 };
+        let out = f(&mut Env { me: CLIENT, writer: CLIENT, op, shared, ctx: &mut ctx });
+        let (mut sends, mut tokens) = (Vec::new(), Vec::new());
+        for effect in ctx.take_effects() {
+            match effect {
+                HostEffect::Send { to, msg } => sends.push((to, msg)),
+                HostEffect::SetTimer { token, .. } => tokens.push(token),
+                HostEffect::Complete(_) | HostEffect::Note(_) => {}
             }
-            Frame::Dap(f) => f.start(env),
-            Frame::Propose(f) => f.start(env),
-            Frame::Transfer(f) => f.start(env),
         }
+        (out, sends, tokens)
     }
 
-    pub(crate) fn on_msg(&mut self, from: ProcessId, msg: &Msg, env: &mut Env<'_>) -> FStep {
-        match self {
-            Frame::ReadNext(f) => f.on_msg(from, msg),
-            Frame::PutConfig(f) => f.on_msg(from, msg),
-            Frame::Dap(f) => f.on_msg(from, msg, env),
-            Frame::Propose(f) => f.on_msg(from, msg, env),
-            Frame::Transfer(f) => f.on_msg(from, msg),
-            // Composite frames never have messages in flight themselves.
-            _ => FStep::idle(),
-        }
+    /// `read-next-config` on c0 and on c1, both under operation 0:
+    /// their first transmissions (c0's five requests, then c1's) and
+    /// their timer tokens.
+    fn two_walks(shared: &mut Shared) -> ([Armed<ReadNext>; 2], Sent, Vec<u64>) {
+        transition(shared, |env| {
+            [
+                ReadNext::start(&env.cfg(ConfigId(0)), env),
+                ReadNext::start(&env.cfg(ConfigId(1)), env),
+            ]
+        })
     }
 
-    pub(crate) fn on_child(&mut self, out: FrameOut, env: &mut Env<'_>) -> FStep {
-        match self {
-            Frame::Write(f) => f.on_child(out, env),
-            Frame::Read(f) => f.on_child(out, env),
-            Frame::Recon(f) => f.on_child(out, env),
-            Frame::ReadConfig(f) => f.on_child(out, env),
-            #[expect(clippy::unreachable, reason = "only composite frames push children")]
-            _ => unreachable!("leaf frames have no children"),
-        }
+    /// The server's reply to a `read-next-config` request: c0 points at
+    /// c1, c1 has no successor yet.
+    fn reply(request: &Msg) -> Msg {
+        let Msg::Cfg(CfgMsg::ReadConfig { base, rpc, op }) = *request else {
+            panic!("{request:?}")
+        };
+        let next = (base == ConfigId(0)).then_some(ConfigEntry::pending(ConfigId(1)));
+        Msg::Cfg(CfgMsg::NextC { base, rpc, next, op })
     }
 
-    pub(crate) fn on_timer(&mut self, env: &mut Env<'_>) -> FStep {
-        match self {
-            Frame::Dap(f) => f.on_timer(env),
-            Frame::Propose(f) => f.on_timer(env),
-            Frame::Transfer(f) => f.on_timer(env),
-            Frame::ReadNext(ReadNextFrame { phase, .. })
-            | Frame::PutConfig(PutConfigFrame { phase, .. }) => {
-                lift(phase.resend(env.rto), identity, identity)
+    #[test]
+    fn two_leaves_in_flight_each_complete_with_their_own_result() {
+        let c1 = ConfigEntry::pending(ConfigId(1));
+        // c0's replies then c1's; and the two interleaved, c1's first.
+        for order in [[0, 1, 2, 3, 4, 5, 6, 7, 8, 9], [5, 0, 6, 1, 7, 2, 8, 3, 9, 4]] {
+            let mut shared = shared();
+            let (mut leaves, sends, _) = two_walks(&mut shared);
+            let mut results = [None, None];
+            for i in order {
+                let (from, request) = &sends[i];
+                let reply = reply(request);
+                let (_, sent, armed) = transition(&mut shared, |env| {
+                    for (leaf, result) in leaves.iter_mut().zip(&mut results) {
+                        if result.is_none() {
+                            *result = leaf.on(Input::Reply(*from, &reply), env);
+                        }
+                    }
+                });
+                assert!(sent.is_empty() && armed.is_empty(), "a reply completes, never sends");
             }
-            _ => FStep::idle(),
+            assert_eq!(results, [Some(Some(c1)), Some(None)], "order {order:?}");
+        }
+    }
+
+    #[test]
+    fn a_timer_token_reaches_only_the_leaf_that_armed_it() {
+        let mut shared = shared();
+        let (mut leaves, sends, tokens) = two_walks(&mut shared);
+        assert_eq!(tokens.len(), 2);
+        // Servers 1–3 answer both walks; 4 and 5 stay silent.
+        for (from, request) in sends.iter().filter(|(s, _)| s.0 <= 3) {
+            let reply = reply(request);
+            let (results, _, _) = transition(&mut shared, |env| {
+                leaves.each_mut().map(|leaf| leaf.on(Input::Reply(*from, &reply), env))
+            });
+            assert_eq!(results, [None, None], "three replies of quorum 4");
+        }
+        for (fired, mine) in tokens.into_iter().zip([&sends[3..5], &sends[8..10]]) {
+            let (results, sent, armed) = transition(&mut shared, |env| {
+                leaves.each_mut().map(|leaf| leaf.on(Input::Timer(fired), env))
+            });
+            assert_eq!(results, [None, None]);
+            assert_eq!(sent, mine, "its own request to servers 4 and 5, under its own rpc");
+            assert_eq!(armed.len(), 1, "one leaf re-armed");
         }
     }
 }

@@ -15,7 +15,8 @@
 //!   configuration-discovery service (Alg. 6), and the ARES-TREAS
 //!   server-to-server state transfer (Alg. 9);
 //! * [`ClientActor`] — writers, readers and reconfigurers (Algs. 4, 5
-//!   and 7), driven by commands and built as a stack of protocol frames;
+//!   and 7), driven by commands and built from typed sub-protocol
+//!   state machines, each owned by its parent;
 //! * [`TransferMode`] — plain ARES (the reconfigurer relays data) vs
 //!   ARES-TREAS (coded elements flow directly between server sets);
 //! * the unified wire [`Msg`] type tying the sub-protocols together.

@@ -192,8 +192,11 @@ impl ServerActor {
                 // entry, so a self-loop write is a protocol-violation
                 // artifact (buggy or hostile client) — installing it
                 // would make every future `read-config` walk follow the
-                // loop forever. Drop without acking.
-                if entry.cfg == base {
+                // loop forever. Drop without acking. So is a pointer to
+                // a configuration the registry does not hold: the
+                // registry is fixed once built, so no decision names
+                // one, and a finalized one could never be replaced.
+                if entry.cfg == base || self.registry.try_get(entry.cfg).is_none() {
                     return Vec::new();
                 }
                 // Alg. 6: update if nextC = ⊥ or nextC.status = P; once
@@ -571,6 +574,19 @@ mod tests {
         assert!(out.is_empty(), "no ack for a self-loop write-config");
         assert_eq!(s.next_config(ConfigId(0)), None, "pointer stays ⊥");
         // A legitimate successor still installs afterwards.
+        s.handle_cfg(ProcessId(200), wc(0, ConfigEntry::pending(ConfigId(1))));
+        assert_eq!(s.next_config(ConfigId(0)), Some(ConfigEntry::pending(ConfigId(1))));
+    }
+
+    #[test]
+    fn unregistered_write_config_is_refused() {
+        // No consensus decision names a configuration outside the
+        // registry, and a finalized pointer never changes: installing
+        // one would wedge every later walk of c0. Dropped, no ack.
+        let mut s = ServerActor::new(ProcessId(1), registry());
+        let out = s.handle_cfg(ProcessId(200), wc(0, ConfigEntry::finalized(ConfigId(99))));
+        assert!(out.is_empty(), "no ack for a pointer to an unregistered configuration");
+        assert_eq!(s.next_config(ConfigId(0)), None, "pointer stays ⊥");
         s.handle_cfg(ProcessId(200), wc(0, ConfigEntry::pending(ConfigId(1))));
         assert_eq!(s.next_config(ConfigId(0)), Some(ConfigEntry::pending(ConfigId(1))));
     }
