@@ -86,21 +86,37 @@ impl Fragment {
         self.data.len()
     }
 
-    /// Returns this fragment with its data in a tight allocation of its
-    /// own. Zero-copy encoding hands out fragments that *view* a larger
-    /// shared buffer (the value being encoded, or a received wire
-    /// frame); a holder that retains one fragment long-term — repair
-    /// and state-transfer re-encodes store a single rebuilt element
-    /// into the server `List` — calls this so the store does not pin
-    /// the whole backing allocation. A no-op when the data already owns
-    /// its allocation.
+    /// Returns this fragment as a long-lived store should keep it:
+    /// [`compact_bytes`] decides whether its data is copied out of the
+    /// buffer it views. Zero-copy encoding and decoding hand out
+    /// fragments that *view* a larger shared buffer (the value being
+    /// encoded, or a received wire frame); a holder that retains one
+    /// fragment long-term — a server `List`, repair and state-transfer
+    /// re-encodes — calls this so it does not pin more than the
+    /// element.
     #[must_use]
     pub fn compacted(self) -> Fragment {
-        if self.data.backing_len() > self.data.len() {
-            Fragment { data: Bytes::copy_from_slice(&self.data), ..self }
-        } else {
-            self
-        }
+        Fragment { data: compact_bytes(self.data), ..self }
+    }
+}
+
+/// A view may pin at most `len / PIN_SLACK_DIVISOR` bytes beyond its
+/// own before [`compact_bytes`] copies it.
+const PIN_SLACK_DIVISOR: usize = 8;
+
+/// The one rule for what a long-lived store keeps of a received view:
+/// when its backing allocation ([`Bytes::backing_len`]) holds more than
+/// an eighth beyond the view, the bytes are copied into a tight
+/// allocation of their own; otherwise the view is kept as it is. A
+/// small element or value always qualifies (a 256 B value's `[5, 3]`
+/// element is 86 bytes in a frame of ≈ 150, or a third of the value it
+/// was encoded from); a bulk one on its own frame does not (≈ 70 spare
+/// bytes on 21,846), so it stays zero-copy.
+pub fn compact_bytes(data: Bytes) -> Bytes {
+    if data.backing_len().saturating_sub(data.len()) > data.len() / PIN_SLACK_DIVISOR {
+        Bytes::copy_from_slice(&data)
+    } else {
+        data
     }
 }
 
@@ -261,6 +277,23 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn compaction_copies_small_views_and_keeps_bulk_frames() {
+        // A 256 B value's [5, 3] element on its ≈ 150-byte frame.
+        let frame = Bytes::from(vec![1u8; 149]);
+        let small = compact_bytes(frame.slice(50..136));
+        assert!(!Bytes::shares_allocation(&small, &frame));
+        assert_eq!((small.len(), small.backing_len()), (86, 86));
+        // A 64 KiB value's element on its frame: kept zero-copy.
+        let frame = Bytes::from(vec![1u8; 21_846 + 70]);
+        let bulk = compact_bytes(frame.slice(60..60 + 21_846));
+        assert!(Bytes::shares_allocation(&bulk, &frame));
+        // A tight buffer is never copied, nor an empty one.
+        let tight = Bytes::from(vec![2u8; 40]);
+        assert!(Bytes::shares_allocation(&compact_bytes(tight.clone()), &tight));
+        assert!(compact_bytes(Bytes::new()).is_empty());
     }
 
     #[test]

@@ -26,8 +26,8 @@ use ares_dap::client::{DapCall, DapCtx};
 use ares_dap::{DapAction, DapOutput};
 use ares_sim::Ctx;
 use ares_types::{
-    Backoff, ConfigEntry, ConfigId, ConfigRegistry, ConfigSeq, Configuration, Delay, ObjectId,
-    OpId, ProcessId, QuorumPhase, RpcId, Status, Step, Tag, TagValue, Time, Value, TAG0,
+    Backoff, ConfigEntry, ConfigId, ConfigRegistry, ConfigSeq, Configuration, DapKind, Delay,
+    ObjectId, OpId, ProcessId, QuorumPhase, RpcId, Status, Step, Tag, TagValue, Time, Value, TAG0,
 };
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
@@ -671,6 +671,9 @@ enum ReconPhase {
 pub(crate) struct Recon {
     target: ConfigId,
     mode: TransferMode,
+    /// How the current object migrates: `mode`, or `Plain` for a direct
+    /// hop the destination cannot take.
+    obj_mode: TransferMode,
     seq: ConfigSeq,
     /// Objects still to migrate during `update-config`.
     objs: std::vec::IntoIter<ObjectId>,
@@ -698,6 +701,7 @@ impl Recon {
         Recon {
             target,
             mode,
+            obj_mode: mode,
             seq,
             objs: objs.into_iter(),
             obj: ObjectId(0),
@@ -802,7 +806,7 @@ impl Recon {
             return self.query(env);
         }
         let dst = env.cfg(self.seq.last().cfg);
-        match self.mode {
+        match self.obj_mode {
             TransferMode::Plain => {
                 // seq[ν].put-data(⟨τ_max, v_max⟩)
                 let put = DapAction::PutData(self.best.clone());
@@ -814,6 +818,15 @@ impl Recon {
                     // Nothing written yet (or the newest data is already
                     // in the target): skip.
                     return self.next_object_or_finalize(env);
+                }
+                let coded = |cfg: &Configuration| matches!(cfg.dap, DapKind::Treas { .. });
+                if coded(&env.cfg(src)) && !coded(&dst) {
+                    // A replicated destination stores values, and one
+                    // forwarded coded element is not the value: this hop
+                    // migrates by plain get-data / put-data instead.
+                    self.obj_mode = TransferMode::Plain;
+                    self.i = self.seq.mu();
+                    return self.query(env);
                 }
                 let transfer = Transfer::start(tag, src, dst, self.obj, env);
                 self.phase = ReconPhase::Transfer(transfer);
@@ -827,6 +840,7 @@ impl Recon {
     fn next_object_or_finalize(&mut self, env: &mut Env<'_, '_>) {
         let Some(obj) = self.objs.next() else { return self.finalize(env) };
         self.obj = obj;
+        self.obj_mode = self.mode;
         self.i = self.seq.mu();
         self.best = TagValue::initial();
         self.best_src = (TAG0, ConfigId(0));
@@ -835,7 +849,7 @@ impl Recon {
 
     fn query(&mut self, env: &mut Env<'_, '_>) {
         let cfg = env.cfg(self.seq.get(self.i).cfg);
-        let action = match self.mode {
+        let action = match self.obj_mode {
             TransferMode::Plain => DapAction::GetData,
             TransferMode::Direct => DapAction::GetTag,
         };

@@ -230,9 +230,9 @@ impl ServerActor {
                 };
                 let (tag, frag) = match self.registry.try_get(src).map(|c| c.dap) {
                     Some(DapKind::Treas { .. }) => {
-                        let list = &self.dap.treas_state(src, obj).list;
-                        match list.get(&tag).cloned().flatten() {
-                            Some(f) => (tag, Some(f)),
+                        let list = self.dap.treas_state(src, obj);
+                        match list.get(tag) {
+                            Some(f) => (tag, Some(f.clone())),
                             None => {
                                 // The requested tag's element was garbage-
                                 // collected (δ newer writes overtook it):
@@ -240,8 +240,8 @@ impl ServerActor {
                                 // with tag' > tag — it carries an at least
                                 // as recent value, so the destination
                                 // quorum still ends up ≥ the requested tag.
-                                match list.iter().rev().find(|(t, f)| **t > tag && f.is_some()) {
-                                    Some((t, f)) => (*t, f.clone()),
+                                match list.iter().rev().find(|(t, f)| *t > tag && f.is_some()) {
+                                    Some((t, f)) => (t, f.cloned()),
                                     None => (tag, None),
                                 }
                             }
@@ -445,14 +445,13 @@ impl ServerActor {
                 }
                 self.repair_rpc += 1;
                 // Tags this server already holds its own coded element
-                // for (ascending — BTreeMap order): peers skip them, so
+                // for (ascending, in list order): peers skip them, so
                 // repair traffic covers only the lost delta.
                 let known: Vec<ares_types::Tag> = self
                     .dap
                     .treas_state(cfg, obj)
-                    .list
                     .iter()
-                    .filter_map(|(t, f)| f.is_some().then_some(*t))
+                    .filter_map(|(t, f)| f.is_some().then_some(t))
                     .collect();
                 let (task, sends) = RepairTask::start(
                     config,
@@ -623,7 +622,7 @@ mod tests {
         // The recovering server (4) replayed t_old from its log but
         // missed t_new: its repair Query must announce t_old as known.
         let mut recovering = ServerActor::new(ProcessId(4), registry());
-        recovering.dap.treas_state(ConfigId(1), ObjectId(0)).list.insert(t_old, Some(frag(0)));
+        recovering.dap.treas_state(ConfigId(1), ObjectId(0)).insert_and_gc(t_old, frag(0), 2);
         let sends = recovering
             .handle_repair(ProcessId(0), RepairMsg::Trigger { cfg: ConfigId(1), obj: ObjectId(0) });
         assert_eq!(sends.len(), 4, "queries every peer");
@@ -642,8 +641,8 @@ mod tests {
         // A peer (5) holding both tags replies with only the delta.
         let mut peer = ServerActor::new(ProcessId(5), registry());
         let st = peer.dap.treas_state(ConfigId(1), ObjectId(0));
-        st.list.insert(t_old, Some(frag(1)));
-        st.list.insert(t_new, Some(frag(1)));
+        st.insert_and_gc(t_old, frag(1), 2);
+        st.insert_and_gc(t_new, frag(1), 2);
         let out = peer.handle_repair(ProcessId(4), query);
         let Msg::Repair(RepairMsg::Lists { list, .. }) = &out[0].1 else {
             panic!("expected a lists reply, got {:?}", out[0].1);
@@ -730,7 +729,7 @@ mod tests {
         }
         // The server re-encoded its own element under c2's [5,4] code.
         let st = s.dap.treas_state_ref(ConfigId(2), ObjectId(0)).unwrap();
-        let elem = st.list.get(&tag).cloned().flatten().expect("element stored");
+        let elem = st.get(tag).cloned().expect("element stored");
         let dst_code = build_code(reg.get(ConfigId(2)).code_params()).unwrap();
         let my_index = reg.get(ConfigId(2)).server_index(ProcessId(6)).unwrap();
         assert_eq!(elem, dst_code.encode_fragment(v.as_bytes(), my_index));

@@ -45,13 +45,16 @@ impl Default for AbdState {
 /// the number of writes. The floor is "the first entry, iff it is `⊥`"
 /// and travels as an ordinary first [`ListEntry`]; DESIGN.md §2 argues
 /// why readers lose nothing.
+///
+/// The list is a `Vec` sorted by tag. A mutation garbage-collects and
+/// compacts *before* it places the new entry, so the vector never holds
+/// more than the bound above even for a moment, and it grows one slot
+/// at a time: its capacity is the longest the list has been, never a
+/// doubling past it.
 #[derive(Debug, Clone)]
 pub struct TreasState {
-    /// Tag → coded element (`None` = `⊥`). Read-only outside this
-    /// module: mutate through [`TreasState::insert_and_gc`] and
-    /// [`TreasState::note_tag`], test membership with
-    /// [`TreasState::contains`].
-    pub list: BTreeMap<Tag, Option<ares_codes::Fragment>>,
+    /// `(tag, coded element)` ascending by tag (`None` = `⊥`).
+    list: Vec<(Tag, Option<ares_codes::Fragment>)>,
 }
 
 impl TreasState {
@@ -59,79 +62,135 @@ impl TreasState {
         // (t_0, Φ_i(v_0)): the initial value is empty, so its coded
         // element is the empty fragment; `None` here would wrongly make
         // t_0 look garbage-collected, so store an empty fragment.
-        let mut list = BTreeMap::new();
-        list.insert(
-            TAG0,
-            Some(ares_codes::Fragment { index: 0, value_len: 0, data: bytes::Bytes::new() }),
-        );
-        TreasState { list }
+        let t0 = ares_codes::Fragment { index: 0, value_len: 0, data: bytes::Bytes::new() };
+        TreasState { list: vec![(TAG0, Some(t0))] }
+    }
+
+    /// Rebuilds a list from its wire form (a WAL checkpoint), keeping
+    /// each element as [`ares_codes::Fragment::compacted`] decides.
+    fn from_entries(entries: Vec<ListEntry>) -> Option<Self> {
+        let mut list: Vec<_> = entries
+            .into_iter()
+            .map(|e| (e.tag, e.frag.map(ares_codes::Fragment::compacted)))
+            .collect();
+        list.sort_by_key(|e| e.0);
+        list.dedup_by_key(|e| e.0);
+        if list.is_empty() {
+            return None;
+        }
+        let mut st = TreasState { list };
+        st.compact(None);
+        Some(st)
     }
 
     /// Highest tag in the list (`τ_max ≡ max_{(t,c)∈List} t`).
     pub fn max_tag(&self) -> Tag {
-        self.list.keys().next_back().copied().unwrap_or(TAG0)
+        self.list.last().map_or(TAG0, |e| e.0)
     }
 
     /// The low-water tag: the first entry iff it is `⊥`. Every tag
     /// `≤ floor` was garbage-collected here and is implicitly `(t, ⊥)`.
     /// It never decreases.
     pub fn floor(&self) -> Option<Tag> {
-        self.list.iter().next().and_then(|(t, f)| f.is_none().then_some(*t))
+        self.list.first().and_then(|(t, f)| f.is_none().then_some(*t))
     }
 
     /// `(tag, *) ∈ List`, counting the tags the floor stands for.
     pub fn contains(&self, tag: Tag) -> bool {
-        self.floor().is_some_and(|w| tag <= w) || self.list.contains_key(&tag)
+        self.floor().is_some_and(|w| tag <= w) || self.position(tag).is_ok()
+    }
+
+    /// The coded element stored for `tag`, if the list holds one (not
+    /// `⊥`, not absent).
+    pub fn get(&self, tag: Tag) -> Option<&ares_codes::Fragment> {
+        let i = self.position(tag).ok()?;
+        self.list.get(i).and_then(|e| e.1.as_ref())
+    }
+
+    /// The explicit entries, ascending by tag (the floor, if any, first).
+    pub fn iter(&self) -> impl DoubleEndedIterator<Item = (Tag, Option<&ares_codes::Fragment>)> {
+        self.list.iter().map(|(t, f)| (*t, f.as_ref()))
+    }
+
+    fn position(&self, tag: Tag) -> Result<usize, usize> {
+        self.list.binary_search_by_key(&tag, |e| e.0)
     }
 
     /// Inserts `(tag, frag)` and garbage-collects down to the `δ + 1`
     /// highest tags (Alg. 3 lines 12-15). A tag the list already
     /// [`contains`](TreasState::contains) is left alone: re-insertion
-    /// neither downgrades an element nor resurrects a GC'd one.
+    /// neither downgrades an element nor resurrects a GC'd one. A kept
+    /// element is [`compacted`](ares_codes::Fragment::compacted).
     pub fn insert_and_gc(&mut self, tag: Tag, frag: ares_codes::Fragment, delta: usize) {
         if self.contains(tag) {
             return;
         }
-        self.list.insert(tag, Some(frag));
-        let coded = self.list.values().filter(|f| f.is_some()).count();
-        let excess = coded.saturating_sub(delta + 1);
-        for f in self.list.values_mut().filter(|f| f.is_some()).take(excess) {
-            *f = None; // remove the coded value...
+        // The new element survives iff fewer than δ + 1 coded elements
+        // rank above it; the lowest coded elements of the list plus the
+        // new one beyond δ + 1 lose their data — if the new one is among
+        // them it arrives as ⊥.
+        let Err(at) = self.position(tag) else { return };
+        let coded_above = self.list.iter().skip(at).filter(|e| e.1.is_some()).count();
+        let keep = coded_above <= delta;
+        let coded = self.list.iter().filter(|e| e.1.is_some()).count();
+        let excess = (coded + usize::from(keep)).saturating_sub(delta + 1);
+        for e in self.list.iter_mut().filter(|e| e.1.is_some()).take(excess) {
+            e.1 = None; // remove the coded value...
         }
-        self.compact(); // ...and retain the tag, explicitly or under the floor
+        // ...and retain the tag, explicitly or under the floor. Only the
+        // ⊥s below the new tag fold now: a kept element becomes the
+        // lowest coded one when every element under it lost its data.
+        self.compact(Some(tag));
+        self.place(tag, keep.then(|| frag.compacted()));
     }
 
     /// Records `(tag, ⊥)`: a tag known to exist whose element this
     /// server cannot hold (repair of an undecodable tag).
     pub fn note_tag(&mut self, tag: Tag) {
         if !self.contains(tag) {
-            self.list.insert(tag, None);
-            self.compact();
+            self.place(tag, None);
         }
     }
 
-    /// Folds the `⊥` entries below the lowest coded element into the
-    /// highest of them. Every mutation adds at most a couple of such
-    /// entries, so this is O(1) map operations per put.
-    fn compact(&mut self) {
-        loop {
-            let mut lowest = self.list.iter();
-            match (lowest.next(), lowest.next()) {
-                (Some((&t, None)), Some((_, None))) => self.list.remove(&t),
-                _ => return,
-            };
+    /// Puts a tag the list does not contain in its place. A `⊥` right
+    /// above the floor, below every coded element, would be compacted
+    /// into it at once, so it replaces the floor instead; anything else
+    /// is inserted, in a slot of its own.
+    fn place(&mut self, tag: Tag, elem: Option<ares_codes::Fragment>) {
+        let Err(at) = self.position(tag) else { return };
+        if elem.is_none() && at == 1 && self.floor().is_some() {
+            if let Some(floor) = self.list.first_mut() {
+                floor.0 = tag;
+            }
+        } else {
+            if self.list.len() == self.list.capacity() {
+                self.list.reserve_exact(1);
+            }
+            self.list.insert(at, (tag, elem));
+        }
+        self.compact(None);
+    }
+
+    /// Folds the `⊥` entries below the lowest coded element (and below
+    /// `limit`, if given) into the highest of them. Every mutation
+    /// leaves at most a couple of such entries, so this is O(δ) per put.
+    fn compact(&mut self, limit: Option<Tag>) {
+        let foldable = |e: &&(Tag, Option<_>)| e.1.is_none() && limit.is_none_or(|l| e.0 < l);
+        let bottoms = self.list.iter().take_while(foldable).count();
+        if bottoms > 1 {
+            self.list.drain(..bottoms - 1);
         }
     }
 
     /// The wire form of the list (ascending; the floor, if any, first).
     pub fn to_entries(&self) -> Vec<ListEntry> {
-        self.list.iter().map(|(&tag, frag)| ListEntry { tag, frag: frag.clone() }).collect()
+        self.list.iter().map(|(tag, frag)| ListEntry { tag: *tag, frag: frag.clone() }).collect()
     }
 
     /// Bytes of coded payload currently stored (the storage cost of
     /// Theorem 3(i), in bytes).
     pub fn storage_bytes(&self) -> u64 {
-        self.list.values().map(|f| f.as_ref().map_or(0, |f| f.data.len() as u64)).sum()
+        self.list.iter().map(|e| e.1.as_ref().map_or(0, |f| f.data.len() as u64)).sum()
     }
 }
 
@@ -167,7 +226,7 @@ impl LdrRepState {
     }
 
     fn insert(&mut self, tag: Tag, value: Value) {
-        self.store.insert(tag, value);
+        self.store.insert(tag, value.compacted());
         while self.store.len() > Self::HISTORY {
             self.store.pop_first();
         }
@@ -347,15 +406,11 @@ impl DapServer {
         self.ldr_dir.clear();
         self.ldr_rep.clear();
         for e in snap.abd {
-            self.abd.insert((e.cfg, e.obj), AbdState { tag: e.tag, value: e.value });
+            self.abd.insert((e.cfg, e.obj), AbdState { tag: e.tag, value: e.value.compacted() });
         }
         for e in snap.treas {
-            let mut list = BTreeMap::new();
-            for entry in e.list {
-                list.insert(entry.tag, entry.frag);
-            }
-            if !list.is_empty() {
-                self.treas.insert((e.cfg, e.obj), TreasState { list });
+            if let Some(st) = TreasState::from_entries(e.list) {
+                self.treas.insert((e.cfg, e.obj), st);
             }
         }
         for e in snap.ldr_dir {
@@ -364,7 +419,7 @@ impl DapServer {
         for e in snap.ldr_rep {
             let mut store = BTreeMap::new();
             for tv in e.store {
-                store.insert(tv.tag, tv.value);
+                store.insert(tv.tag, tv.value.compacted());
             }
             if !store.is_empty() {
                 self.ldr_rep.insert((e.cfg, e.obj), LdrRepState { store });
@@ -397,7 +452,7 @@ impl DapServer {
                 let s = self.abd.entry((hdr.cfg, hdr.obj)).or_default();
                 if tag > s.tag {
                     s.tag = tag;
-                    s.value = value;
+                    s.value = value.compacted();
                 }
                 reply(from, hdr, DapBody::AbdAck)
             }
@@ -485,7 +540,7 @@ impl DapServer {
         let s = self.abd.entry((cfg, obj)).or_default();
         if tv.tag > s.tag {
             s.tag = tv.tag;
-            s.value = tv.value;
+            s.value = tv.value.compacted();
         }
     }
 }
@@ -562,13 +617,14 @@ mod tests {
             assert!(st.contains(Tag::new(z, ProcessId(9))), "tag {z} retained");
         }
         assert_eq!(st.floor(), Some(Tag::new(2, ProcessId(9))), "highest GC'd tag is the floor");
-        assert_eq!(st.list.len(), 3, "floor + δ+1 coded elements");
+        assert_eq!(st.iter().count(), 3, "floor + δ+1 coded elements");
+        assert_eq!(st.list.capacity(), 3, "sized for δ + 2 entries, never doubled");
         assert_eq!(st.max_tag(), Tag::new(4, ProcessId(9)));
-        let with_data: Vec<_> = st.list.iter().filter(|(_, f)| f.is_some()).collect();
+        let with_data: Vec<_> = st.iter().filter(|(_, f)| f.is_some()).collect();
         assert_eq!(with_data.len(), 2, "only δ+1 = 2 coded elements kept");
         // the two highest tags hold the data
-        assert_eq!(*with_data[0].0, Tag::new(3, ProcessId(9)));
-        assert_eq!(*with_data[1].0, Tag::new(4, ProcessId(9)));
+        assert_eq!(with_data[0].0, Tag::new(3, ProcessId(9)));
+        assert_eq!(with_data[1].0, Tag::new(4, ProcessId(9)));
         // storage = 2 fragments x 10 bytes
         assert_eq!(st.storage_bytes(), 20);
     }

@@ -76,11 +76,12 @@ proptest! {
 
     #[test]
     fn gc_keeps_exactly_delta_plus_one_newest(ops in insertions(), delta in 0usize..6) {
-        let mut st = new_state();
+        let mut srv = new_server();
         let mut full = FullList::new();
-        let mut floor = st.floor();
+        let mut floor = srv.treas_state(CFG, OBJ).floor();
         for (z, w, len, op) in ops {
             let t = Tag::new(z, ProcessId(w));
+            let st = srv.treas_state(CFG, OBJ);
             match op {
                 Op::Put => {
                     st.insert_and_gc(t, frag(len), delta);
@@ -98,42 +99,34 @@ proptest! {
             // of the list is the highest tag inserted.
             for (t, elem) in &full.0 {
                 prop_assert!(st.contains(*t), "tag {t} lost");
-                prop_assert_eq!(st.list.get(t).cloned().flatten(), elem.clone(), "element of {}", t);
+                prop_assert_eq!(st.get(*t), elem.as_ref(), "element of {}", t);
             }
             prop_assert!(st.floor() >= floor, "floor fell from {floor:?} to {:?}", st.floor());
             floor = st.floor();
             prop_assert_eq!(st.max_tag(), *full.0.keys().next_back().unwrap());
             let full_bytes: usize = full.0.values().flatten().map(|f| f.data.len()).sum();
             prop_assert_eq!(st.storage_bytes(), full_bytes as u64);
-            // The list is O(δ): the floor, δ+1 coded elements, and the
-            // explicit ⊥ that `note_tag` left above the lowest of them.
-            let lowest_coded = st.list.iter().find(|(_, f)| f.is_some()).map(|(t, _)| *t);
-            let high_bottoms =
-                st.list.iter().filter(|(t, f)| f.is_none() && Some(**t) > lowest_coded).count();
-            prop_assert!(
-                st.list.len() <= delta + 2 + high_bottoms,
-                "{} entries > δ+2+{high_bottoms}", st.list.len()
-            );
-            // Invariant 2: at most δ+1 entries hold data.
-            let with_data: Vec<Tag> = st
-                .list
-                .iter()
-                .filter(|(_, f)| f.is_some())
-                .map(|(t, _)| *t)
-                .collect();
+            check_representation(st, delta);
+            // Invariant 2: at most δ+1 entries hold data, and they are
+            // the δ+1 highest the full list holds data for.
+            let with_data: Vec<Tag> = st.iter().filter(|(_, f)| f.is_some()).map(|(t, _)| t).collect();
             prop_assert!(with_data.len() <= delta + 1, "{} > δ+1", with_data.len());
-            // Invariant 3: the data-holding tags are the maximal ones
-            // among entries that ever carried data up to GC; concretely,
-            // no ⊥ entry may have a higher tag than a data entry unless
-            // it never had data... the checkable core: data tags form a
-            // suffix of the tag order *within data-bearing inserts*.
-            // Simplest sound check: min data tag >= every GC'd-data tag.
-            // We verify monotonicity: all data tags are >= the largest
-            // tag that was explicitly GC'd (approximated by: with_data is
-            // the top of the full tag set restricted to inserted tags
-            // that currently or previously held data).
-            let max_tag = *st.list.keys().next_back().unwrap();
-            prop_assert!(st.max_tag() == max_tag);
+            let full_data: Vec<Tag> =
+                full.0.iter().filter(|(_, f)| f.is_some()).map(|(t, _)| *t).collect();
+            prop_assert_eq!(with_data, full_data);
+            // Invariant 3: the list survives a WAL checkpoint entry for
+            // entry — `snapshot` → `restore` rebuilds the same list, and
+            // the rebuilt server snapshots to the same image.
+            let snap = srv.snapshot();
+            let mut back = new_server();
+            back.restore(snap.clone());
+            let restored = back.treas_state_ref(CFG, OBJ).expect("restored list");
+            prop_assert_eq!(
+                restored.to_entries(),
+                srv.treas_state_ref(CFG, OBJ).expect("list").to_entries()
+            );
+            check_representation(restored, delta);
+            prop_assert_eq!(back.snapshot(), snap);
         }
     }
 
@@ -164,12 +157,12 @@ proptest! {
         for z in 0..(delta + 1 + extra) as u64 {
             st.insert_and_gc(Tag::new(10 + z, ProcessId(1)), frag(8), delta);
         }
-        prop_assert!(st.list.get(&old).cloned().flatten().is_none());
+        prop_assert!(st.get(old).is_none());
         // Re-inserting the old tag must NOT bring data back (the list
         // still contains it, explicitly or under the floor, so the
         // insert is a no-op) — otherwise GC would thrash.
         st.insert_and_gc(old, frag(8), delta);
-        prop_assert!(st.list.get(&old).cloned().flatten().is_none());
+        prop_assert!(st.get(old).is_none());
     }
 
     /// Five servers, each a bounded list beside a full one, fed the
@@ -293,10 +286,30 @@ fn read(
     (lists.len(), None)
 }
 
+const CFG: ConfigId = ConfigId(0);
+const OBJ: ObjectId = ObjectId(0);
+
+fn new_server() -> DapServer {
+    DapServer::new(pid(0), ConfigRegistry::from_configs([(*treas_config(2)).clone()]))
+}
+
 fn new_state() -> TreasState {
     // TreasState has no public constructor by design (servers build it);
     // go through the DapServer entry point.
-    let mut srv =
-        DapServer::new(pid(0), ConfigRegistry::from_configs([(*treas_config(2)).clone()]));
-    srv.treas_state(ConfigId(0), ObjectId(0)).clone()
+    new_server().treas_state(CFG, OBJ).clone()
+}
+
+/// The list's representation: entries strictly ascending, and at most
+/// the floor, δ + 1 coded elements and the explicit ⊥s above the lowest
+/// of them (DESIGN.md §2).
+fn check_representation(st: &TreasState, delta: usize) {
+    let tags: Vec<Tag> = st.iter().map(|(t, _)| t).collect();
+    prop_assert!(tags.windows(2).all(|w| w[0] < w[1]), "not strictly ascending: {:?}", tags);
+    let lowest_coded = st.iter().find(|(_, f)| f.is_some()).map(|(t, _)| t);
+    let high_bottoms = st.iter().filter(|(t, f)| f.is_none() && Some(*t) > lowest_coded).count();
+    prop_assert!(
+        tags.len() <= delta + 2 + high_bottoms,
+        "{} entries > δ+2+{high_bottoms}",
+        tags.len()
+    );
 }

@@ -549,13 +549,13 @@ pub fn decode_payload(buf: &[u8]) -> Result<(ProcessId, Msg), DecodeError> {
 /// the decoded message ([`Fragment`] data, [`Value`] bytes) come out as
 /// zero-copy slices of `buf`. This is the path [`read_frame`] uses, so
 /// a received coded element or replicated value shares the frame's one
-/// allocation end-to-end. The slices pin the whole frame buffer: for
-/// the single-payload messages servers retain (`TreasWrite`,
-/// `FwdElem`, `AbdWrite`) that is the few dozen header bytes of
-/// overhead; multi-fragment frames (`TreasList`, `RepairMsg::Lists`)
+/// allocation end-to-end. The slices pin the whole frame buffer, so
+/// the server stores that retain a payload (`TreasWrite`, `FwdElem`,
+/// `AbdWrite`, `LdrPutData`) keep it through `ares_codes::compact_bytes`,
+/// which copies a small one out of its frame and leaves a bulk one
+/// zero-copy; multi-fragment frames (`TreasList`, `RepairMsg::Lists`)
 /// are only held transiently (read evaluation, an in-flight repair
-/// task), and anything rebuilt from them for long-term storage goes
-/// through `Fragment::compacted`.
+/// task).
 pub fn decode_payload_bytes(buf: &Bytes) -> Result<(ProcessId, Msg), DecodeError> {
     if buf.len() > MAX_FRAME_LEN {
         return Err(DecodeError::FrameTooLarge(buf.len()));

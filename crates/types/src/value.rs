@@ -84,6 +84,16 @@ impl Value {
         &self.0
     }
 
+    /// Returns this value as a long-lived store should keep it: copied
+    /// out of the buffer it views when that buffer holds more than a
+    /// small fraction beyond it, by the rule of
+    /// [`ares_codes::compact_bytes`] (the [`ares_codes::Fragment::compacted`]
+    /// counterpart for replicas).
+    #[must_use]
+    pub fn compacted(self) -> Value {
+        Value(ares_codes::compact_bytes(self.0))
+    }
+
     /// A 64-bit digest, recorded in operation completions so the
     /// atomicity checker can match read values to writes without storing
     /// full payloads.
@@ -229,6 +239,16 @@ mod tests {
         // The word-wide stream is prefix-stable: a shorter value is a
         // prefix of a longer one from the same seed.
         assert_eq!(Value::filler(9, 3).as_bytes(), &Value::filler(64, 3).as_bytes()[..9]);
+    }
+
+    #[test]
+    fn compacted_copies_a_small_value_out_of_its_frame() {
+        let frame = Bytes::from(vec![5u8; 320]);
+        let v = Value::new(frame.slice(60..316)).compacted();
+        assert_eq!(v.as_bytes(), &[5u8; 256][..]);
+        assert_eq!(v.bytes().backing_len(), 256);
+        let bulk = Value::filler(1 << 16, 1);
+        assert!(Bytes::shares_allocation(bulk.clone().compacted().bytes(), bulk.bytes()));
     }
 
     #[test]

@@ -4,6 +4,7 @@
 //! configuration chain — genesis, middle, tail — with live traffic.
 
 use ares_harness::{check_atomicity, Scenario};
+use ares_sim::RunOutcome;
 use ares_types::{ConfigId, Configuration, OpKind, ProcessId, Value};
 
 fn ids(r: std::ops::RangeInclusive<u32>) -> Vec<ProcessId> {
@@ -87,6 +88,35 @@ fn all_three_kinds_with_direct_transfer() {
     let read = h.iter().find(|c| c.kind == OpKind::Read).unwrap();
     let write = h.iter().find(|c| c.kind == OpKind::Write).unwrap();
     assert_eq!(read.value_digest, write.value_digest);
+}
+
+#[test]
+fn direct_transfer_from_coded_into_replicated_falls_back_to_plain() {
+    // TREAS [5,3] -> ABD under direct transfer: a replicated destination
+    // cannot store one forwarded coded element, so that hop migrates by
+    // get-data / put-data; the recon completes and the reads after it
+    // see the last write.
+    let configs = vec![
+        Configuration::treas(ConfigId(0), ids(1..=5), 3, 2),
+        Configuration::abd(ConfigId(1), ids(6..=8)),
+    ];
+    let mut s = Scenario::new(configs)
+        .clients([100, 110, 200])
+        .direct_transfer()
+        .event_limit(200_000)
+        .seed(6);
+    s = s.write_at(0, 100, 0, Value::filler(90, 1));
+    s = s.write_at(1_500, 100, 0, Value::filler(90, 2));
+    s = s.recon_at(3_000, 200, 1);
+    s = s.read_at(3_200, 110, 0);
+    s = s.read_at(12_000, 110, 0);
+    let res = s.run();
+    assert_eq!(res.outcome, RunOutcome::Quiescent);
+    let h = res.assert_complete_and_atomic();
+    let installed = h.iter().find_map(|c| c.installed);
+    assert_eq!(installed, Some(ConfigId(1)));
+    let last = h.iter().filter(|c| c.kind == OpKind::Read).max_by_key(|c| c.invoked_at).unwrap();
+    assert_eq!(last.value_digest, Some(Value::filler(90, 2).digest()));
 }
 
 #[test]

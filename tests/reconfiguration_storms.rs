@@ -242,7 +242,7 @@ fn direct_transfer_into_a_destination_that_compacted_the_tag_completes() {
             w.actor_as::<ServerActor>(ProcessId(s)).expect("server").dap.treas_state_ref(c1, obj);
         let st = st.expect("c1 state exists");
         assert!(st.floor() > Some(requested), "s{s} folded {requested} under its floor");
-        assert!(!st.list.contains_key(&requested));
+        assert!(st.iter().all(|(t, _)| t != requested));
     }
 
     assert_eq!(w.run(), RunOutcome::Quiescent);

@@ -154,7 +154,7 @@ fn blank_server_repaired_from_floored_peers_ends_with_a_floor() {
             w.actor_as::<ServerActor>(ProcessId(s)).expect("server").dap.treas_state_ref(c0, obj);
         let st = st.expect("state exists");
         assert_eq!(st.floor(), floor, "s{s}: tags 1 and 2 are folded under the floor");
-        assert_eq!(st.list.len(), 4, "s{s}: the floor and δ + 1 coded elements");
+        assert_eq!(st.iter().count(), 4, "s{s}: the floor and δ + 1 coded elements");
         assert_eq!(st.storage_bytes(), 3 * 30, "s{s}: three 30-byte fragments");
     }
     let h = w.take_completions();
