@@ -1,15 +1,35 @@
-//! Shared utilities for the experiment binaries that regenerate the
-//! paper's tables and figures (see `DESIGN.md` §3 for the experiment
-//! index and `EXPERIMENTS.md` for recorded results).
+//! Test support for the experiments that reproduce the paper's tables
+//! and figures (`tests/experiments/`; `DESIGN.md` §3 has the index and
+//! `EXPERIMENTS.md` the recorded results): a static register rig, the
+//! table an experiment renders, and the golden-file check every pinned
+//! transcript of the workspace goes through.
 
 use ares_dap::server::DapServer;
 use ares_dap::template::{RegisterOp, StaticClientActor, StaticMsg, StaticServerActor};
 use ares_sim::{NetworkConfig, World};
-use ares_types::{ConfigRegistry, Configuration, ObjectId, OpCompletion, ProcessId, Time, Value};
+use ares_types::{
+    ConfigId, ConfigRegistry, Configuration, ObjectId, OpCompletion, ProcessId, Time, Value,
+};
+use std::fmt::{Display, Write as _};
+use std::path::Path;
 use std::sync::Arc;
 
 /// The environment pseudo-process.
 pub const ENV: ProcessId = ProcessId(0);
+
+/// Servers `1..=n`.
+pub fn servers(n: usize) -> Vec<ProcessId> {
+    (1..=n as u32).map(ProcessId).collect()
+}
+
+/// Configurations `c_0..=c_len`, each TREAS `[5, 3]` with δ = 2 and
+/// `c_i` on servers `i+1..=i+5`: the chain the reconfiguration
+/// experiments install.
+pub fn treas_chain(len: u32) -> Vec<Configuration> {
+    (0..=len)
+        .map(|i| Configuration::treas(ConfigId(i), (i + 1..=i + 5).map(ProcessId).collect(), 3, 2))
+        .collect()
+}
 
 /// Simple aggregate statistics of a sample.
 #[derive(Debug, Clone, Copy)]
@@ -42,15 +62,56 @@ impl Stats {
     }
 }
 
-/// Prints a markdown-style table row.
-pub fn row(cells: &[String]) {
-    println!("| {} |", cells.join(" | "));
+/// The text an experiment renders: markdown tables and verdict lines.
+#[derive(Debug, Default)]
+pub struct Report(String);
+
+impl Report {
+    /// Appends one line.
+    pub fn line(&mut self, text: impl Display) {
+        let _ = writeln!(self.0, "{text}");
+    }
+
+    /// Appends a markdown-style header plus separator.
+    pub fn header(&mut self, cells: &[&str]) {
+        self.line(format_args!("| {} |", cells.join(" | ")));
+        self.line(format_args!("|{}|", cells.iter().map(|_| "---").collect::<Vec<_>>().join("|")));
+    }
+
+    /// Appends a markdown-style table row.
+    pub fn row(&mut self, cells: &[String]) {
+        self.line(format_args!("| {} |", cells.join(" | ")));
+    }
+
+    /// The rendered text.
+    pub fn finish(self) -> String {
+        self.0
+    }
 }
 
-/// Prints a markdown-style header plus separator.
-pub fn header(cells: &[&str]) {
-    println!("| {} |", cells.join(" | "));
-    println!("|{}|", cells.iter().map(|_| "---").collect::<Vec<_>>().join("|"));
+/// Asserts that `got` equals the committed golden file at `path`,
+/// naming the first line that differs, then the line count.
+pub fn assert_golden(path: &Path, got: &str) {
+    let want = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| panic!("golden {} is committed: {e}", path.display()));
+    assert!(want.lines().count() <= 3_000, "the golden stays reviewable");
+    let first_diff = got.lines().zip(want.lines()).position(|(g, w)| g != w);
+    if let Some(i) = first_diff {
+        panic!(
+            "{} line {}: got\n  {}\nwant\n  {}",
+            path.display(),
+            i + 1,
+            got.lines().nth(i).unwrap_or_default(),
+            want.lines().nth(i).unwrap_or_default()
+        );
+    }
+    assert_eq!(got.lines().count(), want.lines().count(), "{} length", path.display());
+}
+
+/// Re-records the golden file at `path`: only on purpose, for a change
+/// that moves what the golden pins.
+pub fn record_golden(path: &Path, got: &str) {
+    std::fs::write(path, got).expect("write golden");
 }
 
 /// A ready-to-run *static* register world (one configuration, no
@@ -162,7 +223,6 @@ pub fn action_durations(trace: &[ares_sim::TraceEvent], client: ProcessId) -> Ve
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ares_types::ConfigId;
 
     #[test]
     fn stats_basics() {
@@ -176,7 +236,7 @@ mod tests {
 
     #[test]
     fn static_rig_round_trips() {
-        let cfg = Configuration::treas(ConfigId(0), (1..=5).map(ProcessId).collect(), 3, 2);
+        let cfg = Configuration::treas(ConfigId(0), servers(5), 3, 2);
         let mut rig = StaticRig::new(cfg, 1, 1, 10, 50, 1);
         rig.write(0, 0, 60, 7);
         rig.read(1_000, 0);

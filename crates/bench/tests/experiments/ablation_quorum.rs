@@ -7,12 +7,13 @@
 //! the other experiments use, and a simulation demonstrates that the
 //! threshold works at its exact fault bound.
 
-use ares_bench::{header, row, StaticRig};
+use ares_bench::{servers, Report, StaticRig};
 use ares_types::{ConfigId, Configuration, OpKind, ProcessId, QuorumSpec};
 
-fn main() {
-    println!("# Ablation: TREAS threshold quorums vs plain majorities\n");
-    header(&[
+pub fn table() -> String {
+    let mut out = Report::default();
+    out.line("# Ablation: TREAS threshold quorums vs plain majorities\n");
+    out.header(&[
         "n",
         "k",
         "treas quorum",
@@ -28,7 +29,7 @@ fn main() {
         let treas = QuorumSpec::treas(n, k);
         let maj = QuorumSpec::Majority;
         let maj_safe = maj.min_intersection(n) >= k;
-        row(&[
+        out.row(&[
             n.to_string(),
             k.to_string(),
             treas.quorum_size(n).to_string(),
@@ -41,11 +42,11 @@ fn main() {
         assert!(treas.min_intersection(n) >= k, "TREAS intersection invariant");
     }
 
-    println!("\n## Liveness at the exact fault bound f = (n−k)/2\n");
-    header(&["n", "k", "crashes", "ops completed"]);
+    out.line("\n## Liveness at the exact fault bound f = (n−k)/2\n");
+    out.header(&["n", "k", "crashes", "ops completed"]);
     for (n, k) in [(5usize, 3usize), (9, 5), (9, 7)] {
         let f = (n - k) / 2;
-        let cfg = Configuration::treas(ConfigId(0), (1..=n as u32).map(ProcessId).collect(), k, 2);
+        let cfg = Configuration::treas(ConfigId(0), servers(n), k, 2);
         let mut rig = StaticRig::new(cfg, 1, 1, 10, 40, 9);
         for i in 0..f {
             rig.world.schedule_crash(0, ProcessId((n - i) as u32));
@@ -54,10 +55,11 @@ fn main() {
         rig.read(5_000, 0);
         let h = rig.run();
         let ok = h.iter().filter(|c| matches!(c.kind, OpKind::Write | OpKind::Read)).count();
-        row(&[n.to_string(), k.to_string(), f.to_string(), format!("{ok}/2")]);
+        out.row(&[n.to_string(), k.to_string(), f.to_string(), format!("{ok}/2")]);
         assert_eq!(ok, 2, "operations complete with exactly f crashes");
     }
-    println!("\nAblation conclusion: the ⌈(n+k)/2⌉ threshold buys decodability");
-    println!("(intersection ≥ k) at the price of fault tolerance (n−k)/2 < ⌊(n−1)/2⌋;");
-    println!("majorities would keep more faults but break erasure-coded safety ✓");
+    out.line("\nAblation conclusion: the ⌈(n+k)/2⌉ threshold buys decodability");
+    out.line("(intersection ≥ k) at the price of fault tolerance (n−k)/2 < ⌊(n−1)/2⌋;");
+    out.line("majorities would keep more faults but break erasure-coded safety ✓");
+    out.finish()
 }

@@ -4,15 +4,27 @@
 //! (The paper scales this to 1,000,000 objects / 3 TB vs 1.5 TB; cost is
 //! linear in the object count, so we run one object and scale.)
 
-use ares_bench::{header, row, StaticRig};
-use ares_types::{ConfigId, Configuration, OpKind, ProcessId};
+use ares_bench::{servers, Report, StaticRig};
+use ares_types::{ConfigId, Configuration, OpKind};
 
 const MB: usize = 1 << 20;
 
+#[derive(Debug, PartialEq)]
 struct Outcome {
     storage: u64,
     write_bytes: u64,
     read_bytes: u64,
+}
+
+/// What `ares_core::cost` predicts for `cfg` after one write.
+fn model(cfg: &Configuration) -> Outcome {
+    let cost = |kind| ares_core::cost(cfg, kind, MB).expect("ABD and TREAS are priced");
+    let (write, read) = (cost(OpKind::Write), cost(OpKind::Read));
+    Outcome {
+        storage: write.stored_bytes,
+        write_bytes: write.wire_bytes,
+        read_bytes: read.wire_bytes,
+    }
 }
 
 fn run(cfg: Configuration) -> Outcome {
@@ -30,39 +42,45 @@ fn run(cfg: Configuration) -> Outcome {
     }
 }
 
-fn main() {
-    println!("# E3: ABD (3 replicas) vs TREAS [3,2] — 1 MB object on 3 servers\n");
-    let abd = run(Configuration::abd(ConfigId(0), (1..=3).map(ProcessId).collect()));
-    let treas = run(Configuration::treas(ConfigId(0), (1..=3).map(ProcessId).collect(), 2, 1));
+pub fn table() -> String {
+    let mut out = Report::default();
+    out.line("# E3: ABD (3 replicas) vs TREAS [3,2] — 1 MB object on 3 servers\n");
+    let abd_cfg = Configuration::abd(ConfigId(0), servers(3));
+    let abd = run(abd_cfg.clone());
+    let treas = run(Configuration::treas(ConfigId(0), servers(3), 2, 1));
+    assert_eq!(abd, model(&abd_cfg), "ABD");
+    // One write into fresh lists leaves each server one coded element
+    // beside the empty `t_0` one: in bytes, the steady state of δ = 0.
+    assert_eq!(treas, model(&Configuration::treas(ConfigId(0), servers(3), 2, 0)), "TREAS [3,2]");
 
     let mb = MB as f64;
-    header(&["metric", "ABD", "TREAS [3,2]", "paper claim"]);
-    row(&[
+    out.header(&["metric", "ABD", "TREAS [3,2]", "paper claim"]);
+    out.row(&[
         "storage (x object)".into(),
         format!("{:.2}", abd.storage as f64 / mb),
         format!("{:.2}", treas.storage as f64 / mb),
         "3.0 vs 1.5 (2x lower)".into(),
     ]);
-    row(&[
+    out.row(&[
         "write bytes (x object)".into(),
         format!("{:.2}", abd.write_bytes as f64 / mb),
         format!("{:.2}", treas.write_bytes as f64 / mb),
         "3 MB vs 1.5 MB per write".into(),
     ]);
-    row(&[
+    out.row(&[
         "read bytes (x object)".into(),
         format!("{:.2}", abd.read_bytes as f64 / mb),
         format!("{:.2}", treas.read_bytes as f64 / mb),
         "read ≤ (δ+2)n/k".into(),
     ]);
-    println!();
-    println!(
+    out.line("");
+    out.line(format_args!(
         "scaled to the paper's 1,000,000 x 1 MB fleet: ABD {:.1} TB vs TREAS {:.1} TB",
         abd.storage as f64 * 1e6 / 1e12,
         treas.storage as f64 * 1e6 / 1e12
-    );
-    assert!((abd.storage as f64 / mb - 3.0).abs() < 0.01);
-    assert!((treas.storage as f64 / mb - 1.5).abs() < 0.01);
-    assert!(treas.write_bytes * 2 == abd.write_bytes, "write bandwidth halves");
-    println!("\nintroduction example reproduced: 2x storage & write-bandwidth reduction ✓");
+    ));
+    assert_eq!(treas.storage * 2, abd.storage, "storage halves");
+    assert_eq!(treas.write_bytes * 2, abd.write_bytes, "write bandwidth halves");
+    out.line("\nintroduction example reproduced: 2x storage & write-bandwidth reduction ✓");
+    out.finish()
 }

@@ -7,15 +7,15 @@
 //! reconfiguration) and time every action frame of the client from the
 //! trace, across several `(d, D)` settings.
 
-use ares_bench::{action_durations, header, row, Stats};
+use ares_bench::{action_durations, servers, Report, Stats};
 use ares_harness::Scenario;
 use ares_types::{ConfigId, Configuration, ProcessId, Value};
 use std::collections::BTreeMap;
 
 fn run(d: u64, big_d: u64, dap: &str) -> BTreeMap<String, Vec<f64>> {
     let cfg = match dap {
-        "abd" => Configuration::abd(ConfigId(0), (1..=5).map(ProcessId).collect()),
-        _ => Configuration::treas(ConfigId(0), (1..=5).map(ProcessId).collect(), 3, 2),
+        "abd" => Configuration::abd(ConfigId(0), servers(5)),
+        _ => Configuration::treas(ConfigId(0), servers(5), 3, 2),
     };
     let mut s =
         Scenario::new(vec![cfg]).clients([100]).delays(d, big_d).seed(d * 31 + big_d).with_trace();
@@ -35,9 +35,10 @@ fn run(d: u64, big_d: u64, dap: &str) -> BTreeMap<String, Vec<f64>> {
     by_action
 }
 
-fn main() {
-    println!("# E4: action latencies vs Lemmas 23/55 & 26/58 (2d ≤ T ≤ 2D)\n");
-    header(&["d", "D", "dap", "action", "n", "min", "mean", "max", "2d", "2D", "in bounds"]);
+pub fn table() -> String {
+    let mut out = Report::default();
+    out.line("# E4: action latencies vs Lemmas 23/55 & 26/58 (2d ≤ T ≤ 2D)\n");
+    out.header(&["d", "D", "dap", "action", "n", "min", "mean", "max", "2d", "2D", "in bounds"]);
     let mut all_ok = true;
     for (d, big_d) in [(10u64, 10u64), (10, 50), (5, 100), (50, 200)] {
         for dap in ["abd", "treas"] {
@@ -53,7 +54,7 @@ fn main() {
                 let st = Stats::of(durs.iter().copied());
                 let ok = st.min >= 2.0 * d as f64 && st.max <= 2.0 * big_d as f64;
                 all_ok &= ok;
-                row(&[
+                out.row(&[
                     d.to_string(),
                     big_d.to_string(),
                     dap.to_string(),
@@ -70,5 +71,6 @@ fn main() {
         }
     }
     assert!(all_ok, "every elementary action stayed within [2d, 2D]");
-    println!("\nLemmas 23/55 & 26/58 reproduced: 2d ≤ T(action) ≤ 2D ✓");
+    out.line("\nLemmas 23/55 & 26/58 reproduced: 2d ≤ T(action) ≤ 2D ✓");
+    out.finish()
 }

@@ -13,21 +13,15 @@
 //! minimum is `4dλ + 2d` rather than `4d(λ+1)` — the paper's lower
 //! bound charges 4 delays to every iteration. We report both.
 
-use ares_bench::{action_durations, header, row};
+use ares_bench::{action_durations, treas_chain, Report};
 use ares_harness::Scenario;
-use ares_types::{ConfigId, Configuration, ProcessId};
-
-fn chain(len: u32) -> Vec<Configuration> {
-    (0..=len)
-        .map(|i| Configuration::treas(ConfigId(i), (i + 1..=i + 5).map(ProcessId).collect(), 3, 2))
-        .collect()
-}
+use ares_types::ProcessId;
 
 fn measure(lambda: u32, d: u64, big_d: u64, seed: u64) -> u64 {
     // Reconfigurer 200 installs λ configs; at a quiet point, fresh
     // client 100 (genesis cseq) performs a read whose first frame is the
     // read-config we time.
-    let mut s = Scenario::new(chain(lambda.max(1)))
+    let mut s = Scenario::new(treas_chain(lambda.max(1)))
         .clients([100, 200])
         .delays(d, big_d)
         .seed(seed)
@@ -47,10 +41,11 @@ fn measure(lambda: u32, d: u64, big_d: u64, seed: u64) -> u64 {
         .expect("client performed a read-config")
 }
 
-fn main() {
-    println!("# E5: read-config latency vs Lemma 24/56\n");
+pub fn table() -> String {
+    let mut out = Report::default();
+    out.line("# E5: read-config latency vs Lemma 24/56\n");
     let (d, big_d) = (10u64, 50u64);
-    header(&[
+    out.header(&[
         "λ = ν−µ",
         "measured T",
         "4dλ+2d (tight min)",
@@ -65,7 +60,7 @@ fn main() {
         let tight_min = 4 * d * lambda as u64 + 2 * d;
         let paper_min = 4 * d * (lambda as u64 + 1);
         let paper_max = 4 * big_d * (lambda as u64 + 1);
-        row(&[
+        out.row(&[
             lambda.to_string(),
             format!("{min}..{max}"),
             tight_min.to_string(),
@@ -75,6 +70,7 @@ fn main() {
         assert!(min >= tight_min, "λ={lambda}: {min} < tight min {tight_min}");
         assert!(max <= paper_max, "λ={lambda}: {max} > paper max {paper_max}");
     }
-    println!("\nLemma 24/56 reproduced: latency grows linearly in the traversed");
-    println!("suffix, within [4dλ+2d, 4D(λ+1)] ✓");
+    out.line("\nLemma 24/56 reproduced: latency grows linearly in the traversed");
+    out.line("suffix, within [4dλ+2d, 4D(λ+1)] ✓");
+    out.finish()
 }

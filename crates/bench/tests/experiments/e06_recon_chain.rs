@@ -9,26 +9,21 @@
 //! `T_i` and the consensus time `T(CN)` from the trace, then compare
 //! `Σ T_i` against the bound.
 
-use ares_bench::{action_durations, header, row};
+use ares_bench::{action_durations, treas_chain, Report};
 use ares_harness::Scenario;
-use ares_types::{ConfigId, Configuration, ProcessId};
+use ares_types::ProcessId;
 
-fn chain(len: u32) -> Vec<Configuration> {
-    (0..=len)
-        .map(|i| Configuration::treas(ConfigId(i), (i + 1..=i + 5).map(ProcessId).collect(), 3, 2))
-        .collect()
-}
-
-fn main() {
-    println!("# E6: time to append k configurations vs Lemma 25/57\n");
+pub fn table() -> String {
+    let mut out = Report::default();
+    out.line("# E6: time to append k configurations vs Lemma 25/57\n");
     let d = 10u64; // constant delay: d = D
-    header(&["k", "Σ T_i measured", "bound 4dΣi + k(T(CN)+2d)", "T(CN)", "ok"]);
+    out.header(&["k", "Σ T_i measured", "bound 4dΣi + k(T(CN)+2d)", "T(CN)", "ok"]);
     for k in [1u32, 2, 3, 4, 6, 8] {
         // Fresh reconfigurer per step, invoked with enough spacing that
         // step i starts only after step i-1 finished (the sequential
         // construction); latencies exclude the idle gaps.
         let spacing = 4_000u64 * (k as u64 + 2);
-        let mut s = Scenario::new(chain(k)).delays(d, d).seed(77).with_trace();
+        let mut s = Scenario::new(treas_chain(k)).delays(d, d).seed(77).with_trace();
         for i in 1..=k {
             s = s.client(ProcessId(200 + i));
             s = s.recon_at((i as u64 - 1) * spacing, 200 + i, i);
@@ -48,7 +43,7 @@ fn main() {
         let sum_i: u64 = (1..=k as u64).sum();
         let bound = 4 * d * sum_i + k as u64 * (t_cn + 2 * d);
         let ok = total >= bound;
-        row(&[
+        out.row(&[
             k.to_string(),
             total.to_string(),
             bound.to_string(),
@@ -57,6 +52,7 @@ fn main() {
         ]);
         assert!(ok, "k={k}: measured {total} below the paper's lower bound {bound}");
     }
-    println!("\nLemma 25/57 reproduced: appending k configurations costs at least");
-    println!("4d·Σi + k(T(CN)+2d) — quadratic in k for chain-traversing clients ✓");
+    out.line("\nLemma 25/57 reproduced: appending k configurations costs at least");
+    out.line("4d·Σi + k(T(CN)+2d) — quadratic in k for chain-traversing clients ✓");
+    out.finish()
 }

@@ -8,25 +8,20 @@
 //! (conservatively: all reconfigs that completed before the op ended,
 //! minus those finalized before it started) and check the bound.
 
-use ares_bench::{header, row, Stats};
+use ares_bench::{treas_chain, Report, Stats};
 use ares_harness::Scenario;
-use ares_types::{ConfigId, Configuration, OpKind, ProcessId, Value};
+use ares_types::{OpKind, Value};
 
-fn chain(len: u32) -> Vec<Configuration> {
-    (0..=len)
-        .map(|i| Configuration::treas(ConfigId(i), (i + 1..=i + 5).map(ProcessId).collect(), 3, 2))
-        .collect()
-}
-
-fn main() {
-    println!("# E7: read/write latency vs Lemma 27/59: T ≤ 6D(ν−µ+2)\n");
+pub fn table() -> String {
+    let mut out = Report::default();
+    out.line("# E7: read/write latency vs Lemma 27/59: T ≤ 6D(ν−µ+2)\n");
     let (d, big_d) = (10u64, 50u64);
-    header(&["recon gap", "ops", "max T/(6D(λ+2))", "mean T", "max λ seen", "ok"]);
+    out.header(&["recon gap", "ops", "max T/(6D(λ+2))", "mean T", "max λ seen", "ok"]);
     let mut all_ok = true;
     for gap in [20_000u64, 5_000, 2_000, 800] {
         let n_recon = 6u32;
         let mut s =
-            Scenario::new(chain(n_recon)).clients([100, 110, 200]).delays(d, big_d).seed(gap);
+            Scenario::new(treas_chain(n_recon)).clients([100, 110, 200]).delays(d, big_d).seed(gap);
         for i in 1..=n_recon {
             s = s.recon_at(i as u64 * gap, 200, i);
         }
@@ -66,7 +61,7 @@ fn main() {
         let st = Stats::of(lat);
         let ok = worst_ratio <= 1.0;
         all_ok &= ok;
-        row(&[
+        out.row(&[
             gap.to_string(),
             st.n.to_string(),
             format!("{worst_ratio:.3}"),
@@ -76,6 +71,7 @@ fn main() {
         ]);
     }
     assert!(all_ok);
-    println!("\nLemma 27/59 reproduced: every read/write latency within 6D(λ+2),");
-    println!("growing as reconfigurations crowd the operation ✓");
+    out.line("\nLemma 27/59 reproduced: every read/write latency within 6D(λ+2),");
+    out.line("growing as reconfigurations crowd the operation ✓");
+    out.finish()
 }

@@ -12,21 +12,16 @@
 //! iterations of Alg. 7) the write performs before it terminates, as
 //! `d_recon/D` shrinks.
 
-use ares_bench::{action_durations, header, row};
+use ares_bench::{action_durations, treas_chain, Report};
 use ares_harness::Scenario;
-use ares_types::{ConfigId, Configuration, ProcessId, Value};
+use ares_types::{ProcessId, Value};
 
-fn chain(len: u32) -> Vec<Configuration> {
-    (0..=len)
-        .map(|i| Configuration::treas(ConfigId(i), (i + 1..=i + 5).map(ProcessId).collect(), 3, 2))
-        .collect()
-}
-
-fn main() {
-    println!("# E8: catching up with reconfigurations (Lemma 28/60)\n");
+pub fn table() -> String {
+    let mut out = Report::default();
+    out.line("# E8: catching up with reconfigurations (Lemma 28/60)\n");
     let big_d = 100u64;
     let k = 8u32;
-    header(&[
+    out.header(&[
         "d_recon",
         "d/D",
         "write latency",
@@ -36,7 +31,7 @@ fn main() {
     ]);
     // T(CN) at the reconfigurers' speed: 4·d_recon (uncontended Paxos).
     for d_recon in [100u64, 50, 25, 10, 4, 1] {
-        let mut s = Scenario::new(chain(k))
+        let mut s = Scenario::new(treas_chain(k))
             .clients([200])
             .delays(big_d, big_d)
             .seed(d_recon)
@@ -63,7 +58,7 @@ fn main() {
         let extra = rc_count.saturating_sub(2); // 1 discover + 1 confirm expected
         let t_cn = 4.0 * d_recon as f64;
         let d_star = 3.0 * big_d as f64 / k as f64 - t_cn / (2.0 * (k as f64 + 2.0));
-        row(&[
+        out.row(&[
             d_recon.to_string(),
             format!("{:.2}", d_recon as f64 / big_d as f64),
             wr.latency().to_string(),
@@ -72,13 +67,14 @@ fn main() {
             format!("{d_star:.1}"),
         ]);
     }
-    println!();
-    println!("Shape reproduced: catch-up rounds (and write latency) peak when the");
-    println!("reconfiguration rate matches the write's confirm-loop rate (d/D ≈ 0.5");
-    println!("here) — each confirm discovers a fresh configuration, exactly the");
-    println!("regime Lemma 28 bounds. At the extremes the finite chain defuses the");
-    println!("race: very fast reconfigurers exhaust all k configurations before the");
-    println!("slow write starts chasing (rounds drop back to 0), and very slow ones");
-    println!("never extend the sequence mid-write. Lemma 28's non-termination needs");
-    println!("an infinite chain, which no finite execution can exhibit.");
+    out.line("");
+    out.line("Shape reproduced: catch-up rounds (and write latency) peak when the");
+    out.line("reconfiguration rate matches the write's confirm-loop rate (d/D ≈ 0.5");
+    out.line("here) — each confirm discovers a fresh configuration, exactly the");
+    out.line("regime Lemma 28 bounds. At the extremes the finite chain defuses the");
+    out.line("race: very fast reconfigurers exhaust all k configurations before the");
+    out.line("slow write starts chasing (rounds drop back to 0), and very slow ones");
+    out.line("never extend the sequence mid-write. Lemma 28's non-termination needs");
+    out.line("an infinite chain, which no finite execution can exhibit.");
+    out.finish()
 }

@@ -6,19 +6,15 @@
 //! configuration (`c4.Con.propose(c5)`), the `update-config` transfer
 //! and the final `finalize-config`.
 
+use ares_bench::{treas_chain, Report};
 use ares_harness::Scenario;
 use ares_sim::TraceKind;
-use ares_types::{ConfigId, Configuration, ProcessId, Value};
+use ares_types::{ConfigId, ProcessId, Value};
 
-fn chain(len: u32) -> Vec<Configuration> {
-    (0..=len)
-        .map(|i| Configuration::treas(ConfigId(i), (i + 1..=i + 5).map(ProcessId).collect(), 3, 2))
-        .collect()
-}
-
-fn main() {
-    println!("# E9: Figure 1 — execution of recon(c5) after c1..c4 are installed\n");
-    let mut s = Scenario::new(chain(5)).clients([100, 200, 201]).seed(5).with_trace();
+pub fn table() -> String {
+    let mut out = Report::default();
+    out.line("# E9: Figure 1 — execution of recon(c5) after c1..c4 are installed\n");
+    let mut s = Scenario::new(treas_chain(5)).clients([100, 200, 201]).seed(5).with_trace();
     // Install c1..c4 via reconfigurer 200 and write a value.
     s = s.write_at(0, 100, 0, Value::filler(64, 1));
     for i in 1..=4u32 {
@@ -44,11 +40,11 @@ fn main() {
                 // Frame transitions are marked +name / -name; other notes
                 // (e.g. completion summaries) print verbatim.
                 if let Some(name) = text.strip_prefix('+') {
-                    println!("[t={:>6}] ▶ {name}", ev.at);
+                    out.line(format_args!("[t={:>6}] ▶ {name}", ev.at));
                 } else if let Some(name) = text.strip_prefix('-') {
-                    println!("[t={:>6}] ◀ {name}", ev.at);
+                    out.line(format_args!("[t={:>6}] ◀ {name}", ev.at));
                 } else {
-                    println!("[t={:>6}]   {text}", ev.at);
+                    out.line(format_args!("[t={:>6}]   {text}", ev.at));
                 }
             }
             TraceKind::Send { from, to, label, .. }
@@ -57,19 +53,23 @@ fn main() {
                 && *label != last_label =>
             {
                 arrow += 1;
-                println!("[t={:>6}]   arrow {arrow:>2}: {from} → {to},…  {label}", ev.at);
+                out.line(format_args!(
+                    "[t={:>6}]   arrow {arrow:>2}: {from} → {to},…  {label}",
+                    ev.at
+                ));
                 last_label = label.clone();
             }
             _ => {}
         }
     }
     let rec = res.completions.iter().find(|c| c.op.client == rc).expect("recon(c5) completed");
-    println!(
+    out.line(format_args!(
         "\nrecon(c5) completed at t={} having installed {}",
         rec.completed_at,
         rec.installed.unwrap()
-    );
+    ));
     assert_eq!(rec.installed, Some(ConfigId(5)));
-    println!("matches Figure 1: traversal hops through c0..c4, propose on c4,");
-    println!("update-config transfer, finalize-config write-back ✓");
+    out.line("matches Figure 1: traversal hops through c0..c4, propose on c4,");
+    out.line("update-config transfer, finalize-config write-back ✓");
+    out.finish()
 }

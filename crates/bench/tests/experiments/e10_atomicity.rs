@@ -4,10 +4,11 @@
 //! theorems, but a large randomized search that never finds a violation
 //! is the standard experimental counterpart.
 
-use ares_bench::{header, row};
+use ares_bench::Report;
 use ares_harness::{check_atomicity, par_seeds, standard_universe, Scenario, WorkloadSpec};
 
 fn run_family(
+    out: &mut Report,
     name: &str,
     seeds: std::ops::Range<u64>,
     direct: bool,
@@ -45,13 +46,14 @@ fn run_family(
     let ops: usize = results.iter().map(|(c, _, _)| c).sum();
     let viol: usize = results.iter().map(|(_, v, _)| v).sum();
     let sched: usize = results.iter().map(|(_, _, s)| s).sum();
-    println!("  family `{name}`: {ops}/{sched} ops completed, {viol} violations");
+    out.line(format_args!("  family `{name}`: {ops}/{sched} ops completed, {viol} violations"));
     (ops, viol, sched)
 }
 
-fn main() {
-    println!("# E10: atomicity under randomized schedules (Theorems 6/21/29)\n");
-    header(&["family", "seeds", "ops completed", "violations"]);
+pub fn table() -> String {
+    let mut out = Report::default();
+    out.line("# E10: atomicity under randomized schedules (Theorems 6/21/29)\n");
+    out.header(&["family", "seeds", "ops completed", "violations"]);
     let mut total_viol = 0;
     for (name, seeds, direct, crash) in [
         ("plain transfer, no faults", 0..40u64, false, false),
@@ -60,10 +62,11 @@ fn main() {
         ("direct transfer + crashes", 300..340, true, true),
     ] {
         let n = seeds.end - seeds.start;
-        let (ops, viol, _) = run_family(name, seeds, direct, crash);
-        row(&[name.into(), n.to_string(), ops.to_string(), viol.to_string()]);
+        let (ops, viol, _) = run_family(&mut out, name, seeds, direct, crash);
+        out.row(&[name.into(), n.to_string(), ops.to_string(), viol.to_string()]);
         total_viol += viol;
     }
     assert_eq!(total_viol, 0, "atomicity must hold in every execution");
-    println!("\n160 randomized executions, 0 atomicity violations ✓");
+    out.line("\n160 randomized executions, 0 atomicity violations ✓");
+    out.finish()
 }

@@ -4,14 +4,14 @@
 //! directly between the server sets. We measure, per object size, the
 //! bytes that cross the reconfigurer's own links in both modes.
 
-use ares_bench::{header, row};
+use ares_bench::{servers, Report};
 use ares_harness::Scenario;
 use ares_sim::TraceKind;
 use ares_types::{ConfigId, Configuration, OpKind, ProcessId, Value};
 
 fn universe() -> Vec<Configuration> {
     vec![
-        Configuration::treas(ConfigId(0), (1..=5).map(ProcessId).collect(), 3, 2),
+        Configuration::treas(ConfigId(0), servers(5), 3, 2),
         Configuration::treas(ConfigId(1), (6..=10).map(ProcessId).collect(), 4, 2),
     ]
 }
@@ -53,9 +53,10 @@ fn run(size: usize, direct: bool) -> Measured {
     Measured { client_bytes, total_recon_bytes: rec.payload_bytes, recon_latency: rec.latency() }
 }
 
-fn main() {
-    println!("# E11: state transfer through the reconfigurer — plain vs ARES-TREAS\n");
-    header(&[
+pub fn table() -> String {
+    let mut out = Report::default();
+    out.line("# E11: state transfer through the reconfigurer — plain vs ARES-TREAS\n");
+    out.header(&[
         "object bytes",
         "plain: client-link bytes",
         "direct: client-link bytes",
@@ -68,7 +69,7 @@ fn main() {
         let size = 1usize << pow;
         let plain = run(size, false);
         let direct = run(size, true);
-        row(&[
+        out.row(&[
             format!("2^{pow}"),
             plain.client_bytes.to_string(),
             direct.client_bytes.to_string(),
@@ -86,6 +87,7 @@ fn main() {
             "plain ARES relays at least one object's worth through the client"
         );
     }
-    println!("\nSection 5 reproduced: the direct protocol removes the reconfiguration");
-    println!("client as a data conduit (0 payload bytes on its links, at any size) ✓");
+    out.line("\nSection 5 reproduced: the direct protocol removes the reconfiguration");
+    out.line("client as a data conduit (0 payload bytes on its links, at any size) ✓");
+    out.finish()
 }

@@ -7,11 +7,11 @@
 //! around `δ`; we count completed reads and retry rounds (visible as
 //! latency above the no-retry envelope), across seeds.
 
-use ares_bench::{header, row, StaticRig, Stats};
-use ares_types::{ConfigId, Configuration, OpKind, ProcessId};
+use ares_bench::{servers, Report, StaticRig, Stats};
+use ares_types::{ConfigId, Configuration, OpKind};
 
 fn run(delta: usize, writers: usize, seed: u64) -> (bool, u64) {
-    let cfg = Configuration::treas(ConfigId(0), (1..=5).map(ProcessId).collect(), 3, delta);
+    let cfg = Configuration::treas(ConfigId(0), servers(5), 3, delta);
     let mut rig = StaticRig::new(cfg, writers, 1, 10, 60, seed);
     // Settle one base value first.
     rig.write(0, 0, 60, 1_000_000);
@@ -29,11 +29,12 @@ fn run(delta: usize, writers: usize, seed: u64) -> (bool, u64) {
     }
 }
 
-fn main() {
-    println!("# E12: δ-liveness boundary of TREAS reads (Theorem 9)\n");
+pub fn table() -> String {
+    let mut out = Report::default();
+    out.line("# E12: δ-liveness boundary of TREAS reads (Theorem 9)\n");
     let delta = 2usize;
-    println!("n=5, k=3, δ={delta}; W writers concurrent with one read\n");
-    header(&["W", "reads completed", "read latency min/mean/max", "note"]);
+    out.line(format_args!("n=5, k=3, δ={delta}; W writers concurrent with one read\n"));
+    out.header(&["W", "reads completed", "read latency min/mean/max", "note"]);
     for writers in [1usize, delta, delta + 1, 2 * delta, 4 * delta] {
         let mut lats = Vec::new();
         let mut done = 0;
@@ -51,7 +52,7 @@ fn main() {
         } else {
             "> δ: retries possible (GC may outrun the reader)"
         };
-        row(&[
+        out.row(&[
             writers.to_string(),
             format!("{done}/{seeds}"),
             format!("{:.0}/{:.0}/{:.0}", st.min, st.mean, st.max),
@@ -63,7 +64,8 @@ fn main() {
             assert!(st.max <= 240.0, "W ≤ δ reads finish without retries");
         }
     }
-    println!("\nTheorem 9 reproduced: reads with concurrency ≤ δ always complete in");
-    println!("one round; above δ the retry path engages (liveness still holds once");
-    println!("the write burst subsides) ✓");
+    out.line("\nTheorem 9 reproduced: reads with concurrency ≤ δ always complete in");
+    out.line("one round; above δ the retry path engages (liveness still holds once");
+    out.line("the write burst subsides) ✓");
+    out.finish()
 }

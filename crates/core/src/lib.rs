@@ -19,6 +19,8 @@
 //!   state machines, each owned by its parent;
 //! * [`TransferMode`] — plain ARES (the reconfigurer relays data) vs
 //!   ARES-TREAS (coded elements flow directly between server sets);
+//! * [`cost()`] — the steady-state rounds, messages and bytes of one read
+//!   or write, against which the experiment tests check the protocol;
 //! * the unified wire [`Msg`] type tying the sub-protocols together.
 //!
 //! Everything runs inside the deterministic simulator of `ares-sim`,
@@ -58,6 +60,7 @@
 //! ```
 
 mod client;
+mod cost;
 mod frames;
 mod msg;
 pub mod repair;
@@ -66,6 +69,7 @@ pub mod shard;
 pub mod store;
 
 pub use client::{ClientActor, ClientConfig};
+pub use cost::{cost, OpCost};
 pub use frames::TransferMode;
 pub use msg::{CfgMsg, ClientCmd, Invoke, Msg, XferMsg};
 pub use repair::RepairMsg;

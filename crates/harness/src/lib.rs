@@ -14,7 +14,7 @@
 //!   `ares_core::store` API (cheap sessions, ticketed pipelined
 //!   operations) over the deterministic simulator.
 //!
-//! The integration tests under `tests/` and every experiment binary in
+//! The integration tests under `tests/` and the experiments in
 //! `ares-bench` are built from these pieces.
 
 pub mod atomicity;

@@ -466,9 +466,8 @@ impl ScenarioResult {
         &self.completions
     }
 
-    /// Max per-server stored bytes (the paper's storage-cost metric is
-    /// the worst case across servers, summed over all servers for the
-    /// *total* cost).
+    /// Object bytes stored at the end of the run, summed over all
+    /// servers: the paper's *total* storage cost.
     pub fn total_storage_bytes(&self) -> u64 {
         self.storage_bytes.iter().map(|(_, b)| *b).sum()
     }

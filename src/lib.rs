@@ -14,12 +14,10 @@
 //! | [`core`] | `ares-core` | the ARES client/server actors and reconfiguration |
 //! | [`net`] | `ares-net` | real TCP runtime: wire codec, node/client hosts, loopback clusters |
 //! | [`harness`] | `ares-harness` | scenarios, workloads, atomicity checkers |
-//! | [`bench`] | `ares-bench` | experiment rigs shared by the `exp_*` binaries |
 //!
 //! See `README.md` for a map of the workspace and `DESIGN.md` for how the
 //! crates fit the paper's structure.
 
-pub use ares_bench as bench;
 pub use ares_codes as codes;
 pub use ares_consensus as consensus;
 pub use ares_core as core;

@@ -147,7 +147,7 @@ fn direct_transfer_soak() {
 
 #[test]
 fn regression_multi_object_migration_preserves_all_objects() {
-    // Regression for a bug found by exp_atomicity seed 18: `update-config`
+    // Regression for a bug found by E10 (`e10_atomicity.rs`) seed 18: `update-config`
     // migrated only object 0, so writes to other objects could lose their
     // tags when the configuration chain advanced past them (a later write
     // would then reuse a tag). Reconfigurations must migrate *every*

@@ -105,25 +105,12 @@ fn golden_path() -> std::path::PathBuf {
 
 #[test]
 fn client_trace_matches_golden() {
-    let got = transcript();
-    let want = std::fs::read_to_string(golden_path()).expect("golden transcript is committed");
-    assert!(want.lines().count() <= 3_000, "the golden stays reviewable");
-    let first_diff = got.lines().zip(want.lines()).position(|(g, w)| g != w);
-    if let Some(i) = first_diff {
-        panic!(
-            "line {}: got\n  {}\nwant\n  {}",
-            i + 1,
-            got.lines().nth(i).unwrap_or_default(),
-            want.lines().nth(i).unwrap_or_default()
-        );
-    }
-    assert_eq!(got.lines().count(), want.lines().count(), "transcript length");
+    ares_bench::assert_golden(&golden_path(), &transcript());
 }
 
 /// Re-records the golden transcript (run on purpose, see the module doc).
 #[test]
 #[ignore = "rewrites tests/golden/client_trace.txt"]
 fn record() {
-    std::fs::create_dir_all(golden_path().parent().expect("golden dir")).expect("mkdir");
-    std::fs::write(golden_path(), transcript()).expect("write golden");
+    ares_bench::record_golden(&golden_path(), &transcript());
 }
