@@ -8,6 +8,7 @@
 //! threshold works at its exact fault bound.
 
 use ares_bench::{servers, Report, StaticRig};
+use ares_sim::{FaultAction, FaultSchedule};
 use ares_types::{ConfigId, Configuration, OpKind, ProcessId, QuorumSpec};
 
 pub fn table() -> String {
@@ -48,9 +49,9 @@ pub fn table() -> String {
         let f = (n - k) / 2;
         let cfg = Configuration::treas(ConfigId(0), servers(n), k, 2);
         let mut rig = StaticRig::new(cfg, 1, 1, 10, 40, 9);
-        for i in 0..f {
-            rig.world.schedule_crash(0, ProcessId((n - i) as u32));
-        }
+        let crash =
+            |s: FaultSchedule, i| s.at(0, FaultAction::Crash { pid: ProcessId((n - i) as u32) });
+        rig.world.install_faults(&(0..f).fold(FaultSchedule::new(), crash));
         rig.write(1, 0, 90, 1);
         rig.read(5_000, 0);
         let h = rig.run();

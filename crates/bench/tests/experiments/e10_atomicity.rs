@@ -6,6 +6,8 @@
 
 use ares_bench::Report;
 use ares_harness::{check_atomicity, par_seeds, standard_universe, Scenario, WorkloadSpec};
+use ares_sim::{FaultAction, FaultSchedule};
+use ares_types::ProcessId;
 
 fn run_family(
     out: &mut Report,
@@ -37,7 +39,10 @@ fn run_family(
         }
         if crash {
             // Crash one server of the genesis ABD config (tolerated).
-            s = s.crash_at(200 + seed % 1_000, 1 + (seed % 3) as u32);
+            let pid = ProcessId(1 + (seed % 3) as u32);
+            s = s.fault_schedule(
+                FaultSchedule::new().at(200 + seed % 1_000, FaultAction::Crash { pid }),
+            );
         }
         let res = s.run();
         let report = check_atomicity(&res.completions);

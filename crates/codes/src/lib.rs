@@ -186,7 +186,7 @@ pub trait ErasureCode: fmt::Debug + Send + Sync {
     /// that can (Reed-Solomon systematic shards, replication copies)
     /// emit fragments as **zero-copy views of `value`'s own
     /// allocation**, so a `put-data` fan-out of a large value performs
-    /// no deep copy at all. The default falls back to [`encode`].
+    /// no deep copy at all. The default falls back to [`encode`](Self::encode).
     ///
     /// Note the views keep `value`'s allocation alive for as long as a
     /// fragment is retained (in-process stores; the wire codec

@@ -148,9 +148,8 @@ fn run_with_faults(
             }),
         );
     }
-    for &c in crashes {
-        world.schedule_crash(0, ProcessId(c));
-    }
+    let crash = |s: FaultSchedule, &c| s.at(0, FaultAction::Crash { pid: ProcessId(c) });
+    world.install_faults(&crashes.iter().fold(FaultSchedule::new(), crash));
     assert_eq!(world.run(), RunOutcome::Quiescent);
     world.completions().iter().map(|c| c.installed.expect("proposer decided")).collect()
 }

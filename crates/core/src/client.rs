@@ -141,11 +141,6 @@ impl ClientActor {
         &self.cseq
     }
 
-    /// Number of operations currently in flight across all sessions.
-    pub fn inflight_ops(&self) -> usize {
-        self.inflight.len()
-    }
-
     /// Folds a completed operation's discovered sequence into the shared
     /// `cseq`. Completions of concurrent sessions arrive in arbitrary
     /// order, so this must be a join, not an overwrite: statuses only

@@ -79,7 +79,7 @@ pub use store::{OpError, OpTicket, Store, StoreSession};
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ares_sim::{NetworkConfig, RunOutcome, World};
+    use ares_sim::{FaultAction, FaultSchedule, NetworkConfig, RunOutcome, World};
     use ares_types::{ConfigId, ConfigRegistry, Configuration, ObjectId, OpKind, ProcessId, Value};
     use std::sync::Arc;
 
@@ -276,7 +276,7 @@ mod tests {
         let reg = registry();
         let mut w = world_with(&reg, 10, &[(100, ClientConfig::new(ConfigId(0)))], 7);
         // c0 is ABD over 3 servers: tolerate 1 crash.
-        w.schedule_crash(0, ProcessId(3));
+        w.install_faults(&FaultSchedule::new().at(0, FaultAction::Crash { pid: ProcessId(3) }));
         let v = Value::filler(32, 1);
         w.post(1, ENV, ProcessId(100), write(0, 0, v.clone()));
         w.post(2, ENV, ProcessId(100), read(1, 0));

@@ -5,7 +5,7 @@
 //! seed reproduction mirrored that 1:1 — driving N concurrent
 //! operations cost N actors (and, over TCP, N sockets and N blocked
 //! threads). This module inverts the mapping while preserving the
-//! model: a [`Store`] hosts many *logical* clients ([sessions]) over
+//! model: a [`Store`] hosts many *logical* clients ([sessions](StoreSession)) over
 //! one runtime, each session a sequential process in the paper's sense.
 //!
 //! * [`Store::open_session`] is cheap: a counter bump, no new actors,

@@ -516,21 +516,6 @@ impl DapServer {
         }
     }
 
-    /// The highest tag/value pair this server holds for `(cfg, obj)`
-    /// under its configuration's DAP — used by tests and state transfer.
-    pub fn current_tag(&self, cfg_id: ConfigId, obj: ObjectId) -> Option<Tag> {
-        if let Some(s) = self.abd.get(&(cfg_id, obj)) {
-            return Some(s.tag);
-        }
-        if let Some(s) = self.treas.get(&(cfg_id, obj)) {
-            return Some(s.max_tag());
-        }
-        if let Some(s) = self.ldr_dir.get(&(cfg_id, obj)) {
-            return Some(s.tag);
-        }
-        None
-    }
-
     /// Writes a tag/value directly into this server's state for `(cfg,
     /// obj)` — the landing half of state transfer for replicated
     /// configurations (ARES `update-config` writes through `put-data`,

@@ -260,14 +260,6 @@ impl StaticClientActor {
         }
     }
 
-    /// Overrides the template (e.g. to run ABD under A2 in ablation
-    /// tests — unsafe for atomicity unless the DAP satisfies C3).
-    #[must_use]
-    pub fn with_template(mut self, kind: TemplateKind) -> Self {
-        self.kind = kind;
-        self
-    }
-
     fn start_next(&mut self, ctx: &mut Ctx<'_, StaticMsg>) {
         if self.current.is_some() {
             return;
@@ -348,7 +340,7 @@ impl Actor<StaticMsg> for StaticClientActor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ares_sim::{NetworkConfig, World};
+    use ares_sim::{FaultAction, FaultSchedule, NetworkConfig, World};
     use ares_types::{ConfigId, ConfigRegistry, Tag};
 
     fn setup(
@@ -437,7 +429,7 @@ mod tests {
         // n=5, k=3: f = (n-k)/2 = 1 crash tolerated.
         let cfg = Configuration::treas(ConfigId(0), (1..=5).map(ProcessId).collect(), 3, 2);
         let (mut world, _) = setup(cfg, 5, 1, 11);
-        world.schedule_crash(0, ProcessId(5));
+        world.install_faults(&FaultSchedule::new().at(0, FaultAction::Crash { pid: ProcessId(5) }));
         let v = Value::filler(32, 4);
         world.post(1, ENV, ProcessId(100), StaticMsg::Invoke(RegisterOp::Write(v.clone())));
         world.post(2, ENV, ProcessId(100), StaticMsg::Invoke(RegisterOp::Read));

@@ -3,7 +3,7 @@
 //! Three building blocks:
 //!
 //! * [`scenario`] — a declarative builder that assembles an ARES universe
-//!   (configurations, clients, network, crash schedule, invocation
+//!   (configurations, clients, network, fault schedule, invocation
 //!   schedule), runs it in the deterministic simulator and returns the
 //!   completion history plus metrics;
 //! * [`workload`] — seeded random workload generation (writers, readers,

@@ -2,16 +2,15 @@
 //!
 //! A [`Scenario`] describes an ARES universe (the registered
 //! configurations), the clients and their roles, the network delay
-//! bounds `[d, D]`, a schedule of client invocations, and a crash
-//! schedule. Running it yields a [`ScenarioResult`] with the completion
-//! history, metrics and (optionally) the structured trace — everything
-//! the tests, experiments and benches consume.
+//! bounds `[d, D]`, a schedule of client invocations, and a
+//! [`FaultSchedule`]. Running it yields a [`ScenarioResult`] with the
+//! completion history, metrics and (optionally) the structured trace —
+//! everything the tests, experiments and benches consume.
 
 use ares_core::store::session_op_seq;
 use ares_core::{ClientActor, ClientCmd, ClientConfig, Invoke, Msg, ServerActor, TransferMode};
 use ares_sim::{
-    DelayBounds, FaultAction, FaultSchedule, LatencyModel, NetworkConfig, RunOutcome, TraceEvent,
-    World,
+    DelayBounds, FaultSchedule, LatencyModel, NetworkConfig, RunOutcome, TraceEvent, World,
 };
 use ares_types::{
     ConfigId, ConfigRegistry, Configuration, ObjectId, OpCompletion, ProcessId, SessionId, Time,
@@ -35,15 +34,17 @@ pub struct Invocation {
 }
 
 /// What every simulated deployment is built from: the configurations,
-/// the network and its faults, the seed and the event budget. Shared by
-/// [`Scenario`] and [`crate::SimStoreBuilder`].
+/// the network and its faults, the seed, tracing and the event budget.
+/// Shared by [`Scenario`] and [`crate::SimStoreBuilder`].
 pub(crate) struct WorldSpec {
     pub(crate) configs: Vec<Configuration>,
     pub(crate) seed: u64,
     pub(crate) d: Time,
     pub(crate) big_d: Time,
     pub(crate) latency_model: Option<LatencyModel>,
+    pub(crate) client_bounds: Vec<(ProcessId, DelayBounds)>,
     pub(crate) faults: FaultSchedule,
+    pub(crate) trace: bool,
     pub(crate) event_limit: Option<u64>,
 }
 
@@ -56,7 +57,9 @@ impl WorldSpec {
             d: 10,
             big_d: 50,
             latency_model: None,
+            client_bounds: Vec::new(),
             faults: FaultSchedule::new(),
+            trace: false,
             event_limit: None,
         }
     }
@@ -69,13 +72,11 @@ impl WorldSpec {
     }
 
     /// Builds the world: the network (the latency model, or uniform
-    /// `[d, D]`, then `tune`), the fault schedule, tracing, the event
-    /// limit, one server actor per server of any configuration, then the
-    /// clients. Returns the world and its servers.
+    /// `[d, D]`, then the per-client bounds), the fault schedule, tracing,
+    /// the event limit, one server actor per server of any configuration,
+    /// then the clients. Returns the world and its servers.
     pub(crate) fn build(
         self,
-        tune: impl FnOnce(NetworkConfig) -> NetworkConfig,
-        trace: bool,
         clients: Vec<(ProcessId, ClientConfig)>,
     ) -> (World<Msg>, Vec<ProcessId>) {
         let servers = self.servers();
@@ -83,9 +84,13 @@ impl WorldSpec {
         let model = self
             .latency_model
             .unwrap_or(LatencyModel::Uniform(DelayBounds::new(self.d, self.big_d)));
-        let mut world: World<Msg> = World::new(tune(NetworkConfig::with_model(model)), self.seed);
+        let mut net = NetworkConfig::with_model(model);
+        for &(pid, bounds) in &self.client_bounds {
+            net = net.with_client_bounds(pid, bounds);
+        }
+        let mut world: World<Msg> = World::new(net, self.seed);
         world.install_faults(&self.faults);
-        if trace {
+        if self.trace {
             world.enable_trace();
         }
         if let Some(l) = self.event_limit {
@@ -110,14 +115,8 @@ impl WorldSpec {
 pub struct Scenario {
     world: WorldSpec,
     clients: Vec<(ProcessId, ClientConfig)>,
-    client_delay_overrides: Vec<(ProcessId, DelayBounds)>,
     invocations: Vec<Invocation>,
-    crashes: Vec<(Time, ProcessId)>,
-    recovers: Vec<(Time, ProcessId)>,
     repairs: Vec<(Time, ProcessId, ObjectId, ConfigId)>,
-    duplicate_per_mille: u32,
-    reorder: Option<(u32, Time)>,
-    trace: bool,
     transfer_mode: TransferMode,
 }
 
@@ -133,14 +132,8 @@ impl Scenario {
         Scenario {
             world: WorldSpec::new(configs),
             clients: Vec::new(),
-            client_delay_overrides: Vec::new(),
             invocations: Vec::new(),
-            crashes: Vec::new(),
-            recovers: Vec::new(),
             repairs: Vec::new(),
-            duplicate_per_mille: 0,
-            reorder: None,
-            trace: false,
             transfer_mode: TransferMode::Plain,
         }
     }
@@ -163,7 +156,7 @@ impl Scenario {
     /// Enables structured tracing.
     #[must_use]
     pub fn with_trace(mut self) -> Self {
-        self.trace = true;
+        self.world.trace = true;
         self
     }
 
@@ -190,41 +183,15 @@ impl Scenario {
         self
     }
 
-    /// Schedules a fault-plane action at simulated time `at`.
-    #[must_use]
-    pub fn fault_at(mut self, at: Time, action: FaultAction) -> Self {
-        self.world.faults = self.world.faults.at(at, action);
-        self
-    }
-
-    /// Schedules a fault-plane action after `step` processed events.
-    #[must_use]
-    pub fn fault_at_step(mut self, step: u64, action: FaultAction) -> Self {
-        self.world.faults = self.world.faults.at_step(step, action);
-        self
-    }
-
-    /// Installs a pre-built fault schedule (appended to any `fault_at`
-    /// calls).
+    /// Adds `schedule`'s faults — link and gray actions, crashes,
+    /// recoveries, duplication and reorder rates — to the run, merged in
+    /// time order after any added before. A fault fires before an
+    /// invocation scheduled for the same time.
     #[must_use]
     pub fn fault_schedule(mut self, schedule: FaultSchedule) -> Self {
-        self.world.faults.events.extend(schedule.events);
-        self
-    }
-
-    /// Enables probabilistic message duplication from time 0.
-    #[must_use]
-    pub fn duplication(mut self, per_mille: u32) -> Self {
-        self.duplicate_per_mille = per_mille;
-        self
-    }
-
-    /// Enables bounded reorder from time 0: with probability
-    /// `per_mille`/1000 a message is held back up to `extra_max` extra
-    /// time units.
-    #[must_use]
-    pub fn reorder(mut self, per_mille: u32, extra_max: Time) -> Self {
-        self.reorder = Some((per_mille, extra_max));
+        for ev in schedule.events() {
+            self.world.faults = std::mem::take(&mut self.world.faults).at(ev.at, ev.action.clone());
+        }
         self
     }
 
@@ -252,7 +219,7 @@ impl Scenario {
     /// `d` while readers/writers suffer `D`).
     #[must_use]
     pub fn client_delays(mut self, pid: ProcessId, min: Time, max: Time) -> Self {
-        self.client_delay_overrides.push((pid, DelayBounds::new(min, max)));
+        self.world.client_bounds.push((pid, DelayBounds::new(min, max)));
         self
     }
 
@@ -303,20 +270,6 @@ impl Scenario {
         self
     }
 
-    /// Schedules a server crash.
-    #[must_use]
-    pub fn crash_at(mut self, at: Time, pid: u32) -> Self {
-        self.crashes.push((at, ProcessId(pid)));
-        self
-    }
-
-    /// Schedules a server recovery (replacement process reusing the id).
-    #[must_use]
-    pub fn recover_at(mut self, at: Time, pid: u32) -> Self {
-        self.recovers.push((at, ProcessId(pid)));
-        self
-    }
-
     /// Schedules a fragment repair of `(cfg, obj)` on server `pid` (the
     /// repair extension; see `ares_core::repair`).
     #[must_use]
@@ -358,23 +311,7 @@ impl Scenario {
                 (*pid, cfg)
             })
             .collect();
-        let tune = |mut net: NetworkConfig| {
-            for (pid, bounds) in &self.client_delay_overrides {
-                net = net.with_client_bounds(*pid, *bounds);
-            }
-            net.duplicate_per_mille = self.duplicate_per_mille;
-            match self.reorder {
-                Some((pm, extra)) => net.with_reorder(pm, extra),
-                None => net,
-            }
-        };
-        let (mut world, servers) = self.world.build(tune, self.trace, clients);
-        for (at, pid) in &self.crashes {
-            world.schedule_crash(*at, *pid);
-        }
-        for (at, pid) in &self.recovers {
-            world.schedule_recover(*at, *pid);
-        }
+        let (mut world, servers) = self.world.build(clients);
         for (at, pid, obj, cfg) in &self.repairs {
             world.post(
                 *at,
@@ -495,6 +432,7 @@ pub fn standard_registry() -> Arc<ConfigRegistry> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ares_sim::FaultAction;
 
     #[test]
     fn builder_runs_and_checks() {
@@ -515,10 +453,33 @@ mod tests {
     fn crash_schedule_applies() {
         let res = Scenario::new(standard_universe())
             .clients([100])
-            .crash_at(0, 3)
+            .fault_schedule(FaultSchedule::new().at(0, FaultAction::Crash { pid: ProcessId(3) }))
             .write_at(1, 100, 0, Value::filler(16, 2))
             .run();
         res.assert_complete_and_atomic();
+    }
+
+    #[test]
+    fn a_crash_fires_before_a_write_at_the_same_time() {
+        // TREAS [5, 3] tolerates one server crash. At t = 100 server 5
+        // and client 101 crash and clients 100 and 101 each invoke a
+        // write; every crash fires before every invocation.
+        let treas5 =
+            vec![Configuration::treas(ConfigId(0), (1..=5).map(ProcessId).collect(), 3, 2)];
+        let crashes = FaultSchedule::new()
+            .at(100, FaultAction::Crash { pid: ProcessId(5) })
+            .at(100, FaultAction::Crash { pid: ProcessId(101) });
+        let res = Scenario::new(treas5)
+            .clients([100, 101])
+            .write_at(100, 100, 0, Value::filler(60, 1))
+            .write_at(100, 101, 0, Value::filler(60, 2))
+            .fault_schedule(crashes)
+            .run();
+        assert_eq!(res.completions.len(), 1, "client 101 crashed before its write began");
+        assert_eq!(res.completions[0].op.client, ProcessId(100));
+        let stored = |pid| res.storage_bytes.iter().find(|(p, _)| *p == ProcessId(pid)).unwrap().1;
+        assert_eq!(stored(5), 0, "server 5 crashed before the write reached it");
+        assert_eq!(stored(4), 20, "one coded element of ⌈60 / 3⌉ bytes: one write stored");
     }
 
     #[test]

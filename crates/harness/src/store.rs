@@ -14,20 +14,21 @@
 
 use ares_core::store::{session_op_seq, Store, StoreSession};
 use ares_core::{ClientCmd, Invoke, Msg, OpError, OpTicket};
-use ares_sim::{FaultAction, FaultSchedule, LatencyModel, RunOutcome, World};
+use ares_sim::{FaultSchedule, RunOutcome, World};
 use ares_types::{Configuration, ObjectId, OpCompletion, OpId, ProcessId, SessionId, Time};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
-/// The environment pseudo-process used as the source of injections.
 use crate::scenario::{WorldSpec, ENV};
+
+/// The host process all sessions multiplex onto.
+const HOST: ProcessId = ProcessId(100);
 
 /// Builder for a [`SimStore`].
 pub struct SimStoreBuilder {
     world: WorldSpec,
     objects: Vec<ObjectId>,
-    client: ProcessId,
 }
 
 impl SimStoreBuilder {
@@ -39,11 +40,7 @@ impl SimStoreBuilder {
     /// Panics if `configs` is empty.
     pub fn new(configs: Vec<Configuration>) -> Self {
         assert!(!configs.is_empty(), "a deployment needs at least c_0");
-        SimStoreBuilder {
-            world: WorldSpec::new(configs),
-            objects: vec![ObjectId(0)],
-            client: ProcessId(100),
-        }
+        SimStoreBuilder { world: WorldSpec::new(configs), objects: vec![ObjectId(0)] }
     }
 
     /// Declares the objects reconfigurations must migrate (defaults to
@@ -55,40 +52,10 @@ impl SimStoreBuilder {
         self
     }
 
-    /// The host process id all sessions multiplex onto (default 100).
-    #[must_use]
-    pub fn client_pid(mut self, pid: u32) -> Self {
-        self.client = ProcessId(pid);
-        self
-    }
-
     /// Sets the RNG seed.
     #[must_use]
     pub fn seed(mut self, seed: u64) -> Self {
         self.world.seed = seed;
-        self
-    }
-
-    /// Sets the network delay bounds `[d, D]`.
-    #[must_use]
-    pub fn delays(mut self, d: Time, big_d: Time) -> Self {
-        self.world.d = d;
-        self.world.big_d = big_d;
-        self
-    }
-
-    /// Replaces the default uniform `[d, D]` link with an arbitrary
-    /// latency model (e.g. [`LatencyModel::wan`]).
-    #[must_use]
-    pub fn latency_model(mut self, model: LatencyModel) -> Self {
-        self.world.latency_model = Some(model);
-        self
-    }
-
-    /// Installs a fault schedule, fired deterministically mid-run.
-    #[must_use]
-    pub fn fault_schedule(mut self, schedule: FaultSchedule) -> Self {
-        self.world.faults.events.extend(schedule.events);
         self
     }
 
@@ -100,25 +67,14 @@ impl SimStoreBuilder {
     }
 
     /// Builds the world: every server of every configuration plus one
-    /// multiplexing client actor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the client host id is at or above 2^16 (that space is
-    /// reserved for session writer ids).
+    /// multiplexing client actor, with uniform delays in `[10, 50]`.
     pub fn build(self) -> SimStore {
-        assert!(
-            self.client.0 < ares_core::store::MAX_SESSIONS,
-            "client host id {} is reserved for session writer ids (hosts must stay below 2^16)",
-            self.client
-        );
         let c0 = self.world.configs[0].id;
         let cfg = ares_core::ClientConfig::new(c0).with_objects(self.objects);
-        let (world, _) = self.world.build(|net| net, false, vec![(self.client, cfg)]);
+        let (world, _) = self.world.build(vec![(HOST, cfg)]);
         SimStore {
             inner: Rc::new(RefCell::new(SimInner {
                 world,
-                client: self.client,
                 next_session: 0,
                 done: HashMap::new(),
                 history: Vec::new(),
@@ -129,7 +85,6 @@ impl SimStoreBuilder {
 
 struct SimInner {
     world: World<Msg>,
-    client: ProcessId,
     next_session: u32,
     /// Completions routed by `OpId`, awaiting their ticket.
     done: HashMap<OpId, OpCompletion>,
@@ -167,25 +122,10 @@ impl SimStore {
         self.inner.borrow().world.now()
     }
 
-    /// Schedules a server crash at simulated time `at`.
-    pub fn schedule_crash(&self, at: Time, pid: u32) {
-        self.inner.borrow_mut().world.schedule_crash(at, ProcessId(pid));
-    }
-
-    /// Schedules a server recovery at simulated time `at`.
-    pub fn schedule_recover(&self, at: Time, pid: u32) {
-        self.inner.borrow_mut().world.schedule_recover(at, ProcessId(pid));
-    }
-
-    /// Schedules a fault-plane action at simulated time `at`.
-    pub fn schedule_fault(&self, at: Time, action: FaultAction) {
-        self.inner.borrow_mut().world.schedule_fault(at, action);
-    }
-
-    /// Fault-plane interference events so far (drops + duplicates +
-    /// reorders + schedule actions).
-    pub fn faults_injected(&self) -> u64 {
-        self.inner.borrow().world.metrics().faults_injected()
+    /// Installs `schedule` into the running world: its times are
+    /// absolute simulated times, as [`SimStore::now`] reads them.
+    pub fn install_faults(&self, schedule: &FaultSchedule) {
+        self.inner.borrow_mut().world.install_faults(schedule);
     }
 
     /// Replaces the event budget (livelock guard) on the running world.
@@ -203,15 +143,6 @@ impl SimStore {
         let out = inner.world.run();
         inner.drain();
         out
-    }
-
-    /// Processes one pending event, if any (`false` once the world
-    /// cannot continue).
-    pub fn step(&self) -> bool {
-        let mut inner = self.inner.borrow_mut();
-        let stopped = inner.world.step_one().is_some();
-        inner.drain();
-        !stopped
     }
 
     /// The complete history so far, in completion order.
@@ -246,17 +177,16 @@ impl StoreSession for SimSession {
     }
 
     fn client(&self) -> ProcessId {
-        self.inner.borrow().client
+        HOST
     }
 
     fn submit(&mut self, cmd: ClientCmd) -> Result<SimTicket, OpError> {
         let mut inner = self.inner.borrow_mut();
         let seq = session_op_seq(self.id, self.next);
         self.next += 1;
-        let client = inner.client;
         let now = inner.world.now();
-        inner.world.post(now, ENV, client, Msg::Invoke(Invoke { session: self.id, seq, cmd }));
-        Ok(SimTicket { inner: self.inner.clone(), op: OpId { client, seq } })
+        inner.world.post(now, ENV, HOST, Msg::Invoke(Invoke { session: self.id, seq, cmd }));
+        Ok(SimTicket { inner: self.inner.clone(), op: OpId { client: HOST, seq } })
     }
 }
 
@@ -290,7 +220,7 @@ impl OpTicket for SimTicket {
             if let Some(c) = inner.done.remove(&self.op) {
                 return Ok(c);
             }
-            if inner.world.step_one().is_some() {
+            if inner.world.step().is_some() {
                 inner.drain();
                 return match inner.done.remove(&self.op) {
                     Some(c) => Ok(c),
@@ -305,6 +235,7 @@ impl OpTicket for SimTicket {
 mod tests {
     use super::*;
     use crate::check_atomicity;
+    use ares_sim::FaultAction;
     use ares_types::{ConfigId, Value};
 
     fn treas53() -> Vec<Configuration> {
@@ -339,15 +270,16 @@ mod tests {
         let mut a = store.open_session();
         // Crash 2 of 5 servers: the TREAS [5,3] quorum ⌈(5+3)/2⌉ = 4 is
         // unreachable, so the write can never gather its acks.
-        store.schedule_crash(0, 4);
-        store.schedule_crash(0, 5);
+        let crash = |pid| FaultAction::Crash { pid: ProcessId(pid) };
+        store.install_faults(&FaultSchedule::new().at(0, crash(4)).at(0, crash(5)));
         let t = a.write(ObjectId(0), Value::filler(32, 9)).unwrap();
         let err = t.wait().unwrap_err();
         assert!(matches!(err, OpError::Timeout { .. }), "typed timeout, got {err:?}");
         // The store is not poisoned: recover the servers, extend the
         // budget, and a fresh session completes normally.
-        store.schedule_recover(store.now() + 1, 4);
-        store.schedule_recover(store.now() + 1, 5);
+        let recover = |pid| FaultAction::Recover { pid: ProcessId(pid) };
+        let at = store.now() + 1;
+        store.install_faults(&FaultSchedule::new().at(at, recover(4)).at(at, recover(5)));
         store.set_event_limit(1_000_000);
         let mut b = store.open_session();
         let t = b.write(ObjectId(0), Value::filler(32, 10)).unwrap();

@@ -634,9 +634,9 @@ fn frame_capacity(arrived: usize, len: usize) -> usize {
 /// error. Never panics.
 ///
 /// The payload is copied once, out of `r`'s buffer into one allocation
-/// of exactly the frame's length (see [`frame_capacity`]), and that
-/// allocation *becomes* the [`Bytes`] the decoded [`Fragment`]s and
-/// [`Value`]s slice: never zero-filled first, never copied again.
+/// of exactly the frame's length, and that allocation *becomes* the
+/// [`Bytes`] the decoded [`Fragment`]s and [`Value`]s slice: never
+/// zero-filled first, never copied again.
 pub fn read_frame(r: &mut impl BufRead) -> io::Result<Option<(ProcessId, Msg)>> {
     crate::sync::off_loop("socket read");
     // Read the first prefix byte separately so only a close *between*

@@ -17,7 +17,7 @@ use crate::faults::FaultControls;
 use crate::runtime::{AddrBook, NetStore, ShardedNode, ENV};
 use crate::wal::{RecoveryReport, WalConfig};
 use ares_core::{ClientConfig, Msg, RepairMsg};
-use ares_sim::{FaultAction, FaultSchedule, FaultTrigger, NetworkConfig};
+use ares_sim::{FaultAction, FaultSchedule, NetworkConfig};
 use ares_types::{ConfigId, ConfigRegistry, Configuration, ObjectId, ProcessId};
 use ares_wal::TempDir;
 use std::collections::{BTreeSet, HashMap, HashSet};
@@ -391,33 +391,29 @@ impl LocalCluster {
     }
 
     /// Plays `schedule` against the deployment as [`LocalCluster::apply`]
-    /// describes, blocking until its last fault is applied: `AtTime(t)`
-    /// fires `t` µs of wall clock after the call, in time order as the
-    /// simulator fires it. Run it on a scoped thread to overlap a load.
+    /// describes, blocking until its last fault is applied: an event at
+    /// `t` fires `t` µs of wall clock after the call, in time order as
+    /// the simulator fires it. Run it on a scoped thread to overlap a
+    /// load.
     ///
     /// # Errors
     ///
-    /// `ErrorKind::Unsupported`, before anything is applied, for an
-    /// `AtStep` trigger, `SetDuplication` or `SetReorder`: TCP counts no
-    /// global steps and neither duplicates nor reorders.
+    /// `ErrorKind::Unsupported`, before anything is applied, for
+    /// `SetDuplication` or `SetReorder`: TCP neither duplicates nor
+    /// reorders.
     pub fn run_schedule(&self, schedule: &FaultSchedule) -> io::Result<()> {
-        let mut timed = Vec::with_capacity(schedule.len());
-        for ev in &schedule.events {
-            match (ev.trigger, &ev.action) {
-                (_, FaultAction::SetDuplication { .. } | FaultAction::SetReorder { .. })
-                | (FaultTrigger::AtStep(_), _) => {
-                    return Err(io::Error::new(io::ErrorKind::Unsupported, ev.to_string()));
-                }
-                (FaultTrigger::AtTime(t), action) => timed.push((t, action)),
-            }
+        let sim_only = |a: &FaultAction| {
+            matches!(a, FaultAction::SetDuplication { .. } | FaultAction::SetReorder { .. })
+        };
+        if let Some(ev) = schedule.events().iter().find(|ev| sim_only(&ev.action)) {
+            return Err(io::Error::new(io::ErrorKind::Unsupported, ev.to_string()));
         }
-        timed.sort_by_key(|&(t, _)| t);
         let start = Instant::now();
-        for (t, action) in timed {
-            if let Some(wait) = Duration::from_micros(t).checked_sub(start.elapsed()) {
+        for ev in schedule.events() {
+            if let Some(wait) = Duration::from_micros(ev.at).checked_sub(start.elapsed()) {
                 crate::sync::sleep(wait);
             }
-            match action {
+            match &ev.action {
                 FaultAction::Crash { pid } => self.kill(pid.0),
                 FaultAction::Recover { pid } => self.restart(pid.0),
                 link_or_gray => self.project(link_or_gray),
@@ -515,9 +511,10 @@ mod tests {
         let cluster = treas5()?;
         let refused = |r: io::Result<()>| r.is_err_and(|e| e.kind() == io::ErrorKind::Unsupported);
         assert!(refused(cluster.apply(&FaultAction::SetDuplication { per_mille: 100 })));
-        // A TCP-injectable cut, refused for the step trigger beside it.
+        // A TCP-injectable cut, refused for the reorder beside it.
         let cut = FaultAction::CutLink { from: ProcessId(100), to: ProcessId(1) };
-        let schedule = FaultSchedule::new().at(0, cut).at_step(5, FaultAction::HealAll);
+        let reorder = FaultAction::SetReorder { per_mille: 100, extra_max: 40 };
+        let schedule = FaultSchedule::new().at(0, cut).at(5, reorder);
         assert!(refused(cluster.run_schedule(&schedule)));
         let mut session = cluster.store(100).open_session();
         let ticket = session.write(ObjectId(0), ares_types::Value::filler(64, 1));

@@ -5,16 +5,17 @@
 //! atomic store are not clean crashes but the messy regimes around them:
 //! links that die in one direction only, nodes that stay alive but run
 //! 10–100× slow (gray failures), channels that duplicate or reorder, and
-//! churn — crash/repair waves overlapping reconfigurations. A
+//! churn — crash/recovery waves overlapping reconfigurations. A
 //! [`FaultSchedule`] scripts those regimes against a deterministic
-//! [`crate::World`]: every action fires either at a simulated time or
-//! after a number of processed events, so a (seed, schedule) pair replays
-//! bit-identically.
+//! [`crate::World`]: every action fires at a simulated time, so a (seed,
+//! schedule) pair replays bit-identically. It is the only way a fault
+//! reaches a simulated run: crashes, recoveries and the duplication and
+//! reorder rates included.
 
 use ares_types::{ProcessId, Time};
 use std::fmt;
 
-/// One fault-plane mutation, applied atomically at its trigger point.
+/// One fault-plane mutation, applied atomically at its scheduled time.
 ///
 /// Network actions mutate the [`crate::NetworkConfig`] owned by the
 /// world; `Crash`/`Recover` act on the process itself.
@@ -129,52 +130,32 @@ impl fmt::Display for FaultAction {
     }
 }
 
-/// When a scheduled fault fires.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultTrigger {
-    /// At simulated time `t` (before any event scheduled later than `t`).
-    AtTime(Time),
-    /// Once the world has processed at least this many events. Step
-    /// triggers hit "somewhere in the middle of the protocol" without
-    /// knowing timings in advance — useful for schedules that must stay
-    /// interesting as protocol latencies change.
-    AtStep(u64),
-}
-
-impl fmt::Display for FaultTrigger {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FaultTrigger::AtTime(t) => write!(f, "t={t}"),
-            FaultTrigger::AtStep(s) => write!(f, "step={s}"),
-        }
-    }
-}
-
-/// One scheduled fault.
+/// One scheduled fault: `action` at simulated time `at`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultEvent {
     /// When it fires.
-    pub trigger: FaultTrigger,
+    pub at: Time,
     /// What happens.
     pub action: FaultAction,
 }
 
 impl fmt::Display for FaultEvent {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}: {}", self.trigger, self.action)
+        write!(f, "t={}: {}", self.at, self.action)
     }
 }
 
-/// An ordered script of fault actions, installed into a world with
+/// A time-ordered script of fault actions, installed into a world with
 /// [`crate::World::install_faults`].
 ///
 /// The schedule is data, not behavior: it can be cloned, printed (each
-/// event `Display`s as `t=500: cut_link 1->4`) and embedded in benchmark
-/// artifacts so a chaos run is replayable from (seed, schedule) alone.
+/// event `Display`s as `t=500: cut_link p1->p4`) and embedded in
+/// benchmark artifacts so a chaos run is replayable from (seed, schedule)
+/// alone.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultSchedule {
-    /// The scheduled faults, in insertion order.
-    pub events: Vec<FaultEvent>,
+    /// Sorted by time; events at one time keep their insertion order.
+    events: Vec<FaultEvent>,
 }
 
 impl FaultSchedule {
@@ -183,38 +164,18 @@ impl FaultSchedule {
         Self::default()
     }
 
-    /// Schedules `action` at simulated time `at` (builder style).
+    /// Schedules `action` at simulated time `at`, after every event
+    /// already scheduled at or before `at` (builder style).
     #[must_use]
     pub fn at(mut self, at: Time, action: FaultAction) -> Self {
-        self.events.push(FaultEvent { trigger: FaultTrigger::AtTime(at), action });
+        let i = self.events.partition_point(|e| e.at <= at);
+        self.events.insert(i, FaultEvent { at, action });
         self
     }
 
-    /// Schedules `action` once `step` events have been processed.
-    #[must_use]
-    pub fn at_step(mut self, step: u64, action: FaultAction) -> Self {
-        self.events.push(FaultEvent { trigger: FaultTrigger::AtStep(step), action });
-        self
-    }
-
-    /// Pushes an event (non-builder form).
-    pub fn push(&mut self, trigger: FaultTrigger, action: FaultAction) {
-        self.events.push(FaultEvent { trigger, action });
-    }
-
-    /// Human/JSON-readable one-line-per-event rendering.
-    pub fn describe(&self) -> Vec<String> {
-        self.events.iter().map(|e| e.to_string()).collect()
-    }
-
-    /// Number of scheduled events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether the schedule is empty.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+    /// The scheduled faults, in the order they fire.
+    pub fn events(&self) -> &[FaultEvent] {
+        &self.events
     }
 }
 
@@ -226,13 +187,19 @@ mod tests {
     fn builder_orders_and_describes() {
         let s = FaultSchedule::new()
             .at(100, FaultAction::CutLink { from: ProcessId(1), to: ProcessId(2) })
-            .at_step(50, FaultAction::HealAll)
-            .at(200, FaultAction::Grayify { pid: ProcessId(3), factor: 40 });
-        assert_eq!(s.len(), 3);
-        let d = s.describe();
-        assert_eq!(d[0], "t=100: cut_link p1->p2");
-        assert_eq!(d[1], "step=50: heal_all");
-        assert_eq!(d[2], "t=200: grayify p3 x40");
+            .at(200, FaultAction::Grayify { pid: ProcessId(3), factor: 40 })
+            .at(50, FaultAction::HealAll)
+            .at(100, FaultAction::Ungray { pid: ProcessId(3) });
+        let d: Vec<String> = s.events().iter().map(|e| e.to_string()).collect();
+        assert_eq!(
+            d,
+            [
+                "t=50: heal_all",
+                "t=100: cut_link p1->p2",
+                "t=100: ungray p3",
+                "t=200: grayify p3 x40",
+            ]
+        );
     }
 
     #[test]

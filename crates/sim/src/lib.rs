@@ -12,10 +12,11 @@
 //!   a delay sampled uniformly from `[d, D]` (unless the destination has
 //!   crashed);
 //! * crash faults: a crashed process silently stops taking steps;
-//! * an adversarial fault plane beyond the paper's base model: per-link
-//!   latency distributions (heavy-tailed WAN profiles), asymmetric
-//!   partitions, gray (slow-but-alive) nodes, probabilistic duplication
-//!   and bounded reorder — scripted mid-run via a [`FaultSchedule`] and
+//! * an adversarial fault plane beyond the paper's base model: a
+//!   heavy-tailed WAN latency profile, asymmetric partitions, gray
+//!   (slow-but-alive) nodes, recoveries, probabilistic duplication and
+//!   bounded reorder — every fault, crashes included, scripted by a
+//!   [`FaultSchedule`] installed with [`World::install_faults`], and
 //!   still bit-deterministic given the seed;
 //! * per-operation metrics (message counts and payload bytes), which is how
 //!   the communication costs of Theorem 3 are measured;
@@ -57,7 +58,7 @@ mod network;
 mod trace;
 mod world;
 
-pub use faults::{FaultAction, FaultEvent, FaultSchedule, FaultTrigger};
+pub use faults::{FaultAction, FaultEvent, FaultSchedule};
 pub use metrics::{Metrics, OpMetrics};
 pub use network::{DelayBounds, LatencyModel, NetworkConfig};
 pub use trace::{TraceEvent, TraceKind};

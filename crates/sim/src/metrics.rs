@@ -69,11 +69,6 @@ impl Metrics {
     pub fn op(&self, op: OpId) -> OpMetrics {
         self.per_op.get(&op).copied().unwrap_or_default()
     }
-
-    /// Iterates over all per-operation entries.
-    pub fn ops(&self) -> impl Iterator<Item = (&OpId, &OpMetrics)> {
-        self.per_op.iter()
-    }
 }
 
 #[cfg(test)]

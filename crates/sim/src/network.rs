@@ -3,13 +3,13 @@
 //! and bounded reorder.
 //!
 //! The base model is the paper's: every message is delivered after a
-//! delay in `[d, D]` (Section 4.4). On top of that, [`NetworkConfig`] is
-//! a composable fault plane — per-link latency models (including
-//! heavy-tailed WAN profiles), asymmetric partitions, per-node gray
-//! factors and probabilistic duplication/reorder — mutated mid-run by
-//! [`crate::FaultAction`]s. All sampling draws from the world's seeded
-//! RNG, so an execution stays a deterministic function of
-//! (actors, injected events, seed, fault schedule).
+//! delay in `[d, D]` (Section 4.4), or after a sample of a heavy-tailed
+//! WAN profile. On top of that, [`NetworkConfig`] is a fault plane —
+//! asymmetric partitions, per-node gray factors and probabilistic
+//! duplication/reorder — changed mid-run only by [`crate::FaultAction`]s.
+//! All sampling draws from the world's seeded RNG, so an execution stays
+//! a deterministic function of (actors, injected events, seed, fault
+//! schedule).
 
 use crate::faults::FaultAction;
 use ares_types::{ProcessId, Time};
@@ -48,7 +48,7 @@ impl DelayBounds {
     }
 }
 
-/// A per-link delivery-delay distribution.
+/// A delivery-delay distribution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LatencyModel {
     /// Uniform in `[min, max]` — the paper's `[d, D]` channel.
@@ -95,46 +95,35 @@ impl LatencyModel {
             }
         }
     }
-
-    /// The smallest delay this model can produce.
-    pub fn min_delay(&self) -> Time {
-        match self {
-            LatencyModel::Uniform(b) => b.min,
-            LatencyModel::HeavyTail { base, .. } => base.min,
-        }
-    }
 }
 
 /// The network configuration of an execution — the sim-side fault plane.
 ///
-/// Delay resolution for a message `from → to` belonging to an operation
-/// of client `c`: a per-link model for `(from, to)` wins; else a
-/// per-client override for `c` wins (the paper's Section 4.4 worst-case
-/// constructions: "reconfiguration operations may communicate respecting
-/// the minimum delay d, whereas read and write operations suffer the
-/// maximum delay D"); else the default model applies. The sampled delay
-/// is then inflated by the gray factors of both endpoints.
+/// Delay resolution for a message belonging to an operation of client
+/// `c`: a per-client override for `c` wins (the paper's Section 4.4
+/// worst-case constructions: "reconfiguration operations may communicate
+/// respecting the minimum delay d, whereas read and write operations
+/// suffer the maximum delay D"); else the default model applies. The
+/// sampled delay is then inflated by the gray factors of both endpoints.
 ///
-/// Cut links, gray factors and duplication/reorder rates are *mutable
-/// mid-run* via [`NetworkConfig::apply`], which the world invokes from
-/// its [`crate::FaultSchedule`].
+/// Cut links, gray factors and duplication/reorder rates change only
+/// through [`NetworkConfig::apply`], which the world invokes from its
+/// [`crate::FaultSchedule`].
 #[derive(Debug, Clone)]
 pub struct NetworkConfig {
-    /// Default latency model for links without an override.
-    pub default: LatencyModel,
+    /// Latency model for messages without a per-client override.
+    default: LatencyModel,
     /// Per-client overrides: messages of ops invoked by this client use
-    /// these bounds instead (unless a per-link model applies).
-    pub per_client: HashMap<ProcessId, DelayBounds>,
-    /// Per-directed-link latency models, keyed `(from, to)`.
-    pub per_link: HashMap<(ProcessId, ProcessId), LatencyModel>,
+    /// these bounds instead.
+    per_client: HashMap<ProcessId, DelayBounds>,
     /// Probability (in 1/1000 units) that a send is delivered twice, the
     /// copy at an independently sampled delay.
-    pub duplicate_per_mille: u32,
+    pub(crate) duplicate_per_mille: u32,
     /// Probability (in 1/1000 units) that a message is held back an extra
     /// `1..=reorder_extra_max` units, letting later sends overtake it.
-    pub reorder_per_mille: u32,
+    pub(crate) reorder_per_mille: u32,
     /// Maximum extra holding delay for reordered messages.
-    pub reorder_extra_max: Time,
+    pub(crate) reorder_extra_max: Time,
     /// Directed dead links: `(from, to)` present means `from → to` drops.
     blocked: HashSet<(ProcessId, ProcessId)>,
     /// Gray nodes: delay inflation factor per process (absent = 1×).
@@ -161,7 +150,6 @@ impl NetworkConfig {
         NetworkConfig {
             default: model,
             per_client: HashMap::new(),
-            per_link: HashMap::new(),
             duplicate_per_mille: 0,
             reorder_per_mille: 0,
             reorder_extra_max: 0,
@@ -177,62 +165,26 @@ impl NetworkConfig {
         self
     }
 
-    /// Adds a per-link latency model for the directed link `from → to`
-    /// (builder style).
-    #[must_use]
-    pub fn with_link_model(mut self, from: ProcessId, to: ProcessId, model: LatencyModel) -> Self {
-        self.per_link.insert((from, to), model);
-        self
-    }
-
-    /// Sets the duplication rate (builder style).
-    #[must_use]
-    pub fn with_duplication(mut self, per_mille: u32) -> Self {
-        self.duplicate_per_mille = per_mille;
-        self
-    }
-
-    /// Sets the bounded-reorder parameters (builder style).
-    #[must_use]
-    pub fn with_reorder(mut self, per_mille: u32, extra_max: Time) -> Self {
-        self.reorder_per_mille = per_mille;
-        self.reorder_extra_max = extra_max;
-        self
-    }
-
-    /// The latency model applying to one message.
-    pub fn model_for(
-        &self,
-        from: ProcessId,
-        to: ProcessId,
-        op_client: Option<ProcessId>,
-    ) -> LatencyModel {
-        if let Some(m) = self.per_link.get(&(from, to)) {
-            return *m;
+    /// The latency model applying to a message of `op_client`'s operation.
+    fn model_for(&self, op_client: Option<ProcessId>) -> LatencyModel {
+        match op_client.and_then(|c| self.per_client.get(&c)) {
+            Some(b) => LatencyModel::Uniform(*b),
+            None => self.default,
         }
-        if let Some(b) = op_client.and_then(|c| self.per_client.get(&c)) {
-            return LatencyModel::Uniform(*b);
-        }
-        self.default
     }
 
     /// Samples the delivery delay for one message, including gray-node
     /// inflation of both endpoints.
-    pub fn delay_for(
+    pub(crate) fn delay_for(
         &self,
         from: ProcessId,
         to: ProcessId,
         op_client: Option<ProcessId>,
         rng: &mut StdRng,
     ) -> Time {
-        let base = self.model_for(from, to, op_client).sample(rng);
-        base.saturating_mul(self.gray_inflation(from, to))
-    }
-
-    /// Combined gray inflation factor for a `from → to` message (1 when
-    /// neither endpoint is gray).
-    pub fn gray_inflation(&self, from: ProcessId, to: ProcessId) -> Time {
-        (self.gray_factor(from) as Time).saturating_mul(self.gray_factor(to) as Time)
+        let base = self.model_for(op_client).sample(rng);
+        let gray = (self.gray_factor(from) as Time).saturating_mul(self.gray_factor(to) as Time);
+        base.saturating_mul(gray)
     }
 
     /// The gray factor of `pid` (1 = healthy).
@@ -245,65 +197,35 @@ impl NetworkConfig {
         self.blocked.contains(&(from, to))
     }
 
-    /// Number of currently cut directed links.
-    pub fn blocked_links(&self) -> usize {
-        self.blocked.len()
-    }
-
-    /// Cuts the directed link `from → to`.
-    pub fn cut_link(&mut self, from: ProcessId, to: ProcessId) {
-        self.blocked.insert((from, to));
-    }
-
-    /// Restores the directed link `from → to`.
-    pub fn heal_link(&mut self, from: ProcessId, to: ProcessId) {
-        self.blocked.remove(&(from, to));
-    }
-
-    /// Restores every cut link.
-    pub fn heal_all(&mut self) {
-        self.blocked.clear();
-    }
-
-    /// Sets the gray factor of `pid` (pass 1 to restore).
-    pub fn set_gray(&mut self, pid: ProcessId, factor: u32) {
-        if factor <= 1 {
-            self.gray.remove(&pid);
-        } else {
-            self.gray.insert(pid, factor);
-        }
-    }
-
-    /// Cuts every link between distinct groups, both directions.
-    pub fn partition(&mut self, groups: &[Vec<ProcessId>]) {
-        for (i, ga) in groups.iter().enumerate() {
-            for gb in groups.iter().skip(i + 1) {
-                for &a in ga {
-                    for &b in gb {
-                        self.cut_link(a, b);
-                        self.cut_link(b, a);
-                    }
-                }
-            }
-        }
-    }
-
     /// Applies one network-level fault action.
     ///
     /// `Crash`/`Recover` are process-level and ignored here — the world
     /// routes those to its own crash set before delegating the rest.
     pub fn apply(&mut self, action: &FaultAction) {
         match action {
-            FaultAction::CutLink { from, to } => self.cut_link(*from, *to),
-            FaultAction::CutBoth { a, b } => {
-                self.cut_link(*a, *b);
-                self.cut_link(*b, *a);
+            FaultAction::CutLink { from, to } => {
+                self.blocked.insert((*from, *to));
             }
-            FaultAction::Partition { groups } => self.partition(groups),
-            FaultAction::HealLink { from, to } => self.heal_link(*from, *to),
-            FaultAction::HealAll => self.heal_all(),
-            FaultAction::Grayify { pid, factor } => self.set_gray(*pid, *factor),
-            FaultAction::Ungray { pid } => self.set_gray(*pid, 1),
+            FaultAction::CutBoth { a, b } => self.blocked.extend([(*a, *b), (*b, *a)]),
+            FaultAction::Partition { groups } => {
+                for (i, ga) in groups.iter().enumerate() {
+                    for gb in &groups[i + 1..] {
+                        for &a in ga {
+                            self.blocked.extend(gb.iter().flat_map(|&b| [(a, b), (b, a)]));
+                        }
+                    }
+                }
+            }
+            FaultAction::HealLink { from, to } => {
+                self.blocked.remove(&(*from, *to));
+            }
+            FaultAction::HealAll => self.blocked.clear(),
+            FaultAction::Grayify { pid, factor } if *factor > 1 => {
+                self.gray.insert(*pid, *factor);
+            }
+            FaultAction::Grayify { pid, .. } | FaultAction::Ungray { pid } => {
+                self.gray.remove(pid);
+            }
             FaultAction::SetDuplication { per_mille } => self.duplicate_per_mille = *per_mille,
             FaultAction::SetReorder { per_mille, extra_max } => {
                 self.reorder_per_mille = *per_mille;
@@ -346,31 +268,10 @@ mod tests {
     fn per_client_override_resolution() {
         let fast = DelayBounds::new(1, 2);
         let cfg = NetworkConfig::uniform(10, 20).with_client_bounds(ProcessId(9), fast);
-        let p = |n| ProcessId(n);
-        assert_eq!(cfg.model_for(p(1), p(2), Some(p(9))), LatencyModel::Uniform(fast));
-        assert_eq!(
-            cfg.model_for(p(1), p(2), Some(p(1))),
-            LatencyModel::Uniform(DelayBounds::new(10, 20))
-        );
-        assert_eq!(
-            cfg.model_for(p(1), p(2), None),
-            LatencyModel::Uniform(DelayBounds::new(10, 20))
-        );
-    }
-
-    #[test]
-    fn per_link_beats_per_client() {
-        let p = |n| ProcessId(n);
-        let wan = LatencyModel::wan(100, 200);
-        let cfg = NetworkConfig::uniform(10, 20)
-            .with_client_bounds(p(9), DelayBounds::new(1, 2))
-            .with_link_model(p(1), p(2), wan);
-        assert_eq!(cfg.model_for(p(1), p(2), Some(p(9))), wan);
-        // Reverse direction has no override: falls through to per-client.
-        assert_eq!(
-            cfg.model_for(p(2), p(1), Some(p(9))),
-            LatencyModel::Uniform(DelayBounds::new(1, 2))
-        );
+        let default = LatencyModel::Uniform(DelayBounds::new(10, 20));
+        assert_eq!(cfg.model_for(Some(ProcessId(9))), LatencyModel::Uniform(fast));
+        assert_eq!(cfg.model_for(Some(ProcessId(1))), default);
+        assert_eq!(cfg.model_for(None), default);
     }
 
     #[test]
@@ -412,10 +313,10 @@ mod tests {
     fn cut_and_heal_links_are_directed() {
         let p = |n| ProcessId(n);
         let mut cfg = NetworkConfig::constant(5);
-        cfg.cut_link(p(1), p(2));
+        cfg.apply(&FaultAction::CutLink { from: p(1), to: p(2) });
         assert!(cfg.is_blocked(p(1), p(2)));
         assert!(!cfg.is_blocked(p(2), p(1)), "reverse direction must stay alive");
-        cfg.heal_link(p(1), p(2));
+        cfg.apply(&FaultAction::HealLink { from: p(1), to: p(2) });
         assert!(!cfg.is_blocked(p(1), p(2)));
     }
 
@@ -423,25 +324,25 @@ mod tests {
     fn partition_cuts_cross_group_links_only() {
         let p = |n| ProcessId(n);
         let mut cfg = NetworkConfig::constant(5);
-        cfg.partition(&[vec![p(1), p(2)], vec![p(3)]]);
+        cfg.apply(&FaultAction::Partition { groups: vec![vec![p(1), p(2)], vec![p(3)]] });
         assert!(cfg.is_blocked(p(1), p(3)));
         assert!(cfg.is_blocked(p(3), p(2)));
         assert!(!cfg.is_blocked(p(1), p(2)), "intra-group link must survive");
         assert!(!cfg.is_blocked(p(1), p(4)), "unnamed processes are unaffected");
-        cfg.heal_all();
-        assert_eq!(cfg.blocked_links(), 0);
+        cfg.apply(&FaultAction::HealAll);
+        assert!(cfg.blocked.is_empty());
     }
 
     #[test]
     fn gray_factor_inflates_delay() {
         let p = |n| ProcessId(n);
         let mut cfg = NetworkConfig::constant(10);
-        cfg.set_gray(p(2), 40);
+        cfg.apply(&FaultAction::Grayify { pid: p(2), factor: 40 });
         let mut rng = StdRng::seed_from_u64(1);
         assert_eq!(cfg.delay_for(p(1), p(2), None, &mut rng), 400);
         assert_eq!(cfg.delay_for(p(2), p(1), None, &mut rng), 400, "both directions inflate");
         assert_eq!(cfg.delay_for(p(1), p(3), None, &mut rng), 10, "other links unaffected");
-        cfg.set_gray(p(2), 1);
+        cfg.apply(&FaultAction::Ungray { pid: p(2) });
         assert_eq!(cfg.delay_for(p(1), p(2), None, &mut rng), 10);
     }
 
@@ -459,7 +360,7 @@ mod tests {
         assert_eq!((cfg.reorder_per_mille, cfg.reorder_extra_max), (200, 77));
         cfg.apply(&FaultAction::HealAll);
         cfg.apply(&FaultAction::Ungray { pid: p(3) });
-        assert_eq!(cfg.blocked_links(), 0);
+        assert!(cfg.blocked.is_empty());
         assert_eq!(cfg.gray_factor(p(3)), 1);
         // Process-level actions are a no-op at the network layer.
         cfg.apply(&FaultAction::Crash { pid: p(1) });

@@ -1,6 +1,6 @@
 //! The simulation world: actors, event queue, clock, fault injection.
 
-use crate::faults::{FaultAction, FaultSchedule, FaultTrigger};
+use crate::faults::{FaultAction, FaultSchedule};
 use crate::metrics::Metrics;
 use crate::network::NetworkConfig;
 use crate::trace::{TraceEvent, TraceKind};
@@ -9,7 +9,7 @@ use ares_types::{OpCompletion, ProcessId, Time};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BinaryHeap, HashMap, HashSet};
 
 /// A protocol participant hosted by the [`World`].
 ///
@@ -181,8 +181,6 @@ impl<M> Ord for Event<M> {
 pub enum RunOutcome {
     /// The event queue drained: the execution is quiescent.
     Quiescent,
-    /// The configured time horizon was reached.
-    TimeLimit,
     /// The configured event budget was exhausted (possible livelock).
     EventLimit,
 }
@@ -197,20 +195,15 @@ pub struct World<M: SimMessage> {
     seq: u64,
     queue: BinaryHeap<Reverse<Event<M>>>,
     actors: HashMap<ProcessId, Box<dyn Actor<M>>>,
-    crashed: HashMap<ProcessId, Time>,
+    crashed: HashSet<ProcessId>,
     net: NetworkConfig,
     rng: StdRng,
     metrics: Metrics,
     completions: Vec<OpCompletion>,
     trace: Option<Vec<TraceEvent>>,
-    /// Stop processing events scheduled after this time.
-    pub time_limit: Time,
     /// Stop after this many processed events.
     pub event_limit: u64,
     events_processed: u64,
-    /// Step-triggered faults, sorted by step ascending; fired (and
-    /// drained) once `events_processed` reaches their step.
-    step_faults: Vec<(u64, FaultAction)>,
 }
 
 impl<M: SimMessage> World<M> {
@@ -221,16 +214,14 @@ impl<M: SimMessage> World<M> {
             seq: 0,
             queue: BinaryHeap::new(),
             actors: HashMap::new(),
-            crashed: HashMap::new(),
+            crashed: HashSet::new(),
             net,
             rng: StdRng::seed_from_u64(seed),
             metrics: Metrics::default(),
             completions: Vec::new(),
             trace: None,
-            time_limit: Time::MAX,
             event_limit: 50_000_000,
             events_processed: 0,
-            step_faults: Vec::new(),
         }
     }
 
@@ -278,7 +269,7 @@ impl<M: SimMessage> World<M> {
 
     /// Whether `pid` has crashed.
     pub fn is_crashed(&self, pid: ProcessId) -> bool {
-        self.crashed.contains_key(&pid)
+        self.crashed.contains(&pid)
     }
 
     /// Downcasts an actor that opted into [`Actor::as_any`].
@@ -299,53 +290,22 @@ impl<M: SimMessage> World<M> {
         self.queue.push(Reverse(Event { at, seq, kind: EventKind::Deliver { from, to, msg } }));
     }
 
-    /// Schedules `FaultAction::Crash { pid }` at time `at`.
-    pub fn schedule_crash(&mut self, at: Time, pid: ProcessId) {
-        self.schedule_fault(at, FaultAction::Crash { pid });
-    }
-
-    /// Schedules a recovery of `pid` at time `at`: the process resumes
-    /// taking steps with whatever state it had when it crashed. The
-    /// paper's model has no recoveries (a crashed process stays crashed;
-    /// longevity comes from reconfiguration) — this hook exists for the
-    /// *repair* extension, modelling a replacement process that reuses
-    /// the id and then rebuilds its lost updates.
-    pub fn schedule_recover(&mut self, at: Time, pid: ProcessId) {
-        self.schedule_fault(at, FaultAction::Recover { pid });
-    }
-
-    /// Schedules a fault-plane action at simulated time `at`.
-    pub fn schedule_fault(&mut self, at: Time, action: FaultAction) {
-        let seq = self.next_seq();
-        self.queue.push(Reverse(Event { at, seq, kind: EventKind::Fault { action } }));
-    }
-
-    /// Schedules a fault-plane action to fire once `step` events have
-    /// been processed (checked before each event is popped).
-    pub fn schedule_fault_at_step(&mut self, step: u64, action: FaultAction) {
-        self.step_faults.push((step, action));
-        self.step_faults.sort_by_key(|(s, _)| *s);
-    }
-
-    /// Installs a whole [`FaultSchedule`] (time- and step-triggered).
+    /// Installs a [`FaultSchedule`]: the one way a fault — a link or
+    /// gray action, a crash or recovery, a duplication or reorder rate —
+    /// reaches the run. Each event fires at its time, before any event
+    /// posted or sent later for the same time.
+    ///
+    /// A crash silently stops the process; a recovery resumes it with
+    /// whatever state it had when it crashed. The paper's model has no
+    /// recoveries (longevity comes from reconfiguration); they model the
+    /// *repair* extension's replacement process that reuses the id and
+    /// then rebuilds its lost updates.
     pub fn install_faults(&mut self, schedule: &FaultSchedule) {
-        for ev in &schedule.events {
-            match ev.trigger {
-                FaultTrigger::AtTime(at) => self.schedule_fault(at, ev.action.clone()),
-                FaultTrigger::AtStep(step) => self.schedule_fault_at_step(step, ev.action.clone()),
-            }
+        for ev in schedule.events() {
+            let seq = self.next_seq();
+            let kind = EventKind::Fault { action: ev.action.clone() };
+            self.queue.push(Reverse(Event { at: ev.at, seq, kind }));
         }
-    }
-
-    /// The network fault plane (read-only view; mutate via faults).
-    pub fn net(&self) -> &NetworkConfig {
-        &self.net
-    }
-
-    /// Mutable access to the network fault plane, for harnesses that
-    /// drive faults directly instead of through a schedule.
-    pub fn net_mut(&mut self) -> &mut NetworkConfig {
-        &mut self.net
     }
 
     fn apply_fault(&mut self, action: FaultAction) {
@@ -359,7 +319,7 @@ impl<M: SimMessage> World<M> {
         }
         match action {
             FaultAction::Crash { pid } => {
-                self.crashed.insert(pid, self.now);
+                self.crashed.insert(pid);
             }
             FaultAction::Recover { pid } => {
                 self.crashed.remove(&pid);
@@ -373,54 +333,29 @@ impl<M: SimMessage> World<M> {
         self.seq
     }
 
-    /// Runs until quiescence or a limit; returns why it stopped.
+    /// Runs until quiescence or the event limit; returns why it stopped.
     pub fn run(&mut self) -> RunOutcome {
         loop {
-            match self.step() {
-                Some(outcome) => return outcome,
-                None => continue,
+            if let Some(outcome) = self.step() {
+                return outcome;
             }
         }
     }
 
     /// Processes exactly one event. Returns `None` while the run can
-    /// continue, `Some(outcome)` once it cannot (quiescent or a limit).
+    /// continue, `Some(outcome)` once it cannot (quiescent or the limit).
     ///
     /// This is the incremental driver external *store* frontends use: a
     /// ticketed operation's `wait` pumps events one at a time until its
     /// completion appears, instead of running the world to quiescence
     /// past it.
-    pub fn step_one(&mut self) -> Option<RunOutcome> {
-        self.step()
-    }
-
-    /// Runs until `deadline` (inclusive) or quiescence.
-    pub fn run_until(&mut self, deadline: Time) -> RunOutcome {
-        let saved = self.time_limit;
-        self.time_limit = deadline;
-        let out = self.run();
-        self.time_limit = saved;
-        out
-    }
-
-    /// Processes a single event. Returns `Some(outcome)` when the run
-    /// should stop, `None` to continue.
-    fn step(&mut self) -> Option<RunOutcome> {
+    pub fn step(&mut self) -> Option<RunOutcome> {
         if self.events_processed >= self.event_limit {
             return Some(RunOutcome::EventLimit);
-        }
-        while self.step_faults.first().is_some_and(|(s, _)| *s <= self.events_processed) {
-            let (_, action) = self.step_faults.remove(0);
-            self.apply_fault(action);
         }
         let Some(Reverse(ev)) = self.queue.pop() else {
             return Some(RunOutcome::Quiescent);
         };
-        if ev.at > self.time_limit {
-            // Push back so a later run() with a larger limit resumes.
-            self.queue.push(Reverse(ev));
-            return Some(RunOutcome::TimeLimit);
-        }
         debug_assert!(ev.at >= self.now, "time went backwards");
         self.now = ev.at;
         self.events_processed += 1;
@@ -430,13 +365,13 @@ impl<M: SimMessage> World<M> {
                 self.apply_fault(action);
             }
             EventKind::Timer { pid, token } => {
-                if self.crashed.contains_key(&pid) {
+                if self.crashed.contains(&pid) {
                     return None;
                 }
                 self.dispatch(pid, |actor, ctx| actor.on_timer(token, ctx));
             }
             EventKind::Deliver { from, to, msg } => {
-                if self.crashed.contains_key(&to) {
+                if self.crashed.contains(&to) {
                     return None;
                 }
                 // Delivery-time partition check: a link cut while the
@@ -564,6 +499,7 @@ impl<M: SimMessage> World<M> {
 mod tests {
     use super::*;
     use ares_types::{OpId, OpKind};
+    use std::collections::BTreeSet;
 
     #[derive(Clone, Debug)]
     enum TestMsg {
@@ -650,7 +586,7 @@ mod tests {
     #[test]
     fn crashed_actor_stops_responding() {
         let mut w = two_bouncers(5);
-        w.schedule_crash(0, ProcessId(2));
+        w.install_faults(&FaultSchedule::new().at(0, FaultAction::Crash { pid: ProcessId(2) }));
         w.post(1, ProcessId(1), ProcessId(2), TestMsg::Ping(9));
         assert_eq!(w.run(), RunOutcome::Quiescent);
         assert!(w.completions().is_empty());
@@ -683,17 +619,6 @@ mod tests {
         let op = OpId { client: ProcessId(1), seq: 7 };
         assert_eq!(w2.metrics().op(op).payload_bytes, 192);
         assert_eq!(w2.metrics().op(op).messages, 2);
-    }
-
-    #[test]
-    fn time_limit_pauses_and_resumes() {
-        let mut w = two_bouncers(9);
-        w.post(0, ProcessId(1), ProcessId(2), TestMsg::Ping(50));
-        assert_eq!(w.run_until(30), RunOutcome::TimeLimit);
-        let t = w.now();
-        assert!(t <= 30);
-        assert_eq!(w.run(), RunOutcome::Quiescent);
-        assert!(w.now() > t);
     }
 
     #[test]
@@ -730,7 +655,8 @@ mod tests {
     fn asymmetric_cut_drops_one_direction_only() {
         // p1 pings p2 which pings back; cut p2->p1 before the reply.
         let mut w = two_bouncers(4);
-        w.schedule_fault(0, crate::FaultAction::CutLink { from: ProcessId(2), to: ProcessId(1) });
+        let cut = FaultAction::CutLink { from: ProcessId(2), to: ProcessId(1) };
+        w.install_faults(&FaultSchedule::new().at(0, cut));
         w.post(1, ProcessId(1), ProcessId(2), TestMsg::Ping(9));
         assert_eq!(w.run(), RunOutcome::Quiescent);
         // p2 received the ping (p1->p2 alive) but its reply died.
@@ -741,8 +667,11 @@ mod tests {
     #[test]
     fn heal_restores_flow() {
         let mut w = two_bouncers(4);
-        w.schedule_fault(0, crate::FaultAction::CutBoth { a: ProcessId(1), b: ProcessId(2) });
-        w.schedule_fault(500, crate::FaultAction::HealAll);
+        w.install_faults(
+            &FaultSchedule::new()
+                .at(0, FaultAction::CutBoth { a: ProcessId(1), b: ProcessId(2) })
+                .at(500, FaultAction::HealAll),
+        );
         // Sent during the cut: dropped. Sent after heal: bounces through.
         w.post(1, ProcessId(1), ProcessId(2), TestMsg::Ping(3));
         w.post(600, ProcessId(1), ProcessId(2), TestMsg::Ping(0));
@@ -754,7 +683,10 @@ mod tests {
     #[test]
     fn duplication_delivers_copies() {
         let mut w = two_bouncers(8);
-        w.net_mut().duplicate_per_mille = 1000; // every send duplicated
+        // Every send duplicated.
+        w.install_faults(
+            &FaultSchedule::new().at(0, FaultAction::SetDuplication { per_mille: 1000 }),
+        );
         w.post(0, ProcessId(1), ProcessId(2), TestMsg::Ping(1));
         assert_eq!(w.run(), RunOutcome::Quiescent);
         // Every protocol send spawned two deliveries.
@@ -767,7 +699,8 @@ mod tests {
         let run = |factor: u32| {
             let mut w = two_bouncers(6);
             if factor > 1 {
-                w.schedule_fault(0, crate::FaultAction::Grayify { pid: ProcessId(2), factor });
+                let gray = FaultAction::Grayify { pid: ProcessId(2), factor };
+                w.install_faults(&FaultSchedule::new().at(0, gray));
             }
             w.post(1, ProcessId(1), ProcessId(2), TestMsg::Ping(9));
             assert_eq!(w.run(), RunOutcome::Quiescent);
@@ -780,34 +713,39 @@ mod tests {
     }
 
     #[test]
-    fn step_trigger_fires_mid_run() {
-        let mut w = two_bouncers(2);
-        w.schedule_fault_at_step(
-            3,
-            crate::FaultAction::CutBoth { a: ProcessId(1), b: ProcessId(2) },
+    fn a_schedule_fires_in_time_order_and_heals_one_link() {
+        // The simulator's twin of the TCP test of the same name.
+        let (from, to) = (ProcessId(100), ProcessId(1));
+        let mut w = World::<TestMsg>::new(NetworkConfig::constant(1), 0);
+        w.install_faults(
+            &FaultSchedule::new()
+                .at(20, FaultAction::HealLink { from, to })
+                .at(0, FaultAction::CutLink { from, to })
+                .at(0, FaultAction::CutLink { from, to: ProcessId(2) }),
         );
-        w.post(0, ProcessId(1), ProcessId(2), TestMsg::Ping(20));
         assert_eq!(w.run(), RunOutcome::Quiescent);
-        // The bounce chain dies shortly after the third event.
-        assert!(w.metrics().partition_drops >= 1);
-        assert!(w.events_processed() < 10);
-        assert_eq!(w.metrics().faults_applied, 1);
+        let pids = [1, 2, 3, 4, 5, 100].map(ProcessId);
+        let pairs = pids.iter().flat_map(|&a| pids.iter().map(move |&b| (a, b)));
+        let cut: BTreeSet<(u32, u32)> =
+            pairs.filter(|&(a, b)| w.net.is_blocked(a, b)).map(|(a, b)| (a.0, b.0)).collect();
+        assert_eq!(cut, BTreeSet::from([(100, 2)]));
     }
 
     #[test]
     fn fault_schedule_is_deterministic() {
         let run = |seed| {
             let mut w = two_bouncers(seed);
-            let sched = crate::FaultSchedule::new()
-                .at(50, crate::FaultAction::Grayify { pid: ProcessId(2), factor: 12 })
-                .at(900, crate::FaultAction::Ungray { pid: ProcessId(2) })
-                .at_step(20, crate::FaultAction::SetDuplication { per_mille: 300 });
+            let sched = FaultSchedule::new()
+                .at(50, FaultAction::Grayify { pid: ProcessId(2), factor: 12 })
+                .at(900, FaultAction::Ungray { pid: ProcessId(2) })
+                .at(100, FaultAction::SetDuplication { per_mille: 300 });
             w.install_faults(&sched);
             w.post(0, ProcessId(1), ProcessId(2), TestMsg::Ping(30));
             w.run();
             (w.now(), w.events_processed(), w.metrics().duplicated)
         };
         assert_eq!(run(13), run(13));
+        assert!(run(13).2 > 0, "duplication switched on mid-run");
     }
 
     #[test]

@@ -1,7 +1,10 @@
 //! Feature tests of the simulator: crash + recovery semantics,
 //! per-client delay classes, tracing, and determinism under load.
 
-use ares_sim::{Actor, Ctx, DelayBounds, NetworkConfig, RunOutcome, SimMessage, TraceKind, World};
+use ares_sim::{
+    Actor, Ctx, DelayBounds, FaultAction, FaultSchedule, NetworkConfig, RunOutcome, SimMessage,
+    TraceKind, World,
+};
 use ares_types::{OpId, ProcessId};
 
 #[derive(Clone, Debug)]
@@ -36,10 +39,13 @@ fn recovery_resumes_message_processing() {
     let mut w = World::new(NetworkConfig::constant(10), 1);
     w.add_actor(ProcessId(1), Echo);
     w.add_actor(ProcessId(2), Echo);
-    w.schedule_crash(0, ProcessId(2));
+    w.install_faults(
+        &FaultSchedule::new()
+            .at(0, FaultAction::Crash { pid: ProcessId(2) })
+            .at(100, FaultAction::Recover { pid: ProcessId(2) }),
+    );
     // Messages during the outage are dropped...
     w.post(5, ProcessId(1), ProcessId(2), M::Ping(3));
-    w.schedule_recover(100, ProcessId(2));
     // ...but after recovery the process responds again.
     w.post(200, ProcessId(1), ProcessId(2), M::Ping(3));
     assert_eq!(w.run(), RunOutcome::Quiescent);
@@ -56,8 +62,11 @@ fn messages_in_flight_to_crashed_then_recovered_process() {
     // Crash at t=60; a message delivered at t=70 is lost even though the
     // process recovers at t=80 (channels do not replay).
     w.post(20, ProcessId(1), ProcessId(2), M::Ping(1)); // delivered t=20 -> reply in flight
-    w.schedule_crash(60, ProcessId(2));
-    w.schedule_recover(80, ProcessId(2));
+    w.install_faults(
+        &FaultSchedule::new()
+            .at(60, FaultAction::Crash { pid: ProcessId(2) })
+            .at(80, FaultAction::Recover { pid: ProcessId(2) }),
+    );
     assert_eq!(w.run(), RunOutcome::Quiescent);
     // The reply Ping(0) from p2 was sent at t=20, arrives t=70 at p1 — p1
     // is alive, fine; nothing for the recovered p2 to do.
@@ -103,8 +112,8 @@ fn trace_captures_sends_deliveries_and_crashes() {
     w.add_actor(ProcessId(1), Echo);
     w.add_actor(ProcessId(2), Echo);
     w.post(0, ProcessId(1), ProcessId(2), M::Ping(2));
-    w.schedule_crash(1_000, ProcessId(1));
-    w.run_until(2_000);
+    w.install_faults(&FaultSchedule::new().at(1_000, FaultAction::Crash { pid: ProcessId(1) }));
+    assert_eq!(w.run(), RunOutcome::Quiescent);
     let trace = w.trace();
     assert!(trace.iter().any(|e| matches!(e.kind, TraceKind::Send { .. })));
     assert!(trace.iter().any(|e| matches!(e.kind, TraceKind::Deliver { .. })));
@@ -131,24 +140,4 @@ fn determinism_under_heavy_fanout() {
     assert_eq!(run(77), run(77));
     assert_eq!(run(78), run(78));
     assert_ne!(run(77).0, run(78).0);
-}
-
-#[test]
-fn run_until_is_resumable_and_monotone() {
-    let mut w = World::new(NetworkConfig::constant(10), 5);
-    w.add_actor(ProcessId(1), Echo);
-    w.add_actor(ProcessId(2), Echo);
-    w.post(0, ProcessId(1), ProcessId(2), M::Ping(100));
-    let mut last = 0;
-    for deadline in [100u64, 200, 400, 800] {
-        let out = w.run_until(deadline);
-        assert!(w.now() >= last);
-        last = w.now();
-        if out == RunOutcome::Quiescent {
-            break;
-        }
-        assert_eq!(out, RunOutcome::TimeLimit);
-    }
-    assert_eq!(w.run(), RunOutcome::Quiescent);
-    assert_eq!(w.now(), 100 * 10, "100 hops at 10 each");
 }

@@ -154,8 +154,10 @@ pub struct WalOptions {
     /// Fsync policy (see [`FsyncPolicy`]).
     pub fsync: FsyncPolicy,
     /// Rotate to a fresh segment once the active one reaches this many
-    /// bytes. Smaller segments bound the blast radius of tail
-    /// corruption; larger ones amortise file creation.
+    /// bytes. Rotation caps the size of one file and nothing more: it
+    /// bounds no loss, because [`Wal::open`] stops replay at the first
+    /// bad frame of any non-final segment and ignores every later one,
+    /// and a checkpoint starts its own segment whatever this size.
     pub segment_bytes: u64,
     /// Under [`FsyncPolicy::Batched`], force a sync once this many
     /// records are pending even if the owner never goes idle.

@@ -17,7 +17,7 @@
 use ares_dap::server::DapServer;
 use ares_dap::template::{RegisterOp, StaticClientActor, StaticMsg, StaticServerActor};
 use ares_harness::check_atomicity;
-use ares_sim::{NetworkConfig, World};
+use ares_sim::{FaultAction, FaultSchedule, NetworkConfig, World};
 use ares_types::{ConfigId, ConfigRegistry, Configuration, ObjectId, OpKind, ProcessId, Value};
 use std::sync::Arc;
 
@@ -151,7 +151,8 @@ fn c2_no_phantom_values_under_failed_writes() {
         ProcessId(100),
         StaticMsg::Invoke(RegisterOp::Write(v2.clone())),
     );
-    world.schedule_crash(world.now() + 30, ProcessId(100)); // mid-write crash
+    let crash = FaultAction::Crash { pid: ProcessId(100) };
+    world.install_faults(&FaultSchedule::new().at(world.now() + 30, crash)); // mid-write crash
     let t = world.now() + 2_000;
     world.post(t, ENV, ProcessId(101), StaticMsg::Invoke(RegisterOp::Read));
     world.run();

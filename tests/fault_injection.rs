@@ -2,8 +2,15 @@
 //! reconfigurers dying mid-operation, and liveness at the fault boundary.
 
 use ares_harness::{standard_universe, Scenario};
-use ares_sim::RunOutcome;
+use ares_sim::{FaultAction, FaultSchedule, RunOutcome};
 use ares_types::{ConfigId, Configuration, ProcessId, Value};
+
+/// Crashes of the given processes, each at its time.
+fn crashes(at: impl IntoIterator<Item = (u64, u32)>) -> FaultSchedule {
+    at.into_iter().fold(FaultSchedule::new(), |s, (t, pid)| {
+        s.at(t, FaultAction::Crash { pid: ProcessId(pid) })
+    })
+}
 
 #[test]
 fn abd_survives_minority_crash() {
@@ -11,7 +18,7 @@ fn abd_survives_minority_crash() {
     let res = Scenario::new(standard_universe())
         .clients([100])
         .seed(1)
-        .crash_at(0, 2)
+        .fault_schedule(crashes([(0, 2)]))
         .write_at(1, 100, 0, Value::filler(40, 1))
         .read_at(500, 100, 0)
         .run();
@@ -25,7 +32,7 @@ fn treas_survives_f_crashes() {
     let res = Scenario::new(cfgs)
         .clients([100])
         .seed(2)
-        .crash_at(0, 5)
+        .fault_schedule(crashes([(0, 5)]))
         .write_at(1, 100, 0, Value::filler(64, 1))
         .read_at(500, 100, 0)
         .run();
@@ -43,8 +50,7 @@ fn treas_blocks_beyond_f_crashes() {
     let res = Scenario::new(cfgs)
         .clients([100])
         .seed(3)
-        .crash_at(0, 4)
-        .crash_at(0, 5)
+        .fault_schedule(crashes([(0, 4), (0, 5)]))
         .write_at(1, 100, 0, Value::filler(64, 1))
         .event_limit(200_000)
         .run();
@@ -64,11 +70,11 @@ fn reconfiguration_away_from_crashing_servers_restores_liveness_for_new_ops() {
     let res = Scenario::new(standard_universe())
         .clients([100, 200])
         .seed(4)
+        // Server 2's crash leaves c0 below a majority.
+        .fault_schedule(crashes([(900, 3), (8_000, 2)]))
         .write_at(0, 100, 0, Value::filler(50, 1))
-        .crash_at(900, 3)
         .recon_at(1_000, 200, 1) // to TREAS on 4..8
         .write_at(5_000, 100, 0, Value::filler(50, 2)) // catches up past c0
-        .crash_at(8_000, 2) // c0 now below majority
         .write_at(9_000, 100, 0, Value::filler(50, 3))
         .read_at(12_000, 100, 0)
         .run();
@@ -87,7 +93,7 @@ fn reader_crash_is_harmless_to_others() {
         .seed(5)
         .write_at(0, 100, 0, Value::filler(32, 1))
         .read_at(100, 110, 0) // reader crashes mid-read
-        .crash_at(120, 110)
+        .fault_schedule(crashes([(120, 110)]))
         .write_at(1_000, 100, 0, Value::filler(32, 2))
         .read_at(2_000, 100, 0)
         .run();
@@ -106,7 +112,7 @@ fn reconfigurer_crash_mid_recon_leaves_system_usable() {
         .seed(6)
         .write_at(0, 100, 0, Value::filler(70, 1))
         .recon_at(1_000, 200, 1)
-        .crash_at(1_450, 200) // somewhere inside the reconfig
+        .fault_schedule(crashes([(1_450, 200)])) // somewhere inside the reconfig
         .write_at(8_000, 100, 0, Value::filler(70, 2))
         .read_at(12_000, 100, 0)
         .run();
@@ -131,7 +137,7 @@ fn crashes_across_seeds_never_violate_atomicity() {
         let res = Scenario::new(standard_universe())
             .clients([100, 110])
             .seed(seed)
-            .crash_at(crash_time, 1) // c0 member
+            .fault_schedule(crashes([(crash_time, 1)])) // c0 member
             .write_at(0, 100, 0, Value::filler(44, seed + 1))
             .write_at(700, 100, 0, Value::filler(44, seed + 100))
             .read_at(900, 110, 0)

@@ -220,7 +220,7 @@ fn direct_transfer_into_a_destination_that_compacted_the_tag_completes() {
     // delivers a REQ-FW-CODE-ELEM.
     let run_to_req_fwd = |w: &mut World<Msg>, delivered: bool| loop {
         let seen = w.trace().len();
-        assert!(w.step_one().is_none(), "the world stopped before the transfer");
+        assert!(w.step().is_none(), "the world stopped before the transfer");
         let hit = |e: &ares_sim::TraceEvent| match &e.kind {
             TraceKind::Send { label, .. } => !delivered && label.starts_with("REQ-FW"),
             TraceKind::Deliver { label, .. } => delivered && label.starts_with("REQ-FW"),

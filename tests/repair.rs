@@ -5,10 +5,18 @@
 use ares_core::store::session_op_seq;
 use ares_core::{ClientActor, ClientCmd, ClientConfig, Invoke, Msg, RepairMsg, ServerActor};
 use ares_harness::{check_atomicity, Scenario};
-use ares_sim::{NetworkConfig, RunOutcome, World};
+use ares_sim::{FaultAction, FaultSchedule, NetworkConfig, RunOutcome, World};
 use ares_types::{
     ConfigId, ConfigRegistry, Configuration, ObjectId, ProcessId, SessionId, Tag, Value,
 };
+
+fn crash(pid: u32) -> FaultAction {
+    FaultAction::Crash { pid: ProcessId(pid) }
+}
+
+fn recover(pid: u32) -> FaultAction {
+    FaultAction::Recover { pid: ProcessId(pid) }
+}
 
 fn universe() -> Vec<Configuration> {
     vec![Configuration::treas(ConfigId(0), (1..=5).map(ProcessId).collect(), 3, 2)]
@@ -21,10 +29,9 @@ fn repaired_server_rebuilds_missed_writes() {
     let res = Scenario::new(universe())
         .clients([100])
         .seed(1)
-        .crash_at(0, 5)
+        .fault_schedule(FaultSchedule::new().at(0, crash(5)).at(2_000, recover(5)))
         .write_at(1, 100, 0, Value::filler(90, 1))
         .write_at(1_000, 100, 0, Value::filler(90, 2))
-        .recover_at(2_000, 5)
         .repair_at(2_100, 5, 0, 0)
         .run();
     res.assert_complete_and_atomic();
@@ -41,11 +48,11 @@ fn repair_restores_full_fault_tolerance() {
     let res = Scenario::new(universe())
         .clients([100, 110])
         .seed(2)
-        .crash_at(0, 5)
+        .fault_schedule(
+            FaultSchedule::new().at(0, crash(5)).at(2_000, recover(5)).at(6_000, crash(4)),
+        )
         .write_at(1, 100, 0, v.clone())
-        .recover_at(2_000, 5)
         .repair_at(2_100, 5, 0, 0)
-        .crash_at(6_000, 4)
         .read_at(7_000, 110, 0)
         .run();
     let h = res.assert_complete_and_atomic();
@@ -62,10 +69,11 @@ fn without_repair_second_crash_blocks_reads() {
     let res = Scenario::new(universe())
         .clients([100, 110])
         .seed(3)
-        .crash_at(0, 5)
+        // Server 5 recovers but never repairs.
+        .fault_schedule(
+            FaultSchedule::new().at(0, crash(5)).at(2_000, recover(5)).at(6_000, crash(4)),
+        )
         .write_at(1, 100, 0, v)
-        .recover_at(2_000, 5) // recovers but never repairs
-        .crash_at(6_000, 4)
         .read_at(7_000, 110, 0)
         .run();
     // The write completed; the read did not (4 live servers respond, but
@@ -103,11 +111,10 @@ fn repair_is_idempotent_and_safe_on_healthy_servers() {
 #[test]
 fn repair_under_concurrent_writes_keeps_atomicity() {
     let mut s = Scenario::new(universe()).clients([100, 101, 110]).seed(5);
-    s = s.crash_at(0, 5);
+    s = s.fault_schedule(FaultSchedule::new().at(0, crash(5)).at(1_000, recover(5)));
     for i in 0..6u64 {
         s = s.write_at(1 + i * 300, 100 + (i % 2) as u32, 0, Value::filler(60, i + 1));
     }
-    s = s.recover_at(1_000, 5);
     s = s.repair_at(1_050, 5, 0, 0); // races the ongoing writes
     for i in 0..4u64 {
         s = s.read_at(1_100 + i * 400, 110, 0);
@@ -137,14 +144,14 @@ fn blank_server_repaired_from_floored_peers_ends_with_a_floor() {
     let invoke = |n: u64, cmd: ClientCmd| {
         Msg::Invoke(Invoke { session: SessionId(0), seq: session_op_seq(SessionId(0), n), cmd })
     };
-    w.schedule_crash(0, ProcessId(5));
+    w.install_faults(
+        &FaultSchedule::new().at(0, crash(5)).at(6_000, recover(5)).at(8_000, crash(4)),
+    );
     for n in 0..5u64 {
         let value = Value::filler(90, n + 1);
         w.post(1 + n * 1_000, ENV, writer, invoke(n, ClientCmd::Write { obj, value }));
     }
-    w.schedule_recover(6_000, ProcessId(5));
     w.post(6_100, ENV, ProcessId(5), Msg::Repair(RepairMsg::Trigger { cfg: c0, obj }));
-    w.schedule_crash(8_000, ProcessId(4));
     w.post(9_000, ENV, reader, invoke(0, ClientCmd::Read { obj }));
     assert_eq!(w.run(), RunOutcome::Quiescent);
 
