@@ -23,7 +23,7 @@ use crate::client::{ClientConfig, RttEstimator};
 use crate::msg::{CfgMsg, Msg, XferMsg};
 use ares_consensus::{Proposer, ProposerConfig};
 use ares_dap::client::{DapCall, DapCtx};
-use ares_dap::{DapAction, DapOutput};
+use ares_dap::{DapAction, DapBody, DapMsg, DapOutput};
 use ares_sim::Ctx;
 use ares_types::{
     Backoff, ConfigEntry, ConfigId, ConfigRegistry, ConfigSeq, Configuration, DapKind, Delay,
@@ -118,6 +118,41 @@ impl Env<'_, '_> {
         if self.ctx.tracing() {
             self.ctx.note(format!("{sign}{name}"));
         }
+    }
+
+    /// Whether a server's pointer `next` can name `base`'s successor: a
+    /// configuration other than `base` that the registry holds. Servers
+    /// install no other, but an old or hostile one could still send it.
+    fn names_successor(&self, base: ConfigId, next: &ConfigEntry) -> bool {
+        next.cfg != base && self.shared.registry.try_get(next.cfg).is_some()
+    }
+
+    /// A leaf met a server that retired `base`: traces the redirect and
+    /// hands it to the parent.
+    fn redirect(&mut self, base: ConfigId, next: ConfigEntry) -> Redirect {
+        if self.ctx.tracing() {
+            self.ctx.note(format!("{} redirected {base} -> {next}", self.op));
+        }
+        Redirect { base, next }
+    }
+}
+
+/// A server's answer that the configuration a leaf ran in is retired:
+/// `base`'s finalized successor is `next` (DESIGN.md §2). The parent
+/// takes it as `read-config` discovering `next` after `base`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Redirect {
+    base: ConfigId,
+    next: ConfigEntry,
+}
+
+impl Redirect {
+    /// Absorbs the successor into `seq` right after `base`; returns its
+    /// index, where the operation continues.
+    fn absorb(self, seq: &mut ConfigSeq) -> usize {
+        let at = seq.iter().position(|e| e.cfg == self.base).map_or(seq.len(), |i| i + 1);
+        seq.absorb(at, self.next);
+        at
     }
 }
 
@@ -239,11 +274,9 @@ impl Leaf for ReadNext {
             return Step::idle();
         }
         // A pointer naming its own configuration, or one the registry
-        // does not hold, is corrupt: servers refuse to install either,
-        // but an old or hostile server could still reply with one. Treat
-        // it as ⊥ rather than walk a cycle forever or into nothing.
-        let registered = |e: &ConfigEntry| env.shared.registry.try_get(e.cfg).is_some();
-        if let Some(e) = next.filter(|e| e.cfg != self.base && registered(e)) {
+        // does not hold, is corrupt: treat it as ⊥ rather than walk a
+        // cycle forever or into nothing.
+        if let Some(e) = next.filter(|e| env.names_successor(self.base, e)) {
             // Prefer F over P (Alg. 4 lines 16-19); consensus guarantees
             // the cfg ids agree.
             if self
@@ -315,12 +348,12 @@ impl Dap {
         let mut ctx = DapCtx::new(cfg, obj, env.me, env.op);
         ctx.retry_interval = env.rto();
         let (call, first) = DapCall::start(ctx, action, &mut env.shared.rpc);
-        Armed::start(Dap(call), lift(first, Msg::Dap), env)
+        Armed::start(Dap(call), lift(first, Msg::Dap).map(Ok), env)
     }
 }
 
 impl Leaf for Dap {
-    type Out = DapOutput;
+    type Out = Result<DapOutput, Redirect>;
     const NAME: &'static str = "dap";
     const ROUND_TRIP: bool = true;
 
@@ -329,13 +362,22 @@ impl Leaf for Dap {
         from: ProcessId,
         msg: &Msg,
         env: &mut Env<'_, '_>,
-    ) -> Step<Msg, DapOutput> {
+    ) -> Step<Msg, Self::Out> {
         let Msg::Dap(m) = msg else { return Step::idle() };
-        lift(self.0.on_message(from, m, &mut env.shared.rpc), Msg::Dap)
+        if let DapBody::Retired(next) = &m.body {
+            if !env.names_successor(m.hdr.cfg, next) {
+                return Step::idle();
+            }
+        }
+        let step = lift(self.0.on_message(from, m, &mut env.shared.rpc), Msg::Dap);
+        step.map(|out| match out {
+            DapOutput::Retired(next) => Err(env.redirect(m.hdr.cfg, next)),
+            out => Ok(out),
+        })
     }
 
-    fn on_timer(&mut self, env: &mut Env<'_, '_>) -> Step<Msg, DapOutput> {
-        lift(self.0.on_timer(&mut env.shared.rpc), Msg::Dap)
+    fn on_timer(&mut self, env: &mut Env<'_, '_>) -> Step<Msg, Self::Out> {
+        lift(self.0.on_timer(&mut env.shared.rpc), Msg::Dap).map(Ok)
     }
 }
 
@@ -417,7 +459,7 @@ impl Transfer {
             backoff: Backoff::default(),
         };
         let first = t.broadcast(env, t.backoff.arm(env.shared.config.backoff_unit * 8));
-        Armed::start(t, first, env)
+        Armed::start(t, first.map(Ok), env)
     }
 
     /// (Re-)issues the `REQ-FW-CODE-ELEM` broadcast. The phase id stays
@@ -444,29 +486,52 @@ impl Transfer {
 }
 
 impl Leaf for Transfer {
-    type Out = ();
+    type Out = Result<(), Redirect>;
     const NAME: &'static str = "forward-code-element";
     const ROUND_TRIP: bool = false;
 
-    fn on_msg(&mut self, from: ProcessId, msg: &Msg, _env: &mut Env<'_, '_>) -> Step<Msg, ()> {
-        let Msg::Xfer(XferMsg::XferAck { dst, rpc, tag, .. }) = msg else {
-            return Step::idle();
-        };
-        // Replicated sources may forward a newer tag (see ServerActor);
-        // any tag ≥ the requested one carries at least as recent a value.
-        if *dst != self.dst.id || *rpc != self.rpc || *tag < self.tag || !self.acks.insert(from) {
-            return Step::idle();
-        }
-        if self.acks.len() >= self.dst.quorum_size() {
-            Step::done(())
-        } else {
-            Step::idle()
+    fn on_msg(
+        &mut self,
+        from: ProcessId,
+        msg: &Msg,
+        env: &mut Env<'_, '_>,
+    ) -> Step<Msg, Self::Out> {
+        match msg {
+            Msg::Xfer(XferMsg::XferAck { dst, rpc, tag, .. }) => {
+                // Replicated sources may forward a newer tag (see
+                // ServerActor); any tag ≥ the requested one carries at
+                // least as recent a value.
+                if *dst != self.dst.id
+                    || *rpc != self.rpc
+                    || *tag < self.tag
+                    || !self.acks.insert(from)
+                {
+                    return Step::idle();
+                }
+                if self.acks.len() >= self.dst.quorum_size() {
+                    Step::done(Ok(()))
+                } else {
+                    Step::idle()
+                }
+            }
+            // A source server retired `src`, or a destination server
+            // retired `dst`: the transfer ends at the successor.
+            Msg::Dap(DapMsg { hdr, body: DapBody::Retired(next) })
+                if hdr.rpc == self.rpc
+                    && hdr.obj == self.obj
+                    && (hdr.cfg == self.src || hdr.cfg == self.dst.id)
+                    && next.status == Status::Finalized
+                    && env.names_successor(hdr.cfg, next) =>
+            {
+                Step::done(Err(env.redirect(hdr.cfg, *next)))
+            }
+            _ => Step::idle(),
         }
     }
 
-    fn on_timer(&mut self, env: &mut Env<'_, '_>) -> Step<Msg, ()> {
+    fn on_timer(&mut self, env: &mut Env<'_, '_>) -> Step<Msg, Self::Out> {
         let timer = self.backoff.rearm(env.shared.config.backoff_unit * 8);
-        self.broadcast(env, timer)
+        self.broadcast(env, timer).map(Ok)
     }
 }
 
@@ -591,9 +656,16 @@ impl ReadWrite {
             }
             RwPhase::Query(dap) => {
                 match dap.on(input, env)? {
-                    DapOutput::TagValue(tv) if tv.tag > self.best.tag => self.best = tv,
-                    DapOutput::TagValue(_) => {}
-                    out => self.best.tag = self.best.tag.max(out.tag()),
+                    Ok(DapOutput::TagValue(tv)) if tv.tag > self.best.tag => self.best = tv,
+                    Ok(DapOutput::TagValue(_)) => {}
+                    Ok(out) => self.best.tag = self.best.tag.max(out.tag()),
+                    // Continue at the successor, keeping what the
+                    // configurations before it gave.
+                    Err(redirect) => {
+                        self.i = redirect.absorb(&mut self.seq);
+                        self.query(env);
+                        return None;
+                    }
                 }
                 self.i += 1;
                 if self.i <= self.seq.nu() {
@@ -609,7 +681,13 @@ impl ReadWrite {
                 self.propagate(env);
             }
             RwPhase::Propagate(dap) => {
-                dap.on(input, env)?;
+                if let Err(redirect) = dap.on(input, env)? {
+                    // The last configuration retired: put-data moves to
+                    // its successor, the new last one.
+                    redirect.absorb(&mut self.seq);
+                    self.propagate(env);
+                    return None;
+                }
                 self.phase = RwPhase::Confirm(ReadConfig::start(self.seq.clone(), env));
             }
             RwPhase::Confirm(rc) => {
@@ -733,18 +811,18 @@ impl Recon {
                 put.on(input, env)?;
                 self.next_object_or_finalize(env);
             }
-            ReconPhase::Query(dap) => {
-                let out = dap.on(input, env)?;
-                self.queried(out, env);
-            }
-            ReconPhase::Migrate(dap) => {
-                dap.on(input, env)?;
-                self.next_object_or_finalize(env);
-            }
-            ReconPhase::Transfer(transfer) => {
-                transfer.on(input, env)?;
-                self.next_object_or_finalize(env);
-            }
+            ReconPhase::Query(dap) => match dap.on(input, env)? {
+                Ok(out) => self.queried(out, env),
+                Err(redirect) => self.redirected(redirect, env),
+            },
+            ReconPhase::Migrate(dap) => match dap.on(input, env)? {
+                Ok(_) => self.next_object_or_finalize(env),
+                Err(redirect) => self.redirected(redirect, env),
+            },
+            ReconPhase::Transfer(transfer) => match transfer.on(input, env)? {
+                Ok(()) => self.next_object_or_finalize(env),
+                Err(redirect) => self.redirected(redirect, env),
+            },
             ReconPhase::FinalizePut(put) => {
                 put.on(input, env)?;
                 return Some(self.done(env));
@@ -834,6 +912,17 @@ impl Recon {
         }
     }
 
+    /// A configuration this object's update-config reached is retired:
+    /// its queries restart at the successor, which then starts the
+    /// object's `µ..=ν`. A plain migration keeps the pair it gathered; a
+    /// direct one re-picks its source at the successor and after (a
+    /// retired source can forward nothing).
+    fn redirected(&mut self, redirect: Redirect, env: &mut Env<'_, '_>) {
+        self.i = redirect.absorb(&mut self.seq);
+        self.best_src = (TAG0, ConfigId(0));
+        self.query(env);
+    }
+
     /// Starts the `update-config` query loop for the next object, or
     /// `finalize-config` once every object has migrated (at once, when
     /// the client manages none).
@@ -858,10 +947,11 @@ impl Recon {
 
     fn finalize(&mut self, env: &mut Env<'_, '_>) {
         // finalize-config: seq[ν].status ← F, then put-config to the
-        // previous configuration's servers.
+        // previous configuration's servers. seq[ν] is the decision unless
+        // a redirect extended the chain past it.
         self.seq.finalize_last();
         let prev = env.cfg(self.seq.get(self.seq.nu() - 1).cfg);
-        let entry = ConfigEntry::finalized(self.decided);
+        let entry = ConfigEntry::finalized(self.seq.last().cfg);
         self.phase = ReconPhase::FinalizePut(PutConfig::start(&prev, entry, env));
     }
 

@@ -276,7 +276,11 @@ impl Msg {
     /// unknown ids as bugs and panic.
     pub fn configs(&self) -> impl Iterator<Item = ConfigId> {
         let ids = match self {
-            Msg::Dap(m) => [Some(m.hdr.cfg), None, None],
+            Msg::Dap(m) => {
+                let next =
+                    if let ares_dap::DapBody::Retired(e) = &m.body { Some(e.cfg) } else { None };
+                [Some(m.hdr.cfg), next, None]
+            }
             Msg::Con(m) => m.configs(),
             Msg::Cfg(m) => match m {
                 CfgMsg::ReadConfig { base, .. } | CfgMsg::CfgAck { base, .. } => {
@@ -397,6 +401,10 @@ mod tests {
         assert_eq!(m.configs().collect::<Vec<_>>(), [ConfigId(1), ConfigId(9)]);
         let m = Msg::Con(ConMsg::Decide { inst: ConfigId(0), value: ConfigId(3) });
         assert_eq!(m.configs().collect::<Vec<_>>(), [ConfigId(0), ConfigId(3)]);
+        let hdr = ares_dap::Hdr { cfg: ConfigId(4), obj: ObjectId(0), rpc: RpcId(1), op: op() };
+        let body = ares_dap::DapBody::Retired(ConfigEntry::finalized(ConfigId(5)));
+        let m = Msg::Dap(ares_dap::DapMsg::new(hdr, body));
+        assert_eq!(m.configs().collect::<Vec<_>>(), [ConfigId(4), ConfigId(5)]);
     }
 
     #[test]

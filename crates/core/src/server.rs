@@ -12,6 +12,11 @@
 //!   coded elements on `REQ-FW-CODE-ELEM`, and accumulating / decoding /
 //!   re-encoding forwarded elements in the `D` set when it is a member of
 //!   the destination configuration.
+//!
+//! Once it holds a *finalized* successor pointer `nextC(c) = ⟨c', F⟩`
+//! it **retires** `c`: it drops `c`'s object state and answers every
+//! later request for it with [`DapBody::Retired`], the redirect to `c'`
+//! (DESIGN.md §2).
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 #![deny(clippy::todo, clippy::unimplemented, clippy::indexing_slicing)]
 
@@ -20,9 +25,10 @@ use crate::repair::{RepairMsg, RepairProgress, RepairTask};
 use ares_codes::{build_code, Fragment};
 use ares_consensus::{Acceptor, Ballot};
 use ares_dap::server::DapServer;
+use ares_dap::{DapBody, DapMsg, Hdr};
 use ares_sim::{Actor, Ctx};
 use ares_types::{
-    ConfigEntry, ConfigId, ConfigRegistry, DapKind, ObjectId, ProcessId, Status, Tag,
+    ConfigEntry, ConfigId, ConfigRegistry, DapKind, ObjectId, OpId, ProcessId, RpcId, Status, Tag,
 };
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -94,6 +100,7 @@ pub struct ServerActor {
     /// One Paxos acceptor per consensus instance (keyed by base config).
     acceptors: HashMap<ConfigId, Acceptor>,
     /// `nextC` per configuration this server belongs to (`⊥` = absent).
+    /// A finalized entry also records that its base is retired.
     nextc: HashMap<ConfigId, ConfigEntry>,
     /// ARES-TREAS `D` sets: forwarded elements not yet in the `List`,
     /// keyed by (destination config, object, tag).
@@ -174,10 +181,31 @@ impl ServerActor {
         for a in snap.acceptors {
             s.acceptors.insert(a.inst, Acceptor::from_parts(a.promised, a.accepted, a.decided));
         }
+        // Retirement is re-derived from the pointers: this also drops
+        // state a checkpoint written before retirement existed still
+        // holds for a configuration it has a finalized successor for.
         for e in snap.nextc {
             s.nextc.insert(e.base, e.entry);
+            if e.entry.status == Status::Finalized {
+                s.retire(e.base);
+            }
         }
         s
+    }
+
+    /// `c`'s finalized successor if this server has retired `c`.
+    fn retired(&self, c: ConfigId) -> Option<ConfigEntry> {
+        self.nextc.get(&c).copied().filter(|e| e.status == Status::Finalized)
+    }
+
+    /// Retires `c`: drops its object state, the transfer bookkeeping
+    /// whose destination it is, and its repairs. The `nextC` pointer
+    /// and the acceptor stay (DESIGN.md §2).
+    fn retire(&mut self, c: ConfigId) {
+        self.dap.retire(c);
+        self.dset.retain(|&(dst, _, _), _| dst != c);
+        self.recons.retain(|&(dst, _), _| dst != c);
+        self.repairs.retain(|&(cfg, _), _| cfg != c);
     }
 
     fn handle_cfg(&mut self, from: ProcessId, msg: CfgMsg) -> Vec<(ProcessId, Msg)> {
@@ -201,9 +229,10 @@ impl ServerActor {
                 }
                 // Alg. 6: update if nextC = ⊥ or nextC.status = P; once
                 // F, the pointer never changes (Lemma 46).
-                match self.nextc.get_mut(&base) {
+                let installed = match self.nextc.get_mut(&base) {
                     None => {
                         self.nextc.insert(base, entry);
+                        true
                     }
                     Some(cur) if cur.status == Status::Pending => {
                         debug_assert_eq!(
@@ -211,8 +240,14 @@ impl ServerActor {
                             "consensus guarantees a unique successor per configuration"
                         );
                         *cur = entry;
+                        true
                     }
-                    Some(_) => {}
+                    Some(_) => false,
+                };
+                // finalize-config writes F only once update-config put
+                // every object into a quorum of the successor.
+                if installed && entry.status == Status::Finalized {
+                    self.retire(base);
                 }
                 vec![(from, Msg::Cfg(CfgMsg::CfgAck { base, rpc, op }))]
             }
@@ -225,6 +260,9 @@ impl ServerActor {
             // Source side (Alg. 9 top): if (t, e) ∈ List, forward e to
             // every destination server.
             XferMsg::ReqFwd { tag, src, dst, obj, rc, rpc, op } => {
+                if let Some(next) = self.retired(src) {
+                    return vec![(rc, redirect(src, obj, rpc, op, next))];
+                }
                 let Some(dst_cfg) = self.registry.try_get(dst).cloned() else {
                     return Vec::new();
                 };
@@ -247,24 +285,25 @@ impl ServerActor {
                             }
                         }
                     }
-                    Some(DapKind::Abd) | Some(DapKind::Ldr { .. }) => {
+                    Some(kind @ (DapKind::Abd | DapKind::Ldr { .. })) => {
                         // Replicated source: the "coded element" is the
                         // full value under the [n, 1] code, if this
-                        // server's replica is at least as recent.
-                        let st = self.dap.abd_state(src, obj);
-                        if st.tag >= tag {
-                            let tag = st.tag;
-                            let idx = self.registry.get(src).server_index(self.me).unwrap_or(0);
-                            (
-                                tag,
-                                Some(Fragment {
-                                    index: idx,
-                                    value_len: st.value.len(),
-                                    data: st.value.bytes().clone(),
-                                }),
-                            )
+                        // server's replica is at least as recent (an LDR
+                        // directory that is no replica holds none).
+                        let held = if kind == DapKind::Abd {
+                            let st = self.dap.abd_state(src, obj);
+                            Some((st.tag, st.value.clone()))
                         } else {
-                            (tag, None)
+                            self.dap.ldr_newest(src, obj)
+                        };
+                        match held {
+                            Some((held_tag, value)) if held_tag >= tag => {
+                                let idx = self.registry.get(src).server_index(self.me).unwrap_or(0);
+                                let data = value.bytes().clone();
+                                let frag = Fragment { index: idx, value_len: value.len(), data };
+                                (held_tag, Some(frag))
+                            }
+                            _ => (tag, None),
                         }
                     }
                     None => (tag, None),
@@ -292,6 +331,9 @@ impl ServerActor {
             }
             // Destination side (Alg. 9 bottom).
             XferMsg::FwdElem { tag, frag, src, dst, obj, rc, rpc, op } => {
+                if let Some(next) = self.retired(dst) {
+                    return vec![(rc, redirect(dst, obj, rpc, op, next))];
+                }
                 let Some(dst_cfg) = self.registry.try_get(dst).cloned() else {
                     return Vec::new();
                 };
@@ -437,6 +479,9 @@ impl ServerActor {
     fn handle_repair(&mut self, from: ProcessId, msg: RepairMsg) -> Vec<(ProcessId, Msg)> {
         match msg {
             RepairMsg::Trigger { cfg, obj } => {
+                if self.retired(cfg).is_some() {
+                    return Vec::new(); // nothing of cfg is kept to repair
+                }
                 let Some(config) = self.registry.try_get(cfg).cloned() else {
                     return Vec::new();
                 };
@@ -464,6 +509,9 @@ impl ServerActor {
                 sends
             }
             RepairMsg::Query { cfg, obj, rpc, known, op } => {
+                if let Some(next) = self.retired(cfg) {
+                    return vec![(from, redirect(cfg, obj, rpc, op, next))];
+                }
                 let mut list = self.dap.treas_state(cfg, obj).to_entries();
                 // `known` is sorted by the honest sender; a hostile
                 // unsorted list only misfilters the reply to the sender's
@@ -493,6 +541,11 @@ impl ServerActor {
     }
 }
 
+/// The reply to a request for retired `cfg`: its finalized successor.
+fn redirect(cfg: ConfigId, obj: ObjectId, rpc: RpcId, op: OpId, next: ConfigEntry) -> Msg {
+    Msg::Dap(DapMsg::new(Hdr { cfg, obj, rpc, op }, DapBody::Retired(next)))
+}
+
 fn src_is_replicated(registry: &ConfigRegistry, src: ConfigId) -> bool {
     matches!(registry.try_get(src).map(|c| c.dap), Some(DapKind::Abd) | Some(DapKind::Ldr { .. }))
 }
@@ -504,9 +557,20 @@ impl Actor<Msg> for ServerActor {
 
     fn on_message(&mut self, from: ProcessId, msg: Msg, ctx: &mut Ctx<'_, Msg>) {
         let replies = match msg {
-            Msg::Dap(m) => {
-                self.dap.handle(from, m).into_iter().map(|(to, m)| (to, Msg::Dap(m))).collect()
-            }
+            Msg::Dap(m) => match (self.retired(m.hdr.cfg), &m.body) {
+                (Some(next), body) if body.is_request() => {
+                    vec![(from, redirect(m.hdr.cfg, m.hdr.obj, m.hdr.rpc, m.hdr.op, next))]
+                }
+                // A peer retired what this server is repairing: the
+                // successor holds the object, so the repair ends.
+                (None, DapBody::Retired(_)) => {
+                    self.repairs.remove(&(m.hdr.cfg, m.hdr.obj));
+                    Vec::new()
+                }
+                _ => {
+                    self.dap.handle(from, m).into_iter().map(|(to, m)| (to, Msg::Dap(m))).collect()
+                }
+            },
             Msg::Con(m) => {
                 let inst = m.instance();
                 self.acceptors
@@ -532,12 +596,14 @@ impl Actor<Msg> for ServerActor {
 mod tests {
     use super::*;
     use ares_types::{Configuration, ObjectId, OpId, RpcId, TagValue, Value};
+    use rand::SeedableRng;
 
     fn registry() -> Arc<ConfigRegistry> {
         ConfigRegistry::from_configs([
             Configuration::abd(ConfigId(0), (1..=3).map(ProcessId).collect()),
             Configuration::treas(ConfigId(1), (4..=8).map(ProcessId).collect(), 3, 2),
             Configuration::treas(ConfigId(2), (6..=10).map(ProcessId).collect(), 4, 2),
+            Configuration::treas(ConfigId(3), (6..=10).map(ProcessId).collect(), 3, 2),
         ])
     }
 
@@ -857,5 +923,95 @@ mod tests {
         };
         s.handle_xfer(ProcessId(4), fwd);
         assert_eq!(s.storage_bytes(), 30, "1 pending fragment of ceil(90/3) bytes");
+    }
+
+    #[test]
+    fn retiring_drops_state_and_transfer_bookkeeping_and_redirects_requests() {
+        // Server 6 is a destination of c1 → c2 transfers: reconfigurer
+        // 200's completed (its tag stored, 200 in `Recons`), 201's
+        // abandoned after a single element (a `D` entry). Then c2 is
+        // finalized away to c3.
+        let reg = registry();
+        let mut s = ServerActor::new(ProcessId(6), reg.clone());
+        let code = build_code(reg.get(ConfigId(1)).code_params()).unwrap();
+        let frags = code.encode(Value::filler(90, 5).as_bytes());
+        let fwd = |rc: u32, tag: Tag, i: usize| XferMsg::FwdElem {
+            tag,
+            frag: frags[i].clone(),
+            src: ConfigId(1),
+            dst: ConfigId(2),
+            obj: ObjectId(0),
+            rc: ProcessId(rc),
+            rpc: RpcId(4),
+            op: op(),
+        };
+        let (done, abandoned) = (Tag::new(7, ProcessId(9)), Tag::new(8, ProcessId(9)));
+        for i in 0..3 {
+            s.handle_xfer(ProcessId(4), fwd(200, done, i));
+        }
+        s.handle_xfer(ProcessId(4), fwd(201, abandoned, 0));
+        assert_eq!((s.recons.len(), s.dset.len()), (1, 1));
+        assert!(s.dap.treas_state_ref(ConfigId(2), ObjectId(0)).is_some());
+
+        // A pending pointer retires nothing; the finalized one does.
+        s.handle_cfg(ProcessId(200), wc(2, ConfigEntry::pending(ConfigId(3))));
+        assert_eq!((s.recons.len(), s.dset.len()), (1, 1));
+        let next = ConfigEntry::finalized(ConfigId(3));
+        let ack = s.handle_cfg(ProcessId(200), wc(2, next));
+        assert!(matches!(ack[..], [(_, Msg::Cfg(CfgMsg::CfgAck { .. }))]), "still acked");
+        assert!(s.recons.is_empty() && s.dset.is_empty(), "transfer bookkeeping dropped");
+        assert!(s.dap.treas_state_ref(ConfigId(2), ObjectId(0)).is_none(), "List dropped");
+        assert_eq!(s.storage_bytes(), 0);
+        assert_eq!(s.next_config(ConfigId(2)), Some(next), "the pointer stays");
+
+        // Every request that would touch c2's object state is redirected,
+        // and creates nothing.
+        let retired = |cfg: u32| {
+            Msg::Dap(DapMsg::new(
+                Hdr { cfg: ConfigId(cfg), obj: ObjectId(0), rpc: RpcId(4), op: op() },
+                DapBody::Retired(next),
+            ))
+        };
+        let mut ctx_rng = rand::rngs::StdRng::seed_from_u64(1);
+        let mut ctx = Ctx::detached(ProcessId(6), 0, &mut ctx_rng);
+        let query = DapMsg::new(
+            Hdr { cfg: ConfigId(2), obj: ObjectId(0), rpc: RpcId(4), op: op() },
+            DapBody::TreasQueryList,
+        );
+        s.on_message(ProcessId(200), Msg::Dap(query), &mut ctx);
+        let sent: Vec<_> = ctx
+            .take_effects()
+            .into_iter()
+            .filter_map(|e| match e {
+                ares_sim::HostEffect::Send { to, msg } => Some((to, msg)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(sent, [(ProcessId(200), retired(2))], "get-data");
+        assert_eq!(s.handle_xfer(ProcessId(4), fwd(200, done, 3)), [(ProcessId(200), retired(2))]);
+        let req = XferMsg::ReqFwd {
+            tag: done,
+            src: ConfigId(2),
+            dst: ConfigId(3),
+            obj: ObjectId(0),
+            rc: ProcessId(200),
+            rpc: RpcId(4),
+            op: op(),
+        };
+        assert_eq!(s.handle_xfer(ProcessId(200), req), [(ProcessId(200), retired(2))]);
+        let repair = RepairMsg::Query {
+            cfg: ConfigId(2),
+            obj: ObjectId(0),
+            rpc: RpcId(4),
+            known: Vec::new(),
+            op: op(),
+        };
+        assert_eq!(s.handle_repair(ProcessId(7), repair), [(ProcessId(7), retired(2))]);
+        assert!(s.dap.treas_state_ref(ConfigId(2), ObjectId(0)).is_none(), "nothing recreated");
+        assert!(s.dset.is_empty() && s.recons.is_empty());
+
+        // A restart from the checkpoint re-derives the retirement.
+        let back = ServerActor::from_snapshot(ProcessId(6), reg, s.snapshot());
+        assert_eq!(back.retired(ConfigId(2)), Some(next));
     }
 }

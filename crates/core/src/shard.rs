@@ -22,11 +22,19 @@
 //! node). The immutable [`ares_types::ConfigRegistry`] is shared by all
 //! shards; there is no mutable state that both classes touch, which is
 //! the whole argument — see `DESIGN.md` §9.
+//!
+//! One message is both: a `WRITE-CONFIG` carrying a *finalized* pointer
+//! retires its base configuration's object state (DESIGN.md §2), which
+//! lives on every shard. It goes to every shard ([`ShardRoute::EveryShard`]):
+//! shard 0 installs it and answers, and each object shard keeps its own
+//! copy of the pointer, retires its own objects and answers nothing. A
+//! shard reads only its own copy, so shards still share no mutable
+//! state.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 #![deny(clippy::todo, clippy::unimplemented, clippy::indexing_slicing)]
 
-use crate::msg::Msg;
-use ares_types::ObjectId;
+use crate::msg::{CfgMsg, Msg};
+use ares_types::{ObjectId, Status};
 
 /// Where a message must execute on a sharded server host.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,6 +43,9 @@ pub enum ShardRoute {
     Object(ObjectId),
     /// Config-wide: must serialize on shard 0.
     ConfigWide,
+    /// A finalized `nextC` pointer: applied by every shard, answered by
+    /// shard 0.
+    EveryShard,
 }
 
 /// Classifies `msg` for shard dispatch (see the module docs for why
@@ -45,6 +56,9 @@ pub enum ShardRoute {
 #[deny(clippy::wildcard_enum_match_arm)]
 pub fn route(msg: &Msg) -> ShardRoute {
     match msg {
+        Msg::Cfg(CfgMsg::WriteConfig { entry, .. }) if entry.status == Status::Finalized => {
+            ShardRoute::EveryShard
+        }
         Msg::Dap(_) | Msg::Con(_) | Msg::Cfg(_) | Msg::Xfer(_) | Msg::Repair(_) => {
             msg.object().map_or(ShardRoute::ConfigWide, ShardRoute::Object)
         }
@@ -64,11 +78,13 @@ pub fn object_shard(obj: ObjectId, shards: usize) -> usize {
 }
 
 /// The shard index `msg` dispatches to on a host with `shards` shards
-/// ([`route`] composed with [`object_shard`]; config-wide ⇒ 0).
+/// ([`route`] composed with [`object_shard`]; config-wide ⇒ 0). For an
+/// every-shard message this is the one that answers, 0; the host
+/// delivers a copy to the others too.
 pub fn shard_of(msg: &Msg, shards: usize) -> usize {
     match route(msg) {
         ShardRoute::Object(obj) => object_shard(obj, shards),
-        ShardRoute::ConfigWide => 0,
+        ShardRoute::ConfigWide | ShardRoute::EveryShard => 0,
     }
 }
 
@@ -78,7 +94,7 @@ mod tests {
     use crate::{CfgMsg, ClientCmd, Invoke, RepairMsg, XferMsg};
     use ares_consensus::{Ballot, ConMsg};
     use ares_dap::{DapBody, DapMsg, Hdr};
-    use ares_types::{ConfigId, OpId, ProcessId, RpcId, SessionId, Tag};
+    use ares_types::{ConfigEntry, ConfigId, OpId, ProcessId, RpcId, SessionId, Tag};
 
     fn op() -> OpId {
         OpId { client: ProcessId(9), seq: 0 }
@@ -111,6 +127,14 @@ mod tests {
         assert_eq!(shard_of(&con, 8), 0);
         let cfg = Msg::Cfg(CfgMsg::ReadConfig { base: ConfigId(0), rpc: RpcId(1), op: op() });
         assert_eq!(shard_of(&cfg, 8), 0);
+        let write = |entry| {
+            Msg::Cfg(CfgMsg::WriteConfig { base: ConfigId(0), entry, rpc: RpcId(1), op: op() })
+        };
+        let pending = write(ConfigEntry::pending(ConfigId(1)));
+        assert_eq!(route(&pending), ShardRoute::ConfigWide);
+        let finalized = write(ConfigEntry::finalized(ConfigId(1)));
+        assert_eq!(route(&finalized), ShardRoute::EveryShard, "every shard retires c0");
+        assert_eq!(shard_of(&finalized, 8), 0, "shard 0 answers");
         let cmd = Msg::Invoke(Invoke {
             session: SessionId(0),
             seq: 0,

@@ -22,8 +22,8 @@
 use crate::{DapAction, DapBody, DapMsg, DapOutput, Hdr, ListEntry};
 use ares_codes::{build_code, Fragment};
 use ares_types::{
-    Configuration, DapKind, ObjectId, OpId, ProcessId, QuorumPhase, RpcId, Step, Tag, TagValue,
-    Time, Value, TAG0,
+    Configuration, DapKind, ObjectId, OpId, ProcessId, QuorumPhase, RpcId, Status, Step, Tag,
+    TagValue, Time, Value, TAG0,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -165,6 +165,17 @@ impl DapCall {
             return Step::idle();
         }
         let rpc = msg.hdr.rpc;
+        // One server that retired the configuration ends the call, in
+        // any phase: it holds no state for it, only the finalized
+        // successor the caller continues at.
+        if let DapBody::Retired(next) = &msg.body {
+            let live = !matches!(self.fold, Fold::Done) && rpc == self.phase.rpc();
+            if live && next.status == Status::Finalized && next.cfg != self.ctx.cfg.id {
+                self.fold = Fold::Done;
+                return Step::done(DapOutput::Retired(*next));
+            }
+            return Step::idle();
+        }
         match (&mut self.fold, &msg.body) {
             (Fold::AbdTag(max), DapBody::AbdTag(t))
             | (Fold::TreasTag(max), DapBody::TreasTag(t))
@@ -521,6 +532,33 @@ mod tests {
             DapBody::AbdTag(Tag::new(9, ProcessId(1))),
         );
         assert!(call.on_message(ProcessId(1), &bad, &mut rpc).is_idle());
+    }
+
+    #[test]
+    fn one_retired_reply_ends_the_call_with_the_successor() {
+        use ares_types::ConfigEntry;
+        let reg = registry();
+        let cfg = reg.get(ConfigId(1)).clone(); // TREAS, quorum 4 of 5
+        let ctx = DapCtx::new(cfg, ObjectId(0), ProcessId(9), op());
+        let mut rpc = 0;
+        let (mut call, step) = DapCall::start(ctx, DapAction::GetData, &mut rpc);
+        let rpc_id = step.sends[0].1.hdr.rpc;
+        let retired = |rpc, next| {
+            DapMsg::new(Hdr { cfg: ConfigId(1), obj: ObjectId(0), rpc, op: op() }, next)
+        };
+        let next = ConfigEntry::finalized(ConfigId(3));
+        // Another phase's, a pending and a self-pointing one are ignored.
+        let stale = retired(RpcId(999), DapBody::Retired(next));
+        assert!(call.on_message(ProcessId(1), &stale, &mut rpc).is_idle());
+        let pending = DapBody::Retired(ConfigEntry::pending(ConfigId(3)));
+        assert!(call.on_message(ProcessId(1), &retired(rpc_id, pending), &mut rpc).is_idle());
+        let looped = DapBody::Retired(ConfigEntry::finalized(ConfigId(1)));
+        assert!(call.on_message(ProcessId(1), &retired(rpc_id, looped), &mut rpc).is_idle());
+        // One server's redirect ends the call, whatever the others say.
+        let out = call.on_message(ProcessId(2), &retired(rpc_id, DapBody::Retired(next)), &mut rpc);
+        assert_eq!(out.output, Some(DapOutput::Retired(next)));
+        assert!(out.sends.is_empty());
+        assert!(call.on_timer(&mut rpc).is_idle(), "a finished call re-sends nothing");
     }
 
     #[test]

@@ -31,7 +31,7 @@ pub mod template;
 
 use ares_codes::Fragment;
 use ares_sim::SimMessage;
-use ares_types::{ConfigId, ObjectId, OpId, ProcessId, RpcId, Tag, TagValue, Value};
+use ares_types::{ConfigEntry, ConfigId, ObjectId, OpId, ProcessId, RpcId, Tag, TagValue, Value};
 
 /// Common header of every DAP message: which configuration and object it
 /// concerns, the client phase it belongs to, and the client operation it
@@ -118,6 +118,13 @@ pub enum DapBody {
     LdrGetData(Tag),
     /// Replica reply carrying `⟨τ, v⟩`.
     LdrData(Tag, Value),
+
+    // ---- every implementation ----
+    /// Reply to any request for a configuration this server has
+    /// *retired*: it holds the header configuration's finalized
+    /// successor `⟨c', F⟩`, carried here, and no longer its object
+    /// state. The caller continues at `c'` (DESIGN.md §2).
+    Retired(ConfigEntry),
 }
 
 /// A DAP wire message: header plus body.
@@ -163,7 +170,8 @@ impl DapBody {
             | DapBody::LdrPutDataAck(_)
             | DapBody::LdrPutMeta(..)
             | DapBody::LdrPutMetaAck
-            | DapBody::LdrGetData(_) => 0,
+            | DapBody::LdrGetData(_)
+            | DapBody::Retired(_) => 0,
         }
     }
 
@@ -190,7 +198,36 @@ impl DapBody {
             | DapBody::LdrPutDataAck(_)
             | DapBody::LdrPutMetaAck
             | DapBody::LdrGetData(_)
-            | DapBody::LdrData(..) => false,
+            | DapBody::LdrData(..)
+            | DapBody::Retired(_) => false,
+        }
+    }
+
+    /// Whether this body is a request a server answers (client →
+    /// server), as opposed to a reply.
+    pub fn is_request(&self) -> bool {
+        match self {
+            DapBody::AbdQueryTag
+            | DapBody::AbdQuery
+            | DapBody::AbdWrite(..)
+            | DapBody::TreasQueryTag
+            | DapBody::TreasQueryList
+            | DapBody::TreasWrite(..)
+            | DapBody::LdrQueryTagLoc
+            | DapBody::LdrPutData(..)
+            | DapBody::LdrPutMeta(..)
+            | DapBody::LdrGetData(_) => true,
+            DapBody::AbdTag(_)
+            | DapBody::AbdTagValue(..)
+            | DapBody::AbdAck
+            | DapBody::TreasTag(_)
+            | DapBody::TreasList(_)
+            | DapBody::TreasAck
+            | DapBody::LdrTagLoc(..)
+            | DapBody::LdrPutDataAck(_)
+            | DapBody::LdrPutMetaAck
+            | DapBody::LdrData(..)
+            | DapBody::Retired(_) => false,
         }
     }
 }
@@ -226,6 +263,7 @@ impl SimMessage for DapMsg {
             DapBody::LdrPutMetaAck => "LDR.PUT-META-ACK",
             DapBody::LdrGetData(..) => "LDR.GET-DATA",
             DapBody::LdrData(..) => "LDR.DATA",
+            DapBody::Retired(..) => "RETIRED",
         };
         format!("{name}[{}]", self.hdr.cfg)
     }
@@ -240,6 +278,9 @@ pub enum DapOutput {
     TagValue(TagValue),
     /// `put-data` completion.
     Ack,
+    /// A server answered that the call's configuration is retired: its
+    /// finalized successor, where the caller continues.
+    Retired(ConfigEntry),
 }
 
 impl DapOutput {
@@ -247,12 +288,15 @@ impl DapOutput {
     ///
     /// # Panics
     ///
-    /// Panics on [`DapOutput::Ack`], which carries no tag.
+    /// Panics on [`DapOutput::Ack`] and [`DapOutput::Retired`], which
+    /// carry no tag.
     pub fn tag(&self) -> Tag {
         match self {
             DapOutput::Tag(t) => *t,
             DapOutput::TagValue(tv) => tv.tag,
-            DapOutput::Ack => panic!("put-data acknowledgements carry no tag"),
+            DapOutput::Ack | DapOutput::Retired(_) => {
+                panic!("put-data acknowledgements and redirects carry no tag")
+            }
         }
     }
 

@@ -348,6 +348,25 @@ impl DapServer {
         self.abd.entry((cfg, obj)).or_default()
     }
 
+    /// The newest `⟨τ, v⟩` this server holds as an LDR replica of
+    /// `(cfg, obj)`, if it holds any (used by state transfer from an LDR
+    /// configuration).
+    pub fn ldr_newest(&self, cfg: ConfigId, obj: ObjectId) -> Option<(Tag, Value)> {
+        self.ldr_rep.get(&(cfg, obj)).map(LdrRepState::current)
+    }
+
+    /// Drops every object state of configuration `cfg`: the server
+    /// retired it once its finalized successor holds the objects
+    /// (DESIGN.md §2). Nothing recreates it — the caller answers later
+    /// requests for `cfg` with [`DapBody::Retired`] instead of calling
+    /// [`DapServer::handle`].
+    pub fn retire(&mut self, cfg: ConfigId) {
+        self.abd.retain(|k, _| k.0 != cfg);
+        self.treas.retain(|k, _| k.0 != cfg);
+        self.ldr_dir.retain(|k, _| k.0 != cfg);
+        self.ldr_rep.retain(|k, _| k.0 != cfg);
+    }
+
     /// Total bytes of object data stored by this server across all
     /// configurations and objects — the per-server storage cost.
     pub fn storage_bytes(&self) -> u64 {
@@ -503,7 +522,8 @@ impl DapServer {
             }
 
             // Replies are never addressed to servers.
-            DapBody::AbdTag(..)
+            DapBody::Retired(..)
+            | DapBody::AbdTag(..)
             | DapBody::AbdTagValue(..)
             | DapBody::AbdAck
             | DapBody::TreasTag(..)
@@ -665,6 +685,30 @@ mod tests {
             DapBody::LdrData(t, _) => assert_eq!(t.z, 20),
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn retire_drops_every_state_of_one_configuration_only() {
+        let mut s = DapServer::new(ProcessId(1), registry());
+        let t = Tag::new(1, ProcessId(9));
+        let puts = [
+            (0, DapBody::AbdWrite(t, Value::new(vec![0; 30]))),
+            (1, DapBody::TreasWrite(t, frag(0, 10))),
+            (2, DapBody::LdrPutData(t, Value::new(vec![0; 5]))),
+            (2, DapBody::LdrPutMeta(t, vec![ProcessId(1)])),
+        ];
+        for (cfg, body) in puts {
+            s.handle(ProcessId(9), DapMsg::new(hdr(cfg), body));
+        }
+        assert_eq!(s.storage_bytes(), 45);
+        s.retire(ConfigId(2));
+        assert_eq!(s.storage_bytes(), 40, "c2's replica gone");
+        assert!(s.ldr_dir.is_empty() && s.ldr_rep.is_empty());
+        assert_eq!(s.ldr_newest(ConfigId(2), ObjectId(0)), None);
+        s.retire(ConfigId(0));
+        s.retire(ConfigId(1));
+        assert_eq!(s.storage_bytes(), 0);
+        assert!(s.snapshot() == DapSnapshot::default(), "nothing left to checkpoint");
     }
 
     #[test]

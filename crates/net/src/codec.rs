@@ -442,6 +442,7 @@ wire_enum!(DapBody {
     17 => LdrPutMetaAck,
     18 => LdrGetData(tag),
     19 => LdrData(tag, value),
+    20 => Retired(next),
 });
 
 wire_enum!(ConMsg {

@@ -25,6 +25,7 @@ use crate::codec::{self, read_frame};
 use crate::faults::FaultControls;
 use crate::sync::Signal;
 use crate::wal::ShardWal;
+use ares_core::shard::{route, ShardRoute};
 use ares_core::Msg;
 use ares_sim::{Actor, Ctx, HostEffect};
 use ares_types::{ConfigRegistry, ObjectId, OpCompletion, ProcessId, Time};
@@ -418,6 +419,10 @@ pub(crate) enum Event<A> {
         /// True for network-sourced events, which count against the
         /// inbound high-water mark (local loopback/injections do not).
         counted: bool,
+        /// A copy of an every-shard message ([`ShardRoute::EveryShard`])
+        /// for a shard other than the one that answers it: journaled and
+        /// applied like any delivery, its replies dropped.
+        mirror: bool,
     },
     /// Crash-stop: drop deliveries, and the timers armed so far, until
     /// `Resume`. The loop drops the sender once it has applied this, so
@@ -698,8 +703,9 @@ impl<A: Actor<Msg> + Send + 'static> ShardedHost<A> {
     /// lands on `o`'s shard).
     pub(crate) fn inject(&self, from: ProcessId, msg: Msg) {
         let si = (self.router)(&msg, self.shards.len());
+        mirror(self.shards.iter().map(|s| &s.tx), si, from, &msg);
         if let Some(shard) = self.shards.get(si) {
-            let _ = shard.tx.send(Event::Deliver { from, msg, counted: false });
+            let _ = shard.tx.send(Event::Deliver { from, msg, counted: false, mirror: false });
         }
     }
 
@@ -906,12 +912,14 @@ fn reader_loop<A: Actor<Msg> + Send + 'static>(
                     }
                     let backlog = inbound.fetch_add(1, Ordering::SeqCst) + 1;
                     shard_counters.inbox_high_water.fetch_max(backlog, Ordering::Relaxed);
+                    mirror(&targets.txs, si, from, &msg);
                     // frames_routed is counted by the shard as it
                     // *applies* the delivery, not here: a snapshot must
                     // never observe a routed frame that has not yet
                     // been applied (events_applied ≥ frames_routed is
                     // an invariant tests rely on).
-                    if tx.send(Event::Deliver { from, msg, counted: true }).is_err() {
+                    if tx.send(Event::Deliver { from, msg, counted: true, mirror: false }).is_err()
+                    {
                         inbound.fetch_sub(1, Ordering::SeqCst);
                         return;
                     }
@@ -1024,7 +1032,7 @@ fn event_loop<A: Actor<Msg> + Send + 'static>(
                 actor = a;
                 wal = w;
             }
-            Event::Deliver { from, msg, counted } => {
+            Event::Deliver { from, msg, counted, mirror } => {
                 if counted {
                     inbound.fetch_sub(1, Ordering::SeqCst);
                     if let Some((_, owed)) = due.as_mut() {
@@ -1054,10 +1062,31 @@ fn event_loop<A: Actor<Msg> + Send + 'static>(
                 let now: Time = epoch.elapsed().as_micros() as Time;
                 let mut ctx = Ctx::detached(pid, now, &mut rng);
                 actor.on_message(from, msg, &mut ctx);
-                let effects = ctx.take_effects();
+                let mut effects = ctx.take_effects();
+                if mirror {
+                    effects.retain(|e| !matches!(e, HostEffect::Send { .. }));
+                }
                 apply(pid, effects, &loopbacks, router, &pool, &mut timers, &completions);
             }
         }
+    }
+}
+
+/// Hands a copy of an every-shard message to each shard but `primary`,
+/// the one it is routed to and that answers it (DESIGN.md §9). Only
+/// clients write pointers, so the listener and `inject` are the two
+/// paths such a message enters a server host by.
+fn mirror<'a, A: 'a>(
+    txs: impl IntoIterator<Item = &'a Sender<Event<A>>>,
+    primary: usize,
+    from: ProcessId,
+    msg: &Msg,
+) {
+    if route(msg) != ShardRoute::EveryShard {
+        return;
+    }
+    for (_, tx) in txs.into_iter().enumerate().filter(|(si, _)| *si != primary) {
+        let _ = tx.send(Event::Deliver { from, msg: msg.clone(), counted: false, mirror: true });
     }
 }
 
@@ -1087,7 +1116,9 @@ fn apply<A>(
                     // shard may not be the sending shard.
                     let si = router(&msg, loopbacks.len());
                     if let Some(tx) = loopbacks.get(si) {
-                        let _ = tx.send(Event::Deliver { from: pid, msg, counted: false });
+                        let deliver =
+                            Event::Deliver { from: pid, msg, counted: false, mirror: false };
+                        let _ = tx.send(deliver);
                     }
                     continue;
                 }
@@ -1511,7 +1542,8 @@ mod tests {
     }
 
     fn deliver(from: u32, counted: bool) -> Event<Recorder> {
-        Event::Deliver { from: ProcessId(from), msg: write_msg(Value::from_static(b"x")), counted }
+        let msg = write_msg(Value::from_static(b"x"));
+        Event::Deliver { from: ProcessId(from), msg, counted, mirror: false }
     }
 
     /// The pid of every test shard below.
@@ -1648,6 +1680,7 @@ mod tests {
             from: ProcessId(1),
             msg: write_msg(Value::filler(8, 1)),
             counted: false,
+            mirror: false,
         })
         .unwrap();
         tx.send(Event::Shutdown).unwrap();
@@ -1684,7 +1717,8 @@ mod tests {
         let within = Duration::from_secs(10);
         for round in 1..=2 {
             let msg = write_msg(Value::filler(8, 1));
-            tx.send(Event::Deliver { from: ProcessId(round), msg, counted: false }).unwrap();
+            tx.send(Event::Deliver { from: ProcessId(round), msg, counted: false, mirror: false })
+                .unwrap();
             let mut got: Vec<_> =
                 (0..3).map(|_| logged.recv_timeout(within).expect("the loop serves")).collect();
             got.sort();

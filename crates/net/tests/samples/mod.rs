@@ -1,4 +1,4 @@
-//! One constructor per leaf variant of the message tree — the 20
+//! One constructor per leaf variant of the message tree — the 21
 //! `DapBody` shapes, 7 `ConMsg`, 4 `CfgMsg`, 3 `XferMsg`, 3 `RepairMsg`
 //! and 3 `ClientCmd` (inside `Invoke`) — with every nested `Option`,
 //! `Vec`, `Fragment` and `Value` populated from the caller's fields.
@@ -13,7 +13,7 @@ use ares_types::{ConfigEntry, ConfigId, ObjectId, OpId, ProcessId, RpcId, Sessio
 use bytes::Bytes;
 
 /// Number of leaf variants [`leaf`] can build.
-pub const LEAVES: usize = 40;
+pub const LEAVES: usize = 41;
 
 /// The scalar fields a sample is assembled from.
 pub struct Fields {
@@ -111,6 +111,7 @@ pub fn leaf(i: usize, f: &Fields) -> (&'static str, Msg) {
         36 => ("Lists", Msg::Repair(RepairMsg::Lists { cfg, obj, rpc, list, op })),
         37 => ("Write", invoke(ClientCmd::Write { obj, value })),
         38 => ("Read", invoke(ClientCmd::Read { obj })),
-        _ => ("Recon", invoke(ClientCmd::Recon { target: cfg })),
+        39 => ("Recon", invoke(ClientCmd::Recon { target: cfg })),
+        _ => ("Retired", dap(DapBody::Retired(ConfigEntry::finalized(cfg2)))),
     }
 }

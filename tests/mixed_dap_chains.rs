@@ -120,6 +120,32 @@ fn direct_transfer_from_coded_into_replicated_falls_back_to_plain() {
 }
 
 #[test]
+fn direct_transfer_from_an_ldr_source_completes() {
+    // LDR -> TREAS [5,3] under direct transfer: the source's directories
+    // hold no value, so its replicas forward their newest one as the
+    // [n, 1] element; a destination quorum decodes it and the recon
+    // completes instead of re-broadcasting `REQ-FW-CODE-ELEM` forever.
+    let configs = vec![
+        Configuration::ldr(ConfigId(0), ids(1..=5), 1),
+        Configuration::treas(ConfigId(1), ids(6..=10), 3, 2),
+    ];
+    let mut s = Scenario::new(configs)
+        .clients([100, 110, 200])
+        .direct_transfer()
+        .event_limit(200_000)
+        .seed(8);
+    s = s.write_at(0, 100, 0, Value::filler(90, 3));
+    s = s.recon_at(2_000, 200, 1);
+    s = s.read_at(12_000, 110, 0);
+    let res = s.run();
+    assert_eq!(res.outcome, RunOutcome::Quiescent);
+    let h = res.assert_complete_and_atomic();
+    assert_eq!(h.iter().find_map(|c| c.installed), Some(ConfigId(1)));
+    let read = h.iter().find(|c| c.kind == OpKind::Read).unwrap();
+    assert_eq!(read.value_digest, Some(Value::filler(90, 3).digest()));
+}
+
+#[test]
 fn overlapping_server_sets_between_configurations() {
     // Heavy membership overlap: the same servers play roles in several
     // configurations simultaneously (distinct per-config register state).

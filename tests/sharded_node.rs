@@ -272,3 +272,146 @@ fn blank_restart_with_repair_rejoins_on_sharded_node() {
     cluster.shutdown();
     check_atomicity(&history).assert_atomic();
 }
+
+/// Retirement on a sharded node (DESIGN.md §2, §9): the finalized
+/// pointers of a reconfiguration chain reach every shard, so each
+/// object shard redirects requests for the configurations it retired —
+/// and does so again after the node recovers from its per-shard logs.
+/// Only shard 0 answers the pointer writes. One two-shard node, server 1
+/// of `c0 → c1 → c2` (ABD over {1} each); the test plays client 100 over
+/// a socket of its own and reads every reply frame.
+#[test]
+fn object_shards_redirect_after_a_reconfiguration_chain() {
+    use ares_core::shard::object_shard;
+    use ares_core::{CfgMsg, Msg};
+    use ares_dap::{DapBody, DapMsg, Hdr};
+    use ares_net::codec::read_frame;
+    use ares_net::{AddrBook, ShardedNode, WalConfig};
+    use ares_types::{ConfigEntry, ConfigRegistry, OpId, RpcId, Tag};
+    use std::collections::HashMap;
+    use std::io::BufReader;
+    use std::net::{TcpListener, TcpStream};
+    use std::sync::Arc;
+
+    const CLIENT: ProcessId = ProcessId(100);
+    const OP: OpId = OpId { client: CLIENT, seq: 0 };
+
+    /// Client 100's side: injects requests into the node and reads the
+    /// replies the node sends back to it, keyed by `(cfg, obj)` (the
+    /// pointer acks by `(base, u32::MAX)`).
+    struct Client {
+        node: ShardedNode,
+        inbox: TcpListener,
+        replies: Option<BufReader<TcpStream>>,
+    }
+
+    impl Client {
+        fn send(&self, msg: Msg) {
+            self.node.inject(CLIENT, msg);
+        }
+
+        fn query(&self, cfg: u32, obj: ObjectId, body: DapBody) {
+            let hdr = Hdr { cfg: ConfigId(cfg), obj, rpc: RpcId(1), op: OP };
+            self.send(Msg::Dap(DapMsg::new(hdr, body)));
+        }
+
+        fn read(&mut self, n: usize) -> HashMap<(u32, u32), DapBody> {
+            let inbox = &self.inbox;
+            // The node connects on its first reply.
+            let replies = self.replies.get_or_insert_with(|| {
+                let (conn, _) = inbox.accept().expect("node connects");
+                conn.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+                BufReader::new(conn)
+            });
+            let mut got = HashMap::new();
+            for _ in 0..n {
+                match read_frame(replies).expect("reply").expect("open").1 {
+                    Msg::Dap(m) => {
+                        got.insert((m.hdr.cfg.0, m.hdr.obj.0), m.body);
+                    }
+                    Msg::Cfg(CfgMsg::CfgAck { base, .. }) => {
+                        got.insert((base.0, u32::MAX), DapBody::AbdAck);
+                    }
+                    other => panic!("unexpected reply {other:?}"),
+                }
+            }
+            got
+        }
+    }
+
+    let server = ProcessId(1);
+    let registry =
+        ConfigRegistry::from_configs((0..3).map(|c| Configuration::abd(ConfigId(c), vec![server])));
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind node");
+    let inbox = TcpListener::bind("127.0.0.1:0").expect("bind client");
+    let book = Arc::new(AddrBook::from_entries([
+        (server, listener.local_addr().expect("node addr")),
+        (CLIENT, inbox.local_addr().expect("client addr")),
+    ]));
+    let dir = std::env::temp_dir().join(format!("ares-retire-shards-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let wal = WalConfig { checkpoint_records: 3, ..WalConfig::default() };
+    let epoch = std::time::Instant::now();
+    let node = ShardedNode::serve_sharded(
+        server,
+        registry,
+        book,
+        listener,
+        epoch,
+        None,
+        2,
+        Some((dir.clone(), wal)),
+    )
+    .expect("node boots");
+    let mut c = Client { node, inbox, replies: None };
+    // One object on each shard.
+    let objs: Vec<ObjectId> = [0, 1]
+        .map(|s| (0..).map(ObjectId).find(|&o| object_shard(o, 2) == s).expect("an object"))
+        .to_vec();
+
+    // The chain: each object written into c0, then migrated into c1 and
+    // c2 ahead of each finalize.
+    let value = Value::filler(32, 7);
+    for (z, cfg) in (1..).zip(0..3u32) {
+        for &obj in &objs {
+            c.query(cfg, obj, DapBody::AbdWrite(Tag::new(z, CLIENT), value.clone()));
+        }
+    }
+    assert_eq!(c.read(6).len(), 6, "every put acked");
+    for base in 0..2u32 {
+        let entry = ConfigEntry::finalized(ConfigId(base + 1));
+        let rpc = RpcId(2);
+        c.send(Msg::Cfg(CfgMsg::WriteConfig { base: ConfigId(base), entry, rpc, op: OP }));
+        assert_eq!(c.read(1).len(), 1, "shard 0 acks c{base}'s pointer");
+    }
+
+    let check = |c: &mut Client| {
+        for cfg in 0..3u32 {
+            for &obj in &objs {
+                c.query(cfg, obj, DapBody::AbdQuery);
+            }
+        }
+        let got = c.read(6);
+        for &obj in &objs {
+            for base in 0..2u32 {
+                let next = ConfigEntry::finalized(ConfigId(base + 1));
+                assert_eq!(got[&(base, obj.0)], DapBody::Retired(next), "c{base}, {obj:?}");
+            }
+            let stored = DapBody::AbdTagValue(Tag::new(3, CLIENT), value.clone());
+            assert_eq!(got[&(2, obj.0)], stored, "c2 serves {obj:?}");
+        }
+    };
+    check(&mut c);
+    // Recovery re-derives retirement from each shard's own pointers.
+    c.node.pause();
+    c.node.replace_recovered().expect("recovers");
+    c.node.resume();
+    check(&mut c);
+    let Client { node, replies, .. } = c;
+    node.shutdown();
+    // Nothing beyond the expected replies: the object shard answered no
+    // pointer write.
+    let mut replies = replies.expect("connected");
+    assert!(matches!(read_frame(&mut replies), Ok(None) | Err(_)), "no extra reply");
+    let _ = std::fs::remove_dir_all(&dir);
+}
