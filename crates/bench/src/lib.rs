@@ -1,21 +1,13 @@
 //! Test support for the experiments that reproduce the paper's tables
 //! and figures (`tests/experiments/`; `DESIGN.md` §3 has the index and
-//! `EXPERIMENTS.md` the recorded results): a static register rig, the
-//! table an experiment renders, and the golden-file check every pinned
-//! transcript of the workspace goes through.
+//! `EXPERIMENTS.md` the recorded results): the server and chain
+//! fixtures, the table an experiment renders, and the golden-file check
+//! every pinned transcript of the workspace goes through. Every
+//! experiment runs ARES sessions through `ares_harness::Scenario`.
 
-use ares_dap::server::DapServer;
-use ares_dap::template::{RegisterOp, StaticClientActor, StaticMsg, StaticServerActor};
-use ares_sim::{NetworkConfig, World};
-use ares_types::{
-    ConfigId, ConfigRegistry, Configuration, ObjectId, OpCompletion, ProcessId, Time, Value,
-};
+use ares_types::{ConfigId, Configuration, ProcessId, Time};
 use std::fmt::{Display, Write as _};
 use std::path::Path;
-use std::sync::Arc;
-
-/// The environment pseudo-process.
-pub const ENV: ProcessId = ProcessId(0);
 
 /// Servers `1..=n`.
 pub fn servers(n: usize) -> Vec<ProcessId> {
@@ -114,89 +106,6 @@ pub fn record_golden(path: &Path, got: &str) {
     std::fs::write(path, got).expect("write golden");
 }
 
-/// A ready-to-run *static* register world (one configuration, no
-/// reconfiguration) with `writers + readers` clients — the measurement
-/// rig for the TREAS cost theorems.
-pub struct StaticRig {
-    /// The simulation world.
-    pub world: World<StaticMsg>,
-    /// Server ids.
-    pub servers: Vec<ProcessId>,
-    /// Writer client ids.
-    pub writers: Vec<ProcessId>,
-    /// Reader client ids.
-    pub readers: Vec<ProcessId>,
-}
-
-impl StaticRig {
-    /// Builds the rig for `cfg` with the given client counts.
-    pub fn new(
-        cfg: Configuration,
-        n_writers: usize,
-        n_readers: usize,
-        d: Time,
-        big_d: Time,
-        seed: u64,
-    ) -> Self {
-        let id = cfg.id;
-        let servers = cfg.servers.clone();
-        let reg = ConfigRegistry::from_configs([cfg]);
-        let cfg: Arc<Configuration> = reg.get(id).clone();
-        let mut world = World::new(NetworkConfig::uniform(d, big_d), seed);
-        for &s in &servers {
-            world.add_actor(s, StaticServerActor::new(DapServer::new(s, reg.clone())));
-        }
-        let writers: Vec<ProcessId> = (0..n_writers as u32).map(|i| ProcessId(100 + i)).collect();
-        let readers: Vec<ProcessId> = (0..n_readers as u32).map(|i| ProcessId(150 + i)).collect();
-        for &c in writers.iter().chain(&readers) {
-            world.add_actor(c, StaticClientActor::new(cfg.clone(), ObjectId(0)));
-        }
-        StaticRig { world, servers, writers, readers }
-    }
-
-    /// Schedules a write of a fresh `size`-byte value.
-    pub fn write(&mut self, at: Time, writer: usize, size: usize, seed: u64) {
-        let w = self.writers[writer];
-        self.world.post(
-            at,
-            ENV,
-            w,
-            StaticMsg::Invoke(RegisterOp::Write(Value::filler(size, seed))),
-        );
-    }
-
-    /// Schedules a read.
-    pub fn read(&mut self, at: Time, reader: usize) {
-        let r = self.readers[reader];
-        self.world.post(at, ENV, r, StaticMsg::Invoke(RegisterOp::Read));
-    }
-
-    /// Runs to quiescence and returns the history.
-    pub fn run(&mut self) -> Vec<OpCompletion> {
-        self.world.run();
-        self.world.completions().to_vec()
-    }
-
-    /// Total stored object bytes across all servers.
-    pub fn total_storage(&self) -> u64 {
-        self.servers
-            .iter()
-            .filter_map(|&s| self.world.actor_as::<StaticServerActor>(s))
-            .map(|a| a.storage_bytes())
-            .sum()
-    }
-
-    /// Maximum stored object bytes on any single server.
-    pub fn max_server_storage(&self) -> u64 {
-        self.servers
-            .iter()
-            .filter_map(|&s| self.world.actor_as::<StaticServerActor>(s))
-            .map(|a| a.storage_bytes())
-            .max()
-            .unwrap_or(0)
-    }
-}
-
 /// Extracts per-action durations from a traced ARES run: returns
 /// `(action_name, duration)` for every balanced `+name` / `-name` note
 /// pair of one client.
@@ -232,17 +141,5 @@ mod tests {
         assert_eq!(s.max, 3.0);
         assert!((s.mean - 2.0).abs() < 1e-12);
         assert_eq!(Stats::of([]).n, 0);
-    }
-
-    #[test]
-    fn static_rig_round_trips() {
-        let cfg = Configuration::treas(ConfigId(0), servers(5), 3, 2);
-        let mut rig = StaticRig::new(cfg, 1, 1, 10, 50, 1);
-        rig.write(0, 0, 60, 7);
-        rig.read(1_000, 0);
-        let h = rig.run();
-        assert_eq!(h.len(), 2);
-        assert!(rig.total_storage() > 0);
-        assert!(rig.max_server_storage() >= 20); // ceil(60/3)
     }
 }

@@ -7,9 +7,10 @@
 //! the other experiments use, and a simulation demonstrates that the
 //! threshold works at its exact fault bound.
 
-use ares_bench::{servers, Report, StaticRig};
+use ares_bench::{servers, Report};
+use ares_harness::Scenario;
 use ares_sim::{FaultAction, FaultSchedule};
-use ares_types::{ConfigId, Configuration, OpKind, ProcessId, QuorumSpec};
+use ares_types::{ConfigId, Configuration, ProcessId, QuorumSpec, Value};
 
 pub fn table() -> String {
     let mut out = Report::default();
@@ -48,14 +49,17 @@ pub fn table() -> String {
     for (n, k) in [(5usize, 3usize), (9, 5), (9, 7)] {
         let f = (n - k) / 2;
         let cfg = Configuration::treas(ConfigId(0), servers(n), k, 2);
-        let mut rig = StaticRig::new(cfg, 1, 1, 10, 40, 9);
         let crash =
             |s: FaultSchedule, i| s.at(0, FaultAction::Crash { pid: ProcessId((n - i) as u32) });
-        rig.world.install_faults(&(0..f).fold(FaultSchedule::new(), crash));
-        rig.write(1, 0, 90, 1);
-        rig.read(5_000, 0);
-        let h = rig.run();
-        let ok = h.iter().filter(|c| matches!(c.kind, OpKind::Write | OpKind::Read)).count();
+        let res = Scenario::new(vec![cfg])
+            .clients([100, 150])
+            .delays(10, 40)
+            .seed(9)
+            .fault_schedule((0..f).fold(FaultSchedule::new(), crash))
+            .write_at(1, 100, 0, Value::filler(90, 1))
+            .read_at(5_000, 150, 0)
+            .run();
+        let ok = res.completions.len();
         out.row(&[n.to_string(), k.to_string(), f.to_string(), format!("{ok}/2")]);
         assert_eq!(ok, 2, "operations complete with exactly f crashes");
     }

@@ -9,8 +9,9 @@
 //! fragment view pins: every point equals `ares_core::cost`'s stored
 //! bytes exactly, in total and on each server.
 
-use ares_bench::{servers, Report, StaticRig};
-use ares_types::{ConfigId, Configuration, OpKind};
+use ares_bench::{servers, Report};
+use ares_harness::Scenario;
+use ares_types::{ConfigId, Configuration, OpKind, Value};
 
 const VALUE_SIZE: usize = 6 * 7 * 8 * 9; // divisible by every k we sweep
 
@@ -23,15 +24,17 @@ fn model(cfg: &Configuration) -> (u64, f64) {
     (stored(VALUE_SIZE), stored(k) as f64 / k as f64)
 }
 
+/// Total stored bytes, and the most any one server stores.
 fn measure(cfg: Configuration, delta: usize) -> (u64, u64) {
-    let mut rig = StaticRig::new(cfg, 1, 0, 10, 30, 42);
+    let mut s = Scenario::new(vec![cfg]).clients([100]).delays(10, 30).seed(42);
     // 2(δ+1) sequential writes: every List saturates at δ+1 elements.
     for i in 0..(2 * (delta + 1)) as u64 {
-        rig.write(i * 10_000, 0, VALUE_SIZE, i + 1);
+        s = s.write_at(i * 10_000, 100, 0, Value::filler(VALUE_SIZE, i + 1));
     }
-    let h = rig.run();
-    assert_eq!(h.len(), 2 * (delta + 1), "all writes complete");
-    (rig.total_storage(), rig.max_server_storage())
+    let res = s.run();
+    assert_eq!(res.completions.len(), 2 * (delta + 1), "all writes complete");
+    let max_server = res.storage_bytes.iter().map(|&(_, b)| b).max().unwrap_or(0);
+    (res.total_storage_bytes(), max_server)
 }
 
 pub fn table() -> String {

@@ -7,21 +7,25 @@
 //! Both equal `ares_core::cost`'s wire bytes exactly: the bounds are
 //! met with equality once every list holds `δ + 1` elements.
 
-use ares_bench::{servers, Report, StaticRig};
-use ares_types::{ConfigId, Configuration, OpKind};
+use ares_bench::{servers, Report};
+use ares_harness::Scenario;
+use ares_types::{ConfigId, Configuration, OpKind, Value};
 
 const VALUE_SIZE: usize = 9240; // lcm(3,4,5,7,8,11): divisible by every swept k
 
+/// Payload bytes of the measured write and read.
 fn measure(cfg: Configuration, delta: usize) -> (u64, u64) {
-    let mut rig = StaticRig::new(cfg, 1, 1, 10, 30, 7);
+    let mut s = Scenario::new(vec![cfg]).clients([100, 150]).delays(10, 30).seed(7);
     // Saturate lists so the read sees worst-case list sizes.
     for i in 0..(delta + 1) as u64 {
-        rig.write(i * 10_000, 0, VALUE_SIZE, i + 1);
+        s = s.write_at(i * 10_000, 100, 0, Value::filler(VALUE_SIZE, i + 1));
     }
     let t0 = (delta as u64 + 1) * 10_000;
-    rig.write(t0, 0, VALUE_SIZE, 999); // the measured write
-    rig.read(t0 + 10_000, 0); // the measured read
-    let h = rig.run();
+    let res = s
+        .write_at(t0, 100, 0, Value::filler(VALUE_SIZE, 999)) // the measured write
+        .read_at(t0 + 10_000, 150, 0) // the measured read
+        .run();
+    let h = res.assert_complete_and_atomic();
     let wr = h
         .iter()
         .filter(|c| c.kind == OpKind::Write)

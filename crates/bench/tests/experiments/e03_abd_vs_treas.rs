@@ -4,8 +4,9 @@
 //! (The paper scales this to 1,000,000 objects / 3 TB vs 1.5 TB; cost is
 //! linear in the object count, so we run one object and scale.)
 
-use ares_bench::{servers, Report, StaticRig};
-use ares_types::{ConfigId, Configuration, OpKind};
+use ares_bench::{servers, Report};
+use ares_harness::Scenario;
+use ares_types::{ConfigId, Configuration, OpKind, Value};
 
 const MB: usize = 1 << 20;
 
@@ -28,15 +29,18 @@ fn model(cfg: &Configuration) -> Outcome {
 }
 
 fn run(cfg: Configuration) -> Outcome {
-    let mut rig = StaticRig::new(cfg, 1, 1, 10, 30, 3);
-    rig.write(0, 0, MB, 1);
-    rig.read(200_000, 0);
-    let h = rig.run();
-    assert_eq!(h.len(), 2);
+    let res = Scenario::new(vec![cfg])
+        .clients([100, 150])
+        .delays(10, 30)
+        .seed(3)
+        .write_at(0, 100, 0, Value::filler(MB, 1))
+        .read_at(200_000, 150, 0)
+        .run();
+    let h = res.assert_complete_and_atomic();
     let wr = h.iter().find(|c| c.kind == OpKind::Write).unwrap();
     let rd = h.iter().find(|c| c.kind == OpKind::Read).unwrap();
     Outcome {
-        storage: rig.total_storage(),
+        storage: res.total_storage_bytes(),
         write_bytes: wr.payload_bytes,
         read_bytes: rd.payload_bytes,
     }

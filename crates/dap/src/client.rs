@@ -397,22 +397,36 @@ mod tests {
         action: DapAction,
         rpc: &mut u64,
     ) -> DapOutput {
+        run_call_reaching(servers, |_, _| true, cfg, action, rpc).expect("call stalled")
+    }
+
+    /// Like [`run_call`], but a request reaches server `to` only if
+    /// `reach(to, request)`; `None` once the call stalls for replies.
+    fn run_call_reaching(
+        servers: &mut HashMap<ProcessId, DapServer>,
+        reach: impl Fn(ProcessId, &DapMsg) -> bool,
+        cfg: Arc<Configuration>,
+        action: DapAction,
+        rpc: &mut u64,
+    ) -> Option<DapOutput> {
         let ctx = DapCtx::new(cfg, ObjectId(0), ProcessId(9), op());
         let (mut call, step) = DapCall::start(ctx, action, rpc);
         let mut inbox = step.sends;
         for _ in 0..64 {
+            if inbox.is_empty() {
+                return None;
+            }
             let mut next = Vec::new();
-            for (to, m) in inbox.drain(..) {
+            for (to, m) in inbox.drain(..).filter(|(to, m)| reach(*to, m)) {
                 let srv = servers.get_mut(&to).expect("server exists");
                 for (_back, reply) in srv.handle(ProcessId(9), m) {
                     let s = call.on_message(to, &reply, rpc);
                     if let Some(out) = s.output {
-                        return out;
+                        return Some(out);
                     }
                     next.extend(s.sends);
                 }
             }
-            assert!(!next.is_empty(), "call stalled");
             inbox = next;
         }
         panic!("no completion in 64 rounds");
@@ -511,6 +525,54 @@ mod tests {
         let mut rpc = 0;
         let out = run_call(&mut servers, cfg, DapAction::GetData, &mut rpc);
         assert_eq!(out, DapOutput::TagValue(TagValue::initial()));
+    }
+
+    #[test]
+    fn ldr_get_data_satisfies_c3_across_disjoint_quorums() {
+        // C3 (Definition 31): of two get-datas that do not overlap, the
+        // second returns a tag ≥ the first's, even when they are answered
+        // by different quorums and the put-data behind the first reached
+        // only part of the servers. LDR's get-data writes the metadata it
+        // chose back to a directory quorum before it fetches (Alg. 13).
+        let reg = registry();
+        let cfg = reg.get(ConfigId(2)).clone(); // LDR f = 1: replicas 1–3
+        let mut servers = make_servers(&reg, 5);
+        let mut rpc = 0;
+        let within = |set: [u32; 3]| move |to: ProcessId, _: &DapMsg| set.contains(&to.0);
+        let t = Tag::new(1, ProcessId(9));
+        let v = Value::filler(24, 3);
+        // The put-data stalls: its data reaches replicas 1 and 2, its
+        // metadata only directory 1.
+        let partial = |to: ProcessId, m: &DapMsg| match m.body {
+            DapBody::LdrPutData(..) => to.0 <= 2,
+            _ => to.0 == 1,
+        };
+        let put = DapAction::PutData(TagValue::new(t, v.clone()));
+        assert_eq!(run_call_reaching(&mut servers, partial, cfg.clone(), put, &mut rpc), None);
+        // Directories 2, 3 and 5 have not heard of `t` yet.
+        let before = run_call_reaching(
+            &mut servers,
+            within([2, 3, 5]),
+            cfg.clone(),
+            DapAction::GetTag,
+            &mut rpc,
+        );
+        assert_eq!(before, Some(DapOutput::Tag(TAG0)));
+        // The first get-data is answered by {1, 3, 4} and sees `t`.
+        let first = run_call_reaching(
+            &mut servers,
+            within([1, 3, 4]),
+            cfg.clone(),
+            DapAction::GetData,
+            &mut rpc,
+        );
+        assert_eq!(first, Some(DapOutput::TagValue(TagValue::new(t, v.clone()))));
+        // The second, by {2, 3, 5}, meets it only at directory 3.
+        let second =
+            run_call_reaching(&mut servers, within([2, 3, 5]), cfg, DapAction::GetData, &mut rpc)
+                .expect("replica 2 holds the value");
+        assert!(second.tag() >= t, "C3: {:?} < {t:?}", second.tag());
+        assert_eq!(second, DapOutput::TagValue(TagValue::new(t, v)));
     }
 
     #[test]

@@ -11,23 +11,19 @@
 //! If the primitives satisfy consistency properties **C1** (a `get` that
 //! follows a completed `put-data(⟨τ,v⟩)` returns a tag `≥ τ`) and **C2**
 //! (a `get-data` returns a pair that was actually put, or `(t_0, v_0)`),
-//! then the generic templates A1/A2 ([`template`]) — and ARES itself —
-//! are atomic (Theorems 4/32/33 and 21).
+//! then the generic templates A1/A2 (Algs. 10–11) — and ARES itself,
+//! whose read/write (Alg. 7) is A1 inside `read-config` — are atomic
+//! (Theorems 4/32/33 and 21).
 //!
 //! This crate provides:
 //!
 //! * the wire messages ([`DapMsg`]) shared by all implementations;
 //! * client-side engines ([`client::DapCall`]) for **ABD** (Alg. 12),
 //!   **TREAS** (Algs. 2–3) and **LDR** (Alg. 13);
-//! * the corresponding server-side state machines ([`server::DapServer`]);
-//! * the A1/A2 register templates (Algs. 10–11) and standalone actors for
-//!   running a *static* (non-reconfigurable) atomic register in the
-//!   simulator, which is how the TREAS cost/liveness experiments
-//!   (Theorem 3, Theorem 9) are measured without ARES overhead.
+//! * the corresponding server-side state machines ([`server::DapServer`]).
 
 pub mod client;
 pub mod server;
-pub mod template;
 
 use ares_codes::Fragment;
 use ares_sim::SimMessage;
@@ -299,14 +295,6 @@ impl DapOutput {
             }
         }
     }
-
-    /// The tag-value pair, if this is a `get-data` output.
-    pub fn tag_value(&self) -> Option<&TagValue> {
-        match self {
-            DapOutput::TagValue(tv) => Some(tv),
-            _ => None,
-        }
-    }
 }
 
 /// Which primitive a [`client::DapCall`] performs.
@@ -367,7 +355,6 @@ mod tests {
         assert_eq!(DapOutput::Tag(Tag::new(3, ProcessId(1))).tag().z, 3);
         let tv = TagValue::new(Tag::new(5, ProcessId(2)), Value::initial());
         assert_eq!(DapOutput::TagValue(tv.clone()).tag(), tv.tag);
-        assert!(DapOutput::Ack.tag_value().is_none());
     }
 
     #[test]

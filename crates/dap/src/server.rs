@@ -1,8 +1,7 @@
 //! Server-side protocol of the three DAP implementations.
 //!
 //! [`DapServer`] is a pure state machine embedded into the unified server
-//! actor of `ares-core` (and into the standalone actors of
-//! [`crate::template`]): it consumes a [`DapMsg`] and returns the replies
+//! actor of `ares-core`: it consumes a [`DapMsg`] and returns the replies
 //! to transmit. State is keyed by `(configuration, object)` — a server
 //! that belongs to several configurations plays an independent role in
 //! each, exactly as in the paper where each configuration carries its own

@@ -36,8 +36,9 @@ pub enum DapKind {
         /// `δ + 1` highest tags.
         delta: usize,
     },
-    /// LDR (Appendix A.1, Alg. 13): directory servers + replica servers,
-    /// template A2 (reads skip the propagate phase).
+    /// LDR (Appendix A.1, Alg. 13): directory servers + replica servers.
+    /// The paper pairs it with template A2 (reads skip the propagate
+    /// phase, which its extra property C3 allows); ARES runs A1 over it.
     Ldr {
         /// Replica fault bound: `2f + 1` replicas, writes await `f + 1`.
         f: usize,

@@ -1,59 +1,40 @@
-//! Property-style tests of the DAP consistency conditions C1/C2/C3
-//! (Definition 2 / Definition 31) for all three implementations, driven
-//! through the static simulator actors.
+//! Property-style tests of the DAP consistency conditions C1/C2
+//! (Definition 2) for all three implementations, driven through ARES
+//! sessions on a single configuration.
 //!
 //! * **C1**: a completed `put-data(⟨τ,v⟩)` followed by `get-tag` /
 //!   `get-data` yields a tag `≥ τ`.
 //! * **C2**: every `get-data` result was actually put (or is the
 //!   initial pair).
-//! * **C3** (A2 extra, LDR): two non-overlapping `get-data`s return
-//!   non-decreasing tags.
 //!
-//! We exercise the properties through full register operations at the
-//! simulator level across seeds: the atomicity of the produced histories
-//! (Theorem 32/33) is exactly the externally observable consequence of
-//! C1–C3, and phantom-read detection covers C2 directly.
+//! On one configuration an ARES read or write is template A1 (Alg. 10)
+//! wrapped in `read-config` (Alg. 7). We exercise the properties through
+//! full register operations at the simulator level across seeds: the
+//! atomicity of the produced histories (Theorem 32) is exactly the
+//! externally observable consequence of C1 and C2, and phantom-read
+//! detection covers C2 directly. LDR's extra property C3 (Definition
+//! 31), which template A2 needs and ARES does not, is unit-tested on
+//! the DAP calls themselves in `ares_dap::client`.
 
-use ares_dap::server::DapServer;
-use ares_dap::template::{RegisterOp, StaticClientActor, StaticMsg, StaticServerActor};
-use ares_harness::check_atomicity;
-use ares_sim::{FaultAction, FaultSchedule, NetworkConfig, World};
-use ares_types::{ConfigId, ConfigRegistry, Configuration, ObjectId, OpKind, ProcessId, Value};
-use std::sync::Arc;
+use ares_harness::{check_atomicity, Scenario};
+use ares_sim::{FaultAction, FaultSchedule};
+use ares_types::{ConfigId, Configuration, OpCompletion, OpKind, ProcessId, Value};
 
-const ENV: ProcessId = ProcessId(0);
-
-fn run_register_workload(
-    cfg: Configuration,
-    seed: u64,
-    n_ops: u64,
-) -> Vec<ares_types::OpCompletion> {
-    let id = cfg.id;
-    let servers = cfg.servers.clone();
-    let reg = ConfigRegistry::from_configs([cfg]);
-    let cfg: Arc<Configuration> = reg.get(id).clone();
-    let mut world = World::new(NetworkConfig::uniform(5, 40), seed);
-    for &s in &servers {
-        world.add_actor(s, StaticServerActor::new(DapServer::new(s, reg.clone())));
-    }
-    let clients: Vec<ProcessId> = (100..104).map(ProcessId).collect();
-    for &c in &clients {
-        world.add_actor(c, StaticClientActor::new(cfg.clone(), ObjectId(0)));
-    }
+fn run_register_workload(cfg: Configuration, seed: u64, n_ops: u64) -> Vec<OpCompletion> {
+    let clients = [100, 101, 102, 103];
+    let mut s = Scenario::new(vec![cfg]).clients(clients).delays(5, 40).seed(seed);
     // Interleaved writes and reads with overlapping windows.
     let mut t = 0u64;
     for i in 0..n_ops {
         let c = clients[(i % clients.len() as u64) as usize];
-        let op = if i % 3 == 0 {
-            StaticMsg::Invoke(RegisterOp::Read)
+        s = if i % 3 == 0 {
+            s.read_at(t, c, 0)
         } else {
-            StaticMsg::Invoke(RegisterOp::Write(Value::filler(40, seed * 1000 + i)))
+            s.write_at(t, c, 0, Value::filler(40, seed * 1000 + i))
         };
-        world.post(t, ENV, c, op);
         t += 37 + (seed * 13 + i * 7) % 120;
     }
-    world.run();
-    world.take_completions()
+    s.run().completions
 }
 
 #[test]
@@ -82,8 +63,8 @@ fn ldr_satisfies_c1_c2_c3_across_seeds() {
         let cfg = Configuration::ldr(ConfigId(0), (1..=5).map(ProcessId).collect(), 1);
         let h = run_register_workload(cfg, seed, 20);
         assert_eq!(h.len(), 20, "seed {seed}");
-        // LDR reads use template A2 (no propagate phase): atomicity of
-        // the history additionally witnesses C3.
+        // ARES reads propagate (A1), so this history witnesses C1/C2;
+        // C3 is witnessed by the `DapCall` unit test in `ares_dap`.
         check_atomicity(&h).assert_atomic();
     }
 }
@@ -97,24 +78,17 @@ fn c1_direct_put_then_get_sees_tag() {
         ("treas", Configuration::treas(ConfigId(0), (1..=5).map(ProcessId).collect(), 3, 2)),
         ("ldr", Configuration::ldr(ConfigId(0), (1..=5).map(ProcessId).collect(), 1)),
     ] {
-        let id = cfg.id;
-        let servers = cfg.servers.clone();
-        let reg = ConfigRegistry::from_configs([cfg]);
-        let cfg: Arc<Configuration> = reg.get(id).clone();
-        let mut world = World::new(NetworkConfig::uniform(5, 40), 7);
-        for &s in &servers {
-            world.add_actor(s, StaticServerActor::new(DapServer::new(s, reg.clone())));
-        }
-        world.add_actor(ProcessId(100), StaticClientActor::new(cfg.clone(), ObjectId(0)));
-        world.add_actor(ProcessId(101), StaticClientActor::new(cfg.clone(), ObjectId(0)));
         let v = Value::filler(52, 1);
-        world.post(0, ENV, ProcessId(100), StaticMsg::Invoke(RegisterOp::Write(v.clone())));
-        world.run(); // write completes fully before the read is injected
-        let t_after = world.now() + 1;
-        world.post(t_after, ENV, ProcessId(101), StaticMsg::Invoke(RegisterOp::Read));
-        world.run();
-        let h = world.completions();
+        let res = Scenario::new(vec![cfg])
+            .clients([100, 101])
+            .delays(5, 40)
+            .seed(7)
+            .write_at(0, 100, 0, v.clone())
+            .read_at(1_000, 101, 0)
+            .run();
+        let h = &res.completions;
         assert_eq!(h.len(), 2, "{name}");
+        assert!(h[0].completed_at < h[1].invoked_at, "{name}: the write completes first");
         let wtag = h[0].tag.unwrap();
         let rtag = h[1].tag.unwrap();
         assert!(rtag >= wtag, "{name}: C1 violated: read {rtag:?} < write {wtag:?}");
@@ -131,32 +105,23 @@ fn c2_no_phantom_values_under_failed_writes() {
     // treating scheduled-but-incomplete writes separately; here we just
     // assert no *fabricated* bytes appear.)
     let cfg = Configuration::treas(ConfigId(0), (1..=5).map(ProcessId).collect(), 3, 2);
-    let id = cfg.id;
-    let servers = cfg.servers.clone();
-    let reg = ConfigRegistry::from_configs([cfg]);
-    let cfg: Arc<Configuration> = reg.get(id).clone();
-    let mut world = World::new(NetworkConfig::uniform(5, 40), 11);
-    for &s in &servers {
-        world.add_actor(s, StaticServerActor::new(DapServer::new(s, reg.clone())));
-    }
-    world.add_actor(ProcessId(100), StaticClientActor::new(cfg.clone(), ObjectId(0)));
-    world.add_actor(ProcessId(101), StaticClientActor::new(cfg.clone(), ObjectId(0)));
     let v1 = Value::filler(64, 1);
     let v2 = Value::filler(64, 2);
-    world.post(0, ENV, ProcessId(100), StaticMsg::Invoke(RegisterOp::Write(v1.clone())));
-    world.run();
-    world.post(
-        world.now() + 1,
-        ENV,
-        ProcessId(100),
-        StaticMsg::Invoke(RegisterOp::Write(v2.clone())),
-    );
+    // Under this seed the second write sends its put-data at 1,103 and
+    // hears its quorum at 1,162: the crash lands between the two.
     let crash = FaultAction::Crash { pid: ProcessId(100) };
-    world.install_faults(&FaultSchedule::new().at(world.now() + 30, crash)); // mid-write crash
-    let t = world.now() + 2_000;
-    world.post(t, ENV, ProcessId(101), StaticMsg::Invoke(RegisterOp::Read));
-    world.run();
-    let reads: Vec<_> = world.completions().iter().filter(|c| c.kind == OpKind::Read).collect();
+    let res = Scenario::new(vec![cfg])
+        .clients([100, 101])
+        .delays(5, 40)
+        .seed(11)
+        .write_at(0, 100, 0, v1.clone())
+        .write_at(1_000, 100, 0, v2.clone())
+        .fault_schedule(FaultSchedule::new().at(1_130, crash))
+        .read_at(3_000, 101, 0)
+        .run();
+    let writes = res.completions.iter().filter(|c| c.kind == OpKind::Write).count();
+    assert_eq!(writes, 1, "the second write never completes");
+    let reads: Vec<_> = res.completions.iter().filter(|c| c.kind == OpKind::Read).collect();
     assert_eq!(reads.len(), 1);
     let d = reads[0].value_digest.unwrap();
     assert!(
