@@ -71,7 +71,7 @@ pub mod store;
 pub use client::{ClientActor, ClientConfig};
 pub use cost::{cost, OpCost};
 pub use frames::TransferMode;
-pub use msg::{CfgMsg, ClientCmd, Invoke, Msg, XferMsg};
+pub use msg::{CfgMsg, ClientCmd, Invoke, Msg, XferMsg, ENV};
 pub use repair::RepairMsg;
 pub use server::{AcceptorSnap, NextCSnap, ServerActor, ServerSnapshot};
 pub use store::{OpError, OpTicket, Store, StoreSession};
@@ -82,8 +82,6 @@ mod tests {
     use ares_sim::{FaultAction, FaultSchedule, NetworkConfig, RunOutcome, World};
     use ares_types::{ConfigId, ConfigRegistry, Configuration, ObjectId, OpKind, ProcessId, Value};
     use std::sync::Arc;
-
-    const ENV: ProcessId = ProcessId(0);
 
     fn ids(range: std::ops::RangeInclusive<u32>) -> Vec<ProcessId> {
         range.map(ProcessId).collect()

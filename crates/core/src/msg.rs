@@ -182,6 +182,11 @@ pub struct Invoke {
     pub cmd: ClientCmd,
 }
 
+/// The environment pseudo-process: the `from` of every [`Invoke`] and
+/// every other event the environment injects (repair triggers,
+/// scheduled commands), never a real host.
+pub const ENV: ProcessId = ProcessId(0);
+
 /// The unified message type.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Msg {

@@ -25,9 +25,7 @@ pub mod workload;
 
 pub use atomicity::{check_atomicity, AtomicityReport, Violation};
 pub use linearize::{check_linearizable, LinResult};
-pub use scenario::{
-    standard_registry, standard_universe, Invocation, Scenario, ScenarioResult, ENV,
-};
+pub use scenario::{standard_registry, standard_universe, Invocation, Scenario, ScenarioResult};
 pub use store::{SimSession, SimStore, SimStoreBuilder, SimTicket};
 pub use workload::WorkloadSpec;
 

@@ -8,7 +8,9 @@
 //! everything the tests, experiments and benches consume.
 
 use ares_core::store::session_op_seq;
-use ares_core::{ClientActor, ClientCmd, ClientConfig, Invoke, Msg, ServerActor, TransferMode};
+use ares_core::{
+    ClientActor, ClientCmd, ClientConfig, Invoke, Msg, ServerActor, TransferMode, ENV,
+};
 use ares_sim::{
     DelayBounds, FaultSchedule, LatencyModel, NetworkConfig, RunOutcome, TraceEvent, World,
 };
@@ -18,9 +20,6 @@ use ares_types::{
 };
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
-
-/// The environment pseudo-process used as the source of injected events.
-pub const ENV: ProcessId = ProcessId(0);
 
 /// One scheduled client invocation.
 #[derive(Debug, Clone)]

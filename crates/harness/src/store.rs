@@ -13,14 +13,14 @@
 //! tickets and sessions are `Rc`-backed handles onto one shared world.
 
 use ares_core::store::{session_op_seq, Store, StoreSession};
-use ares_core::{ClientCmd, Invoke, Msg, OpError, OpTicket};
+use ares_core::{ClientCmd, Invoke, Msg, OpError, OpTicket, ENV};
 use ares_sim::{FaultSchedule, RunOutcome, World};
 use ares_types::{Configuration, ObjectId, OpCompletion, OpId, ProcessId, SessionId, Time};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use crate::scenario::{WorldSpec, ENV};
+use crate::scenario::WorldSpec;
 
 /// The host process all sessions multiplex onto.
 const HOST: ProcessId = ProcessId(100);

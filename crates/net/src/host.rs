@@ -25,7 +25,7 @@ use crate::codec::{self, read_frame};
 use crate::faults::FaultControls;
 use crate::sync::Signal;
 use crate::wal::ShardWal;
-use ares_core::shard::{route, ShardRoute};
+use ares_core::shard::{route, shard_of, ShardRoute};
 use ares_core::Msg;
 use ares_sim::{Actor, Ctx, HostEffect};
 use ares_types::{ConfigRegistry, ObjectId, OpCompletion, ProcessId, Time};
@@ -407,11 +407,6 @@ pub(crate) fn writer_loop(
 /// non-blocking (the store frontend routes by `OpId` into ticket cells).
 pub(crate) type CompletionSink = Box<dyn Fn(OpCompletion) + Send + 'static>;
 
-/// Maps a message to the shard index it must execute on (`shards` is
-/// the host's shard count). Server hosts pass [`ares_core::shard::shard_of`];
-/// single-sharded client hosts pass a constant-zero router.
-pub(crate) type ShardRouter = fn(&Msg, usize) -> usize;
-
 pub(crate) enum Event<A> {
     Deliver {
         from: ProcessId,
@@ -557,7 +552,6 @@ struct RouteTargets<A> {
     txs: Vec<Sender<Event<A>>>,
     inbounds: Vec<Arc<AtomicUsize>>,
     counters: Vec<Arc<ShardCounters>>,
-    router: ShardRouter,
 }
 
 impl<A> Clone for RouteTargets<A> {
@@ -566,19 +560,18 @@ impl<A> Clone for RouteTargets<A> {
             txs: self.txs.clone(),
             inbounds: self.inbounds.clone(),
             counters: self.counters.clone(),
-            router: self.router,
         }
     }
 }
 
 /// A sharded actor host: `S` event loops behind one listener and one
-/// outbound pool. `S = 1` reproduces the seed's single-loop host
-/// exactly (one inbox, every message to shard 0).
+/// outbound pool, every message routed by [`shard_of`]. `S = 1`
+/// reproduces the seed's single-loop host exactly (one inbox, every
+/// message to shard 0), which is how client hosts run.
 pub(crate) struct ShardedHost<A: Actor<Msg> + Send + 'static> {
     pub(crate) pid: ProcessId,
     pub(crate) local_addr: SocketAddr,
     shards: Vec<ShardHandle<A>>,
-    router: ShardRouter,
     /// Shared with reader threads: while set, every received frame is
     /// dropped and its connection closed (crash window).
     paused: Arc<AtomicBool>,
@@ -598,13 +591,10 @@ pub(crate) struct ShardedHost<A: Actor<Msg> + Send + 'static> {
 }
 
 impl<A: Actor<Msg> + Send + 'static> ShardedHost<A> {
-    /// Starts a host with one shard per element of `actors`, routing
-    /// messages between them with `router`.
-    #[allow(clippy::too_many_arguments, reason = "one argument per host component")]
+    /// Starts a host with one shard per element of `actors`.
     pub(crate) fn start(
         pid: ProcessId,
         actors: Vec<(A, Option<ShardWal<A>>)>,
-        router: ShardRouter,
         admission: Admission,
         book: Arc<crate::runtime::AddrBook>,
         listener: TcpListener,
@@ -652,8 +642,7 @@ impl<A: Actor<Msg> + Send + 'static> ShardedHost<A> {
             let sink = if si == 0 { completions.take() } else { None };
             threads.push(std::thread::spawn(move || {
                 event_loop(
-                    pid, si, actor, wal, rx, loopbacks, router, pool, epoch, sink, inbound,
-                    counters,
+                    pid, si, actor, wal, rx, loopbacks, pool, epoch, sink, inbound, counters,
                 );
             }));
         }
@@ -663,7 +652,6 @@ impl<A: Actor<Msg> + Send + 'static> ShardedHost<A> {
             txs,
             inbounds: shards.iter().map(|s| s.inbound.clone()).collect(),
             counters: shards.iter().map(|s| s.counters.clone()).collect(),
-            router,
         };
         let accept_thread = {
             let paused = paused.clone();
@@ -677,7 +665,6 @@ impl<A: Actor<Msg> + Send + 'static> ShardedHost<A> {
             pid,
             local_addr,
             shards,
-            router,
             paused,
             shutdown,
             pool,
@@ -702,7 +689,7 @@ impl<A: Actor<Msg> + Send + 'static> ShardedHost<A> {
     /// other traffic (an environment repair trigger for object `o`
     /// lands on `o`'s shard).
     pub(crate) fn inject(&self, from: ProcessId, msg: Msg) {
-        let si = (self.router)(&msg, self.shards.len());
+        let si = shard_of(&msg, self.shards.len());
         mirror(self.shards.iter().map(|s| &s.tx), si, from, &msg);
         if let Some(shard) = self.shards.get(si) {
             let _ = shard.tx.send(Event::Deliver { from, msg, counted: false, mirror: false });
@@ -731,17 +718,10 @@ impl<A: Actor<Msg> + Send + 'static> ShardedHost<A> {
         self.paused.store(false, Ordering::SeqCst);
     }
 
-    /// Replaces every shard's actor (a restart that lost its state —
-    /// and, with it, any journaling: the replacement runs without a
-    /// log); `actors` must supply one replacement per shard.
-    pub(crate) fn replace_all(&self, actors: Vec<A>) {
-        self.replace_all_with(actors.into_iter().map(|a| (a, None)).collect());
-    }
-
-    /// Replaces every shard's actor together with its journaling
-    /// state — the recovered-restart path, where each shard gets the
-    /// actor its log rebuilt plus the reopened log itself.
-    pub(crate) fn replace_all_with(&self, actors: Vec<(A, Option<ShardWal<A>>)>) {
+    /// Replaces every shard's actor together with its journaling state:
+    /// `None` for a restart that lost its disk, the reopened log for a
+    /// recovered one. `actors` must supply one replacement per shard.
+    pub(crate) fn replace(&self, actors: Vec<(A, Option<ShardWal<A>>)>) {
         assert_eq!(actors.len(), self.shards.len(), "one replacement actor per shard");
         for (s, (a, w)) in self.shards.iter().zip(actors) {
             let _ = s.tx.send(Event::Replace(a, w));
@@ -889,9 +869,9 @@ fn reader_loop<A: Actor<Msg> + Send + 'static>(
                 // traffic for fabricated objects before it can create
                 // per-object state.
                 if admission.admits(&msg) {
-                    let si = (targets.router)(&msg, targets.txs.len());
-                    // A router returning an out-of-range shard is a host
-                    // misconfiguration; drop the frame rather than die.
+                    let si = shard_of(&msg, targets.txs.len());
+                    // `shard_of` is always in range; `get` keeps this
+                    // network path free of panicking indexing.
                     let (Some(inbound), Some(shard_counters), Some(tx)) =
                         (targets.inbounds.get(si), targets.counters.get(si), targets.txs.get(si))
                     else {
@@ -955,7 +935,6 @@ fn event_loop<A: Actor<Msg> + Send + 'static>(
     mut wal: Option<ShardWal<A>>,
     rx: Receiver<Event<A>>,
     loopbacks: Vec<Sender<Event<A>>>,
-    router: ShardRouter,
     pool: Arc<PeerPool>,
     epoch: Instant,
     completions: Option<CompletionSink>,
@@ -995,7 +974,7 @@ fn event_loop<A: Actor<Msg> + Send + 'static>(
                         let mut ctx = Ctx::detached(pid, now, &mut rng);
                         actor.on_timer(token, &mut ctx);
                         let effects = ctx.take_effects();
-                        apply(pid, effects, &loopbacks, router, &pool, &mut timers, &completions);
+                        apply(pid, effects, &loopbacks, &pool, &mut timers, &completions);
                     }
                     continue;
                 }
@@ -1066,7 +1045,7 @@ fn event_loop<A: Actor<Msg> + Send + 'static>(
                 if mirror {
                     effects.retain(|e| !matches!(e, HostEffect::Send { .. }));
                 }
-                apply(pid, effects, &loopbacks, router, &pool, &mut timers, &completions);
+                apply(pid, effects, &loopbacks, &pool, &mut timers, &completions);
             }
         }
     }
@@ -1094,7 +1073,6 @@ fn apply<A>(
     pid: ProcessId,
     effects: Vec<HostEffect<Msg>>,
     loopbacks: &[Sender<Event<A>>],
-    router: ShardRouter,
     pool: &PeerPool,
     timers: &mut TimerHeap,
     completions: &Option<CompletionSink>,
@@ -1114,7 +1092,7 @@ fn apply<A>(
                     // element to itself) short-circuit the socket —
                     // routed like network traffic, because the object's
                     // shard may not be the sending shard.
-                    let si = router(&msg, loopbacks.len());
+                    let si = shard_of(&msg, loopbacks.len());
                     if let Some(tx) = loopbacks.get(si) {
                         let deliver =
                             Event::Deliver { from: pid, msg, counted: false, mirror: false };
@@ -1158,7 +1136,6 @@ fn apply<A>(
 mod tests {
     use super::*;
     use crate::runtime::AddrBook;
-    use ares_core::shard::shard_of;
     use ares_core::ServerActor;
     use ares_dap::{DapBody, DapMsg, Hdr};
     use ares_types::{ConfigId, OpId, RpcId, Tag, Value};
@@ -1394,7 +1371,7 @@ mod tests {
         let pool = PeerPool::new(Arc::new(AddrBook::new()), FaultControls::new());
         let mut timers = TimerHeap::new();
         let before = codec::frames_encoded();
-        apply(me, effects, &loopbacks, shard_of, &pool, &mut timers, &None);
+        apply(me, effects, &loopbacks, &pool, &mut timers, &None);
         assert_eq!(
             codec::frames_encoded() - before,
             1,
@@ -1411,7 +1388,7 @@ mod tests {
             .collect();
         let (tx, _rx) = mpsc::channel::<Event<ServerActor>>();
         let before = codec::frames_encoded();
-        apply(me, effects, &[tx], shard_of, &pool, &mut timers, &None);
+        apply(me, effects, &[tx], &pool, &mut timers, &None);
         assert_eq!(codec::frames_encoded() - before, 5);
     }
 
@@ -1560,7 +1537,6 @@ mod tests {
     ) -> JoinHandle<()> {
         let pool = PeerPool::new(Arc::new(book), FaultControls::new());
         std::thread::spawn(move || {
-            let (router, epoch): (ShardRouter, _) = (|_, _| 0, Instant::now());
             let (loopbacks, counters) = (vec![tx], Arc::default());
             event_loop(
                 ME,
@@ -1569,9 +1545,8 @@ mod tests {
                 None,
                 rx,
                 loopbacks,
-                router,
                 pool,
-                epoch,
+                Instant::now(),
                 completions,
                 inbound,
                 counters,

@@ -72,7 +72,5 @@ pub mod wal;
 
 pub use codec::{DecodeError, WireDecode, WireEncode, MAX_FRAME_LEN, WIRE_VERSION};
 pub use host::{NodeStats, PeerOutboundStats, ShardStats};
-pub use runtime::{
-    AddrBook, NetSession, NetStore, NetTicket, ShardedNode, DEFAULT_OP_TIMEOUT, ENV,
-};
+pub use runtime::{AddrBook, NetSession, NetStore, NetTicket, ShardedNode, DEFAULT_OP_TIMEOUT};
 pub use wal::{FsyncPolicy, RecoveryReport, WalConfig, WalStats};

@@ -43,7 +43,7 @@ use crate::sync::Signal;
 use crate::wal::{recover_server, RecoveryReport, ShardWal, WalConfig};
 use ares_core::store::{session_op_seq, Store, StoreSession};
 use ares_core::{
-    ClientActor, ClientCmd, ClientConfig, Invoke, Msg, OpError, OpTicket, ServerActor,
+    ClientActor, ClientCmd, ClientConfig, Invoke, Msg, OpError, OpTicket, ServerActor, ENV,
 };
 use ares_types::{ConfigRegistry, ObjectId, OpCompletion, OpId, ProcessId, SessionId, Time};
 use ares_wal::{WalCounters, WalStats};
@@ -54,10 +54,6 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-/// The environment pseudo-process used as the `from` of injected events
-/// (mirrors `ares_harness::ENV`).
-pub const ENV: ProcessId = ProcessId(0);
 
 /// The default deadline of [`OpTicket::wait`] on a [`NetStore`] (see
 /// [`NetStore::set_op_timeout`]); a test deployment that exceeds it has
@@ -91,16 +87,6 @@ impl AddrBook {
     pub fn addr(&self, pid: ProcessId) -> Option<SocketAddr> {
         self.map.get(&pid).copied()
     }
-
-    /// All registered processes.
-    pub fn pids(&self) -> impl Iterator<Item = ProcessId> + '_ {
-        self.map.keys().copied()
-    }
-}
-
-/// The constant-zero router of single-sharded (client) hosts.
-fn single_shard(_: &Msg, _: usize) -> usize {
-    0
 }
 
 // ---------------------------------------------------------------------
@@ -133,10 +119,34 @@ struct Durability {
     counters: Vec<Arc<WalCounters>>,
 }
 
-/// The directory one shard's log lives in (each shard journals
+/// One shard's server and, on a durable node, its journaling side-car.
+type Shard = (ServerActor, Option<ShardWal<ServerActor>>);
+
+/// Builds a node's shards, one way for boot and both restarts: each
+/// shard blank and unlogged without `log`, else rebuilt from its own
+/// log under `shard-<i>/` of the data dir (each shard journals
 /// independently — its deliveries are already a serialized stream).
-fn shard_dir(data_dir: &Path, shard: usize) -> PathBuf {
-    data_dir.join(format!("shard-{shard}"))
+/// On an empty data dir that is the recovery of nothing, so first boot
+/// and crash recovery are one code path. Returns the shards and what
+/// each one's recovery found.
+fn build_shards(
+    me: ProcessId,
+    registry: &Arc<ConfigRegistry>,
+    shards: usize,
+    log: Option<&Durability>,
+) -> io::Result<(Vec<Shard>, Vec<RecoveryReport>)> {
+    let Some(d) = log else {
+        let blank = || ((ServerActor::new(me, registry.clone()), None), RecoveryReport::default());
+        return Ok((0..shards).map(|_| blank()).unzip());
+    };
+    let recover = |(si, counters): (usize, &Arc<WalCounters>)| {
+        let dir = d.data_dir.join(format!("shard-{si}"));
+        let (actor, wal, report) =
+            recover_server(me, registry.clone(), &dir, &d.config, counters.clone())?;
+        Ok(((actor, Some(wal)), report))
+    };
+    let built: io::Result<Vec<_>> = d.counters.iter().enumerate().map(recover).collect();
+    Ok(built?.into_iter().unzip())
 }
 
 impl ShardedNode {
@@ -183,41 +193,17 @@ impl ShardedNode {
         durable: Option<(PathBuf, WalConfig)>,
     ) -> io::Result<Self> {
         assert!(shards >= 1, "a node runs at least one shard");
-        let mut durability = None;
-        let actors: Vec<(ServerActor, Option<ShardWal<ServerActor>>)> = match durable {
-            None => (0..shards).map(|_| (ServerActor::new(me, registry.clone()), None)).collect(),
-            Some((data_dir, config)) => {
-                let counters: Vec<Arc<WalCounters>> =
-                    (0..shards).map(|_| Arc::new(WalCounters::default())).collect();
-                let mut actors = Vec::with_capacity(shards);
-                for (si, c) in counters.iter().enumerate() {
-                    let (actor, wal, _report) = recover_server(
-                        me,
-                        registry.clone(),
-                        &shard_dir(&data_dir, si),
-                        &config,
-                        c.clone(),
-                    )?;
-                    actors.push((actor, Some(wal)));
-                }
-                durability = Some(Durability { data_dir, config, counters });
-                actors
-            }
-        };
+        let durability = durable.map(|(data_dir, config)| Durability {
+            data_dir,
+            config,
+            counters: (0..shards).map(|_| Arc::default()).collect(),
+        });
+        let (built, _) = build_shards(me, &registry, shards, durability.as_ref())?;
         let admission = Admission {
             registry: registry.clone(),
             objects: objects.map(|o| o.iter().copied().collect()),
         };
-        let host = ShardedHost::start(
-            me,
-            actors,
-            ares_core::shard::shard_of,
-            admission,
-            book,
-            listener,
-            epoch,
-            None,
-        )?;
+        let host = ShardedHost::start(me, built, admission, book, listener, epoch, None)?;
         Ok(ShardedNode { host, registry, durability })
     }
 
@@ -296,10 +282,12 @@ impl ShardedNode {
     /// caller-built actor cannot represent a node's state, and the only
     /// restart the crash model needs is the blank one.)
     pub fn replace_blank(&self) {
-        let actors = (0..self.host.shard_count())
-            .map(|_| ServerActor::new(self.host.pid, self.registry.clone()))
-            .collect();
-        self.host.replace_all(actors);
+        // Blank shards open no log, so building them cannot fail.
+        if let Ok((built, _)) =
+            build_shards(self.host.pid, &self.registry, self.shard_count(), None)
+        {
+            self.host.replace(built);
+        }
     }
 
     /// Replaces the hosted server state with what the per-shard logs
@@ -328,20 +316,9 @@ impl ShardedNode {
             .durability
             .as_ref()
             .ok_or_else(|| io::Error::other("node was started without a data dir"))?;
-        let mut pairs = Vec::with_capacity(self.host.shard_count());
-        let mut reports = Vec::with_capacity(self.host.shard_count());
-        for (si, c) in d.counters.iter().enumerate() {
-            let (actor, wal, report) = recover_server(
-                self.host.pid,
-                self.registry.clone(),
-                &shard_dir(&d.data_dir, si),
-                &d.config,
-                c.clone(),
-            )?;
-            pairs.push((actor, Some(wal)));
-            reports.push(report);
-        }
-        self.host.replace_all_with(pairs);
+        let (built, reports) =
+            build_shards(self.host.pid, &self.registry, self.shard_count(), Some(d))?;
+        self.host.replace(built);
         Ok(reports)
     }
 
@@ -488,14 +465,14 @@ impl NetStore {
             let shared = shared.clone();
             Box::new(move |c| shared.route(c))
         };
-        // Client hosts are single-sharded: one multiplexer actor, one
-        // loop — the session lanes and completion routing live inside
+        // Client hosts are single-sharded (so `shard_of` routes every
+        // message to shard 0): one multiplexer actor, one loop — the
+        // session lanes and completion routing live inside
         // the actor, which core-parallelizes by adding *stores*, not
         // shards.
         let host = ShardedHost::start(
             me,
             vec![(actor, None)],
-            single_shard,
             admission,
             book,
             listener,

@@ -14,9 +14,9 @@
 #![deny(clippy::todo, clippy::unimplemented, clippy::indexing_slicing)]
 
 use crate::faults::FaultControls;
-use crate::runtime::{AddrBook, NetStore, ShardedNode, ENV};
+use crate::runtime::{AddrBook, NetStore, ShardedNode};
 use crate::wal::{RecoveryReport, WalConfig};
-use ares_core::{ClientConfig, Msg, RepairMsg};
+use ares_core::{ClientConfig, Msg, RepairMsg, ENV};
 use ares_sim::{FaultAction, FaultSchedule, NetworkConfig};
 use ares_types::{ConfigId, ConfigRegistry, Configuration, ObjectId, ProcessId};
 use ares_wal::TempDir;

@@ -93,56 +93,44 @@ pub fn decode_snapshot(buf: &[u8]) -> Result<ServerSnapshot, DecodeError> {
 /// `snap` hook captures the actor's durable state for checkpoints
 /// (server shards use [`ServerActor::snapshot`] via
 /// [`recover_server`]).
+///
+/// Once a write fails (disk full, I/O error) the [`Wal`] is failed and
+/// journaling stops rather than record a history with holes: the log
+/// alone remembers the failure. The node keeps serving from memory — a
+/// crash now recovers only up to the last good record, and delta
+/// repair covers the rest.
 pub struct ShardWal<A> {
     wal: Wal,
     snap: fn(&A) -> Vec<u8>,
-    /// A journaling write failed (disk full, I/O error): the log's
-    /// tail is suspect, so journaling stops rather than record a
-    /// history with holes. The node keeps serving from memory — a
-    /// crash now recovers only up to the last good record, and delta
-    /// repair covers the rest.
-    degraded: bool,
 }
 
 impl<A> ShardWal<A> {
     /// Wraps an opened log; `snap` captures the actor's durable state
     /// as a checkpoint payload.
     pub fn new(wal: Wal, snap: fn(&A) -> Vec<u8>) -> Self {
-        ShardWal { wal, snap, degraded: false }
+        ShardWal { wal, snap }
     }
 
     /// Journals one delivery, write-ahead: called with the actor state
     /// *before* `msg` is applied, so a checkpoint written here (due by
     /// record count) excludes `msg` and the record appended after it
-    /// re-applies `msg` on replay.
+    /// re-applies `msg` on replay. A write error fails the log, which
+    /// ends journaling, so the error itself needs no handling here.
     pub fn journal(&mut self, from: ProcessId, msg: &Msg, actor: &A) {
-        if self.degraded || !msg.journaled() {
+        if self.wal.failed() || !msg.journaled() {
             return;
         }
-        if self.wal.checkpoint_due() {
-            let payload = (self.snap)(actor);
-            if self.wal.checkpoint(&payload).is_err() {
-                self.degraded = true;
-                return;
-            }
+        if self.wal.checkpoint_due() && self.wal.checkpoint(&(self.snap)(actor)).is_err() {
+            return;
         }
-        if self.wal.append(&codec::encode_payload(from, msg)).is_err() {
-            self.degraded = true;
-        }
+        let _ = self.wal.append(&codec::encode_payload(from, msg));
     }
 
     /// Flushes the pending group-commit batch; the event loop calls
     /// this as it goes idle so batched-fsync durability lag is bounded
-    /// by load, not by wall clock.
+    /// by load, not by wall clock. A failed sync fails the log.
     pub fn idle_sync(&mut self) {
-        if !self.degraded && self.wal.sync().is_err() {
-            self.degraded = true;
-        }
-    }
-
-    /// Whether journaling has stopped after a write failure.
-    pub fn degraded(&self) -> bool {
-        self.degraded
+        let _ = self.wal.sync();
     }
 }
 
@@ -165,17 +153,6 @@ pub struct RecoveryReport {
     /// Records whose payload no longer decoded as a message (version
     /// skew); skipped, covered by delta repair like corruption.
     pub undecodable_dropped: u64,
-}
-
-impl RecoveryReport {
-    /// Folds another shard's report into this one (node-level totals).
-    pub fn merge(&mut self, other: &RecoveryReport) {
-        self.checkpoint_loaded |= other.checkpoint_loaded;
-        self.records_replayed += other.records_replayed;
-        self.torn_tail_truncated |= other.torn_tail_truncated;
-        self.stopped_at_corruption |= other.stopped_at_corruption;
-        self.undecodable_dropped += other.undecodable_dropped;
-    }
 }
 
 fn server_snapshot_payload(actor: &ServerActor) -> Vec<u8> {
@@ -528,9 +505,13 @@ mod tests {
             actor.on_message(ProcessId(90), msg, &mut ctx);
             drop(ctx.take_effects());
         }
-        assert!(wal.degraded(), "quota exhaustion must degrade the journal");
+        assert!(wal.wal.failed(), "quota exhaustion must fail the log");
         use std::sync::atomic::Ordering;
-        assert!(counters.append_errors.load(Ordering::Relaxed) >= 1);
+        assert_eq!(
+            counters.append_errors.load(Ordering::Relaxed),
+            1,
+            "journaling stops at the refusal: no later append is tried"
+        );
         let appended = counters.records_appended.load(Ordering::Relaxed);
         assert!(appended < 20, "appends must stop at the quota, not continue");
     }

@@ -8,6 +8,9 @@
 //! of opaque byte records**, group commit under a configurable fsync
 //! policy, and **checkpoints** that compact the log so replay stays
 //! bounded by the checkpoint cadence rather than the node's lifetime.
+//! A segment begins only at [`Wal::open`] and at [`Wal::checkpoint`]:
+//! there is no size rotation, so one segment holds everything appended
+//! between the two.
 //!
 //! The crate deliberately knows nothing about ARES messages: records
 //! are `&[u8]`, framed on disk as
@@ -39,6 +42,9 @@
 //! * a corrupt checkpoint falls back to the next older checkpoint (or
 //!   full replay of the surviving segments).
 //!
+//! A write that fails at runtime fails the [`Wal`] itself: every later
+//! append, sync or checkpoint is refused until the log is reopened.
+//!
 //! Prefix-replay is always safe for ARES state because every journaled
 //! update is a monotone merge (tag-ordered writes, ballot-ordered
 //! promises, ⊥→Pending→Finalized config installs); dropping a suffix
@@ -61,6 +67,10 @@ pub const MAX_RECORD_LEN: usize = 64 << 20;
 
 /// Bytes of framing overhead per record (`len` + `crc32`).
 pub const RECORD_HEADER_LEN: usize = 8;
+
+/// Under [`FsyncPolicy::Batched`], a sync is forced once this many
+/// records are pending even if the owner never goes idle.
+const BATCH_RECORDS: u64 = 64;
 
 // ---------------------------------------------------------------------------
 // CRC-32
@@ -138,9 +148,9 @@ pub enum FsyncPolicy {
     /// lost to a power failure, at one disk round-trip per record.
     PerRecord,
     /// Group commit: records accumulate and a single `fdatasync`
-    /// covers the batch — forced when [`WalOptions::batch_records`]
-    /// are pending, or when the owner calls [`Wal::sync`] as its event
-    /// loop goes idle. Bounded loss window, amortised disk cost.
+    /// covers the batch — forced when 64 records are pending, or when
+    /// the owner calls [`Wal::sync`] as its event loop goes idle.
+    /// Bounded loss window, amortised disk cost.
     Batched,
     /// Never fsync: durability is whatever the OS page cache provides.
     /// Survives process crashes (the kernel still holds the pages) but
@@ -148,37 +158,26 @@ pub enum FsyncPolicy {
     Off,
 }
 
-/// Tuning knobs for one [`Wal`].
+/// Tuning knobs for one [`Wal`]: when records reach the disk, when the
+/// log compacts, and (for tests) when the disk fills. Segment size is
+/// not one of them: a segment spans open (or checkpoint) to the next
+/// checkpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WalOptions {
     /// Fsync policy (see [`FsyncPolicy`]).
     pub fsync: FsyncPolicy,
-    /// Rotate to a fresh segment once the active one reaches this many
-    /// bytes. Rotation caps the size of one file and nothing more: it
-    /// bounds no loss, because [`Wal::open`] stops replay at the first
-    /// bad frame of any non-final segment and ignores every later one,
-    /// and a checkpoint starts its own segment whatever this size.
-    pub segment_bytes: u64,
-    /// Under [`FsyncPolicy::Batched`], force a sync once this many
-    /// records are pending even if the owner never goes idle.
-    pub batch_records: u64,
     /// A compacting checkpoint is due ([`Wal::checkpoint_due`]) once
     /// this many records have been appended since the last one.
     pub checkpoint_records: u64,
     /// Fault injection for tests: total bytes the log may write before
-    /// appends fail like a full disk. `None` disables the injection.
+    /// a write is refused like a full disk, which fails the log. `None`
+    /// disables the injection.
     pub write_quota: Option<u64>,
 }
 
 impl Default for WalOptions {
     fn default() -> Self {
-        WalOptions {
-            fsync: FsyncPolicy::Batched,
-            segment_bytes: 4 << 20,
-            batch_records: 64,
-            checkpoint_records: 4096,
-            write_quota: None,
-        }
+        WalOptions { fsync: FsyncPolicy::Batched, checkpoint_records: 4096, write_quota: None }
     }
 }
 
@@ -312,11 +311,15 @@ pub struct Recovery {
 /// One shard's write-ahead log: a directory of CRC-framed segments
 /// (`seg-<seq>.log`) plus checkpoint blobs (`ck-<seq>.ck`).
 ///
-/// A checkpoint with sequence number `s` asserts "the checkpoint
-/// payload captures every record in segments `< s`"; recovery loads
-/// the newest valid checkpoint and replays only segments `>= s`.
-/// Writing a checkpoint therefore rotates to a fresh segment first,
+/// A segment begins at [`Wal::open`] and at [`Wal::checkpoint`], and
+/// nowhere else. A checkpoint with sequence number `s` asserts "the
+/// checkpoint payload captures every record in segments `< s`";
+/// recovery loads the newest valid checkpoint and replays only
+/// segments `>= s`. Writing a checkpoint therefore starts segment `s`,
 /// then retires every older segment and checkpoint.
+///
+/// Any error the log returns leaves it failed ([`Wal::failed`]): it
+/// refuses every later write until reopened.
 #[derive(Debug)]
 pub struct Wal {
     dir: PathBuf,
@@ -324,14 +327,14 @@ pub struct Wal {
     counters: Arc<WalCounters>,
     active: File,
     active_seq: u64,
-    active_len: u64,
     /// Records appended since the last sync (group-commit batch).
     pending: u64,
     /// Records appended since the last checkpoint.
     since_ckpt: u64,
     quota_left: Option<u64>,
-    /// A write failed mid-frame: the tail is suspect, refuse further
-    /// appends until the log is reopened (which truncates the tear).
+    /// A write failed or was refused: the tail is suspect, so refuse
+    /// further writes until the log is reopened (which truncates the
+    /// tear).
     failed: bool,
 }
 
@@ -426,7 +429,6 @@ impl Wal {
             counters,
             active,
             active_seq,
-            active_len: 0,
             pending: 0,
             since_ckpt: 0,
             failed: false,
@@ -446,28 +448,26 @@ impl Wal {
         self.since_ckpt >= self.opts.checkpoint_records
     }
 
-    /// Appends one record and applies the fsync policy. On error the
-    /// log refuses further appends until reopened: a failed write may
-    /// have left a partial frame, and recovery's torn-tail truncation
-    /// is the only safe way to resume.
+    /// Whether an error has failed the log: every write is refused
+    /// until it is reopened.
+    pub fn failed(&self) -> bool {
+        self.failed
+    }
+
+    /// Appends one record to the active segment and applies the fsync
+    /// policy. On error the log is failed until reopened: a failed
+    /// write may have left a partial frame, and recovery's torn-tail
+    /// truncation is the only safe way to resume.
     pub fn append(&mut self, payload: &[u8]) -> io::Result<()> {
         if self.failed {
             self.counters.append_errors.fetch_add(1, Ordering::Relaxed);
             return Err(io::Error::other("wal is failed; reopen to recover"));
         }
         let frame = frame_record(payload);
-        if let Some(q) = self.quota_left {
-            if (frame.len() as u64) > q {
-                self.counters.append_errors.fetch_add(1, Ordering::Relaxed);
-                return Err(io::Error::other("wal write quota exhausted (injected disk-full)"));
-            }
-        }
-        if self.active_len >= self.opts.segment_bytes {
-            self.rotate()?;
-        }
+        self.admit(frame.len())?;
         // This write runs on the shard event loop, the one blocking work
         // it does on purpose: a buffered append to a local file, and a
-        // failure degrades the log instead of stalling the loop.
+        // failure fails the log instead of stalling the loop.
         if let Err(e) = self.active.write_all(&frame) {
             self.failed = true;
             self.counters.append_errors.fetch_add(1, Ordering::Relaxed);
@@ -479,7 +479,7 @@ impl Wal {
         self.since_ckpt += 1;
         match self.opts.fsync {
             FsyncPolicy::PerRecord => self.sync_now()?,
-            FsyncPolicy::Batched if self.pending >= self.opts.batch_records => self.sync_now()?,
+            FsyncPolicy::Batched if self.pending >= BATCH_RECORDS => self.sync_now()?,
             _ => {}
         }
         Ok(())
@@ -496,22 +496,17 @@ impl Wal {
         self.sync_now()
     }
 
-    /// Writes a checkpoint: rotates to a fresh segment, persists
-    /// `snapshot` as `ck-<new seq>.ck` (written to a temp file and
-    /// renamed, so a torn checkpoint is never taken for a whole one),
-    /// then retires every older segment and checkpoint. The previous
+    /// Writes a checkpoint: persists `snapshot` as `ck-<new seq>.ck`
+    /// (written to a temp file and renamed, so a torn checkpoint is
+    /// never taken for a whole one), starts segment `<new seq>`, then
+    /// retires every older segment and checkpoint. The previous
     /// checkpoint is deleted only after the new one is durable.
     pub fn checkpoint(&mut self, snapshot: &[u8]) -> io::Result<()> {
         if self.failed {
             return Err(io::Error::other("wal is failed; reopen to recover"));
         }
         let frame = frame_record(snapshot);
-        if let Some(q) = self.quota_left {
-            if (frame.len() as u64) > q {
-                self.counters.append_errors.fetch_add(1, Ordering::Relaxed);
-                return Err(io::Error::other("wal write quota exhausted (injected disk-full)"));
-            }
-        }
+        self.admit(frame.len())?;
         let new_seq = self.active_seq + 1;
 
         // 1. Durable checkpoint under a temp name, then rename.
@@ -520,7 +515,7 @@ impl Wal {
             let mut f = File::create(&tmp)?;
             // On the shard event loop too: rare (every
             // `checkpoint_records` appends), bounded by the snapshot, and
-            // a failure degrades the log instead of stalling the loop.
+            // a failure fails the log instead of stalling the loop.
             f.write_all(&frame)?;
             if self.opts.fsync != FsyncPolicy::Off {
                 f.sync_data()?;
@@ -546,7 +541,6 @@ impl Wal {
             Ok(f) => {
                 self.active = f;
                 self.active_seq = new_seq;
-                self.active_len = 0;
                 self.pending = 0;
             }
             Err(e) => {
@@ -574,25 +568,15 @@ impl Wal {
         Ok(())
     }
 
-    fn rotate(&mut self) -> io::Result<()> {
-        // Close out the batch so rotation never strands pending
-        // records in a segment that no longer receives syncs.
-        if self.pending > 0 && self.opts.fsync != FsyncPolicy::Off {
-            self.sync_now()?;
+    /// Refuses, and fails the log over, a write of `bytes` the
+    /// injected quota cannot hold.
+    fn admit(&mut self, bytes: usize) -> io::Result<()> {
+        if self.quota_left.is_some_and(|q| bytes as u64 > q) {
+            self.failed = true;
+            self.counters.append_errors.fetch_add(1, Ordering::Relaxed);
+            return Err(io::Error::other("wal write quota exhausted (injected disk-full)"));
         }
-        let next = self.active_seq + 1;
-        match File::create(seg_path(&self.dir, next)) {
-            Ok(f) => {
-                self.active = f;
-                self.active_seq = next;
-                self.active_len = 0;
-                Ok(())
-            }
-            Err(e) => {
-                self.failed = true;
-                Err(e)
-            }
-        }
+        Ok(())
     }
 
     fn sync_now(&mut self) -> io::Result<()> {
@@ -608,7 +592,6 @@ impl Wal {
     }
 
     fn charge(&mut self, bytes: u64) {
-        self.active_len += bytes;
         self.counters.bytes_logged.fetch_add(bytes, Ordering::Relaxed);
         if let Some(q) = self.quota_left.as_mut() {
             *q = q.saturating_sub(bytes);
@@ -846,13 +829,13 @@ mod tests {
     #[test]
     fn corrupt_crc_mid_segment_stops_at_good_prefix() {
         let t = TempDir::new("wal-corrupt").expect("tempdir");
-        // Tiny segments force multiple files so the corruption is
-        // genuinely mid-log, not a tail.
-        let opts = WalOptions { segment_bytes: 256, ..WalOptions::default() };
-        {
+        // Two lives of the log: the reopen starts a second segment, so
+        // corruption in the first is genuinely mid-log, not a tail.
+        let opts = WalOptions::default();
+        for life in 0u8..2 {
             let (mut w, _) = open_fresh(t.path(), opts);
-            for i in 0u8..20 {
-                w.append(&[i; 64]).expect("append");
+            for i in 0u8..10 {
+                w.append(&[life * 10 + i; 64]).expect("append");
             }
         }
         // Flip one payload byte in the *first* non-empty segment.
@@ -956,38 +939,65 @@ mod tests {
     }
 
     #[test]
-    fn rotation_spreads_records_across_segments() {
-        let t = TempDir::new("wal-rot").expect("tempdir");
-        let opts = WalOptions { segment_bytes: 128, ..WalOptions::default() };
+    fn a_quota_refusal_fails_the_log_for_writes_that_would_fit() {
+        let t = TempDir::new("wal-quota-fail").expect("tempdir");
+        let opts = WalOptions { write_quota: Some(200), ..WalOptions::default() };
+        let counters = Arc::new(WalCounters::default());
+        {
+            let (mut w, _) = Wal::open(t.path(), opts, counters.clone()).expect("open");
+            for i in 0u8..3 {
+                w.append(&[i; 50]).expect("append under quota");
+            }
+            w.append(&[9u8; 50]).expect_err("quota exhausted");
+            // 26 bytes of quota are left and this frame is 12: it would
+            // fit, but the refusal failed the log.
+            let err = w.append(&[7u8; 4]).expect_err("a failed log refuses every append");
+            assert!(err.to_string().contains("reopen"), "{err}");
+            assert!(w.failed());
+            assert_eq!(counters.snapshot().append_errors, 2);
+        }
+        let (w, rec) = reopen(t.path(), opts);
+        assert_eq!(rec.records.len(), 3, "nothing after the refusal reached the disk");
+        assert!(!w.failed(), "reopening clears the failure");
+    }
+
+    #[test]
+    fn appends_past_four_mib_stay_in_one_segment_and_replay_in_full() {
+        let t = TempDir::new("wal-big").expect("tempdir");
+        let opts = WalOptions { fsync: FsyncPolicy::Off, ..WalOptions::default() };
+        let segments = || {
+            fs::read_dir(t.path())
+                .expect("read_dir")
+                .flatten()
+                .filter(|e| e.file_name().to_str().is_some_and(|n| n.starts_with("seg-")))
+                .count()
+        };
+        // 70 × 64 KiB ≈ 4.4 MiB, with no checkpoint in between.
         {
             let (mut w, _) = open_fresh(t.path(), opts);
-            for i in 0u8..12 {
-                w.append(&[i; 40]).expect("append");
+            for i in 0u8..70 {
+                w.append(&vec![i; 64 << 10]).expect("append");
             }
         }
-        let seg_count = fs::read_dir(t.path())
-            .expect("read_dir")
-            .flatten()
-            .filter(|e| e.file_name().to_str().is_some_and(|n| n.starts_with("seg-")))
-            .count();
-        assert!(seg_count > 2, "tiny segment_bytes must force rotation, got {seg_count}");
+        assert_eq!(segments(), 1, "only open and checkpoint begin a segment");
         let (_, rec) = reopen(t.path(), opts);
-        assert_eq!(rec.records.len(), 12);
+        assert_eq!(rec.records.len(), 70);
+        assert!(rec.records.iter().enumerate().all(|(i, r)| *r == vec![i as u8; 64 << 10]));
+        assert!(!rec.torn_tail_truncated && !rec.stopped_at_corruption);
     }
 
     #[test]
     fn group_commit_batches_under_batched_policy() {
         let t = TempDir::new("wal-batch").expect("tempdir");
-        let opts =
-            WalOptions { fsync: FsyncPolicy::Batched, batch_records: 4, ..WalOptions::default() };
+        let opts = WalOptions { fsync: FsyncPolicy::Batched, ..WalOptions::default() };
         let counters = Arc::new(WalCounters::default());
         let (mut w, _) = Wal::open(t.path(), opts, counters.clone()).expect("open");
-        for i in 0u8..4 {
-            w.append(&[i]).expect("append");
+        for i in 0..BATCH_RECORDS {
+            w.append(&[i as u8]).expect("append");
         }
         let s = counters.snapshot();
-        assert_eq!(s.fsyncs, 1, "4 records, batch_records=4 → one sync");
-        assert_eq!(s.group_commit_batch_size(), 4.0);
+        assert_eq!(s.fsyncs, 1, "a full batch of BATCH_RECORDS records → one sync");
+        assert_eq!(s.group_commit_batch_size(), BATCH_RECORDS as f64);
         // Idle flush covers a partial batch.
         w.append(&[9]).expect("append");
         w.sync().expect("idle sync");

@@ -3,7 +3,7 @@
 //! moving sequence.
 
 use ares_core::store::session_op_seq;
-use ares_core::{ClientActor, ClientCmd, ClientConfig, Invoke, Msg, ServerActor};
+use ares_core::{ClientActor, ClientCmd, ClientConfig, Invoke, Msg, ServerActor, ENV};
 use ares_harness::{check_atomicity, standard_universe, Scenario};
 use ares_sim::{DelayBounds, NetworkConfig, RunOutcome, TraceKind, World};
 use ares_types::{
@@ -185,7 +185,6 @@ fn direct_transfer_into_a_destination_that_compacted_the_tag_completes() {
     // first forwarded element arrives. Alg. 9's "(t, *) ∈ List" must
     // count the floor — an explicit-membership test never acks, and the
     // reconfiguration hangs.
-    const ENV: ProcessId = ProcessId(0);
     let (c0, c1, obj) = (ConfigId(0), ConfigId(1), ObjectId(0));
     let registry = ConfigRegistry::from_configs([
         Configuration::treas(c0, (1..=5).map(ProcessId).collect(), 3, 1),

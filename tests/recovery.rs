@@ -135,22 +135,31 @@ fn torn_final_record_truncates_and_continues() {
 /// stops at the last good prefix and delta repair refetches the rest.
 #[test]
 fn corrupted_crc_mid_segment_stops_at_good_prefix() {
-    // Tiny segments force rotation, so the corruption lands in an older
-    // segment — mid-log, not the truncatable tail.
-    let wal = WalConfig { segment_bytes: 256, ..WalConfig::default() };
-    let cluster =
-        LocalCluster::builder(universe()).clients([100, 110]).durable(wal).start().unwrap();
+    let cluster = LocalCluster::builder(universe())
+        .clients([100, 110])
+        .durable(WalConfig::default())
+        .start()
+        .unwrap();
     let (mut writer, mut reader) = sessions(&cluster);
     let mut history: Vec<OpCompletion> = Vec::new();
-    for i in 1u64..=8 {
+    for i in 1u64..=4 {
+        history.push(done(writer.write(OBJ, Value::filler(128, i))));
+    }
+    // A restart part-way through the writes: the reopened log appends
+    // to a second segment, so the first is mid-log, not the tail.
+    cluster.kill(3);
+    cluster.restart_recovered(3).unwrap();
+    std::thread::sleep(Duration::from_millis(60));
+    for i in 5u64..=8 {
         history.push(done(writer.write(OBJ, Value::filler(128, i))));
     }
     cluster.kill(3);
     std::thread::sleep(Duration::from_millis(30));
     let segs = segments(&cluster, 3);
-    assert!(segs.len() >= 2, "tiny segments rotated, got {segs:?}");
+    assert!(segs.len() >= 2, "the restart began a second segment, got {segs:?}");
     // Flip one byte inside the first record of the oldest segment.
     let mut bytes = std::fs::read(&segs[0]).unwrap();
+    assert!(bytes.len() > 10, "the first life journaled a record");
     bytes[10] ^= 0x40;
     std::fs::write(&segs[0], bytes).unwrap();
 

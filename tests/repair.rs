@@ -3,7 +3,7 @@
 //! full reconfiguration — the paper's stated future work.
 
 use ares_core::store::session_op_seq;
-use ares_core::{ClientActor, ClientCmd, ClientConfig, Invoke, Msg, RepairMsg, ServerActor};
+use ares_core::{ClientActor, ClientCmd, ClientConfig, Invoke, Msg, RepairMsg, ServerActor, ENV};
 use ares_harness::{check_atomicity, Scenario};
 use ares_sim::{FaultAction, FaultSchedule, NetworkConfig, RunOutcome, World};
 use ares_types::{
@@ -130,7 +130,6 @@ fn blank_server_repaired_from_floored_peers_ends_with_a_floor() {
     // be sent. Server 5 slept through the writes; after repair it must
     // carry the floor itself — the tags below it count as held there —
     // and, with server 4 gone, serve the read that needs its list.
-    const ENV: ProcessId = ProcessId(0);
     let (c0, obj) = (ConfigId(0), ObjectId(0));
     let registry = ConfigRegistry::from_configs(universe());
     let mut w: World<Msg> = World::new(NetworkConfig::uniform(10, 50), 6);
