@@ -252,6 +252,37 @@ impl Msg {
         }
     }
 
+    /// Whether a shard whose write-ahead log has failed must refuse
+    /// this message — drop it unapplied and unanswered — rather than
+    /// acknowledge it from memory.
+    ///
+    /// Refused: the acceptor-bound consensus messages (`Prepare`,
+    /// `Accept`, `Decide`) and `WriteConfig`. They set acceptor records
+    /// and `nextC` pointers, state that only the log carries across a
+    /// restart: repair rebuilds neither, and an acceptor that forgets a
+    /// promise it gave lets consensus decide twice.
+    ///
+    /// Served: everything else. DAP puts and forwarded elements merge
+    /// into lists that repair restores from a quorum; the rest mutate
+    /// nothing durable.
+    pub fn needs_log(&self) -> bool {
+        match self {
+            Msg::Con(ConMsg::Prepare { .. } | ConMsg::Accept { .. } | ConMsg::Decide { .. })
+            | Msg::Cfg(CfgMsg::WriteConfig { .. }) => true,
+            Msg::Con(
+                ConMsg::Promise { .. }
+                | ConMsg::NackPrepare { .. }
+                | ConMsg::Accepted { .. }
+                | ConMsg::NackAccept { .. },
+            )
+            | Msg::Cfg(CfgMsg::ReadConfig { .. } | CfgMsg::NextC { .. } | CfgMsg::CfgAck { .. })
+            | Msg::Dap(_)
+            | Msg::Xfer(_)
+            | Msg::Repair(_)
+            | Msg::Invoke(_) => false,
+        }
+    }
+
     /// The object id this message names, if any (`None` for consensus
     /// and configuration-service traffic, which is per-configuration).
     /// A listener with a declared object universe drops traffic for

@@ -426,8 +426,10 @@ pub(crate) enum Event<A> {
     Resume,
     /// Swap in a replacement actor, and with it the shard's journaling
     /// state: a blank restart carries `None` (its durability died with
-    /// its disk), a recovered restart carries the reopened log.
-    Replace(A, Option<ShardWal<A>>),
+    /// its disk), a recovered restart carries the reopened log. Boxed,
+    /// so that the inbox slot every delivery takes is sized by a
+    /// delivery, not by this rare event (DESIGN.md §9).
+    Replace(Box<(A, Option<ShardWal<A>>)>),
     Shutdown,
 }
 
@@ -723,8 +725,8 @@ impl<A: Actor<Msg> + Send + 'static> ShardedHost<A> {
     /// recovered one. `actors` must supply one replacement per shard.
     pub(crate) fn replace(&self, actors: Vec<(A, Option<ShardWal<A>>)>) {
         assert_eq!(actors.len(), self.shards.len(), "one replacement actor per shard");
-        for (s, (a, w)) in self.shards.iter().zip(actors) {
-            let _ = s.tx.send(Event::Replace(a, w));
+        for (s, shard) in self.shards.iter().zip(actors) {
+            let _ = s.tx.send(Event::Replace(Box::new(shard)));
         }
     }
 
@@ -1007,10 +1009,7 @@ fn event_loop<A: Actor<Msg> + Send + 'static>(
                 drop(applied);
             }
             Event::Resume => paused = false,
-            Event::Replace(a, w) => {
-                actor = a;
-                wal = w;
-            }
+            Event::Replace(shard) => (actor, wal) = *shard,
             Event::Deliver { from, msg, counted, mirror } => {
                 if counted {
                     inbound.fetch_sub(1, Ordering::SeqCst);
@@ -1024,9 +1023,10 @@ fn event_loop<A: Actor<Msg> + Send + 'static>(
                 // Write-ahead: journal the delivery against the
                 // pre-application actor state (a due checkpoint then
                 // excludes `msg`, and the appended record re-applies
-                // it on replay).
-                if let Some(w) = wal.as_mut() {
-                    w.journal(from, &msg, &actor);
+                // it on replay). A shard whose log has failed refuses
+                // what only the log could make durable (DESIGN.md §11).
+                if wal.as_mut().is_some_and(|w| !w.journal(from, &msg, &actor)) {
+                    continue;
                 }
                 counters.events_applied.fetch_add(1, Ordering::SeqCst);
                 if counted {
@@ -1530,6 +1530,7 @@ mod tests {
     /// sending through a pool over `book`; its inbox loops back to itself.
     fn run_shard<A: Actor<Msg> + Send + 'static>(
         actor: A,
+        wal: Option<ShardWal<A>>,
         (tx, rx): (Sender<Event<A>>, Receiver<Event<A>>),
         inbound: Arc<AtomicUsize>,
         book: AddrBook,
@@ -1542,7 +1543,7 @@ mod tests {
                 ME,
                 0,
                 actor,
-                None,
+                wal,
                 rx,
                 loopbacks,
                 pool,
@@ -1571,7 +1572,7 @@ mod tests {
             }
             tx.send(ev).unwrap();
         }
-        let shard = run_shard(actor, (tx.clone(), rx), inbound, AddrBook::new(), None);
+        let shard = run_shard(actor, None, (tx.clone(), rx), inbound, AddrBook::new(), None);
         (tx, shard, logged)
     }
 
@@ -1626,6 +1627,47 @@ mod tests {
         assert_eq!(log, vec![Some(ProcessId(0)), Some(ProcessId(1))], "no fire after the resume");
     }
 
+    #[test]
+    fn a_shard_whose_log_failed_refuses_a_prepare_and_still_serves_dap() {
+        use crate::wal::{recover_server, WalConfig};
+        use ares_consensus::{Ballot, ConMsg};
+        use ares_types::Configuration;
+        let peer = TcpListener::bind("127.0.0.1:0").unwrap();
+        let book = AddrBook::from_entries([(ProcessId(2), peer.local_addr().unwrap())]);
+        let registry = ares_types::ConfigRegistry::from_configs(vec![Configuration::abd(
+            ConfigId(0),
+            vec![ME, ProcessId(2), ProcessId(3)],
+        )]);
+        // A zero write quota: the first journaled delivery fails the log.
+        let dir = ares_wal::TempDir::new("net-host-failed-log").unwrap();
+        let config = WalConfig { write_quota: Some(0), ..WalConfig::default() };
+        let (actor, mut wal, _) =
+            recover_server(ME, registry, dir.path(), &config, Arc::default()).unwrap();
+        let put = write_msg(Value::filler(8, 1));
+        assert!(wal.journal(ProcessId(2), &put, &actor), "a DAP put is served from memory");
+        let (tx, rx) = mpsc::channel();
+        let shard = run_shard(actor, Some(wal), (tx.clone(), rx), Arc::default(), book, None);
+        let op = OpId { client: ProcessId(2), seq: 1 };
+        let ballot = Ballot { round: 1, proposer: ProcessId(2) };
+        let prepare = Msg::Con(ConMsg::Prepare { inst: ConfigId(0), rpc: RpcId(1), ballot, op });
+        let hdr = Hdr { cfg: ConfigId(0), obj: ObjectId(0), rpc: RpcId(2), op };
+        let query = Msg::Dap(DapMsg::new(hdr, DapBody::AbdQuery));
+        for msg in [prepare, query] {
+            tx.send(Event::Deliver { from: ProcessId(2), msg, counted: false, mirror: false })
+                .unwrap();
+        }
+        // One writer carries both replies in order: the first frame is
+        // the query's, so the Prepare before it was never answered.
+        let mut from_shard = BufReader::new(peer.accept().unwrap().0);
+        let (_, reply) = read_frame(&mut from_shard).unwrap().expect("a reply");
+        assert!(
+            matches!(&reply, Msg::Dap(m) if m.hdr.rpc == RpcId(2)),
+            "a failed log must not promise, got {reply:?}"
+        );
+        tx.send(Event::Shutdown).unwrap();
+        shard.join().unwrap();
+    }
+
     /// Logs each delivery's sender, and `None` per timer fire, and runs
     /// `script` on each delivery.
     struct Scripted {
@@ -1650,7 +1692,7 @@ mod tests {
         let (log, _logged) = mpsc::channel();
         let actor = Scripted { script: |_, _| crate::sync::sleep(Duration::from_micros(1)), log };
         let (tx, rx) = mpsc::channel();
-        let shard = run_shard(actor, (tx.clone(), rx), Arc::default(), AddrBook::new(), None);
+        let shard = run_shard(actor, None, (tx.clone(), rx), Arc::default(), AddrBook::new(), None);
         tx.send(Event::Deliver {
             from: ProcessId(1),
             msg: write_msg(Value::filler(8, 1)),
@@ -1688,7 +1730,7 @@ mod tests {
         let sink: CompletionSink = Box::new(move |c| done.send(c.op.seq).unwrap());
         let (tx, rx) = mpsc::channel();
         let actor = Scripted { script, log };
-        let shard = run_shard(actor, (tx.clone(), rx), Arc::default(), book, Some(sink));
+        let shard = run_shard(actor, None, (tx.clone(), rx), Arc::default(), book, Some(sink));
         let within = Duration::from_secs(10);
         for round in 1..=2 {
             let msg = write_msg(Value::filler(8, 1));

@@ -55,6 +55,15 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+// A shard inbox slot is as large as the largest `Event` variant, and
+// every delivery takes one (DESIGN.md §9): no variant may outgrow a
+// delivery on either host. A boxed `Replace` keeps both at 112 B.
+const _: () = {
+    use crate::host::Event;
+    assert!(std::mem::size_of::<Event<ServerActor>>() <= 128, "a server inbox slot outgrew 128 B");
+    assert!(std::mem::size_of::<Event<ClientActor>>() <= 128, "a client inbox slot outgrew 128 B");
+};
+
 /// The default deadline of [`OpTicket::wait`] on a [`NetStore`] (see
 /// [`NetStore::set_op_timeout`]); a test deployment that exceeds it has
 /// a liveness failure.

@@ -19,12 +19,17 @@
 //! tail is truncated; a corrupt mid-log frame stops replay early).
 //! Every journaled update is a monotone merge — tag-ordered DAP
 //! writes, ballot-ordered promises, `⊥ → Pending → Finalized` config
-//! installs — so dropping a suffix loses recency, never consistency.
-//! The recovering node is then exactly a server that missed those
-//! messages, which is the state the fragment-repair protocol
-//! ([`ares_core::repair`]) already reconciles: recovery replays the
+//! installs — so a replayed prefix is a state the node once held. For
+//! DAP lists, dropping a suffix loses recency, never consistency: the
+//! recovering node is exactly a server that missed those messages,
+//! which is the state the fragment-repair protocol
+//! ([`ares_core::repair`]) already reconciles — recovery replays the
 //! local log, then repairs only the delta written while the node was
-//! down, instead of re-fetching every object from peers.
+//! down, instead of re-fetching every object from peers. Acceptor
+//! records and `nextC` pointers have no such repair: one acked and
+//! then lost is forgotten. So a shard whose log has failed refuses the
+//! messages that set them ([`Msg::needs_log`]); see DESIGN.md §11 for
+//! what is still open.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 #![deny(clippy::todo, clippy::unimplemented, clippy::indexing_slicing)]
 
@@ -96,9 +101,10 @@ pub fn decode_snapshot(buf: &[u8]) -> Result<ServerSnapshot, DecodeError> {
 ///
 /// Once a write fails (disk full, I/O error) the [`Wal`] is failed and
 /// journaling stops rather than record a history with holes: the log
-/// alone remembers the failure. The node keeps serving from memory — a
-/// crash now recovers only up to the last good record, and delta
-/// repair covers the rest.
+/// alone remembers the failure. The node keeps serving object traffic
+/// from memory — a crash now recovers only up to the last good record,
+/// and delta repair covers the rest — but [`ShardWal::journal`] refuses
+/// what no repair restores ([`Msg::needs_log`]).
 pub struct ShardWal<A> {
     wal: Wal,
     snap: fn(&A) -> Vec<u8>,
@@ -116,14 +122,19 @@ impl<A> ShardWal<A> {
     /// record count) excludes `msg` and the record appended after it
     /// re-applies `msg` on replay. A write error fails the log, which
     /// ends journaling, so the error itself needs no handling here.
-    pub fn journal(&mut self, from: ProcessId, msg: &Msg, actor: &A) {
-        if self.wal.failed() || !msg.journaled() {
-            return;
+    ///
+    /// Returns whether the shard may apply `msg`: `false` once the log
+    /// has failed (at this write or an earlier one) for a message that
+    /// [`Msg::needs_log`], which the shard then refuses unanswered.
+    #[must_use]
+    pub fn journal(&mut self, from: ProcessId, msg: &Msg, actor: &A) -> bool {
+        if !self.wal.failed() && msg.journaled() {
+            // A failed checkpoint fails the log: then nothing is appended.
+            if !self.wal.checkpoint_due() || self.wal.checkpoint(&(self.snap)(actor)).is_ok() {
+                let _ = self.wal.append(&codec::encode_payload(from, msg));
+            }
         }
-        if self.wal.checkpoint_due() && self.wal.checkpoint(&(self.snap)(actor)).is_err() {
-            return;
-        }
-        let _ = self.wal.append(&codec::encode_payload(from, msg));
+        !(self.wal.failed() && msg.needs_log())
     }
 
     /// Flushes the pending group-commit batch; the event loop calls
@@ -388,7 +399,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         for seq in 1..=8u64 {
             let msg = treas_write(seq, seq);
-            wal.journal(ProcessId(90), &msg, &actor);
+            assert!(wal.journal(ProcessId(90), &msg, &actor));
             let mut ctx = Ctx::detached(ProcessId(1), 0, &mut rng);
             actor.on_message(ProcessId(90), msg, &mut ctx);
             drop(ctx.take_effects());
@@ -416,7 +427,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         for seq in 1..=10u64 {
             let msg = treas_write(seq, seq);
-            wal.journal(ProcessId(90), &msg, &actor);
+            assert!(wal.journal(ProcessId(90), &msg, &actor));
             let mut ctx = Ctx::detached(ProcessId(1), 0, &mut rng);
             actor.on_message(ProcessId(90), msg, &mut ctx);
             drop(ctx.take_effects());
@@ -453,7 +464,7 @@ mod tests {
         let prepare =
             Msg::Con(ConMsg::Prepare { inst: ConfigId(0), rpc: RpcId(1), ballot: high, op: op(1) });
         let mut rng = StdRng::seed_from_u64(1);
-        wal.journal(ProcessId(3), &prepare, &actor);
+        assert!(wal.journal(ProcessId(3), &prepare, &actor));
         let mut ctx = Ctx::detached(ProcessId(1), 0, &mut rng);
         actor.on_message(ProcessId(3), prepare, &mut ctx);
         drop(ctx.take_effects());
@@ -500,7 +511,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         for seq in 1..=20u64 {
             let msg = treas_write(seq, seq);
-            wal.journal(ProcessId(90), &msg, &actor);
+            assert!(
+                wal.journal(ProcessId(90), &msg, &actor),
+                "a failed log keeps serving DAP writes"
+            );
             let mut ctx = Ctx::detached(ProcessId(1), 0, &mut rng);
             actor.on_message(ProcessId(90), msg, &mut ctx);
             drop(ctx.take_effects());
@@ -514,5 +528,9 @@ mod tests {
         );
         let appended = counters.records_appended.load(Ordering::Relaxed);
         assert!(appended < 20, "appends must stop at the quota, not continue");
+        let ballot = Ballot { round: 1, proposer: ProcessId(3) };
+        let prepare =
+            Msg::Con(ConMsg::Prepare { inst: ConfigId(0), rpc: RpcId(1), ballot, op: op(1) });
+        assert!(!wal.journal(ProcessId(3), &prepare, &actor), "a failed log refuses a Prepare");
     }
 }
