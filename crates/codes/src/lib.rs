@@ -120,6 +120,22 @@ pub fn compact_bytes(data: Bytes) -> Bytes {
     }
 }
 
+/// What bytes kept in an allocation of their own cost beyond themselves:
+/// the [`Bytes`] view (24 B), the count and vector header behind it
+/// (40 B), and the allocator's header of each of those two blocks.
+const OWN_ALLOCATION_COST: usize = 96;
+
+/// The pack-or-view rule of a store that packs elements into one buffer
+/// per object (a TREAS server's list): `len` bytes are *bulk*, worth an
+/// allocation of their own that [`compact_bytes`] keeps, iff that
+/// allocation's fixed cost is within the eighth beyond its bytes that
+/// [`compact_bytes`] lets a view pin — from 768 B on. Shorter ones are
+/// copied into the store's buffer. So a 256 B value's `[5, 3]` element
+/// (86 B) is packed, and a 64 KiB value's (21,846 B) stays on its frame.
+pub fn is_bulk(len: usize) -> bool {
+    len / PIN_SLACK_DIVISOR >= OWN_ALLOCATION_COST
+}
+
 /// Errors produced by encoding/decoding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CodeError {
@@ -294,6 +310,12 @@ mod tests {
         let tight = Bytes::from(vec![2u8; 40]);
         assert!(Bytes::shares_allocation(&compact_bytes(tight.clone()), &tight));
         assert!(compact_bytes(Bytes::new()).is_empty());
+    }
+
+    #[test]
+    fn bulk_starts_where_an_own_allocation_costs_at_most_an_eighth() {
+        assert!(!is_bulk(0) && !is_bulk(86) && !is_bulk(767));
+        assert!(is_bulk(768) && is_bulk(21_846));
     }
 
     #[test]

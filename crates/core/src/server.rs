@@ -270,7 +270,7 @@ impl ServerActor {
                     Some(DapKind::Treas { .. }) => {
                         let list = self.dap.treas_state(src, obj);
                         match list.get(tag) {
-                            Some(f) => (tag, Some(f.clone())),
+                            Some(f) => (tag, Some(f)),
                             None => {
                                 // The requested tag's element was garbage-
                                 // collected (δ newer writes overtook it):
@@ -279,7 +279,7 @@ impl ServerActor {
                                 // as recent value, so the destination
                                 // quorum still ends up ≥ the requested tag.
                                 match list.iter().rev().find(|(t, f)| *t > tag && f.is_some()) {
-                                    Some((t, f)) => (t, f.cloned()),
+                                    Some((t, f)) => (t, f),
                                     None => (tag, None),
                                 }
                             }
@@ -795,7 +795,7 @@ mod tests {
         }
         // The server re-encoded its own element under c2's [5,4] code.
         let st = s.dap.treas_state_ref(ConfigId(2), ObjectId(0)).unwrap();
-        let elem = st.get(tag).cloned().expect("element stored");
+        let elem = st.get(tag).expect("element stored");
         let dst_code = build_code(reg.get(ConfigId(2)).code_params()).unwrap();
         let my_index = reg.get(ConfigId(2)).server_index(ProcessId(6)).unwrap();
         assert_eq!(elem, dst_code.encode_fragment(v.as_bytes(), my_index));

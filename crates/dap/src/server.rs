@@ -10,10 +10,13 @@
 #![deny(clippy::todo, clippy::unimplemented, clippy::indexing_slicing)]
 
 use crate::{DapBody, DapMsg, Hdr, ListEntry};
+use ares_codes::Fragment;
 use ares_types::{
     ConfigId, ConfigRegistry, DapKind, ObjectId, ProcessId, Tag, TagValue, Value, TAG0,
 };
+use bytes::Bytes;
 use std::collections::{BTreeMap, HashMap};
+use std::fmt;
 use std::sync::Arc;
 
 /// ABD per-object server state: the replicated `⟨τ, v⟩` (Alg. 12).
@@ -45,15 +48,56 @@ impl Default for AbdState {
 /// and travels as an ordinary first [`ListEntry`]; DESIGN.md §2 argues
 /// why readers lose nothing.
 ///
-/// The list is a `Vec` sorted by tag. A mutation garbage-collects and
-/// compacts *before* it places the new entry, so the vector never holds
-/// more than the bound above even for a moment, and it grows one slot
-/// at a time: its capacity is the longest the list has been, never a
-/// doubling past it.
-#[derive(Debug, Clone)]
-pub struct TreasState {
-    /// `(tag, coded element)` ascending by tag (`None` = `⊥`).
-    list: Vec<(Tag, Option<ares_codes::Fragment>)>,
+/// The list is stored as one tight buffer: an entry count, a fixed
+/// header per entry (tag, element index, value length, element length
+/// or `⊥`) in tag order, then the bytes of every small element. A
+/// [bulk](ares_codes::is_bulk) element keeps an allocation of its own
+/// (on its frame, by [`ares_codes::compact_bytes`]) beside the buffer.
+/// A mutation decodes the list into a working copy of views, edits it
+/// and packs a new buffer; readers get elements as views of the
+/// buffer, so a `get-data` reply copies nothing.
+#[derive(Clone)]
+pub struct TreasState(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    /// No bulk element: the buffer is the whole list.
+    Packed(Bytes),
+    /// The buffer, and the bulk elements in list order.
+    Mixed(Box<(Bytes, Vec<Bytes>)>),
+}
+
+// The state map holds a `TreasState` by value for every object.
+const _: () = assert!(std::mem::size_of::<TreasState>() <= 32);
+
+/// One entry of a list's decoded working copy (`None` = `⊥`).
+type Entry = (Tag, Option<Fragment>);
+
+/// Bytes of the entry count that leads a [`TreasState`] buffer.
+const COUNT: usize = 4;
+/// Bytes of one entry header: the tag's `z` (u64) and `w` (u32), the
+/// element's `index` (u32) and `value_len` (u64) — the widths the wire
+/// gives them — and its length (u32), or [`BOTTOM`] or [`BULK`].
+const HEADER: usize = 28;
+/// The length field of a `⊥` entry.
+const BOTTOM: u32 = u32::MAX;
+/// The length field of an entry whose element is held beside the buffer.
+const BULK: u32 = u32::MAX - 1;
+
+/// One decoded entry header.
+struct Head {
+    tag: Tag,
+    index: u32,
+    value_len: u64,
+    len: u32,
+}
+
+fn le_u32(b: &[u8], at: usize) -> u32 {
+    b.get(at..at + 4).and_then(|s| s.try_into().ok()).map_or(0, u32::from_le_bytes)
+}
+
+fn le_u64(b: &[u8], at: usize) -> u64 {
+    b.get(at..at + 8).and_then(|s| s.try_into().ok()).map_or(0, u64::from_le_bytes)
 }
 
 impl TreasState {
@@ -61,135 +105,214 @@ impl TreasState {
         // (t_0, Φ_i(v_0)): the initial value is empty, so its coded
         // element is the empty fragment; `None` here would wrongly make
         // t_0 look garbage-collected, so store an empty fragment.
-        let t0 = ares_codes::Fragment { index: 0, value_len: 0, data: bytes::Bytes::new() };
-        TreasState { list: vec![(TAG0, Some(t0))] }
+        let t0 = Fragment { index: 0, value_len: 0, data: Bytes::new() };
+        TreasState::pack(&[(TAG0, Some(t0))])
     }
 
-    /// Rebuilds a list from its wire form (a WAL checkpoint), keeping
-    /// each element as [`ares_codes::Fragment::compacted`] decides.
+    /// Rebuilds a list from its wire form (a WAL checkpoint).
     fn from_entries(entries: Vec<ListEntry>) -> Option<Self> {
-        let mut list: Vec<_> = entries
-            .into_iter()
-            .map(|e| (e.tag, e.frag.map(ares_codes::Fragment::compacted)))
-            .collect();
+        let mut list: Vec<Entry> = entries.into_iter().map(|e| (e.tag, e.frag)).collect();
         list.sort_by_key(|e| e.0);
         list.dedup_by_key(|e| e.0);
         if list.is_empty() {
             return None;
         }
-        let mut st = TreasState { list };
-        st.compact(None);
-        Some(st)
+        compact(&mut list, None);
+        Some(TreasState::pack(&list))
+    }
+
+    /// Packs `list` into a new buffer: small elements are copied in, a
+    /// bulk one is kept beside it as [`ares_codes::compact_bytes`] leaves
+    /// it.
+    fn pack(list: &[Entry]) -> Self {
+        let small = |f: &&Fragment| !ares_codes::is_bulk(f.data.len());
+        let elements = || list.iter().filter_map(|e| e.1.as_ref());
+        let packed: usize = elements().filter(small).map(|f| f.data.len()).sum();
+        let mut buf = Vec::with_capacity(COUNT + list.len() * HEADER + packed);
+        buf.extend_from_slice(&(list.len() as u32).to_le_bytes());
+        let mut bulk = Vec::new();
+        for (tag, elem) in list {
+            let (index, value_len, len) = match elem {
+                None => (0, 0, BOTTOM),
+                Some(f) if small(&f) => (f.index, f.value_len, f.data.len() as u32),
+                Some(f) => {
+                    bulk.push(ares_codes::compact_bytes(f.data.clone()));
+                    (f.index, f.value_len, BULK)
+                }
+            };
+            buf.extend_from_slice(&tag.z.to_le_bytes());
+            buf.extend_from_slice(&tag.w.0.to_le_bytes());
+            buf.extend_from_slice(&(index as u32).to_le_bytes());
+            buf.extend_from_slice(&(value_len as u64).to_le_bytes());
+            buf.extend_from_slice(&len.to_le_bytes());
+        }
+        for f in elements().filter(small) {
+            buf.extend_from_slice(&f.data);
+        }
+        let buf = Bytes::from(buf);
+        TreasState(if bulk.is_empty() {
+            Repr::Packed(buf)
+        } else {
+            Repr::Mixed(Box::new((buf, bulk)))
+        })
+    }
+
+    fn parts(&self) -> (&Bytes, &[Bytes]) {
+        match &self.0 {
+            Repr::Packed(buf) => (buf, &[]),
+            Repr::Mixed(m) => (&m.0, &m.1),
+        }
+    }
+
+    fn len(&self) -> usize {
+        le_u32(self.parts().0, 0) as usize
+    }
+
+    fn head(&self, i: usize) -> Option<Head> {
+        let buf = self.parts().0;
+        let at = COUNT + i * HEADER;
+        (i < self.len()).then(|| Head {
+            tag: Tag::new(le_u64(buf, at), ProcessId(le_u32(buf, at + 8))),
+            index: le_u32(buf, at + 12),
+            value_len: le_u64(buf, at + 16),
+            len: le_u32(buf, at + 24),
+        })
+    }
+
+    fn heads(&self) -> impl Iterator<Item = Head> + '_ {
+        (0..self.len()).filter_map(|i| self.head(i))
+    }
+
+    /// The list decoded: every element a view of the buffer, or of its
+    /// own allocation if it is bulk.
+    fn working_copy(&self) -> Vec<Entry> {
+        let (buf, bulk) = self.parts();
+        let mut at = COUNT + self.len() * HEADER;
+        let mut bulk = bulk.iter();
+        self.heads()
+            .map(|h| {
+                let data = match h.len {
+                    BOTTOM => return (h.tag, None),
+                    BULK => bulk.next().cloned().unwrap_or_default(),
+                    len => {
+                        at += len as usize;
+                        buf.slice(at - len as usize..at)
+                    }
+                };
+                let (index, value_len) = (h.index as usize, h.value_len as usize);
+                (h.tag, Some(Fragment { index, value_len, data }))
+            })
+            .collect()
     }
 
     /// Highest tag in the list (`τ_max ≡ max_{(t,c)∈List} t`).
     pub fn max_tag(&self) -> Tag {
-        self.list.last().map_or(TAG0, |e| e.0)
+        self.len().checked_sub(1).and_then(|i| self.head(i)).map_or(TAG0, |h| h.tag)
     }
 
     /// The low-water tag: the first entry iff it is `⊥`. Every tag
     /// `≤ floor` was garbage-collected here and is implicitly `(t, ⊥)`.
     /// It never decreases.
     pub fn floor(&self) -> Option<Tag> {
-        self.list.first().and_then(|(t, f)| f.is_none().then_some(*t))
+        self.head(0).filter(|h| h.len == BOTTOM).map(|h| h.tag)
     }
 
     /// `(tag, *) ∈ List`, counting the tags the floor stands for.
     pub fn contains(&self, tag: Tag) -> bool {
-        self.floor().is_some_and(|w| tag <= w) || self.position(tag).is_ok()
+        self.floor().is_some_and(|w| tag <= w) || self.heads().any(|h| h.tag == tag)
     }
 
     /// The coded element stored for `tag`, if the list holds one (not
-    /// `⊥`, not absent).
-    pub fn get(&self, tag: Tag) -> Option<&ares_codes::Fragment> {
-        let i = self.position(tag).ok()?;
-        self.list.get(i).and_then(|e| e.1.as_ref())
+    /// `⊥`, not absent), as a view of the list's storage.
+    pub fn get(&self, tag: Tag) -> Option<Fragment> {
+        self.iter().find(|e| e.0 == tag)?.1
     }
 
-    /// The explicit entries, ascending by tag (the floor, if any, first).
-    pub fn iter(&self) -> impl DoubleEndedIterator<Item = (Tag, Option<&ares_codes::Fragment>)> {
-        self.list.iter().map(|(t, f)| (*t, f.as_ref()))
-    }
-
-    fn position(&self, tag: Tag) -> Result<usize, usize> {
-        self.list.binary_search_by_key(&tag, |e| e.0)
+    /// The explicit entries, ascending by tag (the floor, if any, first);
+    /// elements are views of the list's storage.
+    pub fn iter(&self) -> impl DoubleEndedIterator<Item = (Tag, Option<Fragment>)> {
+        self.working_copy().into_iter()
     }
 
     /// Inserts `(tag, frag)` and garbage-collects down to the `δ + 1`
     /// highest tags (Alg. 3 lines 12-15). A tag the list already
     /// [`contains`](TreasState::contains) is left alone: re-insertion
-    /// neither downgrades an element nor resurrects a GC'd one. A kept
-    /// element is [`compacted`](ares_codes::Fragment::compacted).
-    pub fn insert_and_gc(&mut self, tag: Tag, frag: ares_codes::Fragment, delta: usize) {
+    /// neither downgrades an element nor resurrects a GC'd one.
+    pub fn insert_and_gc(&mut self, tag: Tag, frag: Fragment, delta: usize) {
         if self.contains(tag) {
             return;
         }
+        let mut list = self.working_copy();
         // The new element survives iff fewer than δ + 1 coded elements
         // rank above it; the lowest coded elements of the list plus the
         // new one beyond δ + 1 lose their data — if the new one is among
         // them it arrives as ⊥.
-        let Err(at) = self.position(tag) else { return };
-        let coded_above = self.list.iter().skip(at).filter(|e| e.1.is_some()).count();
+        let Err(at) = list.binary_search_by_key(&tag, |e| e.0) else { return };
+        let coded_above = list.iter().skip(at).filter(|e| e.1.is_some()).count();
         let keep = coded_above <= delta;
-        let coded = self.list.iter().filter(|e| e.1.is_some()).count();
+        let coded = list.iter().filter(|e| e.1.is_some()).count();
         let excess = (coded + usize::from(keep)).saturating_sub(delta + 1);
-        for e in self.list.iter_mut().filter(|e| e.1.is_some()).take(excess) {
+        for e in list.iter_mut().filter(|e| e.1.is_some()).take(excess) {
             e.1 = None; // remove the coded value...
         }
         // ...and retain the tag, explicitly or under the floor. Only the
         // ⊥s below the new tag fold now: a kept element becomes the
         // lowest coded one when every element under it lost its data.
-        self.compact(Some(tag));
-        self.place(tag, keep.then(|| frag.compacted()));
+        compact(&mut list, Some(tag));
+        place(&mut list, tag, keep.then_some(frag));
+        *self = TreasState::pack(&list);
     }
 
     /// Records `(tag, ⊥)`: a tag known to exist whose element this
     /// server cannot hold (repair of an undecodable tag).
     pub fn note_tag(&mut self, tag: Tag) {
         if !self.contains(tag) {
-            self.place(tag, None);
-        }
-    }
-
-    /// Puts a tag the list does not contain in its place. A `⊥` right
-    /// above the floor, below every coded element, would be compacted
-    /// into it at once, so it replaces the floor instead; anything else
-    /// is inserted, in a slot of its own.
-    fn place(&mut self, tag: Tag, elem: Option<ares_codes::Fragment>) {
-        let Err(at) = self.position(tag) else { return };
-        if elem.is_none() && at == 1 && self.floor().is_some() {
-            if let Some(floor) = self.list.first_mut() {
-                floor.0 = tag;
-            }
-        } else {
-            if self.list.len() == self.list.capacity() {
-                self.list.reserve_exact(1);
-            }
-            self.list.insert(at, (tag, elem));
-        }
-        self.compact(None);
-    }
-
-    /// Folds the `⊥` entries below the lowest coded element (and below
-    /// `limit`, if given) into the highest of them. Every mutation
-    /// leaves at most a couple of such entries, so this is O(δ) per put.
-    fn compact(&mut self, limit: Option<Tag>) {
-        let foldable = |e: &&(Tag, Option<_>)| e.1.is_none() && limit.is_none_or(|l| e.0 < l);
-        let bottoms = self.list.iter().take_while(foldable).count();
-        if bottoms > 1 {
-            self.list.drain(..bottoms - 1);
+            let mut list = self.working_copy();
+            place(&mut list, tag, None);
+            *self = TreasState::pack(&list);
         }
     }
 
     /// The wire form of the list (ascending; the floor, if any, first).
     pub fn to_entries(&self) -> Vec<ListEntry> {
-        self.list.iter().map(|(tag, frag)| ListEntry { tag: *tag, frag: frag.clone() }).collect()
+        self.iter().map(|(tag, frag)| ListEntry { tag, frag }).collect()
     }
 
     /// Bytes of coded payload currently stored (the storage cost of
     /// Theorem 3(i), in bytes).
     pub fn storage_bytes(&self) -> u64 {
-        self.list.iter().map(|e| e.1.as_ref().map_or(0, |f| f.data.len() as u64)).sum()
+        let packed: u64 = self.heads().filter(|h| h.len < BULK).map(|h| u64::from(h.len)).sum();
+        packed + self.parts().1.iter().map(|b| b.len() as u64).sum::<u64>()
+    }
+}
+
+impl fmt::Debug for TreasState {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// Puts a tag `list` does not contain in its place. A `⊥` right above
+/// the floor, below every coded element, would be compacted into it at
+/// once, so it replaces the floor instead; anything else is inserted,
+/// in a slot of its own.
+fn place(list: &mut Vec<Entry>, tag: Tag, elem: Option<Fragment>) {
+    let Err(at) = list.binary_search_by_key(&tag, |e| e.0) else { return };
+    match list.first_mut() {
+        Some(floor) if elem.is_none() && at == 1 && floor.1.is_none() => floor.0 = tag,
+        _ => list.insert(at, (tag, elem)),
+    }
+    compact(list, None);
+}
+
+/// Folds the `⊥` entries below the lowest coded element (and below
+/// `limit`, if given) into the highest of them. Every mutation leaves
+/// at most a couple of such entries, so this is O(δ) per put.
+fn compact(list: &mut Vec<Entry>, limit: Option<Tag>) {
+    let foldable = |e: &&Entry| e.1.is_none() && limit.is_none_or(|l| e.0 < l);
+    let bottoms = list.iter().take_while(foldable).count();
+    if bottoms > 1 {
+        list.drain(..bottoms - 1);
     }
 }
 
@@ -622,7 +745,9 @@ mod tests {
         }
         assert_eq!(st.floor(), Some(Tag::new(2, ProcessId(9))), "highest GC'd tag is the floor");
         assert_eq!(st.iter().count(), 3, "floor + δ+1 coded elements");
-        assert_eq!(st.list.capacity(), 3, "sized for δ + 2 entries, never doubled");
+        let (buf, bulk) = st.parts();
+        assert_eq!(buf.backing_len(), COUNT + 3 * HEADER + 20, "one tight buffer");
+        assert!(bulk.is_empty(), "small elements are packed");
         assert_eq!(st.max_tag(), Tag::new(4, ProcessId(9)));
         let with_data: Vec<_> = st.iter().filter(|(_, f)| f.is_some()).collect();
         assert_eq!(with_data.len(), 2, "only δ+1 = 2 coded elements kept");
@@ -631,6 +756,29 @@ mod tests {
         assert_eq!(with_data[1].0, Tag::new(4, ProcessId(9)));
         // storage = 2 fragments x 10 bytes
         assert_eq!(st.storage_bytes(), 20);
+    }
+
+    #[test]
+    fn a_list_packs_small_elements_and_keeps_bulk_ones_beside() {
+        let mut st = TreasState::new();
+        let t = |z| Tag::new(z, ProcessId(9));
+        let is_packed = |st: &TreasState| matches!(st.0, Repr::Packed(_));
+        st.insert_and_gc(t(1), frag(0, 10), 1);
+        assert!(is_packed(&st));
+        // A bulk element on its own tight frame stays there.
+        let bulk = frag(0, 1000);
+        st.insert_and_gc(t(2), bulk.clone(), 1);
+        assert!(!is_packed(&st));
+        let kept = st.get(t(2)).unwrap();
+        assert!(Bytes::shares_allocation(&kept.data, &bulk.data));
+        assert_eq!(st.to_entries().iter().map(|e| e.payload_bytes()).sum::<u64>(), 1010);
+        // Once GC drops it, the list is one buffer again.
+        st.insert_and_gc(t(3), frag(0, 20), 1);
+        st.insert_and_gc(t(4), frag(0, 30), 1);
+        assert!(is_packed(&st));
+        assert_eq!(st.floor(), Some(t(2)));
+        assert_eq!(st.storage_bytes(), 50);
+        assert_eq!(st.get(t(4)).unwrap().data, vec![1u8; 30]);
     }
 
     #[test]

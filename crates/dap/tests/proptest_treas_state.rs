@@ -6,6 +6,12 @@
 //! the floor), the list stays `O(δ)` long, the storage cost matches
 //! Lemma 38's accounting — and a reader of bounded lists never returns
 //! what a reader of full lists would not.
+//!
+//! Elements arrive the way the TCP host delivers them: a small one as a
+//! view into a frame with slack around it, a bulk one on a tight frame
+//! of its own, both kinds in one list. So every check runs on a list
+//! packed into one buffer, on one with bulk elements beside it, and
+//! across the switches between the two.
 
 use ares_codes::{build_code, Fragment};
 use ares_dap::client::{DapCall, DapCtx};
@@ -19,8 +25,35 @@ use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-fn frag(len: usize) -> Fragment {
-    Fragment { index: 0, value_len: len * 3, data: Bytes::from(vec![0xAB; len]) }
+/// How an element reaches a server: `Small(len)` as a view into a
+/// frame with slack (a 256 B value's 86 B element in its ≈ 150 B
+/// frame), `Bulk(len)` as a tight frame of its own (a 64 KiB value's
+/// element).
+#[derive(Debug, Clone, Copy)]
+enum Shape {
+    Small(usize),
+    Bulk(usize),
+}
+
+fn shape() -> impl Strategy<Value = Shape> {
+    // One bulk element in four.
+    (0u8..4, 1usize..64, 768usize..1024).prop_map(|(k, small, bulk)| {
+        if k == 0 {
+            Shape::Bulk(bulk)
+        } else {
+            Shape::Small(small)
+        }
+    })
+}
+
+/// The element of `tag` in `shape`, its bytes derived from the tag.
+fn frag(tag: Tag, shape: Shape) -> Fragment {
+    let fill = (tag.z as u8) ^ (tag.w.0 as u8).rotate_left(4);
+    let (len, data) = match shape {
+        Shape::Small(len) => (len, Bytes::from(vec![fill; len + 64]).slice(32..32 + len)),
+        Shape::Bulk(len) => (len, Bytes::from(vec![fill; len])),
+    };
+    Fragment { index: 0, value_len: len * 3, data }
 }
 
 /// Alg. 3 as printed — "remove the coded value and retain the tag",
@@ -66,9 +99,9 @@ fn op() -> impl Strategy<Value = Op> {
     (0u8..5).prop_map(|x| if x == 0 { Op::Note } else { Op::Put })
 }
 
-fn insertions() -> impl Strategy<Value = Vec<(u64, u32, usize, Op)>> {
-    // (z, writer, fragment length, op); duplicates and out-of-order welcome.
-    proptest::collection::vec((0u64..40, 0u32..6, 1usize..64, op()), 0..120)
+fn insertions() -> impl Strategy<Value = Vec<(u64, u32, Shape, Op)>> {
+    // (z, writer, element shape, op); duplicates and out-of-order welcome.
+    proptest::collection::vec((0u64..40, 0u32..6, shape(), op()), 0..120)
 }
 
 proptest! {
@@ -79,13 +112,14 @@ proptest! {
         let mut srv = new_server();
         let mut full = FullList::new();
         let mut floor = srv.treas_state(CFG, OBJ).floor();
-        for (z, w, len, op) in ops {
+        for (z, w, shape, op) in ops {
             let t = Tag::new(z, ProcessId(w));
             let st = srv.treas_state(CFG, OBJ);
             match op {
                 Op::Put => {
-                    st.insert_and_gc(t, frag(len), delta);
-                    full.insert_and_gc(t, frag(len), delta);
+                    let f = frag(t, shape);
+                    st.insert_and_gc(t, f.clone(), delta);
+                    full.insert_and_gc(t, f, delta);
                 }
                 Op::Note => {
                     st.note_tag(t);
@@ -99,7 +133,7 @@ proptest! {
             // of the list is the highest tag inserted.
             for (t, elem) in &full.0 {
                 prop_assert!(st.contains(*t), "tag {t} lost");
-                prop_assert_eq!(st.get(*t), elem.as_ref(), "element of {}", t);
+                prop_assert_eq!(st.get(*t), elem.clone(), "element of {}", t);
             }
             prop_assert!(st.floor() >= floor, "floor fell from {floor:?} to {:?}", st.floor());
             floor = st.floor();
@@ -107,6 +141,7 @@ proptest! {
             let full_bytes: usize = full.0.values().flatten().map(|f| f.data.len()).sum();
             prop_assert_eq!(st.storage_bytes(), full_bytes as u64);
             check_representation(st, delta);
+            check_storage(st);
             // Invariant 2: at most δ+1 entries hold data, and they are
             // the δ+1 highest the full list holds data for.
             let with_data: Vec<Tag> = st.iter().filter(|(_, f)| f.is_some()).map(|(t, _)| t).collect();
@@ -126,42 +161,48 @@ proptest! {
                 srv.treas_state_ref(CFG, OBJ).expect("list").to_entries()
             );
             check_representation(restored, delta);
+            check_storage(restored);
             prop_assert_eq!(back.snapshot(), snap);
         }
     }
 
     #[test]
     fn storage_bytes_counts_only_retained_fragments(
-        lens in proptest::collection::vec(1usize..64, 1..20),
+        shapes in proptest::collection::vec(shape(), 1..20),
         delta in 0usize..4,
     ) {
         let mut st = new_state();
-        for (i, len) in lens.iter().enumerate() {
-            st.insert_and_gc(Tag::new(i as u64 + 1, ProcessId(1)), frag(*len), delta);
+        let mut lens = Vec::new();
+        for (i, shape) in shapes.iter().enumerate() {
+            let f = frag(Tag::new(i as u64 + 1, ProcessId(1)), *shape);
+            lens.push(f.data.len());
+            st.insert_and_gc(Tag::new(i as u64 + 1, ProcessId(1)), f, delta);
         }
         // The retained bytes are the sum over the (δ+1) highest inserted
         // tags' fragment lengths (plus t0's empty fragment, 0 bytes).
         let keep = lens.len().min(delta + 1);
         let expect: usize = lens[lens.len() - keep..].iter().sum();
         prop_assert_eq!(st.storage_bytes(), expect as u64);
+        check_storage(&st);
     }
 
     #[test]
     fn reinsertion_never_resurrects_garbage_collected_data(
-        delta in 0usize..3, extra in 1usize..5,
+        delta in 0usize..3, extra in 1usize..5, old_shape in shape(), new_shape in shape(),
     ) {
         let mut st = new_state();
         let old = Tag::new(1, ProcessId(1));
-        st.insert_and_gc(old, frag(8), delta);
+        st.insert_and_gc(old, frag(old, old_shape), delta);
         // Push δ+1+extra newer tags: `old` must lose its data.
         for z in 0..(delta + 1 + extra) as u64 {
-            st.insert_and_gc(Tag::new(10 + z, ProcessId(1)), frag(8), delta);
+            let t = Tag::new(10 + z, ProcessId(1));
+            st.insert_and_gc(t, frag(t, new_shape), delta);
         }
         prop_assert!(st.get(old).is_none());
         // Re-inserting the old tag must NOT bring data back (the list
         // still contains it, explicitly or under the floor, so the
         // insert is a no-op) — otherwise GC would thrash.
-        st.insert_and_gc(old, frag(8), delta);
+        st.insert_and_gc(old, frag(old, old_shape), delta);
         prop_assert!(st.get(old).is_none());
     }
 
@@ -297,6 +338,26 @@ fn new_state() -> TreasState {
     // TreasState has no public constructor by design (servers build it);
     // go through the DapServer entry point.
     new_server().treas_state(CFG, OBJ).clone()
+}
+
+/// The list's storage: its small elements share one tight buffer — a
+/// 4-byte entry count, a 28-byte header per entry, then their bytes —
+/// not the frames they arrived in, and each bulk element stays on its
+/// own tight frame.
+fn check_storage(st: &TreasState) {
+    let entries = st.iter().count();
+    let elems: Vec<Fragment> = st.iter().filter_map(|(_, f)| f).collect();
+    let (bulk, small): (Vec<_>, Vec<_>) =
+        elems.iter().partition(|f| ares_codes::is_bulk(f.data.len()));
+    let packed: usize = small.iter().map(|f| f.data.len()).sum();
+    for f in &small {
+        prop_assert!(Bytes::shares_allocation(&f.data, &small[0].data), "small elements split");
+        prop_assert_eq!(f.data.backing_len(), 4 + 28 * entries + packed, "not the list's buffer");
+    }
+    for f in &bulk {
+        prop_assert_eq!(f.data.backing_len(), f.data.len(), "a bulk element left its frame");
+        prop_assert!(small.iter().all(|s| !Bytes::shares_allocation(&f.data, &s.data)));
+    }
 }
 
 /// The list's representation: entries strictly ascending, and at most

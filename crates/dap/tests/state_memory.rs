@@ -7,9 +7,10 @@
 //!
 //! Theorem 3 prices a `[5, 3]`, δ = 2 object at (δ+1)·⌈256/3⌉ = 258
 //! bytes per server for 256 B values. What a server holds on top is the
-//! list itself (δ + 2 entries), the header of each element's buffer and
-//! the object's slot in the state map — not the frames the elements
-//! arrived in (DESIGN.md §2 and §7).
+//! list's one buffer (an entry count and δ + 2 entry headers beside the
+//! elements' bytes, behind one count and vector header) and the
+//! object's slot in the state map — not the frames the elements arrived
+//! in (DESIGN.md §2 and §7).
 //!
 //! The allocator counts per thread, so the tests of this binary do not
 //! disturb each other's numbers.
@@ -120,7 +121,7 @@ fn a_small_treas_object_costs_a_server_its_list_not_its_frames() {
     let per_object = (live() - before) / OBJECTS as isize;
     assert_eq!(srv.storage_bytes(), u64::from(OBJECTS) * 3 * 86, "δ + 1 elements of 86 B");
     eprintln!("live bytes per object-server: {per_object} (Theorem 3: 258)");
-    assert!(per_object <= 700, "{per_object} live bytes per object-server > 700");
+    assert!(per_object <= 484, "{per_object} live bytes per object-server > 484");
 }
 
 #[test]
@@ -141,12 +142,17 @@ fn a_bulk_element_stays_on_its_frame_and_a_small_value_leaves_its_own() {
             stored.data.len()
         );
     }
-    // A 256 B element is copied out of its ≈ 150-byte frame into a
-    // tight buffer of its own.
+    // A 256 B value's element is copied out of its ≈ 150-byte frame
+    // into the object's one buffer: a 4-byte entry count, a 28-byte
+    // header for each of t0 and this tag, t0's empty element and these
+    // 86 bytes.
     let (obj, tag) = (ObjectId(2), Tag::new(1, WRITER));
     let frag = code.encode(Value::filler(256, 8).as_bytes()).swap_remove(0);
     let payload = deliver(&mut srv, obj, DapBody::TreasWrite(tag, frag));
-    let stored = srv.treas_state_ref(CFG, obj).and_then(|st| st.get(tag)).expect("stored");
+    let st = srv.treas_state_ref(CFG, obj).expect("stored");
+    let stored = st.get(tag).expect("stored");
     assert!(!Bytes::shares_allocation(&stored.data, &payload));
-    assert_eq!(stored.data.backing_len(), 86);
+    let t0 = st.get(ares_types::TAG0).expect("t0's element");
+    assert!(Bytes::shares_allocation(&stored.data, &t0.data), "one buffer per object");
+    assert_eq!(stored.data.backing_len(), 4 + 2 * 28 + 86);
 }

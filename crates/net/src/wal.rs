@@ -27,9 +27,10 @@
 //! local log, then repairs only the delta written while the node was
 //! down, instead of re-fetching every object from peers. Acceptor
 //! records and `nextC` pointers have no such repair: one acked and
-//! then lost is forgotten. So a shard whose log has failed refuses the
-//! messages that set them ([`Msg::needs_log`]); see DESIGN.md §11 for
-//! what is still open.
+//! then lost is forgotten. So the messages that set them
+//! ([`Msg::needs_log`]) are synced before they are applied and
+//! answered, and a shard whose log has failed refuses them (DESIGN.md
+//! §11).
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 #![deny(clippy::todo, clippy::unimplemented, clippy::indexing_slicing)]
 
@@ -123,15 +124,25 @@ impl<A> ShardWal<A> {
     /// re-applies `msg` on replay. A write error fails the log, which
     /// ends journaling, so the error itself needs no handling here.
     ///
+    /// A message that [`Msg::needs_log`] is synced before this returns,
+    /// whatever the batch: its reply leaves only after `journal`, and no
+    /// repair restores such a record once acknowledged and lost. Under
+    /// [`FsyncPolicy::Off`] the sync is a no-op, as that policy promises
+    /// nothing across a power loss.
+    ///
     /// Returns whether the shard may apply `msg`: `false` once the log
-    /// has failed (at this write or an earlier one) for a message that
-    /// [`Msg::needs_log`], which the shard then refuses unanswered.
+    /// has failed (at this write or sync, or an earlier one) for a
+    /// message that [`Msg::needs_log`], which the shard then refuses
+    /// unanswered.
     #[must_use]
     pub fn journal(&mut self, from: ProcessId, msg: &Msg, actor: &A) -> bool {
         if !self.wal.failed() && msg.journaled() {
             // A failed checkpoint fails the log: then nothing is appended.
-            if !self.wal.checkpoint_due() || self.wal.checkpoint(&(self.snap)(actor)).is_ok() {
-                let _ = self.wal.append(&codec::encode_payload(from, msg));
+            if (!self.wal.checkpoint_due() || self.wal.checkpoint(&(self.snap)(actor)).is_ok())
+                && self.wal.append(&codec::encode_payload(from, msg)).is_ok()
+                && msg.needs_log()
+            {
+                let _ = self.wal.sync();
             }
         }
         !(self.wal.failed() && msg.needs_log())
@@ -496,6 +507,85 @@ mod tests {
             nacked,
             "a recovered acceptor must refuse ballots below its pre-crash promise: {effects:?}"
         );
+    }
+
+    /// One acceptor of c0: its actor and its journal.
+    type Node = (ServerActor, ShardWal<ServerActor>);
+
+    /// Rebuilds the three acceptors of c0 from their logs.
+    fn boot(dirs: &[TempDir], reg: &Arc<ConfigRegistry>, cfg: &WalConfig) -> Vec<Node> {
+        let pids = (1..=3).map(ProcessId);
+        dirs.iter()
+            .zip(pids)
+            .map(|(dir, me)| {
+                let counters = Arc::new(WalCounters::default());
+                let (actor, wal, _) =
+                    recover_server(me, reg.clone(), dir.path(), cfg, counters).unwrap();
+                (actor, wal)
+            })
+            .collect()
+    }
+
+    /// Runs `me`'s proposal of `value` for c0's instance to its decision,
+    /// delivering every message in order the way a shard does: journaled
+    /// write-ahead, then applied, its replies sent.
+    fn propose(nodes: &mut [Node], me: ProcessId, value: ConfigId) -> ConfigId {
+        use ares_consensus::{Proposer, ProposerConfig};
+        let servers: Vec<ProcessId> = (1..=3).map(ProcessId).collect();
+        let pcfg = ProposerConfig {
+            inst: ConfigId(0),
+            servers,
+            quorum: 2,
+            backoff_unit: 10,
+            retry_interval: 100,
+        };
+        let mut rpc = 0;
+        let (mut proposer, step) = Proposer::start(pcfg, me, op(u64::from(me.0)), value, &mut rpc);
+        let mut queue: std::collections::VecDeque<_> = step.sends.into();
+        let (mut decided, mut rng) = (None, StdRng::seed_from_u64(1));
+        while let Some((to, m)) = queue.pop_front() {
+            let (actor, wal) = &mut nodes[to.0 as usize - 1];
+            let msg = Msg::Con(m);
+            if !wal.journal(me, &msg, actor) {
+                continue;
+            }
+            let mut ctx = Ctx::detached(to, 0, &mut rng);
+            actor.on_message(me, msg, &mut ctx);
+            for effect in ctx.take_effects() {
+                if let ares_sim::HostEffect::Send { msg: Msg::Con(reply), .. } = effect {
+                    if decided.is_none() {
+                        let step = proposer.on_message(to, reply, &mut rpc);
+                        decided = step.output;
+                        queue.extend(step.sends);
+                    }
+                }
+            }
+        }
+        decided.expect("every message is delivered, so the proposal decides")
+    }
+
+    #[test]
+    fn an_acknowledged_accept_survives_a_power_loss() {
+        // Proposer A decides c1 on the acceptors' replies; then the
+        // power fails on all three before their idle sync. What they
+        // acknowledged must survive, or proposer B decides c2 for the
+        // same instance.
+        let dirs: Vec<TempDir> = (0..3).map(|_| TempDir::new("net-wal-power").unwrap()).collect();
+        let reg = ConfigRegistry::from_configs([Configuration::abd(
+            ConfigId(0),
+            (1..=3).map(ProcessId).collect(),
+        )]);
+        let cfg = WalConfig { fsync: FsyncPolicy::Batched, ..WalConfig::default() };
+        let mut nodes = boot(&dirs, &reg, &cfg);
+        let first = propose(&mut nodes, ProcessId(10), ConfigId(1));
+        assert_eq!(first, ConfigId(1));
+        for (_, wal) in &mut nodes {
+            wal.wal.lose_unsynced().unwrap();
+        }
+        drop(nodes);
+        let mut nodes = boot(&dirs, &reg, &cfg);
+        let second = propose(&mut nodes, ProcessId(11), ConfigId(2));
+        assert_eq!(second, first, "one instance decided two values across a power loss");
     }
 
     #[test]

@@ -331,6 +331,10 @@ pub struct Wal {
     pending: u64,
     /// Records appended since the last checkpoint.
     since_ckpt: u64,
+    /// Bytes written to the active segment, and how many of them the
+    /// last `fdatasync` covered.
+    written: u64,
+    synced: u64,
     quota_left: Option<u64>,
     /// A write failed or was refused: the tail is suspect, so refuse
     /// further writes until the log is reopened (which truncates the
@@ -431,6 +435,8 @@ impl Wal {
             active_seq,
             pending: 0,
             since_ckpt: 0,
+            written: 0,
+            synced: 0,
             failed: false,
         };
         Ok((wal, Recovery { checkpoint, records, torn_tail_truncated, stopped_at_corruption }))
@@ -474,6 +480,7 @@ impl Wal {
             return Err(e);
         }
         self.charge(frame.len() as u64);
+        self.written += frame.len() as u64;
         self.counters.records_appended.fetch_add(1, Ordering::Relaxed);
         self.pending += 1;
         self.since_ckpt += 1;
@@ -542,6 +549,7 @@ impl Wal {
                 self.active = f;
                 self.active_seq = new_seq;
                 self.pending = 0;
+                (self.written, self.synced) = (0, 0);
             }
             Err(e) => {
                 self.failed = true;
@@ -568,6 +576,16 @@ impl Wal {
         Ok(())
     }
 
+    /// Test hook standing in for a power loss: truncates the active
+    /// segment to the length its last `fdatasync` covered — what a
+    /// machine crash, unlike a process crash, leaves of it — and fails
+    /// the log, as the lost power stops its writer. Reopen the directory
+    /// to recover what survived.
+    pub fn lose_unsynced(&mut self) -> io::Result<()> {
+        self.failed = true;
+        self.active.set_len(self.synced)
+    }
+
     /// Refuses, and fails the log over, a write of `bytes` the
     /// injected quota cannot hold.
     fn admit(&mut self, bytes: usize) -> io::Result<()> {
@@ -588,6 +606,7 @@ impl Wal {
         self.counters.group_commit_records.fetch_add(self.pending, Ordering::Relaxed);
         self.counters.group_commit_syncs.fetch_add(1, Ordering::Relaxed);
         self.pending = 0;
+        self.synced = self.written;
         Ok(())
     }
 
@@ -1002,6 +1021,29 @@ mod tests {
         w.append(&[9]).expect("append");
         w.sync().expect("idle sync");
         assert_eq!(counters.snapshot().fsyncs, 2);
+    }
+
+    #[test]
+    fn a_power_loss_keeps_exactly_the_synced_records() {
+        for (fsync, survive) in
+            [(FsyncPolicy::PerRecord, 3), (FsyncPolicy::Batched, 2), (FsyncPolicy::Off, 0)]
+        {
+            let dir = TempDir::new("wal-power-loss").unwrap();
+            let opts = WalOptions { fsync, ..WalOptions::default() };
+            let (mut wal, _) = open_fresh(dir.path(), opts);
+            wal.append(b"one").unwrap();
+            wal.append(b"two").unwrap();
+            wal.sync().unwrap();
+            wal.append(b"three").unwrap();
+            wal.lose_unsynced().unwrap();
+            assert!(wal.failed(), "{fsync:?}: nothing is written after the power is gone");
+            drop(wal);
+            let (_, rec) = reopen(dir.path(), opts);
+            let want: Vec<Vec<u8>> =
+                [&b"one"[..], b"two", b"three"][..survive].iter().map(|r| r.to_vec()).collect();
+            assert_eq!(rec.records, want, "{fsync:?}");
+            assert!(!rec.torn_tail_truncated, "{fsync:?}: the cut falls between records");
+        }
     }
 
     #[test]
