@@ -37,11 +37,10 @@ pub mod reed_solomon;
 pub mod replication;
 
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The `[n, k]` parameters of a code.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CodeParams {
     /// Total number of coded elements (one per server).
     pub n: usize,
@@ -84,19 +83,6 @@ impl Fragment {
     /// Size of the coded payload in bytes (what a server actually stores).
     pub fn storage_bytes(&self) -> usize {
         self.data.len()
-    }
-
-    /// Returns this fragment as a long-lived store should keep it:
-    /// [`compact_bytes`] decides whether its data is copied out of the
-    /// buffer it views. Zero-copy encoding and decoding hand out
-    /// fragments that *view* a larger shared buffer (the value being
-    /// encoded, or a received wire frame); a holder that retains one
-    /// fragment long-term — a server `List`, repair and state-transfer
-    /// re-encodes — calls this so it does not pin more than the
-    /// element.
-    #[must_use]
-    pub fn compacted(self) -> Fragment {
-        Fragment { data: compact_bytes(self.data), ..self }
     }
 }
 
@@ -221,12 +207,12 @@ pub trait ErasureCode: fmt::Debug + Send + Sync {
 
     /// Encodes and returns only the fragment for position `index`
     /// (`Φ_i(v)`); a convenience for server-side re-encoding in the
-    /// ARES-TREAS transfer and repair protocols. The result is
-    /// [`Fragment::compacted`]: callers store it long-term, so it must
-    /// not pin the other shards of the encode.
+    /// ARES-TREAS transfer and repair protocols. The fragment is
+    /// returned as encoded, so it may view a buffer holding the other
+    /// shards too: the store that keeps it decides what it may pin.
     fn encode_fragment(&self, value: &[u8], index: usize) -> Fragment {
         let mut frags = self.encode(value);
-        frags.swap_remove(index).compacted()
+        frags.swap_remove(index)
     }
 }
 
@@ -271,27 +257,6 @@ mod tests {
         let all = code.encode(&v);
         for (i, frag) in all.iter().enumerate() {
             assert_eq!(&code.encode_fragment(&v, i), frag);
-        }
-    }
-
-    #[test]
-    fn encode_fragment_is_compacted_for_long_term_storage() {
-        // Systematic indices of a zero-copy encode view the whole
-        // shard buffer; the single-fragment convenience used by
-        // repair/state-transfer stores must not pin it.
-        for params in [CodeParams { n: 5, k: 3 }, CodeParams { n: 3, k: 1 }] {
-            let code = build_code(params).unwrap();
-            let v = vec![7u8; 3 * 64];
-            for i in 0..params.n {
-                let f = code.encode_fragment(&v, i);
-                assert_eq!(
-                    f.data.backing_len(),
-                    f.data.len(),
-                    "fragment {i} of {params} pins {} bytes for {} stored",
-                    f.data.backing_len(),
-                    f.data.len()
-                );
-            }
         }
     }
 

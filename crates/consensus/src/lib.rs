@@ -32,13 +32,10 @@ pub use acceptor::Acceptor;
 pub use proposer::{Proposer, ProposerConfig};
 
 use ares_types::{ConfigId, OpId, ProcessId, RpcId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A Paxos ballot: totally ordered, unique per proposer.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Ballot {
     /// Monotone round counter.
     pub round: u64,

@@ -782,6 +782,32 @@ mod tests {
     }
 
     #[test]
+    fn a_re_encoded_element_pins_no_more_than_the_list_allows() {
+        // Repair and state transfer store `encode_fragment` output as
+        // encoded, and a systematic element views the whole value it was
+        // encoded from: the list alone decides what it keeps of it.
+        let code = ares_codes::build_code(ares_codes::CodeParams { n: 5, k: 3 }).unwrap();
+        let (small, bulk) = (Value::filler(256, 1), Value::filler(64 * 1024, 2));
+        let (t1, t2) = (Tag::new(1, ProcessId(9)), Tag::new(2, ProcessId(9)));
+        for i in 0..5 {
+            let mut st = TreasState::new();
+            st.insert_and_gc(t1, code.encode_fragment(small.as_bytes(), i), 2);
+            st.insert_and_gc(t2, code.encode_fragment(bulk.as_bytes(), i), 2);
+            let (buf, beside) = st.parts();
+            let packed = st.get(t1).unwrap().data;
+            assert!(Bytes::shares_allocation(&packed, buf), "element {i} of 256 B is packed");
+            let kept = st.get(t2).unwrap().data;
+            assert_eq!(beside.len(), 1, "element {i} of 64 KiB is held beside the buffer");
+            assert!(
+                kept.backing_len() <= kept.len() + kept.len() / 8,
+                "element {i} of 64 KiB pins {} bytes for {}",
+                kept.backing_len(),
+                kept.len()
+            );
+        }
+    }
+
+    #[test]
     fn treas_query_tag_returns_max() {
         let mut s = DapServer::new(ProcessId(2), registry());
         let t = Tag::new(7, ProcessId(4));

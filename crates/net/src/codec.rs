@@ -1,10 +1,18 @@
-//! Hand-rolled, length-prefixed binary wire encoding for [`Msg`].
+//! Hand-rolled, length-prefixed binary wire encoding for [`Msg`]: the
+//! workspace's one serializer. Two tiny traits ([`WireEncode`] /
+//! [`WireDecode`]) are implemented for the whole message tree
+//! (`ares_core::Msg` and its nested DAP / consensus /
+//! configuration-service / state-transfer / repair payloads), and the
+//! write-ahead log's records and checkpoints (`crate::wal`) are the
+//! same encoding.
 //!
-//! The workspace's vendored `serde` is an API stand-in, not a real
-//! serializer, so the network crate defines its own codec: two tiny
-//! traits ([`WireEncode`] / [`WireDecode`]) implemented for the whole
-//! message tree (`ares_core::Msg` and its nested DAP / consensus /
-//! configuration-service / state-transfer / repair payloads).
+//! There is one decoder: a [`WireReader`] over a shared [`Bytes`]
+//! buffer, which hands decoded payloads ([`Fragment`] data, [`Value`]
+//! bytes) out as zero-copy views of that buffer. Socket frames, WAL
+//! records and checkpoints all arrive as a `Vec<u8>` that becomes the
+//! buffer without a copy, so a decoded element or value views its
+//! frame, record or checkpoint until a store keeps or copies it by
+//! `ares_codes::compact_bytes`.
 //!
 //! The tables under "The message tree" below are the format's single
 //! source: each product type is one field list and each enum one
@@ -108,32 +116,21 @@ impl From<DecodeError> for io::Error {
     }
 }
 
-/// A bounds-checked cursor over one received frame.
-///
-/// Constructed over a plain slice ([`WireReader::new`]) the reader
-/// copies byte strings out; constructed over a shared buffer
-/// ([`WireReader::new_shared`]) it hands decoded payloads
-/// ([`Fragment`] data, [`Value`] bytes) out as **zero-copy slices** of
-/// the frame allocation, so receiving a megabyte fragment costs one
-/// socket read and no further copies.
+/// A bounds-checked cursor over one received frame, record or
+/// checkpoint held in a shared buffer: decoded payloads ([`Fragment`]
+/// data, [`Value`] bytes) come out as **zero-copy slices** of that
+/// buffer, so receiving a megabyte fragment costs one socket read and
+/// no further copies.
 pub struct WireReader<'a> {
-    buf: &'a [u8],
+    buf: &'a Bytes,
     pos: usize,
-    /// When decoding out of a shared buffer, the owning `Bytes` (same
-    /// range as `buf`) that payload slices borrow from.
-    shared: Option<&'a Bytes>,
 }
 
 impl<'a> WireReader<'a> {
-    /// Wraps a frame payload.
-    pub fn new(buf: &'a [u8]) -> Self {
-        WireReader { buf, pos: 0, shared: None }
-    }
-
-    /// Wraps a frame payload held in a shared buffer; decoded byte
-    /// strings are zero-copy slices of it.
+    /// Wraps a payload held in a shared buffer; decoded byte strings
+    /// are zero-copy slices of it.
     pub fn new_shared(buf: &'a Bytes) -> Self {
-        WireReader { buf, pos: 0, shared: Some(buf) }
+        WireReader { buf, pos: 0 }
     }
 
     /// Bytes not yet consumed.
@@ -178,17 +175,13 @@ impl<'a> WireReader<'a> {
         self.take(len)
     }
 
-    /// Reads a `u32`-length-prefixed byte string as an owned [`Bytes`]:
-    /// a zero-copy slice of the frame buffer when this reader was built
-    /// with [`WireReader::new_shared`], a copy otherwise. Large-payload
-    /// decoders ([`Fragment`], [`Value`]) use this so a received coded
-    /// element shares the frame's allocation instead of cloning it.
+    /// Reads a `u32`-length-prefixed byte string as a zero-copy slice of
+    /// the reader's buffer. Large-payload decoders ([`Fragment`],
+    /// [`Value`]) use this so a received coded element shares the
+    /// frame's allocation instead of cloning it.
     pub fn byte_str_bytes(&mut self) -> Result<Bytes, DecodeError> {
-        let s = self.byte_str()?;
-        Ok(match self.shared {
-            Some(b) => b.slice(self.pos - s.len()..self.pos),
-            None => Bytes::copy_from_slice(s),
-        })
+        let len = self.byte_str()?.len();
+        Ok(self.buf.slice(self.pos - len..self.pos))
     }
 
     /// Reads a sequence count, validated against the remaining bytes
@@ -515,18 +508,41 @@ pub fn frames_encoded() -> u64 {
 /// element of a `δ + 2`-entry `TreasList` reply.
 const FRAME_SLACK: usize = 256;
 
-/// Encodes one frame payload (version, sender, message) *without* the
-/// length prefix.
-pub fn encode_payload(from: ProcessId, msg: &Msg) -> Vec<u8> {
+/// The one encoder body: `prefix`, then the version, the sender and the
+/// message, in one buffer reserved for the message's bulk payload.
+fn encode_behind(prefix: &[u8], from: ProcessId, msg: &Msg) -> Vec<u8> {
     FRAMES_ENCODED.with(|c| c.set(c.get() + 1));
     let mut out = Vec::with_capacity(msg.payload_bytes() as usize + FRAME_SLACK);
+    out.extend_from_slice(prefix);
     out.push(WIRE_VERSION);
     from.encode(&mut out);
     msg.encode(&mut out);
     out
 }
 
-fn decode_payload_reader(mut r: WireReader<'_>) -> Result<(ProcessId, Msg), DecodeError> {
+/// Encodes one frame payload (version, sender, message) *without* the
+/// length prefix: a write-ahead log record.
+pub fn encode_payload(from: ProcessId, msg: &Msg) -> Vec<u8> {
+    encode_behind(&[], from, msg)
+}
+
+/// Strictly decodes one frame payload (the bytes after the length
+/// prefix) into `(sender, message)`. Large payloads in the decoded
+/// message ([`Fragment`] data, [`Value`] bytes) come out as zero-copy
+/// slices of `buf`: [`read_frame`] and WAL replay hand it the frame or
+/// record they read, so a received coded element or replicated value
+/// shares that one allocation end-to-end. The slices pin the whole
+/// buffer, so the server stores that retain a payload (`TreasWrite`,
+/// `FwdElem`, `AbdWrite`, `LdrPutData`) keep it through
+/// `ares_codes::compact_bytes`, which copies a small one out of its
+/// frame and leaves a bulk one zero-copy; multi-fragment frames
+/// (`TreasList`, `RepairMsg::Lists`) are only held transiently (read
+/// evaluation, an in-flight repair task).
+pub fn decode_payload_bytes(buf: &Bytes) -> Result<(ProcessId, Msg), DecodeError> {
+    if buf.len() > MAX_FRAME_LEN {
+        return Err(DecodeError::FrameTooLarge(buf.len()));
+    }
+    let mut r = WireReader::new_shared(buf);
     let version = r.u8()?;
     if version != WIRE_VERSION {
         return Err(DecodeError::BadVersion(version));
@@ -535,33 +551,6 @@ fn decode_payload_reader(mut r: WireReader<'_>) -> Result<(ProcessId, Msg), Deco
     let msg = Msg::decode(&mut r)?;
     r.finish()?;
     Ok((from, msg))
-}
-
-/// Strictly decodes one frame payload (the bytes after the length
-/// prefix) into `(sender, message)`.
-pub fn decode_payload(buf: &[u8]) -> Result<(ProcessId, Msg), DecodeError> {
-    if buf.len() > MAX_FRAME_LEN {
-        return Err(DecodeError::FrameTooLarge(buf.len()));
-    }
-    decode_payload_reader(WireReader::new(buf))
-}
-
-/// Like [`decode_payload`], but over a shared buffer: large payloads in
-/// the decoded message ([`Fragment`] data, [`Value`] bytes) come out as
-/// zero-copy slices of `buf`. This is the path [`read_frame`] uses, so
-/// a received coded element or replicated value shares the frame's one
-/// allocation end-to-end. The slices pin the whole frame buffer, so
-/// the server stores that retain a payload (`TreasWrite`, `FwdElem`,
-/// `AbdWrite`, `LdrPutData`) keep it through `ares_codes::compact_bytes`,
-/// which copies a small one out of its frame and leaves a bulk one
-/// zero-copy; multi-fragment frames (`TreasList`, `RepairMsg::Lists`)
-/// are only held transiently (read evaluation, an in-flight repair
-/// task).
-pub fn decode_payload_bytes(buf: &Bytes) -> Result<(ProcessId, Msg), DecodeError> {
-    if buf.len() > MAX_FRAME_LEN {
-        return Err(DecodeError::FrameTooLarge(buf.len()));
-    }
-    decode_payload_reader(WireReader::new_shared(buf))
 }
 
 /// Encodes one complete frame (length prefix included), erroring with
@@ -577,12 +566,7 @@ pub fn decode_payload_bytes(buf: &Bytes) -> Result<(ProcessId, Msg), DecodeError
 /// a separate growing buffer and then copied it whole behind the
 /// prefix, an extra full-payload copy per frame).
 pub fn try_encode_frame(from: ProcessId, msg: &Msg) -> Result<Vec<u8>, DecodeError> {
-    FRAMES_ENCODED.with(|c| c.set(c.get() + 1));
-    let mut out = Vec::with_capacity(msg.payload_bytes() as usize + FRAME_SLACK);
-    out.extend_from_slice(&[0u8; 4]);
-    out.push(WIRE_VERSION);
-    from.encode(&mut out);
-    msg.encode(&mut out);
+    let mut out = encode_behind(&[0; 4], from, msg);
     let payload_len = out.len() - 4;
     if payload_len > MAX_FRAME_LEN {
         return Err(DecodeError::FrameTooLarge(payload_len));
@@ -695,9 +679,15 @@ mod tests {
         Msg::Invoke(Invoke { session, seq: ares_core::store::session_op_seq(session, n), cmd })
     }
 
+    /// Decodes a payload held in a buffer of its own, as a received
+    /// frame or a replayed record is.
+    fn decode(payload: &[u8]) -> Result<(ProcessId, Msg), DecodeError> {
+        decode_payload_bytes(&Bytes::copy_from_slice(payload))
+    }
+
     fn roundtrip(msg: Msg) -> Msg {
         let frame = encode_frame(ProcessId(3), &msg);
-        let (from, decoded) = decode_payload(&frame[4..]).expect("decodes");
+        let (from, decoded) = decode(&frame[4..]).expect("decodes");
         assert_eq!(from, ProcessId(3));
         decoded
     }
@@ -857,7 +847,7 @@ mod tests {
             &invoke(0, 0, ClientCmd::Write { obj: ObjectId(0), value: Value::filler(64, 1) }),
         );
         for cut in 0..frame.len().saturating_sub(5) {
-            let r = decode_payload(&frame[4..4 + cut]);
+            let r = decode(&frame[4..4 + cut]);
             assert!(r.is_err(), "truncation to {cut} payload bytes must error");
         }
     }
@@ -867,7 +857,7 @@ mod tests {
         let mut frame =
             encode_payload(ProcessId(1), &invoke(0, 0, ClientCmd::Read { obj: ObjectId(0) }));
         frame.push(0);
-        assert_eq!(decode_payload(&frame), Err(DecodeError::TrailingBytes));
+        assert_eq!(decode(&frame), Err(DecodeError::TrailingBytes));
     }
 
     #[test]
@@ -875,7 +865,7 @@ mod tests {
         let mut payload =
             encode_payload(ProcessId(1), &invoke(0, 0, ClientCmd::Read { obj: ObjectId(0) }));
         payload[0] = 9;
-        assert_eq!(decode_payload(&payload), Err(DecodeError::BadVersion(9)));
+        assert_eq!(decode(&payload), Err(DecodeError::BadVersion(9)));
     }
 
     #[test]
@@ -887,7 +877,7 @@ mod tests {
         Hdr { cfg: ConfigId(0), obj: ObjectId(0), rpc: RpcId(0), op: op() }.encode(&mut payload);
         payload.push(10); // TreasList
         payload.extend_from_slice(&u32::MAX.to_be_bytes());
-        assert_eq!(decode_payload(&payload), Err(DecodeError::BadCount));
+        assert_eq!(decode(&payload), Err(DecodeError::BadCount));
     }
 
     #[test]
@@ -903,7 +893,7 @@ mod tests {
         payload.push(10); // TreasList
         payload.extend_from_slice(&60_000u32.to_be_bytes());
         payload.extend_from_slice(&[0xFFu8; 64_000]); // "elements"
-        assert!(decode_payload(&payload).is_err());
+        assert!(decode(&payload).is_err());
     }
 
     /// A socket stand-in: counts `read` calls and hands out at most

@@ -542,28 +542,13 @@ impl NodeStats {
     }
 }
 
-/// One shard's handles held by the host.
-struct ShardHandle<A> {
+/// One shard's handles: its inbox, the network deliveries waiting in
+/// it, and its counters. The host, every reader thread and every event
+/// loop share one slice of them, indexed by shard.
+struct Shard<A> {
     tx: Sender<Event<A>>,
-    inbound: Arc<AtomicUsize>,
-    counters: Arc<ShardCounters>,
-}
-
-/// Per-connection routing targets handed to each reader thread.
-struct RouteTargets<A> {
-    txs: Vec<Sender<Event<A>>>,
-    inbounds: Vec<Arc<AtomicUsize>>,
-    counters: Vec<Arc<ShardCounters>>,
-}
-
-impl<A> Clone for RouteTargets<A> {
-    fn clone(&self) -> Self {
-        RouteTargets {
-            txs: self.txs.clone(),
-            inbounds: self.inbounds.clone(),
-            counters: self.counters.clone(),
-        }
-    }
+    inbound: AtomicUsize,
+    counters: ShardCounters,
 }
 
 /// A sharded actor host: `S` event loops behind one listener and one
@@ -573,7 +558,7 @@ impl<A> Clone for RouteTargets<A> {
 pub(crate) struct ShardedHost<A: Actor<Msg> + Send + 'static> {
     pub(crate) pid: ProcessId,
     pub(crate) local_addr: SocketAddr,
-    shards: Vec<ShardHandle<A>>,
+    shards: Arc<[Shard<A>]>,
     /// Shared with reader threads: while set, every received frame is
     /// dropped and its connection closed (crash window).
     paused: Arc<AtomicBool>,
@@ -613,54 +598,40 @@ impl<A: Actor<Msg> + Send + 'static> ShardedHost<A> {
         let mut threads = Vec::new();
 
         // Build every shard's channel first so each event loop can be
-        // handed the full tx set (cross-shard self-sends route through
+        // handed the whole table (cross-shard self-sends route through
         // it: a server forwarding a coded element to itself must land
         // on the *object's* shard, which may not be its own).
-        let n = actors.len();
-        let mut shards: Vec<ShardHandle<A>> = Vec::with_capacity(n);
-        let mut rxs: Vec<Receiver<Event<A>>> = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = mpsc::channel::<Event<A>>();
-            shards.push(ShardHandle {
+        let (txs, rxs): (Vec<_>, Vec<_>) = actors.iter().map(|_| mpsc::channel()).unzip();
+        let shards: Arc<[Shard<A>]> = txs
+            .into_iter()
+            .map(|tx| Shard {
                 tx,
-                inbound: Arc::new(AtomicUsize::new(0)),
-                counters: Arc::new(ShardCounters::default()),
-            });
-            rxs.push(rx);
-        }
-        let txs: Vec<Sender<Event<A>>> = shards.iter().map(|s| s.tx.clone()).collect();
+                inbound: AtomicUsize::new(0),
+                counters: ShardCounters::default(),
+            })
+            .collect();
 
         // One event loop per shard.
         let mut completions = completions;
-        for (si, (((actor, wal), rx), shard)) in
-            actors.into_iter().zip(rxs).zip(shards.iter()).enumerate()
-        {
-            let loopbacks = txs.clone();
+        for (si, ((actor, wal), rx)) in actors.into_iter().zip(rxs).enumerate() {
+            let shards = shards.clone();
             let pool = pool.clone();
-            let inbound = shard.inbound.clone();
-            let counters = shard.counters.clone();
             // Completions only ever come from client actors, which are
             // single-sharded; hand the sink to shard 0.
             let sink = if si == 0 { completions.take() } else { None };
             threads.push(std::thread::spawn(move || {
-                event_loop(
-                    pid, si, actor, wal, rx, loopbacks, pool, epoch, sink, inbound, counters,
-                );
+                event_loop(pid, si, actor, wal, rx, shards, pool, epoch, sink);
             }));
         }
 
         // Listener.
-        let targets = RouteTargets {
-            txs,
-            inbounds: shards.iter().map(|s| s.inbound.clone()).collect(),
-            counters: shards.iter().map(|s| s.counters.clone()).collect(),
-        };
         let accept_thread = {
+            let shards = shards.clone();
             let paused = paused.clone();
             let shutdown = shutdown.clone();
             let faults = faults.clone();
             std::thread::spawn(move || {
-                accept_loop(listener, Arc::new(admission), targets, paused, shutdown, faults);
+                accept_loop(listener, Arc::new(admission), shards, paused, shutdown, faults);
             })
         };
         Ok(ShardedHost {
@@ -691,11 +662,7 @@ impl<A: Actor<Msg> + Send + 'static> ShardedHost<A> {
     /// other traffic (an environment repair trigger for object `o`
     /// lands on `o`'s shard).
     pub(crate) fn inject(&self, from: ProcessId, msg: Msg) {
-        let si = shard_of(&msg, self.shards.len());
-        mirror(self.shards.iter().map(|s| &s.tx), si, from, &msg);
-        if let Some(shard) = self.shards.get(si) {
-            let _ = shard.tx.send(Event::Deliver { from, msg, counted: false, mirror: false });
-        }
+        route_delivery(&self.shards, from, msg, None);
     }
 
     /// Crash-stops every shard and returns once each loop has applied
@@ -705,7 +672,7 @@ impl<A: Actor<Msg> + Send + 'static> ShardedHost<A> {
         crate::sync::off_loop("pause barrier");
         self.paused.store(true, Ordering::SeqCst);
         let (ack, acked) = mpsc::channel();
-        for s in &self.shards {
+        for s in self.shards.iter() {
             let _ = s.tx.send(Event::Pause(ack.clone()));
         }
         drop(ack);
@@ -714,7 +681,7 @@ impl<A: Actor<Msg> + Send + 'static> ShardedHost<A> {
     }
 
     pub(crate) fn resume(&self) {
-        for s in &self.shards {
+        for s in self.shards.iter() {
             let _ = s.tx.send(Event::Resume);
         }
         self.paused.store(false, Ordering::SeqCst);
@@ -764,7 +731,7 @@ impl<A: Actor<Msg> + Send + 'static> ShardedHost<A> {
 
     pub(crate) fn shutdown(mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        for s in &self.shards {
+        for s in self.shards.iter() {
             let _ = s.tx.send(Event::Shutdown);
         }
         // Unblock the accept loop: flip the shared socket nonblocking
@@ -783,7 +750,7 @@ impl<A: Actor<Msg> + Send + 'static> ShardedHost<A> {
 fn accept_loop<A: Actor<Msg> + Send + 'static>(
     listener: TcpListener,
     admission: Arc<Admission>,
-    targets: RouteTargets<A>,
+    shards: Arc<[Shard<A>]>,
     paused: Arc<AtomicBool>,
     shutdown: Arc<AtomicBool>,
     faults: Arc<FaultControls>,
@@ -796,7 +763,7 @@ fn accept_loop<A: Actor<Msg> + Send + 'static>(
                     return;
                 }
                 let _ = stream.set_nodelay(true);
-                let targets = targets.clone();
+                let shards = shards.clone();
                 let admission = admission.clone();
                 let paused = paused.clone();
                 let shutdown = shutdown.clone();
@@ -804,7 +771,7 @@ fn accept_loop<A: Actor<Msg> + Send + 'static>(
                 // Reader threads are daemons: they exit on EOF, on any
                 // read/decode error, and on pause/shutdown.
                 std::thread::spawn(move || {
-                    reader_loop(stream, admission, targets, paused, shutdown, faults);
+                    reader_loop(stream, admission, shards, paused, shutdown, faults);
                 });
             }
             Err(_) => {
@@ -828,16 +795,17 @@ fn accept_loop<A: Actor<Msg> + Send + 'static>(
 fn reader_loop<A: Actor<Msg> + Send + 'static>(
     stream: TcpStream,
     admission: Arc<Admission>,
-    targets: RouteTargets<A>,
+    shards: Arc<[Shard<A>]>,
     paused: Arc<AtomicBool>,
     shutdown: Arc<AtomicBool>,
     faults: Arc<FaultControls>,
 ) {
+    let stop = || shutdown.load(Ordering::SeqCst) || paused.load(Ordering::SeqCst);
     let mut reader = BufReader::with_capacity(codec::FRAME_READ_BUF, stream);
     loop {
         match read_frame(&mut reader) {
             Ok(Some((from, msg))) => {
-                if shutdown.load(Ordering::SeqCst) || paused.load(Ordering::SeqCst) {
+                if stop() {
                     return; // crash window: drop frame, sever connection
                 }
                 // Injected asymmetric cut: this host cannot *hear* the
@@ -870,41 +838,8 @@ fn reader_loop<A: Actor<Msg> + Send + 'static>(
                 // a deployment with a declared object universe drops
                 // traffic for fabricated objects before it can create
                 // per-object state.
-                if admission.admits(&msg) {
-                    let si = shard_of(&msg, targets.txs.len());
-                    // `shard_of` is always in range; `get` keeps this
-                    // network path free of panicking indexing.
-                    let (Some(inbound), Some(shard_counters), Some(tx)) =
-                        (targets.inbounds.get(si), targets.counters.get(si), targets.txs.get(si))
-                    else {
-                        continue;
-                    };
-                    // Backpressure: stall this connection (and, through
-                    // TCP, its peer) while the shard's event queue is
-                    // saturated instead of letting it grow without
-                    // bound. Per-shard gates keep one slow shard from
-                    // stalling traffic bound for the others — unless it
-                    // shares a connection, which is TCP's own
-                    // head-of-line constraint.
-                    while inbound.load(Ordering::SeqCst) >= INBOUND_HIGH_WATER {
-                        if shutdown.load(Ordering::SeqCst) || paused.load(Ordering::SeqCst) {
-                            return;
-                        }
-                        crate::sync::sleep(Duration::from_millis(1));
-                    }
-                    let backlog = inbound.fetch_add(1, Ordering::SeqCst) + 1;
-                    shard_counters.inbox_high_water.fetch_max(backlog, Ordering::Relaxed);
-                    mirror(&targets.txs, si, from, &msg);
-                    // frames_routed is counted by the shard as it
-                    // *applies* the delivery, not here: a snapshot must
-                    // never observe a routed frame that has not yet
-                    // been applied (events_applied ≥ frames_routed is
-                    // an invariant tests rely on).
-                    if tx.send(Event::Deliver { from, msg, counted: true, mirror: false }).is_err()
-                    {
-                        inbound.fetch_sub(1, Ordering::SeqCst);
-                        return;
-                    }
+                if admission.admits(&msg) && !route_delivery(&shards, from, msg, Some(&stop)) {
+                    return;
                 }
             }
             Ok(None) | Err(_) => return,
@@ -936,14 +871,13 @@ fn event_loop<A: Actor<Msg> + Send + 'static>(
     mut actor: A,
     mut wal: Option<ShardWal<A>>,
     rx: Receiver<Event<A>>,
-    loopbacks: Vec<Sender<Event<A>>>,
+    shards: Arc<[Shard<A>]>,
     pool: Arc<PeerPool>,
     epoch: Instant,
     completions: Option<CompletionSink>,
-    inbound: Arc<AtomicUsize>,
-    counters: Arc<ShardCounters>,
 ) {
     crate::sync::mark_loop();
+    let Some(Shard { inbound, counters, .. }) = shards.get(shard) else { return };
     let mut rng = StdRng::seed_from_u64(pid.0 as u64 ^ 0xA1E5_0000 ^ ((shard as u64) << 40));
     let mut paused = false;
     let mut timers = TimerHeap::new();
@@ -976,7 +910,7 @@ fn event_loop<A: Actor<Msg> + Send + 'static>(
                         let mut ctx = Ctx::detached(pid, now, &mut rng);
                         actor.on_timer(token, &mut ctx);
                         let effects = ctx.take_effects();
-                        apply(pid, effects, &loopbacks, &pool, &mut timers, &completions);
+                        apply(pid, effects, &shards, &pool, &mut timers, &completions);
                     }
                     continue;
                 }
@@ -1045,34 +979,71 @@ fn event_loop<A: Actor<Msg> + Send + 'static>(
                 if mirror {
                     effects.retain(|e| !matches!(e, HostEffect::Send { .. }));
                 }
-                apply(pid, effects, &loopbacks, &pool, &mut timers, &completions);
+                apply(pid, effects, &shards, &pool, &mut timers, &completions);
             }
         }
     }
 }
 
-/// Hands a copy of an every-shard message to each shard but `primary`,
-/// the one it is routed to and that answers it (DESIGN.md §9). Only
-/// clients write pointers, so the listener and `inject` are the two
-/// paths such a message enters a server host by.
-fn mirror<'a, A: 'a>(
-    txs: impl IntoIterator<Item = &'a Sender<Event<A>>>,
-    primary: usize,
+/// Puts one delivery in the inbox of the shard [`shard_of`] names, and
+/// a copy of an every-shard message ([`ShardRoute::EveryShard`]) in
+/// every other shard's, flagged `mirror`: journaled and applied there
+/// like any delivery, its replies dropped, because only the routed
+/// shard (shard 0, which alone serves `ReadConfig`) may answer a
+/// pointer write (DESIGN.md §9). The listener, [`ShardedHost::inject`]
+/// and a loopback self-send all deliver through here.
+///
+/// A network frame (`stop` set) is `counted`: it waits while the routed
+/// shard's inbox holds [`INBOUND_HIGH_WATER`] of them, stalling its
+/// connection and, through TCP, the peer, and gives up once `stop`
+/// holds. Returns `false` if it gave up or the routed shard is gone.
+fn route_delivery<A>(
+    shards: &[Shard<A>],
     from: ProcessId,
-    msg: &Msg,
-) {
-    if route(msg) != ShardRoute::EveryShard {
-        return;
+    msg: Msg,
+    stop: Option<&dyn Fn() -> bool>,
+) -> bool {
+    let si = shard_of(&msg, shards.len());
+    // `shard_of` is always in range; `get` keeps this network path free
+    // of panicking indexing.
+    let Some(shard) = shards.get(si) else { return true };
+    if let Some(stop) = stop {
+        // Per-shard gates keep one slow shard from stalling traffic
+        // bound for the others — unless it shares a connection, which
+        // is TCP's own head-of-line constraint.
+        while shard.inbound.load(Ordering::SeqCst) >= INBOUND_HIGH_WATER {
+            if stop() {
+                return false;
+            }
+            crate::sync::sleep(Duration::from_millis(1));
+        }
+        let backlog = shard.inbound.fetch_add(1, Ordering::SeqCst) + 1;
+        shard.counters.inbox_high_water.fetch_max(backlog, Ordering::Relaxed);
     }
-    for (_, tx) in txs.into_iter().enumerate().filter(|(si, _)| *si != primary) {
-        let _ = tx.send(Event::Deliver { from, msg: msg.clone(), counted: false, mirror: true });
+    if route(&msg) == ShardRoute::EveryShard {
+        for (_, other) in shards.iter().enumerate().filter(|(i, _)| *i != si) {
+            let copy = Event::Deliver { from, msg: msg.clone(), counted: false, mirror: true };
+            let _ = other.tx.send(copy);
+        }
     }
+    // frames_routed is counted by the shard as it *applies* the
+    // delivery, not here: a snapshot must never observe a routed frame
+    // that has not yet been applied (events_applied ≥ frames_routed is
+    // an invariant tests rely on).
+    let counted = stop.is_some();
+    if shard.tx.send(Event::Deliver { from, msg, counted, mirror: false }).is_err() {
+        if counted {
+            shard.inbound.fetch_sub(1, Ordering::SeqCst);
+        }
+        return false;
+    }
+    true
 }
 
 fn apply<A>(
     pid: ProcessId,
     effects: Vec<HostEffect<Msg>>,
-    loopbacks: &[Sender<Event<A>>],
+    shards: &[Shard<A>],
     pool: &PeerPool,
     timers: &mut TimerHeap,
     completions: &Option<CompletionSink>,
@@ -1092,12 +1063,7 @@ fn apply<A>(
                     // element to itself) short-circuit the socket —
                     // routed like network traffic, because the object's
                     // shard may not be the sending shard.
-                    let si = shard_of(&msg, loopbacks.len());
-                    if let Some(tx) = loopbacks.get(si) {
-                        let deliver =
-                            Event::Deliver { from: pid, msg, counted: false, mirror: false };
-                        let _ = tx.send(deliver);
-                    }
+                    route_delivery(shards, pid, msg, None);
                     continue;
                 }
                 let frame = match &last_frame {
@@ -1366,12 +1332,12 @@ mod tests {
         let effects: Vec<HostEffect<Msg>> = (1..=5u32)
             .map(|s| HostEffect::Send { to: ProcessId(s), msg: write_msg(value.clone()) })
             .collect();
-        let (tx, _rx) = mpsc::channel::<Event<ServerActor>>();
-        let loopbacks = vec![tx];
+        // No effect is a self-send, so no shard is needed.
+        let shards: [Shard<ServerActor>; 0] = [];
         let pool = PeerPool::new(Arc::new(AddrBook::new()), FaultControls::new());
         let mut timers = TimerHeap::new();
         let before = codec::frames_encoded();
-        apply(me, effects, &loopbacks, &pool, &mut timers, &None);
+        apply(me, effects, &shards, &pool, &mut timers, &None);
         assert_eq!(
             codec::frames_encoded() - before,
             1,
@@ -1386,9 +1352,8 @@ mod tests {
                 msg: write_msg(Value::filler(64, s as u64)),
             })
             .collect();
-        let (tx, _rx) = mpsc::channel::<Event<ServerActor>>();
         let before = codec::frames_encoded();
-        apply(me, effects, &[tx], &pool, &mut timers, &None);
+        apply(me, effects, &shards, &pool, &mut timers, &None);
         assert_eq!(codec::frames_encoded() - before, 5);
     }
 
@@ -1527,31 +1492,21 @@ mod tests {
     const ME: ProcessId = ProcessId(99);
 
     /// Runs the real shard loop of `ME` for `actor` on its own thread,
-    /// sending through a pool over `book`; its inbox loops back to itself.
+    /// sending through a pool over `book`; its inbox, holding `inbound`
+    /// network deliveries, loops back to itself.
     fn run_shard<A: Actor<Msg> + Send + 'static>(
         actor: A,
         wal: Option<ShardWal<A>>,
         (tx, rx): (Sender<Event<A>>, Receiver<Event<A>>),
-        inbound: Arc<AtomicUsize>,
+        inbound: usize,
         book: AddrBook,
         completions: Option<CompletionSink>,
     ) -> JoinHandle<()> {
         let pool = PeerPool::new(Arc::new(book), FaultControls::new());
+        let inbound = AtomicUsize::new(inbound);
+        let shards = Arc::new([Shard { tx, inbound, counters: ShardCounters::default() }]);
         std::thread::spawn(move || {
-            let (loopbacks, counters) = (vec![tx], Arc::default());
-            event_loop(
-                ME,
-                0,
-                actor,
-                wal,
-                rx,
-                loopbacks,
-                pool,
-                Instant::now(),
-                completions,
-                inbound,
-                counters,
-            );
+            event_loop(ME, 0, actor, wal, rx, shards, pool, Instant::now(), completions);
         })
     }
 
@@ -1565,11 +1520,9 @@ mod tests {
         let (log, logged) = mpsc::channel();
         let actor = Recorder { delay, echoes, armed: false, fired: false, log };
         let (tx, rx) = mpsc::channel();
-        let inbound = Arc::new(AtomicUsize::new(0));
+        let mut inbound = 0;
         for ev in queued {
-            if matches!(ev, Event::Deliver { counted: true, .. }) {
-                inbound.fetch_add(1, Ordering::SeqCst);
-            }
+            inbound += usize::from(matches!(ev, Event::Deliver { counted: true, .. }));
             tx.send(ev).unwrap();
         }
         let shard = run_shard(actor, None, (tx.clone(), rx), inbound, AddrBook::new(), None);
@@ -1646,7 +1599,7 @@ mod tests {
         let put = write_msg(Value::filler(8, 1));
         assert!(wal.journal(ProcessId(2), &put, &actor), "a DAP put is served from memory");
         let (tx, rx) = mpsc::channel();
-        let shard = run_shard(actor, Some(wal), (tx.clone(), rx), Arc::default(), book, None);
+        let shard = run_shard(actor, Some(wal), (tx.clone(), rx), 0, book, None);
         let op = OpId { client: ProcessId(2), seq: 1 };
         let ballot = Ballot { round: 1, proposer: ProcessId(2) };
         let prepare = Msg::Con(ConMsg::Prepare { inst: ConfigId(0), rpc: RpcId(1), ballot, op });
@@ -1692,7 +1645,7 @@ mod tests {
         let (log, _logged) = mpsc::channel();
         let actor = Scripted { script: |_, _| crate::sync::sleep(Duration::from_micros(1)), log };
         let (tx, rx) = mpsc::channel();
-        let shard = run_shard(actor, None, (tx.clone(), rx), Arc::default(), AddrBook::new(), None);
+        let shard = run_shard(actor, None, (tx.clone(), rx), 0, AddrBook::new(), None);
         tx.send(Event::Deliver {
             from: ProcessId(1),
             msg: write_msg(Value::filler(8, 1)),
@@ -1730,7 +1683,7 @@ mod tests {
         let sink: CompletionSink = Box::new(move |c| done.send(c.op.seq).unwrap());
         let (tx, rx) = mpsc::channel();
         let actor = Scripted { script, log };
-        let shard = run_shard(actor, None, (tx.clone(), rx), Arc::default(), book, Some(sink));
+        let shard = run_shard(actor, None, (tx.clone(), rx), 0, book, Some(sink));
         let within = Duration::from_secs(10);
         for round in 1..=2 {
             let msg = write_msg(Value::filler(8, 1));

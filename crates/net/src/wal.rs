@@ -40,6 +40,7 @@ use ares_dap::server::{AbdSnap, DapSnapshot, LdrDirSnap, LdrRepSnap, TreasSnap};
 use ares_sim::{Actor, Ctx};
 use ares_types::{ConfigRegistry, ProcessId, TagValue};
 use ares_wal::{Wal, WalCounters};
+use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::io;
@@ -77,8 +78,10 @@ pub fn encode_snapshot(snap: &ServerSnapshot) -> Vec<u8> {
 /// Strictly decodes a checkpoint payload. Any malformation — including
 /// corruption the segment CRC happened to miss — is an error, never a
 /// panic; the recovery path falls back to a blank server plus repair.
-pub fn decode_snapshot(buf: &[u8]) -> Result<ServerSnapshot, DecodeError> {
-    let mut r = WireReader::new(buf);
+/// Values and coded elements come out as views of `buf`, which the
+/// server's stores keep or copy as they do a received frame's.
+pub fn decode_snapshot(buf: &Bytes) -> Result<ServerSnapshot, DecodeError> {
+    let mut r = WireReader::new_shared(buf);
     let version = r.u8()?;
     if version != SNAPSHOT_VERSION {
         return Err(DecodeError::BadVersion(version));
@@ -186,6 +189,9 @@ fn server_snapshot_payload(actor: &ServerActor) -> Vec<u8> {
 /// then the journal tail re-delivered through `on_message` with all
 /// effects dropped — every reply was already sent in the previous
 /// life, and the quorum phases deduplicate by rpc/op id regardless.
+/// Each record and the checkpoint become a [`Bytes`] without a copy
+/// and decode through the same reader as a socket frame, so what the
+/// server keeps of them is what it keeps of a received frame.
 ///
 /// Returns the recovered actor, its journaling side-car (appending to
 /// a fresh segment), and a report of what recovery found. A blank
@@ -209,7 +215,7 @@ pub fn recover_server(
         stopped_at_corruption: rec.stopped_at_corruption,
         ..RecoveryReport::default()
     };
-    let mut actor = match rec.checkpoint.as_deref().map(decode_snapshot) {
+    let mut actor = match rec.checkpoint.map(|ck| decode_snapshot(&Bytes::from(ck))) {
         Some(Ok(snap)) => {
             report.checkpoint_loaded = true;
             ServerActor::from_snapshot(me, registry.clone(), snap)
@@ -220,8 +226,8 @@ pub fn recover_server(
         None => ServerActor::new(me, registry.clone()),
     };
     let mut rng = StdRng::seed_from_u64(me.0 as u64 ^ 0x9E37_79B9);
-    for payload in &rec.records {
-        match codec::decode_payload(payload) {
+    for payload in rec.records {
+        match codec::decode_payload_bytes(&Bytes::from(payload)) {
             Ok((from, msg)) => {
                 let mut ctx = Ctx::detached(me, 0, &mut rng);
                 actor.on_message(from, msg, &mut ctx);
@@ -301,7 +307,7 @@ mod tests {
             }],
             nextc: vec![NextCSnap { base: ConfigId(0), entry: ConfigEntry::pending(ConfigId(1)) }],
         };
-        let enc = encode_snapshot(&snap);
+        let enc = Bytes::from(encode_snapshot(&snap));
         let dec = decode_snapshot(&enc).expect("decodes");
         assert_eq!(format!("{snap:?}"), format!("{dec:?}"));
     }
@@ -379,7 +385,7 @@ mod tests {
             "000000010000000000000001",
             "01",
         ];
-        let enc = encode_snapshot(&golden_snapshot());
+        let enc = Bytes::from(encode_snapshot(&golden_snapshot()));
         let hex: String = enc.iter().map(|b| format!("{b:02x}")).collect();
         let golden: String = GOLDEN.concat().split_whitespace().collect();
         assert_eq!(hex, golden);
@@ -392,11 +398,11 @@ mod tests {
         let snap = ServerSnapshot::default();
         let enc = encode_snapshot(&snap);
         for cut in 0..enc.len() {
-            let _ = decode_snapshot(&enc[..cut]); // must not panic
+            let _ = decode_snapshot(&Bytes::copy_from_slice(&enc[..cut])); // must not panic
         }
         let mut bad = enc.clone();
         bad[0] = 99;
-        assert!(matches!(decode_snapshot(&bad), Err(DecodeError::BadVersion(99))));
+        assert!(matches!(decode_snapshot(&Bytes::from(bad)), Err(DecodeError::BadVersion(99))));
     }
 
     #[test]
@@ -457,6 +463,90 @@ mod tests {
         );
         assert!(counters.checkpoints.load(std::sync::atomic::Ordering::Relaxed) >= 1);
         assert_eq!(format!("{:?}", recovered.snapshot()), format!("{before:?}"));
+    }
+
+    /// Journals a 64 KiB and a 256 B TREAS write to one object of c0
+    /// (`[5, 3]`, δ = 2) and a 256 B ABD write to c1, applying each to
+    /// a live server, then recovers a second server from the log.
+    fn journal_and_recover(checkpoint_records: u64) -> (ServerActor, ServerActor, RecoveryReport) {
+        let dir = TempDir::new("net-wal-views").unwrap();
+        let servers: Vec<ProcessId> = (1..=5).map(ProcessId).collect();
+        let reg = ConfigRegistry::from_configs([
+            Configuration::treas(ConfigId(0), servers.clone(), 3, 2),
+            Configuration::abd(ConfigId(1), servers),
+        ]);
+        let cfg = WalConfig { fsync: FsyncPolicy::Off, checkpoint_records, ..WalConfig::default() };
+        let counters = Arc::new(WalCounters::default());
+        let (mut actor, mut wal, _) =
+            recover_server(ProcessId(1), reg.clone(), dir.path(), &cfg, counters.clone()).unwrap();
+        let code = ares_codes::build_code(ares_codes::CodeParams { n: 5, k: 3 }).unwrap();
+        let element = |len| code.encode_fragment(Value::filler(len, 1).as_bytes(), 0);
+        let hdr =
+            |cfg, seq| Hdr { cfg: ConfigId(cfg), obj: ObjectId(0), rpc: RpcId(seq), op: op(seq) };
+        let tag = |z| Tag::new(z, ProcessId(90));
+        let writes = [
+            DapMsg::new(hdr(0, 1), DapBody::TreasWrite(tag(1), element(64 * 1024))),
+            DapMsg::new(hdr(0, 2), DapBody::TreasWrite(tag(2), element(256))),
+            DapMsg::new(hdr(1, 3), DapBody::AbdWrite(tag(3), Value::filler(256, 2))),
+        ];
+        let mut rng = StdRng::seed_from_u64(1);
+        for msg in writes.map(Msg::Dap) {
+            assert!(wal.journal(ProcessId(90), &msg, &actor));
+            let mut ctx = Ctx::detached(ProcessId(1), 0, &mut rng);
+            actor.on_message(ProcessId(90), msg, &mut ctx);
+            drop(ctx.take_effects());
+        }
+        drop(wal);
+        let (recovered, _, report) =
+            recover_server(ProcessId(1), reg, dir.path(), &cfg, counters).unwrap();
+        (actor, recovered, report)
+    }
+
+    /// `recovered` holds what `live` holds, and pins no more of the
+    /// records and the checkpoint it was decoded from than compaction
+    /// lets a received frame be pinned: a small element is copied into
+    /// its list's own buffer (as tight as the live one's), and a bulk
+    /// element and a value pin at most an eighth beyond their bytes.
+    fn assert_recovered_like(live: &ServerActor, recovered: &ServerActor) {
+        fn list(s: &ServerActor) -> &ares_dap::server::TreasState {
+            s.dap.treas_state_ref(ConfigId(0), ObjectId(0)).unwrap()
+        }
+        let (want, got) = (list(live), list(recovered));
+        assert_eq!(got.to_entries(), want.to_entries());
+        assert_eq!(got.storage_bytes(), want.storage_bytes());
+        assert_eq!(got.iter().filter(|e| e.1.is_some()).count(), 3, "t0 and both writes");
+        for ((_, w), (tag, g)) in want.iter().zip(got.iter()) {
+            let (Some(w), Some(g)) = (w, g) else { continue };
+            let (len, backing) = (g.data.len(), g.data.backing_len());
+            if ares_codes::is_bulk(len) {
+                assert!(backing <= len + len / 8, "{tag:?}: {backing} bytes pinned for {len}");
+            } else {
+                assert_eq!(backing, w.data.backing_len(), "{tag:?}: not in the list's buffer");
+            }
+        }
+        let value = |s: &ServerActor| s.snapshot().dap.abd.pop().unwrap().value;
+        let (want, got) = (value(live), value(recovered));
+        assert_eq!(got, want);
+        let (len, backing) = (got.len(), got.bytes().backing_len());
+        assert!(backing <= len + len / 8, "the value pins {backing} bytes for {len}");
+    }
+
+    #[test]
+    fn replay_keeps_only_what_compaction_allows_of_each_record() {
+        let (live, recovered, report) =
+            journal_and_recover(WalConfig::default().checkpoint_records);
+        assert!(!report.checkpoint_loaded);
+        assert_eq!(report.records_replayed, 3);
+        assert_recovered_like(&live, &recovered);
+    }
+
+    #[test]
+    fn restore_keeps_only_what_compaction_allows_of_a_checkpoint() {
+        // The checkpoint holds both TREAS writes; the ABD write is the tail.
+        let (live, recovered, report) = journal_and_recover(2);
+        assert!(report.checkpoint_loaded);
+        assert_eq!(report.records_replayed, 1);
+        assert_recovered_like(&live, &recovered);
     }
 
     #[test]

@@ -5,10 +5,16 @@
 mod samples;
 
 use ares_core::{ClientCmd, Invoke, Msg};
-use ares_net::codec::{decode_payload, encode_frame, encode_payload};
+use ares_net::codec::{decode_payload_bytes, encode_frame, encode_payload};
 use ares_types::ProcessId;
 use proptest::prelude::*;
 use samples::{leaf, Fields, LEAVES};
+
+/// Decodes a payload held in a buffer of its own, as a received frame
+/// or a replayed record is.
+fn decode(payload: &[u8]) -> Result<(ProcessId, Msg), ares_net::DecodeError> {
+    decode_payload_bytes(&bytes::Bytes::copy_from_slice(payload))
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -31,7 +37,7 @@ proptest! {
         // The length prefix matches the payload.
         let len = u32::from_be_bytes([frame[0], frame[1], frame[2], frame[3]]) as usize;
         prop_assert_eq!(len, frame.len() - 4);
-        let (decoded_from, decoded) = decode_payload(&frame[4..]).expect("roundtrip decodes");
+        let (decoded_from, decoded) = decode(&frame[4..]).expect("roundtrip decodes");
         prop_assert_eq!(decoded_from, ProcessId(from));
         prop_assert_eq!(decoded, msg);
     }
@@ -49,7 +55,7 @@ proptest! {
         let msg = leaf(sel, &Fields { z, w, cfg, cfg2: cfg + 1, obj, rpc: 1, seq: 2, data }).1;
         let payload = encode_payload(ProcessId(9), &msg);
         let cut = payload.len() * cut_pct / 100; // strictly < len
-        prop_assert!(decode_payload(&payload[..cut]).is_err(),
+        prop_assert!(decode(&payload[..cut]).is_err(),
             "decoding a {cut}-byte prefix of a {}-byte payload must error", payload.len());
     }
 
@@ -71,14 +77,14 @@ proptest! {
         // A flipped byte may still decode to a *different* valid
         // message (the codec is not authenticated); what it must never
         // do is panic or loop.
-        let _ = decode_payload(&payload);
+        let _ = decode(&payload);
     }
 
     #[test]
     fn arbitrary_bytes_never_panic(
         junk in proptest::collection::vec(any::<u8>(), 0..512),
     ) {
-        let _ = decode_payload(&junk);
+        let _ = decode(&junk);
     }
 
     #[test]

@@ -8,10 +8,9 @@
 use crate::ids::{ConfigId, ObjectId, OpId, ProcessId};
 use crate::tag::Tag;
 use crate::Time;
-use serde::{Deserialize, Serialize};
 
 /// The kind of a client operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpKind {
     /// A `write(v)` operation.
     Write,
@@ -22,7 +21,7 @@ pub enum OpKind {
 }
 
 /// A completed client operation, as observed by the external clock.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OpCompletion {
     /// Unique operation id (client + invocation counter).
     pub op: OpId,

@@ -15,14 +15,13 @@
 use crate::ids::{ConfigId, ProcessId};
 use crate::quorum::QuorumSpec;
 use ares_codes::CodeParams;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
 /// Which atomic-memory algorithm (DAP implementation) a configuration runs
 /// (Remark 22: each configuration may use a different one).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DapKind {
     /// Multi-writer ABD (Appendix A.1, Alg. 12): full replication,
     /// majority quorums.
@@ -58,7 +57,7 @@ impl DapKind {
 
 /// The status of a configuration in a sequence: pending (`P`) or
 /// finalized (`F`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Status {
     /// `P`: added but not yet finalized.
     Pending,
@@ -77,7 +76,7 @@ impl fmt::Display for Status {
 
 /// One element `⟨cfg, status⟩` of a configuration sequence (the paper's
 /// "caret" variables, e.g. `ĉ`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ConfigEntry {
     /// The configuration identifier.
     pub cfg: ConfigId,
@@ -104,7 +103,7 @@ impl fmt::Display for ConfigEntry {
 }
 
 /// A full configuration description.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Configuration {
     /// Unique identifier `c`.
     pub id: ConfigId,
@@ -292,7 +291,7 @@ impl ConfigRegistry {
 /// seq.finalize_last();
 /// assert_eq!((seq.mu(), seq.nu()), (1, 1));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConfigSeq {
     entries: Vec<ConfigEntry>,
 }

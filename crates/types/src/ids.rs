@@ -1,15 +1,12 @@
 //! Identifier newtypes for processes, objects, operations and RPC phases.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a process (writer, reader, reconfigurer, or server).
 ///
 /// The paper's sets `W ∪ R ∪ G ∪ S` are all drawn from one flat id space;
 /// the harness decides which ids play which role.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ProcessId(pub u32);
 
 impl fmt::Display for ProcessId {
@@ -29,9 +26,7 @@ impl From<u32> for ProcessId {
 /// The paper emulates a single object (shared memory is the composition of
 /// many such objects); we carry an object id so the key-value example can
 /// compose several registers over the same server set.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ObjectId(pub u32);
 
 impl fmt::Display for ObjectId {
@@ -42,9 +37,7 @@ impl fmt::Display for ObjectId {
 
 /// Identifier of a configuration (`c ∈ C`, the set of unique configuration
 /// identifiers).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ConfigId(pub u32);
 
 impl fmt::Display for ConfigId {
@@ -56,7 +49,7 @@ impl fmt::Display for ConfigId {
 /// Identifier of a client *operation* (read / write / reconfig invocation),
 /// unique across the execution: the invoking client plus a local sequence
 /// number.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct OpId {
     /// The invoking client.
     pub client: ProcessId,
@@ -84,9 +77,7 @@ impl fmt::Display for OpId {
 /// `OpId::seq` space by session, and each session writes under its own
 /// logical writer id (see `ares_core::store`), so tags minted by
 /// concurrent sessions never collide.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SessionId(pub u32);
 
 impl fmt::Display for SessionId {
@@ -104,9 +95,7 @@ impl From<u32> for SessionId {
 /// Identifier of one client-side RPC *phase* (a broadcast plus the quorum
 /// of replies it waits for). Replies carry the phase id back so a client
 /// can discard stragglers from completed phases.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct RpcId(pub u64);
 
 impl fmt::Display for RpcId {

@@ -12,11 +12,10 @@
 //! distinct responders; intersection properties are provided as methods so
 //! tests can assert them.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A threshold quorum system over `n` servers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum QuorumSpec {
     /// Majorities: every set of `⌊n/2⌋ + 1` servers is a quorum.
     Majority,

@@ -6,7 +6,6 @@
 //! by every tag-based algorithm in the paper (ABD, LDR, TREAS, ARES).
 
 use crate::ids::ProcessId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A totally ordered logical tag `(z, w)`.
@@ -26,9 +25,7 @@ use std::fmt;
 /// assert!(t2 > t1, "same z, ties broken by writer id");
 /// assert!(t1.increment(ProcessId(0)) > t2, "higher z dominates");
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Tag {
     /// The integer (version) component `z`.
     pub z: u64,

@@ -2,7 +2,6 @@
 
 use crate::tag::Tag;
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The initial tag `t_0` (alias of [`Tag::ZERO`], exported for readability
@@ -87,8 +86,7 @@ impl Value {
     /// Returns this value as a long-lived store should keep it: copied
     /// out of the buffer it views when that buffer holds more than a
     /// small fraction beyond it, by the rule of
-    /// [`ares_codes::compact_bytes`] (the [`ares_codes::Fragment::compacted`]
-    /// counterpart for replicas).
+    /// [`ares_codes::compact_bytes`].
     #[must_use]
     pub fn compacted(self) -> Value {
         Value(ares_codes::compact_bytes(self.0))
@@ -139,23 +137,6 @@ impl From<Bytes> for Value {
     fn from(v: Bytes) -> Self {
         Value(v)
     }
-}
-
-impl Serialize for Value {
-    fn serialize<S: serde::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        serde_bytes_serialize(&self.0, s)
-    }
-}
-
-impl<'de> Deserialize<'de> for Value {
-    fn deserialize<D: serde::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        let v = Vec::<u8>::deserialize(d)?;
-        Ok(Value(Bytes::from(v)))
-    }
-}
-
-fn serde_bytes_serialize<S: serde::Serializer>(b: &Bytes, s: S) -> Result<S::Ok, S::Error> {
-    s.serialize_bytes(b)
 }
 
 /// A tag-value pair `⟨τ, v⟩` as carried by `put-data`/`get-data`.
