@@ -48,18 +48,6 @@ pub struct CodeParams {
     pub k: usize,
 }
 
-impl CodeParams {
-    /// Normalized per-fragment storage cost `1/k` (value size 1 unit).
-    pub fn fragment_cost(&self) -> f64 {
-        1.0 / self.k as f64
-    }
-
-    /// Normalized total storage cost `n/k` for one copy of each fragment.
-    pub fn total_cost(&self) -> f64 {
-        self.n as f64 / self.k as f64
-    }
-}
-
 impl fmt::Display for CodeParams {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "[{}, {}]", self.n, self.k)
@@ -241,13 +229,6 @@ mod tests {
         let rs = build_code(CodeParams { n: 5, k: 3 }).unwrap();
         assert_eq!(rs.params(), CodeParams { n: 5, k: 3 });
         assert!(build_code(CodeParams { n: 2, k: 4 }).is_err());
-    }
-
-    #[test]
-    fn costs_match_paper_formulas() {
-        let p = CodeParams { n: 3, k: 2 };
-        assert!((p.total_cost() - 1.5).abs() < 1e-12, "intro example: [3,2] costs 1.5");
-        assert!((p.fragment_cost() - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -175,16 +175,6 @@ impl Matrix {
         out
     }
 
-    /// Multiplies this matrix by a column vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v.len() != self.cols()`.
-    pub fn mul_vec(&self, v: &[u8]) -> Vec<u8> {
-        assert_eq!(v.len(), self.cols, "vector length mismatch");
-        (0..self.rows).map(|r| gf256::dot(self.row(r), v)).collect()
-    }
-
     /// Inverts a square matrix by Gauss-Jordan elimination.
     ///
     /// # Errors
@@ -311,18 +301,6 @@ mod tests {
             let rows: Vec<usize> = (0..n).filter(|i| mask & (1 << i) != 0).collect();
             let sub = v.select_rows(&rows);
             assert!(sub.inverted().is_ok(), "rows {rows:?} should be invertible");
-        }
-    }
-
-    #[test]
-    fn mul_vec_matches_mul() {
-        let m = Matrix::vandermonde(4, 3);
-        let v = vec![9u8, 8, 7];
-        let as_col = Matrix::from_rows(&[vec![9], vec![8], vec![7]]);
-        let prod = m.mul(&as_col);
-        let got = m.mul_vec(&v);
-        for (r, g) in got.iter().enumerate() {
-            assert_eq!(prod.get(r, 0), *g);
         }
     }
 

@@ -476,11 +476,18 @@ impl ServerActor {
 }
 
 impl ServerActor {
+    /// Whether `cfg` is a registered TREAS configuration: repair
+    /// rebuilds coded elements, which only TREAS keeps, so it drops any
+    /// other configuration without creating state for it.
+    fn is_treas(&self, cfg: ConfigId) -> bool {
+        self.registry.try_get(cfg).is_some_and(|c| matches!(c.dap, DapKind::Treas { .. }))
+    }
+
     fn handle_repair(&mut self, from: ProcessId, msg: RepairMsg) -> Vec<(ProcessId, Msg)> {
         match msg {
             RepairMsg::Trigger { cfg, obj } => {
-                if self.retired(cfg).is_some() {
-                    return Vec::new(); // nothing of cfg is kept to repair
+                if !self.is_treas(cfg) || self.retired(cfg).is_some() {
+                    return Vec::new(); // no coded elements of cfg to repair
                 }
                 let Some(config) = self.registry.try_get(cfg).cloned() else {
                     return Vec::new();
@@ -509,6 +516,9 @@ impl ServerActor {
                 sends
             }
             RepairMsg::Query { cfg, obj, rpc, known, op } => {
+                if !self.is_treas(cfg) {
+                    return Vec::new();
+                }
                 if let Some(next) = self.retired(cfg) {
                     return vec![(from, redirect(cfg, obj, rpc, op, next))];
                 }
@@ -715,6 +725,16 @@ mod tests {
         };
         assert_eq!(list.len(), 1, "known tag filtered out");
         assert_eq!(list[0].tag, t_new);
+    }
+
+    #[test]
+    fn repair_of_an_abd_configuration_sends_nothing_and_creates_no_list() {
+        let (cfg, obj) = (ConfigId(0), ObjectId(0));
+        let mut s = ServerActor::new(ProcessId(1), registry());
+        assert!(s.handle_repair(ProcessId(0), RepairMsg::Trigger { cfg, obj }).is_empty());
+        let query = RepairMsg::Query { cfg, obj, rpc: RpcId(1), known: Vec::new(), op: op() };
+        assert!(s.handle_repair(ProcessId(2), query).is_empty());
+        assert!(s.dap.treas_state_ref(cfg, obj).is_none(), "no phantom TREAS list");
     }
 
     #[test]

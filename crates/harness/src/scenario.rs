@@ -19,7 +19,6 @@ use ares_types::{
     Value,
 };
 use std::collections::{BTreeSet, HashMap};
-use std::sync::Arc;
 
 /// One scheduled client invocation.
 #[derive(Debug, Clone)]
@@ -277,11 +276,6 @@ impl Scenario {
         self
     }
 
-    /// All server ids across all configurations.
-    pub fn all_servers(&self) -> Vec<ProcessId> {
-        self.world.servers()
-    }
-
     /// The set of objects touched by the schedule (always includes 0) —
     /// what reconfigurations must migrate.
     pub fn all_objects(&self) -> Vec<ObjectId> {
@@ -423,11 +417,6 @@ pub fn standard_universe() -> Vec<Configuration> {
     ]
 }
 
-/// Convenience: an `Arc`-wrapped registry of [`standard_universe`].
-pub fn standard_registry() -> Arc<ConfigRegistry> {
-    ConfigRegistry::from_configs(standard_universe())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -479,12 +468,5 @@ mod tests {
         let stored = |pid| res.storage_bytes.iter().find(|(p, _)| *p == ProcessId(pid)).unwrap().1;
         assert_eq!(stored(5), 0, "server 5 crashed before the write reached it");
         assert_eq!(stored(4), 20, "one coded element of ⌈60 / 3⌉ bytes: one write stored");
-    }
-
-    #[test]
-    fn all_servers_deduplicates() {
-        let s = Scenario::new(standard_universe());
-        let servers = s.all_servers();
-        assert_eq!(servers.len(), 10);
     }
 }

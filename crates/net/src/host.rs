@@ -90,13 +90,15 @@ impl FrameQueue {
     }
 
     /// Enqueues a frame, evicting the oldest queued frame beyond the
-    /// high-water mark. Never blocks the sending (event-loop) thread.
-    pub(crate) fn push(&self, frame: Bytes) {
+    /// high-water mark; `true` if it evicted one. Never blocks the
+    /// sending (event-loop) thread.
+    pub(crate) fn push(&self, frame: Bytes) -> bool {
         let mut st = crate::sync::lock(&self.state);
         if st.closed {
-            return;
+            return false;
         }
-        if st.queue.len() >= OUTBOUND_HIGH_WATER {
+        let evict = st.queue.len() >= OUTBOUND_HIGH_WATER;
+        if evict {
             st.queue.pop_front();
             st.dropped += 1;
         }
@@ -108,6 +110,7 @@ impl FrameQueue {
         // A syscall only while the writer is parked: a busy writer finds
         // the frame when it next drains.
         self.ready.notify_one();
+        evict
     }
 
     /// Blocks for the next frame(s), draining **everything queued** into
@@ -151,12 +154,15 @@ impl FrameQueue {
     }
 }
 
-/// Outbound-writer counters, shared by every writer thread of one pool.
+/// Outbound-writer counters, shared by every writer thread of a host's
+/// every life.
 #[derive(Default)]
 pub(crate) struct WriterCounters {
     batches_flushed: AtomicU64,
     frames_sent: AtomicU64,
     frames_abandoned: AtomicU64,
+    /// Frames evicted from full per-peer queues.
+    evicted: AtomicU64,
 }
 
 pub(crate) struct PeerPool {
@@ -170,13 +176,9 @@ impl PeerPool {
     pub(crate) fn new(
         book: Arc<crate::runtime::AddrBook>,
         faults: Arc<FaultControls>,
+        counters: Arc<WriterCounters>,
     ) -> Arc<Self> {
-        Arc::new(PeerPool {
-            book,
-            queues: Mutex::new(HashMap::new()),
-            counters: Arc::new(WriterCounters::default()),
-            faults,
-        })
+        Arc::new(PeerPool { book, queues: Mutex::new(HashMap::new()), counters, faults })
     }
 
     /// Enqueues an encoded frame for `to`, spawning its writer thread on
@@ -208,7 +210,9 @@ impl PeerPool {
             let faults = self.faults.clone();
             std::thread::spawn(move || writer_loop(addr, writer_queue, counters, faults));
         }
-        queue.push(frame);
+        if queue.push(frame) {
+            self.counters.evicted.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     /// The per-peer queues, copied out so no queue lock nests in the pool's.
@@ -229,19 +233,6 @@ impl PeerPool {
             .collect();
         out.sort_by_key(|s| s.peer);
         out
-    }
-
-    /// `(batches_flushed, frames_sent, frames_abandoned, evictions)`.
-    ///
-    /// Loads `batches_flushed` *before* `frames_sent` (both `SeqCst`,
-    /// matching the writer's frames-then-batches increment order), so a
-    /// snapshot can never observe `frames_sent < batches_flushed` —
-    /// every counted batch carried ≥ 1 frame.
-    pub(crate) fn stats(&self) -> (u64, u64, u64, u64) {
-        let dropped = self.queues().iter().map(|(_, q)| q.dropped()).sum::<u64>();
-        let batches = self.counters.batches_flushed.load(Ordering::SeqCst);
-        let frames = self.counters.frames_sent.load(Ordering::SeqCst);
-        (batches, frames, self.counters.frames_abandoned.load(Ordering::Relaxed), dropped)
     }
 
     #[cfg(test)]
@@ -407,7 +398,7 @@ pub(crate) fn writer_loop(
 /// non-blocking (the store frontend routes by `OpId` into ticket cells).
 pub(crate) type CompletionSink = Box<dyn Fn(OpCompletion) + Send + 'static>;
 
-pub(crate) enum Event<A> {
+pub(crate) enum Event {
     Deliver {
         from: ProcessId,
         msg: Msg,
@@ -419,17 +410,8 @@ pub(crate) enum Event<A> {
         /// applied like any delivery, its replies dropped.
         mirror: bool,
     },
-    /// Crash-stop: drop deliveries, and the timers armed so far, until
-    /// `Resume`. The loop drops the sender once it has applied this, so
-    /// the pauser learns when every delivery queued ahead of it is done.
-    Pause(Sender<()>),
-    Resume,
-    /// Swap in a replacement actor, and with it the shard's journaling
-    /// state: a blank restart carries `None` (its durability died with
-    /// its disk), a recovered restart carries the reopened log. Boxed,
-    /// so that the inbox slot every delivery takes is sized by a
-    /// delivery, not by this rare event (DESIGN.md §9).
-    Replace(Box<(A, Option<ShardWal<A>>)>),
+    /// Ends the shard's life once every delivery queued ahead of it is
+    /// applied; its timers die with the loop.
     Shutdown,
 }
 
@@ -461,9 +443,9 @@ impl Admission {
 const INBOUND_HIGH_WATER: usize = 4096;
 
 /// Live counters of one shard (atomics shared between the reader
-/// threads, the shard's event loop, and [`ShardedHost::stats`]).
+/// threads, the shard's event loop, and [`HostBase::stats`]).
 #[derive(Default)]
-struct ShardCounters {
+pub(crate) struct ShardCounters {
     frames_routed: AtomicU64,
     events_applied: AtomicU64,
     inbox_high_water: AtomicUsize,
@@ -474,7 +456,7 @@ struct ShardCounters {
 pub struct ShardStats {
     /// Network frames routed to this shard, counted as their delivery
     /// is applied (so `frames_routed ≤ events_applied` at every
-    /// observation point; frames dropped in a crash window count
+    /// observation point; frames a killed node never applied count
     /// nowhere).
     pub frames_routed: u64,
     /// Events (deliveries + timer fires) the shard's actor processed.
@@ -500,8 +482,9 @@ pub struct PeerOutboundStats {
 }
 
 /// Snapshot of a node's runtime counters, from
-/// [`crate::ShardedNode::stats`]. Cheap to take (atomic loads); numbers
-/// are monotone since host start.
+/// [`crate::ShardedNode::stats`]. Cheap to take (atomic loads); the
+/// counters are monotone from the node's start, across its kills and
+/// restarts.
 #[derive(Debug, Clone, Default)]
 pub struct NodeStats {
     /// Per-shard counters, indexed by shard.
@@ -514,8 +497,8 @@ pub struct NodeStats {
     pub frames_abandoned: u64,
     /// Frames evicted from full outbound queues (drop-oldest policy).
     pub outbound_dropped: u64,
-    /// Per-peer outbound queue depth / stalled-writer age, sorted by
-    /// peer id.
+    /// Per-peer outbound queue depth / stalled-writer age of the live
+    /// host's queues, sorted by peer id; empty while the node is killed.
     pub peers: Vec<PeerOutboundStats>,
     /// Frames dropped by injected link cuts (fault harness), both
     /// directions.
@@ -542,120 +525,177 @@ impl NodeStats {
     }
 }
 
-/// One shard's handles: its inbox, the network deliveries waiting in
-/// it, and its counters. The host, every reader thread and every event
-/// loop share one slice of them, indexed by shard.
-struct Shard<A> {
-    tx: Sender<Event<A>>,
-    inbound: AtomicUsize,
-    counters: ShardCounters,
-}
+/// A shard's actor and, on a durable node, its journaling side-car:
+/// what each life of a host starts from and hands back.
+pub(crate) type ShardState<A> = (A, Option<ShardWal<A>>);
 
-/// A sharded actor host: `S` event loops behind one listener and one
-/// outbound pool, every message routed by [`shard_of`]. `S = 1`
-/// reproduces the seed's single-loop host exactly (one inbox, every
-/// message to shard 0), which is how client hosts run.
-pub(crate) struct ShardedHost<A: Actor<Msg> + Send + 'static> {
+/// What a host keeps from one life to the next: who it is, the
+/// listener it serves, what it admits, and the fault switchboard and
+/// counters its stats read. A server node boots every life of its host
+/// from one base (DESIGN.md §6), so its counters stay monotone and a
+/// fault injected before a kill still holds after the restart.
+pub(crate) struct HostBase {
     pub(crate) pid: ProcessId,
     pub(crate) local_addr: SocketAddr,
-    shards: Arc<[Shard<A>]>,
-    /// Shared with reader threads: while set, every received frame is
-    /// dropped and its connection closed (crash window).
-    paused: Arc<AtomicBool>,
-    shutdown: Arc<AtomicBool>,
-    pool: Arc<PeerPool>,
-    /// Injected-fault switchboard shared with the pool, writers and
-    /// readers; reachable through [`Self::faults`] for the test harness.
-    faults: Arc<FaultControls>,
-    /// A clone of the listening socket, kept so shutdown can flip it
-    /// nonblocking (belt to the throwaway-connection braces).
-    listener: TcpListener,
-    threads: Vec<JoinHandle<()>>,
-    /// The accept thread is not joined: if its `accept()` cannot be
-    /// unblocked (e.g. fd exhaustion defeats the wake-up connection),
-    /// shutdown must still return; the thread exits with the process.
-    _accept_thread: JoinHandle<()>,
+    /// Never closed while the base lives: frames sent to a killed node
+    /// wait in its backlog for the next life's accept thread.
+    pub(crate) listener: TcpListener,
+    pub(crate) admission: Arc<Admission>,
+    book: Arc<crate::runtime::AddrBook>,
+    epoch: Instant,
+    pub(crate) faults: Arc<FaultControls>,
+    /// One per shard.
+    pub(crate) shards: Vec<Arc<ShardCounters>>,
+    writers: Arc<WriterCounters>,
 }
 
-impl<A: Actor<Msg> + Send + 'static> ShardedHost<A> {
-    /// Starts a host with one shard per element of `actors`.
-    pub(crate) fn start(
+impl HostBase {
+    pub(crate) fn new(
         pid: ProcessId,
-        actors: Vec<(A, Option<ShardWal<A>>)>,
+        listener: TcpListener,
         admission: Admission,
         book: Arc<crate::runtime::AddrBook>,
-        listener: TcpListener,
         epoch: Instant,
+        shards: usize,
+    ) -> io::Result<Arc<Self>> {
+        Ok(Arc::new(HostBase {
+            pid,
+            local_addr: listener.local_addr()?,
+            listener,
+            admission: Arc::new(admission),
+            book,
+            epoch,
+            faults: FaultControls::new(),
+            shards: (0..shards).map(|_| Arc::default()).collect(),
+            writers: Arc::default(),
+        }))
+    }
+
+    /// Snapshot of the per-shard and outbound-writer counters, with the
+    /// per-peer queues of `pool`, the live host's, when there is one.
+    ///
+    /// Loads `frames_routed` before `events_applied` and
+    /// `batches_flushed` before `frames_sent` (all `SeqCst`, the
+    /// reverse of their increment order), so a snapshot never observes
+    /// `frames_routed > events_applied` or `frames_sent <
+    /// batches_flushed`.
+    pub(crate) fn stats(&self, pool: Option<&PeerPool>) -> NodeStats {
+        let w = &self.writers;
+        let batches_flushed = w.batches_flushed.load(Ordering::SeqCst);
+        NodeStats {
+            shards: self
+                .shards
+                .iter()
+                .map(|c| {
+                    let frames_routed = c.frames_routed.load(Ordering::SeqCst);
+                    ShardStats {
+                        frames_routed,
+                        events_applied: c.events_applied.load(Ordering::SeqCst),
+                        inbox_high_water: c.inbox_high_water.load(Ordering::Relaxed),
+                    }
+                })
+                .collect(),
+            batches_flushed,
+            frames_sent: w.frames_sent.load(Ordering::SeqCst),
+            frames_abandoned: w.frames_abandoned.load(Ordering::Relaxed),
+            outbound_dropped: w.evicted.load(Ordering::Relaxed),
+            peers: pool.map(PeerPool::peer_stats).unwrap_or_default(),
+            faults_dropped: self.faults.frames_cut(),
+            // The host is actor-agnostic; the node runtime owns the
+            // per-shard WAL counters and fills this in.
+            wal: None,
+        }
+    }
+}
+
+/// One shard's handles: its inbox, the network deliveries waiting in
+/// it, and its counters. One life's host, reader threads and event
+/// loops share one slice of them, indexed by shard.
+struct Shard {
+    tx: Sender<Event>,
+    inbound: AtomicUsize,
+    counters: Arc<ShardCounters>,
+}
+
+/// One life of a sharded actor host: `S` event loops behind the base's
+/// listener and one outbound pool, every message routed by
+/// [`shard_of`]. `S = 1` reproduces the seed's single-loop host exactly
+/// (one inbox, every message to shard 0), which is how client hosts
+/// run. A life ends at [`ShardedHost::shutdown`]; a server node's next
+/// life is a new host on the same base.
+pub(crate) struct ShardedHost<A: Actor<Msg> + Send + 'static> {
+    base: Arc<HostBase>,
+    shards: Arc<[Shard]>,
+    shutdown: Arc<AtomicBool>,
+    pub(crate) pool: Arc<PeerPool>,
+    /// A handle on each accepted connection a reader still reads, by
+    /// accept order, so shutdown can sever them.
+    conns: Conns,
+    /// Each returns its shard's actor and log when the loop ends.
+    threads: Vec<JoinHandle<ShardState<A>>>,
+    /// Disconnects when the accept thread ends.
+    accept_ended: Receiver<()>,
+}
+
+type Conns = Arc<Mutex<HashMap<u64, TcpStream>>>;
+
+impl<A: Actor<Msg> + Send + 'static> ShardedHost<A> {
+    /// Starts a life of `base` with one shard per element of `actors`.
+    pub(crate) fn start(
+        base: Arc<HostBase>,
+        actors: Vec<ShardState<A>>,
         completions: Option<CompletionSink>,
-    ) -> io::Result<Self> {
-        assert!(!actors.is_empty(), "a host needs at least one shard");
-        let local_addr = listener.local_addr()?;
-        let listener_clone = listener.try_clone()?;
-        let paused = Arc::new(AtomicBool::new(false));
+    ) -> Self {
+        assert_eq!(actors.len(), base.shards.len(), "one actor per shard");
         let shutdown = Arc::new(AtomicBool::new(false));
-        let faults = FaultControls::new();
-        let pool = PeerPool::new(book, faults.clone());
-        let mut threads = Vec::new();
+        let pool = PeerPool::new(base.book.clone(), base.faults.clone(), base.writers.clone());
 
         // Build every shard's channel first so each event loop can be
         // handed the whole table (cross-shard self-sends route through
         // it: a server forwarding a coded element to itself must land
         // on the *object's* shard, which may not be its own).
         let (txs, rxs): (Vec<_>, Vec<_>) = actors.iter().map(|_| mpsc::channel()).unzip();
-        let shards: Arc<[Shard<A>]> = txs
+        let shards: Arc<[Shard]> = txs
             .into_iter()
-            .map(|tx| Shard {
+            .zip(&base.shards)
+            .map(|(tx, counters)| Shard {
                 tx,
                 inbound: AtomicUsize::new(0),
-                counters: ShardCounters::default(),
+                counters: counters.clone(),
             })
             .collect();
 
         // One event loop per shard.
         let mut completions = completions;
+        let mut threads = Vec::new();
         for (si, ((actor, wal), rx)) in actors.into_iter().zip(rxs).enumerate() {
+            let (pid, epoch) = (base.pid, base.epoch);
             let shards = shards.clone();
             let pool = pool.clone();
             // Completions only ever come from client actors, which are
             // single-sharded; hand the sink to shard 0.
             let sink = if si == 0 { completions.take() } else { None };
             threads.push(std::thread::spawn(move || {
-                event_loop(pid, si, actor, wal, rx, shards, pool, epoch, sink);
+                event_loop(pid, si, actor, wal, rx, shards, pool, epoch, sink)
             }));
         }
 
-        // Listener.
-        let accept_thread = {
-            let shards = shards.clone();
-            let paused = paused.clone();
-            let shutdown = shutdown.clone();
-            let faults = faults.clone();
+        let conns = Conns::default();
+        let (ending, accept_ended) = mpsc::channel();
+        {
+            let (base, shards, shutdown) = (base.clone(), shards.clone(), shutdown.clone());
+            let conns = conns.clone();
             std::thread::spawn(move || {
-                accept_loop(listener, Arc::new(admission), shards, paused, shutdown, faults);
-            })
-        };
-        Ok(ShardedHost {
-            pid,
-            local_addr,
-            shards,
-            paused,
-            shutdown,
-            pool,
-            faults,
-            listener: listener_clone,
-            threads,
-            _accept_thread: accept_thread,
-        })
+                accept_loop(&base, shards, &shutdown, &conns);
+                drop::<Sender<()>>(ending);
+            });
+        }
+        ShardedHost { base, shards, shutdown, pool, conns, threads, accept_ended }
     }
 
-    /// Number of shards this host runs.
-    pub(crate) fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// This host's fault-injection switchboard.
+    /// The host's fault-injection switchboard.
     pub(crate) fn faults(&self) -> &Arc<FaultControls> {
-        &self.faults
+        &self.base.faults
     }
 
     /// Injects a message as if delivered from `from`, routed like any
@@ -665,113 +705,56 @@ impl<A: Actor<Msg> + Send + 'static> ShardedHost<A> {
         route_delivery(&self.shards, from, msg, None);
     }
 
-    /// Crash-stops every shard and returns once each loop has applied
-    /// its `Pause`: every delivery queued before it has been journaled
-    /// and applied, and every later one is dropped unjournaled.
-    pub(crate) fn pause(&self) {
-        crate::sync::off_loop("pause barrier");
-        self.paused.store(true, Ordering::SeqCst);
-        let (ack, acked) = mpsc::channel();
-        for s in self.shards.iter() {
-            let _ = s.tx.send(Event::Pause(ack.clone()));
-        }
-        drop(ack);
-        // Ends when the last loop drops its sender.
-        while acked.recv().is_ok() {}
-    }
-
-    pub(crate) fn resume(&self) {
-        for s in self.shards.iter() {
-            let _ = s.tx.send(Event::Resume);
-        }
-        self.paused.store(false, Ordering::SeqCst);
-    }
-
-    /// Replaces every shard's actor together with its journaling state:
-    /// `None` for a restart that lost its disk, the reopened log for a
-    /// recovered one. `actors` must supply one replacement per shard.
-    pub(crate) fn replace(&self, actors: Vec<(A, Option<ShardWal<A>>)>) {
-        assert_eq!(actors.len(), self.shards.len(), "one replacement actor per shard");
-        for (s, shard) in self.shards.iter().zip(actors) {
-            let _ = s.tx.send(Event::Replace(Box::new(shard)));
-        }
-    }
-
-    /// Snapshot of the per-shard and outbound-writer counters.
-    pub(crate) fn stats(&self) -> NodeStats {
-        let (batches_flushed, frames_sent, frames_abandoned, outbound_dropped) = self.pool.stats();
-        NodeStats {
-            shards: self
-                .shards
-                .iter()
-                .map(|s| {
-                    // frames_routed loads before events_applied (both
-                    // SeqCst, matching the event loop's events-then-
-                    // routed increment order), so a snapshot can never
-                    // observe frames_routed > events_applied.
-                    let frames_routed = s.counters.frames_routed.load(Ordering::SeqCst);
-                    ShardStats {
-                        frames_routed,
-                        events_applied: s.counters.events_applied.load(Ordering::SeqCst),
-                        inbox_high_water: s.counters.inbox_high_water.load(Ordering::Relaxed),
-                    }
-                })
-                .collect(),
-            batches_flushed,
-            frames_sent,
-            frames_abandoned,
-            outbound_dropped,
-            peers: self.pool.peer_stats(),
-            faults_dropped: self.faults.frames_cut(),
-            // The host is actor-agnostic; the node runtime owns the
-            // per-shard WAL counters and fills this in.
-            wal: None,
-        }
-    }
-
-    pub(crate) fn shutdown(mut self) {
+    /// Ends this life and returns each shard's actor and log once its
+    /// loop has applied every delivery queued before the call. The
+    /// loops' timers, the inboxes, the outbound queues and the accepted
+    /// connections die with it. The listener is left nonblocking (that
+    /// wakes the accept thread); a next life on the same base makes it
+    /// blocking again.
+    pub(crate) fn shutdown(self) -> Vec<ShardState<A>> {
         self.shutdown.store(true, Ordering::SeqCst);
         for s in self.shards.iter() {
             let _ = s.tx.send(Event::Shutdown);
         }
         // Unblock the accept loop: flip the shared socket nonblocking
         // (future accepts return immediately) and poke it with a
-        // throwaway connection (wakes an already-blocked accept). The
-        // accept thread is deliberately not joined — see its field doc.
-        let _ = self.listener.set_nonblocking(true);
-        let _ = TcpStream::connect_timeout(&self.local_addr, Duration::from_millis(200));
-        for t in self.threads.drain(..) {
-            let _ = t.join();
+        // throwaway connection (wakes an already-blocked accept). Waiting
+        // for it to end keeps it from taking a connection meant for the
+        // next life; the wait is bounded because fd exhaustion can defeat
+        // the poke, and shutdown must still return.
+        let _ = self.base.listener.set_nonblocking(true);
+        let _ = TcpStream::connect_timeout(&self.base.local_addr, Duration::from_millis(200));
+        let _ = self.accept_ended.recv_timeout(Duration::from_secs(1));
+        // Peers see the FIN now, not at their next frame, and reconnect
+        // into the backlog of the node's next life.
+        for (_, c) in crate::sync::lock(&self.conns).drain() {
+            let _ = c.shutdown(std::net::Shutdown::Both);
         }
+        self.threads.into_iter().filter_map(|t| t.join().ok()).collect()
     }
 }
 
 /// Accepts inbound connections and spawns a frame-reader per connection.
-fn accept_loop<A: Actor<Msg> + Send + 'static>(
-    listener: TcpListener,
-    admission: Arc<Admission>,
-    shards: Arc<[Shard<A>]>,
-    paused: Arc<AtomicBool>,
-    shutdown: Arc<AtomicBool>,
-    faults: Arc<FaultControls>,
-) {
+fn accept_loop(base: &HostBase, shards: Arc<[Shard]>, shutdown: &Arc<AtomicBool>, conns: &Conns) {
     crate::sync::off_loop("socket accept");
-    loop {
-        match listener.accept() {
+    for id in 0u64.. {
+        match base.listener.accept() {
             Ok((stream, _)) => {
                 if shutdown.load(Ordering::SeqCst) {
                     return;
                 }
+                let Ok(handle) = stream.try_clone() else { continue };
+                crate::sync::lock(conns).insert(id, handle);
                 let _ = stream.set_nodelay(true);
-                let shards = shards.clone();
-                let admission = admission.clone();
-                let paused = paused.clone();
+                let (shards, conns) = (shards.clone(), conns.clone());
+                let admission = base.admission.clone();
                 let shutdown = shutdown.clone();
-                let faults = faults.clone();
-                // Reader threads are daemons: they exit on EOF, on any
-                // read/decode error, and on pause/shutdown.
+                let faults = base.faults.clone();
+                // Reader threads are daemons: they exit on EOF (which
+                // shutdown causes) and on any read/decode error.
                 std::thread::spawn(move || {
-                    reader_loop(stream, admission, shards, paused, shutdown, faults);
+                    reader_loop(stream, &admission, &shards, &shutdown, &faults);
+                    crate::sync::lock(&conns).remove(&id);
                 });
             }
             Err(_) => {
@@ -792,21 +775,20 @@ fn accept_loop<A: Actor<Msg> + Send + 'static>(
 /// variant byte, or a message naming an unregistered configuration —
 /// tears down *this connection only*; the node keeps serving everyone
 /// else. Nothing on this path can panic the host.
-fn reader_loop<A: Actor<Msg> + Send + 'static>(
+fn reader_loop(
     stream: TcpStream,
-    admission: Arc<Admission>,
-    shards: Arc<[Shard<A>]>,
-    paused: Arc<AtomicBool>,
-    shutdown: Arc<AtomicBool>,
-    faults: Arc<FaultControls>,
+    admission: &Admission,
+    shards: &[Shard],
+    shutdown: &AtomicBool,
+    faults: &FaultControls,
 ) {
-    let stop = || shutdown.load(Ordering::SeqCst) || paused.load(Ordering::SeqCst);
+    let stop = || shutdown.load(Ordering::SeqCst);
     let mut reader = BufReader::with_capacity(codec::FRAME_READ_BUF, stream);
     loop {
         match read_frame(&mut reader) {
             Ok(Some((from, msg))) => {
                 if stop() {
-                    return; // crash window: drop frame, sever connection
+                    return; // the life is over: drop frame, sever connection
                 }
                 // Injected asymmetric cut: this host cannot *hear* the
                 // peer, though the reverse direction may still flow. The
@@ -838,7 +820,7 @@ fn reader_loop<A: Actor<Msg> + Send + 'static>(
                 // a deployment with a declared object universe drops
                 // traffic for fabricated objects before it can create
                 // per-object state.
-                if admission.admits(&msg) && !route_delivery(&shards, from, msg, Some(&stop)) {
+                if admission.admits(&msg) && !route_delivery(shards, from, msg, Some(&stop)) {
                     return;
                 }
             }
@@ -864,22 +846,23 @@ type TimerHeap = BinaryHeap<Reverse<(Instant, u64)>>;
 /// **before** it is applied (write-ahead), and the pending group-commit
 /// batch is fsynced as the loop goes idle — so under batched fsync the
 /// durability lag is bounded by the busy burst, not by wall clock.
+///
+/// Returns the actor and its log when the shard's life ends.
 #[allow(clippy::too_many_arguments, reason = "the shard thread's whole context, moved in once")]
 fn event_loop<A: Actor<Msg> + Send + 'static>(
     pid: ProcessId,
     shard: usize,
     mut actor: A,
     mut wal: Option<ShardWal<A>>,
-    rx: Receiver<Event<A>>,
-    shards: Arc<[Shard<A>]>,
+    rx: Receiver<Event>,
+    shards: Arc<[Shard]>,
     pool: Arc<PeerPool>,
     epoch: Instant,
     completions: Option<CompletionSink>,
-) {
+) -> ShardState<A> {
     crate::sync::mark_loop();
-    let Some(Shard { inbound, counters, .. }) = shards.get(shard) else { return };
+    let Some(Shard { inbound, counters, .. }) = shards.get(shard) else { return (actor, wal) };
     let mut rng = StdRng::seed_from_u64(pid.0 as u64 ^ 0xA1E5_0000 ^ ((shard as u64) << 40));
-    let mut paused = false;
     let mut timers = TimerHeap::new();
     // Once the earliest timer is due: when that was noticed, and the
     // counted deliveries still to apply before the timers due by then.
@@ -897,7 +880,7 @@ fn event_loop<A: Actor<Msg> + Send + 'static>(
         };
         let ev = match next {
             Ok(ev) => ev,
-            Err(TryRecvError::Disconnected) => return,
+            Err(TryRecvError::Disconnected) => break,
             Err(TryRecvError::Empty) => {
                 if let Some((noticed, _)) = due.take() {
                     while let Some(&Reverse((deadline, token))) = timers.peek() {
@@ -930,29 +913,18 @@ fn event_loop<A: Actor<Msg> + Send + 'static>(
                 match rx.recv_timeout(park_for) {
                     Ok(ev) => ev,
                     Err(RecvTimeoutError::Timeout) => continue,
-                    Err(RecvTimeoutError::Disconnected) => return,
+                    Err(RecvTimeoutError::Disconnected) => break,
                 }
             }
         };
         match ev {
-            Event::Shutdown => return,
-            Event::Pause(applied) => {
-                paused = true;
-                timers.clear();
-                due = None;
-                drop(applied);
-            }
-            Event::Resume => paused = false,
-            Event::Replace(shard) => (actor, wal) = *shard,
+            Event::Shutdown => break,
             Event::Deliver { from, msg, counted, mirror } => {
                 if counted {
                     inbound.fetch_sub(1, Ordering::SeqCst);
                     if let Some((_, owed)) = due.as_mut() {
                         *owed = owed.saturating_sub(1);
                     }
-                }
-                if paused {
-                    continue;
                 }
                 // Write-ahead: journal the delivery against the
                 // pre-application actor state (a due checkpoint then
@@ -968,8 +940,8 @@ fn event_loop<A: Actor<Msg> + Send + 'static>(
                     // before routed, both SeqCst (the snapshot loads
                     // them in the opposite order): events_applied ≥
                     // frames_routed holds at every observation point
-                    // on any hardware; frames dropped in a crash
-                    // window are routed nowhere.
+                    // on any hardware; frames a killed node never
+                    // applied are routed nowhere.
                     counters.frames_routed.fetch_add(1, Ordering::SeqCst);
                 }
                 let now: Time = epoch.elapsed().as_micros() as Time;
@@ -983,6 +955,7 @@ fn event_loop<A: Actor<Msg> + Send + 'static>(
             }
         }
     }
+    (actor, wal)
 }
 
 /// Puts one delivery in the inbox of the shard [`shard_of`] names, and
@@ -997,8 +970,8 @@ fn event_loop<A: Actor<Msg> + Send + 'static>(
 /// shard's inbox holds [`INBOUND_HIGH_WATER`] of them, stalling its
 /// connection and, through TCP, the peer, and gives up once `stop`
 /// holds. Returns `false` if it gave up or the routed shard is gone.
-fn route_delivery<A>(
-    shards: &[Shard<A>],
+fn route_delivery(
+    shards: &[Shard],
     from: ProcessId,
     msg: Msg,
     stop: Option<&dyn Fn() -> bool>,
@@ -1040,10 +1013,10 @@ fn route_delivery<A>(
     true
 }
 
-fn apply<A>(
+fn apply(
     pid: ProcessId,
     effects: Vec<HostEffect<Msg>>,
-    shards: &[Shard<A>],
+    shards: &[Shard],
     pool: &PeerPool,
     timers: &mut TimerHeap,
     completions: &Option<CompletionSink>,
@@ -1102,7 +1075,6 @@ fn apply<A>(
 mod tests {
     use super::*;
     use crate::runtime::AddrBook;
-    use ares_core::ServerActor;
     use ares_dap::{DapBody, DapMsg, Hdr};
     use ares_types::{ConfigId, OpId, RpcId, Tag, Value};
     use std::io::Read;
@@ -1246,7 +1218,9 @@ mod tests {
             got
         });
         let q = FrameQueue::new();
-        batch.into_iter().for_each(|f| q.push(f));
+        for f in batch {
+            q.push(f);
+        }
         q.close();
         let counters = Arc::new(WriterCounters::default());
         writer_loop(addr, q, counters.clone(), FaultControls::new());
@@ -1308,7 +1282,7 @@ mod tests {
             // listener dropped: connections now refused
         };
         let book = Arc::new(AddrBook::from_entries([(ProcessId(2), dead)]));
-        let pool = PeerPool::new(book, FaultControls::new());
+        let pool = PeerPool::new(book, FaultControls::new(), Arc::default());
         let frame = Bytes::from(vec![0u8; 64]);
         for _ in 0..(3 * OUTBOUND_HIGH_WATER) {
             pool.send(ProcessId(2), frame.clone());
@@ -1318,7 +1292,7 @@ mod tests {
             "unreachable peer must not accumulate frames past the high-water mark"
         );
         assert!(pool.queue(ProcessId(2)).dropped() > 0, "overflow drops, not growth");
-        let (_, _, _, evicted) = pool.stats();
+        let evicted = pool.counters.evicted.load(Ordering::Relaxed);
         assert!(evicted > 0, "drop-oldest evictions must surface in the stats snapshot");
     }
 
@@ -1333,8 +1307,8 @@ mod tests {
             .map(|s| HostEffect::Send { to: ProcessId(s), msg: write_msg(value.clone()) })
             .collect();
         // No effect is a self-send, so no shard is needed.
-        let shards: [Shard<ServerActor>; 0] = [];
-        let pool = PeerPool::new(Arc::new(AddrBook::new()), FaultControls::new());
+        let shards: [Shard; 0] = [];
+        let pool = PeerPool::new(Arc::new(AddrBook::new()), FaultControls::new(), Arc::default());
         let mut timers = TimerHeap::new();
         let before = codec::frames_encoded();
         apply(me, effects, &shards, &pool, &mut timers, &None);
@@ -1483,7 +1457,7 @@ mod tests {
         }
     }
 
-    fn deliver(from: u32, counted: bool) -> Event<Recorder> {
+    fn deliver(from: u32, counted: bool) -> Event {
         let msg = write_msg(Value::from_static(b"x"));
         Event::Deliver { from: ProcessId(from), msg, counted, mirror: false }
     }
@@ -1497,16 +1471,16 @@ mod tests {
     fn run_shard<A: Actor<Msg> + Send + 'static>(
         actor: A,
         wal: Option<ShardWal<A>>,
-        (tx, rx): (Sender<Event<A>>, Receiver<Event<A>>),
+        (tx, rx): (Sender<Event>, Receiver<Event>),
         inbound: usize,
         book: AddrBook,
         completions: Option<CompletionSink>,
-    ) -> JoinHandle<()> {
-        let pool = PeerPool::new(Arc::new(book), FaultControls::new());
+    ) -> JoinHandle<ShardState<A>> {
+        let pool = PeerPool::new(Arc::new(book), FaultControls::new(), Arc::default());
         let inbound = AtomicUsize::new(inbound);
-        let shards = Arc::new([Shard { tx, inbound, counters: ShardCounters::default() }]);
+        let shards = Arc::new([Shard { tx, inbound, counters: Arc::default() }]);
         std::thread::spawn(move || {
-            event_loop(ME, 0, actor, wal, rx, shards, pool, Instant::now(), completions);
+            event_loop(ME, 0, actor, wal, rx, shards, pool, Instant::now(), completions)
         })
     }
 
@@ -1515,8 +1489,8 @@ mod tests {
     fn recorder_shard(
         delay: Time,
         echoes: u32,
-        queued: Vec<Event<Recorder>>,
-    ) -> (Sender<Event<Recorder>>, JoinHandle<()>, Receiver<Option<ProcessId>>) {
+        queued: Vec<Event>,
+    ) -> (Sender<Event>, JoinHandle<ShardState<Recorder>>, Receiver<Option<ProcessId>>) {
         let (log, logged) = mpsc::channel();
         let actor = Recorder { delay, echoes, armed: false, fired: false, log };
         let (tx, rx) = mpsc::channel();
@@ -1566,18 +1540,20 @@ mod tests {
     }
 
     #[test]
-    fn pause_drops_timers_armed_before_it() {
-        // The arming delivery is queued ahead of the pause, so the timer
-        // is armed before the pause is applied and must die with it.
-        let (ack, _) = mpsc::channel();
-        let queued = vec![deliver(0, false), Event::Pause(ack), Event::Resume];
-        let (tx, shard, logged) = recorder_shard(50_000, 0, queued);
+    fn a_restarted_shard_never_fires_a_timer_of_its_last_life() {
+        // The arming delivery is queued ahead of the shutdown, so the
+        // timer is armed in the first life and must die with it.
+        let (_, first, logged) =
+            recorder_shard(50_000, 0, vec![deliver(0, false), Event::Shutdown]);
+        let (actor, wal) = first.join().unwrap();
+        let (tx, rx) = mpsc::channel();
+        let second = run_shard(actor, wal, (tx.clone(), rx), 0, AddrBook::new(), None);
         crate::sync::sleep(Duration::from_millis(200)); // well past the deadline
         tx.send(deliver(1, false)).unwrap();
         tx.send(Event::Shutdown).unwrap();
-        shard.join().unwrap();
+        second.join().unwrap();
         let log: Vec<_> = logged.try_iter().collect();
-        assert_eq!(log, vec![Some(ProcessId(0)), Some(ProcessId(1))], "no fire after the resume");
+        assert_eq!(log, vec![Some(ProcessId(0)), Some(ProcessId(1))], "no fire in the next life");
     }
 
     #[test]
@@ -1654,7 +1630,7 @@ mod tests {
         })
         .unwrap();
         tx.send(Event::Shutdown).unwrap();
-        let err = shard.join().expect_err("the guard stops the loop at its first sleep");
+        let Err(err) = shard.join() else { panic!("the guard stops the loop at its first sleep") };
         let msg = err.downcast::<String>().expect("the guard's formatted message");
         assert!(msg.starts_with("a shard event loop must not block"), "{msg}");
     }

@@ -27,20 +27,22 @@
 //! so completion records from different hosts of one deployment are
 //! mutually comparable and feed the usual atomicity checker.
 //!
-//! Crash-stop faults are modelled at the host boundary: [`ShardedNode::pause`]
-//! makes the node drop every delivered frame and pending timer (peers
-//! see their connections close and must reconnect), and
-//! [`ShardedNode::resume`] lets the retained state rejoin — the
-//! semantics of `ares-sim`'s crash/recover schedule. A blank-state
-//! restart composes with the fragment-repair protocol via
-//! [`ShardedNode::replace_blank`].
+//! A crash is the end of a host's life: [`ShardedNode::kill`] shuts the
+//! node's host down, so its threads, inboxes, timers, outbound queues
+//! and accepted connections die, and every restart boots a new host on
+//! the node's own listener — from the shards the kill kept
+//! ([`ShardedNode::restart`], the semantics of `ares-sim`'s
+//! crash/recover schedule), from blank state
+//! ([`ShardedNode::restart_blank`], which composes with the
+//! fragment-repair protocol) or from the node's logs
+//! ([`ShardedNode::restart_recovered`]).
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 #![deny(clippy::todo, clippy::unimplemented, clippy::indexing_slicing)]
 
 use crate::codec;
-use crate::host::{Admission, CompletionSink, NodeStats, ShardedHost};
+use crate::host::{Admission, CompletionSink, HostBase, NodeStats, ShardState, ShardedHost};
 use crate::sync::Signal;
-use crate::wal::{recover_server, RecoveryReport, ShardWal, WalConfig};
+use crate::wal::{recover_server, RecoveryReport, WalConfig};
 use ares_core::store::{session_op_seq, Store, StoreSession};
 use ares_core::{
     ClientActor, ClientCmd, ClientConfig, Invoke, Msg, OpError, OpTicket, ServerActor, ENV,
@@ -57,11 +59,9 @@ use std::time::{Duration, Instant};
 
 // A shard inbox slot is as large as the largest `Event` variant, and
 // every delivery takes one (DESIGN.md §9): no variant may outgrow a
-// delivery on either host. A boxed `Replace` keeps both at 112 B.
+// delivery. A slot is 112 B.
 const _: () = {
-    use crate::host::Event;
-    assert!(std::mem::size_of::<Event<ServerActor>>() <= 128, "a server inbox slot outgrew 128 B");
-    assert!(std::mem::size_of::<Event<ClientActor>>() <= 128, "a client inbox slot outgrew 128 B");
+    assert!(std::mem::size_of::<crate::host::Event>() <= 128, "an inbox slot outgrew 128 B");
 };
 
 /// The default deadline of [`OpTicket::wait`] on a [`NetStore`] (see
@@ -111,12 +111,24 @@ impl AddrBook {
 /// service) serializes on shard 0 (the paper's sequential server, per
 /// configuration). `S = 1` is bit-compatible with the seed's single
 /// event loop.
+///
+/// The node outlives its host: [`ShardedNode::kill`] ends the host's
+/// life and each restart boots a new one, while the node keeps its
+/// listener, fault switchboard and counters.
 pub struct ShardedNode {
-    host: ShardedHost<ServerActor>,
-    registry: Arc<ConfigRegistry>,
+    base: Arc<HostBase>,
     /// Present when the node was started with a data dir: everything a
     /// recovered restart needs to reopen the per-shard logs.
     durability: Option<Durability>,
+    life: Mutex<Life>,
+}
+
+/// The node's current life.
+enum Life {
+    Up(ShardedHost<ServerActor>),
+    /// Killed, keeping the shards its last life stopped with for
+    /// [`ShardedNode::restart`].
+    Down(Vec<ShardState<ServerActor>>),
 }
 
 /// A durable node's recovery anchor.
@@ -128,9 +140,6 @@ struct Durability {
     counters: Vec<Arc<WalCounters>>,
 }
 
-/// One shard's server and, on a durable node, its journaling side-car.
-type Shard = (ServerActor, Option<ShardWal<ServerActor>>);
-
 /// Builds a node's shards, one way for boot and both restarts: each
 /// shard blank and unlogged without `log`, else rebuilt from its own
 /// log under `shard-<i>/` of the data dir (each shard journals
@@ -139,14 +148,13 @@ type Shard = (ServerActor, Option<ShardWal<ServerActor>>);
 /// and crash recovery are one code path. Returns the shards and what
 /// each one's recovery found.
 fn build_shards(
-    me: ProcessId,
-    registry: &Arc<ConfigRegistry>,
-    shards: usize,
+    base: &HostBase,
     log: Option<&Durability>,
-) -> io::Result<(Vec<Shard>, Vec<RecoveryReport>)> {
+) -> io::Result<(Vec<ShardState<ServerActor>>, Vec<RecoveryReport>)> {
+    let (me, registry) = (base.pid, &base.admission.registry);
     let Some(d) = log else {
         let blank = || ((ServerActor::new(me, registry.clone()), None), RecoveryReport::default());
-        return Ok((0..shards).map(|_| blank()).unzip());
+        return Ok((0..base.shards.len()).map(|_| blank()).unzip());
     };
     let recover = |(si, counters): (usize, &Arc<WalCounters>)| {
         let dir = d.data_dir.join(format!("shard-{si}"));
@@ -180,7 +188,7 @@ impl ShardedNode {
     /// restore — a torn or corrupt suffix, updates journaled with
     /// batched fsync but lost to a power cut — is exactly the delta the
     /// repair protocol fetches from live peers; see
-    /// [`ShardedNode::replace_recovered`].)
+    /// [`ShardedNode::restart_recovered`].)
     ///
     /// # Errors
     ///
@@ -207,36 +215,40 @@ impl ShardedNode {
             config,
             counters: (0..shards).map(|_| Arc::default()).collect(),
         });
-        let (built, _) = build_shards(me, &registry, shards, durability.as_ref())?;
-        let admission = Admission {
-            registry: registry.clone(),
-            objects: objects.map(|o| o.iter().copied().collect()),
-        };
-        let host = ShardedHost::start(me, built, admission, book, listener, epoch, None)?;
-        Ok(ShardedNode { host, registry, durability })
+        let admission =
+            Admission { registry, objects: objects.map(|o| o.iter().copied().collect()) };
+        let base = HostBase::new(me, listener, admission, book, epoch, shards)?;
+        let (built, _) = build_shards(&base, durability.as_ref())?;
+        let host = ShardedHost::start(base.clone(), built, None);
+        Ok(ShardedNode { base, durability, life: Mutex::new(Life::Up(host)) })
     }
 
     /// This node's process id.
     pub fn pid(&self) -> ProcessId {
-        self.host.pid
+        self.base.pid
     }
 
     /// The listener address.
     pub fn local_addr(&self) -> SocketAddr {
-        self.host.local_addr
+        self.base.local_addr
     }
 
     /// Number of shards this node runs.
     pub fn shard_count(&self) -> usize {
-        self.host.shard_count()
+        self.base.shards.len()
     }
 
     /// Snapshot of the node's runtime counters: per-shard routing/apply
     /// counts and inbox high-water marks, the outbound writer's
     /// batch/flush/eviction totals, and — on a durable node — the WAL
-    /// counters summed over all shards (monotone across recoveries).
+    /// counters summed over all shards. Answers on a killed node too;
+    /// every counter is monotone across kills and restarts.
     pub fn stats(&self) -> NodeStats {
-        let mut stats = self.host.stats();
+        let pool = match &*crate::sync::lock(&self.life) {
+            Life::Up(host) => Some(host.pool.clone()),
+            Life::Down(_) => None,
+        };
+        let mut stats = self.base.stats(pool.as_deref());
         if let Some(d) = &self.durability {
             let mut w = WalStats::default();
             for c in &d.counters {
@@ -257,83 +269,105 @@ impl ShardedNode {
 
     /// Injects a message as if delivered from `from` (environment
     /// commands such as repair triggers), routed to the shard the
-    /// message's object lives on.
+    /// message's object lives on. A killed node drops it.
     pub fn inject(&self, from: ProcessId, msg: Msg) {
-        self.host.inject(from, msg);
-    }
-
-    /// Crash-stops the node: every received frame and pending timer is
-    /// dropped on every shard, and inbound connections are severed,
-    /// until [`ShardedNode::resume`]. State is retained (crash with
-    /// stable storage). Returns once every shard loop has applied the
-    /// pause: what was queued before it is journaled and applied, and
-    /// nothing after it is.
-    pub fn pause(&self) {
-        self.host.pause();
-    }
-
-    /// Ends a [`ShardedNode::pause`] window; the retained state rejoins.
-    pub fn resume(&self) {
-        self.host.resume();
+        if let Life::Up(host) = &*crate::sync::lock(&self.life) {
+            host.inject(from, msg);
+        }
     }
 
     /// This node's fault-injection switchboard (link cuts, gray slow-
     /// downs); `testing::LocalCluster` drives it via `apply`.
     pub(crate) fn faults(&self) -> Arc<crate::faults::FaultControls> {
-        self.host.faults().clone()
+        self.base.faults.clone()
     }
 
-    /// Replaces the hosted server state with a blank restart (a crash
-    /// that lost its disk): every shard gets a fresh blank
-    /// [`ServerActor`]. Combine with a `RepairMsg::Trigger` injection
-    /// to rebuild coded elements from live peers. (The pre-shard
-    /// runtime took an actor argument here; with S shards a single
-    /// caller-built actor cannot represent a node's state, and the only
-    /// restart the crash model needs is the blank one.)
-    pub fn replace_blank(&self) {
+    /// Crash-stops the node: its host shuts down, and this returns once
+    /// every shard loop has applied what was queued before the call
+    /// (journaled it, on a durable node) and ended. Its timers, inboxes,
+    /// outbound queues and accepted connections die; frames sent to it
+    /// from now on wait in the listener's backlog until a restart. The
+    /// shards keep their state for [`ShardedNode::restart`]. A no-op on
+    /// a killed node.
+    pub fn kill(&self) {
+        let shards = self.stop();
+        *crate::sync::lock(&self.life) = Life::Down(shards);
+    }
+
+    /// Boots a new life from the shards [`ShardedNode::kill`] kept (a
+    /// crash whose state survived — `ares-sim`'s recover semantics). A
+    /// node still up is killed first.
+    pub fn restart(&self) {
+        let shards = self.stop();
+        self.boot(shards);
+    }
+
+    /// Boots a new life from *blank* state (a crash that lost its
+    /// disk): every shard gets a fresh blank [`ServerActor`], and no
+    /// log. Combine with a `RepairMsg::Trigger` injection to rebuild
+    /// coded elements from live peers. A node still up is killed first.
+    pub fn restart_blank(&self) {
+        drop(self.stop());
         // Blank shards open no log, so building them cannot fail.
-        if let Ok((built, _)) =
-            build_shards(self.host.pid, &self.registry, self.shard_count(), None)
-        {
-            self.host.replace(built);
+        if let Ok((built, _)) = build_shards(&self.base, None) {
+            self.boot(built);
         }
     }
 
-    /// Replaces the hosted server state with what the per-shard logs
-    /// recover from the data dir — the recovered-restart path of a
-    /// durable node. Each shard's checkpoint is loaded, its journal
-    /// tail replayed, and the reopened log swapped in alongside the
-    /// rebuilt actor, so journaling continues seamlessly. Combine with
-    /// [`ShardedNode::resume`] and `RepairMsg::Trigger` injections to
-    /// fetch the **delta** written while the node was down (recovery
-    /// restores everything journaled locally; repair fills only the
-    /// rest — this is what makes recovery cheaper than a blank restart
-    /// repairing from zero).
-    ///
-    /// Call this only while the node is paused ([`ShardedNode::pause`]
-    /// returns once no shard journals any more; the logs must not be
-    /// read mid-append).
+    /// Boots a new life from what the per-shard logs recover from the
+    /// data dir — the recovered-restart path of a durable node. Each
+    /// shard's checkpoint is loaded and its journal tail replayed, and
+    /// the reopened log journals on in the new life. Combine with
+    /// `RepairMsg::Trigger` injections to fetch the **delta** written
+    /// while the node was down (recovery restores everything journaled
+    /// locally; repair fills only the rest — this is what makes
+    /// recovery cheaper than a blank restart repairing from zero). A
+    /// node still up is killed first: the logs are read only after the
+    /// life that wrote them has closed them.
     ///
     /// Returns one [`RecoveryReport`] per shard.
     ///
     /// # Errors
     ///
     /// Fails if the node was started without a data dir, or on I/O
-    /// errors reopening the logs.
-    pub fn replace_recovered(&self) -> io::Result<Vec<RecoveryReport>> {
+    /// errors reopening the logs; the node then stays down, holding no
+    /// state.
+    pub fn restart_recovered(&self) -> io::Result<Vec<RecoveryReport>> {
         let d = self
             .durability
             .as_ref()
             .ok_or_else(|| io::Error::other("node was started without a data dir"))?;
-        let (built, reports) =
-            build_shards(self.host.pid, &self.registry, self.shard_count(), Some(d))?;
-        self.host.replace(built);
+        drop(self.stop());
+        let (built, reports) = build_shards(&self.base, Some(d))?;
+        self.boot(built);
         Ok(reports)
+    }
+
+    /// Ends the current life, if any, and returns its shards. The host
+    /// is shut down after the guard drops: that joins threads.
+    fn stop(&self) -> Vec<ShardState<ServerActor>> {
+        let life = std::mem::replace(&mut *crate::sync::lock(&self.life), Life::Down(Vec::new()));
+        match life {
+            Life::Up(host) => host.shutdown(),
+            Life::Down(shards) => shards,
+        }
+    }
+
+    /// Starts a new life on `shards`, with the listener blocking again.
+    /// Without one shard per loop (a failed recovery, or a shard thread
+    /// that panicked) the node stays down.
+    fn boot(&self, shards: Vec<ShardState<ServerActor>>) {
+        if shards.len() != self.shard_count() {
+            return;
+        }
+        let _ = self.base.listener.set_nonblocking(false);
+        let host = ShardedHost::start(self.base.clone(), shards, None);
+        *crate::sync::lock(&self.life) = Life::Up(host);
     }
 
     /// Stops all threads and closes the listener.
     pub fn shutdown(self) {
-        self.host.shutdown();
+        drop(self.stop());
     }
 }
 
@@ -469,6 +503,7 @@ impl NetStore {
         );
         let actor = ClientActor::new(registry.clone(), config);
         let admission = Admission { registry, objects: None };
+        let base = HostBase::new(me, listener, admission, book, epoch, 1)?;
         let shared = RouteShared::new();
         let sink: CompletionSink = {
             let shared = shared.clone();
@@ -479,15 +514,7 @@ impl NetStore {
         // session lanes and completion routing live inside
         // the actor, which core-parallelizes by adding *stores*, not
         // shards.
-        let host = ShardedHost::start(
-            me,
-            vec![(actor, None)],
-            admission,
-            book,
-            listener,
-            epoch,
-            Some(sink),
-        )?;
+        let host = ShardedHost::start(base, vec![(actor, None)], Some(sink));
         Ok(NetStore {
             inner: Arc::new(StoreInner {
                 pid: me,
@@ -543,7 +570,7 @@ impl NetStore {
     pub fn shutdown(&self) {
         let host = crate::sync::lock(&self.inner.host).take();
         if let Some(h) = host {
-            h.shutdown();
+            drop(h.shutdown());
         }
     }
 }

@@ -273,15 +273,15 @@ impl LocalCluster {
         self.node(pid).local_addr()
     }
 
-    /// Crash-stops server `pid`: frames and timers are dropped and its
-    /// inbound connections severed until [`LocalCluster::restart`].
-    /// Returns once every shard loop has stopped applying deliveries.
+    /// Crash-stops server `pid` ([`ShardedNode::kill`]): returns once
+    /// its host has shut down, its state kept for
+    /// [`LocalCluster::restart`].
     ///
     /// # Panics
     ///
     /// Panics if `pid` is not a server of this cluster.
     pub fn kill(&self, pid: u32) {
-        self.node(pid).pause();
+        self.node(pid).kill();
     }
 
     /// Restarts a killed server with its retained state (a crash whose
@@ -291,7 +291,7 @@ impl LocalCluster {
     ///
     /// Panics if `pid` is not a server of this cluster.
     pub fn restart(&self, pid: u32) {
-        self.node(pid).resume();
+        self.node(pid).restart();
     }
 
     /// Restarts a killed server from *blank* state (lost disk); callers
@@ -301,22 +301,15 @@ impl LocalCluster {
     ///
     /// Panics if `pid` is not a server of this cluster.
     pub fn restart_blank(&self, pid: u32) {
-        let node = self.node(pid);
-        node.replace_blank();
-        node.resume();
+        self.node(pid).restart_blank();
     }
 
-    /// Restarts a killed *durable* server from its write-ahead logs:
-    /// replays checkpoint + tail into fresh actors, resumes the node,
-    /// and then triggers fragment repair for every `(cfg, obj)` the
-    /// node serves so the delta written while it was down — and any
-    /// suffix a torn or corrupt log lost — is refetched from live
-    /// peers. Returns the per-shard replay reports.
-    ///
-    /// The node must have been [`LocalCluster::kill`]ed first: recovery
-    /// swaps the actors out from under the event loops, which is only
-    /// safe while they are paused and journaling nothing (`kill` returns
-    /// once they are).
+    /// Restarts a killed *durable* server from its write-ahead logs
+    /// ([`ShardedNode::restart_recovered`]), then triggers fragment
+    /// repair for every `(cfg, obj)` the node serves so the delta
+    /// written while it was down — and any suffix a torn or corrupt log
+    /// lost — is refetched from live peers. Returns the per-shard
+    /// replay reports.
     ///
     /// # Errors
     ///
@@ -327,9 +320,7 @@ impl LocalCluster {
     ///
     /// Panics if `pid` is not a server of this cluster.
     pub fn restart_recovered(&self, pid: u32) -> io::Result<Vec<RecoveryReport>> {
-        let node = self.node(pid);
-        let reports = node.replace_recovered()?;
-        node.resume();
+        let reports = self.node(pid).restart_recovered()?;
         for cfg in self.registry.ids() {
             if self.registry.get(cfg).server_index(ProcessId(pid)).is_none() {
                 continue;
@@ -365,7 +356,8 @@ impl LocalCluster {
         );
     }
 
-    /// Every live host's fault switchboard, with its pid.
+    /// Every host's fault switchboard, with its pid (a killed server's
+    /// included: its switchboard outlives the kill).
     fn controls(&self) -> Vec<(ProcessId, Arc<FaultControls>)> {
         let servers = self.nodes.iter().map(|(&pid, n)| (pid, n.faults()));
         let clients = self.clients.iter().filter_map(|(&pid, s)| Some((pid, s.fault_controls()?)));
@@ -525,6 +517,78 @@ mod tests {
     }
 
     #[test]
+    fn a_cut_link_outlives_a_kill_and_restart() -> io::Result<()> {
+        let cluster = treas5()?;
+        cluster.apply(&FaultAction::CutLink { from: ProcessId(1), to: ProcessId(100) })?;
+        let cut = enforced(&cluster);
+        cluster.kill(1);
+        cluster.restart(1);
+        assert_eq!(enforced(&cluster), cut, "the restart kept the cut sets");
+        // Server 1's replies to the write die at its own outbound pool.
+        let dropped = cluster.node_stats(1).faults_dropped;
+        let mut session = cluster.store(100).open_session();
+        let ticket = session.write(ObjectId(0), ares_types::Value::filler(64, 1));
+        ticket.expect("submitted").wait().expect("completed");
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while cluster.node_stats(1).faults_dropped == dropped {
+            assert!(Instant::now() < deadline, "the restarted node sent across the cut link");
+            crate::sync::sleep(Duration::from_millis(1));
+        }
+        cluster.shutdown();
+        Ok(())
+    }
+
+    #[test]
+    fn a_kill_severs_the_connections_its_life_accepted() -> io::Result<()> {
+        use ares_dap::{DapBody, DapMsg, Hdr};
+        use ares_types::{OpId, RpcId};
+        use std::io::{Read, Write};
+        let cluster = treas5()?;
+        let op = OpId { client: ProcessId(100), seq: 0 };
+        let hdr = Hdr { cfg: ConfigId(0), obj: ObjectId(0), rpc: RpcId(1), op };
+        let query = Msg::Dap(DapMsg::new(hdr, DapBody::TreasQueryTag));
+        let mut peer = std::net::TcpStream::connect(cluster.server_addr(1))?;
+        peer.write_all(&crate::codec::encode_frame(ProcessId(100), &query))?;
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while cluster.node_stats(1).frames_routed() == 0 {
+            assert!(Instant::now() < deadline, "the node never read the frame");
+            crate::sync::sleep(Duration::from_millis(1));
+        }
+        cluster.kill(1);
+        peer.set_read_timeout(Some(Duration::from_secs(10)))?;
+        assert_eq!(peer.read(&mut [0u8; 1])?, 0, "the killed node closed the connection");
+        cluster.shutdown();
+        Ok(())
+    }
+
+    /// Every counter `s` reports, in a fixed order.
+    fn counters(s: &crate::NodeStats) -> Vec<u64> {
+        let shards = s
+            .shards
+            .iter()
+            .flat_map(|c| [c.frames_routed, c.events_applied, c.inbox_high_water as u64]);
+        let w = s.wal.unwrap_or_default();
+        let totals = [
+            s.batches_flushed,
+            s.frames_sent,
+            s.frames_abandoned,
+            s.outbound_dropped,
+            s.faults_dropped,
+            w.records_appended,
+            w.bytes_logged,
+            w.fsyncs,
+            w.group_commit_records,
+            w.group_commit_syncs,
+            w.checkpoints,
+            w.replay_records,
+            w.torn_tail_truncations,
+            w.corrupt_records_dropped,
+            w.append_errors,
+        ];
+        shards.chain(totals).collect()
+    }
+
+    #[test]
     fn kill_returns_once_no_shard_journals() -> io::Result<()> {
         use ares_dap::{DapBody, DapMsg, Hdr};
         use ares_types::{OpId, RpcId, Tag, Value};
@@ -553,6 +617,12 @@ mod tests {
         assert!(at_kill.1 >= BACKLOG, "the backlog queued before the kill was journaled");
         crate::sync::sleep(Duration::from_millis(50));
         assert_eq!(progress(), at_kill, "a killed node applied or journaled after kill returned");
+        let killed = counters(&cluster.node_stats(1));
+        cluster.restart_recovered(1)?;
+        let restarted = counters(&cluster.node_stats(1));
+        for (i, (now, then)) in restarted.iter().zip(&killed).enumerate() {
+            assert!(now >= then, "counter {i} fell from {then} to {now} across the restart");
+        }
         cluster.shutdown();
         Ok(())
     }

@@ -137,7 +137,7 @@ fn timeout_poisons_only_its_ticket() {
     a.write(ObjectId(0), Value::filler(64, 1)).unwrap().wait().unwrap();
 
     // Kill a quorum: TREAS [5,3] needs ⌈(5+3)/2⌉ = 4 of 5 servers, so
-    // pausing two makes every quorum unreachable mid-deployment.
+    // killing two makes every quorum unreachable mid-deployment.
     cluster.kill(4);
     cluster.kill(5);
     let t = a.write(ObjectId(0), Value::filler(64, 2)).unwrap();

@@ -403,9 +403,11 @@ fn object_shards_redirect_after_a_reconfiguration_chain() {
     };
     check(&mut c);
     // Recovery re-derives retirement from each shard's own pointers.
-    c.node.pause();
-    c.node.replace_recovered().expect("recovers");
-    c.node.resume();
+    c.node.kill();
+    c.node.restart_recovered().expect("recovers");
+    // The old life's writer died with it: the replies come over the new
+    // life's connection.
+    c.replies = None;
     check(&mut c);
     let Client { node, replies, .. } = c;
     node.shutdown();
