@@ -228,21 +228,6 @@ pub fn inv(a: u8) -> u8 {
     EXP[GROUP_ORDER - LOG[a as usize] as usize]
 }
 
-/// Divides `a` by `b`.
-///
-/// # Panics
-///
-/// Panics if `b == 0`.
-#[inline]
-pub fn div(a: u8, b: u8) -> u8 {
-    assert!(b != 0, "attempted to divide by 0 in GF(256)");
-    if a == 0 {
-        0
-    } else {
-        EXP[LOG[a as usize] as usize + GROUP_ORDER - LOG[b as usize] as usize]
-    }
-}
-
 /// Raises `a` to the integer power `e`.
 pub fn pow(a: u8, e: usize) -> u8 {
     if e == 0 {
@@ -338,20 +323,6 @@ pub fn scale_slice(dst: &mut [u8], c: u8) {
     }
 }
 
-/// Dot product of two equal-length vectors over GF(256).
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn dot(a: &[u8], b: &[u8]) -> u8 {
-    assert_eq!(a.len(), b.len(), "dot length mismatch");
-    let mut acc = 0u8;
-    for (&x, &y) in a.iter().zip(b) {
-        acc ^= mul(x, y);
-    }
-    acc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -394,7 +365,6 @@ mod tests {
     fn inverses_round_trip() {
         for a in 1..=255u8 {
             assert_eq!(mul(a, inv(a)), 1);
-            assert_eq!(div(a, a), 1);
         }
     }
 
@@ -509,20 +479,8 @@ mod tests {
     }
 
     #[test]
-    fn dot_product_small() {
-        assert_eq!(dot(&[1, 2, 3], &[1, 1, 1]), 1 ^ 2 ^ 3);
-        assert_eq!(dot(&[], &[]), 0);
-    }
-
-    #[test]
     #[should_panic(expected = "invert 0")]
     fn inv_zero_panics() {
         inv(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "divide by 0")]
-    fn div_zero_panics() {
-        div(3, 0);
     }
 }

@@ -194,20 +194,6 @@ impl ConMsg {
             | ConMsg::NackAccept { inst, .. } => [Some(*inst), None, None],
         }
     }
-
-    /// Whether this changes an acceptor's durable state, which a host
-    /// journals before the handler runs: `Prepare` raises the promised
-    /// ballot (a promise that does not survive a crash is not honestly
-    /// a promise), `Accept` and `Decide` record a value.
-    pub fn journaled(&self) -> bool {
-        match self {
-            ConMsg::Prepare { .. } | ConMsg::Accept { .. } | ConMsg::Decide { .. } => true,
-            ConMsg::Promise { .. }
-            | ConMsg::NackPrepare { .. }
-            | ConMsg::Accepted { .. }
-            | ConMsg::NackAccept { .. } => false,
-        }
-    }
 }
 
 #[cfg(test)]

@@ -71,7 +71,7 @@ pub mod store;
 pub use client::{ClientActor, ClientConfig};
 pub use cost::{cost, OpCost};
 pub use frames::TransferMode;
-pub use msg::{CfgMsg, ClientCmd, Invoke, Msg, XferMsg, ENV};
+pub use msg::{CfgMsg, ClientCmd, Invoke, Msg, Role, XferMsg, ENV};
 pub use repair::RepairMsg;
 pub use server::{AcceptorSnap, NextCSnap, ServerActor, ServerSnapshot};
 pub use store::{OpError, OpTicket, Store, StoreSession};

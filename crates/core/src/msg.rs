@@ -9,7 +9,7 @@
 use crate::repair::RepairMsg;
 use ares_codes::Fragment;
 use ares_consensus::ConMsg;
-use ares_dap::DapMsg;
+use ares_dap::{DapBody, DapMsg};
 use ares_sim::SimMessage;
 use ares_types::{ConfigEntry, ConfigId, ObjectId, OpId, ProcessId, RpcId, SessionId, Tag, Value};
 
@@ -205,81 +205,96 @@ pub enum Msg {
     Invoke(Invoke),
 }
 
-// Each per-variant fact is one match naming every variant — in place for
-// the families this file declares, by the family's own method for those
-// declared elsewhere — so a new variant does not compile until it is
+/// What a message is to the server that receives it: who may send it,
+/// and what the server's write-ahead log owes it. [`Msg::role`] is the
+/// one statement of that policy. The host's reader drops [`Role::Local`]
+/// frames from peers; a shard's log journals [`Role::Logged`] and
+/// [`Role::Synced`] deliveries before they are applied, syncs a `Synced`
+/// one before its reply, and once failed refuses `Synced` ones; a server
+/// redirects a DAP [`Role::Query`] or `Logged` message for a configuration
+/// it has retired (DESIGN.md §11).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Role {
+    /// An environment command (a client [`Invoke`], a repair `Trigger`),
+    /// injected on its own host and never accepted from a peer.
+    Local,
+    /// A reply: mutates no durable state and is never journaled. A
+    /// repair's `Lists` merge is re-derived by the next repair.
+    Reply,
+    /// A request that mutates nothing durable.
+    Query,
+    /// A request whose effect is journaled before it is applied: a DAP
+    /// put or a forwarded element. Repair restores a lost suffix of
+    /// these from a quorum.
+    Logged,
+    /// A request that sets what only the log carries across a restart,
+    /// an acceptor record or a `nextC` pointer: journaled and synced
+    /// before it is applied, and refused by a shard whose log has
+    /// failed, since an acceptor that forgets a promise lets consensus
+    /// decide twice.
+    Synced,
+}
+
+// Each per-variant fact is one match naming every variant — every leaf
+// in place for `role`, the families declared elsewhere by their own
+// method for the rest — so a new variant does not compile until it is
 // classified, and clippy refuses the `_` arm that would absorb it.
 #[deny(clippy::wildcard_enum_match_arm)]
 impl Msg {
-    /// Whether a frame carrying this message may be accepted from a
-    /// network peer.
-    ///
-    /// Protocol families (DAP, consensus, configuration service, state
-    /// transfer, repair) are network traffic; the command envelope
-    /// ([`Msg::Invoke`]) is environment-injected only — accepting it
-    /// from the wire would let any peer invoke client operations. This
-    /// is the single network-admission surface.
-    pub fn network_admissible(&self) -> bool {
+    /// This message's [`Role`], one arm per role naming every leaf.
+    pub fn role(&self) -> Role {
+        use ConMsg as C;
+        use DapBody as D;
         match self {
-            Msg::Dap(_) | Msg::Con(_) | Msg::Cfg(_) | Msg::Xfer(_) | Msg::Repair(_) => true,
-            Msg::Invoke(_) => false,
-        }
-    }
-
-    /// Whether a delivered message mutates durable server state and
-    /// must therefore be journaled to the shard's write-ahead log
-    /// *before* the handler runs.
-    ///
-    /// Journaled: the mutating requests — DAP puts and the
-    /// acceptor-bound consensus messages (named, with the reasons, by
-    /// `DapBody::journaled` and `ConMsg::journaled`), `WriteConfig`
-    /// installs of `nextC` pointers, and `FwdElem` state-transfer
-    /// elements.
-    ///
-    /// Not journaled: queries and replies (they mutate nothing),
-    /// repair traffic (recovery re-derives it — the delta-repair pass
-    /// after replay re-fetches anything a lost `Lists` merge would
-    /// have contributed), and the client-only command envelope.
-    pub fn journaled(&self) -> bool {
-        match self {
-            Msg::Dap(m) => m.body.journaled(),
-            Msg::Con(m) => m.journaled(),
-            Msg::Cfg(CfgMsg::WriteConfig { .. }) | Msg::Xfer(XferMsg::FwdElem { .. }) => true,
-            Msg::Cfg(CfgMsg::ReadConfig { .. } | CfgMsg::NextC { .. } | CfgMsg::CfgAck { .. })
-            | Msg::Xfer(XferMsg::ReqFwd { .. } | XferMsg::XferAck { .. })
-            | Msg::Repair(_)
-            | Msg::Invoke(_) => false,
-        }
-    }
-
-    /// Whether a shard whose write-ahead log has failed must refuse
-    /// this message — drop it unapplied and unanswered — rather than
-    /// acknowledge it from memory.
-    ///
-    /// Refused: the acceptor-bound consensus messages (`Prepare`,
-    /// `Accept`, `Decide`) and `WriteConfig`. They set acceptor records
-    /// and `nextC` pointers, state that only the log carries across a
-    /// restart: repair rebuilds neither, and an acceptor that forgets a
-    /// promise it gave lets consensus decide twice.
-    ///
-    /// Served: everything else. DAP puts and forwarded elements merge
-    /// into lists that repair restores from a quorum; the rest mutate
-    /// nothing durable.
-    pub fn needs_log(&self) -> bool {
-        match self {
-            Msg::Con(ConMsg::Prepare { .. } | ConMsg::Accept { .. } | ConMsg::Decide { .. })
-            | Msg::Cfg(CfgMsg::WriteConfig { .. }) => true,
-            Msg::Con(
-                ConMsg::Promise { .. }
-                | ConMsg::NackPrepare { .. }
-                | ConMsg::Accepted { .. }
-                | ConMsg::NackAccept { .. },
+            Msg::Invoke(Invoke {
+                cmd: ClientCmd::Write { .. } | ClientCmd::Read { .. } | ClientCmd::Recon { .. },
+                ..
+            })
+            | Msg::Repair(RepairMsg::Trigger { .. }) => Role::Local,
+            Msg::Dap(DapMsg {
+                body:
+                    D::AbdTag(_)
+                    | D::AbdTagValue(..)
+                    | D::AbdAck
+                    | D::TreasTag(_)
+                    | D::TreasList(_)
+                    | D::TreasAck
+                    | D::LdrTagLoc(..)
+                    | D::LdrPutDataAck(_)
+                    | D::LdrPutMetaAck
+                    | D::LdrData(..)
+                    | D::Retired(_),
+                ..
+            })
+            | Msg::Con(
+                C::Promise { .. }
+                | C::NackPrepare { .. }
+                | C::Accepted { .. }
+                | C::NackAccept { .. },
             )
-            | Msg::Cfg(CfgMsg::ReadConfig { .. } | CfgMsg::NextC { .. } | CfgMsg::CfgAck { .. })
-            | Msg::Dap(_)
-            | Msg::Xfer(_)
-            | Msg::Repair(_)
-            | Msg::Invoke(_) => false,
+            | Msg::Cfg(CfgMsg::NextC { .. } | CfgMsg::CfgAck { .. })
+            | Msg::Xfer(XferMsg::XferAck { .. })
+            | Msg::Repair(RepairMsg::Lists { .. }) => Role::Reply,
+            Msg::Dap(DapMsg {
+                body:
+                    D::AbdQueryTag
+                    | D::AbdQuery
+                    | D::TreasQueryTag
+                    | D::TreasQueryList
+                    | D::LdrQueryTagLoc
+                    | D::LdrGetData(_),
+                ..
+            })
+            | Msg::Cfg(CfgMsg::ReadConfig { .. })
+            | Msg::Xfer(XferMsg::ReqFwd { .. })
+            | Msg::Repair(RepairMsg::Query { .. }) => Role::Query,
+            Msg::Dap(DapMsg {
+                body: D::AbdWrite(..) | D::TreasWrite(..) | D::LdrPutData(..) | D::LdrPutMeta(..),
+                ..
+            })
+            | Msg::Xfer(XferMsg::FwdElem { .. }) => Role::Logged,
+            Msg::Con(C::Prepare { .. } | C::Accept { .. } | C::Decide { .. })
+            | Msg::Cfg(CfgMsg::WriteConfig { .. }) => Role::Synced,
         }
     }
 
@@ -313,8 +328,7 @@ impl Msg {
     pub fn configs(&self) -> impl Iterator<Item = ConfigId> {
         let ids = match self {
             Msg::Dap(m) => {
-                let next =
-                    if let ares_dap::DapBody::Retired(e) = &m.body { Some(e.cfg) } else { None };
+                let next = if let DapBody::Retired(e) = &m.body { Some(e.cfg) } else { None };
                 [Some(m.hdr.cfg), next, None]
             }
             Msg::Con(m) => m.configs(),

@@ -44,7 +44,8 @@ use std::sync::Arc;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RepairMsg {
     /// Environment/operator command: rebuild `(cfg, obj)` on the
-    /// receiving server.
+    /// receiving server. Injected on that server's host, never accepted
+    /// from a peer ([`crate::Role::Local`]).
     Trigger {
         /// Configuration to repair within.
         cfg: ConfigId,

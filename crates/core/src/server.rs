@@ -20,7 +20,7 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 #![deny(clippy::todo, clippy::unimplemented, clippy::indexing_slicing)]
 
-use crate::msg::{CfgMsg, Msg, XferMsg};
+use crate::msg::{CfgMsg, Msg, Role, XferMsg};
 use crate::repair::{RepairMsg, RepairProgress, RepairTask};
 use ares_codes::{build_code, Fragment};
 use ares_consensus::{Acceptor, Ballot};
@@ -566,9 +566,10 @@ impl Actor<Msg> for ServerActor {
     }
 
     fn on_message(&mut self, from: ProcessId, msg: Msg, ctx: &mut Ctx<'_, Msg>) {
+        let role = msg.role();
         let replies = match msg {
             Msg::Dap(m) => match (self.retired(m.hdr.cfg), &m.body) {
-                (Some(next), body) if body.is_request() => {
+                (Some(next), _) if matches!(role, Role::Query | Role::Logged) => {
                     vec![(from, redirect(m.hdr.cfg, m.hdr.obj, m.hdr.rpc, m.hdr.op, next))]
                 }
                 // A peer retired what this server is repairing: the

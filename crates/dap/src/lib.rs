@@ -170,62 +170,6 @@ impl DapBody {
             | DapBody::Retired(_) => 0,
         }
     }
-
-    /// Whether this body mutates durable server state (the puts), so a
-    /// durable host must journal it before the handler runs.
-    pub fn journaled(&self) -> bool {
-        match self {
-            DapBody::AbdWrite(..)
-            | DapBody::TreasWrite(..)
-            | DapBody::LdrPutData(..)
-            | DapBody::LdrPutMeta(..) => true,
-            DapBody::AbdQueryTag
-            | DapBody::AbdQuery
-            | DapBody::AbdTag(_)
-            | DapBody::AbdTagValue(..)
-            | DapBody::AbdAck
-            | DapBody::TreasQueryTag
-            | DapBody::TreasQueryList
-            | DapBody::TreasTag(_)
-            | DapBody::TreasList(_)
-            | DapBody::TreasAck
-            | DapBody::LdrQueryTagLoc
-            | DapBody::LdrTagLoc(..)
-            | DapBody::LdrPutDataAck(_)
-            | DapBody::LdrPutMetaAck
-            | DapBody::LdrGetData(_)
-            | DapBody::LdrData(..)
-            | DapBody::Retired(_) => false,
-        }
-    }
-
-    /// Whether this body is a request a server answers (client →
-    /// server), as opposed to a reply.
-    pub fn is_request(&self) -> bool {
-        match self {
-            DapBody::AbdQueryTag
-            | DapBody::AbdQuery
-            | DapBody::AbdWrite(..)
-            | DapBody::TreasQueryTag
-            | DapBody::TreasQueryList
-            | DapBody::TreasWrite(..)
-            | DapBody::LdrQueryTagLoc
-            | DapBody::LdrPutData(..)
-            | DapBody::LdrPutMeta(..)
-            | DapBody::LdrGetData(_) => true,
-            DapBody::AbdTag(_)
-            | DapBody::AbdTagValue(..)
-            | DapBody::AbdAck
-            | DapBody::TreasTag(_)
-            | DapBody::TreasList(_)
-            | DapBody::TreasAck
-            | DapBody::LdrTagLoc(..)
-            | DapBody::LdrPutDataAck(_)
-            | DapBody::LdrPutMetaAck
-            | DapBody::LdrData(..)
-            | DapBody::Retired(_) => false,
-        }
-    }
 }
 
 impl SimMessage for DapMsg {

@@ -254,13 +254,6 @@ impl Scenario {
         self
     }
 
-    /// Schedules a raw invocation.
-    #[must_use]
-    pub fn invoke(mut self, inv: Invocation) -> Self {
-        self.invocations.push(inv);
-        self
-    }
-
     /// Schedules many raw invocations.
     #[must_use]
     pub fn invocations(mut self, invs: impl IntoIterator<Item = Invocation>) -> Self {

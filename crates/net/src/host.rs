@@ -26,7 +26,7 @@ use crate::faults::FaultControls;
 use crate::sync::Signal;
 use crate::wal::ShardWal;
 use ares_core::shard::{route, shard_of, ShardRoute};
-use ares_core::Msg;
+use ares_core::{Msg, Role};
 use ares_sim::{Actor, Ctx, HostEffect};
 use ares_types::{ConfigRegistry, ObjectId, OpCompletion, ProcessId, Time};
 use bytes::Bytes;
@@ -774,7 +774,8 @@ fn accept_loop(base: &HostBase, shards: Arc<[Shard]>, shutdown: &Arc<AtomicBool>
 /// Malformed input — a hostile length prefix, truncated frame, unknown
 /// variant byte, or a message naming an unregistered configuration —
 /// tears down *this connection only*; the node keeps serving everyone
-/// else. Nothing on this path can panic the host.
+/// else. Nothing on this path can panic the host. A well-formed frame
+/// carrying an environment command ([`Role::Local`]) is dropped.
 fn reader_loop(
     stream: TcpStream,
     admission: &Admission,
@@ -803,14 +804,11 @@ fn reader_loop(
                 if slow > 0 {
                     crate::sync::sleep(Duration::from_micros(slow));
                 }
-                // Command/invoke frames are environment-injected, never
-                // protocol traffic: a peer must not be able to drive a
-                // host's client sessions over the network. The trusted
-                // local path is `inject()`. The classification lives in
-                // `Msg::network_admissible` (an exhaustive match, so a
-                // future variant cannot default into admission the way
-                // a `matches!` deny-list would allow).
-                if !msg.network_admissible() {
+                // Environment commands (client invocations, repair
+                // triggers) are never protocol traffic: a peer must not
+                // drive a host's client sessions or start its repairs.
+                // The trusted local path is `inject()`.
+                if msg.role() == Role::Local {
                     continue;
                 }
                 // Network-facing dispatch guard: a stale or hostile
@@ -842,10 +840,12 @@ type TimerHeap = BinaryHeap<Reverse<(Instant, u64)>>;
 /// fires after that many more deliveries or once the inbox empties,
 /// whichever comes first.
 ///
-/// When the shard carries a [`ShardWal`], every delivery is journaled
-/// **before** it is applied (write-ahead), and the pending group-commit
-/// batch is fsynced as the loop goes idle — so under batched fsync the
-/// durability lag is bounded by the busy burst, not by wall clock.
+/// When the shard carries a [`ShardWal`], every [`Role::Logged`] and
+/// [`Role::Synced`] delivery is journaled **before** it is applied
+/// (write-ahead), a `Synced` one synced too, and the pending
+/// group-commit batch is fsynced as the loop goes idle — so under
+/// batched fsync the durability lag is bounded by the busy burst, not
+/// by wall clock.
 ///
 /// Returns the actor and its log when the shard's life ends.
 #[allow(clippy::too_many_arguments, reason = "the shard thread's whole context, moved in once")]
@@ -930,7 +930,7 @@ fn event_loop<A: Actor<Msg> + Send + 'static>(
                 // pre-application actor state (a due checkpoint then
                 // excludes `msg`, and the appended record re-applies
                 // it on replay). A shard whose log has failed refuses
-                // what only the log could make durable (DESIGN.md §11).
+                // `Role::Synced` deliveries (DESIGN.md §11).
                 if wal.as_mut().is_some_and(|w| !w.journal(from, &msg, &actor)) {
                     continue;
                 }

@@ -577,8 +577,6 @@ mod tests {
             w.records_appended,
             w.bytes_logged,
             w.fsyncs,
-            w.group_commit_records,
-            w.group_commit_syncs,
             w.checkpoints,
             w.replay_records,
             w.torn_tail_truncations,

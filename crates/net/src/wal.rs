@@ -5,10 +5,11 @@
 //! ## What is journaled
 //!
 //! A shard's log records exactly the messages whose delivery mutates
-//! durable server state ([`Msg::journaled`]): DAP writes, acceptor
-//! promises/accepts/decides, and `nextC` installs. Queries, replies and
-//! repair traffic are not journaled — they either mutate nothing or are
-//! re-derived by the repair protocol. The record payload *is* the wire
+//! durable server state ([`Role::Logged`] and [`Role::Synced`]): DAP
+//! writes, forwarded elements, acceptor promises/accepts/decides, and
+//! `nextC` installs. Queries, replies and repair traffic are not
+//! journaled — they either mutate nothing or are re-derived by the
+//! repair protocol. The record payload *is* the wire
 //! encoding of the delivered message ([`codec::encode_payload`]), so
 //! the log format inherits the codec's strict bounds-checked decoding
 //! and replay is literally re-delivery through `on_message`.
@@ -28,14 +29,14 @@
 //! down, instead of re-fetching every object from peers. Acceptor
 //! records and `nextC` pointers have no such repair: one acked and
 //! then lost is forgotten. So the messages that set them
-//! ([`Msg::needs_log`]) are synced before they are applied and
+//! ([`Role::Synced`]) are synced before they are applied and
 //! answered, and a shard whose log has failed refuses them (DESIGN.md
 //! §11).
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 #![deny(clippy::todo, clippy::unimplemented, clippy::indexing_slicing)]
 
 use crate::codec::{self, wire_struct, DecodeError, WireDecode, WireEncode, WireReader};
-use ares_core::{AcceptorSnap, Msg, NextCSnap, ServerActor, ServerSnapshot};
+use ares_core::{AcceptorSnap, Msg, NextCSnap, Role, ServerActor, ServerSnapshot};
 use ares_dap::server::{AbdSnap, DapSnapshot, LdrDirSnap, LdrRepSnap, TreasSnap};
 use ares_sim::{Actor, Ctx};
 use ares_types::{ConfigRegistry, ProcessId, TagValue};
@@ -108,7 +109,7 @@ pub fn decode_snapshot(buf: &Bytes) -> Result<ServerSnapshot, DecodeError> {
 /// alone remembers the failure. The node keeps serving object traffic
 /// from memory — a crash now recovers only up to the last good record,
 /// and delta repair covers the rest — but [`ShardWal::journal`] refuses
-/// what no repair restores ([`Msg::needs_log`]).
+/// what no repair restores ([`Role::Synced`]).
 pub struct ShardWal<A> {
     wal: Wal,
     snap: fn(&A) -> Vec<u8>,
@@ -127,28 +128,29 @@ impl<A> ShardWal<A> {
     /// re-applies `msg` on replay. A write error fails the log, which
     /// ends journaling, so the error itself needs no handling here.
     ///
-    /// A message that [`Msg::needs_log`] is synced before this returns,
-    /// whatever the batch: its reply leaves only after `journal`, and no
-    /// repair restores such a record once acknowledged and lost. Under
-    /// [`FsyncPolicy::Off`] the sync is a no-op, as that policy promises
-    /// nothing across a power loss.
+    /// Appends a [`Role::Logged`] or [`Role::Synced`] message and
+    /// leaves every other one unlogged. A `Synced` one is synced before
+    /// this returns, whatever the batch: its reply leaves only after
+    /// `journal`, and no repair restores such a record once acknowledged
+    /// and lost. Under [`FsyncPolicy::Off`] the sync is a no-op, as that
+    /// policy promises nothing across a power loss.
     ///
-    /// Returns whether the shard may apply `msg`: `false` once the log
-    /// has failed (at this write or sync, or an earlier one) for a
-    /// message that [`Msg::needs_log`], which the shard then refuses
-    /// unanswered.
+    /// Returns whether the shard may apply `msg`: `false` for a `Synced`
+    /// message once the log has failed (at this write or sync, or an
+    /// earlier one), which the shard then refuses unanswered.
     #[must_use]
     pub fn journal(&mut self, from: ProcessId, msg: &Msg, actor: &A) -> bool {
-        if !self.wal.failed() && msg.journaled() {
+        let role = msg.role();
+        if !self.wal.failed() && matches!(role, Role::Logged | Role::Synced) {
             // A failed checkpoint fails the log: then nothing is appended.
             if (!self.wal.checkpoint_due() || self.wal.checkpoint(&(self.snap)(actor)).is_ok())
                 && self.wal.append(&codec::encode_payload(from, msg)).is_ok()
-                && msg.needs_log()
+                && role == Role::Synced
             {
                 let _ = self.wal.sync();
             }
         }
-        !(self.wal.failed() && msg.needs_log())
+        !(self.wal.failed() && role == Role::Synced)
     }
 
     /// Flushes the pending group-commit batch; the event loop calls

@@ -76,12 +76,6 @@ impl OpCompletion {
     pub fn latency(&self) -> Time {
         self.completed_at - self.invoked_at
     }
-
-    /// Real-time precedence: `self → other` (self completes before other
-    /// is invoked).
-    pub fn precedes(&self, other: &OpCompletion) -> bool {
-        self.completed_at < other.invoked_at
-    }
 }
 
 #[cfg(test)]
@@ -95,11 +89,6 @@ mod tests {
     #[test]
     fn latency_and_precedence() {
         let a = OpCompletion::new(op(0), OpKind::Write, 10, 20);
-        let b = OpCompletion::new(op(1), OpKind::Read, 25, 40);
-        let c = OpCompletion::new(op(2), OpKind::Read, 15, 30);
         assert_eq!(a.latency(), 10);
-        assert!(a.precedes(&b));
-        assert!(!a.precedes(&c), "overlapping ops are concurrent");
-        assert!(!b.precedes(&a));
     }
 }

@@ -199,10 +199,6 @@ pub struct WalCounters {
     pub bytes_logged: AtomicU64,
     /// `fdatasync` calls issued.
     pub fsyncs: AtomicU64,
-    /// Records covered by group-commit syncs (batch-size numerator).
-    pub group_commit_records: AtomicU64,
-    /// Group-commit syncs issued (batch-size denominator).
-    pub group_commit_syncs: AtomicU64,
     /// Checkpoints written.
     pub checkpoints: AtomicU64,
     /// Records replayed across all recoveries.
@@ -222,8 +218,6 @@ impl WalCounters {
             records_appended: self.records_appended.load(Ordering::Relaxed),
             bytes_logged: self.bytes_logged.load(Ordering::Relaxed),
             fsyncs: self.fsyncs.load(Ordering::Relaxed),
-            group_commit_records: self.group_commit_records.load(Ordering::Relaxed),
-            group_commit_syncs: self.group_commit_syncs.load(Ordering::Relaxed),
             checkpoints: self.checkpoints.load(Ordering::Relaxed),
             replay_records: self.replay_records.load(Ordering::Relaxed),
             torn_tail_truncations: self.torn_tail_truncations.load(Ordering::Relaxed),
@@ -242,10 +236,6 @@ pub struct WalStats {
     pub bytes_logged: u64,
     /// `fdatasync` calls issued.
     pub fsyncs: u64,
-    /// Records covered by group-commit syncs.
-    pub group_commit_records: u64,
-    /// Group-commit syncs issued.
-    pub group_commit_syncs: u64,
     /// Checkpoints written.
     pub checkpoints: u64,
     /// Records replayed across all recoveries.
@@ -259,23 +249,11 @@ pub struct WalStats {
 }
 
 impl WalStats {
-    /// Mean records per group-commit sync (1.0 under
-    /// [`FsyncPolicy::PerRecord`], 0.0 before the first sync).
-    pub fn group_commit_batch_size(&self) -> f64 {
-        if self.group_commit_syncs == 0 {
-            0.0
-        } else {
-            self.group_commit_records as f64 / self.group_commit_syncs as f64
-        }
-    }
-
     /// Adds `other` into `self` (aggregation across shards).
     pub fn merge(&mut self, other: &WalStats) {
         self.records_appended += other.records_appended;
         self.bytes_logged += other.bytes_logged;
         self.fsyncs += other.fsyncs;
-        self.group_commit_records += other.group_commit_records;
-        self.group_commit_syncs += other.group_commit_syncs;
         self.checkpoints += other.checkpoints;
         self.replay_records += other.replay_records;
         self.torn_tail_truncations += other.torn_tail_truncations;
@@ -603,8 +581,6 @@ impl Wal {
             return Err(e);
         }
         self.counters.fsyncs.fetch_add(1, Ordering::Relaxed);
-        self.counters.group_commit_records.fetch_add(self.pending, Ordering::Relaxed);
-        self.counters.group_commit_syncs.fetch_add(1, Ordering::Relaxed);
         self.pending = 0;
         self.synced = self.written;
         Ok(())
@@ -1016,7 +992,6 @@ mod tests {
         }
         let s = counters.snapshot();
         assert_eq!(s.fsyncs, 1, "a full batch of BATCH_RECORDS records → one sync");
-        assert_eq!(s.group_commit_batch_size(), BATCH_RECORDS as f64);
         // Idle flush covers a partial batch.
         w.append(&[9]).expect("append");
         w.sync().expect("idle sync");
@@ -1057,7 +1032,6 @@ mod tests {
         }
         let s = counters.snapshot();
         assert_eq!(s.fsyncs, 3);
-        assert_eq!(s.group_commit_batch_size(), 1.0);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! arbitrary malformed bytes on a listener never panic a node.
 
 use ares_core::store::{OpError, OpTicket, Store, StoreSession};
-use ares_core::{ClientCmd, Invoke, Msg};
+use ares_core::{ClientCmd, Invoke, Msg, RepairMsg};
 use ares_harness::check_atomicity;
 use ares_net::codec::{encode_frame, WIRE_VERSION};
 use ares_net::testing::LocalCluster;
@@ -248,5 +248,32 @@ fn network_borne_invoke_is_dropped() {
     let r = done(cluster.store(110).open_session().read(OBJ));
     assert_ne!(r.value_digest, Some(forged.digest()), "the forged write never ran");
     assert_eq!(cluster.store(100).completions_routed(), 0, "client 100 executed nothing");
+    cluster.shutdown();
+}
+
+/// A repair trigger is an environment command like an invocation: a
+/// peer that could send one would start (or restart) a repair on any
+/// server, so a frame carrying one is dropped on arrival.
+#[test]
+fn network_borne_repair_trigger_is_dropped() {
+    let cluster = LocalCluster::start(treas_universe(), []).unwrap();
+    let sent = || cluster.node_stats(1).frames_sent;
+    let before = sent();
+    let trigger = Msg::Repair(RepairMsg::Trigger { cfg: ConfigId(0), obj: OBJ });
+    let mut s = TcpStream::connect(cluster.server_addr(1)).unwrap();
+    s.write_all(&encode_frame(ProcessId(2), &trigger)).unwrap();
+    // Were the frame admitted, server 1 would fan a REPAIR-QUERY out to
+    // its four peers within one loopback hop.
+    std::thread::sleep(Duration::from_millis(200));
+    assert_eq!(sent(), before, "a peer's trigger started no repair");
+    drop(s);
+
+    // The probe works: the same trigger injected locally does send.
+    cluster.trigger_repair(1, 0, 0);
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while sent() == before {
+        assert!(std::time::Instant::now() < deadline, "a local trigger sent no REPAIR-QUERY");
+        std::thread::sleep(Duration::from_millis(1));
+    }
     cluster.shutdown();
 }
