@@ -22,7 +22,7 @@
 #![deny(clippy::todo, clippy::unimplemented, clippy::indexing_slicing)]
 
 use crate::codec::{self, read_frame};
-use crate::faults::FaultControls;
+use crate::runtime::AddrBook;
 use crate::sync::Signal;
 use crate::wal::ShardWal;
 use ares_core::shard::{route, shard_of, ShardRoute};
@@ -163,22 +163,37 @@ pub(crate) struct WriterCounters {
     frames_abandoned: AtomicU64,
     /// Frames evicted from full per-peer queues.
     evicted: AtomicU64,
+    /// Frames dropped on cut links, by the pool and by the host's
+    /// readers.
+    frames_cut: AtomicU64,
+}
+
+impl WriterCounters {
+    /// Whether the book has the link `from → to` cut; counts the frame
+    /// dropped if so.
+    fn cut(&self, book: &AddrBook, from: ProcessId, to: ProcessId) -> bool {
+        let cut = book.is_cut(from, to);
+        if cut {
+            self.frames_cut.fetch_add(1, Ordering::Relaxed);
+        }
+        cut
+    }
 }
 
 pub(crate) struct PeerPool {
-    book: Arc<crate::runtime::AddrBook>,
+    me: ProcessId,
+    book: Arc<AddrBook>,
     queues: Mutex<HashMap<ProcessId, Arc<FrameQueue>>>,
     counters: Arc<WriterCounters>,
-    faults: Arc<FaultControls>,
 }
 
 impl PeerPool {
     pub(crate) fn new(
-        book: Arc<crate::runtime::AddrBook>,
-        faults: Arc<FaultControls>,
+        me: ProcessId,
+        book: Arc<AddrBook>,
         counters: Arc<WriterCounters>,
     ) -> Arc<Self> {
-        Arc::new(PeerPool { book, queues: Mutex::new(HashMap::new()), counters, faults })
+        Arc::new(PeerPool { me, book, queues: Mutex::new(HashMap::new()), counters })
     }
 
     /// Enqueues an encoded frame for `to`, spawning its writer thread on
@@ -187,7 +202,7 @@ impl PeerPool {
     /// making first contact with a new peer cannot stall every
     /// concurrent sender behind the OS thread-creation latency.
     pub(crate) fn send(&self, to: ProcessId, frame: Bytes) {
-        if self.faults.drop_outbound(to) {
+        if self.counters.cut(&self.book, self.me, to) {
             return; // injected link cut: the frame dies entering the wire
         }
         let Some(addr) = self.book.addr(to) else {
@@ -205,10 +220,9 @@ impl PeerPool {
             }
         };
         if spawn {
-            let writer_queue = queue.clone();
-            let counters = self.counters.clone();
-            let faults = self.faults.clone();
-            std::thread::spawn(move || writer_loop(addr, writer_queue, counters, faults));
+            let (me, book) = (self.me, self.book.clone());
+            let (writer_queue, counters) = (queue.clone(), self.counters.clone());
+            std::thread::spawn(move || writer_loop(me, &book, addr, writer_queue, counters));
         }
         if queue.push(frame) {
             self.counters.evicted.fetch_add(1, Ordering::Relaxed);
@@ -318,10 +332,11 @@ fn write_batch(w: &mut impl Write, batch: &[Bytes], scratch: &mut Vec<u8>) -> io
 /// a duplicated frame is harmless (quorum phases are idempotent and
 /// deduplicate by rpc/op id).
 pub(crate) fn writer_loop(
+    me: ProcessId,
+    book: &AddrBook,
     addr: SocketAddr,
     queue: Arc<FrameQueue>,
     counters: Arc<WriterCounters>,
-    faults: Arc<FaultControls>,
 ) {
     let mut stream: Option<TcpStream> = None;
     let connect = |addr: SocketAddr| -> Option<TcpStream> {
@@ -350,7 +365,7 @@ pub(crate) fn writer_loop(
         // Gray-node throttle: a slowed host pays the injected latency
         // once per drained batch before it touches the socket, so its
         // traffic still flows — late, like a wheezing NIC, not never.
-        let slow = faults.slow_micros();
+        let slow = book.gray_micros(me);
         if slow > 0 {
             crate::sync::sleep(Duration::from_micros(slow));
         }
@@ -530,10 +545,11 @@ impl NodeStats {
 pub(crate) type ShardState<A> = (A, Option<ShardWal<A>>);
 
 /// What a host keeps from one life to the next: who it is, the
-/// listener it serves, what it admits, and the fault switchboard and
-/// counters its stats read. A server node boots every life of its host
-/// from one base (DESIGN.md §6), so its counters stay monotone and a
-/// fault injected before a kill still holds after the restart.
+/// listener it serves, what it admits, the deployment's book it sends
+/// by and reads its faults from, and the counters its stats read. A
+/// server node boots every life of its host from one base (DESIGN.md
+/// §6), so its counters stay monotone; a fault injected before a kill
+/// still holds after the restart because it lives in the book.
 pub(crate) struct HostBase {
     pub(crate) pid: ProcessId,
     pub(crate) local_addr: SocketAddr,
@@ -541,9 +557,8 @@ pub(crate) struct HostBase {
     /// wait in its backlog for the next life's accept thread.
     pub(crate) listener: TcpListener,
     pub(crate) admission: Arc<Admission>,
-    book: Arc<crate::runtime::AddrBook>,
+    book: Arc<AddrBook>,
     epoch: Instant,
-    pub(crate) faults: Arc<FaultControls>,
     /// One per shard.
     pub(crate) shards: Vec<Arc<ShardCounters>>,
     writers: Arc<WriterCounters>,
@@ -554,7 +569,7 @@ impl HostBase {
         pid: ProcessId,
         listener: TcpListener,
         admission: Admission,
-        book: Arc<crate::runtime::AddrBook>,
+        book: Arc<AddrBook>,
         epoch: Instant,
         shards: usize,
     ) -> io::Result<Arc<Self>> {
@@ -565,7 +580,6 @@ impl HostBase {
             admission: Arc::new(admission),
             book,
             epoch,
-            faults: FaultControls::new(),
             shards: (0..shards).map(|_| Arc::default()).collect(),
             writers: Arc::default(),
         }))
@@ -600,7 +614,7 @@ impl HostBase {
             frames_abandoned: w.frames_abandoned.load(Ordering::Relaxed),
             outbound_dropped: w.evicted.load(Ordering::Relaxed),
             peers: pool.map(PeerPool::peer_stats).unwrap_or_default(),
-            faults_dropped: self.faults.frames_cut(),
+            faults_dropped: w.frames_cut.load(Ordering::Relaxed),
             // The host is actor-agnostic; the node runtime owns the
             // per-shard WAL counters and fills this in.
             wal: None,
@@ -648,7 +662,7 @@ impl<A: Actor<Msg> + Send + 'static> ShardedHost<A> {
     ) -> Self {
         assert_eq!(actors.len(), base.shards.len(), "one actor per shard");
         let shutdown = Arc::new(AtomicBool::new(false));
-        let pool = PeerPool::new(base.book.clone(), base.faults.clone(), base.writers.clone());
+        let pool = PeerPool::new(base.pid, base.book.clone(), base.writers.clone());
 
         // Build every shard's channel first so each event loop can be
         // handed the whole table (cross-shard self-sends route through
@@ -687,15 +701,18 @@ impl<A: Actor<Msg> + Send + 'static> ShardedHost<A> {
             let conns = conns.clone();
             std::thread::spawn(move || {
                 accept_loop(&base, shards, &shutdown, &conns);
+                // The base goes first: once a dropped node's shutdown
+                // returns, its listener is closed.
+                drop(base);
                 drop::<Sender<()>>(ending);
             });
         }
         ShardedHost { base, shards, shutdown, pool, conns, threads, accept_ended }
     }
 
-    /// The host's fault-injection switchboard.
-    pub(crate) fn faults(&self) -> &Arc<FaultControls> {
-        &self.base.faults
+    /// Frames this host's base has dropped on cut links.
+    pub(crate) fn faults_dropped(&self) -> u64 {
+        self.base.writers.frames_cut.load(Ordering::Relaxed)
     }
 
     /// Injects a message as if delivered from `from`, routed like any
@@ -749,11 +766,12 @@ fn accept_loop(base: &HostBase, shards: Arc<[Shard]>, shutdown: &Arc<AtomicBool>
                 let (shards, conns) = (shards.clone(), conns.clone());
                 let admission = base.admission.clone();
                 let shutdown = shutdown.clone();
-                let faults = base.faults.clone();
+                let (me, book, counters) = (base.pid, base.book.clone(), base.writers.clone());
                 // Reader threads are daemons: they exit on EOF (which
-                // shutdown causes) and on any read/decode error.
+                // shutdown causes) and on any read/decode error. They
+                // hold no base, so the listener closes with its node.
                 std::thread::spawn(move || {
-                    reader_loop(stream, &admission, &shards, &shutdown, &faults);
+                    reader_loop(stream, &admission, &shards, &shutdown, me, &book, &counters);
                     crate::sync::lock(&conns).remove(&id);
                 });
             }
@@ -781,7 +799,9 @@ fn reader_loop(
     admission: &Admission,
     shards: &[Shard],
     shutdown: &AtomicBool,
-    faults: &FaultControls,
+    me: ProcessId,
+    book: &AddrBook,
+    counters: &WriterCounters,
 ) {
     let stop = || shutdown.load(Ordering::SeqCst);
     let mut reader = BufReader::with_capacity(codec::FRAME_READ_BUF, stream);
@@ -795,12 +815,12 @@ fn reader_loop(
                 // peer, though the reverse direction may still flow. The
                 // connection survives (a link fault is not a crash) and
                 // heals instantly when the cut is lifted.
-                if faults.drop_inbound(from) {
+                if counters.cut(book, from, me) {
                     continue;
                 }
                 // Gray-node throttle, inbound side: a slowed host is
                 // slow to *process* what it hears, one frame at a time.
-                let slow = faults.slow_micros();
+                let slow = book.gray_micros(me);
                 if slow > 0 {
                     crate::sync::sleep(Duration::from_micros(slow));
                 }
@@ -1074,7 +1094,6 @@ fn apply(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::AddrBook;
     use ares_dap::{DapBody, DapMsg, Hdr};
     use ares_types::{ConfigId, OpId, RpcId, Tag, Value};
     use std::io::Read;
@@ -1142,7 +1161,7 @@ mod tests {
         }
         q.close();
         let counters = Arc::new(WriterCounters::default());
-        writer_loop(addr, q, counters.clone(), FaultControls::new()); // runs to completion: queue closed
+        writer_loop(ME, &AddrBook::new(), addr, q, counters.clone()); // runs to completion: queue closed
         assert_eq!(counters.frames_sent.load(Ordering::Relaxed), B as u64);
         assert_eq!(
             counters.batches_flushed.load(Ordering::Relaxed),
@@ -1223,7 +1242,7 @@ mod tests {
         }
         q.close();
         let counters = Arc::new(WriterCounters::default());
-        writer_loop(addr, q, counters.clone(), FaultControls::new());
+        writer_loop(ME, &AddrBook::new(), addr, q, counters.clone());
         assert_eq!(counters.frames_sent.load(Ordering::Relaxed), 24);
         assert_eq!(counters.batches_flushed.load(Ordering::Relaxed), 1);
         assert_eq!(counters.frames_abandoned.load(Ordering::Relaxed), 0);
@@ -1246,7 +1265,7 @@ mod tests {
         let writer = {
             let q = q.clone();
             let counters = counters.clone();
-            std::thread::spawn(move || writer_loop(addr, q, counters, FaultControls::new()))
+            std::thread::spawn(move || writer_loop(ME, &AddrBook::new(), addr, q, counters))
         };
         for i in 0..5u32 {
             q.push(frame_of(i));
@@ -1282,7 +1301,7 @@ mod tests {
             // listener dropped: connections now refused
         };
         let book = Arc::new(AddrBook::from_entries([(ProcessId(2), dead)]));
-        let pool = PeerPool::new(book, FaultControls::new(), Arc::default());
+        let pool = PeerPool::new(ME, book, Arc::default());
         let frame = Bytes::from(vec![0u8; 64]);
         for _ in 0..(3 * OUTBOUND_HIGH_WATER) {
             pool.send(ProcessId(2), frame.clone());
@@ -1308,7 +1327,7 @@ mod tests {
             .collect();
         // No effect is a self-send, so no shard is needed.
         let shards: [Shard; 0] = [];
-        let pool = PeerPool::new(Arc::new(AddrBook::new()), FaultControls::new(), Arc::default());
+        let pool = PeerPool::new(me, Arc::new(AddrBook::new()), Arc::default());
         let mut timers = TimerHeap::new();
         let before = codec::frames_encoded();
         apply(me, effects, &shards, &pool, &mut timers, &None);
@@ -1476,7 +1495,7 @@ mod tests {
         book: AddrBook,
         completions: Option<CompletionSink>,
     ) -> JoinHandle<ShardState<A>> {
-        let pool = PeerPool::new(Arc::new(book), FaultControls::new(), Arc::default());
+        let pool = PeerPool::new(ME, Arc::new(book), Arc::default());
         let inbound = AtomicUsize::new(inbound);
         let shards = Arc::new([Shard { tx, inbound, counters: Arc::default() }]);
         std::thread::spawn(move || {

@@ -29,8 +29,10 @@
 //!   tests and benches;
 //! * `LocalCluster::{apply, run_schedule}` — the simulator's fault
 //!   vocabulary (`ares_sim::FaultAction` / `FaultSchedule`) injected
-//!   into a live cluster: link cuts, partitions and gray nodes through
-//!   the simulator's own `NetworkConfig`, crashes as kill/restart.
+//!   into a live cluster: link cuts, partitions and gray nodes apply to
+//!   the simulator's own `NetworkConfig`, held in the deployment's
+//!   [`AddrBook`], which every host reads in place; crashes are
+//!   kill/restart.
 //!
 //! The sim-vs-net equivalence argument is simple and structural: every
 //! protocol engine is a pure state machine emitting
@@ -63,7 +65,6 @@
 //! ```
 
 pub mod codec;
-mod faults;
 mod host;
 mod runtime;
 mod sync;

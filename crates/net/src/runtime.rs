@@ -47,13 +47,14 @@ use ares_core::store::{session_op_seq, Store, StoreSession};
 use ares_core::{
     ClientActor, ClientCmd, ClientConfig, Invoke, Msg, OpError, OpTicket, ServerActor, ENV,
 };
+use ares_sim::{FaultAction, NetworkConfig};
 use ares_types::{ConfigRegistry, ObjectId, OpCompletion, OpId, ProcessId, SessionId, Time};
 use ares_wal::{WalCounters, WalStats};
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -69,11 +70,39 @@ const _: () = {
 /// a liveness failure.
 pub const DEFAULT_OP_TIMEOUT: Duration = Duration::from_secs(60);
 
+/// Per-frame delay in µs per unit of gray factor: the maximum message
+/// delay `D` the simulator's scenarios default to.
+const GRAY_UNIT_MICROS: u64 = 50;
+
 /// Maps process ids to socket addresses — the deployment's static view
-/// of "who listens where" (the paper's known universe of processes).
-#[derive(Debug, Clone, Default)]
+/// of "who listens where" (the paper's known universe of processes) —
+/// and holds the deployment's one fault model: the simulator's own
+/// [`NetworkConfig`], whose cut links and gray factors every host of
+/// the deployment reads in place (its delays are unused: TCP supplies
+/// real ones). Every fault it holds is a loss or a delay, which the
+/// asynchronous model already allows.
+#[derive(Debug)]
 pub struct AddrBook {
     map: HashMap<ProcessId, SocketAddr>,
+    net: Mutex<NetworkConfig>,
+    /// Set while a link among the book's pids is cut or one is gray, so
+    /// a fault-free frame pays one atomic load and no lock.
+    faulty: AtomicBool,
+}
+
+impl Default for AddrBook {
+    fn default() -> Self {
+        Self::from_entries([])
+    }
+}
+
+impl Clone for AddrBook {
+    /// A copy of the addresses and of the fault model as it stands now.
+    fn clone(&self) -> Self {
+        let net = crate::sync::lock(&self.net);
+        let faulty = AtomicBool::new(self.faulty.load(Ordering::SeqCst));
+        AddrBook { map: self.map.clone(), net: Mutex::new(net.clone()), faulty }
+    }
 }
 
 impl AddrBook {
@@ -84,7 +113,11 @@ impl AddrBook {
 
     /// Builds a book from `(pid, addr)` pairs.
     pub fn from_entries(entries: impl IntoIterator<Item = (ProcessId, SocketAddr)>) -> Self {
-        AddrBook { map: entries.into_iter().collect() }
+        AddrBook {
+            map: entries.into_iter().collect(),
+            net: Mutex::new(NetworkConfig::constant(1)),
+            faulty: AtomicBool::new(false),
+        }
     }
 
     /// Registers (or replaces) a process address.
@@ -95,6 +128,35 @@ impl AddrBook {
     /// The address of `pid`, if known.
     pub fn addr(&self, pid: ProcessId) -> Option<SocketAddr> {
         self.map.get(&pid).copied()
+    }
+
+    /// Applies a link or gray action to the model; every host sees it
+    /// at its next frame.
+    pub(crate) fn apply(&self, action: &FaultAction) {
+        let mut net = crate::sync::lock(&self.net);
+        net.apply(action);
+        let pids = || self.map.keys().copied();
+        let faulty = pids().any(|a| net.gray_factor(a) > 1 || pids().any(|b| net.is_blocked(a, b)));
+        self.faulty.store(faulty, Ordering::SeqCst);
+    }
+
+    /// Whether the link `from → to` is cut: the sender's pool drops a
+    /// frame on it before its writer queue, the receiver's reader after
+    /// decode.
+    pub(crate) fn is_cut(&self, from: ProcessId, to: ProcessId) -> bool {
+        self.faulty.load(Ordering::SeqCst) && crate::sync::lock(&self.net).is_blocked(from, to)
+    }
+
+    /// How long gray host `me` holds each frame it reads and each batch
+    /// it writes: `gray_factor(me)` × 50 µs, 0 while it is healthy.
+    pub(crate) fn gray_micros(&self, me: ProcessId) -> u64 {
+        if !self.faulty.load(Ordering::SeqCst) {
+            return 0;
+        }
+        match crate::sync::lock(&self.net).gray_factor(me) {
+            1 => 0,
+            factor => u64::from(factor) * GRAY_UNIT_MICROS,
+        }
     }
 }
 
@@ -114,7 +176,8 @@ impl AddrBook {
 ///
 /// The node outlives its host: [`ShardedNode::kill`] ends the host's
 /// life and each restart boots a new one, while the node keeps its
-/// listener, fault switchboard and counters.
+/// listener and counters. Dropping the node stops it as
+/// [`ShardedNode::shutdown`] does.
 pub struct ShardedNode {
     base: Arc<HostBase>,
     /// Present when the node was started with a data dir: everything a
@@ -276,12 +339,6 @@ impl ShardedNode {
         }
     }
 
-    /// This node's fault-injection switchboard (link cuts, gray slow-
-    /// downs); `testing::LocalCluster` drives it via `apply`.
-    pub(crate) fn faults(&self) -> Arc<crate::faults::FaultControls> {
-        self.base.faults.clone()
-    }
-
     /// Crash-stops the node: its host shuts down, and this returns once
     /// every shard loop has applied what was queued before the call
     /// (journaled it, on a durable node) and ended. Its timers, inboxes,
@@ -367,6 +424,12 @@ impl ShardedNode {
 
     /// Stops all threads and closes the listener.
     pub fn shutdown(self) {
+        drop(self);
+    }
+}
+
+impl Drop for ShardedNode {
+    fn drop(&mut self) {
         drop(self.stop());
     }
 }
@@ -549,9 +612,9 @@ impl NetStore {
         *crate::sync::lock(&self.inner.shared.progress)
     }
 
-    /// This store's fault-injection switchboard; `None` once shut down.
-    pub(crate) fn fault_controls(&self) -> Option<Arc<crate::faults::FaultControls>> {
-        crate::sync::lock(&self.inner.host).as_ref().map(|h| h.faults().clone())
+    /// Frames this store's host dropped on cut links; 0 once shut down.
+    pub(crate) fn faults_dropped(&self) -> u64 {
+        crate::sync::lock(&self.inner.host).as_ref().map_or(0, ShardedHost::faults_dropped)
     }
 
     /// Blocks until the progress counter exceeds `seen` (returning the
@@ -566,12 +629,27 @@ impl NetStore {
 
     /// Stops all threads and closes the reply listener. Outstanding
     /// tickets time out; subsequent submissions fail with
-    /// [`OpError::Closed`].
+    /// [`OpError::Closed`]. Dropping the store, its last session and
+    /// its last ticket does the same.
     pub fn shutdown(&self) {
-        let host = crate::sync::lock(&self.inner.host).take();
+        self.inner.shutdown();
+    }
+}
+
+impl StoreInner {
+    /// Takes the host out of its guard, then shuts it down (that joins
+    /// threads); a no-op once shut down.
+    fn shutdown(&self) {
+        let host = crate::sync::lock(&self.host).take();
         if let Some(h) = host {
             drop(h.shutdown());
         }
+    }
+}
+
+impl Drop for StoreInner {
+    fn drop(&mut self) {
+        self.shutdown();
     }
 }
 
@@ -703,6 +781,33 @@ mod tests {
         let (config, book) = (ClientConfig::new(ConfigId(0)), Arc::new(AddrBook::new()));
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         NetStore::serve(ProcessId(100), registry, config, book, listener, Instant::now()).unwrap()
+    }
+
+    #[test]
+    fn the_book_reads_the_simulators_model_in_place() {
+        let pids = [1, 2, 3, 100].map(ProcessId);
+        let book = AddrBook::from_entries(pids.map(|p| (p, "127.0.0.1:9".parse().unwrap())));
+        let mut model = NetworkConfig::constant(1);
+        let (p1, p2, p3, client) = (pids[0], pids[1], pids[2], pids[3]);
+        // Each action, and what gray server 3 pays per frame after it.
+        let steps = [
+            (FaultAction::Partition { groups: vec![vec![p1, p2], vec![p3, client]] }, 0),
+            (FaultAction::CutLink { from: p2, to: p1 }, 0),
+            (FaultAction::Grayify { pid: p3, factor: 40 }, 2_000),
+            (FaultAction::HealAll, 2_000),
+            (FaultAction::Ungray { pid: p3 }, 0),
+        ];
+        for (action, gray) in &steps {
+            book.apply(action);
+            model.apply(action);
+            for (a, b) in pids.iter().flat_map(|&a| pids.map(|b| (a, b))) {
+                assert_eq!(book.is_cut(a, b), model.is_blocked(a, b), "{action}: {a} → {b}");
+            }
+            for p in pids {
+                assert_eq!(book.gray_micros(p), if p == p3 { *gray } else { 0 }, "{action}");
+            }
+        }
+        assert!(!book.faulty.load(Ordering::SeqCst), "healed: a frame pays one load again");
     }
 
     #[test]

@@ -8,28 +8,24 @@
 //! test` can exercise the full TCP stack (codec, listeners, reconnects,
 //! timers) without any external orchestration. Nodes can be killed and
 //! restarted mid-run, the simulator's fault schedules play against the
-//! live deployment ([`LocalCluster::run_schedule`]), and runtime
-//! counters snapshot via [`LocalCluster::node_stats`].
+//! live deployment ([`LocalCluster::run_schedule`]) through the one
+//! fault model every host reads in place in the shared [`AddrBook`],
+//! and runtime counters snapshot via [`LocalCluster::node_stats`].
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 #![deny(clippy::todo, clippy::unimplemented, clippy::indexing_slicing)]
 
-use crate::faults::FaultControls;
 use crate::runtime::{AddrBook, NetStore, ShardedNode};
 use crate::wal::{RecoveryReport, WalConfig};
 use ares_core::{ClientConfig, Msg, RepairMsg, ENV};
-use ares_sim::{FaultAction, FaultSchedule, NetworkConfig};
+use ares_sim::{FaultAction, FaultSchedule};
 use ares_types::{ConfigId, ConfigRegistry, Configuration, ObjectId, ProcessId};
 use ares_wal::TempDir;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 use std::io;
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Per-frame delay in µs per unit of gray factor: the maximum message
-/// delay `D` the simulator's scenarios default to.
-const GRAY_UNIT_MICROS: u64 = 50;
 
 /// Builder for a [`LocalCluster`].
 pub struct ClusterBuilder {
@@ -173,7 +169,6 @@ impl ClusterBuilder {
             nodes,
             clients,
             objects: self.objects,
-            net: Mutex::new(NetworkConfig::constant(1)),
             _wal_root: wal_root,
         })
     }
@@ -186,9 +181,6 @@ pub struct LocalCluster {
     nodes: HashMap<ProcessId, ShardedNode>,
     clients: HashMap<ProcessId, NetStore>,
     objects: Vec<ObjectId>,
-    /// The deployment's cut links and gray factors, as the simulator
-    /// models them (its delays are unused: TCP supplies real ones).
-    net: Mutex<NetworkConfig>,
     /// Keeps the durable deployment's temp root alive (and deletes it on
     /// drop); `None` for in-memory deployments.
     _wal_root: Option<TempDir>,
@@ -214,7 +206,7 @@ impl LocalCluster {
         &self.registry
     }
 
-    /// The deployment's address book.
+    /// The deployment's address book, which holds its fault model.
     pub fn addr_book(&self) -> &Arc<AddrBook> {
         &self.book
     }
@@ -356,28 +348,22 @@ impl LocalCluster {
         );
     }
 
-    /// Every host's fault switchboard, with its pid (a killed server's
-    /// included: its switchboard outlives the kill).
-    fn controls(&self) -> Vec<(ProcessId, Arc<FaultControls>)> {
-        let servers = self.nodes.iter().map(|(&pid, n)| (pid, n.faults()));
-        let clients = self.clients.iter().filter_map(|(&pid, s)| Some((pid, s.fault_controls()?)));
-        servers.chain(clients).collect()
-    }
-
     /// Total frames dropped by injected link cuts across the
     /// deployment (both directions, servers and clients).
     pub fn faults_dropped(&self) -> u64 {
-        self.controls().iter().map(|(_, c)| c.frames_cut()).sum()
+        let servers = self.nodes.values().map(|n| n.stats().faults_dropped);
+        servers.chain(self.clients.values().map(NetStore::faults_dropped)).sum()
     }
 
     /// Injects one fault of the simulator's vocabulary now: a one-event
     /// [`LocalCluster::run_schedule`]. `Crash`/`Recover` are `kill` /
-    /// `restart` (and panic on a non-server pid). Link and gray actions
-    /// update the simulator's own [`NetworkConfig`], held by the cluster;
-    /// then each host `me` drops frames to each `p` with
-    /// `is_blocked(me, p)` before its writer queue and frames from each
-    /// `p` with `is_blocked(p, me)` after decode, and holds each frame
-    /// `gray_factor(me)` × 50 µs while gray.
+    /// `restart`. Link and gray actions apply to the simulator's own
+    /// [`ares_sim::NetworkConfig`], held in the deployment's
+    /// [`AddrBook`], which every host reads in place: each host `me`
+    /// drops a frame to `p` with `is_blocked(me, p)` before its writer
+    /// queue and a frame from `p` with `is_blocked(p, me)` after decode,
+    /// and while gray holds each frame it reads and each batch it writes
+    /// `gray_factor(me)` × 50 µs.
     pub fn apply(&self, action: &FaultAction) -> io::Result<()> {
         self.run_schedule(&FaultSchedule::new().at(0, action.clone()))
     }
@@ -390,15 +376,24 @@ impl LocalCluster {
     ///
     /// # Errors
     ///
-    /// `ErrorKind::Unsupported`, before anything is applied, for
-    /// `SetDuplication` or `SetReorder`: TCP neither duplicates nor
-    /// reorders.
+    /// Before anything is applied: `ErrorKind::Unsupported` for
+    /// `SetDuplication` or `SetReorder`, since TCP neither duplicates
+    /// nor reorders, and `ErrorKind::InvalidInput` for a `Crash` or
+    /// `Recover` naming a pid that is not a server of this cluster.
     pub fn run_schedule(&self, schedule: &FaultSchedule) -> io::Result<()> {
-        let sim_only = |a: &FaultAction| {
-            matches!(a, FaultAction::SetDuplication { .. } | FaultAction::SetReorder { .. })
-        };
-        if let Some(ev) = schedule.events().iter().find(|ev| sim_only(&ev.action)) {
-            return Err(io::Error::new(io::ErrorKind::Unsupported, ev.to_string()));
+        for ev in schedule.events() {
+            let kind = match &ev.action {
+                FaultAction::SetDuplication { .. } | FaultAction::SetReorder { .. } => {
+                    io::ErrorKind::Unsupported
+                }
+                FaultAction::Crash { pid } | FaultAction::Recover { pid }
+                    if !self.nodes.contains_key(pid) =>
+                {
+                    io::ErrorKind::InvalidInput
+                }
+                _ => continue,
+            };
+            return Err(io::Error::new(kind, ev.to_string()));
         }
         let start = Instant::now();
         for ev in schedule.events() {
@@ -408,31 +403,14 @@ impl LocalCluster {
             match &ev.action {
                 FaultAction::Crash { pid } => self.kill(pid.0),
                 FaultAction::Recover { pid } => self.restart(pid.0),
-                link_or_gray => self.project(link_or_gray),
+                link_or_gray => self.book.apply(link_or_gray),
             }
         }
         Ok(())
     }
 
-    /// Applies a link or gray action to the model, then sets every host's
-    /// controls from it after the guard drops (one runtime lock a thread).
-    fn project(&self, action: &FaultAction) {
-        let hosts = self.controls();
-        let pids: Vec<ProcessId> = hosts.iter().map(|h| h.0).collect();
-        let projected: Vec<(HashSet<ProcessId>, HashSet<ProcessId>, u32)> = {
-            let mut net = crate::sync::lock(&self.net);
-            net.apply(action);
-            let to = |me| pids.iter().copied().filter(|&p| net.is_blocked(me, p)).collect();
-            let from = |me| pids.iter().copied().filter(|&p| net.is_blocked(p, me)).collect();
-            pids.iter().map(|&me| (to(me), from(me), net.gray_factor(me))).collect()
-        };
-        for ((_, c), (outbound, inbound, gray)) in hosts.iter().zip(projected) {
-            c.set_cuts(outbound, inbound);
-            c.set_slow(if gray > 1 { u64::from(gray) * GRAY_UNIT_MICROS } else { 0 });
-        }
-    }
-
-    /// Tears the whole deployment down.
+    /// Tears the whole deployment down, clients first. Dropping the
+    /// cluster stops every node and store too.
     pub fn shutdown(self) {
         for (_, c) in self.clients {
             c.shutdown();
@@ -453,16 +431,17 @@ mod tests {
         LocalCluster::start(vec![Configuration::treas(ConfigId(0), servers, 3, 2)], [100])
     }
 
-    /// The links the hosts enforce as cut: as each sender's outbound
-    /// controls see them, and as each receiver's inbound controls do.
-    fn enforced(cluster: &LocalCluster) -> [BTreeSet<(u32, u32)>; 2] {
-        let hosts = cluster.controls();
-        let mut cut = [BTreeSet::new(), BTreeSet::new()];
-        for ((me, c), (p, _)) in hosts.iter().flat_map(|a| hosts.iter().map(move |b| (a, b))) {
-            c.drop_outbound(*p).then(|| cut[0].insert((me.0, p.0)));
-            c.drop_inbound(*p).then(|| cut[1].insert((p.0, me.0)));
-        }
-        cut
+    /// Every pid of the deployment, servers and clients.
+    fn pids(cluster: &LocalCluster) -> Vec<ProcessId> {
+        cluster.nodes.keys().chain(cluster.clients.keys()).copied().collect()
+    }
+
+    /// The links the hosts enforce as cut: every pair of the
+    /// deployment's pids that the book they all read reports cut.
+    fn enforced(cluster: &LocalCluster) -> BTreeSet<(u32, u32)> {
+        let pids = pids(cluster);
+        let pairs = pids.iter().flat_map(|&a| pids.iter().map(move |&b| (a, b)));
+        pairs.filter(|&(a, b)| cluster.book.is_cut(a, b)).map(|(a, b)| (a.0, b.0)).collect()
     }
 
     #[test]
@@ -475,8 +454,7 @@ mod tests {
             .at(0, FaultAction::CutLink { from, to })
             .at(0, FaultAction::CutLink { from, to: ProcessId(2) });
         cluster.run_schedule(&schedule)?;
-        let only = BTreeSet::from([(100, 2)]);
-        assert_eq!(enforced(&cluster), [only.clone(), only]);
+        assert_eq!(enforced(&cluster), BTreeSet::from([(100, 2)]));
         cluster.shutdown();
         Ok(())
     }
@@ -489,10 +467,10 @@ mod tests {
         cluster.apply(&FaultAction::Grayify { pid: ProcessId(3), factor: 40 })?;
         let across =
             [(1, 3), (1, 100), (2, 3), (2, 100)].into_iter().flat_map(|(a, b)| [(a, b), (b, a)]);
-        let across: BTreeSet<_> = across.collect();
-        assert_eq!(enforced(&cluster), [across.clone(), across]);
-        for (pid, c) in cluster.controls() {
-            assert_eq!(c.slow_micros(), if pid == ProcessId(3) { 2_000 } else { 0 });
+        assert_eq!(enforced(&cluster), across.collect());
+        for pid in pids(&cluster) {
+            let slow = if pid == ProcessId(3) { 2_000 } else { 0 };
+            assert_eq!(cluster.book.gray_micros(pid), slow);
         }
         cluster.shutdown();
         Ok(())
@@ -501,13 +479,22 @@ mod tests {
     #[test]
     fn simulator_only_faults_are_refused_before_anything_applies() -> io::Result<()> {
         let cluster = treas5()?;
-        let refused = |r: io::Result<()>| r.is_err_and(|e| e.kind() == io::ErrorKind::Unsupported);
-        assert!(refused(cluster.apply(&FaultAction::SetDuplication { per_mille: 100 })));
-        // A TCP-injectable cut, refused for the reorder beside it.
+        let refused = |r: io::Result<()>, kind| r.is_err_and(|e| e.kind() == kind);
+        let unsupported = cluster.apply(&FaultAction::SetDuplication { per_mille: 100 });
+        assert!(refused(unsupported, io::ErrorKind::Unsupported));
+        // A TCP-injectable cut, refused for the fault beside it: a
+        // reorder, or a crash or recovery of a pid that is no server.
         let cut = FaultAction::CutLink { from: ProcessId(100), to: ProcessId(1) };
         let reorder = FaultAction::SetReorder { per_mille: 100, extra_max: 40 };
-        let schedule = FaultSchedule::new().at(0, cut).at(5, reorder);
-        assert!(refused(cluster.run_schedule(&schedule)));
+        let bad = [
+            (reorder, io::ErrorKind::Unsupported),
+            (FaultAction::Crash { pid: ProcessId(100) }, io::ErrorKind::InvalidInput),
+            (FaultAction::Recover { pid: ProcessId(6) }, io::ErrorKind::InvalidInput),
+        ];
+        for (action, kind) in bad {
+            let schedule = FaultSchedule::new().at(0, cut.clone()).at(5, action);
+            assert!(refused(cluster.run_schedule(&schedule), kind));
+        }
         let mut session = cluster.store(100).open_session();
         let ticket = session.write(ObjectId(0), ares_types::Value::filler(64, 1));
         ticket.expect("submitted").wait().expect("completed");
@@ -520,10 +507,8 @@ mod tests {
     fn a_cut_link_outlives_a_kill_and_restart() -> io::Result<()> {
         let cluster = treas5()?;
         cluster.apply(&FaultAction::CutLink { from: ProcessId(1), to: ProcessId(100) })?;
-        let cut = enforced(&cluster);
         cluster.kill(1);
         cluster.restart(1);
-        assert_eq!(enforced(&cluster), cut, "the restart kept the cut sets");
         // Server 1's replies to the write die at its own outbound pool.
         let dropped = cluster.node_stats(1).faults_dropped;
         let mut session = cluster.store(100).open_session();
@@ -535,6 +520,16 @@ mod tests {
             crate::sync::sleep(Duration::from_millis(1));
         }
         cluster.shutdown();
+        Ok(())
+    }
+
+    #[test]
+    fn a_dropped_cluster_stops_listening() -> io::Result<()> {
+        let cluster = treas5()?;
+        let addr = cluster.server_addr(1);
+        drop(cluster);
+        let connected = std::net::TcpStream::connect_timeout(&addr, Duration::from_secs(1));
+        assert!(connected.is_err(), "a dropped cluster's server still accepts connections");
         Ok(())
     }
 

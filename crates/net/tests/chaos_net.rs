@@ -70,10 +70,10 @@ fn asymmetric_partition_stalls_then_heals_atomically() {
 fn gray_server_slows_but_never_breaks_atomicity() {
     let cluster =
         LocalCluster::builder(treas5()).clients([100, 101]).objects([0]).start().expect("cluster");
-    // Server 1 turns gray for 300 ms: factor 40 holds every frame it
-    // reads or writes for 40 × 50 µs = 2 ms. It stays in the quorum —
-    // nothing evicts it — so operations on the one hot object ride
-    // through the slowness.
+    // Server 1 turns gray for 300 ms: factor 40 holds each frame it
+    // reads, and each batch it writes, for 40 × 50 µs = 2 ms. It stays
+    // in the quorum — nothing evicts it — so operations on the one hot
+    // object ride through the slowness.
     let gray = FaultSchedule::new()
         .at(0, FaultAction::Grayify { pid: ProcessId(1), factor: 40 })
         .at(300_000, FaultAction::Ungray { pid: ProcessId(1) });
