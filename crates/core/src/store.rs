@@ -113,7 +113,8 @@ pub enum OpError {
         /// The backend's frame limit.
         max: usize,
     },
-    /// The store was shut down.
+    /// The store was shut down: at submission, or (net) while the
+    /// ticket waited for a completion that can no longer arrive.
     Closed,
 }
 
@@ -149,7 +150,9 @@ pub trait OpTicket {
     ///
     /// # Errors
     ///
-    /// [`OpError::Timeout`] when the completion cannot be obtained.
+    /// [`OpError::Timeout`] when the completion cannot be obtained, and
+    /// [`OpError::Closed`] at once when the store has shut down before
+    /// the completion arrived (net).
     fn wait(self) -> Result<OpCompletion, OpError>;
 }
 

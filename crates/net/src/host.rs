@@ -410,7 +410,7 @@ pub(crate) fn writer_loop(
 
 /// How a host surfaces completed client operations to its frontend.
 /// Called on the event-loop thread; implementations must be quick and
-/// non-blocking (the store frontend routes by `OpId` into ticket cells).
+/// non-blocking (the store frontend routes by `OpId` into its completion table).
 pub(crate) type CompletionSink = Box<dyn Fn(OpCompletion) + Send + 'static>;
 
 pub(crate) enum Event {
@@ -1444,6 +1444,47 @@ mod tests {
         q.close();
         writer.join().unwrap();
         assert_eq!(got.load(Ordering::Relaxed) + q.dropped(), total);
+    }
+
+    #[test]
+    fn a_full_inbox_holds_network_deliveries_back_but_never_local_ones() {
+        let (tx, rx) = mpsc::channel();
+        let shards: Arc<[Shard]> =
+            Arc::new([Shard { tx, inbound: AtomicUsize::new(0), counters: Arc::default() }]);
+        let shard = &shards[0];
+        let (never, always) = (|| false, || true);
+        let msg = || write_msg(Value::from_static(b"x"));
+        for _ in 0..INBOUND_HIGH_WATER {
+            assert!(route_delivery(&shards, ProcessId(1), msg(), Some(&never)));
+        }
+        assert_eq!(shard.inbound.load(Ordering::SeqCst), INBOUND_HIGH_WATER);
+        // One more network delivery waits for the shard to consume one.
+        let held = {
+            let shards = shards.clone();
+            std::thread::spawn(move || route_delivery(&shards, ProcessId(1), msg(), Some(&never)))
+        };
+        crate::sync::sleep(Duration::from_millis(50));
+        assert!(!held.is_finished(), "a full inbox holds the reader back");
+        assert_eq!(shard.inbound.load(Ordering::SeqCst), INBOUND_HIGH_WATER);
+        // Consume one as the shard loop does.
+        assert!(matches!(rx.recv().unwrap(), Event::Deliver { counted: true, .. }));
+        shard.inbound.fetch_sub(1, Ordering::SeqCst);
+        assert!(held.join().unwrap(), "the held delivery went in once there was room");
+        assert_eq!(shard.inbound.load(Ordering::SeqCst), INBOUND_HIGH_WATER);
+        // A reader told to stop gives up instead of waiting.
+        assert!(!route_delivery(&shards, ProcessId(1), msg(), Some(&always)));
+        // A local delivery is never held back, and is not counted.
+        assert!(route_delivery(&shards, ProcessId(1), msg(), None));
+        assert_eq!(shard.inbound.load(Ordering::SeqCst), INBOUND_HIGH_WATER);
+        let queued: Vec<_> = rx.try_iter().collect();
+        let counted = queued.iter().filter(|e| matches!(e, Event::Deliver { counted: true, .. }));
+        assert_eq!(counted.count(), INBOUND_HIGH_WATER, "the stopped delivery never went in");
+        assert!(matches!(queued[..], [.., Event::Deliver { counted: false, .. }]), "local last");
+        assert_eq!(
+            shard.counters.inbox_high_water.load(Ordering::Relaxed),
+            INBOUND_HIGH_WATER,
+            "the peak backlog is recorded"
+        );
     }
 
     /// Logs each delivery's sender, and `None` per timer fire. Its first

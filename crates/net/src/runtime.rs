@@ -14,9 +14,10 @@
 //!   owning that object, config-wide traffic (consensus, configuration
 //!   service) serializes on shard 0 — so per-object and per-config
 //!   execution stay exactly the paper's single-process server. Client
-//!   hosts ([`NetStore`]) run a single shard. Each loop also keeps its
-//!   shard's `timer_after` deadlines in a heap and parks on its inbox
-//!   only until the earliest one;
+//!   hosts ([`NetStore`]) run a single shard, whose completions reach
+//!   their tickets through one table of in-flight operations. Each loop
+//!   also keeps its shard's `timer_after` deadlines in a heap and parks
+//!   on its inbox only until the earliest one;
 //! * outbound sends go through a **peer pool**: one writer thread per
 //!   destination, connecting on demand, reconnecting after failures,
 //!   and draining its queue in adaptively-batched writes (one flush per
@@ -54,7 +55,7 @@ use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -438,87 +439,32 @@ impl Drop for ShardedNode {
 // The session-multiplexed client store
 // ---------------------------------------------------------------------
 
-/// Routing state shared between the event-loop completion sink and the
-/// store frontend.
-struct RouteShared {
-    /// In-flight operations → the ticket cell awaiting each completion.
-    router: Mutex<HashMap<OpId, Arc<TicketCell>>>,
-    /// Completions routed so far (progress counter) + its signal, so a
-    /// driver with many outstanding tickets sleeps on one signal instead
-    /// of polling every ticket.
-    progress: Mutex<u64>,
-    progressed: Signal,
+/// A store's completion table, and the one signal that wakes whoever
+/// waits on it. Fill, take and removal share its one lock.
+#[derive(Default)]
+struct Completions {
+    table: Mutex<Table>,
+    changed: Signal,
 }
 
-impl RouteShared {
-    fn new() -> Arc<Self> {
-        Arc::new(RouteShared {
-            router: Mutex::new(HashMap::new()),
-            progress: Mutex::new(0),
-            progressed: Signal::default(),
-        })
-    }
+#[derive(Default)]
+struct Table {
+    /// One entry per live ticket, empty until its completion is routed;
+    /// boxed, as a burst of submissions sizes the table for good.
+    slots: HashMap<OpId, Option<Box<OpCompletion>>>,
+    /// Completions routed so far, those whose ticket went included.
+    routed: u64,
+    /// Set once the store has shut down: no completion can arrive.
+    closed: bool,
+}
 
-    /// The event-loop side: route `c` to its ticket (if still claimed)
-    /// and bump the progress counter.
+impl Completions {
+    /// The sink: fills `c`'s slot while its ticket lives, and counts `c`.
     fn route(&self, c: OpCompletion) {
-        let cell = crate::sync::lock(&self.router).remove(&c.op);
-        if let Some(cell) = cell {
-            *crate::sync::lock(&cell.slot) = Some(c);
-            cell.filled.notify_all();
-        }
-        // A timed-out (withdrawn) ticket's completion still counts as
-        // progress: the session it unblocks may now start its next op.
-        let mut n = crate::sync::lock(&self.progress);
-        *n += 1;
-        self.progressed.notify_all();
-    }
-}
-
-struct TicketCell {
-    slot: Mutex<Option<OpCompletion>>,
-    filled: Signal,
-}
-
-impl TicketCell {
-    /// Takes the completion, waiting for it until `deadline`.
-    fn take_by(&self, deadline: Instant) -> Option<OpCompletion> {
-        self.filled.wait_until(crate::sync::lock(&self.slot), deadline, Option::is_some).take()
-    }
-}
-
-/// A ticket's entry in the router. Not `Clone`, and withdrawn on drop
-/// unless the completion was delivered (the sink removed it then), so an
-/// entry can neither leak nor be resolved twice.
-struct Claim {
-    op: OpId,
-    cell: Arc<TicketCell>,
-    shared: Arc<RouteShared>,
-    /// The router may still hold the entry.
-    registered: bool,
-}
-
-impl Claim {
-    /// Routes `op`'s completion to a fresh cell.
-    fn register(shared: &Arc<RouteShared>, op: OpId) -> Claim {
-        let cell = Arc::new(TicketCell { slot: Mutex::new(None), filled: Signal::default() });
-        crate::sync::lock(&shared.router).insert(op, cell.clone());
-        Claim { op, cell, shared: shared.clone(), registered: true }
-    }
-
-    /// Removes the entry; `false` when the router had already taken it
-    /// to fill the cell.
-    fn withdraw(&mut self) -> bool {
-        self.registered = false;
-        crate::sync::lock(&self.shared.router).remove(&self.op).is_some()
-    }
-}
-
-impl Drop for Claim {
-    fn drop(&mut self) {
-        if self.registered {
-            self.withdraw();
-        }
+        let mut t = crate::sync::lock(&self.table);
+        t.slots.entry(c.op).and_modify(|slot| *slot = Some(Box::new(c)));
+        t.routed += 1;
+        self.changed.notify_all();
     }
 }
 
@@ -528,9 +474,10 @@ struct StoreInner {
     /// `None` once shut down; submissions then fail with
     /// [`OpError::Closed`].
     host: Mutex<Option<ShardedHost<ClientActor>>>,
-    shared: Arc<RouteShared>,
+    completions: Arc<Completions>,
     next_session: AtomicU32,
-    op_timeout: Mutex<Duration>,
+    /// [`OpTicket::wait`]'s deadline, in nanoseconds.
+    op_timeout: AtomicU64,
 }
 
 /// A session-multiplexed ARES client store over TCP: one
@@ -567,11 +514,9 @@ impl NetStore {
         let actor = ClientActor::new(registry.clone(), config);
         let admission = Admission { registry, objects: None };
         let base = HostBase::new(me, listener, admission, book, epoch, 1)?;
-        let shared = RouteShared::new();
-        let sink: CompletionSink = {
-            let shared = shared.clone();
-            Box::new(move |c| shared.route(c))
-        };
+        let completions = Arc::new(Completions::default());
+        let routes = completions.clone();
+        let sink: CompletionSink = Box::new(move |c| routes.route(c));
         // Client hosts are single-sharded (so `shard_of` routes every
         // message to shard 0): one multiplexer actor, one loop — the
         // session lanes and completion routing live inside
@@ -583,9 +528,9 @@ impl NetStore {
                 pid: me,
                 epoch,
                 host: Mutex::new(Some(host)),
-                shared,
+                completions,
                 next_session: AtomicU32::new(0),
-                op_timeout: Mutex::new(DEFAULT_OP_TIMEOUT),
+                op_timeout: AtomicU64::new(DEFAULT_OP_TIMEOUT.as_nanos() as u64),
             }),
         })
     }
@@ -597,7 +542,8 @@ impl NetStore {
 
     /// Sets the default deadline [`OpTicket::wait`] applies.
     pub fn set_op_timeout(&self, timeout: Duration) {
-        *crate::sync::lock(&self.inner.op_timeout) = timeout;
+        let nanos = u64::try_from(timeout.as_nanos()).unwrap_or(u64::MAX);
+        self.inner.op_timeout.store(nanos, Ordering::Relaxed);
     }
 
     /// Microseconds since this deployment's timestamp epoch — the clock
@@ -609,7 +555,7 @@ impl NetStore {
 
     /// Number of completions routed so far (progress counter).
     pub fn completions_routed(&self) -> u64 {
-        *crate::sync::lock(&self.inner.shared.progress)
+        crate::sync::lock(&self.inner.completions.table).routed
     }
 
     /// Frames this store's host dropped on cut links; 0 once shut down.
@@ -622,28 +568,28 @@ impl NetStore {
     /// Closed-loop drivers sweep their tickets with
     /// [`OpTicket::try_wait`] after each wakeup.
     pub fn wait_progress(&self, seen: u64, timeout: Duration) -> u64 {
-        let shared = &self.inner.shared;
-        let n = crate::sync::lock(&shared.progress);
-        *shared.progressed.wait_until(n, Instant::now() + timeout, |n| *n > seen)
+        let (c, deadline) = (&self.inner.completions, Instant::now() + timeout);
+        c.changed.wait_until(crate::sync::lock(&c.table), deadline, |t| t.routed > seen).routed
     }
 
     /// Stops all threads and closes the reply listener. Outstanding
-    /// tickets time out; subsequent submissions fail with
-    /// [`OpError::Closed`]. Dropping the store, its last session and
-    /// its last ticket does the same.
+    /// tickets fail with [`OpError::Closed`] unless their completion
+    /// was already routed, and so do subsequent submissions. Dropping
+    /// the store, its last session and its last ticket does the same.
     pub fn shutdown(&self) {
         self.inner.shutdown();
     }
 }
 
 impl StoreInner {
-    /// Takes the host out of its guard, then shuts it down (that joins
-    /// threads); a no-op once shut down.
+    /// Takes the host out of its guard, shuts it down (that joins
+    /// threads, so every completion it will route is routed), then
+    /// closes the table; a no-op once shut down.
     fn shutdown(&self) {
         let host = crate::sync::lock(&self.host).take();
-        if let Some(h) = host {
-            drop(h.shutdown());
-        }
+        drop(host.map(ShardedHost::shutdown));
+        crate::sync::lock(&self.completions.table).closed = true;
+        self.completions.changed.notify_all();
     }
 }
 
@@ -696,35 +642,36 @@ impl StoreSession for NetSession {
         let seq = session_op_seq(self.id, self.next);
         self.next += 1;
         let op = OpId { client: self.inner.pid, seq };
-        // Claim the route *before* injecting: the completion can never
-        // arrive unrouted. On a closed store the claim drops (after the
-        // host guard) and takes the route with it.
-        let claim = Claim::register(&self.inner.shared, op);
+        // Open the slot *before* injecting: the completion can never
+        // arrive unrouted. On a closed store the ticket drops (after the
+        // host guard) and removes the slot.
+        crate::sync::lock(&self.inner.completions.table).slots.insert(op, None);
+        let ticket = NetTicket { op, inner: self.inner.clone() };
         let host = crate::sync::lock(&self.inner.host);
         let Some(h) = host.as_ref() else { return Err(OpError::Closed) };
         h.inject(ENV, Msg::Invoke(Invoke { session: self.id, seq, cmd }));
-        Ok(NetTicket { claim, inner: self.inner.clone() })
+        Ok(ticket)
     }
 }
 
-/// Claim ticket for one operation submitted to a [`NetStore`]. Dropping
-/// it unwaited withdraws the operation's route.
+/// Claim ticket for one operation submitted to a [`NetStore`]: it owns
+/// its operation's entry in the store's completion table, which it
+/// removes when it takes the completion, times out or drops.
 pub struct NetTicket {
-    claim: Claim,
+    op: OpId,
     inner: Arc<StoreInner>,
 }
 
 impl std::fmt::Debug for NetTicket {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("NetTicket").field("op", &self.claim.op).finish_non_exhaustive()
+        f.debug_struct("NetTicket").field("op", &self.op).finish_non_exhaustive()
     }
 }
 
 impl NetTicket {
-    /// Waits until `deadline`-ish (`timeout` from now) for the routed
-    /// completion.
+    /// Waits up to `timeout` for the routed completion.
     ///
-    /// On timeout the ticket withdraws its route, so the completion —
+    /// On timeout the ticket removes its entry, so the completion —
     /// should the operation still finish later — is dropped instead of
     /// leaking; the error poisons *only this ticket*. The operation's
     /// session stays dedicated to the stuck operation until the runtime
@@ -733,37 +680,41 @@ impl NetTicket {
     ///
     /// # Errors
     ///
-    /// [`OpError::Timeout`] if no completion is routed in time.
-    pub fn wait_for(mut self, timeout: Duration) -> Result<OpCompletion, OpError> {
-        if let Some(c) = self.claim.cell.take_by(Instant::now() + timeout) {
-            self.claim.registered = false;
-            return Ok(c);
+    /// [`OpError::Timeout`] if no completion is routed in time, and
+    /// [`OpError::Closed`] at once if the store shut down before it was.
+    pub fn wait_for(self, timeout: Duration) -> Result<OpCompletion, OpError> {
+        let (c, deadline) = (&self.inner.completions, Instant::now() + timeout);
+        let ready = |t: &Table| t.closed || t.slots.get(&self.op).is_none_or(Option::is_some);
+        let mut t = c.changed.wait_until(crate::sync::lock(&c.table), deadline, ready);
+        match t.slots.remove(&self.op) {
+            Some(Some(done)) => Ok(*done),
+            _ if t.closed => Err(OpError::Closed),
+            _ => Err(OpError::Timeout { op: self.op }),
         }
-        // Withdraw the route; if the sink already claimed it the fill is
-        // imminent — take it after all.
-        let late = if self.claim.withdraw() {
-            None
-        } else {
-            self.claim.cell.take_by(Instant::now() + Duration::from_secs(1))
-        };
-        late.ok_or(OpError::Timeout { op: self.claim.op })
+    }
+}
+
+impl Drop for NetTicket {
+    fn drop(&mut self) {
+        crate::sync::lock(&self.inner.completions.table).slots.remove(&self.op);
     }
 }
 
 impl OpTicket for NetTicket {
     fn op(&self) -> OpId {
-        self.claim.op
+        self.op
     }
 
     /// Non-blocking poll. Returns the completion at most once.
     fn try_wait(&mut self) -> Option<Result<OpCompletion, OpError>> {
-        let c = crate::sync::lock(&self.claim.cell.slot).take()?;
-        self.claim.registered = false;
-        Some(Ok(c))
+        let mut t = crate::sync::lock(&self.inner.completions.table);
+        let done = t.slots.get_mut(&self.op)?.take()?;
+        t.slots.remove(&self.op);
+        Some(Ok(*done))
     }
 
     fn wait(self) -> Result<OpCompletion, OpError> {
-        let timeout = *crate::sync::lock(&self.inner.op_timeout);
+        let timeout = Duration::from_nanos(self.inner.op_timeout.load(Ordering::Relaxed));
         self.wait_for(timeout)
     }
 }
@@ -810,17 +761,93 @@ mod tests {
         assert!(!book.faulty.load(Ordering::SeqCst), "healed: a frame pays one load again");
     }
 
+    /// The number of entries in `store`'s completion table.
+    fn entries(store: &NetStore) -> usize {
+        crate::sync::lock(&store.inner.completions.table).slots.len()
+    }
+
+    /// Routes a completion for `op` as the shard loop's sink does.
+    fn complete(store: &NetStore, op: OpId) {
+        store.inner.completions.route(OpCompletion::new(op, ares_types::OpKind::Read, 0, 0));
+    }
+
+    fn read(store: &NetStore) -> NetTicket {
+        store.open_session().submit(ClientCmd::Read { obj: ObjectId(0) }).unwrap()
+    }
+
     #[test]
     fn a_dropped_ticket_and_a_closed_store_leave_no_route() {
         let store = store();
-        let routes = || crate::sync::lock(&store.inner.shared.router).len();
-        let ticket = store.open_session().submit(ClientCmd::Read { obj: ObjectId(0) }).unwrap();
-        assert_eq!(routes(), 1);
+        let ticket = read(&store);
+        assert_eq!(entries(&store), 1);
         drop(ticket);
-        assert_eq!(routes(), 0, "an unwaited ticket withdraws its route");
+        assert_eq!(entries(&store), 0, "an unwaited ticket withdraws its route");
         store.shutdown();
         let submitted = store.open_session().submit(ClientCmd::Read { obj: ObjectId(0) });
         assert!(matches!(submitted, Err(OpError::Closed)), "{submitted:?}");
-        assert_eq!(routes(), 0, "a failed submit withdraws its route");
+        assert_eq!(entries(&store), 0, "a failed submit withdraws its route");
+    }
+
+    #[test]
+    fn a_closed_store_fails_its_waiting_tickets_at_once() {
+        let store = store();
+        let (waited, routed) = (read(&store), read(&store));
+        complete(&store, routed.op());
+        store.shutdown();
+        let start = Instant::now();
+        let got = waited.wait_for(Duration::from_secs(5));
+        assert!(matches!(got, Err(OpError::Closed)), "{got:?}");
+        assert!(start.elapsed() < Duration::from_secs(1), "no completion can arrive: no wait");
+        assert!(routed.wait_for(Duration::ZERO).is_ok(), "a completion routed before stays");
+        assert_eq!(entries(&store), 0);
+    }
+
+    #[test]
+    fn a_completion_whose_ticket_went_still_counts_and_wakes_progress() {
+        let store = store();
+        let (dropped, timed_out) = (read(&store), read(&store));
+        let ops = [dropped.op(), timed_out.op()];
+        drop(dropped);
+        let got = timed_out.wait_for(Duration::from_millis(1));
+        assert!(matches!(got, Err(OpError::Timeout { op }) if op == ops[1]), "{got:?}");
+        for (seen, op) in (0..).zip(ops) {
+            let progress = std::thread::scope(|s| {
+                let waiter = s.spawn(|| store.wait_progress(seen, Duration::from_secs(10)));
+                let deadline = Instant::now() + Duration::from_secs(10);
+                while store.inner.completions.changed.parked() == 0 {
+                    assert!(Instant::now() < deadline, "the waiter never parked");
+                    std::thread::yield_now();
+                }
+                complete(&store, op);
+                waiter.join().unwrap()
+            });
+            assert_eq!(progress, seen + 1, "the completion of {op} counts");
+            assert_eq!(store.completions_routed(), seen + 1);
+            assert_eq!(entries(&store), 0, "the completion of {op} leaves no entry");
+        }
+    }
+
+    #[test]
+    fn a_routed_completion_is_returned_once() {
+        let store = store();
+        let mut ticket = read(&store);
+        assert!(ticket.try_wait().is_none(), "nothing routed yet");
+        complete(&store, ticket.op());
+        assert!(matches!(ticket.try_wait(), Some(Ok(c)) if c.op == ticket.op()));
+        assert_eq!(entries(&store), 0, "a take removes the entry");
+        assert!(ticket.try_wait().is_none(), "returned once");
+        complete(&store, ticket.op());
+        assert!(ticket.try_wait().is_none(), "a second completion finds no slot");
+        assert_eq!(entries(&store), 0);
+    }
+
+    #[test]
+    fn a_ticket_dropped_after_its_completion_arrived_leaves_no_entry() {
+        let store = store();
+        let ticket = read(&store);
+        complete(&store, ticket.op());
+        assert_eq!(entries(&store), 1, "the filled slot waits for its ticket");
+        drop(ticket);
+        assert_eq!(entries(&store), 0);
     }
 }
