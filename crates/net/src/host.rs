@@ -7,14 +7,19 @@
 //! listener accepts all connections; each connection's reader thread
 //! decodes frames and routes every message to a shard with the
 //! [`ares_core::shard`] classification (object-scoped traffic to the
-//! shard owning that object, config-wide traffic to shard 0). Outbound
-//! frames from all shards funnel into one per-peer writer pool whose
-//! writer threads drain their queue in batches: one `write`+`flush`
-//! pair per drained batch, not per frame — latency-neutral when idle
-//! (an empty queue flushes immediately), syscall-collapsing under load.
-//! A thread is woken only when it sleeps: a shard loop parks on its
-//! inbox until its earliest timer, and a writer is woken once per
-//! idle→busy transition of its queue, not once per frame.
+//! shard owning that object, config-wide traffic to shard 0); a shard
+//! loop takes its inbox whole and parks on it only when it has nothing
+//! to do.
+//!
+//! Who writes a frame: a shard loop with nothing else queued sends it
+//! itself, with one nonblocking `send`, when the peer's queue is empty,
+//! nobody writes to the peer, the connection carried a write within
+//! [`IDLE_BEFORE_PEEK`] and the host is not gray. Every other frame, and
+//! the rest of a partial send, goes to the peer's writer thread, which
+//! alone connects, peeks for a FIN and pays a gray host's delay, and
+//! drains its queue in batches: one `write`+`flush` per drained batch,
+//! syscall-collapsing under load. So an idle hop wakes no writer, and a
+//! writer is woken once per idle→busy transition of its queue.
 //!
 //! Clients ([`crate::NetStore`]) use the same machinery with `S = 1`:
 //! their command lanes and completion routing assume one loop.
@@ -33,11 +38,10 @@ use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::io::{self, BufReader, IoSlice, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -66,27 +70,29 @@ pub(crate) struct FrameQueue {
     ready: Signal,
 }
 
+#[derive(Default)]
 struct FrameQueueState {
-    queue: std::collections::VecDeque<Bytes>,
+    queue: VecDeque<Bytes>,
     closed: bool,
     dropped: u64,
     /// When the oldest queued frame was enqueued; `None` while empty.
     /// A growing age means the writer is stalled (dead or throttled
     /// peer) — surfaced per peer in [`PeerOutboundStats`].
     oldest_since: Option<Instant>,
+    /// Set while the writer or an inline send writes to the peer, so
+    /// at most one of them touches the connection at a time.
+    busy: bool,
+    /// The writer's connection and when it last carried a write, by
+    /// the writer or inline; `None` while the writer has none.
+    conn: Option<(Arc<TcpStream>, Instant)>,
+    /// The unsent rest of a frame an inline send began: the writer
+    /// finishes it on `conn`, before anything else, or abandons it.
+    tail: Option<Bytes>,
 }
 
 impl FrameQueue {
     pub(crate) fn new() -> Arc<Self> {
-        Arc::new(FrameQueue {
-            state: Mutex::new(FrameQueueState {
-                queue: std::collections::VecDeque::new(),
-                closed: false,
-                dropped: 0,
-                oldest_since: None,
-            }),
-            ready: Signal::default(),
-        })
+        Arc::new(FrameQueue { state: Mutex::default(), ready: Signal::default() })
     }
 
     /// Enqueues a frame, evicting the oldest queued frame beyond the
@@ -113,22 +119,71 @@ impl FrameQueue {
         evict
     }
 
-    /// Blocks for the next frame(s), draining **everything queued** into
-    /// `out` in one go; `false` once closed and drained. This is what
-    /// the writer batches on: one flush per drained batch.
-    pub(crate) fn pop_batch(&self, out: &mut Vec<Bytes>) -> bool {
+    /// The writer's one call per batch: publishes its connection `conn`
+    /// with its last write and frees the peer for inline sends, then
+    /// blocks until there is work and no inline send is writing, and
+    /// drains **everything queued** into `out` in one go. Returns the
+    /// tail to finish first and when the connection last carried a
+    /// write, or `None` once closed and drained. This is what the writer
+    /// batches on: one flush per drained batch.
+    pub(crate) fn pop_batch(
+        &self,
+        out: &mut Vec<Bytes>,
+        conn: Option<(Arc<TcpStream>, Instant)>,
+    ) -> Option<(Option<Bytes>, Option<Instant>)> {
         let mut st = crate::sync::lock(&self.state);
-        loop {
-            if !st.queue.is_empty() {
-                out.extend(st.queue.drain(..));
-                st.oldest_since = None;
-                return true;
-            }
-            if st.closed {
-                return false;
-            }
-            st = self.ready.wait(st);
+        // Only the writer's own claim can be held here: an inline send
+        // claims a free peer, and the writer has held it since its drain.
+        st.busy = false;
+        st.conn = conn;
+        let work = |st: &FrameQueueState| !st.queue.is_empty() || st.tail.is_some();
+        let mut st = self.ready.wait_until(st, None, |st| !st.busy && (st.closed || work(st)));
+        if !work(&st) {
+            st.conn = None; // the writer's end: its connection closes with it
+            return None;
         }
+        st.busy = true;
+        out.extend(st.queue.drain(..));
+        st.oldest_since = None;
+        Some((st.tail.take(), st.conn.as_ref().map(|(_, at)| *at)))
+    }
+
+    /// A shard loop's write of `frame` to an idle peer, without waking
+    /// its writer: one nonblocking `send` on the writer's connection,
+    /// made only while nothing is queued or being written to the peer
+    /// and the connection carried a write within [`IDLE_BEFORE_PEEK`],
+    /// so it needs no FIN peek. `Err(frame)` if it was not made, else
+    /// the bytes sent. A partly sent frame's rest is left to the writer
+    /// (its `tail`), and an unsent one queues first, whole.
+    fn send_inline(&self, frame: Bytes) -> Result<usize, Bytes> {
+        let mut st = crate::sync::lock(&self.state);
+        let free = !st.busy && st.queue.is_empty() && st.tail.is_none();
+        let fresh = st.conn.as_ref().filter(|(_, at)| free && at.elapsed() < IDLE_BEFORE_PEEK);
+        let Some(conn) = fresh.map(|(s, _)| s.clone()) else { return Err(frame) };
+        st.busy = true;
+        drop(st);
+        let sent = crate::sys::send_nonblocking(&conn, &frame).unwrap_or(0);
+        let mut st = crate::sync::lock(&self.state);
+        st.busy = false;
+        if sent == 0 {
+            // A full or failed socket: the writer sends the frame, and
+            // replaces a broken connection first.
+            st.oldest_since.get_or_insert_with(Instant::now);
+            st.queue.push_front(frame);
+        } else {
+            if let Some((_, at)) = st.conn.as_mut() {
+                *at = Instant::now();
+            }
+            st.tail = (sent < frame.len()).then(|| frame.slice(sent..));
+        }
+        // Frames queued behind the claim, or this one, wait for a writer
+        // that may have parked while the peer was busy.
+        let work = !st.queue.is_empty() || st.tail.is_some();
+        drop(st);
+        if work {
+            self.ready.notify_one();
+        }
+        Ok(sent)
     }
 
     pub(crate) fn close(&self) {
@@ -154,8 +209,8 @@ impl FrameQueue {
     }
 }
 
-/// Outbound-writer counters, shared by every writer thread of a host's
-/// every life.
+/// Outbound-writer counters, shared by every writer thread and inline
+/// send of a host's every life.
 #[derive(Default)]
 pub(crate) struct WriterCounters {
     batches_flushed: AtomicU64,
@@ -169,6 +224,17 @@ pub(crate) struct WriterCounters {
 }
 
 impl WriterCounters {
+    /// Counts one flushed batch of `frames` frames. Frames before
+    /// batches, both SeqCst (and the snapshot loads them in the opposite
+    /// order): a concurrent stats() must never observe frames_sent <
+    /// batches_flushed — every batch carries ≥ 1 frame, and Relaxed
+    /// increments of distinct atomics could be seen reordered on
+    /// weakly-ordered hardware.
+    fn flushed(&self, frames: usize) {
+        self.frames_sent.fetch_add(frames as u64, Ordering::SeqCst);
+        self.batches_flushed.fetch_add(1, Ordering::SeqCst);
+    }
+
     /// Whether the book has the link `from → to` cut; counts the frame
     /// dropped if so.
     fn cut(&self, book: &AddrBook, from: ProcessId, to: ProcessId) -> bool {
@@ -196,12 +262,16 @@ impl PeerPool {
         Arc::new(PeerPool { me, book, queues: Mutex::new(HashMap::new()), counters })
     }
 
-    /// Enqueues an encoded frame for `to`, spawning its writer thread on
-    /// first use. The pool lock is held only for the map lookup/insert —
+    /// Sends an encoded frame to `to`, spawning its writer thread on
+    /// first use. A shard loop that is `idle` (nothing else queued) on a
+    /// host that is not gray writes the frame itself if the peer's
+    /// connection is free ([`FrameQueue::send_inline`]), counted as a
+    /// flushed batch of one frame; otherwise the frame is queued for the
+    /// writer. The pool lock is held only for the map lookup/insert —
     /// never across `thread::spawn` or the queue push — so one sender
     /// making first contact with a new peer cannot stall every
     /// concurrent sender behind the OS thread-creation latency.
-    pub(crate) fn send(&self, to: ProcessId, frame: Bytes) {
+    pub(crate) fn send(&self, to: ProcessId, mut frame: Bytes, idle: bool) {
         if self.counters.cut(&self.book, self.me, to) {
             return; // injected link cut: the frame dies entering the wire
         }
@@ -223,6 +293,14 @@ impl PeerPool {
             let (me, book) = (self.me, self.book.clone());
             let (writer_queue, counters) = (queue.clone(), self.counters.clone());
             std::thread::spawn(move || writer_loop(me, &book, addr, writer_queue, counters));
+        }
+        if idle && self.book.gray_micros(self.me) == 0 {
+            let len = frame.len();
+            match queue.send_inline(frame) {
+                Ok(sent) if sent == len => return self.counters.flushed(1),
+                Ok(_) => return, // the writer finishes or sends it
+                Err(unsent) => frame = unsent,
+            }
         }
         if queue.push(frame) {
             self.counters.evicted.fetch_add(1, Ordering::Relaxed);
@@ -281,6 +359,14 @@ fn peer_closed(s: &TcpStream) -> bool {
     dead | s.set_nonblocking(false).is_err()
 }
 
+/// A connection that carried no write for this long is peeked for a
+/// FIN before its next write ([`peer_closed`]), by the writer only.
+/// Peer-close detection is amortized off the hot path this way: a FIN
+/// racing an active burst surfaces as a write error anyway, and the
+/// silent-loss window needs the connection to have been *idle* across
+/// a crash window.
+const IDLE_BEFORE_PEEK: Duration = Duration::from_millis(2);
+
 /// A drained batch of at most this many bytes is coalesced into the
 /// writer's scratch buffer and leaves in one `write(2)`; a larger one —
 /// any batch holding a coded element of a bulk value — is written by
@@ -330,7 +416,9 @@ fn write_batch(w: &mut impl Write, batch: &[Bytes], scratch: &mut Vec<u8>) -> io
 /// *whole* batch on the fresh connection: the peer tore the old
 /// connection down, so partially-delivered frames vanished with it, and
 /// a duplicated frame is harmless (quorum phases are idempotent and
-/// deduplicate by rpc/op id).
+/// deduplicate by rpc/op id). The rest of a frame an inline send began
+/// goes out first, on the same connection or not at all: on a fresh
+/// one its bytes would not start a frame.
 pub(crate) fn writer_loop(
     me: ProcessId,
     book: &AddrBook,
@@ -338,8 +426,8 @@ pub(crate) fn writer_loop(
     queue: Arc<FrameQueue>,
     counters: Arc<WriterCounters>,
 ) {
-    let mut stream: Option<TcpStream> = None;
-    let connect = |addr: SocketAddr| -> Option<TcpStream> {
+    let mut stream: Option<Arc<TcpStream>> = None;
+    let connect = |addr: SocketAddr| -> Option<Arc<TcpStream>> {
         crate::sync::off_loop("socket connect");
         for backoff_ms in [0u64, 20, 100] {
             if backoff_ms > 0 {
@@ -347,21 +435,16 @@ pub(crate) fn writer_loop(
             }
             if let Ok(s) = TcpStream::connect(addr) {
                 let _ = s.set_nodelay(true);
-                return Some(s);
+                return Some(Arc::new(s));
             }
         }
         None
     };
-    // Peer-close detection is amortized off the hot path: a FIN racing
-    // an active burst surfaces as a write error anyway (handled below);
-    // the silent-loss window needs the connection to have been *idle*
-    // across a crash window, so only the first batch after an idle gap
-    // pays the peek syscalls.
-    const IDLE_BEFORE_PEEK: Duration = Duration::from_millis(2);
     let mut last_write: Option<Instant> = None;
     let mut batch: Vec<Bytes> = Vec::new();
     let mut scratch = Vec::new();
-    while queue.pop_batch(&mut batch) {
+    while let Some((tail, at)) = queue.pop_batch(&mut batch, stream.clone().zip(last_write)) {
+        last_write = at;
         // Gray-node throttle: a slowed host pays the injected latency
         // once per drained batch before it touches the socket, so its
         // traffic still flows — late, like a wheezing NIC, not never.
@@ -369,10 +452,26 @@ pub(crate) fn writer_loop(
         if slow > 0 {
             crate::sync::sleep(Duration::from_micros(slow));
         }
+        if let Some(tail) = tail {
+            let mut on = stream.as_deref();
+            match on.as_mut().map(|s| write_batch(s, std::slice::from_ref(&tail), &mut scratch)) {
+                Some(Ok(())) => {
+                    last_write = Some(Instant::now());
+                    counters.flushed(1);
+                }
+                _ => {
+                    counters.frames_abandoned.fetch_add(1, Ordering::Relaxed);
+                    stream = None;
+                }
+            }
+        }
+        if batch.is_empty() {
+            continue; // a tail alone
+        }
         let mut sent = false;
         for _attempt in 0..2 {
             let idle = last_write.is_none_or(|t| t.elapsed() >= IDLE_BEFORE_PEEK);
-            if idle && stream.as_ref().is_some_and(peer_closed) {
+            if idle && stream.as_deref().is_some_and(peer_closed) {
                 // The peer hung up (e.g. a crash window severed us):
                 // writing would buffer into a dead socket and lose the
                 // batch without an error. Reconnect first.
@@ -381,17 +480,10 @@ pub(crate) fn writer_loop(
             if stream.is_none() {
                 stream = connect(addr);
             }
-            let Some(s) = stream.as_mut() else { break };
-            if write_batch(s, &batch, &mut scratch).is_ok() {
+            let Some(mut s) = stream.as_deref() else { break };
+            if write_batch(&mut s, &batch, &mut scratch).is_ok() {
                 last_write = Some(Instant::now());
-                // Frames before batches, both SeqCst (and the snapshot
-                // loads them in the opposite order): a concurrent
-                // stats() must never observe frames_sent <
-                // batches_flushed — every batch carries ≥ 1 frame, and
-                // Relaxed increments of distinct atomics could be seen
-                // reordered on weakly-ordered hardware.
-                counters.frames_sent.fetch_add(batch.len() as u64, Ordering::SeqCst);
-                counters.batches_flushed.fetch_add(1, Ordering::SeqCst);
+                counters.flushed(batch.len());
                 sent = true;
                 break;
             }
@@ -452,8 +544,8 @@ impl Admission {
 /// Backpressure threshold for each shard's inbound event queue: reader
 /// threads stall (propagating TCP backpressure to the peer) while this
 /// many network events are waiting on one shard, so a fast or hostile
-/// peer cannot grow the unbounded mpsc queue — and the decoded frames
-/// it holds — without limit. Local events (self-sends, injections)
+/// peer cannot grow the unbounded inbox — and the decoded frames it
+/// holds — without limit. Local events (self-sends, injections)
 /// bypass the gate; they are intrinsically bounded.
 const INBOUND_HIGH_WATER: usize = 4096;
 
@@ -626,9 +718,37 @@ impl HostBase {
 /// it, and its counters. One life's host, reader threads and event
 /// loops share one slice of them, indexed by shard.
 struct Shard {
-    tx: Sender<Event>,
+    inbox: Inbox,
     inbound: AtomicUsize,
     counters: Arc<ShardCounters>,
+}
+
+/// A shard's inbox: any thread pushes, and only the shard's loop takes,
+/// always everything queued at once.
+#[derive(Default)]
+struct Inbox {
+    events: Mutex<VecDeque<Event>>,
+    ready: Signal,
+}
+
+impl Inbox {
+    fn push(&self, ev: Event) {
+        crate::sync::lock(&self.events).push_back(ev);
+        self.ready.notify_one();
+    }
+
+    /// Moves everything queued into the loop's empty `batch`.
+    fn take(&self, batch: &mut VecDeque<Event>) {
+        std::mem::swap(&mut *crate::sync::lock(&self.events), batch);
+    }
+
+    /// [`Inbox::take`] once something is queued or `deadline` passes:
+    /// the loop's one park point (DESIGN.md §9).
+    fn park(&self, batch: &mut VecDeque<Event>, deadline: Option<Instant>) {
+        let events = crate::sync::lock(&self.events);
+        let mut events = self.ready.park_loop(events, deadline, |q| !q.is_empty());
+        std::mem::swap(&mut *events, batch);
+    }
 }
 
 /// One life of a sharded actor host: `S` event loops behind the base's
@@ -647,8 +767,8 @@ pub(crate) struct ShardedHost<A: Actor<Msg> + Send + 'static> {
     conns: Conns,
     /// Each returns its shard's actor and log when the loop ends.
     threads: Vec<JoinHandle<ShardState<A>>>,
-    /// Disconnects when the accept thread ends.
-    accept_ended: Receiver<()>,
+    /// Finishes once the listener is closed to this life.
+    accept: JoinHandle<()>,
 }
 
 type Conns = Arc<Mutex<HashMap<u64, TcpStream>>>;
@@ -664,16 +784,13 @@ impl<A: Actor<Msg> + Send + 'static> ShardedHost<A> {
         let shutdown = Arc::new(AtomicBool::new(false));
         let pool = PeerPool::new(base.pid, base.book.clone(), base.writers.clone());
 
-        // Build every shard's channel first so each event loop can be
+        // Build every shard's inbox first so each event loop can be
         // handed the whole table (cross-shard self-sends route through
         // it: a server forwarding a coded element to itself must land
         // on the *object's* shard, which may not be its own).
-        let (txs, rxs): (Vec<_>, Vec<_>) = actors.iter().map(|_| mpsc::channel()).unzip();
-        let shards: Arc<[Shard]> = txs
-            .into_iter()
-            .zip(&base.shards)
-            .map(|(tx, counters)| Shard {
-                tx,
+        let shards: Arc<[Shard]> = (base.shards.iter())
+            .map(|counters| Shard {
+                inbox: Inbox::default(),
                 inbound: AtomicUsize::new(0),
                 counters: counters.clone(),
             })
@@ -682,7 +799,7 @@ impl<A: Actor<Msg> + Send + 'static> ShardedHost<A> {
         // One event loop per shard.
         let mut completions = completions;
         let mut threads = Vec::new();
-        for (si, ((actor, wal), rx)) in actors.into_iter().zip(rxs).enumerate() {
+        for (si, (actor, wal)) in actors.into_iter().enumerate() {
             let (pid, epoch) = (base.pid, base.epoch);
             let shards = shards.clone();
             let pool = pool.clone();
@@ -690,24 +807,19 @@ impl<A: Actor<Msg> + Send + 'static> ShardedHost<A> {
             // single-sharded; hand the sink to shard 0.
             let sink = if si == 0 { completions.take() } else { None };
             threads.push(std::thread::spawn(move || {
-                event_loop(pid, si, actor, wal, rx, shards, pool, epoch, sink)
+                event_loop(pid, si, actor, wal, shards, pool, epoch, sink)
             }));
         }
 
         let conns = Conns::default();
-        let (ending, accept_ended) = mpsc::channel();
-        {
+        let accept = {
             let (base, shards, shutdown) = (base.clone(), shards.clone(), shutdown.clone());
             let conns = conns.clone();
-            std::thread::spawn(move || {
-                accept_loop(&base, shards, &shutdown, &conns);
-                // The base goes first: once a dropped node's shutdown
-                // returns, its listener is closed.
-                drop(base);
-                drop::<Sender<()>>(ending);
-            });
-        }
-        ShardedHost { base, shards, shutdown, pool, conns, threads, accept_ended }
+            // The thread's base goes with it: once a dropped node's
+            // shutdown returns, its listener is closed.
+            std::thread::spawn(move || accept_loop(&base, shards, &shutdown, &conns))
+        };
+        ShardedHost { base, shards, shutdown, pool, conns, threads, accept }
     }
 
     /// Frames this host's base has dropped on cut links.
@@ -717,9 +829,13 @@ impl<A: Actor<Msg> + Send + 'static> ShardedHost<A> {
 
     /// Injects a message as if delivered from `from`, routed like any
     /// other traffic (an environment repair trigger for object `o`
-    /// lands on `o`'s shard).
-    pub(crate) fn inject(&self, from: ProcessId, msg: Msg) {
-        route_delivery(&self.shards, from, msg, None);
+    /// lands on `o`'s shard). A handle, so a caller's guard on the host
+    /// is released before it takes an inbox lock.
+    pub(crate) fn injector(&self) -> impl Fn(ProcessId, Msg) {
+        let shards = self.shards.clone();
+        move |from, msg| {
+            route_delivery(&shards, from, msg, None);
+        }
     }
 
     /// Ends this life and returns each shard's actor and log once its
@@ -731,7 +847,7 @@ impl<A: Actor<Msg> + Send + 'static> ShardedHost<A> {
     pub(crate) fn shutdown(self) -> Vec<ShardState<A>> {
         self.shutdown.store(true, Ordering::SeqCst);
         for s in self.shards.iter() {
-            let _ = s.tx.send(Event::Shutdown);
+            s.inbox.push(Event::Shutdown);
         }
         // Unblock the accept loop: flip the shared socket nonblocking
         // (future accepts return immediately) and poke it with a
@@ -741,7 +857,10 @@ impl<A: Actor<Msg> + Send + 'static> ShardedHost<A> {
         // the poke, and shutdown must still return.
         let _ = self.base.listener.set_nonblocking(true);
         let _ = TcpStream::connect_timeout(&self.base.local_addr, Duration::from_millis(200));
-        let _ = self.accept_ended.recv_timeout(Duration::from_secs(1));
+        let deadline = Instant::now() + Duration::from_secs(1);
+        while !self.accept.is_finished() && Instant::now() < deadline {
+            crate::sync::sleep(Duration::from_millis(1));
+        }
         // Peers see the FIN now, not at their next frame, and reconnect
         // into the backlog of the node's next life.
         for (_, c) in crate::sync::lock(&self.conns).drain() {
@@ -854,6 +973,10 @@ type TimerHeap = BinaryHeap<Reverse<(Instant, u64)>>;
 /// fires the shard's timers, and maps the drained [`HostEffect`]s onto
 /// sockets, the timer heap and the completion log.
 ///
+/// The loop takes its inbox whole and applies what it took before it
+/// looks again, so it knows an event with nothing queued behind it is
+/// `idle`: its frames may be written inline ([`PeerPool::send`]).
+///
 /// A due timer fires behind the deliveries already queued when it fell
 /// due, and is never starved by a busy inbox: the loop notes the
 /// shard's inbound backlog at that moment, and every timer due by then
@@ -874,16 +997,17 @@ fn event_loop<A: Actor<Msg> + Send + 'static>(
     shard: usize,
     mut actor: A,
     mut wal: Option<ShardWal<A>>,
-    rx: Receiver<Event>,
     shards: Arc<[Shard]>,
     pool: Arc<PeerPool>,
     epoch: Instant,
     completions: Option<CompletionSink>,
 ) -> ShardState<A> {
     crate::sync::mark_loop();
-    let Some(Shard { inbound, counters, .. }) = shards.get(shard) else { return (actor, wal) };
+    let Some(Shard { inbox, inbound, counters }) = shards.get(shard) else { return (actor, wal) };
     let mut rng = StdRng::seed_from_u64(pid.0 as u64 ^ 0xA1E5_0000 ^ ((shard as u64) << 40));
     let mut timers = TimerHeap::new();
+    // What the loop took from its inbox and has not applied yet.
+    let mut batch = VecDeque::new();
     // Once the earliest timer is due: when that was noticed, and the
     // counted deliveries still to apply before the timers due by then.
     let mut due: Option<(Instant, usize)> = None;
@@ -894,48 +1018,38 @@ fn event_loop<A: Actor<Msg> + Send + 'static>(
                 due = Some((now, inbound.load(Ordering::SeqCst)));
             }
         }
+        if batch.is_empty() {
+            inbox.take(&mut batch);
+        }
         let next = match due {
-            Some((_, 0)) => Err(TryRecvError::Empty),
-            _ => rx.try_recv(),
+            Some((_, 0)) => None,
+            _ => batch.pop_front(),
         };
-        let ev = match next {
-            Ok(ev) => ev,
-            Err(TryRecvError::Disconnected) => break,
-            Err(TryRecvError::Empty) => {
-                if let Some((noticed, _)) = due.take() {
-                    while let Some(&Reverse((deadline, token))) = timers.peek() {
-                        if deadline > noticed {
-                            break;
-                        }
-                        timers.pop();
-                        counters.events_applied.fetch_add(1, Ordering::SeqCst);
-                        let now: Time = epoch.elapsed().as_micros() as Time;
-                        let mut ctx = Ctx::detached(pid, now, &mut rng);
-                        actor.on_timer(token, &mut ctx);
-                        let effects = ctx.take_effects();
-                        apply(pid, effects, &shards, &pool, &mut timers, &completions);
+        let Some(ev) = next else {
+            if let Some((noticed, _)) = due.take() {
+                while let Some(&Reverse((deadline, token))) = timers.peek() {
+                    if deadline > noticed {
+                        break;
                     }
-                    continue;
+                    timers.pop();
+                    counters.events_applied.fetch_add(1, Ordering::SeqCst);
+                    let now: Time = epoch.elapsed().as_micros() as Time;
+                    let mut ctx = Ctx::detached(pid, now, &mut rng);
+                    actor.on_timer(token, &mut ctx);
+                    let effects = ctx.take_effects();
+                    let idle = batch.is_empty();
+                    apply(pid, effects, &shards, &pool, &mut timers, &completions, idle);
                 }
-                // Going idle: flush the journal's group-commit batch
-                // before parking, so batched fsync never leaves
-                // acknowledged records unsynced across an idle gap.
-                if let Some(w) = wal.as_mut() {
-                    w.idle_sync();
-                }
-                // Until the earliest deadline; `Duration::MAX` (no timer
-                // armed) waits like `recv`.
-                let park_for = timers.peek().map_or(Duration::MAX, |Reverse((deadline, _))| {
-                    deadline.saturating_duration_since(Instant::now())
-                });
-                // The loop's own park point, and its only inbox receive:
-                // it owns the one `Receiver`.
-                match rx.recv_timeout(park_for) {
-                    Ok(ev) => ev,
-                    Err(RecvTimeoutError::Timeout) => continue,
-                    Err(RecvTimeoutError::Disconnected) => break,
-                }
+                continue;
             }
+            // Going idle: flush the journal's group-commit batch
+            // before parking, so batched fsync never leaves
+            // acknowledged records unsynced across an idle gap.
+            if let Some(w) = wal.as_mut() {
+                w.idle_sync();
+            }
+            inbox.park(&mut batch, timers.peek().map(|Reverse((deadline, _))| *deadline));
+            continue;
         };
         match ev {
             Event::Shutdown => break,
@@ -971,7 +1085,8 @@ fn event_loop<A: Actor<Msg> + Send + 'static>(
                 if mirror {
                     effects.retain(|e| !matches!(e, HostEffect::Send { .. }));
                 }
-                apply(pid, effects, &shards, &pool, &mut timers, &completions);
+                let idle = batch.is_empty();
+                apply(pid, effects, &shards, &pool, &mut timers, &completions, idle);
             }
         }
     }
@@ -989,7 +1104,7 @@ fn event_loop<A: Actor<Msg> + Send + 'static>(
 /// A network frame (`stop` set) is `counted`: it waits while the routed
 /// shard's inbox holds [`INBOUND_HIGH_WATER`] of them, stalling its
 /// connection and, through TCP, the peer, and gives up once `stop`
-/// holds. Returns `false` if it gave up or the routed shard is gone.
+/// holds. Returns `false` if it gave up.
 fn route_delivery(
     shards: &[Shard],
     from: ProcessId,
@@ -1016,20 +1131,14 @@ fn route_delivery(
     if route(&msg) == ShardRoute::EveryShard {
         for (_, other) in shards.iter().enumerate().filter(|(i, _)| *i != si) {
             let copy = Event::Deliver { from, msg: msg.clone(), counted: false, mirror: true };
-            let _ = other.tx.send(copy);
+            other.inbox.push(copy);
         }
     }
     // frames_routed is counted by the shard as it *applies* the
     // delivery, not here: a snapshot must never observe a routed frame
     // that has not yet been applied (events_applied ≥ frames_routed is
     // an invariant tests rely on).
-    let counted = stop.is_some();
-    if shard.tx.send(Event::Deliver { from, msg, counted, mirror: false }).is_err() {
-        if counted {
-            shard.inbound.fetch_sub(1, Ordering::SeqCst);
-        }
-        return false;
-    }
+    shard.inbox.push(Event::Deliver { from, msg, counted: stop.is_some(), mirror: false });
     true
 }
 
@@ -1040,6 +1149,7 @@ fn apply(
     pool: &PeerPool,
     timers: &mut TimerHeap,
     completions: &Option<CompletionSink>,
+    idle: bool,
 ) {
     // Encode-once/send-many: a quorum broadcast arrives here as a run of
     // `Send` effects whose messages are clones sharing one payload
@@ -1076,7 +1186,7 @@ fn apply(
                         Err(_) => continue,
                     },
                 };
-                pool.send(to, frame);
+                pool.send(to, frame, idle);
             }
             HostEffect::SetTimer { delay, token } => {
                 timers.push(Reverse((Instant::now() + Duration::from_micros(delay), token)));
@@ -1097,6 +1207,7 @@ mod tests {
     use ares_dap::{DapBody, DapMsg, Hdr};
     use ares_types::{ConfigId, OpId, RpcId, Tag, Value};
     use std::io::Read;
+    use std::sync::mpsc::{self, Receiver, Sender};
 
     fn write_msg(value: Value) -> Msg {
         Msg::Dap(DapMsg::new(
@@ -1124,15 +1235,15 @@ mod tests {
         assert_eq!(q.dropped(), 5, "excess frames dropped");
         // Drop-oldest: the first frame still queued is frame 5.
         let mut batch = Vec::new();
-        assert!(q.pop_batch(&mut batch));
+        assert!(q.pop_batch(&mut batch, None).is_some());
         assert_eq!(batch.len(), OUTBOUND_HIGH_WATER, "one drain takes the whole backlog");
         assert_eq!(batch[0].as_ref(), &5u32.to_be_bytes());
         q.close();
         // Closed queues drain what they hold, then end.
         batch.clear();
-        assert!(!q.pop_batch(&mut batch));
+        assert!(q.pop_batch(&mut batch, None).is_none());
         q.push(frame_of(0)); // push-after-close is a no-op
-        assert!(!q.pop_batch(&mut batch));
+        assert!(q.pop_batch(&mut batch, None).is_none());
         assert!(batch.is_empty());
     }
 
@@ -1304,7 +1415,7 @@ mod tests {
         let pool = PeerPool::new(ME, book, Arc::default());
         let frame = Bytes::from(vec![0u8; 64]);
         for _ in 0..(3 * OUTBOUND_HIGH_WATER) {
-            pool.send(ProcessId(2), frame.clone());
+            pool.send(ProcessId(2), frame.clone(), true);
         }
         assert!(
             pool.queue(ProcessId(2)).len() <= OUTBOUND_HIGH_WATER,
@@ -1313,6 +1424,166 @@ mod tests {
         assert!(pool.queue(ProcessId(2)).dropped() > 0, "overflow drops, not growth");
         let evicted = pool.counters.evicted.load(Ordering::Relaxed);
         assert!(evicted > 0, "drop-oldest evictions must surface in the stats snapshot");
+    }
+
+    /// The peer every inline-send test writes to.
+    const PEER: ProcessId = ProcessId(2);
+
+    /// A listener for [`PEER`] and `ME`'s pool toward it, `ME` gray
+    /// if `gray`.
+    fn pool_to_peer(gray: bool) -> (TcpListener, Arc<PeerPool>) {
+        let peer = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = peer.local_addr().unwrap();
+        let book = AddrBook::from_entries([(PEER, addr), (ME, addr)]);
+        if gray {
+            book.apply(&ares_sim::FaultAction::Grayify { pid: ME, factor: 2 });
+        }
+        (peer, pool(book))
+    }
+
+    /// Waits until `q`'s writer has parked with nothing left to do, its
+    /// connection published.
+    fn until_parked(q: &FrameQueue) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            let st = crate::sync::lock(&q.state);
+            if !st.busy && st.queue.is_empty() && st.tail.is_none() && q.ready.parked() > 0 {
+                return;
+            }
+            drop(st);
+            assert!(Instant::now() < deadline, "the writer never parked");
+            std::thread::yield_now();
+        }
+    }
+
+    /// Marks `q`'s connection as written just now, so a test of what an
+    /// inline send writes does not hang on the scheduler.
+    fn touch(q: &FrameQueue) {
+        let mut st = crate::sync::lock(&q.state);
+        let (_, at) = st.conn.as_mut().expect("a published connection");
+        *at = Instant::now();
+    }
+
+    /// Accepts the next connection within 10 s.
+    fn accept_within(listener: &TcpListener) -> TcpStream {
+        listener.set_nonblocking(true).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            match listener.accept() {
+                Ok((s, _)) => {
+                    s.set_nonblocking(false).unwrap();
+                    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+                    return s;
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    assert!(Instant::now() < deadline, "no connection came");
+                    crate::sync::sleep(Duration::from_millis(1));
+                }
+                Err(e) => panic!("accept failed: {e}"),
+            }
+        }
+    }
+
+    #[test]
+    fn an_idle_request_and_reply_wake_no_writer() {
+        // The gate for the inline path: a shard loop with nothing else
+        // queued writes its reply itself, so the hop wakes no writer.
+        let (peer, pool) = pool_to_peer(false);
+        let (log, _logged) = mpsc::channel();
+        let script = |_, ctx: &mut Ctx<'_, Msg>| ctx.send(PEER, write_msg(Value::filler(8, 1)));
+        let shards = one_shard(vec![deliver(1, false)]);
+        let shard = run_shard(Scripted { script, log }, None, shards.clone(), pool.clone(), None);
+        let mut from_shard = BufReader::new(accept_within(&peer));
+        read_frame(&mut from_shard).unwrap().expect("the writer's first reply");
+        let q = pool.queue(PEER);
+        let (mut last_push, mut idle_rounds) = (Instant::now(), 0);
+        for _ in 0..200 {
+            until_parked(&q);
+            let wakes = q.ready.wakes();
+            let pushed = Instant::now();
+            shards[0].inbox.push(deliver(1, false));
+            read_frame(&mut from_shard).unwrap().expect("a reply");
+            // A round the scheduler stretched past the window is not
+            // idle by the rule, and proves nothing either way.
+            if last_push.elapsed() < IDLE_BEFORE_PEEK {
+                assert_eq!(q.ready.wakes(), wakes, "an idle hop woke the writer");
+                idle_rounds += 1;
+            }
+            last_push = pushed;
+            if idle_rounds == 5 {
+                break;
+            }
+        }
+        assert_eq!(idle_rounds, 5, "five idle rounds within 200");
+        shards[0].inbox.push(Event::Shutdown);
+        shard.join().unwrap();
+    }
+
+    #[test]
+    fn a_connection_idle_past_the_peek_window_is_never_written_inline() {
+        // The peer closes a connection that then sits idle: a frame
+        // written into it would be lost without an error, so the next
+        // one must go through the writer's FIN peek and a reconnection.
+        let (peer, pool) = pool_to_peer(false);
+        pool.send(PEER, frame_of(1), true);
+        let mut first = accept_within(&peer);
+        first.read_exact(&mut [0u8; 4]).unwrap();
+        until_parked(&pool.queue(PEER));
+        drop(first);
+        crate::sync::sleep(2 * IDLE_BEFORE_PEEK);
+        pool.send(PEER, frame_of(2), true);
+        let mut got = [0u8; 4];
+        accept_within(&peer).read_exact(&mut got).unwrap();
+        assert_eq!(got, 2u32.to_be_bytes(), "the next frame arrives on the reconnection");
+    }
+
+    #[test]
+    fn inline_and_queued_frames_arrive_in_order_through_a_partial_send() {
+        let (peer, pool) = pool_to_peer(false);
+        // More than a loopback connection buffers while nobody reads:
+        // the inline send takes what fits, and the writer the rest.
+        let big = Value::filler(8 << 20, 1).bytes().clone();
+        let frames = [frame_of(0), big.clone(), frame_of(2), frame_of(3), frame_of(4), frame_of(5)];
+        pool.send(PEER, frames[0].clone(), true); // no connection yet: the writer's
+        let q = pool.queue(PEER);
+        let mut conn = accept_within(&peer);
+        until_parked(&q);
+        touch(&q);
+        let sent = q.send_inline(big).expect("a free, fresh connection is written inline");
+        assert!(0 < sent && sent < frames[1].len(), "a partial send: {sent} bytes");
+        pool.send(PEER, frames[2].clone(), true); // queued behind the tail
+        pool.send(PEER, frames[3].clone(), false);
+        let expected: Vec<u8> = frames.concat();
+        let reader = std::thread::spawn(move || {
+            let mut got = vec![0u8; expected.len()];
+            conn.read_exact(&mut got).unwrap();
+            assert!(got == expected, "every frame arrived whole and in order");
+        });
+        until_parked(&q);
+        assert!(crate::sync::lock(&q.state).tail.is_none(), "the writer finished the tail");
+        touch(&q);
+        assert_eq!(q.send_inline(frames[4].clone()), Ok(4), "a whole inline send");
+        pool.send(PEER, frames[5].clone(), false);
+        reader.join().unwrap();
+        assert_eq!(pool.counters.frames_abandoned.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn a_gray_host_writes_nothing_inline() {
+        let (peer, pool) = pool_to_peer(true);
+        pool.send(PEER, frame_of(1), true);
+        let mut conn = accept_within(&peer);
+        let q = pool.queue(PEER);
+        for i in 2..5u32 {
+            until_parked(&q);
+            touch(&q);
+            let wakes = q.ready.wakes();
+            pool.send(PEER, frame_of(i), true);
+            assert_eq!(q.ready.wakes(), wakes + 1, "a gray host's frame goes to the writer");
+        }
+        let mut got = [0u8; 16];
+        conn.read_exact(&mut got).unwrap();
+        assert_eq!(got.to_vec(), (1..5u32).flat_map(u32::to_be_bytes).collect::<Vec<_>>());
     }
 
     #[test]
@@ -1330,7 +1601,7 @@ mod tests {
         let pool = PeerPool::new(me, Arc::new(AddrBook::new()), Arc::default());
         let mut timers = TimerHeap::new();
         let before = codec::frames_encoded();
-        apply(me, effects, &shards, &pool, &mut timers, &None);
+        apply(me, effects, &shards, &pool, &mut timers, &None, false);
         assert_eq!(
             codec::frames_encoded() - before,
             1,
@@ -1346,7 +1617,7 @@ mod tests {
             })
             .collect();
         let before = codec::frames_encoded();
-        apply(me, effects, &shards, &pool, &mut timers, &None);
+        apply(me, effects, &shards, &pool, &mut timers, &None, false);
         assert_eq!(codec::frames_encoded() - before, 5);
     }
 
@@ -1380,7 +1651,7 @@ mod tests {
             let q = q.clone();
             std::thread::spawn(move || {
                 let mut batch = Vec::new();
-                while q.pop_batch(&mut batch) {
+                while q.pop_batch(&mut batch, None).is_some() {
                     drained_tx.send(batch.len()).unwrap();
                     batch.clear();
                     let _ = released.recv(); // busy writing the batch
@@ -1415,7 +1686,7 @@ mod tests {
             let (q, got) = (q.clone(), got.clone());
             std::thread::spawn(move || {
                 let mut batch = Vec::new();
-                while q.pop_batch(&mut batch) {
+                while q.pop_batch(&mut batch, None).is_some() {
                     got.fetch_add(batch.len() as u64, Ordering::Relaxed);
                     batch.clear();
                 }
@@ -1448,9 +1719,7 @@ mod tests {
 
     #[test]
     fn a_full_inbox_holds_network_deliveries_back_but_never_local_ones() {
-        let (tx, rx) = mpsc::channel();
-        let shards: Arc<[Shard]> =
-            Arc::new([Shard { tx, inbound: AtomicUsize::new(0), counters: Arc::default() }]);
+        let shards = one_shard(vec![]);
         let shard = &shards[0];
         let (never, always) = (|| false, || true);
         let msg = || write_msg(Value::from_static(b"x"));
@@ -1467,7 +1736,9 @@ mod tests {
         assert!(!held.is_finished(), "a full inbox holds the reader back");
         assert_eq!(shard.inbound.load(Ordering::SeqCst), INBOUND_HIGH_WATER);
         // Consume one as the shard loop does.
-        assert!(matches!(rx.recv().unwrap(), Event::Deliver { counted: true, .. }));
+        let mut taken = VecDeque::new();
+        shard.inbox.take(&mut taken);
+        assert!(matches!(taken.pop_front(), Some(Event::Deliver { counted: true, .. })));
         shard.inbound.fetch_sub(1, Ordering::SeqCst);
         assert!(held.join().unwrap(), "the held delivery went in once there was room");
         assert_eq!(shard.inbound.load(Ordering::SeqCst), INBOUND_HIGH_WATER);
@@ -1476,7 +1747,10 @@ mod tests {
         // A local delivery is never held back, and is not counted.
         assert!(route_delivery(&shards, ProcessId(1), msg(), None));
         assert_eq!(shard.inbound.load(Ordering::SeqCst), INBOUND_HIGH_WATER);
-        let queued: Vec<_> = rx.try_iter().collect();
+        let mut queued = Vec::from(taken);
+        let mut rest = VecDeque::new();
+        shard.inbox.take(&mut rest);
+        queued.extend(rest);
         let counted = queued.iter().filter(|e| matches!(e, Event::Deliver { counted: true, .. }));
         assert_eq!(counted.count(), INBOUND_HIGH_WATER, "the stopped delivery never went in");
         assert!(matches!(queued[..], [.., Event::Deliver { counted: false, .. }]), "local last");
@@ -1525,42 +1799,58 @@ mod tests {
     /// The pid of every test shard below.
     const ME: ProcessId = ProcessId(99);
 
+    /// A one-shard table whose inbox already holds `queued`, its
+    /// network deliveries counted.
+    fn one_shard(queued: Vec<Event>) -> Arc<[Shard]> {
+        let shard = Shard {
+            inbox: Inbox::default(),
+            inbound: AtomicUsize::new(0),
+            counters: Arc::default(),
+        };
+        for ev in queued {
+            let counted = matches!(ev, Event::Deliver { counted: true, .. });
+            shard.inbound.fetch_add(usize::from(counted), Ordering::SeqCst);
+            shard.inbox.push(ev);
+        }
+        Arc::new([shard])
+    }
+
+    /// `ME`'s outbound pool over `book`.
+    fn pool(book: AddrBook) -> Arc<PeerPool> {
+        PeerPool::new(ME, Arc::new(book), Arc::default())
+    }
+
     /// Runs the real shard loop of `ME` for `actor` on its own thread,
-    /// sending through a pool over `book`; its inbox, holding `inbound`
-    /// network deliveries, loops back to itself.
+    /// serving the one inbox of `shards` (its self-sends loop back to
+    /// it) and sending through `pool`.
     fn run_shard<A: Actor<Msg> + Send + 'static>(
         actor: A,
         wal: Option<ShardWal<A>>,
-        (tx, rx): (Sender<Event>, Receiver<Event>),
-        inbound: usize,
-        book: AddrBook,
+        shards: Arc<[Shard]>,
+        pool: Arc<PeerPool>,
         completions: Option<CompletionSink>,
     ) -> JoinHandle<ShardState<A>> {
-        let pool = PeerPool::new(ME, Arc::new(book), Arc::default());
-        let inbound = AtomicUsize::new(inbound);
-        let shards = Arc::new([Shard { tx, inbound, counters: Arc::default() }]);
         std::thread::spawn(move || {
-            event_loop(ME, 0, actor, wal, rx, shards, pool, Instant::now(), completions)
+            event_loop(ME, 0, actor, wal, shards, pool, Instant::now(), completions)
         })
     }
 
+    /// What a [`Recorder`] logged: each delivery's sender, `None` per
+    /// timer fire.
+    type Logged = Receiver<Option<ProcessId>>;
+
     /// Starts a shard loop for a [`Recorder`] whose inbox already holds
-    /// `queued`; returns the inbox, the loop thread and the log.
+    /// `queued`; returns the shard, the loop thread and the log.
     fn recorder_shard(
         delay: Time,
         echoes: u32,
         queued: Vec<Event>,
-    ) -> (Sender<Event>, JoinHandle<ShardState<Recorder>>, Receiver<Option<ProcessId>>) {
+    ) -> (Arc<[Shard]>, JoinHandle<ShardState<Recorder>>, Logged) {
         let (log, logged) = mpsc::channel();
         let actor = Recorder { delay, echoes, armed: false, fired: false, log };
-        let (tx, rx) = mpsc::channel();
-        let mut inbound = 0;
-        for ev in queued {
-            inbound += usize::from(matches!(ev, Event::Deliver { counted: true, .. }));
-            tx.send(ev).unwrap();
-        }
-        let shard = run_shard(actor, None, (tx.clone(), rx), inbound, AddrBook::new(), None);
-        (tx, shard, logged)
+        let shards = one_shard(queued);
+        let shard = run_shard(actor, None, shards.clone(), pool(AddrBook::new()), None);
+        (shards, shard, logged)
     }
 
     /// A timer armed at once by the first of `1 + backlog` queued
@@ -1568,12 +1858,12 @@ mod tests {
     fn log_until_timer(backlog: u32, echoes: u32) -> Vec<Option<ProcessId>> {
         let queued =
             std::iter::once(deliver(0, false)).chain((1..=backlog).map(|i| deliver(i, true)));
-        let (tx, shard, logged) = recorder_shard(0, echoes, queued.collect());
+        let (shards, shard, logged) = recorder_shard(0, echoes, queued.collect());
         let mut log = Vec::new();
         while log.last() != Some(&None) {
             log.push(logged.recv_timeout(Duration::from_secs(10)).expect("the due timer fired"));
         }
-        tx.send(Event::Shutdown).unwrap();
+        shards[0].inbox.push(Event::Shutdown);
         shard.join().unwrap();
         log
     }
@@ -1606,11 +1896,11 @@ mod tests {
         let (_, first, logged) =
             recorder_shard(50_000, 0, vec![deliver(0, false), Event::Shutdown]);
         let (actor, wal) = first.join().unwrap();
-        let (tx, rx) = mpsc::channel();
-        let second = run_shard(actor, wal, (tx.clone(), rx), 0, AddrBook::new(), None);
+        let shards = one_shard(vec![]);
+        let second = run_shard(actor, wal, shards.clone(), pool(AddrBook::new()), None);
         crate::sync::sleep(Duration::from_millis(200)); // well past the deadline
-        tx.send(deliver(1, false)).unwrap();
-        tx.send(Event::Shutdown).unwrap();
+        shards[0].inbox.push(deliver(1, false));
+        shards[0].inbox.push(Event::Shutdown);
         second.join().unwrap();
         let log: Vec<_> = logged.try_iter().collect();
         assert_eq!(log, vec![Some(ProcessId(0)), Some(ProcessId(1))], "no fire in the next life");
@@ -1634,16 +1924,20 @@ mod tests {
             recover_server(ME, registry, dir.path(), &config, Arc::default()).unwrap();
         let put = write_msg(Value::filler(8, 1));
         assert!(wal.journal(ProcessId(2), &put, &actor), "a DAP put is served from memory");
-        let (tx, rx) = mpsc::channel();
-        let shard = run_shard(actor, Some(wal), (tx.clone(), rx), 0, book, None);
+        let shards = one_shard(vec![]);
+        let shard = run_shard(actor, Some(wal), shards.clone(), pool(book), None);
         let op = OpId { client: ProcessId(2), seq: 1 };
         let ballot = Ballot { round: 1, proposer: ProcessId(2) };
         let prepare = Msg::Con(ConMsg::Prepare { inst: ConfigId(0), rpc: RpcId(1), ballot, op });
         let hdr = Hdr { cfg: ConfigId(0), obj: ObjectId(0), rpc: RpcId(2), op };
         let query = Msg::Dap(DapMsg::new(hdr, DapBody::AbdQuery));
         for msg in [prepare, query] {
-            tx.send(Event::Deliver { from: ProcessId(2), msg, counted: false, mirror: false })
-                .unwrap();
+            shards[0].inbox.push(Event::Deliver {
+                from: ProcessId(2),
+                msg,
+                counted: false,
+                mirror: false,
+            });
         }
         // One writer carries both replies in order: the first frame is
         // the query's, so the Prepare before it was never answered.
@@ -1653,7 +1947,7 @@ mod tests {
             matches!(&reply, Msg::Dap(m) if m.hdr.rpc == RpcId(2)),
             "a failed log must not promise, got {reply:?}"
         );
-        tx.send(Event::Shutdown).unwrap();
+        shards[0].inbox.push(Event::Shutdown);
         shard.join().unwrap();
     }
 
@@ -1680,16 +1974,8 @@ mod tests {
     fn a_shard_loop_that_sleeps_panics_in_debug_builds() {
         let (log, _logged) = mpsc::channel();
         let actor = Scripted { script: |_, _| crate::sync::sleep(Duration::from_micros(1)), log };
-        let (tx, rx) = mpsc::channel();
-        let shard = run_shard(actor, None, (tx.clone(), rx), 0, AddrBook::new(), None);
-        tx.send(Event::Deliver {
-            from: ProcessId(1),
-            msg: write_msg(Value::filler(8, 1)),
-            counted: false,
-            mirror: false,
-        })
-        .unwrap();
-        tx.send(Event::Shutdown).unwrap();
+        let shards = one_shard(vec![deliver(1, false), Event::Shutdown]);
+        let shard = run_shard(actor, None, shards, pool(AddrBook::new()), None);
         let Err(err) = shard.join() else { panic!("the guard stops the loop at its first sleep") };
         let msg = err.downcast::<String>().expect("the guard's formatted message");
         assert!(msg.starts_with("a shard event loop must not block"), "{msg}");
@@ -1717,14 +2003,12 @@ mod tests {
         let (log, logged) = mpsc::channel();
         let (done, completed) = mpsc::channel();
         let sink: CompletionSink = Box::new(move |c| done.send(c.op.seq).unwrap());
-        let (tx, rx) = mpsc::channel();
+        let shards = one_shard(vec![]);
         let actor = Scripted { script, log };
-        let shard = run_shard(actor, None, (tx.clone(), rx), 0, book, Some(sink));
+        let shard = run_shard(actor, None, shards.clone(), pool(book), Some(sink));
         let within = Duration::from_secs(10);
         for round in 1..=2 {
-            let msg = write_msg(Value::filler(8, 1));
-            tx.send(Event::Deliver { from: ProcessId(round), msg, counted: false, mirror: false })
-                .unwrap();
+            shards[0].inbox.push(deliver(round, false));
             let mut got: Vec<_> =
                 (0..3).map(|_| logged.recv_timeout(within).expect("the loop serves")).collect();
             got.sort();
@@ -1735,7 +2019,7 @@ mod tests {
         for _ in 1..=2 {
             assert_eq!(read_frame(&mut from_peer).unwrap().expect("a frame").0, ME);
         }
-        tx.send(Event::Shutdown).unwrap();
+        shards[0].inbox.push(Event::Shutdown);
         shard.join().expect("no effect blocked the loop");
     }
 }

@@ -68,6 +68,7 @@ pub mod codec;
 mod host;
 mod runtime;
 mod sync;
+mod sys;
 pub mod testing;
 pub mod wal;
 

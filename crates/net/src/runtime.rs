@@ -335,8 +335,12 @@ impl ShardedNode {
     /// commands such as repair triggers), routed to the shard the
     /// message's object lives on. A killed node drops it.
     pub fn inject(&self, from: ProcessId, msg: Msg) {
-        if let Life::Up(host) = &*crate::sync::lock(&self.life) {
-            host.inject(from, msg);
+        let injector = match &*crate::sync::lock(&self.life) {
+            Life::Up(host) => Some(host.injector()),
+            _ => None,
+        };
+        if let Some(inject) = injector {
+            inject(from, msg);
         }
     }
 
@@ -564,12 +568,15 @@ impl NetStore {
     }
 
     /// Blocks until the progress counter exceeds `seen` (returning the
-    /// new value) or `timeout` passes (returning the current value).
-    /// Closed-loop drivers sweep their tickets with
-    /// [`OpTicket::try_wait`] after each wakeup.
+    /// new value), or `timeout` passes or the store shuts down
+    /// (returning the current value); a `timeout` past the end of time,
+    /// such as `Duration::MAX`, waits without a deadline. Closed-loop
+    /// drivers sweep their tickets with [`OpTicket::try_wait`] after
+    /// each wakeup.
     pub fn wait_progress(&self, seen: u64, timeout: Duration) -> u64 {
-        let (c, deadline) = (&self.inner.completions, Instant::now() + timeout);
-        c.changed.wait_until(crate::sync::lock(&c.table), deadline, |t| t.routed > seen).routed
+        let (c, deadline) = (&self.inner.completions, Instant::now().checked_add(timeout));
+        let moved = |t: &Table| t.routed > seen || t.closed;
+        c.changed.wait_until(crate::sync::lock(&c.table), deadline, moved).routed
     }
 
     /// Stops all threads and closes the reply listener. Outstanding
@@ -647,9 +654,9 @@ impl StoreSession for NetSession {
         // host guard) and removes the slot.
         crate::sync::lock(&self.inner.completions.table).slots.insert(op, None);
         let ticket = NetTicket { op, inner: self.inner.clone() };
-        let host = crate::sync::lock(&self.inner.host);
-        let Some(h) = host.as_ref() else { return Err(OpError::Closed) };
-        h.inject(ENV, Msg::Invoke(Invoke { session: self.id, seq, cmd }));
+        let injector = crate::sync::lock(&self.inner.host).as_ref().map(ShardedHost::injector);
+        let Some(inject) = injector else { return Err(OpError::Closed) };
+        inject(ENV, Msg::Invoke(Invoke { session: self.id, seq, cmd }));
         Ok(ticket)
     }
 }
@@ -669,7 +676,9 @@ impl std::fmt::Debug for NetTicket {
 }
 
 impl NetTicket {
-    /// Waits up to `timeout` for the routed completion.
+    /// Waits up to `timeout` for the routed completion; a `timeout`
+    /// past the end of time, such as `Duration::MAX`, waits until the
+    /// completion is routed or the store shuts down.
     ///
     /// On timeout the ticket removes its entry, so the completion —
     /// should the operation still finish later — is dropped instead of
@@ -683,7 +692,7 @@ impl NetTicket {
     /// [`OpError::Timeout`] if no completion is routed in time, and
     /// [`OpError::Closed`] at once if the store shut down before it was.
     pub fn wait_for(self, timeout: Duration) -> Result<OpCompletion, OpError> {
-        let (c, deadline) = (&self.inner.completions, Instant::now() + timeout);
+        let (c, deadline) = (&self.inner.completions, Instant::now().checked_add(timeout));
         let ready = |t: &Table| t.closed || t.slots.get(&self.op).is_none_or(Option::is_some);
         let mut t = c.changed.wait_until(crate::sync::lock(&c.table), deadline, ready);
         match t.slots.remove(&self.op) {
@@ -825,6 +834,51 @@ mod tests {
             assert_eq!(store.completions_routed(), seen + 1);
             assert_eq!(entries(&store), 0, "the completion of {op} leaves no entry");
         }
+    }
+
+    /// Runs `wait` on a thread of its own, and `then` once it has parked
+    /// on `store`'s completion table; returns what `wait` returned.
+    fn once_parked<R: Send>(
+        store: &NetStore,
+        wait: impl FnOnce() -> R + Send,
+        then: impl FnOnce(),
+    ) -> R {
+        std::thread::scope(|s| {
+            let waiter = s.spawn(wait);
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while store.inner.completions.changed.parked() == 0 {
+                assert!(Instant::now() < deadline, "the waiter never parked");
+                std::thread::yield_now();
+            }
+            then();
+            waiter.join().unwrap()
+        })
+    }
+
+    #[test]
+    fn a_wait_for_without_a_deadline_returns_the_routed_completion() {
+        let store = store();
+        let ticket = read(&store);
+        let op = ticket.op();
+        let got = once_parked(&store, || ticket.wait_for(Duration::MAX), || complete(&store, op));
+        assert!(matches!(&got, Ok(c) if c.op == op), "{got:?}");
+    }
+
+    #[test]
+    fn a_wait_for_without_a_deadline_ends_at_the_shutdown() {
+        let store = store();
+        let ticket = read(&store);
+        let got = once_parked(&store, || ticket.wait_for(Duration::MAX), || store.shutdown());
+        assert!(matches!(got, Err(OpError::Closed)), "{got:?}");
+    }
+
+    #[test]
+    fn a_wait_for_progress_without_a_deadline_returns_at_the_next_completion() {
+        let store = store();
+        let op = read(&store).op();
+        let got =
+            once_parked(&store, || store.wait_progress(0, Duration::MAX), || complete(&store, op));
+        assert_eq!(got, 1, "progress returns once a completion is routed");
     }
 
     #[test]

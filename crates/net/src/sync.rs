@@ -21,8 +21,10 @@
 //! loop stalls every object mapped to its shard. The loop marks its
 //! thread with [`mark_loop`], and every call that can park a thread on
 //! something other than a runtime mutex — a [`Signal`] wait, [`sleep`],
-//! a socket connect, accept, read or write — first calls [`off_loop`],
-//! which panics on a marked thread in debug builds.
+//! a socket connect, accept, read or blocking write — first calls
+//! [`off_loop`], which panics on a marked thread in debug builds. The
+//! loop's one park point, [`Signal::park_loop`] on its own inbox when it
+//! has nothing to do, is the exception.
 
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -112,29 +114,41 @@ pub(crate) struct Signal {
 }
 
 impl Signal {
-    /// Parks until notified, recovering the guard from a poisoned lock.
-    pub(crate) fn wait<'a, T>(&self, Guard(inner, held): Guard<'a, T>) -> Guard<'a, T> {
-        off_loop("Signal::wait");
-        self.parked.fetch_add(1, Ordering::Relaxed);
-        let inner = self.cv.wait(inner).unwrap_or_else(|p| p.into_inner());
-        self.parked.fetch_sub(1, Ordering::Relaxed);
-        Guard(inner, held)
-    }
-
     /// Parks until `done` holds of the guarded state or `deadline`
-    /// passes. `done` is checked after every wake-up, the last one too.
+    /// passes; `None` waits for `done` alone. `done` is checked after
+    /// every wake-up, the last one too.
     pub(crate) fn wait_until<'a, T>(
         &self,
-        mut guard: Guard<'a, T>,
-        deadline: Instant,
+        guard: Guard<'a, T>,
+        deadline: Option<Instant>,
         done: impl Fn(&T) -> bool,
     ) -> Guard<'a, T> {
         off_loop("Signal::wait_until");
+        self.park_loop(guard, deadline, done)
+    }
+
+    /// [`Signal::wait_until`] without the [`off_loop`] check: a shard
+    /// event loop's one park point, where it waits on its own inbox for
+    /// work (DESIGN §9).
+    pub(crate) fn park_loop<'a, T>(
+        &self,
+        mut guard: Guard<'a, T>,
+        deadline: Option<Instant>,
+        done: impl Fn(&T) -> bool,
+    ) -> Guard<'a, T> {
         while !done(&guard) {
-            let Some(left) = deadline.checked_duration_since(Instant::now()) else { break };
+            let left = match deadline.map(|d| d.checked_duration_since(Instant::now())) {
+                Some(None) => break,
+                left => left.flatten(),
+            };
             let Guard(inner, held) = guard;
             self.parked.fetch_add(1, Ordering::Relaxed);
-            let (inner, _) = self.cv.wait_timeout(inner, left).unwrap_or_else(|p| p.into_inner());
+            let inner = match left {
+                Some(left) => {
+                    self.cv.wait_timeout(inner, left).unwrap_or_else(|p| p.into_inner()).0
+                }
+                None => self.cv.wait(inner).unwrap_or_else(|p| p.into_inner()),
+            };
             self.parked.fetch_sub(1, Ordering::Relaxed);
             guard = Guard(inner, held);
         }
@@ -218,7 +232,7 @@ mod tests {
         on_a_loop(|| sleep(Duration::from_micros(1)));
         on_a_loop(|| {
             let (m, signal) = (Mutex::new(()), Signal::default());
-            drop(signal.wait_until(lock(&m), Instant::now(), |_| false));
+            drop(signal.wait_until(lock(&m), Some(Instant::now()), |_| false));
         });
         // Off the loop, the same calls are fine.
         sleep(Duration::from_micros(1));
