@@ -590,10 +590,10 @@ pub fn encode_frame(from: ProcessId, msg: &Msg) -> Vec<u8> {
     try_encode_frame(from, msg).expect("frame exceeds MAX_FRAME_LEN")
 }
 
-/// Capacity of the `BufReader` a connection's frames are read through:
-/// the four-byte prefix and a 64 KiB coded element that is already in
-/// the socket buffer arrive in one `read(2)`, a `δ + 2`-entry list of
-/// them in two.
+/// Capacity of the buffer a connection's bytes are read into: the
+/// four-byte prefix and a 64 KiB coded element that is already in the
+/// socket buffer arrive in one `read(2)`, a `δ + 2`-entry list of them
+/// in two.
 pub(crate) const FRAME_READ_BUF: usize = 64 * 1024;
 
 /// How much may be reserved for a frame before its bytes have come.
@@ -604,65 +604,100 @@ const FRAME_GROW_STEP: usize = 16 * 1024;
 /// `2 * arrived + FRAME_GROW_STEP` covers it, that bound otherwise.
 /// Memory held for a frame therefore tracks the bytes that have
 /// **arrived**, never the length its prefix declares (a connection that
-/// sends only a [`MAX_FRAME_LEN`] prefix pins one step), while a frame
-/// that arrives in a few large reads is allocated once, at its length.
+/// sends only a [`MAX_FRAME_LEN`] prefix pins nothing, and one more
+/// byte one step), while a frame that arrives in a few large reads is
+/// allocated once, at its length.
 fn frame_capacity(arrived: usize, len: usize) -> usize {
     len.min(2 * arrived + FRAME_GROW_STEP)
 }
 
-/// Reads one frame from `r`.
+/// The one frame decoder, resumable: fed a connection's bytes in pieces
+/// of any size, it hands out each frame once its last byte has come. The
+/// network loop keeps one per connection; [`read_frame`] drives one over
+/// a blocking reader. The payload is copied once, into one allocation of
+/// exactly the frame's length that *becomes* the [`Bytes`] the decoded
+/// [`Fragment`]s and [`Value`]s slice: never zero-filled, never copied
+/// again.
+#[derive(Default)]
+pub(crate) struct FrameDecoder {
+    /// Length-prefix bytes taken so far, `0..=4`.
+    head: usize,
+    /// The prefix's value, complete once `head` is 4.
+    len: usize,
+    payload: Vec<u8>,
+}
+
+impl FrameDecoder {
+    /// Whether no part of a frame has been fed since the last one ended.
+    pub(crate) fn between_frames(&self) -> bool {
+        self.head == 0
+    }
+
+    /// Takes bytes off the front of `input`, up to the end of the frame
+    /// being decoded, and returns the frame once it is complete; `None`
+    /// once `input` is used up first. An oversized length prefix or an
+    /// undecodable payload is an error, after which the decoder is not
+    /// fed again (its connection is torn down).
+    pub(crate) fn feed(
+        &mut self,
+        input: &mut &[u8],
+    ) -> Option<Result<(ProcessId, Msg), DecodeError>> {
+        while self.head < 4 {
+            let (&b, rest) = input.split_first()?;
+            *input = rest;
+            self.len = self.len << 8 | usize::from(b);
+            self.head += 1;
+        }
+        if self.len > MAX_FRAME_LEN {
+            return Some(Err(DecodeError::FrameTooLarge(self.len)));
+        }
+        let (chunk, rest) = input.split_at(input.len().min(self.len - self.payload.len()));
+        *input = rest;
+        let arrived = self.payload.len() + chunk.len();
+        if arrived > self.payload.capacity() {
+            self.payload.reserve_exact(frame_capacity(arrived, self.len) - self.payload.len());
+        }
+        self.payload.extend_from_slice(chunk);
+        if self.payload.len() < self.len {
+            return None;
+        }
+        (self.head, self.len) = (0, 0);
+        Some(decode_payload_bytes(&Bytes::from(std::mem::take(&mut self.payload))))
+    }
+}
+
+/// Reads one frame from `r`, blocking: the network loop's resumable
+/// decoder, fed from `r`'s buffer, taking no byte past the frame.
 ///
 /// Returns `Ok(None)` on clean end-of-stream (the peer closed between
 /// frames); any malformation — oversized length prefix, truncation
-/// mid-frame, undecodable payload — surfaces as an
+/// mid-frame (mid-prefix included), undecodable payload — surfaces as an
 /// [`io::ErrorKind::InvalidData`] / [`io::ErrorKind::UnexpectedEof`]
 /// error. Never panics.
-///
-/// The payload is copied once, out of `r`'s buffer into one allocation
-/// of exactly the frame's length, and that allocation *becomes* the
-/// [`Bytes`] the decoded [`Fragment`]s and [`Value`]s slice: never
-/// zero-filled first, never copied again.
 pub fn read_frame(r: &mut impl BufRead) -> io::Result<Option<(ProcessId, Msg)>> {
     crate::sync::off_loop("socket read");
-    // Read the first prefix byte separately so only a close *between*
-    // frames maps to Ok(None); dying mid-prefix is truncation and must
-    // error like any other mid-frame cut.
-    let mut first = [0u8; 1];
-    match r.read_exact(&mut first) {
-        Ok(()) => {}
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e),
-    }
-    let mut rest = [0u8; 3];
-    r.read_exact(&mut rest)?;
-    let ([a], [b, c, d]) = (first, rest);
-    let len = u32::from_be_bytes([a, b, c, d]) as usize;
-    if len > MAX_FRAME_LEN {
-        return Err(DecodeError::FrameTooLarge(len).into());
-    }
-    let mut payload = Vec::new();
-    while payload.len() < len {
+    let mut decoder = FrameDecoder::default();
+    loop {
         let chunk = match r.fill_buf() {
             Ok(chunk) => chunk,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(e) => return Err(e),
         };
         if chunk.is_empty() {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "connection closed mid-frame",
-            ));
+            if decoder.between_frames() {
+                return Ok(None);
+            }
+            let cut = "connection closed mid-frame";
+            return Err(io::Error::new(io::ErrorKind::UnexpectedEof, cut));
         }
-        let chunk = chunk.get(..len - payload.len()).unwrap_or(chunk);
-        let arrived = payload.len() + chunk.len();
-        if arrived > payload.capacity() {
-            payload.reserve_exact(frame_capacity(arrived, len) - payload.len());
-        }
-        payload.extend_from_slice(chunk);
-        let taken = chunk.len();
+        let mut rest = chunk;
+        let frame = decoder.feed(&mut rest);
+        let taken = chunk.len() - rest.len();
         r.consume(taken);
+        if let Some(frame) = frame {
+            return Ok(Some(frame?));
+        }
     }
-    Ok(Some(decode_payload_bytes(&Bytes::from(payload))?))
 }
 
 #[cfg(test)]
@@ -947,15 +982,95 @@ mod tests {
         let msg = Msg::Dap(DapMsg::new(hdr, DapBody::TreasWrite(Tag::new(1, ProcessId(2)), frag)));
         let frame = encode_frame(ProcessId(3), &msg);
         for per_call in [usize::MAX, 1_000, 1] {
+            // Through `read_frame`, and through the decoder the network
+            // loop feeds each nonblocking read.
             let mut socket = Metered { data: &frame, per_call, calls: 0 };
-            let (_, decoded) = read_through(&mut socket).unwrap().expect("one frame");
-            assert_eq!(decoded, msg);
-            let Msg::Dap(DapMsg { body: DapBody::TreasWrite(_, f), .. }) = &decoded else {
-                panic!("wrong arm")
+            let (_, read) = read_through(&mut socket).unwrap().expect("one frame");
+            let mut decoder = FrameDecoder::default();
+            let mut reads = frame.chunks(per_call.min(frame.len()));
+            let fed = loop {
+                let mut input = reads.next().expect("the frame ends");
+                if let Some(frame) = decoder.feed(&mut input) {
+                    break frame.unwrap().1;
+                }
             };
-            assert_eq!(f.data.backing_len(), frame.len() - 4, "{per_call} bytes per read");
-            assert_eq!(f.data.ref_count(), 1, "the frame buffer itself is gone");
+            for decoded in [read, fed] {
+                assert_eq!(decoded, msg);
+                let Msg::Dap(DapMsg { body: DapBody::TreasWrite(_, f), .. }) = &decoded else {
+                    panic!("wrong arm")
+                };
+                assert_eq!(f.data.backing_len(), frame.len() - 4, "{per_call} bytes per read");
+                assert_eq!(f.data.ref_count(), 1, "the frame buffer itself is gone");
+            }
         }
+    }
+
+    /// A stream of mixed frames as a connection carries them: a 256 B
+    /// put, a 64 KiB `TreasList` reply and a config frame.
+    fn mixed_stream() -> Vec<u8> {
+        let hdr = Hdr { cfg: ConfigId(0), obj: ObjectId(5), rpc: RpcId(1), op: op() };
+        let put = DapBody::AbdWrite(Tag::new(1, ProcessId(2)), Value::filler(256, 1));
+        let cfg = CfgMsg::NextC {
+            base: ConfigId(1),
+            rpc: RpcId(2),
+            next: Some(ConfigEntry::finalized(ConfigId(2))),
+            op: op(),
+        };
+        [
+            encode_frame(ProcessId(4), &Msg::Dap(DapMsg::new(hdr, put))),
+            bulk_list_reply().1,
+            encode_frame(ProcessId(6), &Msg::Cfg(cfg)),
+        ]
+        .concat()
+    }
+
+    /// What a [`FrameDecoder`] makes of `stream` fed in `pieces`; it
+    /// must end between frames.
+    fn fed<'a>(pieces: impl IntoIterator<Item = &'a [u8]>) -> Vec<(ProcessId, Msg)> {
+        let (mut decoder, mut out) = (FrameDecoder::default(), Vec::new());
+        for mut input in pieces {
+            while let Some(frame) = decoder.feed(&mut input) {
+                out.push(frame.expect("a well-formed frame"));
+            }
+            assert!(input.is_empty(), "a piece was left unread");
+        }
+        assert!(decoder.between_frames());
+        out
+    }
+
+    #[test]
+    fn the_decoder_reads_what_read_frame_reads_at_every_split() {
+        let stream = mixed_stream();
+        let mut reader = io::Cursor::new(&stream);
+        let expected: Vec<_> = std::iter::from_fn(|| read_frame(&mut reader).unwrap()).collect();
+        assert_eq!(expected.len(), 3);
+        assert_eq!(fed(stream.chunks(1)), expected, "one byte at a time");
+        for at in 0..=stream.len() {
+            let (head, tail) = stream.split_at(at);
+            assert!(fed([head, tail]) == expected, "split at byte {at}");
+        }
+    }
+
+    #[test]
+    fn a_connection_that_sent_only_a_prefix_holds_at_most_one_step() {
+        let mut decoder = FrameDecoder::default();
+        let prefix = (MAX_FRAME_LEN as u32).to_be_bytes();
+        assert!(decoder.feed(&mut &prefix[..]).is_none());
+        assert!(
+            decoder.payload.capacity() <= FRAME_GROW_STEP,
+            "{} bytes held",
+            decoder.payload.capacity()
+        );
+        assert!(!decoder.between_frames());
+        // A byte more is one step.
+        assert!(decoder.feed(&mut &[WIRE_VERSION][..]).is_none());
+        assert_eq!(decoder.payload.capacity(), FRAME_GROW_STEP + 2);
+        // A prefix past the limit is refused before anything is held.
+        let mut decoder = FrameDecoder::default();
+        let hostile = ((MAX_FRAME_LEN + 1) as u32).to_be_bytes();
+        let got = decoder.feed(&mut &hostile[..]);
+        assert_eq!(got, Some(Err(DecodeError::FrameTooLarge(MAX_FRAME_LEN + 1))));
+        assert_eq!(decoder.payload.capacity(), 0);
     }
 
     #[test]

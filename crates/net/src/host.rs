@@ -1,15 +1,20 @@
-//! The sharded actor-hosting layer: listeners, shard event loops that
-//! own their timers, and the batching outbound writer pool.
+//! The sharded actor-hosting layer: shard event loops that own their
+//! timers and read their own sockets, and the batching outbound writer
+//! pool.
 //!
 //! A host runs `S ≥ 1` **shards**, each an independent sequential event
 //! loop owning one actor instance — the multi-core generalization of
-//! the single event loop the paper's sequential server implies. One
-//! listener accepts all connections; each connection's reader thread
-//! decodes frames and routes every message to a shard with the
-//! [`ares_core::shard`] classification (object-scoped traffic to the
-//! shard owning that object, config-wide traffic to shard 0); a shard
-//! loop takes its inbox whole and parks on it only when it has nothing
-//! to do.
+//! the single event loop the paper's sequential server implies. No
+//! thread only reads: shard 0's loop, the network loop, owns the
+//! listener and every connection it accepts, reads each readable one
+//! into its one buffer, decodes it with a resumable
+//! [`codec::read_frame`] decoder and routes every message to a shard
+//! with the [`ares_core::shard`] classification (object-scoped traffic
+//! to the shard owning that object, config-wide traffic to shard 0). A
+//! shard loop takes its inbox whole and, only when it has nothing to
+//! do, parks in one `ppoll` on its inbox's wake socket and, on the
+//! network loop, its sockets; what that poll reads is applied as one
+//! batch.
 //!
 //! Who writes a frame: a shard loop with nothing else queued sends it
 //! itself, with one nonblocking `send`, when the peer's queue is empty,
@@ -18,17 +23,19 @@
 //! the rest of a partial send, goes to the peer's writer thread, which
 //! alone connects, peeks for a FIN and pays a gray host's delay, and
 //! drains its queue in batches: one `write`+`flush` per drained batch,
-//! syscall-collapsing under load. So an idle hop wakes no writer, and a
-//! writer is woken once per idle→busy transition of its queue.
+//! syscall-collapsing under load. So an idle hop wakes one thread, the
+//! receiving loop, and a writer is woken once per idle→busy transition
+//! of its queue.
 //!
 //! Clients ([`crate::NetStore`]) use the same machinery with `S = 1`:
 //! their command lanes and completion routing assume one loop.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 #![deny(clippy::todo, clippy::unimplemented, clippy::indexing_slicing)]
 
-use crate::codec::{self, read_frame};
+use crate::codec;
 use crate::runtime::AddrBook;
 use crate::sync::Signal;
+use crate::sys::PollFd;
 use crate::wal::ShardWal;
 use ares_core::shard::{route, shard_of, ShardRoute};
 use ares_core::{Msg, Role};
@@ -39,9 +46,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
-use std::io::{self, BufReader, IoSlice, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::os::unix::net::UnixStream;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -209,8 +217,8 @@ impl FrameQueue {
     }
 }
 
-/// Outbound-writer counters, shared by every writer thread and inline
-/// send of a host's every life.
+/// Socket counters, shared by every writer thread, inline send and
+/// network loop of a host's every life.
 #[derive(Default)]
 pub(crate) struct WriterCounters {
     batches_flushed: AtomicU64,
@@ -218,9 +226,12 @@ pub(crate) struct WriterCounters {
     frames_abandoned: AtomicU64,
     /// Frames evicted from full per-peer queues.
     evicted: AtomicU64,
-    /// Frames dropped on cut links, by the pool and by the host's
-    /// readers.
+    /// Frames dropped on cut links, by the pool and by the network loop.
     frames_cut: AtomicU64,
+    /// `read` calls on connections, by the network loop.
+    socket_reads: AtomicU64,
+    /// `send`, `write` and `write_vectored` calls on connections.
+    socket_writes: AtomicU64,
 }
 
 impl WriterCounters {
@@ -296,7 +307,9 @@ impl PeerPool {
         }
         if idle && self.book.gray_micros(self.me) == 0 {
             let len = frame.len();
-            match queue.send_inline(frame) {
+            let sent = queue.send_inline(frame);
+            self.counters.socket_writes.fetch_add(u64::from(sent.is_ok()), Ordering::Relaxed);
+            match sent {
                 Ok(sent) if sent == len => return self.counters.flushed(1),
                 Ok(_) => return, // the writer finishes or sends it
                 Err(unsent) => frame = unsent,
@@ -372,6 +385,23 @@ const IDLE_BEFORE_PEEK: Duration = Duration::from_millis(2);
 /// any batch holding a coded element of a bulk value — is written by
 /// reference. That bounds the scratch buffer too.
 const COALESCE_MAX: usize = 16 * 1024;
+
+/// A connection that counts its write calls in `.1`.
+struct Counted<'a>(&'a TcpStream, &'a AtomicU64);
+
+impl Write for Counted<'_> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.1.fetch_add(1, Ordering::Relaxed);
+        self.0.write(buf)
+    }
+    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+        self.1.fetch_add(1, Ordering::Relaxed);
+        self.0.write_vectored(bufs)
+    }
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(()) // a socket buffers nothing in user space
+    }
+}
 
 /// Writes every frame of `batch` to `w`, in order, and flushes once.
 ///
@@ -452,9 +482,10 @@ pub(crate) fn writer_loop(
         if slow > 0 {
             crate::sync::sleep(Duration::from_micros(slow));
         }
+        let writes = &counters.socket_writes;
         if let Some(tail) = tail {
-            let mut on = stream.as_deref();
-            match on.as_mut().map(|s| write_batch(s, std::slice::from_ref(&tail), &mut scratch)) {
+            let on = stream.as_deref().map(|s| Counted(s, writes));
+            match on.map(|mut s| write_batch(&mut s, std::slice::from_ref(&tail), &mut scratch)) {
                 Some(Ok(())) => {
                     last_write = Some(Instant::now());
                     counters.flushed(1);
@@ -480,8 +511,8 @@ pub(crate) fn writer_loop(
             if stream.is_none() {
                 stream = connect(addr);
             }
-            let Some(mut s) = stream.as_deref() else { break };
-            if write_batch(&mut s, &batch, &mut scratch).is_ok() {
+            let Some(s) = stream.as_deref() else { break };
+            if write_batch(&mut Counted(s, writes), &batch, &mut scratch).is_ok() {
                 last_write = Some(Instant::now());
                 counters.flushed(batch.len());
                 sent = true;
@@ -541,16 +572,17 @@ impl Admission {
     }
 }
 
-/// Backpressure threshold for each shard's inbound event queue: reader
-/// threads stall (propagating TCP backpressure to the peer) while this
-/// many network events are waiting on one shard, so a fast or hostile
-/// peer cannot grow the unbounded inbox — and the decoded frames it
-/// holds — without limit. Local events (self-sends, injections)
-/// bypass the gate; they are intrinsically bounded.
+/// Backpressure threshold for each shard's inbound event queue: the
+/// network loop holds a connection's next frame (propagating TCP
+/// backpressure to the peer) while this many network events are waiting
+/// on its shard, so a fast or hostile peer cannot grow the unbounded
+/// inbox — and the decoded frames it holds — without limit. Local
+/// events (self-sends, injections) bypass the gate; they are
+/// intrinsically bounded.
 const INBOUND_HIGH_WATER: usize = 4096;
 
-/// Live counters of one shard (atomics shared between the reader
-/// threads, the shard's event loop, and [`HostBase::stats`]).
+/// Live counters of one shard (atomics shared between the network
+/// loop, the shard's event loop, and [`HostBase::stats`]).
 #[derive(Default)]
 pub(crate) struct ShardCounters {
     frames_routed: AtomicU64,
@@ -610,6 +642,11 @@ pub struct NodeStats {
     /// Frames dropped by injected link cuts (fault harness), both
     /// directions.
     pub faults_dropped: u64,
+    /// `read` calls the node made on its connections.
+    pub socket_reads: u64,
+    /// `send`, `write` and `write_vectored` calls the node made on its
+    /// connections, inline sends and writer threads together.
+    pub socket_writes: u64,
     /// Write-ahead-log counters summed over the node's shards; `None`
     /// when the node runs without durability (no data dir).
     pub wal: Option<ares_wal::WalStats>,
@@ -646,7 +683,8 @@ pub(crate) struct HostBase {
     pub(crate) pid: ProcessId,
     pub(crate) local_addr: SocketAddr,
     /// Never closed while the base lives: frames sent to a killed node
-    /// wait in its backlog for the next life's accept thread.
+    /// wait in its backlog for the next life's network loop. Nonblocking
+    /// for the base's whole life.
     pub(crate) listener: TcpListener,
     pub(crate) admission: Arc<Admission>,
     book: Arc<AddrBook>,
@@ -665,6 +703,7 @@ impl HostBase {
         epoch: Instant,
         shards: usize,
     ) -> io::Result<Arc<Self>> {
+        listener.set_nonblocking(true)?;
         Ok(Arc::new(HostBase {
             pid,
             local_addr: listener.local_addr()?,
@@ -707,6 +746,8 @@ impl HostBase {
             outbound_dropped: w.evicted.load(Ordering::Relaxed),
             peers: pool.map(PeerPool::peer_stats).unwrap_or_default(),
             faults_dropped: w.frames_cut.load(Ordering::Relaxed),
+            socket_reads: w.socket_reads.load(Ordering::Relaxed),
+            socket_writes: w.socket_writes.load(Ordering::Relaxed),
             // The host is actor-agnostic; the node runtime owns the
             // per-shard WAL counters and fills this in.
             wal: None,
@@ -715,8 +756,8 @@ impl HostBase {
 }
 
 /// One shard's handles: its inbox, the network deliveries waiting in
-/// it, and its counters. One life's host, reader threads and event
-/// loops share one slice of them, indexed by shard.
+/// it, and its counters. One life's host and event loops share one
+/// slice of them, indexed by shard.
 struct Shard {
     inbox: Inbox,
     inbound: AtomicUsize,
@@ -724,30 +765,51 @@ struct Shard {
 }
 
 /// A shard's inbox: any thread pushes, and only the shard's loop takes,
-/// always everything queued at once.
-#[derive(Default)]
+/// always everything queued at once. A push writes to the wake socket
+/// the loop polls only while the loop is parked, so a push to a busy
+/// loop makes no system call.
 struct Inbox {
-    events: Mutex<VecDeque<Event>>,
-    ready: Signal,
+    /// The queued events, and whether the loop is parked.
+    state: Mutex<(VecDeque<Event>, bool)>,
+    /// Written by a push that finds the loop parked; the loop's `ppoll`
+    /// watches the other end.
+    wake: (UnixStream, UnixStream),
 }
 
 impl Inbox {
+    fn new() -> io::Result<Self> {
+        let wake = UnixStream::pair()?;
+        wake.0.set_nonblocking(true)?;
+        wake.1.set_nonblocking(true)?;
+        Ok(Inbox { state: Mutex::default(), wake })
+    }
+
     fn push(&self, ev: Event) {
-        crate::sync::lock(&self.events).push_back(ev);
-        self.ready.notify_one();
+        let mut st = crate::sync::lock(&self.state);
+        st.0.push_back(ev);
+        let parked = std::mem::take(&mut st.1);
+        drop(st);
+        if parked {
+            // A full socket already holds a wake-up.
+            let _ = (&self.wake.0).write(&[0]);
+        }
     }
 
-    /// Moves everything queued into the loop's empty `batch`.
-    fn take(&self, batch: &mut VecDeque<Event>) {
-        std::mem::swap(&mut *crate::sync::lock(&self.events), batch);
+    /// Moves everything queued into the loop's empty `batch`; `false` if
+    /// nothing was, and then, if `park`, the next push wakes the loop.
+    fn take(&self, batch: &mut VecDeque<Event>, park: bool) -> bool {
+        let mut st = crate::sync::lock(&self.state);
+        std::mem::swap(&mut st.0, batch);
+        st.1 = park && batch.is_empty();
+        !batch.is_empty()
     }
 
-    /// [`Inbox::take`] once something is queued or `deadline` passes:
-    /// the loop's one park point (DESIGN.md §9).
-    fn park(&self, batch: &mut VecDeque<Event>, deadline: Option<Instant>) {
-        let events = crate::sync::lock(&self.events);
-        let mut events = self.ready.park_loop(events, deadline, |q| !q.is_empty());
-        std::mem::swap(&mut *events, batch);
+    /// Ends a park: pushes stop writing, and a wake-up that came is read.
+    fn unpark(&self, woken: bool) {
+        crate::sync::lock(&self.state).1 = false;
+        if woken {
+            let _ = (&self.wake.1).read(&mut [0; 64]);
+        }
     }
 }
 
@@ -760,66 +822,49 @@ impl Inbox {
 pub(crate) struct ShardedHost<A: Actor<Msg> + Send + 'static> {
     base: Arc<HostBase>,
     shards: Arc<[Shard]>,
-    shutdown: Arc<AtomicBool>,
     pub(crate) pool: Arc<PeerPool>,
-    /// A handle on each accepted connection a reader still reads, by
-    /// accept order, so shutdown can sever them.
-    conns: Conns,
     /// Each returns its shard's actor and log when the loop ends.
     threads: Vec<JoinHandle<ShardState<A>>>,
-    /// Finishes once the listener is closed to this life.
-    accept: JoinHandle<()>,
 }
-
-type Conns = Arc<Mutex<HashMap<u64, TcpStream>>>;
 
 impl<A: Actor<Msg> + Send + 'static> ShardedHost<A> {
     /// Starts a life of `base` with one shard per element of `actors`.
+    ///
+    /// # Errors
+    ///
+    /// An inbox's wake socket cannot be made; the actors are dropped.
     pub(crate) fn start(
         base: Arc<HostBase>,
         actors: Vec<ShardState<A>>,
         completions: Option<CompletionSink>,
-    ) -> Self {
+    ) -> io::Result<Self> {
         assert_eq!(actors.len(), base.shards.len(), "one actor per shard");
-        let shutdown = Arc::new(AtomicBool::new(false));
         let pool = PeerPool::new(base.pid, base.book.clone(), base.writers.clone());
 
         // Build every shard's inbox first so each event loop can be
         // handed the whole table (cross-shard self-sends route through
         // it: a server forwarding a coded element to itself must land
         // on the *object's* shard, which may not be its own).
-        let shards: Arc<[Shard]> = (base.shards.iter())
-            .map(|counters| Shard {
-                inbox: Inbox::default(),
-                inbound: AtomicUsize::new(0),
-                counters: counters.clone(),
+        let shards = (base.shards.iter())
+            .map(|counters| {
+                let (inbound, counters) = (AtomicUsize::new(0), counters.clone());
+                Ok(Shard { inbox: Inbox::new()?, inbound, counters })
             })
-            .collect();
+            .collect::<io::Result<Arc<[Shard]>>>()?;
 
         // One event loop per shard.
         let mut completions = completions;
         let mut threads = Vec::new();
         for (si, (actor, wal)) in actors.into_iter().enumerate() {
-            let (pid, epoch) = (base.pid, base.epoch);
-            let shards = shards.clone();
-            let pool = pool.clone();
+            let (base, shards, pool) = (base.clone(), shards.clone(), pool.clone());
             // Completions only ever come from client actors, which are
             // single-sharded; hand the sink to shard 0.
             let sink = if si == 0 { completions.take() } else { None };
             threads.push(std::thread::spawn(move || {
-                event_loop(pid, si, actor, wal, shards, pool, epoch, sink)
+                event_loop(base, si, actor, wal, shards, pool, sink)
             }));
         }
-
-        let conns = Conns::default();
-        let accept = {
-            let (base, shards, shutdown) = (base.clone(), shards.clone(), shutdown.clone());
-            let conns = conns.clone();
-            // The thread's base goes with it: once a dropped node's
-            // shutdown returns, its listener is closed.
-            std::thread::spawn(move || accept_loop(&base, shards, &shutdown, &conns))
-        };
-        ShardedHost { base, shards, shutdown, pool, conns, threads, accept }
+        Ok(ShardedHost { base, shards, pool, threads })
     }
 
     /// Frames this host's base has dropped on cut links.
@@ -833,137 +878,200 @@ impl<A: Actor<Msg> + Send + 'static> ShardedHost<A> {
     /// is released before it takes an inbox lock.
     pub(crate) fn injector(&self) -> impl Fn(ProcessId, Msg) {
         let shards = self.shards.clone();
-        move |from, msg| {
-            route_delivery(&shards, from, msg, None);
-        }
+        move |from, msg| route_delivery(&shards, from, msg, false)
     }
 
     /// Ends this life and returns each shard's actor and log once its
     /// loop has applied every delivery queued before the call. The
     /// loops' timers, the inboxes, the outbound queues and the accepted
-    /// connections die with it. The listener is left nonblocking (that
-    /// wakes the accept thread); a next life on the same base makes it
-    /// blocking again.
+    /// connections die with it; the listener stays open, its backlog
+    /// kept for the next life.
     pub(crate) fn shutdown(self) -> Vec<ShardState<A>> {
-        self.shutdown.store(true, Ordering::SeqCst);
         for s in self.shards.iter() {
             s.inbox.push(Event::Shutdown);
-        }
-        // Unblock the accept loop: flip the shared socket nonblocking
-        // (future accepts return immediately) and poke it with a
-        // throwaway connection (wakes an already-blocked accept). Waiting
-        // for it to end keeps it from taking a connection meant for the
-        // next life; the wait is bounded because fd exhaustion can defeat
-        // the poke, and shutdown must still return.
-        let _ = self.base.listener.set_nonblocking(true);
-        let _ = TcpStream::connect_timeout(&self.base.local_addr, Duration::from_millis(200));
-        let deadline = Instant::now() + Duration::from_secs(1);
-        while !self.accept.is_finished() && Instant::now() < deadline {
-            crate::sync::sleep(Duration::from_millis(1));
-        }
-        // Peers see the FIN now, not at their next frame, and reconnect
-        // into the backlog of the node's next life.
-        for (_, c) in crate::sync::lock(&self.conns).drain() {
-            let _ = c.shutdown(std::net::Shutdown::Both);
         }
         self.threads.into_iter().filter_map(|t| t.join().ok()).collect()
     }
 }
 
-/// Accepts inbound connections and spawns a frame-reader per connection.
-fn accept_loop(base: &HostBase, shards: Arc<[Shard]>, shutdown: &Arc<AtomicBool>, conns: &Conns) {
-    crate::sync::off_loop("socket accept");
-    for id in 0u64.. {
-        match base.listener.accept() {
-            Ok((stream, _)) => {
-                if shutdown.load(Ordering::SeqCst) {
+/// The shard whose loop reads the network: it owns the listener and
+/// every connection it accepts. Shard 0, which carries the config-wide
+/// traffic too, so most frames go in without crossing threads (DESIGN.md
+/// §9).
+const NET_SHARD: usize = 0;
+
+/// A connection the network loop accepted, and what it read from it.
+struct Conn {
+    stream: TcpStream,
+    decoder: codec::FrameDecoder,
+    /// Frames read and admitted that are not in their shard's inbox yet:
+    /// a full inbox or a gray host's delay holds the first, and the
+    /// connection is not read again until all have gone in.
+    pending: VecDeque<(ProcessId, Msg)>,
+    /// While the host is gray: when the first pending frame may go in.
+    not_before: Option<Instant>,
+    /// Closed by the peer, or torn down over a read or decode error.
+    done: bool,
+}
+
+/// What one shard loop polls besides its inbox: on the network loop
+/// ([`NET_SHARD`]), the base's listener and the connections it accepted
+/// this life; on every other, nothing.
+struct Net {
+    base: Arc<HostBase>,
+    listens: bool,
+    conns: Vec<Conn>,
+    /// The one buffer every connection is read into.
+    buf: Vec<u8>,
+    /// The poll set, rebuilt at each poll.
+    fds: Vec<PollFd>,
+    /// After a failed accept (e.g. out of descriptors), the listener is
+    /// not polled before this, so a listener that stays readable is not
+    /// spun on.
+    accept_after: Option<Instant>,
+}
+
+impl Net {
+    /// Puts what each connection holds in its shard's inbox, as far as
+    /// room and a gray host's delay allow; returns when to try again, if
+    /// anything is held or the listener rests.
+    fn release(&mut self, shards: &[Shard]) -> Option<Instant> {
+        let now = Instant::now();
+        let held = self.conns.iter_mut().filter_map(|c| c.release(&self.base, shards, now));
+        let retry = held.chain(self.accept_after.filter(|t| *t > now)).min();
+        self.conns.retain(|c| !(c.done && c.pending.is_empty()));
+        retry
+    }
+
+    /// Waits in one `ppoll` until `wake`'s socket, the listener or a
+    /// connection holding nothing is readable, or `timeout` passes;
+    /// then accepts what the listener holds, reads every readable
+    /// connection and puts what it read in.
+    fn poll(&mut self, shards: &[Shard], wake: Option<&Inbox>, timeout: Option<Duration>) {
+        let listen = self.listens && self.accept_after.is_none_or(|t| t <= Instant::now());
+        let fds = &mut self.fds;
+        fds.clear();
+        fds.extend(wake.map(|w| PollFd::readable(&w.wake.1)));
+        fds.extend(listen.then(|| PollFd::readable(&self.base.listener)));
+        fds.extend(self.conns.iter().filter(|c| c.open()).map(|c| PollFd::readable(&c.stream)));
+        let polled = crate::sys::ppoll(fds, timeout).is_ok();
+        let mut ready = fds.iter().map(|fd| polled && fd.ready());
+        if let Some(inbox) = wake {
+            inbox.unpark(ready.next() == Some(true));
+        }
+        let accept = listen && ready.next() == Some(true);
+        let (base, buf) = (&self.base, &mut self.buf);
+        for (c, _) in self.conns.iter_mut().filter(|c| c.open()).zip(ready).filter(|(_, r)| *r) {
+            c.read(buf, base, shards);
+        }
+        if accept {
+            self.accept(shards);
+        }
+    }
+
+    /// Accepts every connection the listener holds, and reads each at
+    /// once.
+    fn accept(&mut self, shards: &[Shard]) {
+        loop {
+            match self.base.listener.accept() {
+                // A connection that would block the loop is refused.
+                Ok((stream, _)) if stream.set_nonblocking(true).is_ok() => {
+                    let _ = stream.set_nodelay(true);
+                    let (decoder, pending) = (codec::FrameDecoder::default(), VecDeque::new());
+                    let mut c = Conn { stream, decoder, pending, not_before: None, done: false };
+                    c.read(&mut self.buf, &self.base, shards);
+                    self.conns.push(c);
+                }
+                Ok(_) => {}
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
+                Err(_) => {
+                    self.accept_after = Some(Instant::now() + Duration::from_millis(20));
                     return;
                 }
-                let Ok(handle) = stream.try_clone() else { continue };
-                crate::sync::lock(conns).insert(id, handle);
-                let _ = stream.set_nodelay(true);
-                let (shards, conns) = (shards.clone(), conns.clone());
-                let admission = base.admission.clone();
-                let shutdown = shutdown.clone();
-                let (me, book, counters) = (base.pid, base.book.clone(), base.writers.clone());
-                // Reader threads are daemons: they exit on EOF (which
-                // shutdown causes) and on any read/decode error. They
-                // hold no base, so the listener closes with its node.
-                std::thread::spawn(move || {
-                    reader_loop(stream, &admission, &shards, &shutdown, me, &book, &counters);
-                    crate::sync::lock(&conns).remove(&id);
-                });
-            }
-            Err(_) => {
-                if shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                // Persistent accept failures (e.g. fd exhaustion under a
-                // connection flood) must not hot-spin a core.
-                crate::sync::sleep(Duration::from_millis(20));
             }
         }
     }
 }
 
-/// Decodes frames off one connection and routes them to shard inboxes.
-///
-/// Malformed input — a hostile length prefix, truncated frame, unknown
-/// variant byte, or a message naming an unregistered configuration —
-/// tears down *this connection only*; the node keeps serving everyone
-/// else. Nothing on this path can panic the host. A well-formed frame
-/// carrying an environment command ([`Role::Local`]) is dropped.
-fn reader_loop(
-    stream: TcpStream,
-    admission: &Admission,
-    shards: &[Shard],
-    shutdown: &AtomicBool,
-    me: ProcessId,
-    book: &AddrBook,
-    counters: &WriterCounters,
-) {
-    let stop = || shutdown.load(Ordering::SeqCst);
-    let mut reader = BufReader::with_capacity(codec::FRAME_READ_BUF, stream);
-    loop {
-        match read_frame(&mut reader) {
-            Ok(Some((from, msg))) => {
-                if stop() {
-                    return; // the life is over: drop frame, sever connection
-                }
-                // Injected asymmetric cut: this host cannot *hear* the
-                // peer, though the reverse direction may still flow. The
-                // connection survives (a link fault is not a crash) and
-                // heals instantly when the cut is lifted.
-                if counters.cut(book, from, me) {
-                    continue;
-                }
-                // Gray-node throttle, inbound side: a slowed host is
-                // slow to *process* what it hears, one frame at a time.
-                let slow = book.gray_micros(me);
-                if slow > 0 {
-                    crate::sync::sleep(Duration::from_micros(slow));
-                }
-                // Environment commands (client invocations, repair
-                // triggers) are never protocol traffic: a peer must not
-                // drive a host's client sessions or start its repairs.
-                // The trusted local path is `inject()`.
-                if msg.role() == Role::Local {
-                    continue;
-                }
-                // Network-facing dispatch guard: a stale or hostile
-                // configuration id must not reach the actors, whose
-                // internal registry lookups treat unknown ids as
-                // protocol bugs (`try_get` makes the check total), and
-                // a deployment with a declared object universe drops
-                // traffic for fabricated objects before it can create
-                // per-object state.
-                if admission.admits(&msg) && !route_delivery(shards, from, msg, Some(&stop)) {
+impl Conn {
+    /// Whether the connection is polled: it is up and holds nothing.
+    fn open(&self) -> bool {
+        !self.done && self.pending.is_empty()
+    }
+
+    /// Reads the connection once into `buf`, decodes what came and puts
+    /// it in; reads again only if that read filled `buf` and nothing is
+    /// held. Malformed input tears down *this connection only*, and
+    /// nothing on this path can panic the host.
+    fn read(&mut self, buf: &mut [u8], base: &HostBase, shards: &[Shard]) {
+        loop {
+            base.writers.socket_reads.fetch_add(1, Ordering::Relaxed);
+            let n = match (&self.stream).read(buf) {
+                Ok(n) if n > 0 => n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
+                _ => break, // closed, or failed
+            };
+            let mut input = buf.get(..n).unwrap_or_default();
+            while let Some(frame) = self.decoder.feed(&mut input) {
+                let Ok((from, msg)) = frame else {
+                    self.done = true; // what it sent before still goes in
                     return;
+                };
+                if admitted(base, from, &msg) {
+                    self.pending.push_back((from, msg));
                 }
             }
-            Ok(None) | Err(_) => return,
+            if self.release(base, shards, Instant::now()).is_some() || n < buf.len() {
+                return;
+            }
         }
+        self.done = true;
     }
+
+    /// Puts the pending frames in, in order, up to the first one held;
+    /// returns when to try that one again. A frame waits while its
+    /// shard's inbox holds [`INBOUND_HIGH_WATER`] network deliveries,
+    /// stalling this connection and, through TCP, the peer; and a gray
+    /// host puts one in per `gray_micros` at most.
+    fn release(&mut self, base: &HostBase, shards: &[Shard], now: Instant) -> Option<Instant> {
+        while let Some((_, msg)) = self.pending.front() {
+            let slow = Duration::from_micros(base.book.gray_micros(base.pid));
+            let due = (!slow.is_zero()).then(|| *self.not_before.get_or_insert(now + slow));
+            if let Some(due) = due.filter(|due| *due > now) {
+                return Some(due);
+            }
+            let shard = shards.get(shard_of(msg, shards.len()));
+            if shard.is_some_and(|s| s.inbound.load(Ordering::SeqCst) >= INBOUND_HIGH_WATER) {
+                return Some(now + Duration::from_millis(1));
+            }
+            self.not_before = None;
+            if let Some((from, msg)) = self.pending.pop_front() {
+                route_delivery(shards, from, msg, true);
+            }
+        }
+        None
+    }
+}
+
+/// Whether a frame read off the network goes in: its link is not cut
+/// (counted if it is), it is no environment command, and the host
+/// admits it.
+fn admitted(base: &HostBase, from: ProcessId, msg: &Msg) -> bool {
+    // Injected asymmetric cut: this host cannot *hear* the peer, though
+    // the reverse direction may still flow. The connection survives (a
+    // link fault is not a crash) and heals when the cut is lifted.
+    !base.writers.cut(&base.book, from, base.pid)
+        // Environment commands (client invocations, repair triggers) are
+        // never protocol traffic: a peer must not drive a host's client
+        // sessions or start its repairs. The trusted local path is the
+        // injector.
+        && msg.role() != Role::Local
+        // A stale or hostile configuration id must not reach the actors,
+        // whose registry lookups treat unknown ids as protocol bugs, and
+        // a deployment with a declared object universe drops traffic for
+        // fabricated objects before it can create per-object state.
+        && base.admission.admits(msg)
 }
 
 /// A shard's armed timers, earliest deadline on top.
@@ -971,17 +1079,22 @@ type TimerHeap = BinaryHeap<Reverse<(Instant, u64)>>;
 
 /// One shard's sequential actor driver: applies events in arrival order,
 /// fires the shard's timers, and maps the drained [`HostEffect`]s onto
-/// sockets, the timer heap and the completion log.
+/// sockets, the timer heap and the completion log. The network loop
+/// ([`NET_SHARD`]) also reads every connection of its life, and closes
+/// them as it ends.
 ///
 /// The loop takes its inbox whole and applies what it took before it
 /// looks again, so it knows an event with nothing queued behind it is
-/// `idle`: its frames may be written inline ([`PeerPool::send`]).
+/// `idle`: its frames may be written inline ([`PeerPool::send`]). With
+/// nothing to apply it parks in [`Net::poll`], and applies what that
+/// read as one batch.
 ///
-/// A due timer fires behind the deliveries already queued when it fell
-/// due, and is never starved by a busy inbox: the loop notes the
-/// shard's inbound backlog at that moment, and every timer due by then
-/// fires after that many more deliveries or once the inbox empties,
-/// whichever comes first.
+/// A due timer fires behind the deliveries already waiting when it fell
+/// due, read off the sockets by one zero-timeout poll first, and is
+/// never starved by a busy inbox: the loop notes the shard's inbound
+/// backlog at that moment, and every timer due by then fires after that
+/// many more deliveries or once the inbox empties, whichever comes
+/// first.
 ///
 /// When the shard carries a [`ShardWal`], every [`Role::Logged`] and
 /// [`Role::Synced`] delivery is journaled **before** it is applied
@@ -991,19 +1104,22 @@ type TimerHeap = BinaryHeap<Reverse<(Instant, u64)>>;
 /// by wall clock.
 ///
 /// Returns the actor and its log when the shard's life ends.
-#[allow(clippy::too_many_arguments, reason = "the shard thread's whole context, moved in once")]
 fn event_loop<A: Actor<Msg> + Send + 'static>(
-    pid: ProcessId,
+    base: Arc<HostBase>,
     shard: usize,
     mut actor: A,
     mut wal: Option<ShardWal<A>>,
     shards: Arc<[Shard]>,
     pool: Arc<PeerPool>,
-    epoch: Instant,
     completions: Option<CompletionSink>,
 ) -> ShardState<A> {
     crate::sync::mark_loop();
     let Some(Shard { inbox, inbound, counters }) = shards.get(shard) else { return (actor, wal) };
+    let (pid, epoch) = (base.pid, base.epoch);
+    let listens = shard == NET_SHARD;
+    let (conns, fds, buf) =
+        (Vec::new(), Vec::new(), vec![0; usize::from(listens) * codec::FRAME_READ_BUF]);
+    let mut net = Net { base, listens, conns, buf, fds, accept_after: None };
     let mut rng = StdRng::seed_from_u64(pid.0 as u64 ^ 0xA1E5_0000 ^ ((shard as u64) << 40));
     let mut timers = TimerHeap::new();
     // What the loop took from its inbox and has not applied yet.
@@ -1015,11 +1131,14 @@ fn event_loop<A: Actor<Msg> + Send + 'static>(
         if let (None, Some(&Reverse((deadline, _)))) = (due, timers.peek()) {
             let now = Instant::now();
             if deadline <= now {
+                if listens {
+                    net.poll(&shards, None, Some(Duration::ZERO));
+                }
                 due = Some((now, inbound.load(Ordering::SeqCst)));
             }
         }
         if batch.is_empty() {
-            inbox.take(&mut batch);
+            inbox.take(&mut batch, false);
         }
         let next = match due {
             Some((_, 0)) => None,
@@ -1044,11 +1163,27 @@ fn event_loop<A: Actor<Msg> + Send + 'static>(
             }
             // Going idle: flush the journal's group-commit batch
             // before parking, so batched fsync never leaves
-            // acknowledged records unsynced across an idle gap.
+            // acknowledged records unsynced across an idle gap. What
+            // already waits in the sockets is still the busy burst.
             if let Some(w) = wal.as_mut() {
+                if listens {
+                    net.poll(&shards, None, Some(Duration::ZERO));
+                    if inbox.take(&mut batch, false) {
+                        continue;
+                    }
+                }
                 w.idle_sync();
             }
-            inbox.park(&mut batch, timers.peek().map(|Reverse((deadline, _))| *deadline));
+            // The one park point: what the connections hold goes in
+            // first, and nothing queued means a wait.
+            let retry = net.release(&shards);
+            if !inbox.take(&mut batch, true) {
+                let timer = timers.peek().map(|Reverse((deadline, _))| *deadline);
+                let deadline = timer.into_iter().chain(retry).min();
+                let timeout = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+                net.poll(&shards, Some(inbox), timeout);
+                inbox.take(&mut batch, false);
+            }
             continue;
         };
         match ev {
@@ -1070,10 +1205,10 @@ fn event_loop<A: Actor<Msg> + Send + 'static>(
                 }
                 counters.events_applied.fetch_add(1, Ordering::SeqCst);
                 if counted {
-                    // Counted at apply time (see the reader), events
-                    // before routed, both SeqCst (the snapshot loads
-                    // them in the opposite order): events_applied ≥
-                    // frames_routed holds at every observation point
+                    // Counted at apply time (see `route_delivery`),
+                    // events before routed, both SeqCst (the snapshot
+                    // loads them in the opposite order): events_applied
+                    // ≥ frames_routed holds at every observation point
                     // on any hardware; frames a killed node never
                     // applied are routed nowhere.
                     counters.frames_routed.fetch_add(1, Ordering::SeqCst);
@@ -1090,6 +1225,11 @@ fn event_loop<A: Actor<Msg> + Send + 'static>(
             }
         }
     }
+    // Peers see the FIN now, not at their next frame, and reconnect into
+    // the backlog of the node's next life.
+    for c in &net.conns {
+        let _ = c.stream.shutdown(std::net::Shutdown::Both);
+    }
     (actor, wal)
 }
 
@@ -1098,33 +1238,18 @@ fn event_loop<A: Actor<Msg> + Send + 'static>(
 /// every other shard's, flagged `mirror`: journaled and applied there
 /// like any delivery, its replies dropped, because only the routed
 /// shard (shard 0, which alone serves `ReadConfig`) may answer a
-/// pointer write (DESIGN.md §9). The listener, [`ShardedHost::inject`]
-/// and a loopback self-send all deliver through here.
+/// pointer write (DESIGN.md §9). A network frame, the injector and a
+/// loopback self-send all deliver through here.
 ///
-/// A network frame (`stop` set) is `counted`: it waits while the routed
-/// shard's inbox holds [`INBOUND_HIGH_WATER`] of them, stalling its
-/// connection and, through TCP, the peer, and gives up once `stop`
-/// holds. Returns `false` if it gave up.
-fn route_delivery(
-    shards: &[Shard],
-    from: ProcessId,
-    msg: Msg,
-    stop: Option<&dyn Fn() -> bool>,
-) -> bool {
+/// A network frame is `counted` against the shard's
+/// [`INBOUND_HIGH_WATER`] until the shard applies it; the network loop
+/// checks for room first.
+fn route_delivery(shards: &[Shard], from: ProcessId, msg: Msg, counted: bool) {
     let si = shard_of(&msg, shards.len());
     // `shard_of` is always in range; `get` keeps this network path free
     // of panicking indexing.
-    let Some(shard) = shards.get(si) else { return true };
-    if let Some(stop) = stop {
-        // Per-shard gates keep one slow shard from stalling traffic
-        // bound for the others — unless it shares a connection, which
-        // is TCP's own head-of-line constraint.
-        while shard.inbound.load(Ordering::SeqCst) >= INBOUND_HIGH_WATER {
-            if stop() {
-                return false;
-            }
-            crate::sync::sleep(Duration::from_millis(1));
-        }
+    let Some(shard) = shards.get(si) else { return };
+    if counted {
         let backlog = shard.inbound.fetch_add(1, Ordering::SeqCst) + 1;
         shard.counters.inbox_high_water.fetch_max(backlog, Ordering::Relaxed);
     }
@@ -1138,8 +1263,7 @@ fn route_delivery(
     // delivery, not here: a snapshot must never observe a routed frame
     // that has not yet been applied (events_applied ≥ frames_routed is
     // an invariant tests rely on).
-    shard.inbox.push(Event::Deliver { from, msg, counted: stop.is_some(), mirror: false });
-    true
+    shard.inbox.push(Event::Deliver { from, msg, counted, mirror: false });
 }
 
 fn apply(
@@ -1166,7 +1290,7 @@ fn apply(
                     // element to itself) short-circuit the socket —
                     // routed like network traffic, because the object's
                     // shard may not be the sending shard.
-                    route_delivery(shards, pid, msg, None);
+                    route_delivery(shards, pid, msg, false);
                     continue;
                 }
                 let frame = match &last_frame {
@@ -1204,9 +1328,9 @@ fn apply(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ares_core::shard::object_shard;
     use ares_dap::{DapBody, DapMsg, Hdr};
     use ares_types::{ConfigId, OpId, RpcId, Tag, Value};
-    use std::io::Read;
     use std::sync::mpsc::{self, Receiver, Sender};
 
     fn write_msg(value: Value) -> Msg {
@@ -1486,27 +1610,60 @@ mod tests {
 
     #[test]
     fn an_idle_request_and_reply_wake_no_writer() {
-        // The gate for the inline path: a shard loop with nothing else
-        // queued writes its reply itself, so the hop wakes no writer.
-        let (peer, pool) = pool_to_peer(false);
-        let (log, _logged) = mpsc::channel();
-        let script = |_, ctx: &mut Ctx<'_, Msg>| ctx.send(PEER, write_msg(Value::filler(8, 1)));
-        let shards = one_shard(vec![deliver(1, false)]);
-        let shard = run_shard(Scripted { script, log }, None, shards.clone(), pool.clone(), None);
-        let mut from_shard = BufReader::new(accept_within(&peer));
-        read_frame(&mut from_shard).unwrap().expect("the writer's first reply");
-        let q = pool.queue(PEER);
+        // The gate for both directions of an idle hop, over two real
+        // hosts: `ME` asks `PEER` on every injected delivery and `PEER`
+        // answers. Each loop reads the frame it is sent with one `read`
+        // and writes its own frame itself, so no writer wakes.
+        let bind = || TcpListener::bind("127.0.0.1:0").unwrap();
+        let (me, peer) = (bind(), bind());
+        let book = AddrBook::from_entries([
+            (ME, me.local_addr().unwrap()),
+            (PEER, peer.local_addr().unwrap()),
+        ]);
+        let book = Arc::new(book);
+        let script = |from, ctx: &mut Ctx<'_, Msg>| match ctx.pid() {
+            ME if from == PEER => {}
+            ME => ctx.send(PEER, write_msg(Value::filler(8, 1))),
+            _ => ctx.send(ME, write_msg(Value::filler(8, 2))),
+        };
+        let host = |pid, listener| {
+            let base = HostBase::new(pid, listener, admission(), book.clone(), Instant::now(), 1);
+            let base = base.unwrap();
+            let (log, logged) = mpsc::channel();
+            let actor = (Scripted { script, log }, None);
+            (base.clone(), ShardedHost::start(base, vec![actor], None).unwrap(), logged)
+        };
+        let (a_base, a, replies) = host(ME, me);
+        let (b_base, b, _) = host(PEER, peer);
+        let ask = a.injector();
+        let round = || {
+            ask(ProcessId(0), write_msg(Value::filler(8, 3)));
+            let within = Duration::from_secs(10);
+            while replies.recv_timeout(within).expect("a reply") != Some(PEER) {}
+        };
+        round(); // each host's writer connects and writes the first frame
+        let (qa, qb) = (a.pool.queue(PEER), b.pool.queue(ME));
+        let sockets = || {
+            let (a, b) = (a_base.stats(None), b_base.stats(None));
+            [a.socket_reads, b.socket_reads, a.socket_writes, b.socket_writes]
+        };
         let (mut last_push, mut idle_rounds) = (Instant::now(), 0);
         for _ in 0..200 {
-            until_parked(&q);
-            let wakes = q.ready.wakes();
+            until_parked(&qa);
+            until_parked(&qb);
+            let (wakes, before) = ((qa.ready.wakes(), qb.ready.wakes()), sockets());
             let pushed = Instant::now();
-            shards[0].inbox.push(deliver(1, false));
-            read_frame(&mut from_shard).unwrap().expect("a reply");
+            round();
             // A round the scheduler stretched past the window is not
             // idle by the rule, and proves nothing either way.
             if last_push.elapsed() < IDLE_BEFORE_PEEK {
-                assert_eq!(q.ready.wakes(), wakes, "an idle hop woke the writer");
+                assert_eq!(
+                    (qa.ready.wakes(), qb.ready.wakes()),
+                    wakes,
+                    "an idle hop woke a writer"
+                );
+                let spent: Vec<u64> = sockets().iter().zip(before).map(|(n, b)| n - b).collect();
+                assert_eq!(spent, [1, 1, 1, 1], "reads at each end, then writes at each end");
                 idle_rounds += 1;
             }
             last_push = pushed;
@@ -1515,8 +1672,8 @@ mod tests {
             }
         }
         assert_eq!(idle_rounds, 5, "five idle rounds within 200");
-        shards[0].inbox.push(Event::Shutdown);
-        shard.join().unwrap();
+        a.shutdown();
+        b.shutdown();
     }
 
     #[test]
@@ -1719,46 +1876,72 @@ mod tests {
 
     #[test]
     fn a_full_inbox_holds_network_deliveries_back_but_never_local_ones() {
-        let shards = one_shard(vec![]);
-        let shard = &shards[0];
-        let (never, always) = (|| false, || true);
-        let msg = || write_msg(Value::from_static(b"x"));
+        // Shard 1 of a two-shard table runs no loop: the test consumes
+        // its inbox. Shard 0's loop, the network loop, reads two peers.
+        let shards = shard_table(2, vec![]);
+        let full = &shards[1];
+        let on = |s| (0..).map(ObjectId).find(|&o| object_shard(o, 2) == s).unwrap();
+        let frame = |from, s| codec::encode_frame(ProcessId(from), &put(on(s)));
         for _ in 0..INBOUND_HIGH_WATER {
-            assert!(route_delivery(&shards, ProcessId(1), msg(), Some(&never)));
+            route_delivery(&shards, ProcessId(7), put(on(1)), true);
         }
-        assert_eq!(shard.inbound.load(Ordering::SeqCst), INBOUND_HIGH_WATER);
-        // One more network delivery waits for the shard to consume one.
-        let held = {
-            let shards = shards.clone();
-            std::thread::spawn(move || route_delivery(&shards, ProcessId(1), msg(), Some(&never)))
-        };
-        crate::sync::sleep(Duration::from_millis(50));
-        assert!(!held.is_finished(), "a full inbox holds the reader back");
-        assert_eq!(shard.inbound.load(Ordering::SeqCst), INBOUND_HIGH_WATER);
-        // Consume one as the shard loop does.
-        let mut taken = VecDeque::new();
-        shard.inbox.take(&mut taken);
-        assert!(matches!(taken.pop_front(), Some(Event::Deliver { counted: true, .. })));
-        shard.inbound.fetch_sub(1, Ordering::SeqCst);
-        assert!(held.join().unwrap(), "the held delivery went in once there was room");
-        assert_eq!(shard.inbound.load(Ordering::SeqCst), INBOUND_HIGH_WATER);
-        // A reader told to stop gives up instead of waiting.
-        assert!(!route_delivery(&shards, ProcessId(1), msg(), Some(&always)));
+        let base = base(AddrBook::new());
+        let (log, logged) = mpsc::channel();
+        let actor = Scripted { script: |_, _| {}, log };
+        let net = run_shard(base.clone(), actor, None, shards.clone(), None);
+        let reads = || base.stats(None).socket_reads;
+        let settle = || crate::sync::sleep(Duration::from_millis(50));
+        let mut held = TcpStream::connect(base.local_addr).unwrap();
+        held.write_all(&frame(1, 1)).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while reads() == 0 {
+            assert!(Instant::now() < deadline, "the loop never read the frame");
+            crate::sync::sleep(Duration::from_millis(1));
+        }
+        settle();
+        assert_eq!(full.inbound.load(Ordering::SeqCst), INBOUND_HIGH_WATER, "the frame is held");
+        // The held connection is not read: what the peer sends behind
+        // the held frame stays in TCP, even for a shard with room.
+        let read_before = reads();
+        held.write_all(&frame(2, 0)).unwrap();
+        settle();
+        assert_eq!(reads(), read_before, "a held connection was read");
+        assert!(logged.try_recv().is_err(), "a frame behind the held one went in");
+        // Every other connection still flows.
+        TcpStream::connect(base.local_addr).unwrap().write_all(&frame(3, 0)).unwrap();
+        assert_eq!(logged.recv_timeout(Duration::from_secs(10)), Ok(Some(ProcessId(3))));
         // A local delivery is never held back, and is not counted.
-        assert!(route_delivery(&shards, ProcessId(1), msg(), None));
-        assert_eq!(shard.inbound.load(Ordering::SeqCst), INBOUND_HIGH_WATER);
-        let mut queued = Vec::from(taken);
+        route_delivery(&shards, ProcessId(7), put(on(1)), false);
+        assert_eq!(full.inbound.load(Ordering::SeqCst), INBOUND_HIGH_WATER);
+        // Consume one as the shard loop does: the held frame goes in,
+        // and the connection is read again behind it.
+        let mut taken = VecDeque::new();
+        full.inbox.take(&mut taken, false);
+        full.inbound.fetch_sub(1, Ordering::SeqCst);
+        assert_eq!(logged.recv_timeout(Duration::from_secs(10)), Ok(Some(ProcessId(2))));
+        assert_eq!(full.inbound.load(Ordering::SeqCst), INBOUND_HIGH_WATER);
+        let counted = taken.iter().filter(|e| matches!(e, Event::Deliver { counted: true, .. }));
+        assert_eq!(counted.count(), INBOUND_HIGH_WATER, "nothing went in past the mark");
+        assert!(matches!(taken.back(), Some(Event::Deliver { counted: false, .. })), "local last");
         let mut rest = VecDeque::new();
-        shard.inbox.take(&mut rest);
-        queued.extend(rest);
-        let counted = queued.iter().filter(|e| matches!(e, Event::Deliver { counted: true, .. }));
-        assert_eq!(counted.count(), INBOUND_HIGH_WATER, "the stopped delivery never went in");
-        assert!(matches!(queued[..], [.., Event::Deliver { counted: false, .. }]), "local last");
+        full.inbox.take(&mut rest, false);
+        let went_in =
+            |e: &Event| matches!(e, Event::Deliver { from, counted: true, .. } if from.0 == 1);
+        assert!(
+            matches!(&rest.iter().collect::<Vec<_>>()[..], [e] if went_in(e)),
+            "the held frame"
+        );
         assert_eq!(
-            shard.counters.inbox_high_water.load(Ordering::Relaxed),
+            full.counters.inbox_high_water.load(Ordering::Relaxed),
             INBOUND_HIGH_WATER,
             "the peak backlog is recorded"
         );
+        // A frame held when the life ends does not keep the loop alive.
+        held.write_all(&frame(4, 1)).unwrap();
+        settle();
+        shards[0].inbox.push(Event::Shutdown);
+        net.join().unwrap();
+        assert_eq!(full.inbound.load(Ordering::SeqCst), INBOUND_HIGH_WATER, "it never went in");
     }
 
     /// Logs each delivery's sender, and `None` per timer fire. Its first
@@ -1796,23 +1979,35 @@ mod tests {
         Event::Deliver { from: ProcessId(from), msg, counted, mirror: false }
     }
 
+    /// A put of `b"x"` to `obj`.
+    fn put(obj: ObjectId) -> Msg {
+        let hdr = Hdr { cfg: ConfigId(0), obj, rpc: RpcId(1), op: OpId { client: PEER, seq: 0 } };
+        let body = DapBody::AbdWrite(Tag::new(1, PEER), Value::from_static(b"x"));
+        Msg::Dap(DapMsg::new(hdr, body))
+    }
+
     /// The pid of every test shard below.
     const ME: ProcessId = ProcessId(99);
 
-    /// A one-shard table whose inbox already holds `queued`, its
-    /// network deliveries counted.
-    fn one_shard(queued: Vec<Event>) -> Arc<[Shard]> {
-        let shard = Shard {
-            inbox: Inbox::default(),
+    /// A table of `n` shards, shard 0's inbox already holding `queued`,
+    /// its network deliveries counted.
+    fn shard_table(n: usize, queued: Vec<Event>) -> Arc<[Shard]> {
+        let shard = || Shard {
+            inbox: Inbox::new().unwrap(),
             inbound: AtomicUsize::new(0),
             counters: Arc::default(),
         };
+        let shards: Arc<[Shard]> = (0..n).map(|_| shard()).collect();
         for ev in queued {
             let counted = matches!(ev, Event::Deliver { counted: true, .. });
-            shard.inbound.fetch_add(usize::from(counted), Ordering::SeqCst);
-            shard.inbox.push(ev);
+            shards[0].inbound.fetch_add(usize::from(counted), Ordering::SeqCst);
+            shards[0].inbox.push(ev);
         }
-        Arc::new([shard])
+        shards
+    }
+
+    fn one_shard(queued: Vec<Event>) -> Arc<[Shard]> {
+        shard_table(1, queued)
     }
 
     /// `ME`'s outbound pool over `book`.
@@ -1820,28 +2015,42 @@ mod tests {
         PeerPool::new(ME, Arc::new(book), Arc::default())
     }
 
-    /// Runs the real shard loop of `ME` for `actor` on its own thread,
-    /// serving the one inbox of `shards` (its self-sends loop back to
-    /// it) and sending through `pool`.
+    /// Admits configuration 0 and any object.
+    fn admission() -> Admission {
+        let c0 = ares_types::Configuration::abd(ConfigId(0), vec![ME, PEER]);
+        Admission { registry: ConfigRegistry::from_configs([c0]), objects: None }
+    }
+
+    /// `ME`'s base on a fresh loopback listener, reading `book`.
+    fn base(book: AddrBook) -> Arc<HostBase> {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        HostBase::new(ME, listener, admission(), Arc::new(book), Instant::now(), 1).unwrap()
+    }
+
+    /// Runs the real shard loop of `ME` for `actor` on its own thread:
+    /// the network loop of `base`, serving shard 0 of `shards` (its
+    /// self-sends loop back to it) and sending through a pool over the
+    /// base's book.
     fn run_shard<A: Actor<Msg> + Send + 'static>(
+        base: Arc<HostBase>,
         actor: A,
         wal: Option<ShardWal<A>>,
         shards: Arc<[Shard]>,
-        pool: Arc<PeerPool>,
         completions: Option<CompletionSink>,
     ) -> JoinHandle<ShardState<A>> {
-        std::thread::spawn(move || {
-            event_loop(ME, 0, actor, wal, shards, pool, Instant::now(), completions)
-        })
+        let pool = PeerPool::new(ME, base.book.clone(), base.writers.clone());
+        std::thread::spawn(move || event_loop(base, 0, actor, wal, shards, pool, completions))
     }
 
     /// What a [`Recorder`] logged: each delivery's sender, `None` per
     /// timer fire.
     type Logged = Receiver<Option<ProcessId>>;
 
-    /// Starts a shard loop for a [`Recorder`] whose inbox already holds
-    /// `queued`; returns the shard, the loop thread and the log.
+    /// Starts a shard loop on `base` for a [`Recorder`] whose inbox
+    /// already holds `queued`; returns the shard, the loop thread and
+    /// the log.
     fn recorder_shard(
+        base: Arc<HostBase>,
         delay: Time,
         echoes: u32,
         queued: Vec<Event>,
@@ -1849,16 +2058,27 @@ mod tests {
         let (log, logged) = mpsc::channel();
         let actor = Recorder { delay, echoes, armed: false, fired: false, log };
         let shards = one_shard(queued);
-        let shard = run_shard(actor, None, shards.clone(), pool(AddrBook::new()), None);
+        let shard = run_shard(base, actor, None, shards.clone(), None);
         (shards, shard, logged)
     }
 
-    /// A timer armed at once by the first of `1 + backlog` queued
-    /// deliveries: the log up to its fire.
-    fn log_until_timer(backlog: u32, echoes: u32) -> Vec<Option<ProcessId>> {
-        let queued =
-            std::iter::once(deliver(0, false)).chain((1..=backlog).map(|i| deliver(i, true)));
-        let (shards, shard, logged) = recorder_shard(0, echoes, queued.collect());
+    /// A timer armed at once by a first local delivery with `backlog`
+    /// network deliveries behind it, already in the inbox or, if
+    /// `in_socket`, still in a connection to the loop: the log up to
+    /// the timer's fire.
+    fn log_until_timer(backlog: u32, echoes: u32, in_socket: bool) -> Vec<Option<ProcessId>> {
+        let base = base(AddrBook::new());
+        let mut queued = vec![deliver(0, false)];
+        if in_socket {
+            let mut peer = TcpStream::connect(base.local_addr).unwrap();
+            for i in 1..=backlog {
+                peer.write_all(&codec::encode_frame(ProcessId(i), &write_msg(Value::filler(1, 0))))
+                    .unwrap();
+            }
+        } else {
+            queued.extend((1..=backlog).map(|i| deliver(i, true)));
+        }
+        let (shards, shard, logged) = recorder_shard(base, 0, echoes, queued);
         let mut log = Vec::new();
         while log.last() != Some(&None) {
             log.push(logged.recv_timeout(Duration::from_secs(10)).expect("the due timer fired"));
@@ -1874,10 +2094,12 @@ mod tests {
 
     #[test]
     fn a_due_timer_waits_for_deliveries_already_queued() {
+        // The deliveries sit in the socket, unread, when the timer falls
+        // due: the loop reads them before it fires the timer.
         assert_eq!(
-            log_until_timer(32, 0),
+            log_until_timer(32, 0, true),
             senders_then_fire(32),
-            "the timer fell due behind 32 queued deliveries and fires after them"
+            "the timer fell due behind 32 waiting deliveries and fires after them"
         );
     }
 
@@ -1886,18 +2108,22 @@ mod tests {
         // Every delivery queues another behind it, so the inbox is never
         // empty: the timer must still fire once the 32 deliveries queued
         // when it fell due are applied, ahead of the echoes after them.
-        assert_eq!(log_until_timer(32, 10_000), senders_then_fire(32));
+        assert_eq!(log_until_timer(32, 10_000, false), senders_then_fire(32));
     }
 
     #[test]
     fn a_restarted_shard_never_fires_a_timer_of_its_last_life() {
         // The arming delivery is queued ahead of the shutdown, so the
         // timer is armed in the first life and must die with it.
-        let (_, first, logged) =
-            recorder_shard(50_000, 0, vec![deliver(0, false), Event::Shutdown]);
+        let (_, first, logged) = recorder_shard(
+            base(AddrBook::new()),
+            50_000,
+            0,
+            vec![deliver(0, false), Event::Shutdown],
+        );
         let (actor, wal) = first.join().unwrap();
         let shards = one_shard(vec![]);
-        let second = run_shard(actor, wal, shards.clone(), pool(AddrBook::new()), None);
+        let second = run_shard(base(AddrBook::new()), actor, wal, shards.clone(), None);
         crate::sync::sleep(Duration::from_millis(200)); // well past the deadline
         shards[0].inbox.push(deliver(1, false));
         shards[0].inbox.push(Event::Shutdown);
@@ -1925,7 +2151,7 @@ mod tests {
         let put = write_msg(Value::filler(8, 1));
         assert!(wal.journal(ProcessId(2), &put, &actor), "a DAP put is served from memory");
         let shards = one_shard(vec![]);
-        let shard = run_shard(actor, Some(wal), shards.clone(), pool(book), None);
+        let shard = run_shard(base(book), actor, Some(wal), shards.clone(), None);
         let op = OpId { client: ProcessId(2), seq: 1 };
         let ballot = Ballot { round: 1, proposer: ProcessId(2) };
         let prepare = Msg::Con(ConMsg::Prepare { inst: ConfigId(0), rpc: RpcId(1), ballot, op });
@@ -1941,8 +2167,8 @@ mod tests {
         }
         // One writer carries both replies in order: the first frame is
         // the query's, so the Prepare before it was never answered.
-        let mut from_shard = BufReader::new(peer.accept().unwrap().0);
-        let (_, reply) = read_frame(&mut from_shard).unwrap().expect("a reply");
+        let mut from_shard = std::io::BufReader::new(peer.accept().unwrap().0);
+        let (_, reply) = codec::read_frame(&mut from_shard).unwrap().expect("a reply");
         assert!(
             matches!(&reply, Msg::Dap(m) if m.hdr.rpc == RpcId(2)),
             "a failed log must not promise, got {reply:?}"
@@ -1975,10 +2201,40 @@ mod tests {
         let (log, _logged) = mpsc::channel();
         let actor = Scripted { script: |_, _| crate::sync::sleep(Duration::from_micros(1)), log };
         let shards = one_shard(vec![deliver(1, false), Event::Shutdown]);
-        let shard = run_shard(actor, None, shards, pool(AddrBook::new()), None);
+        let shard = run_shard(base(AddrBook::new()), actor, None, shards, None);
         let Err(err) = shard.join() else { panic!("the guard stops the loop at its first sleep") };
         let msg = err.downcast::<String>().expect("the guard's formatted message");
         assert!(msg.starts_with("a shard event loop must not block"), "{msg}");
+    }
+
+    #[test]
+    fn a_gray_host_applies_frames_no_faster_than_its_delay() {
+        // Gray factor 40: 2 ms per frame read. Ten frames sent at once
+        // go in one per 2 ms at most, the first one included.
+        const FRAMES: u32 = 10;
+        let book = AddrBook::from_entries([(ME, "127.0.0.1:1".parse().unwrap())]);
+        book.apply(&ares_sim::FaultAction::Grayify { pid: ME, factor: 40 });
+        let slow = Duration::from_micros(book.gray_micros(ME));
+        assert_eq!(slow, Duration::from_millis(2));
+        let base = base(book);
+        let (log, logged) = mpsc::channel();
+        let shards = one_shard(vec![]);
+        let actor = Scripted { script: |_, _| {}, log };
+        let shard = run_shard(base.clone(), actor, None, shards.clone(), None);
+        let frames: Vec<u8> = (1..=FRAMES)
+            .flat_map(|i| codec::encode_frame(ProcessId(i), &write_msg(Value::filler(8, 1))))
+            .collect();
+        let sent = Instant::now();
+        TcpStream::connect(base.local_addr).unwrap().write_all(&frames).unwrap();
+        for i in 1..=FRAMES {
+            let got =
+                logged.recv_timeout(Duration::from_secs(10)).expect("a gray host still serves");
+            assert_eq!(got, Some(ProcessId(i)), "in order");
+        }
+        let took = sent.elapsed();
+        assert!(took >= slow * FRAMES, "{FRAMES} frames went in within {took:?}");
+        shards[0].inbox.push(Event::Shutdown);
+        shard.join().unwrap();
     }
 
     #[test]
@@ -2005,7 +2261,7 @@ mod tests {
         let sink: CompletionSink = Box::new(move |c| done.send(c.op.seq).unwrap());
         let shards = one_shard(vec![]);
         let actor = Scripted { script, log };
-        let shard = run_shard(actor, None, shards.clone(), pool(book), Some(sink));
+        let shard = run_shard(base(book), actor, None, shards.clone(), Some(sink));
         let within = Duration::from_secs(10);
         for round in 1..=2 {
             shards[0].inbox.push(deliver(round, false));
@@ -2015,9 +2271,9 @@ mod tests {
             assert_eq!(got, [None, Some(ProcessId(round)), Some(ME)], "timer, delivery, self-send");
             assert_eq!(completed.recv_timeout(within).unwrap(), u64::from(round));
         }
-        let mut from_peer = BufReader::new(peer.accept().unwrap().0);
+        let mut from_peer = std::io::BufReader::new(peer.accept().unwrap().0);
         for _ in 1..=2 {
-            assert_eq!(read_frame(&mut from_peer).unwrap().expect("a frame").0, ME);
+            assert_eq!(codec::read_frame(&mut from_peer).unwrap().expect("a frame").0, ME);
         }
         shards[0].inbox.push(Event::Shutdown);
         shard.join().expect("no effect blocked the loop");

@@ -10,9 +10,10 @@
 //!   bounds-checked decoding of untrusted input ([`codec::WireEncode`] /
 //!   [`codec::WireDecode`]);
 //! * [`ShardedNode`] — a server node hosted on
-//!   `S ≥ 1` event-loop shards: per-connection reader threads route
-//!   each decoded frame to the shard owning its object (config-wide
-//!   traffic serializes on shard 0 — see `ares_core::shard`), each shard
+//!   `S ≥ 1` event-loop shards: shard 0's loop reads every connection
+//!   and routes each decoded frame to the shard owning its object
+//!   (config-wide traffic serializes on shard 0 — see
+//!   `ares_core::shard`), each shard
 //!   loop fires its own `timer_after` deadlines from a heap, and outbound
 //!   sends go through a reconnecting connection pool whose writers
 //!   drain in adaptively-batched writes (one flush per drained batch);

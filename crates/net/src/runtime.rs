@@ -5,9 +5,6 @@
 //! *same* `ServerActor` / `ClientActor` types with real sockets, via the
 //! sharded hosting layer of [`crate::host`]:
 //!
-//! * one **listener thread** accepts connections; each connection gets a
-//!   **reader thread** that decodes length-prefixed frames
-//!   ([`crate::codec`]) and routes `(from, Msg)` events to a shard;
 //! * `S ≥ 1` **shard event-loop threads** each own one sequential actor
 //!   instance. A [`ShardedNode`] partitions the server by object
 //!   ([`ares_core::shard`]): per-object traffic executes on the shard
@@ -15,9 +12,12 @@
 //!   service) serializes on shard 0 — so per-object and per-config
 //!   execution stay exactly the paper's single-process server. Client
 //!   hosts ([`NetStore`]) run a single shard, whose completions reach
-//!   their tickets through one table of in-flight operations. Each loop
-//!   also keeps its shard's `timer_after` deadlines in a heap and parks
-//!   on its inbox only until the earliest one;
+//!   their tickets through one table of in-flight operations. Shard 0's
+//!   loop also owns the listener and reads every connection it accepts,
+//!   decoding length-prefixed frames ([`crate::codec`]) and routing
+//!   `(from, Msg)` events to their shards. Each loop keeps its shard's
+//!   `timer_after` deadlines in a heap and parks, in one `ppoll` on its
+//!   inbox and its sockets, only until the earliest one;
 //! * outbound sends go through a **peer pool**: one writer thread per
 //!   destination, connecting on demand, reconnecting after failures,
 //!   and draining its queue in adaptively-batched writes (one flush per
@@ -283,7 +283,7 @@ impl ShardedNode {
             Admission { registry, objects: objects.map(|o| o.iter().copied().collect()) };
         let base = HostBase::new(me, listener, admission, book, epoch, shards)?;
         let (built, _) = build_shards(&base, durability.as_ref())?;
-        let host = ShardedHost::start(base.clone(), built, None);
+        let host = ShardedHost::start(base.clone(), built, None)?;
         Ok(ShardedNode { base, durability, life: Mutex::new(Life::Up(host)) })
     }
 
@@ -415,16 +415,16 @@ impl ShardedNode {
         }
     }
 
-    /// Starts a new life on `shards`, with the listener blocking again.
-    /// Without one shard per loop (a failed recovery, or a shard thread
-    /// that panicked) the node stays down.
+    /// Starts a new life on `shards`. Without one shard per loop (a
+    /// failed recovery, or a shard thread that panicked) or without the
+    /// sockets a life needs, the node stays down.
     fn boot(&self, shards: Vec<ShardState<ServerActor>>) {
         if shards.len() != self.shard_count() {
             return;
         }
-        let _ = self.base.listener.set_nonblocking(false);
-        let host = ShardedHost::start(self.base.clone(), shards, None);
-        *crate::sync::lock(&self.life) = Life::Up(host);
+        if let Ok(host) = ShardedHost::start(self.base.clone(), shards, None) {
+            *crate::sync::lock(&self.life) = Life::Up(host);
+        }
     }
 
     /// Stops all threads and closes the listener.
@@ -526,7 +526,7 @@ impl NetStore {
         // session lanes and completion routing live inside
         // the actor, which core-parallelizes by adding *stores*, not
         // shards.
-        let host = ShardedHost::start(base, vec![(actor, None)], Some(sink));
+        let host = ShardedHost::start(base, vec![(actor, None)], Some(sink))?;
         Ok(NetStore {
             inner: Arc::new(StoreInner {
                 pid: me,

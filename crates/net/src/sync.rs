@@ -21,10 +21,10 @@
 //! loop stalls every object mapped to its shard. The loop marks its
 //! thread with [`mark_loop`], and every call that can park a thread on
 //! something other than a runtime mutex — a [`Signal`] wait, [`sleep`],
-//! a socket connect, accept, read or blocking write — first calls
+//! a socket connect, a blocking read or write — first calls
 //! [`off_loop`], which panics on a marked thread in debug builds. The
-//! loop's one park point, [`Signal::park_loop`] on its own inbox when it
-//! has nothing to do, is the exception.
+//! loop's one park point, a `ppoll` on its own inbox and sockets when it
+//! has nothing to do, waits on no `Signal`.
 
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -119,23 +119,11 @@ impl Signal {
     /// every wake-up, the last one too.
     pub(crate) fn wait_until<'a, T>(
         &self,
-        guard: Guard<'a, T>,
-        deadline: Option<Instant>,
-        done: impl Fn(&T) -> bool,
-    ) -> Guard<'a, T> {
-        off_loop("Signal::wait_until");
-        self.park_loop(guard, deadline, done)
-    }
-
-    /// [`Signal::wait_until`] without the [`off_loop`] check: a shard
-    /// event loop's one park point, where it waits on its own inbox for
-    /// work (DESIGN §9).
-    pub(crate) fn park_loop<'a, T>(
-        &self,
         mut guard: Guard<'a, T>,
         deadline: Option<Instant>,
         done: impl Fn(&T) -> bool,
     ) -> Guard<'a, T> {
+        off_loop("Signal::wait_until");
         while !done(&guard) {
             let left = match deadline.map(|d| d.checked_duration_since(Instant::now())) {
                 Some(None) => break,
