@@ -16,16 +16,21 @@
 //! network loop, its sockets; what that poll reads is applied as one
 //! batch.
 //!
-//! Who writes a frame: a shard loop with nothing else queued sends it
-//! itself, with one nonblocking `send`, when the peer's queue is empty,
-//! nobody writes to the peer, the connection carried a write within
-//! [`IDLE_BEFORE_PEEK`] and the host is not gray. Every other frame, and
-//! the rest of a partial send, goes to the peer's writer thread, which
-//! alone connects, peeks for a FIN and pays a gray host's delay, and
-//! drains its queue in batches: one `write`+`flush` per drained batch,
-//! syscall-collapsing under load. So an idle hop wakes one thread, the
-//! receiving loop, and a writer is woken once per idle→busy transition
-//! of its queue.
+//! Every socket a host owns is nonblocking from the moment it is made,
+//! and nothing switches one back: the loops' never-block rule rests on
+//! that alone.
+//!
+//! Who writes a frame: a shard loop with nothing else queued writes it
+//! itself, with one `write` on the writer's connection, when the peer's
+//! queue is empty, nobody writes to the peer, the connection carried a
+//! write within [`IDLE_BEFORE_PEEK`] and the host is not gray. Every
+//! other frame, and the rest of a partial write, goes to the peer's
+//! writer thread, which alone connects, peeks for a FIN and pays a gray
+//! host's delay, and drains its queue in batches: one write per drained
+//! batch, syscall-collapsing under load, waiting in `ppoll` while the
+//! send buffer is full. So an idle hop wakes one thread, the receiving
+//! loop, and a writer is woken once per idle→busy transition of its
+//! queue.
 //!
 //! Clients ([`crate::NetStore`]) use the same machinery with `S = 1`:
 //! their command lanes and completion routing assume one loop.
@@ -76,6 +81,9 @@ pub(crate) const OUTBOUND_HIGH_WATER: usize = 1024;
 pub(crate) struct FrameQueue {
     state: Mutex<FrameQueueState>,
     ready: Signal,
+    /// Where an inline send counts its `write`, before making it: the
+    /// peer cannot read a frame whose write is not counted yet.
+    counters: Arc<WriterCounters>,
 }
 
 #[derive(Default)]
@@ -99,8 +107,13 @@ struct FrameQueueState {
 }
 
 impl FrameQueue {
+    fn counting(counters: Arc<WriterCounters>) -> Arc<Self> {
+        Arc::new(FrameQueue { state: Mutex::default(), ready: Signal::default(), counters })
+    }
+
+    #[cfg(test)]
     pub(crate) fn new() -> Arc<Self> {
-        Arc::new(FrameQueue { state: Mutex::default(), ready: Signal::default() })
+        Self::counting(Arc::default())
     }
 
     /// Enqueues a frame, evicting the oldest queued frame beyond the
@@ -133,7 +146,7 @@ impl FrameQueue {
     /// drains **everything queued** into `out` in one go. Returns the
     /// tail to finish first and when the connection last carried a
     /// write, or `None` once closed and drained. This is what the writer
-    /// batches on: one flush per drained batch.
+    /// batches on: one write per drained batch.
     pub(crate) fn pop_batch(
         &self,
         out: &mut Vec<Bytes>,
@@ -157,7 +170,7 @@ impl FrameQueue {
     }
 
     /// A shard loop's write of `frame` to an idle peer, without waking
-    /// its writer: one nonblocking `send` on the writer's connection,
+    /// its writer: one `write` on the writer's nonblocking connection,
     /// made only while nothing is queued or being written to the peer
     /// and the connection carried a write within [`IDLE_BEFORE_PEEK`],
     /// so it needs no FIN peek. `Err(frame)` if it was not made, else
@@ -170,7 +183,8 @@ impl FrameQueue {
         let Some(conn) = fresh.map(|(s, _)| s.clone()) else { return Err(frame) };
         st.busy = true;
         drop(st);
-        let sent = crate::sys::send_nonblocking(&conn, &frame).unwrap_or(0);
+        self.counters.socket_writes.fetch_add(1, Ordering::Relaxed);
+        let sent = (&*conn).write(&frame).unwrap_or(0);
         let mut st = crate::sync::lock(&self.state);
         st.busy = false;
         if sent == 0 {
@@ -230,7 +244,7 @@ pub(crate) struct WriterCounters {
     frames_cut: AtomicU64,
     /// `read` calls on connections, by the network loop.
     socket_reads: AtomicU64,
-    /// `send`, `write` and `write_vectored` calls on connections.
+    /// `write` and `write_vectored` calls on connections.
     socket_writes: AtomicU64,
 }
 
@@ -294,7 +308,7 @@ impl PeerPool {
             match queues.get(&to) {
                 Some(q) => (q.clone(), false),
                 None => {
-                    let q = FrameQueue::new();
+                    let q = FrameQueue::counting(self.counters.clone());
                     queues.insert(to, q.clone());
                     (q, true)
                 }
@@ -307,9 +321,7 @@ impl PeerPool {
         }
         if idle && self.book.gray_micros(self.me) == 0 {
             let len = frame.len();
-            let sent = queue.send_inline(frame);
-            self.counters.socket_writes.fetch_add(u64::from(sent.is_ok()), Ordering::Relaxed);
-            match sent {
+            match queue.send_inline(frame) {
                 Ok(sent) if sent == len => return self.counters.flushed(1),
                 Ok(_) => return, // the writer finishes or sends it
                 Err(unsent) => frame = unsent,
@@ -356,20 +368,19 @@ impl Drop for PeerPool {
     }
 }
 
-/// Whether the peer has closed this connection (a FIN is pending): a
-/// nonblocking one-byte peek returns `Ok(0)` exactly then. Without this
-/// check, a frame written into a connection the peer tore down during a
-/// crash window is buffered locally, "succeeds", and is silently lost —
-/// violating the reliable-channel model for messages sent *after* the
-/// peer recovered. (Peers never send data on inbound connections, so
-/// `Ok(n > 0)` does not occur; replies travel over the peer's own
-/// outbound pool.)
+/// Whether the peer has closed or reset this connection: a one-byte
+/// peek on it, nonblocking like every connection of a host, that finds
+/// no `WouldBlock`. Without this check, a frame written into a
+/// connection the peer tore down during a crash window is buffered
+/// locally, "succeeds", and is silently lost — violating the
+/// reliable-channel model for messages sent *after* the peer recovered.
+/// (Peers never send data on inbound connections, so `Ok(n > 0)` does
+/// not occur; replies travel over the peer's own outbound pool.)
 fn peer_closed(s: &TcpStream) -> bool {
-    if s.set_nonblocking(true).is_err() {
-        return true;
+    match s.peek(&mut [0u8; 1]) {
+        Ok(n) => n == 0,
+        Err(e) => e.kind() != io::ErrorKind::WouldBlock,
     }
-    let dead = matches!(s.peek(&mut [0u8; 1]), Ok(0));
-    dead | s.set_nonblocking(false).is_err()
 }
 
 /// A connection that carried no write for this long is peeked for a
@@ -380,64 +391,40 @@ fn peer_closed(s: &TcpStream) -> bool {
 /// a crash window.
 const IDLE_BEFORE_PEEK: Duration = Duration::from_millis(2);
 
-/// A drained batch of at most this many bytes is coalesced into the
-/// writer's scratch buffer and leaves in one `write(2)`; a larger one —
-/// any batch holding a coded element of a bulk value — is written by
-/// reference. That bounds the scratch buffer too.
-const COALESCE_MAX: usize = 16 * 1024;
-
-/// A connection that counts its write calls in `.1`.
-struct Counted<'a>(&'a TcpStream, &'a AtomicU64);
-
-impl Write for Counted<'_> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.1.fetch_add(1, Ordering::Relaxed);
-        self.0.write(buf)
-    }
-    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
-        self.1.fetch_add(1, Ordering::Relaxed);
-        self.0.write_vectored(bufs)
-    }
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(()) // a socket buffers nothing in user space
-    }
-}
-
-/// Writes every frame of `batch` to `w`, in order, and flushes once.
-///
-/// Small batches are copied into `scratch` (reused across batches, grown
-/// on demand up to [`COALESCE_MAX`]) so they cost one write; large ones
-/// go out with `write_vectored` straight from the shared frame buffers,
-/// resuming after short writes.
-fn write_batch(w: &mut impl Write, batch: &[Bytes], scratch: &mut Vec<u8>) -> io::Result<()> {
+/// The writer's one way to write: every frame of `frames` to `s`, in
+/// order, each call counted in `writes`. Resumes after a short write,
+/// and waits in `ppoll` while the connection's send buffer is full.
+/// One `write_vectored` from the frames' own buffers takes a batch the
+/// buffer has room for: a paired `small_sat` batch found copying small
+/// batches into one buffer first no faster (CHANGES.md).
+fn write_frames(s: &TcpStream, frames: &[Bytes], writes: &AtomicU64) -> io::Result<()> {
     crate::sync::off_loop("socket write");
-    if batch.iter().map(Bytes::len).sum::<usize>() <= COALESCE_MAX {
-        scratch.clear();
-        batch.iter().for_each(|f| scratch.extend_from_slice(f));
-        w.write_all(scratch)?;
-    } else {
-        let mut slices: Vec<IoSlice<'_>> = batch.iter().map(|f| IoSlice::new(f)).collect();
-        let mut left = slices.as_mut_slice();
-        while !left.is_empty() {
-            match w.write_vectored(left) {
-                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-                Ok(n) => IoSlice::advance_slices(&mut left, n),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
+    let mut slices: Vec<IoSlice<'_>> = frames.iter().map(|f| IoSlice::new(f)).collect();
+    let mut left = slices.as_mut_slice();
+    while !left.is_empty() {
+        writes.fetch_add(1, Ordering::Relaxed);
+        match (&*s).write_vectored(left) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut left, n),
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                crate::sys::ppoll(&mut [PollFd::writable(s)], None)?;
             }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
         }
     }
-    w.flush()
+    Ok(())
 }
 
 /// One outbound connection: drains the queue in batches, (re)connects
-/// on demand, writes every frame of the batch, flushes **once**.
+/// on demand, writes every frame of the batch with **one** write when
+/// the send buffer takes it.
 ///
 /// Batching is adaptive with no knobs: an idle connection's queue holds
-/// one frame when the writer wakes, so that frame is written and
-/// flushed immediately (latency-neutral); under load the queue grows
-/// while the previous batch is in `write_all`, and the whole backlog
-/// drains under a single flush (syscall-collapsing).
+/// one frame when the writer wakes, so that frame is written
+/// immediately (latency-neutral); under load the queue grows while the
+/// previous batch is being written, and the whole backlog drains in a
+/// single write (syscall-collapsing).
 ///
 /// A batch that cannot be written after one reconnect attempt is
 /// dropped (and counted) — the asynchronous-channel abstraction the
@@ -446,7 +433,7 @@ fn write_batch(w: &mut impl Write, batch: &[Bytes], scratch: &mut Vec<u8>) -> io
 /// *whole* batch on the fresh connection: the peer tore the old
 /// connection down, so partially-delivered frames vanished with it, and
 /// a duplicated frame is harmless (quorum phases are idempotent and
-/// deduplicate by rpc/op id). The rest of a frame an inline send began
+/// deduplicate by rpc/op id). The rest of a frame an inline write began
 /// goes out first, on the same connection or not at all: on a fresh
 /// one its bytes would not start a frame.
 pub(crate) fn writer_loop(
@@ -463,16 +450,20 @@ pub(crate) fn writer_loop(
             if backoff_ms > 0 {
                 crate::sync::sleep(Duration::from_millis(backoff_ms));
             }
-            if let Ok(s) = TcpStream::connect(addr) {
-                let _ = s.set_nodelay(true);
-                return Some(Arc::new(s));
+            // Nonblocking from here on: the loops write to it inline.
+            match TcpStream::connect(addr) {
+                Ok(s) if s.set_nonblocking(true).is_ok() => {
+                    let _ = s.set_nodelay(true);
+                    return Some(Arc::new(s));
+                }
+                _ => {}
             }
         }
         None
     };
     let mut last_write: Option<Instant> = None;
     let mut batch: Vec<Bytes> = Vec::new();
-    let mut scratch = Vec::new();
+    let writes = &counters.socket_writes;
     while let Some((tail, at)) = queue.pop_batch(&mut batch, stream.clone().zip(last_write)) {
         last_write = at;
         // Gray-node throttle: a slowed host pays the injected latency
@@ -482,10 +473,9 @@ pub(crate) fn writer_loop(
         if slow > 0 {
             crate::sync::sleep(Duration::from_micros(slow));
         }
-        let writes = &counters.socket_writes;
         if let Some(tail) = tail {
-            let on = stream.as_deref().map(|s| Counted(s, writes));
-            match on.map(|mut s| write_batch(&mut s, std::slice::from_ref(&tail), &mut scratch)) {
+            let tail = std::slice::from_ref(&tail);
+            match stream.as_deref().map(|s| write_frames(s, tail, writes)) {
                 Some(Ok(())) => {
                     last_write = Some(Instant::now());
                     counters.flushed(1);
@@ -512,7 +502,7 @@ pub(crate) fn writer_loop(
                 stream = connect(addr);
             }
             let Some(s) = stream.as_deref() else { break };
-            if write_batch(&mut Counted(s, writes), &batch, &mut scratch).is_ok() {
+            if write_frames(s, &batch, writes).is_ok() {
                 last_write = Some(Instant::now());
                 counters.flushed(batch.len());
                 sent = true;
@@ -628,7 +618,8 @@ pub struct PeerOutboundStats {
 pub struct NodeStats {
     /// Per-shard counters, indexed by shard.
     pub shards: Vec<ShardStats>,
-    /// Outbound batches flushed (one `flush` syscall path per batch).
+    /// Outbound batches written (one write per batch, resumed while the
+    /// send buffer is full).
     pub batches_flushed: u64,
     /// Outbound frames written inside those batches.
     pub frames_sent: u64,
@@ -644,7 +635,7 @@ pub struct NodeStats {
     pub faults_dropped: u64,
     /// `read` calls the node made on its connections.
     pub socket_reads: u64,
-    /// `send`, `write` and `write_vectored` calls the node made on its
+    /// `write` and `write_vectored` calls the node made on its
     /// connections, inline sends and writer threads together.
     pub socket_writes: u64,
     /// Write-ahead-log counters summed over the node's shards; `None`
@@ -921,7 +912,9 @@ struct Net {
     base: Arc<HostBase>,
     listens: bool,
     conns: Vec<Conn>,
-    /// The one buffer every connection is read into.
+    /// The one buffer every connection is read into: one page at first,
+    /// doubled by each read that fills it, up to
+    /// [`codec::FRAME_READ_BUF`].
     buf: Vec<u8>,
     /// The poll set, rebuilt at each poll.
     fds: Vec<PollFd>,
@@ -932,6 +925,11 @@ struct Net {
 }
 
 impl Net {
+    fn new(base: Arc<HostBase>, listens: bool) -> Self {
+        let buf = vec![0; usize::from(listens) * 4096];
+        Net { base, listens, conns: Vec::new(), buf, fds: Vec::new(), accept_after: None }
+    }
+
     /// Puts what each connection holds in its shard's inbox, as far as
     /// room and a gray host's delay allow; returns when to try again, if
     /// anything is held or the listener rests.
@@ -1001,9 +999,10 @@ impl Conn {
 
     /// Reads the connection once into `buf`, decodes what came and puts
     /// it in; reads again only if that read filled `buf` and nothing is
-    /// held. Malformed input tears down *this connection only*, and
-    /// nothing on this path can panic the host.
-    fn read(&mut self, buf: &mut [u8], base: &HostBase, shards: &[Shard]) {
+    /// held, and then into a `buf` twice as long, up to
+    /// [`codec::FRAME_READ_BUF`]. Malformed input tears down *this
+    /// connection only*, and nothing on this path can panic the host.
+    fn read(&mut self, buf: &mut Vec<u8>, base: &HostBase, shards: &[Shard]) {
         loop {
             base.writers.socket_reads.fetch_add(1, Ordering::Relaxed);
             let n = match (&self.stream).read(buf) {
@@ -1025,6 +1024,7 @@ impl Conn {
             if self.release(base, shards, Instant::now()).is_some() || n < buf.len() {
                 return;
             }
+            buf.resize((2 * n).min(codec::FRAME_READ_BUF), 0);
         }
         self.done = true;
     }
@@ -1117,9 +1117,7 @@ fn event_loop<A: Actor<Msg> + Send + 'static>(
     let Some(Shard { inbox, inbound, counters }) = shards.get(shard) else { return (actor, wal) };
     let (pid, epoch) = (base.pid, base.epoch);
     let listens = shard == NET_SHARD;
-    let (conns, fds, buf) =
-        (Vec::new(), Vec::new(), vec![0; usize::from(listens) * codec::FRAME_READ_BUF]);
-    let mut net = Net { base, listens, conns, buf, fds, accept_after: None };
+    let mut net = Net::new(base, listens);
     let mut rng = StdRng::seed_from_u64(pid.0 as u64 ^ 0xA1E5_0000 ^ ((shard as u64) << 40));
     let mut timers = TimerHeap::new();
     // What the loop took from its inbox and has not applied yet.
@@ -1407,49 +1405,170 @@ mod tests {
         assert_eq!(drain.join().unwrap(), B * 4, "every frame byte arrived");
     }
 
-    /// A sink that accepts 1–7,000 bytes per call, across slice
-    /// boundaries when offered several, and counts flushes.
-    #[derive(Default)]
-    struct Choppy {
-        got: Vec<u8>,
-        calls: usize,
-        flushes: usize,
-    }
-
-    impl Write for Choppy {
-        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-            self.write_vectored(&[IoSlice::new(buf)])
-        }
-        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
-            self.calls += 1;
-            let accept = 1 + self.calls * 2_654_435_761 % 7_000;
-            let before = self.got.len();
-            for b in bufs {
-                let room = accept - (self.got.len() - before);
-                self.got.extend_from_slice(&b[..b.len().min(room)]);
+    /// A loopback listener and a peer thread that accepts one
+    /// connection and reads it to the end in 1–7,000-byte chunks,
+    /// pausing 1 ms after every eighth read; returns what it read.
+    fn choppy_peer() -> (SocketAddr, JoinHandle<Vec<u8>>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = std::thread::spawn(move || {
+            let (mut s, _) = listener.accept().unwrap();
+            let (mut got, mut chunk, mut calls) = (Vec::new(), vec![0u8; 7_000], 0usize);
+            loop {
+                calls += 1;
+                let want = 1 + calls * 2_654_435_761 % 7_000;
+                match s.read(&mut chunk[..want]) {
+                    Ok(0) => return got,
+                    Ok(n) => got.extend_from_slice(&chunk[..n]),
+                    Err(e) => panic!("read failed: {e}"),
+                }
+                if calls % 8 == 0 {
+                    crate::sync::sleep(Duration::from_millis(1));
+                }
             }
-            Ok(self.got.len() - before)
-        }
-        fn flush(&mut self) -> io::Result<()> {
-            self.flushes += 1;
-            Ok(())
-        }
+        });
+        (addr, peer)
     }
 
     #[test]
     fn a_batch_arrives_byte_identical_through_short_writes() {
+        // A peer that reads in odd-sized chunks with pauses: the writer
+        // meets short writes and a full send buffer on the large batches.
         let frame = |len: usize, seed: u64| Value::filler(len, seed).bytes().clone();
         let mixed =
             vec![frame(100, 1), frame(50_000, 2), frame(9, 3), frame(66_000, 4), frame(1, 5)];
         let small = vec![frame(100, 6), frame(9_000, 7), frame(7_000, 8)];
-        let mut scratch = Vec::new();
-        for batch in [mixed, small, vec![frame(1 << 20, 9)], vec![frame(40, 10)]] {
-            let mut sink = Choppy::default();
-            write_batch(&mut sink, &batch, &mut scratch).unwrap();
-            assert_eq!(sink.got, batch.concat(), "batch of {} frames", batch.len());
-            assert_eq!(sink.flushes, 1, "one flush per drained batch");
-            assert!(scratch.capacity() <= 2 * COALESCE_MAX, "a large batch bypasses the scratch");
+        // 8 MiB is more than a loopback connection buffers (≈ 4 MiB).
+        for batch in [mixed, small, vec![frame(8 << 20, 9)], vec![frame(40, 10)]] {
+            let (addr, peer) = choppy_peer();
+            let q = FrameQueue::new();
+            for f in &batch {
+                q.push(f.clone());
+            }
+            q.close();
+            let counters = Arc::new(WriterCounters::default());
+            writer_loop(ME, &AddrBook::new(), addr, q, counters.clone());
+            assert!(peer.join().unwrap() == batch.concat(), "batch of {} frames", batch.len());
+            assert_eq!(counters.batches_flushed.load(Ordering::Relaxed), 1, "one drained batch");
+            assert_eq!(counters.frames_sent.load(Ordering::Relaxed), batch.len() as u64);
+            if batch.iter().map(Bytes::len).sum::<usize>() == 8 << 20 {
+                let writes = counters.socket_writes.load(Ordering::Relaxed);
+                assert!(writes > 1, "8 MiB met no short write ({writes} writes)");
+            }
         }
+    }
+
+    #[test]
+    fn a_writer_behind_a_full_socket_parks_instead_of_spinning() {
+        // 8 MiB to a peer that reads nothing for 100 ms: the writer fills
+        // the send buffer, then waits in `ppoll` rather than retrying.
+        let (peer, pool) = pool_to_peer(false);
+        let big = Value::filler(8 << 20, 3).bytes().clone();
+        pool.send(PEER, big.clone(), false);
+        let mut conn = accept_within(&peer);
+        let writes = || pool.counters.socket_writes.load(Ordering::Relaxed);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while writes() == 0 {
+            assert!(Instant::now() < deadline, "the writer never wrote");
+            crate::sync::sleep(Duration::from_millis(1));
+        }
+        crate::sync::sleep(Duration::from_millis(10));
+        let before = writes();
+        crate::sync::sleep(Duration::from_millis(100));
+        let spent = writes() - before;
+        assert!(spent <= 3, "{spent} writes while the peer read nothing");
+        let mut got = vec![0u8; big.len()];
+        conn.read_exact(&mut got).unwrap();
+        assert!(big == got, "every byte arrived once the peer read");
+        assert_eq!(pool.counters.frames_abandoned.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn the_fin_peek_tells_a_live_connection_from_a_closed_or_reset_one() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        // A nonblocking connection, as the writer holds it, and its peer.
+        let pair = || {
+            let s = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+            s.set_nonblocking(true).unwrap();
+            (s, listener.accept().unwrap().0)
+        };
+        // Waits until `s` reads as readable (a FIN or a reset counts)
+        // without reading it, so the peek after sees what came first.
+        let arrived = |s: &TcpStream, within: Duration| {
+            let mut fds = [PollFd::readable(s)];
+            crate::sys::ppoll(&mut fds, Some(within)).unwrap();
+            fds[0].ready()
+        };
+        let (live, _peer) = pair();
+        assert!(!arrived(&live, Duration::from_millis(20)));
+        assert!(!peer_closed(&live), "an idle live connection");
+        let (closed, peer) = pair();
+        drop(peer);
+        assert!(arrived(&closed, Duration::from_secs(10)));
+        assert!(peer_closed(&closed), "a connection the peer closed");
+        let (reset, peer) = pair();
+        (&reset).write_all(b"unread").unwrap();
+        peer.peek(&mut [0u8; 1]).unwrap(); // the byte is there, unread
+        drop(peer); // closing with unread data resets the connection
+        assert!(arrived(&reset, Duration::from_secs(10)));
+        assert!(peer_closed(&reset), "a connection the peer reset");
+    }
+
+    #[test]
+    fn the_read_buffer_grows_only_for_frames_that_fill_it() {
+        let base = base(AddrBook::new());
+        let shards = shard_table(1, vec![]);
+        let mut net = Net::new(base.clone(), true);
+        let mut peer = TcpStream::connect(base.local_addr).unwrap();
+        // Polls until `n` more deliveries are in shard 0's inbox.
+        let delivered = |net: &mut Net, n: usize| {
+            let (mut got, mut taken) = (0, VecDeque::new());
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while got < n {
+                assert!(Instant::now() < deadline, "{got} of {n} frames went in");
+                net.poll(&shards, None, Some(Duration::from_millis(10)));
+                shards[0].inbox.take(&mut taken, false);
+                shards[0].inbound.fetch_sub(taken.len(), Ordering::SeqCst);
+                got += taken.drain(..).count();
+            }
+        };
+        for i in 0..20 {
+            peer.write_all(&codec::encode_frame(PEER, &write_msg(Value::filler(64, i)))).unwrap();
+            delivered(&mut net, 1);
+        }
+        assert_eq!(net.buf.len(), 4096, "small frames keep one page");
+        // δ + 1 = 3 coded elements of a 64 KiB value under [5, 3].
+        let reply = |seed: u64| {
+            let elem = (1usize << 16).div_ceil(3);
+            let list = (0..3).map(|z| ares_dap::ListEntry {
+                tag: Tag::new(z + 1, PEER),
+                frag: Some(ares_codes::Fragment {
+                    index: 4,
+                    value_len: 1 << 16,
+                    data: Value::filler(elem, seed + z).bytes().clone(),
+                }),
+            });
+            let hdr = Hdr {
+                cfg: ConfigId(0),
+                obj: ObjectId(2),
+                rpc: RpcId(3),
+                op: OpId { client: ME, seq: 0 },
+            };
+            codec::encode_frame(
+                PEER,
+                &Msg::Dap(DapMsg::new(hdr, DapBody::TreasList(list.collect()))),
+            )
+        };
+        peer.write_all(&reply(0)).unwrap();
+        delivered(&mut net, 1);
+        assert_eq!(net.buf.len(), codec::FRAME_READ_BUF, "a 64 KiB reply grows it to the cap");
+        let writer = std::thread::spawn(move || {
+            peer.write_all(&[reply(10), reply(20), reply(30)].concat()).unwrap();
+            peer
+        });
+        delivered(&mut net, 3);
+        assert_eq!(net.buf.len(), codec::FRAME_READ_BUF, "and no further");
+        drop(writer.join().unwrap());
     }
 
     #[test]
@@ -1641,13 +1760,15 @@ mod tests {
             let within = Duration::from_secs(10);
             while replies.recv_timeout(within).expect("a reply") != Some(PEER) {}
         };
+        // When the last round's frame was pushed: the connections' last
+        // writes are later.
+        let (mut last_push, mut idle_rounds) = (Instant::now(), 0);
         round(); // each host's writer connects and writes the first frame
         let (qa, qb) = (a.pool.queue(PEER), b.pool.queue(ME));
         let sockets = || {
             let (a, b) = (a_base.stats(None), b_base.stats(None));
             [a.socket_reads, b.socket_reads, a.socket_writes, b.socket_writes]
         };
-        let (mut last_push, mut idle_rounds) = (Instant::now(), 0);
         for _ in 0..200 {
             until_parked(&qa);
             until_parked(&qb);

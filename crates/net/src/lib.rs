@@ -16,7 +16,7 @@
 //!   `ares_core::shard`), each shard
 //!   loop fires its own `timer_after` deadlines from a heap, and outbound
 //!   sends go through a reconnecting connection pool whose writers
-//!   drain in adaptively-batched writes (one flush per drained batch);
+//!   drain in adaptively-batched writes (one write per drained batch);
 //! * [`wal`] — durability glue to `ares-wal`: per-shard write-ahead
 //!   journaling of applied events, periodic checkpoints, and
 //!   replay-then-delta-repair crash recovery for [`ShardedNode`]

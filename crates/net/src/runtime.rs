@@ -20,7 +20,7 @@
 //!   inbox and its sockets, only until the earliest one;
 //! * outbound sends go through a **peer pool**: one writer thread per
 //!   destination, connecting on demand, reconnecting after failures,
-//!   and draining its queue in adaptively-batched writes (one flush per
+//!   and draining its queue in adaptively-batched writes (one write per
 //!   drained batch).
 //!
 //! Wall-clock time is reported to actors as microseconds since a shared

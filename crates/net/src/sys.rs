@@ -1,47 +1,25 @@
-//! The two system calls std does not wrap. `send(2)` with
-//! `MSG_DONTWAIT | MSG_NOSIGNAL` never blocks and never raises `SIGPIPE`:
-//! a shard loop writes a frame to an idle peer with it instead of waking
-//! the peer's writer thread. `ppoll(2)` is a shard loop's one park point,
-//! on its inbox's wake socket and, on the network loop, the listener and
-//! every connection at once (`host.rs`).
+//! The one system call std does not wrap: `ppoll(2)`, a shard loop's one
+//! park point, on its inbox's wake socket and, on the network loop, the
+//! listener and every connection at once, and the point where a writer
+//! thread waits while a connection's send buffer is full (`host.rs`).
 
 use std::ffi::{c_int, c_short};
 use std::io;
-use std::net::TcpStream;
 use std::os::fd::AsRawFd;
 use std::time::Duration;
 
-/// Writes what the socket's send buffer takes of `buf` now: `Ok(n)`
-/// bytes, `n ≥ 1`, or an error, `WouldBlock` when the buffer is full.
-#[cfg(target_os = "linux")]
-pub(crate) fn send_nonblocking(s: &TcpStream, buf: &[u8]) -> io::Result<usize> {
-    use std::ffi::c_void;
-    const MSG_DONTWAIT: c_int = 0x40;
-    const MSG_NOSIGNAL: c_int = 0x4000;
-    extern "C" {
-        fn send(fd: c_int, buf: *const c_void, len: usize, flags: c_int) -> isize;
-    }
-    let flags = MSG_DONTWAIT | MSG_NOSIGNAL;
-    // SAFETY: `s` keeps its descriptor open for the call, and `send`
-    // only reads `buf.len()` bytes from `buf`, a live borrowed slice.
-    let n = unsafe { send(s.as_raw_fd(), buf.as_ptr().cast(), buf.len(), flags) };
-    usize::try_from(n).map_err(|_| io::Error::last_os_error())
-}
-
-/// Off Linux nothing is written here: every frame goes to the writer.
-#[cfg(not(target_os = "linux"))]
-pub(crate) fn send_nonblocking(_: &TcpStream, _: &[u8]) -> io::Result<usize> {
-    Err(io::ErrorKind::WouldBlock.into())
-}
-
 /// One entry of a poll set, `struct pollfd`: a descriptor waited on for
-/// reading (a hang-up or an error counts).
+/// reading or for writing (a hang-up or an error counts either way).
 #[repr(C)]
 pub(crate) struct PollFd(c_int, c_short, c_short);
 
 impl PollFd {
     pub(crate) fn readable(fd: &impl AsRawFd) -> Self {
         PollFd(fd.as_raw_fd(), 1 /* POLLIN */, 0)
+    }
+
+    pub(crate) fn writable(fd: &impl AsRawFd) -> Self {
+        PollFd(fd.as_raw_fd(), 4 /* POLLOUT */, 0)
     }
 
     /// Whether the last [`ppoll`] found the descriptor ready.
